@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt staticcheck test race chaos leakcheck verify bench bench-json checkpoint-bench
+.PHONY: all build vet fmt staticcheck test race stress allocs chaos leakcheck verify bench bench-json bench-e2e bench-compare checkpoint-bench
 
 # Seed count for the chaos harness; override as `make chaos CHAOS_SEEDS=100`.
 CHAOS_SEEDS ?= 10
@@ -45,6 +45,17 @@ race:
 		./internal/service/... ./internal/fleet/... ./internal/router/... \
 		./internal/broker/... ./internal/transport/... ./internal/checkpoint/... .
 
+# Concurrency regressions that only show as rare interleavings: 200 race-enabled
+# iterations of the flight recorder's concurrent-capture test (out-of-order
+# ring inserts failed it about one run in six).
+stress:
+	$(GO) test -race -run TestFlightRecorderConcurrentCapture -count 200 ./internal/obs
+
+# Allocation guards of the scan path (steady-state scans allocate only their
+# result). Not under -race: the race detector changes allocation counts.
+allocs:
+	$(GO) test -run AllocsPerRun ./internal/scanengine
+
 # Deterministic chaos harness: seeded fault injection against the full
 # primary→transport→standby pipeline with a cross-node equivalence oracle
 # (see DESIGN.md, "Fault model & testing"). Always race-enabled. TestWatchdog*
@@ -64,7 +75,7 @@ chaos:
 leakcheck:
 	$(GO) test -race -count=1 -run TestCloseLeavesNoPipelineGoroutines .
 
-verify: fmt vet staticcheck build test race leakcheck chaos
+verify: fmt vet staticcheck build test race stress allocs leakcheck chaos
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
@@ -73,6 +84,20 @@ bench:
 # the -bench output into BENCH_<date>.json via cmd/benchjson.
 bench-json:
 	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
+
+# End-to-end benchmark (bench/, declared in BENCHMARK.json): RUNS seeds per
+# workload from SEED into one result set, and the comparison of two result
+# sets — medians, quartiles and a verdict per workload and metric.
+RUNS ?= 10
+SEED ?= 100
+OUT ?= bench/out/results.json
+bench-e2e:
+	$(GO) run ./bench --runs $(RUNS) --seed $(SEED) --out $(OUT)
+
+BASE ?= bench/baseline.json
+HEAD ?= $(OUT)
+bench-compare:
+	$(GO) run ./bench --compare $(BASE) $(HEAD)
 
 # Cold-restart benchmark only: checkpoint-restore + redo catch-up vs the full
 # row-store rebuild at 300k rows (BenchmarkCheckpointRestart), plus snapshot

@@ -900,6 +900,39 @@ func BenchmarkGroupBy(b *testing.B) {
 		f := getGroupByFixture(b, "groupby-nodbim", "")
 		runGrouped(b, f.c.StandbySession(), f.sTbl)
 	})
+	// The two below group the wide table (clean column store, bit-packed
+	// keys with no run structure): the code-indexed general path.
+	runWide := func(b *testing.B, groups int, groupBy ...string) {
+		f := getFixture(b, "standby-clean", dbimadg.ServiceStandbyOnly, false, false)
+		sess := f.c.StandbySession()
+		s := f.sTbl.Schema()
+		q := &dbimadg.Query{
+			Table: f.sTbl,
+			Aggs: []dbimadg.AggSpec{
+				{Kind: dbimadg.AggCount},
+				{Kind: dbimadg.AggSum, Col: s.ColIndex("n1")},
+			},
+		}
+		for _, name := range groupBy {
+			q.GroupBy = append(q.GroupBy, s.ColIndex(name))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := sess.Query(q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if groups > 0 && len(res.Grouped.Groups) != groups {
+				b.Fatalf("groups: %d", len(res.Grouped.Groups))
+			}
+		}
+	}
+	// The bench mix's GRP query: one dictionary key, 1 000 groups.
+	b.Run("HighCardDict", func(b *testing.B) { runWide(b, workload.StrDomain, "c1") })
+	// VARCHAR + NUMBER key: nearly every row its own group, so each IMCU's
+	// code-range product exceeds the direct-index bound (map-indexed slab).
+	b.Run("CompositeKey", func(b *testing.B) { runWide(b, 0, "c1", "n2") })
 	b.Run("MultiAggSinglePass", func(b *testing.B) {
 		f := getGroupByFixture(b, "groupby-imcs", dbimadg.ServiceStandbyOnly)
 		sess := f.c.StandbySession()

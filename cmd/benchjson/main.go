@@ -113,16 +113,24 @@ type GroupBySummary struct {
 	SinglePassNs   float64 `json:"single_pass_ns"`
 	TwoScansNs     float64 `json:"two_scans_ns"`
 	SinglePassGain float64 `json:"single_pass_gain"`
+	// HighCardDict* / CompositeKey* are the code-indexed general path over
+	// the wide table: one dictionary key with 1 000 groups (direct-indexed
+	// slab), and a VARCHAR + NUMBER key past the direct-index bound
+	// (map-indexed slab). Zero when the run predates those sub-benchmarks.
+	HighCardDictNs     float64 `json:"high_card_dict_ns,omitempty"`
+	HighCardDictAllocs float64 `json:"high_card_dict_allocs,omitempty"`
+	CompositeKeyNs     float64 `json:"composite_key_ns,omitempty"`
+	CompositeKeyAllocs float64 `json:"composite_key_allocs,omitempty"`
 }
 
 // groupBySummary extracts the summary from a parsed benchmark set; nil when
 // the run did not include BenchmarkGroupBy's comparison sub-benchmarks.
 func groupBySummary(benchmarks []Benchmark) *GroupBySummary {
-	ns := map[string]float64{}
+	ns, allocs := map[string]float64{}, map[string]float64{}
 	for _, b := range benchmarks {
 		name, _, _ := strings.Cut(b.Name, "-")
 		if sub, ok := strings.CutPrefix(name, "BenchmarkGroupBy/"); ok {
-			ns[sub] = b.Metrics["ns/op"]
+			ns[sub], allocs[sub] = b.Metrics["ns/op"], b.Metrics["allocs/op"]
 		}
 	}
 	s := &GroupBySummary{
@@ -130,6 +138,9 @@ func groupBySummary(benchmarks []Benchmark) *GroupBySummary {
 		RowFallbackNs: ns["RowFallback"],
 		SinglePassNs:  ns["MultiAggSinglePass"],
 		TwoScansNs:    ns["MultiAggTwoScans"],
+
+		HighCardDictNs: ns["HighCardDict"], HighCardDictAllocs: allocs["HighCardDict"],
+		CompositeKeyNs: ns["CompositeKey"], CompositeKeyAllocs: allocs["CompositeKey"],
 	}
 	if s.EncodedNs <= 0 || s.RowFallbackNs <= 0 || s.SinglePassNs <= 0 || s.TwoScansNs <= 0 {
 		return nil

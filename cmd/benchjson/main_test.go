@@ -89,6 +89,8 @@ BenchmarkGroupBy/EncodedIMCS-8         	    4000	    300000 ns/op
 BenchmarkGroupBy/RowFallback-8         	     300	   4500000 ns/op
 BenchmarkGroupBy/MultiAggSinglePass-8  	    5000	    200000 ns/op
 BenchmarkGroupBy/MultiAggTwoScans-8    	    2500	    440000 ns/op
+BenchmarkGroupBy/HighCardDict-8        	     700	   1700000 ns/op	  600000 B/op	     200 allocs/op
+BenchmarkGroupBy/CompositeKey-8        	      30	  45000000 ns/op	44000000 B/op	     900 allocs/op
 PASS
 `
 	doc, err := parse(strings.NewReader(in))
@@ -98,6 +100,10 @@ PASS
 	gs := doc.GroupBy
 	if gs == nil {
 		t.Fatal("groupby summary not extracted")
+	}
+	if gs.HighCardDictNs != 1700000 || gs.HighCardDictAllocs != 200 ||
+		gs.CompositeKeyNs != 45000000 || gs.CompositeKeyAllocs != 900 {
+		t.Fatalf("bad wide-table rows: %+v", gs)
 	}
 	if gs.EncodedNs != 300000 || gs.RowFallbackNs != 4500000 {
 		t.Fatalf("bad summary: %+v", gs)

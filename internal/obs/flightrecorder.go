@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 )
@@ -115,12 +116,16 @@ func (fr *FlightRecorder) Capture(reason string, stages []StageHealth) *Bundle {
 	}
 	b.Goroutines = goroutineDump(fr.maxGoroutine)
 
+	// Concurrent captures finish assembling in any order: insert by Seq, so
+	// the ring stays oldest-first and Last is the newest capture taken.
 	fr.mu.Lock()
-	if len(fr.ring) == fr.capacity {
-		copy(fr.ring, fr.ring[1:])
-		fr.ring[len(fr.ring)-1] = b
-	} else {
-		fr.ring = append(fr.ring, b)
+	i := len(fr.ring)
+	for i > 0 && fr.ring[i-1].Seq > seq {
+		i--
+	}
+	fr.ring = slices.Insert(fr.ring, i, b)
+	if len(fr.ring) > fr.capacity {
+		fr.ring = slices.Delete(fr.ring, 0, 1)
 	}
 	fr.mu.Unlock()
 	return b

@@ -3,6 +3,7 @@ package scanengine
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -207,6 +208,52 @@ func NewExecutor(view rowstore.TxnView, stores ...*imcs.Store) *Executor {
 }
 
 const batchSize = 1024 // rows per vectorized evaluation batch (multiple of 64)
+
+// scanScratch is one scan worker's working memory: the batch decode windows,
+// the match bitmap, the per-IMCU resolved filters and the group operator's
+// unit-local table. It holds no IMCU reference between queries.
+type scanScratch struct {
+	num, aux []int64   // predicate and kernel decode windows
+	match    []uint64  // batch match bitmap
+	wins     [][]int64 // group key/value windows, grown on demand
+	filters  []batchFilter
+	group    groupLocal
+}
+
+// win returns the i-th group decode window.
+func (s *scanScratch) win(i int) []int64 {
+	for len(s.wins) <= i {
+		s.wins = append(s.wins, make([]int64, batchSize))
+	}
+	return s.wins[i]
+}
+
+// scratchPool is the process's bounded free list of scan-worker scratch: a
+// worker takes one at the start of a query and returns it at the end, so a
+// steady-state scan allocates only its result. The buffer (GOMAXPROCS) is the
+// retention limit however many executors and sessions exist; a burst beyond
+// it allocates, and drops the surplus on return.
+var scratchPool = make(chan *scanScratch, runtime.GOMAXPROCS(0))
+
+func getScratch() *scanScratch {
+	select {
+	case s := <-scratchPool:
+		return s
+	default:
+		return &scanScratch{
+			num:   make([]int64, batchSize),
+			aux:   make([]int64, batchSize),
+			match: make([]uint64, batchSize/64),
+		}
+	}
+}
+
+func putScratch(s *scanScratch) {
+	select {
+	case scratchPool <- s:
+	default:
+	}
+}
 
 // validate checks a query's shape against the table's current schema and
 // normalizes its aggregate/grouping plan.
@@ -493,9 +540,7 @@ type taskResult struct {
 	rowsEncoded  int64
 	rowsDecoded  int64
 
-	numScratch []int64
-	auxScratch []int64
-	match      []uint64
+	s *scanScratch // on loan from scratchPool until release
 }
 
 // taskProf is a collected TaskProfile tagged with its partition index.
@@ -519,13 +564,16 @@ func (r *taskResult) counters() pathCounters {
 }
 
 func newTaskResult(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered bool) *taskResult {
-	return &taskResult{
-		op:         newOperator(q, plan, schema, ordered),
-		ordered:    ordered,
-		numScratch: make([]int64, batchSize),
-		auxScratch: make([]int64, batchSize),
-		match:      make([]uint64, batchSize/64),
-	}
+	s := getScratch()
+	return &taskResult{op: newOperator(q, plan, schema, ordered, s), ordered: ordered, s: s}
+}
+
+// release ends the worker's scan: the operator folds whatever unit-local
+// state it still holds, and the scratch goes back to the pool.
+func (r *taskResult) release() {
+	r.op.flush()
+	putScratch(r.s)
+	r.s = nil
 }
 
 func (r *taskResult) merge(o *taskResult) {
@@ -664,52 +712,47 @@ func pruneIMCU(schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) *prun
 	return nil
 }
 
-// evalFilterBatch narrows match to rows of [base, base+n) satisfying f.
-// It returns false when the whole batch (and, for dictionary misses, the
-// whole IMCU batch loop) is dead.
-func (ex *Executor) evalFilterBatch(schema *rowstore.Schema, imcu *imcs.IMCU, f Filter, base, n int, match []uint64, res *taskResult) bool {
-	col := schema.Col(f.Col)
-	if col.Kind == rowstore.KindNumber {
-		vals := res.numScratch[:n]
-		imcu.NumCol(col.Slot()).Decode(vals, base)
-		andCmpBitmap(match, vals, f.Op, f.Num)
-		return true
-	}
-	// Dictionary-encoded varchar: compare on codes.
-	c := imcu.StrCol(col.Slot())
-	ge := c.CodeRangeGE(f.Str)
-	_, eqFound := c.Code(f.Str)
-	upper := ge
-	if eqFound {
-		upper = ge + 1
-	}
-	// Fast path: equality with a missing dictionary entry matches nothing.
-	if f.Op == EQ && !eqFound {
-		clear(match[:(n+63)/64])
-		return false
-	}
-	vals := res.numScratch[:n]
-	c.DecodeCodes(vals, base)
-	// Rewrite the operator into a code comparison: EQ -> code == ge;
-	// NE with a present literal -> code != ge (else all pass); ranges map to
-	// half-open bounds on the sorted dictionary's code space.
-	switch f.Op {
-	case EQ:
-		andCmpBitmap(match, vals, EQ, ge)
-	case NE:
-		if eqFound {
-			andCmpBitmap(match, vals, NE, ge)
+// batchFilter is a filter resolved against one IMCU: the column slot to
+// decode and the comparison to run on its values — or, for a dictionary
+// column, on its codes.
+type batchFilter struct {
+	slot int
+	str  bool
+	op   CmpOp
+	v    int64
+}
+
+// resolveFilters rewrites the query's filters for one IMCU into dst. A
+// VARCHAR literal becomes a bound on the sorted dictionary's code space (the
+// two binary searches happen here, once per morsel, not per batch): EQ/NE
+// compare with the literal's code, or with -1 — which no code equals — when
+// the dictionary lacks it; ranges map to half-open code bounds.
+func resolveFilters(dst []batchFilter, schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) []batchFilter {
+	dst = dst[:0]
+	for _, f := range filters {
+		col := schema.Col(f.Col)
+		bf := batchFilter{slot: col.Slot(), op: f.Op, v: f.Num}
+		if col.Kind == rowstore.KindVarchar {
+			c := imcu.StrCol(bf.slot)
+			ge := c.CodeRangeGE(f.Str)
+			upper := ge
+			_, found := c.Code(f.Str)
+			if found {
+				upper++
+			}
+			bf.str, bf.v = true, ge
+			switch {
+			case (f.Op == EQ || f.Op == NE) && !found:
+				bf.v = -1
+			case f.Op == LE:
+				bf.op, bf.v = LT, upper
+			case f.Op == GT:
+				bf.op, bf.v = GE, upper
+			}
 		}
-	case LT:
-		andCmpBitmap(match, vals, LT, ge)
-	case LE:
-		andCmpBitmap(match, vals, LT, upper)
-	case GT:
-		andCmpBitmap(match, vals, GE, upper)
-	case GE:
-		andCmpBitmap(match, vals, GE, ge)
+		dst = append(dst, bf)
 	}
-	return true
+	return dst
 }
 
 // andCmpBitmap ANDs into match the bitmap of positions of vals satisfying

@@ -23,12 +23,28 @@ type fixture struct {
 	tbl   *rowstore.Table
 	store *imcs.Store
 	eng   *imcs.Engine
+	// fill gives row i's n1 and c1 values.
+	fill func(i int64) (n1 int64, c1 string)
 }
 
 // colors used by the c1 column.
 var colors = []string{"red", "green", "blue", "amber"}
 
 func newFixture(t *testing.T, rows int, populate bool) *fixture {
+	t.Helper()
+	blocksPerIMCU := 0
+	if populate {
+		blocksPerIMCU = 8
+	}
+	return newFixtureFill(t, rows, blocksPerIMCU, func(i int64) (int64, string) {
+		return i % 100, colors[i%int64(len(colors))]
+	})
+}
+
+// newFixtureFill builds the three-column table T (id, n1, c1) with rows rows
+// of 32 to a block, row i's n1 and c1 from fill, and — when blocksPerIMCU is
+// positive — populates it in units of that many blocks.
+func newFixtureFill(t testing.TB, rows, blocksPerIMCU int, fill func(i int64) (int64, string)) *fixture {
 	t.Helper()
 	c := primary.NewCluster(1, 32)
 	tbl, err := c.Instance(0).CreateTable(&rowstore.TableSpec{
@@ -45,12 +61,12 @@ func newFixture(t *testing.T, rows int, populate bool) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{c: c, tbl: tbl, store: imcs.NewStore()}
+	f := &fixture{c: c, tbl: tbl, store: imcs.NewStore(), fill: fill}
 	f.insert(t, 0, int64(rows))
-	if populate {
+	if blocksPerIMCU > 0 {
 		f.eng = imcs.NewEngine(f.store, c.Txns(), prisnap{c}, func() []imcs.Target {
 			return []imcs.Target{{Seg: tbl.Segments()[0], Table: tbl}}
-		}, imcs.Config{BlocksPerIMCU: 8, Workers: 2})
+		}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Workers: 2})
 		f.eng.Start()
 		t.Cleanup(f.eng.Stop)
 		if !f.eng.WaitIdle(5 * time.Second) {
@@ -60,15 +76,14 @@ func newFixture(t *testing.T, rows int, populate bool) *fixture {
 	return f
 }
 
-func (f *fixture) insert(t *testing.T, from, to int64) {
+func (f *fixture) insert(t testing.TB, from, to int64) {
 	t.Helper()
 	s := f.tbl.Schema()
 	tx := f.c.Instance(0).Begin()
 	for i := from; i < to; i++ {
 		r := rowstore.NewRow(s)
 		r.Nums[s.Col(0).Slot()] = i
-		r.Nums[s.Col(1).Slot()] = i % 100
-		r.Strs[s.Col(2).Slot()] = colors[i%int64(len(colors))]
+		r.Nums[s.Col(1).Slot()], r.Strs[s.Col(2).Slot()] = f.fill(i)
 		if _, err := tx.Insert(f.tbl, r); err != nil {
 			t.Fatal(err)
 		}

@@ -333,14 +333,15 @@ func stealInto(deques []*morselDeque, w int, rng *uint64, st *WorkerProfile) (mo
 // scheduling stats. Initial placement follows each task's affinity hint; load
 // balance comes from stealing.
 func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schema, morsels []morsel, workers int, snap scn.SCN, profiling, ordered bool) (*taskResult, []WorkerProfile) {
-	merged := newTaskResult(q, plan, schema, ordered)
 	if workers <= 1 {
+		res := newTaskResult(q, plan, schema, ordered)
 		ws := make([]WorkerProfile, 1)
 		for _, m := range morsels {
-			ws[0].BusyNanos += ex.runMorselOn(q, schema, m, snap, merged, profiling)
+			ws[0].BusyNanos += ex.runMorselOn(q, schema, m, snap, res, profiling)
 		}
 		ws[0].Morsels = int64(len(morsels))
-		return merged, ws
+		res.release()
+		return res, ws
 	}
 	deques := make([]*morselDeque, workers)
 	for i := range deques {
@@ -360,6 +361,7 @@ func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schem
 		go func(w int) {
 			defer wg.Done()
 			res := results[w]
+			defer res.release()
 			st := &ws[w]
 			rng := uint64(w)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
 			for {
@@ -376,10 +378,11 @@ func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schem
 		}(w)
 	}
 	wg.Wait()
-	for _, r := range results {
-		merged.merge(r)
+	// Worker 0's partial is the merge target: the others fold into it.
+	for _, r := range results[1:] {
+		results[0].merge(r)
 	}
-	return merged, ws
+	return results[0], ws
 }
 
 // scanIMCUWindow is the columnar path over one morsel's row window [lo, hi):
@@ -391,7 +394,8 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 	imcu, invalid := ts.imcu, ts.invalid
 	rows := ts.rows
 	present := imcu.PresentWords()
-	match := res.match
+	match := res.s.match
+	res.s.filters = resolveFilters(res.s.filters, schema, imcu, q.Filters)
 	res.op.beginUnit(imcu)
 	for base := lo - lo%batchSize; base < hi; base += batchSize {
 		n := rows - base
@@ -412,15 +416,14 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 			continue
 		}
 		res.batches++
-		live := true
-		for _, f := range q.Filters {
-			if !ex.evalFilterBatch(schema, imcu, f, base, n, match, res) {
-				live = false
-				break
+		for _, f := range res.s.filters {
+			vals := res.s.num[:n]
+			if f.str {
+				imcu.StrCol(f.slot).DecodeCodes(vals, base)
+			} else {
+				imcu.NumCol(f.slot).Decode(vals, base)
 			}
-		}
-		if !live {
-			continue
+			andCmpBitmap(match, vals, f.op, f.v)
 		}
 		matched := imcs.PopcountRange(match, 0, n)
 		if matched == 0 {
@@ -429,7 +432,6 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 		res.fromIMCS += matched
 		res.op.foldBatch(res, imcu, base, n, match)
 	}
-	res.op.endUnit()
 }
 
 // scanInvalidWindow reconciles with the SMU over row window [lo, hi): rows

@@ -1,11 +1,14 @@
 package scanengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/rowstore"
@@ -14,9 +17,9 @@ import (
 // This file holds the batch operator pipeline: after scanIMCU builds a match
 // bitmap for a batch, the surviving rows flow into exactly one operator —
 // rowsOp (late materialization), aggOp (multi-aggregate accumulator) or
-// groupOp (hash GROUP BY) — instead of a row-at-a-time fold. The row-store
-// serving paths (gaps, invalid rows, edge tails, fallbacks) feed the same
-// operator through foldRow, so hybrid results stay exact at QuerySCN.
+// groupOp (code-indexed GROUP BY) — instead of a row-at-a-time fold. The
+// row-store serving paths (gaps, invalid rows, edge tails, fallbacks) feed the
+// same operator through foldRow, so hybrid results stay exact at QuerySCN.
 
 // AggSpec names one select-list aggregate. Col is the aggregated schema
 // column index (ignored for AggCount).
@@ -25,8 +28,8 @@ type AggSpec struct {
 	Col  int
 }
 
-// maxGroupCols bounds the GROUP BY key width (it sizes the fixed-width hash
-// keys the group operator uses).
+// maxGroupCols bounds the GROUP BY key width (it sizes the fixed-width
+// composite keys the group operator uses).
 const maxGroupCols = 4
 
 // GroupValue is one group-key value: Num for NUMBER key columns, Str for
@@ -67,6 +70,9 @@ type GroupedResult struct {
 type queryPlan struct {
 	aggs    []AggSpec
 	groupBy []int
+	// Per GROUP BY column: its slot among the columns of its kind.
+	keySlots []int
+	keyIsStr []bool
 }
 
 // planQuery normalizes and validates a query's aggregate/grouping shape.
@@ -97,6 +103,8 @@ func planQuery(q *Query, schema *rowstore.Schema) (*queryPlan, error) {
 			if ci < 0 || ci >= schema.NumCols() {
 				return nil, fmt.Errorf("scanengine: GROUP BY column %d out of range", ci)
 			}
+			p.keySlots = append(p.keySlots, schema.Col(ci).Slot())
+			p.keyIsStr = append(p.keyIsStr, schema.Col(ci).Kind == rowstore.KindVarchar)
 		}
 	}
 	return p, nil
@@ -119,13 +127,15 @@ func aggLabel(a AggSpec, schema *rowstore.Schema) string {
 
 // operator consumes the matching rows of one scan task stream. foldBatch
 // receives a batch-local match bitmap over IMCU positions [base, base+n);
-// beginUnit/endUnit bracket the batches of one IMCU (dictionary codes are
-// IMCU-local, so code-keyed state must flush at unit end). foldRow feeds a
-// row image from a row-store serving path, with its RowID order key.
+// beginUnit precedes the batches of one morsel and names their IMCU
+// (dictionary codes are IMCU-local, so code-keyed state lives until the unit
+// changes); flush ends the worker's scan, after which merge and finish see
+// no unit-local state. foldRow feeds a row image from a row-store serving
+// path, with its RowID order key.
 type operator interface {
 	beginUnit(imcu *imcs.IMCU)
 	foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64)
-	endUnit()
+	flush()
 	foldRow(r *taskResult, row rowstore.Row, key uint64)
 	merge(o operator)
 	finish(res *Result)
@@ -134,11 +144,12 @@ type operator interface {
 // newOperator picks the operator for a validated query plan. ordered makes
 // the rows operator keep RowID sort keys: set for OrderByRowID queries and
 // for every parallel materializing scan (morsel completion order is not
-// deterministic, the sorted merge is).
-func newOperator(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered bool) operator {
+// deterministic, the sorted merge is). scratch is the worker's, on loan for
+// the operator's scan.
+func newOperator(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered bool, scratch *scanScratch) operator {
 	switch {
 	case len(plan.groupBy) > 0:
-		return newGroupOp(plan, schema)
+		return newGroupOp(plan, schema, scratch)
 	case len(plan.aggs) > 0:
 		return newAggOp(plan, schema)
 	default:
@@ -203,7 +214,7 @@ func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool) *rowsOp {
 }
 
 func (o *rowsOp) beginUnit(*imcs.IMCU) {}
-func (o *rowsOp) endUnit()             {}
+func (o *rowsOp) flush()               {}
 
 func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
 	o.idx = collectIdx(o.idx, match, n)
@@ -220,7 +231,7 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	for _, s := range o.numSlots {
 		col := imcu.NumCol(s)
 		if dense {
-			vals := r.auxScratch[:n]
+			vals := r.s.aux[:n]
 			col.Decode(vals, base)
 			for k, i := range o.idx {
 				o.rows[start+k].Nums[s] = vals[i]
@@ -234,7 +245,7 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	for _, s := range o.strSlots {
 		col := imcu.StrCol(s)
 		if dense {
-			codes := r.auxScratch[:n]
+			codes := r.s.aux[:n]
 			col.DecodeCodes(codes, base)
 			for k, i := range o.idx {
 				o.rows[start+k].Strs[s] = col.Value(codes[i])
@@ -328,6 +339,20 @@ func (c *aggCell) mergeCell(o aggCell) {
 	}
 }
 
+// aggValue reads one aggregate out of accumulated state: the row count, or
+// the wanted component of cells[ci].
+func aggValue(kind AggKind, count int64, cells []aggCell, ci int) int64 {
+	switch kind {
+	case AggSum:
+		return cells[ci].sum
+	case AggMin:
+		return cells[ci].min
+	case AggMax:
+		return cells[ci].max
+	}
+	return count
+}
+
 // uniqueAggCols computes the distinct value slots the aggregate list reads
 // and, per spec, the index of its slot's cell (-1 for COUNT).
 func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots []int, colOf []int) {
@@ -377,7 +402,7 @@ func newAggOp(plan *queryPlan, schema *rowstore.Schema) *aggOp {
 }
 
 func (o *aggOp) beginUnit(*imcs.IMCU) {}
-func (o *aggOp) endUnit()             {}
+func (o *aggOp) flush()               {}
 
 func (o *aggOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
 	cnt := imcs.PopcountRange(match, 0, n)
@@ -391,7 +416,7 @@ func (o *aggOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []u
 		return
 	}
 	for ci, s := range o.slots {
-		a := imcu.NumCol(s).AggMasked(match, base, 0, n, r.auxScratch)
+		a := imcu.NumCol(s).AggMasked(match, base, 0, n, r.s.aux)
 		o.cells[ci].addMasked(a)
 		r.rowsEncoded += a.EncodedRows
 		r.rowsDecoded += a.Count - a.EncodedRows
@@ -417,16 +442,7 @@ func (o *aggOp) finish(res *Result) {
 	res.Count = o.count
 	res.AggVals = make([]int64, len(o.specs))
 	for k, a := range o.specs {
-		switch a.Kind {
-		case AggCount:
-			res.AggVals[k] = o.count
-		case AggSum:
-			res.AggVals[k] = o.cells[o.colOf[k]].sum
-		case AggMin:
-			res.AggVals[k] = o.cells[o.colOf[k]].min
-		case AggMax:
-			res.AggVals[k] = o.cells[o.colOf[k]].max
-		}
+		res.AggVals[k] = aggValue(a.Kind, o.count, o.cells, o.colOf[k])
 	}
 	// Legacy single-aggregate fields carry the first spec of each kind.
 	var haveSum, haveMin, haveMax bool
@@ -442,136 +458,270 @@ func (o *aggOp) finish(res *Result) {
 	}
 }
 
-// lkey is an IMCU-local group key: raw int64 for NUMBER key columns,
-// dictionary codes for VARCHAR ones. Codes only mean something within one
-// IMCU, so lkey-keyed state lives from beginUnit to endUnit.
+// maxDirectSlots bounds the code-indexed form of the unit-local group table:
+// while the product of an IMCU's key-column code ranges fits it, a row's
+// group slot is its composite key code; past it, one map probe per row finds
+// the slot.
+const maxDirectSlots = 1 << 16
+
+// lkey is a fixed-width composite group key. Unit-local: dictionary codes for
+// VARCHAR key columns, raw values for NUMBER ones. Global: interned string
+// ids in place of the codes.
 type lkey [maxGroupCols]int64
 
-// gkey is a global group key with VARCHAR keys resolved to strings.
-type gkey struct {
-	nums [maxGroupCols]int64
-	strs [maxGroupCols]string
-}
-
-type groupState struct {
-	count int64
+// aggSlab is flat group state: group g's matching-row count is count[g], its
+// cells cells[g*nc : (g+1)*nc]. An empty group has count 0 and fresh cells.
+type aggSlab struct {
+	nc    int
+	count []int64
 	cells []aggCell
 }
 
-// groupOp is the hash GROUP BY operator. During an IMCU scan groups hash on
-// dictionary codes (VARCHAR keys) and raw values (NUMBER keys); labels are
-// decoded once per group at unit end, not per row. Single-column NUMBER keys
-// with run structure take a run-level fast path: one map probe per
-// (run × match-word window), aggregating values in encoded space. Row-store
-// rows hash directly on the global key. finish emits groups in deterministic
-// key order, independent of scan parallelism and task interleaving.
-type groupOp struct {
-	schema   *rowstore.Schema
-	keyCols  []int
-	keySlots []int
-	keyIsStr []bool
-	specs    []AggSpec
-	slots    []int
-	colOf    []int
-
-	global map[gkey]*groupState
-
-	unit  *imcs.IMCU
-	local map[lkey]*groupState
-
-	keyScratch [][]int64
-	valScratch [][]int64
+// grow extends the slab to n groups, the new ones empty.
+func (s *aggSlab) grow(n int) {
+	for len(s.count) < n {
+		s.count = append(s.count, 0)
+		for i := 0; i < s.nc; i++ {
+			s.cells = append(s.cells, newAggCell())
+		}
+	}
 }
 
-func newGroupOp(plan *queryPlan, schema *rowstore.Schema) *groupOp {
-	o := &groupOp{
-		schema:  schema,
-		keyCols: plan.groupBy,
-		specs:   plan.aggs,
-		global:  make(map[gkey]*groupState),
-		local:   make(map[lkey]*groupState),
+// foldGroup merges group sg of src into group g.
+func (s *aggSlab) foldGroup(g int, src *aggSlab, sg int) {
+	s.count[g] += src.count[sg]
+	for i := 0; i < s.nc; i++ {
+		s.cells[g*s.nc+i].mergeCell(src.cells[sg*s.nc+i])
 	}
-	for _, ci := range plan.groupBy {
-		col := schema.Col(ci)
-		o.keySlots = append(o.keySlots, col.Slot())
-		o.keyIsStr = append(o.keyIsStr, col.Kind == rowstore.KindVarchar)
-		o.keyScratch = append(o.keyScratch, make([]int64, batchSize))
-	}
+}
+
+// groupLocal is the group operator's unit-local table. It lives in the
+// worker's scratch: between flushes only the touched slots are non-empty, so
+// a flush costs the groups seen, not the table's size.
+type groupLocal struct {
+	aggSlab
+	touched []int32        // slots folded into since the last flush
+	index   map[lkey]int32 // map-indexed form: key → slot (slots dense)
+	keys    []lkey         // map-indexed form: slot → key
+}
+
+// groupOp is the GROUP BY operator. During an IMCU scan a row's group is a
+// slot of the unit-local slab, found by direct index on the composite key
+// code — dictionary code for VARCHAR keys, value − min for NUMBER keys —
+// when the unit's code ranges fit maxDirectSlots, through one map otherwise.
+// Single-column NUMBER keys with run structure take a run-level fast path
+// into the same slab: one slot lookup per (run × match-word window),
+// aggregating values in encoded space. The local table outlives a morsel:
+// it folds into the global one — decoding labels once per (unit, group), not
+// per row — when the worker moves to another IMCU and at flush. Row-store
+// rows fold into the global table directly. finish emits groups in
+// deterministic key order, independent of scan parallelism and task
+// interleaving.
+type groupOp struct {
+	*queryPlan
+	schema *rowstore.Schema
+	slots  []int
+	colOf  []int
+
+	// Global table: group g's key values are gkeys[g*nk : (g+1)*nk]. A single
+	// key column indexes it by its value (byStr or byNum); a composite key
+	// interns its VARCHAR values in byStr and indexes byKey.
+	g     aggSlab
+	gkeys []GroupValue
+	byStr map[string]int32
+	byNum map[int64]int32
+	byKey map[lkey]int32
+	kv    [maxGroupCols]GroupValue // key assembly buffer
+
+	unit   *imcs.IMCU // the IMCU loc's slots are coded against
+	loc    *groupLocal
+	direct bool
+	kmin   lkey      // per key column: code origin
+	krange lkey      // per key column: code range size (direct form)
+	vals   [][]int64 // per aggregated column: the batch's value window
+}
+
+func newGroupOp(plan *queryPlan, schema *rowstore.Schema, scratch *scanScratch) *groupOp {
+	o := &groupOp{queryPlan: plan, schema: schema, loc: &scratch.group}
 	o.slots, o.colOf = uniqueAggCols(plan.aggs, schema)
-	for range o.slots {
-		o.valScratch = append(o.valScratch, make([]int64, batchSize))
+	o.vals = make([][]int64, len(o.slots))
+	o.g.nc = len(o.slots)
+	if o.loc.nc != o.g.nc {
+		// Every slot is empty between queries, so a new cell width only
+		// re-cuts the slab.
+		o.loc.aggSlab = aggSlab{nc: o.g.nc, count: o.loc.count[:0], cells: o.loc.cells[:0]}
 	}
 	return o
 }
 
-func (o *groupOp) newState() *groupState {
-	st := &groupState{cells: make([]aggCell, len(o.slots))}
-	for i := range st.cells {
-		st.cells[i] = newAggCell()
+// reserve builds the global table, unless it is built, with room for n groups.
+func (o *groupOp) reserve(n int) {
+	if o.byStr != nil || o.byNum != nil {
+		return
 	}
-	return st
+	nk := len(o.groupBy)
+	o.gkeys = make([]GroupValue, 0, n*nk)
+	o.g.count, o.g.cells = make([]int64, 0, n), make([]aggCell, 0, n*o.g.nc)
+	switch {
+	case nk > 1:
+		o.byStr, o.byKey = map[string]int32{}, make(map[lkey]int32, n)
+	case o.keyIsStr[0]:
+		o.byStr = make(map[string]int32, n)
+	default:
+		o.byNum = make(map[int64]int32, n)
+	}
 }
 
-func (o *groupOp) localState(lk lkey) *groupState {
-	st := o.local[lk]
-	if st == nil {
-		st = o.newState()
-		o.local[lk] = st
-	}
-	return st
-}
-
-func (o *groupOp) beginUnit(imcu *imcs.IMCU) { o.unit = imcu }
-
-// endUnit translates code-keyed local groups to global string keys — one
-// dictionary lookup per (group, VARCHAR key column), not per row.
-func (o *groupOp) endUnit() {
-	for lk, st := range o.local {
-		var gk gkey
-		for j := range o.keyCols {
-			if o.keyIsStr[j] {
-				gk.strs[j] = o.unit.StrCol(o.keySlots[j]).Value(lk[j])
-			} else {
-				gk.nums[j] = lk[j]
+// globalSlot finds or creates the global group of a key.
+func (o *groupOp) globalSlot(kv []GroupValue) int {
+	o.reserve(0)
+	next := int32(len(o.g.count))
+	var g int32
+	switch {
+	case len(kv) > 1:
+		var ck lkey
+		for j, v := range kv {
+			if ck[j] = v.Num; v.IsStr {
+				ck[j] = int64(getOrPut(o.byStr, v.Str, int32(len(o.byStr))))
 			}
 		}
-		o.foldState(gk, st)
+		g = getOrPut(o.byKey, ck, next)
+	case kv[0].IsStr:
+		g = getOrPut(o.byStr, kv[0].Str, next)
+	default:
+		g = getOrPut(o.byNum, kv[0].Num, next)
 	}
-	clear(o.local)
+	if g == next {
+		o.gkeys = append(o.gkeys, kv...)
+		o.g.grow(int(g) + 1)
+	}
+	return int(g)
+}
+
+// getOrPut returns m[k], after setting it to next when k is new.
+func getOrPut[K comparable](m map[K]int32, k K, next int32) int32 {
+	if v, ok := m[k]; ok {
+		return v
+	}
+	m[k] = next
+	return next
+}
+
+// beginUnit points the local table at imcu. Morsels of one IMCU keep
+// accumulating into it; a different IMCU recodes the slots, so the table
+// flushes first.
+func (o *groupOp) beginUnit(imcu *imcs.IMCU) {
+	if imcu == o.unit {
+		return
+	}
+	o.flush()
+	o.unit = imcu
+	var slots int
+	o.kmin, o.krange, slots = o.keySpans(imcu)
+	if o.direct = slots <= maxDirectSlots; o.direct {
+		o.loc.grow(slots)
+	}
+}
+
+// keySpans returns, per key column, the origin and the size of its code range
+// in imcu — dictionary codes for VARCHAR, min..max for NUMBER — and the size
+// of the composite range: the slots a direct-indexed table needs. Sizes are
+// clamped just past maxDirectSlots, so the product cannot wrap.
+func (p *queryPlan) keySpans(imcu *imcs.IMCU) (origin, span lkey, slots int) {
+	slots = 1
+	for j, slot := range p.keySlots {
+		if p.keyIsStr[j] {
+			span[j] = int64(min(imcu.StrCol(slot).DictSize(), maxDirectSlots+1))
+		} else {
+			mn, mx := imcu.NumCol(slot).MinMax()
+			origin[j], span[j] = mn, int64(min(uint64(mx-mn), maxDirectSlots))+1
+		}
+		slots = min(slots*int(span[j]), maxDirectSlots+1)
+	}
+	return origin, span, slots
+}
+
+// mapSlot is the map-indexed form's slot lookup.
+func (o *groupOp) mapSlot(lk lkey) int64 {
+	loc := o.loc
+	s, ok := loc.index[lk]
+	if !ok {
+		if loc.index == nil {
+			loc.index = map[lkey]int32{}
+		}
+		s = int32(len(loc.keys))
+		loc.index[lk] = s
+		loc.keys = append(loc.keys, lk)
+		loc.grow(len(loc.keys))
+	}
+	return int64(s)
+}
+
+// flush folds the local table's touched slots into the global table and
+// empties them.
+func (o *groupOp) flush() {
+	loc, nk := o.loc, len(o.groupBy)
+	if len(loc.touched) > 0 {
+		// A first flush brings a whole unit's groups: a measured floor on the
+		// result's, where the key's code range would be a guess.
+		o.reserve(len(loc.touched))
+	}
+	for _, s := range loc.touched {
+		var lk lkey
+		if o.direct {
+			rem := int64(s)
+			for j := nk - 1; j >= 0; j-- {
+				lk[j] = rem%o.krange[j] + o.kmin[j]
+				rem /= o.krange[j]
+			}
+		} else {
+			lk = loc.keys[s]
+		}
+		for j, slot := range o.keySlots {
+			if o.keyIsStr[j] {
+				o.kv[j] = GroupValue{Str: o.unit.StrCol(slot).Value(lk[j]), IsStr: true}
+			} else {
+				o.kv[j] = GroupValue{Num: lk[j]}
+			}
+		}
+		o.g.foldGroup(o.globalSlot(o.kv[:nk]), &loc.aggSlab, int(s))
+		loc.count[s] = 0
+		for i := int(s) * loc.nc; i < (int(s)+1)*loc.nc; i++ {
+			loc.cells[i] = newAggCell()
+		}
+	}
+	loc.touched = loc.touched[:0]
+	loc.keys = loc.keys[:0]
+	clear(loc.index)
 	o.unit = nil
 }
 
-func (o *groupOp) foldState(gk gkey, st *groupState) {
-	dst := o.global[gk]
-	if dst == nil {
-		o.global[gk] = st
-		return
-	}
-	dst.count += st.count
-	for i := range st.cells {
-		dst.cells[i].mergeCell(st.cells[i])
-	}
-}
-
 func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
+	loc := o.loc
+	nk, nc := len(o.groupBy), loc.nc
 	// Run-level fast path: a single NUMBER key with run structure visits each
 	// run once and aggregates its match window in encoded space.
-	if len(o.keyCols) == 1 && !o.keyIsStr[0] {
-		kc := imcu.NumCol(o.keySlots[0])
-		ok := kc.ForEachRun(base, 0, n, func(s, e int, v int64) {
+	if nk == 1 && !o.keyIsStr[0] {
+		ok := imcu.NumCol(o.keySlots[0]).ForEachRun(base, 0, n, func(s, e int, v int64) {
 			cnt := imcs.PopcountRange(match, s, e)
 			if cnt == 0 {
 				return
 			}
-			st := o.localState(lkey{v})
-			st.count += cnt
-			if len(o.slots) == 0 {
+			g := v - o.kmin[0]
+			if !o.direct {
+				g = o.mapSlot(lkey{v})
+			}
+			if loc.count[g] == 0 {
+				loc.touched = append(loc.touched, int32(g))
+			}
+			loc.count[g] += cnt
+			if nc == 0 {
 				r.rowsEncoded += cnt
 				return
 			}
 			for ci, slot := range o.slots {
-				a := imcu.NumCol(slot).AggMasked(match, base, s, e, r.auxScratch)
-				st.cells[ci].addMasked(a)
+				a := imcu.NumCol(slot).AggMasked(match, base, s, e, r.s.aux)
+				loc.cells[int(g)*nc+ci].addMasked(a)
 				r.rowsEncoded += a.EncodedRows
 				r.rowsDecoded += a.Count - a.EncodedRows
 			}
@@ -582,131 +732,123 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	}
 
 	// General path: decode key windows (codes for VARCHAR) and value windows,
-	// then hash each surviving row.
-	matched := imcs.PopcountRange(match, 0, n)
-	if matched == 0 {
-		return
-	}
-	for j := range o.keyCols {
-		ks := o.keyScratch[j][:n]
-		if o.keyIsStr[j] {
-			imcu.StrCol(o.keySlots[j]).DecodeCodes(ks, base)
+	// turn the keys into a window of slots, then fold each surviving row.
+	sl := r.s.win(0)[:n]
+	for j, slot := range o.keySlots {
+		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
+			imcu.StrCol(slot).DecodeCodes(ks, base)
 		} else {
-			imcu.NumCol(o.keySlots[j]).Decode(ks, base)
+			imcu.NumCol(slot).Decode(ks, base)
+		}
+	}
+	switch {
+	case !o.direct:
+		for w := 0; w < (n+63)/64; w++ {
+			for m := match[w]; m != 0; m &= m - 1 {
+				i := w*64 + bits.TrailingZeros64(m)
+				var lk lkey
+				for j := 0; j < nk; j++ {
+					lk[j] = r.s.wins[j][i]
+				}
+				sl[i] = o.mapSlot(lk)
+			}
+		}
+	case nk > 1 || o.kmin[0] != 0:
+		for i := range sl {
+			sl[i] -= o.kmin[0]
+		}
+		for j := 1; j < nk; j++ {
+			kj, mn, span := r.s.wins[j][:n], o.kmin[j], o.krange[j]
+			for i := range sl {
+				sl[i] = sl[i]*span + kj[i] - mn
+			}
 		}
 	}
 	for ci, slot := range o.slots {
-		imcu.NumCol(slot).Decode(o.valScratch[ci][:n], base)
+		o.vals[ci] = r.s.win(nk + ci)[:n]
+		imcu.NumCol(slot).Decode(o.vals[ci], base)
 	}
+	var matched int64
+	count, cells, vals, touched := loc.count, loc.cells, o.vals, loc.touched
 	for w := 0; w < (n+63)/64; w++ {
-		m := match[w]
-		for m != 0 {
+		matched += int64(bits.OnesCount64(match[w]))
+		for m := match[w]; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
-			m &= m - 1
-			var lk lkey
-			for j := range o.keyCols {
-				lk[j] = o.keyScratch[j][i]
+			g := int(sl[i])
+			if count[g] == 0 {
+				touched = append(touched, int32(g))
 			}
-			st := o.localState(lk)
-			st.count++
-			for ci := range o.slots {
-				st.cells[ci].addVal(o.valScratch[ci][i])
+			count[g]++
+			for ci, vs := range vals {
+				cells[g*nc+ci].addVal(vs[i])
 			}
 		}
 	}
-	if len(o.slots) == 0 {
-		r.rowsDecoded += matched
-	} else {
-		r.rowsDecoded += matched * int64(len(o.slots))
-	}
+	loc.touched = touched
+	r.rowsDecoded += matched * int64(max(nc, 1))
 }
 
 func (o *groupOp) foldRow(r *taskResult, row rowstore.Row, key uint64) {
-	var gk gkey
-	for j := range o.keyCols {
+	for j, slot := range o.keySlots {
 		if o.keyIsStr[j] {
-			gk.strs[j] = row.Strs[o.keySlots[j]]
+			o.kv[j] = GroupValue{Str: row.Strs[slot], IsStr: true}
 		} else {
-			gk.nums[j] = row.Nums[o.keySlots[j]]
+			o.kv[j] = GroupValue{Num: row.Nums[slot]}
 		}
 	}
-	st := o.global[gk]
-	if st == nil {
-		st = o.newState()
-		o.global[gk] = st
-	}
-	st.count++
+	g := o.globalSlot(o.kv[:len(o.keySlots)])
+	o.g.count[g]++
 	for ci, s := range o.slots {
-		st.cells[ci].addVal(row.Nums[s])
+		o.g.cells[g*o.g.nc+ci].addVal(row.Nums[s])
 	}
 }
 
 func (o *groupOp) merge(other operator) {
 	src := other.(*groupOp)
-	for gk, st := range src.global {
-		o.foldState(gk, st)
+	nk := len(o.groupBy)
+	for sg := range src.g.count {
+		o.g.foldGroup(o.globalSlot(src.gkeys[sg*nk:(sg+1)*nk]), &src.g, sg)
 	}
 }
 
 func (o *groupOp) finish(res *Result) {
-	keys := make([]gkey, 0, len(o.global))
-	for gk := range o.global {
-		keys = append(keys, gk)
+	nk, ns, n := len(o.groupBy), len(o.aggs), len(o.g.count)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		ka, kb := keys[a], keys[b]
-		for j := range o.keyCols {
-			if o.keyIsStr[j] {
-				if ka.strs[j] != kb.strs[j] {
-					return ka.strs[j] < kb.strs[j]
-				}
-			} else if ka.nums[j] != kb.nums[j] {
-				return ka.nums[j] < kb.nums[j]
+	slices.SortFunc(order, func(a, b int) int {
+		ka, kb := o.gkeys[a*nk:][:nk], o.gkeys[b*nk:][:nk]
+		for j := range ka {
+			// A NUMBER key's Str is empty and a VARCHAR key's Num zero.
+			if c := cmp.Or(strings.Compare(ka[j].Str, kb[j].Str), cmp.Compare(ka[j].Num, kb[j].Num)); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
-	g := &GroupedResult{}
-	for _, ci := range o.keyCols {
+	g := &GroupedResult{Groups: make([]GroupRow, n)}
+	for _, ci := range o.groupBy {
 		g.KeyCols = append(g.KeyCols, o.schema.Col(ci).Name)
 	}
-	for _, a := range o.specs {
+	for _, a := range o.aggs {
 		g.AggCols = append(g.AggCols, aggLabel(a, o.schema))
 	}
+	// Every group's keys stay in the operator's key slab, its values go to
+	// one slab of their own.
+	vals := make([]int64, n*ns)
 	var total int64
-	for _, gk := range keys {
-		st := o.global[gk]
-		total += st.count
-		row := GroupRow{
-			Keys:  make([]GroupValue, len(o.keyCols)),
-			Vals:  make([]int64, len(o.specs)),
-			Count: st.count,
+	for i, gi := range order {
+		row := &g.Groups[i]
+		row.Keys = o.gkeys[gi*nk : (gi+1)*nk : (gi+1)*nk]
+		row.Vals = vals[i*ns : (i+1)*ns : (i+1)*ns]
+		row.Count = o.g.count[gi]
+		total += row.Count
+		for k, a := range o.aggs {
+			row.Vals[k] = aggValue(a.Kind, row.Count, o.g.cells[gi*o.g.nc:], o.colOf[k])
 		}
-		for j := range o.keyCols {
-			if o.keyIsStr[j] {
-				row.Keys[j] = GroupValue{Str: gk.strs[j], IsStr: true}
-			} else {
-				row.Keys[j] = GroupValue{Num: gk.nums[j]}
-			}
-		}
-		for k, a := range o.specs {
-			if a.Kind == AggCount {
-				row.Vals[k] = st.count
-				continue
-			}
-			cell := st.cells[o.colOf[k]]
-			switch a.Kind {
-			case AggSum:
-				row.Vals[k] = cell.sum
-			case AggMin:
-				row.Vals[k] = cell.min
-			case AggMax:
-				row.Vals[k] = cell.max
-			}
-		}
-		g.Groups = append(g.Groups, row)
 	}
 	res.Grouped = g
-	res.GroupCount = int64(len(g.Groups))
+	res.GroupCount = int64(n)
 	res.Count = total
 }

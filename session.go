@@ -167,24 +167,18 @@ func (s *Session) QueryProfiled(q *Query) (*Result, *ScanProfile, error) {
 	return s.runQuery(q, s.snap(), "")
 }
 
-// runQuery is the common execution path. Sessions with a query-log hook
-// (standby sessions) profile every scan and record it; others run unprofiled
-// unless the caller asked for the profile.
+// runQuery is the profiled execution path. Sessions with a query-log hook
+// (standby sessions) take it for every scan and record the profile; others
+// only when the caller asked for the profile.
 func (s *Session) runQuery(q *Query, at SCN, sql string) (*Result, *ScanProfile, error) {
-	if s.record == nil {
-		res, prof, err := s.exec.RunProfiled(q, at)
-		if err != nil {
-			return nil, nil, err
-		}
-		prof.SQL = sql
-		return res, prof, nil
-	}
 	res, prof, err := s.exec.RunProfiled(q, at)
 	if err != nil {
 		return nil, nil, err
 	}
 	prof.SQL = sql
-	s.record(prof)
+	if s.record != nil {
+		s.record(prof)
+	}
 	return res, prof, nil
 }
 
