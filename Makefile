@@ -36,9 +36,10 @@ test:
 # Race-check the concurrency-heavy trees: the telemetry registry/trace, the
 # standby apply pipeline, the mining/journal/flush core, the column store and
 # its batch kernels, the parallel scan engine and its SQL front end,
-# role-based service routing, the reader fleet and its session router, the
-# role-transition broker, the reconnecting TCP transport, and the public
-# Session API.
+# role-based service routing, the standby readers (RAC home shares and the
+# full-copy fleet are one type, both under ./internal/fleet/...) and their
+# session router, the role-transition broker, the reconnecting TCP transport,
+# and the public Session API.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/standby/... ./internal/core/... \
 		./internal/imcs/... ./internal/scanengine/... ./internal/sqlmini/... \
@@ -69,8 +70,9 @@ chaos:
 	$(GO) test -race -run 'TestChaos|TestWatchdog' -timeout 20m ./internal/chaos/ \
 		-chaos.seeds $(CHAOS_SEEDS) -chaos.seedbase $(CHAOS_SEEDBASE)
 
-# Goroutine-leak gate: deploys the full stack (TCP, RAC, watchdog, metrics
-# server), closes it, and fails if any pipeline goroutine survives teardown
+# Goroutine-leak gate: deploys the full stack (TCP, a home-share and a
+# full-copy standby reader, watchdog, metrics server), closes it, and fails if
+# any pipeline goroutine survives teardown
 # (internal/testutil.NoGoroutineLeak).
 leakcheck:
 	$(GO) test -race -count=1 -run TestCloseLeavesNoPipelineGoroutines .

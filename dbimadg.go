@@ -38,7 +38,6 @@ import (
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/router"
 	"dbimadg/internal/rowstore"
@@ -181,7 +180,7 @@ type Cluster struct {
 	mu       sync.Mutex
 	closed   bool
 	pri      *primary.Cluster
-	sc       *rac.StandbyCluster
+	sby      *standby.Instance // the standby's apply master
 	brk      *broker.Broker
 	promoted *standby.Instance // the promoted standby master; nil in steady state
 	flt      *fleet.Manager
@@ -208,23 +207,6 @@ func Open(cfg Config) (*Cluster, error) {
 	pri := primary.NewCluster(cfg.PrimaryInstances, cfg.RowsPerBlock)
 	c.pri = pri
 
-	// Primary-side DBIM: column store + population engine + commit hook. The
-	// closures capture the original primary, not the mutable c.pri field: this
-	// engine belongs to that node (a role transition reassigns c.pri from
-	// another goroutine's point of view and stops this engine).
-	c.priStore = imcs.NewStore()
-	c.priEng = imcs.NewEngine(c.priStore, pri.Txns(), primarySnapshotter{pri},
-		func() []imcs.Target { return primaryTargets(pri) },
-		imcs.Config{
-			BlocksPerIMCU:  cfg.BlocksPerIMCU,
-			Workers:        cfg.PopulationWorkers,
-			Interval:       cfg.PopulationInterval,
-			RepopThreshold: cfg.RepopThreshold,
-			MemLimitBytes:  cfg.MemLimitBytes,
-		})
-	c.pri.SetDBIMHook(&primaryHook{store: c.priStore})
-	c.priEng.Start()
-
 	sbyCfg := standby.Config{
 		ApplyWorkers:          cfg.ApplyWorkers,
 		CheckpointInterval:    cfg.CheckpointInterval,
@@ -250,9 +232,24 @@ func Open(cfg Config) (*Cluster, error) {
 		WatchdogInterval:      cfg.WatchdogInterval,
 		WatchdogStallDeadline: cfg.WatchdogStallDeadline,
 		FlightRecorderBundles: cfg.FlightRecorderBundles,
+		// The master is share 0 of the home-location map; the fleet provisions
+		// one home-share reader for each other share.
+		HomeInstances: cfg.StandbyReaders + 1,
 	}
 	c.sbyCfg = sbyCfg
-	c.sc = rac.NewStandbyCluster(sbyCfg, cfg.StandbyReaders)
+
+	// Primary-side DBIM: column store + population engine + commit hook. The
+	// closures capture the original primary, not the mutable c.pri field: this
+	// engine belongs to that node (a role transition reassigns c.pri from
+	// another goroutine's point of view and stops this engine).
+	c.priStore = imcs.NewStore()
+	c.priEng = imcs.NewEngine(c.priStore, pri.Txns(), primarySnapshotter{pri},
+		func() []imcs.Target { return imcs.Targets(pri.DB(), pri.Services(), RolePrimary) },
+		sbyCfg.Population())
+	c.pri.SetDBIMHook(&primaryHook{store: c.priStore})
+	c.priEng.Start()
+
+	c.sby = standby.New(sbyCfg)
 
 	src, err := c.buildTransport()
 	if err != nil {
@@ -260,12 +257,12 @@ func Open(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	c.src = src
-	c.sc.Attach(src)
+	c.sby.Attach(src)
 	// Ship-stage backlog: the furthest redo any primary instance has written
 	// minus the receiver's delivery frontier. Heartbeats (always on for
 	// multi-instance primaries) keep idle threads' streams advancing, so the
 	// frontier comparison never wedges on a quiet thread.
-	c.sc.Master.SetShipFrontier(func() scn.SCN {
+	c.sby.SetShipFrontier(func() scn.SCN {
 		var last scn.SCN
 		for _, inst := range pri.Instances() {
 			if l := inst.Stream().LastSCN(); l > last {
@@ -274,23 +271,17 @@ func Open(cfg Config) (*Cluster, error) {
 		}
 		return last
 	})
-	c.sc.Start()
-	// The reader fleet and its router exist even at Readers: 0, so ApplyFleet
-	// can scale up later and routing fails with typed errors, never nil
-	// dereferences.
-	c.flt = fleet.NewManager(c.sc, fleet.Spec{
+	c.sby.Start()
+	// The fleet manager and its router exist even with no reader of either
+	// kind, so ApplyFleet can scale up later and routing fails with typed
+	// errors, never nil dereferences.
+	c.flt = fleet.NewManager(c.sby, fleet.Spec{
 		Readers:            cfg.FleetReaders,
 		MaxConcurrentScans: cfg.FleetMaxConcurrentScans,
 		QueueDepth:         cfg.FleetQueueDepth,
 		QueueTimeout:       cfg.FleetQueueTimeout,
-	}, imcs.Config{
-		BlocksPerIMCU:  cfg.BlocksPerIMCU,
-		Workers:        cfg.PopulationWorkers,
-		Interval:       cfg.PopulationInterval,
-		RepopThreshold: cfg.RepopThreshold,
-		MemLimitBytes:  cfg.MemLimitBytes,
 	})
-	c.wireRouter(c.sc)
+	c.wireRouter(c.sby)
 	if cfg.HeartbeatInterval > 0 {
 		c.pri.StartHeartbeats(cfg.HeartbeatInterval)
 	}
@@ -298,12 +289,12 @@ func Open(cfg Config) (*Cluster, error) {
 }
 
 // wireRouter (re)builds the front-door router over the fleet against the
-// given standby cluster's service registry, and exposes the router totals on
+// given standby master's service registry, and exposes the router totals on
 // that master's /debug/stats. Called at Open and again after a switchover
 // rebinds the fleet to the rebuilt standby.
-func (c *Cluster) wireRouter(sc *rac.StandbyCluster) {
-	rtr := router.New(c.flt, sc.Master.Services(), sc.Master.Obs())
-	sc.Master.AddDebugStats("router", func() any { return rtr.Totals() })
+func (c *Cluster) wireRouter(master *standby.Instance) {
+	rtr := router.New(c.flt, master.Services(), master.Obs())
+	master.AddDebugStats("router", func() any { return rtr.Totals() })
 	c.mu.Lock()
 	c.rtr = rtr
 	c.mu.Unlock()
@@ -345,7 +336,7 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	pri, sc, promoted, flt := c.pri, c.sc, c.promoted, c.flt
+	pri, sby, promoted, flt := c.pri, c.sby, c.promoted, c.flt
 	rcv, srv, priEng := c.tcpReceiver, c.tcpServer, c.priEng
 	c.mu.Unlock()
 
@@ -356,10 +347,8 @@ func (c *Cluster) Close() {
 	if srv != nil {
 		srv.Close()
 	}
-	if flt != nil {
-		flt.Shutdown() // drain fleet readers while the master is still up
-	}
-	sc.Stop()
+	flt.Shutdown() // drain the readers while the master is still up
+	sby.Stop()
 	priEng.Stop()
 	if promoted != nil {
 		// The promoted master's apply pipeline is long stopped; only the
@@ -387,14 +376,10 @@ func (c *Cluster) Failover() (*FailoverResult, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
+	// No standby remains after a failover: the broker drained the fleet, and
+	// every future routed placement fails with ErrNoReader.
 	c.completeTransition()
-	flt := c.flt
 	c.mu.Unlock()
-	// No standby remains after a failover: the fleet drains and every future
-	// routed placement fails with ErrNoReader until a switchover rebinds it.
-	if flt != nil {
-		flt.Shutdown()
-	}
 	return res, nil
 }
 
@@ -414,16 +399,11 @@ func (c *Cluster) Switchover() (*SwitchoverResult, error) {
 		return nil, err
 	}
 	c.completeTransition()
-	c.sc = res.NewStandby
-	flt, sc := c.flt, c.sc
+	c.sby = res.NewStandby
 	c.mu.Unlock()
-	// Re-reconcile the fleet against the rebuilt standby: the declared reader
-	// count re-provisions on the new master, and the router re-resolves
-	// services against its registry.
-	if flt != nil {
-		flt.Rebind(sc)
-		c.wireRouter(sc)
-	}
+	// The broker rebound the fleet to the rebuilt standby, re-provisioning both
+	// reader kinds on it; the router re-resolves services against its registry.
+	c.wireRouter(res.NewStandby)
 	return res, nil
 }
 
@@ -433,11 +413,10 @@ func (c *Cluster) broker() *broker.Broker {
 	if c.brk == nil {
 		c.brk = broker.New(broker.Config{
 			Primary:           c.pri,
-			Standby:           c.sc,
+			Standby:           c.flt,
 			Source:            c.src,
 			Server:            c.tcpServer,
 			PromotedInstances: c.cfg.PrimaryInstances,
-			RebuildReaders:    c.cfg.StandbyReaders,
 			StandbyConfig:     c.sbyCfg,
 		})
 	}
@@ -447,7 +426,7 @@ func (c *Cluster) broker() *broker.Broker {
 // completeTransition installs the promoted cluster as the primary. Caller
 // holds c.mu.
 func (c *Cluster) completeTransition() {
-	c.promoted = c.sc.Master
+	c.promoted = c.sby
 	c.pri = c.brk.Promoted()
 	// The old primary's column store died with it; stop its population engine.
 	c.priEng.Stop()
@@ -474,7 +453,7 @@ func (c *Cluster) Primary() *primary.Cluster {
 func (c *Cluster) StandbyMaster() *standby.Instance {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sc.Master
+	return c.sby
 }
 
 // PromotedMaster returns the standby instance that was promoted to primary,
@@ -486,8 +465,9 @@ func (c *Cluster) PromotedMaster() *standby.Instance {
 	return c.promoted
 }
 
-// StandbyReaders exposes the standby RAC readers.
-func (c *Cluster) StandbyReaders() []*rac.Reader { return c.standbyCluster().Readers() }
+// StandbyReaders exposes the standby RAC readers: the fleet's home-share
+// readers.
+func (c *Cluster) StandbyReaders() []*FleetReader { return c.Fleet().ShareReaders() }
 
 // Fleet exposes the reader-fleet manager: declared membership, per-reader
 // state, and the fleet watermark.
@@ -506,7 +486,7 @@ func (c *Cluster) Router() *router.Router {
 
 // ApplyFleet declares a new fleet shape and reconciles toward it: readers
 // are provisioned from the row store (catching up via population and the
-// invalidation fanout) or drained and removed. Returns once membership
+// invalidation feed) or drained and removed. Returns once membership
 // changes are initiated; use WaitFleetReady to block for catch-up.
 func (c *Cluster) ApplyFleet(spec FleetSpec) { c.Fleet().Apply(spec) }
 
@@ -516,48 +496,41 @@ func (c *Cluster) WaitFleetReady(timeout time.Duration) bool {
 	return c.Fleet().WaitReady(timeout)
 }
 
-// standbyCluster reads the current standby cluster under the role lock.
-func (c *Cluster) standbyCluster() *rac.StandbyCluster {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sc
-}
-
 // PrimaryStore exposes the primary-side column store.
 func (c *Cluster) PrimaryStore() *imcs.Store { return c.priStore }
 
 // Observability returns the standby master's metric registry — every
 // pipeline counter, lag gauge and stage histogram. Snapshot it for end-of-run
 // reports or scrape it via MetricsAddr.
-func (c *Cluster) Observability() *obs.Registry { return c.sc.Master.Obs() }
+func (c *Cluster) Observability() *obs.Registry { return c.sby.Obs() }
 
 // MetricsAddr returns the standby master's bound observability address, or ""
 // when Config.MetricsAddr was unset.
-func (c *Cluster) MetricsAddr() string { return c.sc.Master.MetricsAddr() }
+func (c *Cluster) MetricsAddr() string { return c.sby.MetricsAddr() }
 
 // QueryLog returns the standby master's recent/slow query log: every query a
 // standby session runs is profiled and recorded here (and served on
 // /debug/queries when MetricsAddr is set).
-func (c *Cluster) QueryLog() *QueryLog { return c.sc.Master.QueryLog() }
+func (c *Cluster) QueryLog() *QueryLog { return c.sby.QueryLog() }
 
 // Freshness returns the standby master's commit-to-visible freshness tracer
 // (nil when Config.FreshnessSampleEvery is negative): sampled per-transaction
 // spans from primary commit through ship/merge/dispatch/apply/mine/flush to
 // QuerySCN publication, with SLO percentile summaries and span waterfalls
 // (also served on /debug/freshness when MetricsAddr is set).
-func (c *Cluster) Freshness() *obs.FreshnessTracer { return c.standbyCluster().Master.Freshness() }
+func (c *Cluster) Freshness() *obs.FreshnessTracer { return c.StandbyMaster().Freshness() }
 
 // StandbyWatchdog returns the standby master's pipeline liveness watchdog:
 // per-stage progress/backlog liveness with planned-pause suppression (also
 // served on /debug/health when MetricsAddr is set).
-func (c *Cluster) StandbyWatchdog() *obs.Watchdog { return c.standbyCluster().Master.Watchdog() }
+func (c *Cluster) StandbyWatchdog() *obs.Watchdog { return c.StandbyMaster().Watchdog() }
 
 // FlightRecorder returns the standby master's stall-bundle recorder: bounded
 // diagnostic bundles (stage table, metrics, trace tail, goroutine profile,
 // transport state) captured at each stall onset (also served on
 // /debug/flightrecorder when MetricsAddr is set).
 func (c *Cluster) FlightRecorder() *obs.FlightRecorder {
-	return c.standbyCluster().Master.FlightRecorder()
+	return c.StandbyMaster().FlightRecorder()
 }
 
 // PrimaryPopulation exposes the primary-side population engine.
@@ -569,13 +542,13 @@ type CheckpointMeta = checkpoint.Meta
 // CheckpointNow forces one synchronous IMCS checkpoint on the standby master
 // and returns its metadata. Errors when Config.SnapshotDir is unset.
 func (c *Cluster) CheckpointNow() (CheckpointMeta, error) {
-	return c.standbyCluster().Master.CheckpointNow()
+	return c.StandbyMaster().CheckpointNow()
 }
 
 // CheckpointStats returns the standby master's checkpointer counters:
 // written/failed cycles, last snapshot size and duration, restore counts.
 func (c *Cluster) CheckpointStats() standby.CheckpointStats {
-	return c.standbyCluster().Master.CheckpointStats()
+	return c.StandbyMaster().CheckpointStats()
 }
 
 // --- DDL --------------------------------------------------------------------
@@ -607,7 +580,7 @@ func (c *Cluster) DropColumn(tenant TenantID, table, column string) error {
 // failover the "standby" catalog IS the promoted primary's catalog, so
 // handles resolved here stay valid across the transition.
 func (c *Cluster) StandbyTable(tenant TenantID, name string) (*Table, error) {
-	return c.standbyCluster().Master.DB().Table(tenant, name)
+	return c.StandbyMaster().DB().Table(tenant, name)
 }
 
 // PrimaryTable resolves a table in the current primary's catalog. In steady
@@ -623,15 +596,15 @@ func (c *Cluster) PrimaryTable(tenant TenantID, name string) (*Table, error) {
 // WaitStandbyCaughtUp blocks until the standby QuerySCN reaches the primary's
 // current SCN (sub-second in steady state, per the paper's ADG lag).
 func (c *Cluster) WaitStandbyCaughtUp(timeout time.Duration) bool {
-	return c.sc.Master.WaitForSCN(c.pri.Snapshot(), timeout)
+	return c.sby.WaitForSCN(c.pri.Snapshot(), timeout)
 }
 
 // WaitPopulated blocks until background population settles on both sides.
 func (c *Cluster) WaitPopulated(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	ok := c.priEng.WaitIdle(time.Until(deadline))
-	ok = c.sc.Master.Engine().WaitIdle(time.Until(deadline)) && ok
-	for _, r := range c.sc.Readers() {
+	ok = c.sby.Engine().WaitIdle(time.Until(deadline)) && ok
+	for _, r := range c.flt.ShareReaders() {
 		ok = r.Engine().WaitIdle(time.Until(deadline)) && ok
 	}
 	return ok
@@ -642,12 +615,12 @@ func (c *Cluster) WaitPopulated(timeout time.Duration) bool {
 // replica up to its QuerySCN. Long-running deployments call this
 // periodically.
 func (c *Cluster) Vacuum() {
-	q := c.sc.Master.QuerySCN()
+	q := c.sby.QuerySCN()
 	if q == 0 {
 		return
 	}
 	c.pri.Vacuum(q)
-	c.sc.Master.DB().Vacuum(q, c.sc.Master.Txns())
+	c.sby.DB().Vacuum(q, c.sby.Txns())
 }
 
 // ClusterStats aggregates deployment statistics.
@@ -664,11 +637,11 @@ type ClusterStats struct {
 func (c *Cluster) Stats() ClusterStats {
 	st := ClusterStats{
 		PrimarySCN:   c.pri.Clock().Current(),
-		Standby:      c.sc.Master.Stats(),
+		Standby:      c.sby.Stats(),
 		PrimaryStore: c.priStore.Stats(),
-		StandbyStore: c.sc.Master.Store().Stats(),
+		StandbyStore: c.sby.Store().Stats(),
 	}
-	for _, r := range c.sc.Readers() {
+	for _, r := range c.flt.ShareReaders() {
 		st.ReaderStores = append(st.ReaderStores, r.Store().Stats())
 	}
 	for _, inst := range c.pri.Instances() {
@@ -694,18 +667,4 @@ func (h *primaryHook) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ s
 	for _, ch := range changes {
 		h.store.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
 	}
-}
-
-// primaryTargets lists primary-enabled segments.
-func primaryTargets(c *primary.Cluster) []imcs.Target {
-	var out []imcs.Target
-	for _, tbl := range c.DB().Tables() {
-		for _, part := range tbl.Partitions() {
-			attr := part.InMemory()
-			if attr.Enabled && c.Services().RunsOn(attr.Service, rolePrimary) {
-				out = append(out, imcs.Target{Seg: part.Seg, Table: tbl, Priority: attr.Priority})
-			}
-		}
-	}
-	return out
 }

@@ -213,7 +213,7 @@ func TestSwitchover(t *testing.T) {
 	if res.NewStandby == nil {
 		t.Fatal("switchover rebuilt no standby")
 	}
-	if c.StandbyMaster() != res.NewStandby.Master {
+	if c.StandbyMaster() != res.NewStandby {
 		t.Fatal("StandbyMaster does not target the rebuilt standby")
 	}
 

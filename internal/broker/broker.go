@@ -17,10 +17,10 @@ import (
 	"sync"
 	"time"
 
+	"dbimadg/internal/fleet"
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
@@ -62,8 +62,12 @@ type Config struct {
 	// Primary is the current primary cluster. May be nil for a failover whose
 	// primary already died (the broker then only tears down the transport).
 	Primary *primary.Cluster
-	// Standby is the standby cluster to promote.
-	Standby *rac.StandbyCluster
+	// Standby is the standby to promote: the manager of its readers, holding
+	// the apply master. A promotion shuts the readers down (the promoted node
+	// serves all block ranges itself); a switchover rebinds the manager to the
+	// rebuilt standby, which re-provisions the home-share readers
+	// StandbyConfig.HomeInstances calls for and the declared full-copy ones.
+	Standby *fleet.Manager
 	// Source is the standby's redo source; the broker closes it during
 	// terminal recovery. For the TCP transport this stops the reconnecting
 	// receiver; the records it already mirrored are the archived logs terminal
@@ -75,9 +79,6 @@ type Config struct {
 	// PromotedInstances is the RAC instance count of the promoted primary
 	// (default 1).
 	PromotedInstances int
-	// RebuildReaders is the reader-instance count of the standby rebuilt by a
-	// switchover (default 0: a single-instance standby).
-	RebuildReaders int
 	// DrainTimeout bounds terminal recovery: how long to wait for end-of-redo
 	// and worker drain (default 5s).
 	DrainTimeout time.Duration
@@ -110,26 +111,28 @@ type FailoverResult struct {
 type SwitchoverResult struct {
 	FailoverResult
 	// NewStandby is the old primary re-enlisted as the new standby, already
-	// started and applying the promoted node's redo.
-	NewStandby *rac.StandbyCluster
+	// started and applying the promoted node's redo, with the fleet manager
+	// rebound to it.
+	NewStandby *standby.Instance
 }
 
 // Broker manages role transitions for one primary/standby pair.
 type Broker struct {
 	cfg          Config
+	master       *standby.Instance // the apply instance being promoted
 	failoverHist *obs.Histogram
 
 	mu         sync.Mutex
 	state      State
 	promoted   *primary.Cluster
-	newStandby *rac.StandbyCluster
+	newStandby *standby.Instance
 }
 
 // New builds a broker and registers its metrics (broker_role,
 // broker_failover_seconds) on the standby master's registry.
 func New(cfg Config) *Broker {
 	if cfg.Standby == nil {
-		panic("broker: config needs a standby cluster")
+		panic("broker: config needs a standby")
 	}
 	if cfg.PromotedInstances <= 0 {
 		cfg.PromotedInstances = 1
@@ -137,8 +140,8 @@ func New(cfg Config) *Broker {
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
-	b := &Broker{cfg: cfg}
-	reg := cfg.Standby.Master.Obs()
+	b := &Broker{cfg: cfg, master: cfg.Standby.Master()}
+	reg := b.master.Obs()
 	reg.GaugeFunc("broker_role",
 		"role of this node: 0 standby, 1 promoted primary",
 		func() float64 {
@@ -168,7 +171,7 @@ func (b *Broker) Promoted() *primary.Cluster {
 }
 
 // NewStandby returns the standby rebuilt by a switchover (nil otherwise).
-func (b *Broker) NewStandby() *rac.StandbyCluster {
+func (b *Broker) NewStandby() *standby.Instance {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.newStandby
@@ -183,7 +186,7 @@ func (b *Broker) NewStandby() *rac.StandbyCluster {
 //     workers finish, stop the pipeline, and run one final QuerySCN
 //     advancement so every shipped commit becomes query-visible;
 //  3. tear down the transport (receiver, then shipping server);
-//  4. stop the RAC readers — the promoted node serves all block ranges;
+//  4. shut down the reader fleet — the promoted node serves all block ranges;
 //  5. roll back in-flight transactions (active in the replicated transaction
 //     table with no commit shipped);
 //  6. open: build a primary cluster over the standby's replica — same
@@ -202,7 +205,7 @@ func (b *Broker) Failover() (*FailoverResult, error) {
 	// A promotion drains, stops and reopens the pipeline; none of that is a
 	// stall. The pause covers the error paths too — Resume resets every stage
 	// clock so the disruption gets a fresh deadline.
-	wd := b.cfg.Standby.Master.Watchdog()
+	wd := b.master.Watchdog()
 	wd.Pause("failover")
 	defer wd.Resume("failover")
 	res, _, err := b.promote(true)
@@ -227,7 +230,7 @@ func (b *Broker) Switchover() (*SwitchoverResult, error) {
 	if b.cfg.Primary == nil {
 		return nil, fmt.Errorf("broker: switchover needs a live primary")
 	}
-	wd := b.cfg.Standby.Master.Watchdog()
+	wd := b.master.Watchdog()
 	wd.Pause("switchover")
 	defer wd.Resume("switchover")
 	res, newPri, err := b.promote(false)
@@ -249,14 +252,15 @@ func (b *Broker) Switchover() (*SwitchoverResult, error) {
 	// checkpoint written in promote() instead of repopulating from scratch,
 	// and the new standby keeps checkpointing for its own future restarts.
 	if sbCfg.SnapshotDir == "" {
-		sbCfg.SnapshotDir = b.cfg.Standby.Master.SnapshotDir()
+		sbCfg.SnapshotDir = b.master.SnapshotDir()
 	}
-	newSb := rac.NewStandbyClusterFrom(sbCfg, old.DB(), old.Txns(), old.Services(), b.cfg.RebuildReaders)
+	newSb := standby.NewFrom(sbCfg, old.DB(), old.Txns(), old.Services())
 	var streams []*redo.Stream
 	for _, inst := range newPri.Instances() {
 		streams = append(streams, inst.Stream())
 	}
-	newSb.Master.StartFrom(transport.NewInProc(streams...), res.PromotedSCN)
+	newSb.StartFrom(transport.NewInProc(streams...), res.PromotedSCN)
+	b.cfg.Standby.Rebind(newSb)
 	b.newStandby = newSb
 	b.state = StateSwitchedOver
 	return &SwitchoverResult{FailoverResult: *res, NewStandby: newSb}, nil
@@ -268,7 +272,7 @@ func (b *Broker) Switchover() (*SwitchoverResult, error) {
 // documentation and future transport behavior.
 func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, error) {
 	start := time.Now()
-	master := b.cfg.Standby.Master
+	master := b.master
 	trace := master.Trace()
 
 	// 1. End redo generation. Closing the primary closes every redo stream;
@@ -304,7 +308,7 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 
 	// 4. The readers received the final publication during terminal recovery;
 	// the promoted node serves all block ranges itself from here.
-	b.cfg.Standby.StopReaders()
+	b.cfg.Standby.Shutdown()
 
 	// 5. Roll back in-flight transactions.
 	rolledBack := master.RollbackInFlight()

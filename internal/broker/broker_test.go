@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"dbimadg/internal/broker"
+	"dbimadg/internal/fleet"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -16,7 +16,8 @@ import (
 
 type pair struct {
 	pri *primary.Cluster
-	sc  *rac.StandbyCluster
+	sby *standby.Instance
+	flt *fleet.Manager
 	tbl *rowstore.Table
 	brk *broker.Broker
 }
@@ -24,19 +25,21 @@ type pair struct {
 func newPair(t *testing.T, readers int) *pair {
 	t.Helper()
 	pri := primary.NewCluster(1, 32)
-	sc := rac.NewStandbyCluster(standby.Config{
+	sby := standby.New(standby.Config{
 		RowsPerBlock:       32,
 		CheckpointInterval: time.Millisecond,
 		PopulationInterval: time.Millisecond,
 		BlocksPerIMCU:      4,
-	}, readers)
+		HomeInstances:      readers + 1,
+	})
+	flt := fleet.NewManager(sby, fleet.Spec{})
 	var streams []*redo.Stream
 	for _, inst := range pri.Instances() {
 		streams = append(streams, inst.Stream())
 	}
 	src := transport.NewInProc(streams...)
-	sc.Attach(src)
-	sc.Start()
+	sby.Attach(src)
+	sby.Start()
 
 	tbl, err := pri.Instance(0).CreateTable(&rowstore.TableSpec{
 		Name: "T", Tenant: 1,
@@ -54,15 +57,16 @@ func newPair(t *testing.T, readers int) *pair {
 	}
 	brk := broker.New(broker.Config{
 		Primary: pri,
-		Standby: sc,
+		Standby: flt,
 		Source:  src,
 		StandbyConfig: standby.Config{
 			CheckpointInterval: time.Millisecond,
 			PopulationInterval: time.Millisecond,
 			BlocksPerIMCU:      4,
+			HomeInstances:      readers + 1,
 		},
 	})
-	return &pair{pri: pri, sc: sc, tbl: tbl, brk: brk}
+	return &pair{pri: pri, sby: sby, flt: flt, tbl: tbl, brk: brk}
 }
 
 func (p *pair) insert(t *testing.T, from, to int64) {
@@ -84,10 +88,10 @@ func (p *pair) insert(t *testing.T, from, to int64) {
 
 func (p *pair) catchUp(t *testing.T) {
 	t.Helper()
-	if !p.sc.Master.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
-		t.Fatalf("standby did not catch up: %+v", p.sc.Master.Stats())
+	if !p.sby.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
+		t.Fatalf("standby did not catch up: %+v", p.sby.Stats())
 	}
-	p.sc.Master.Engine().WaitIdle(10 * time.Second)
+	p.sby.Engine().WaitIdle(10 * time.Second)
 }
 
 // countAt scans the promoted node's table through the retained store.
@@ -115,7 +119,7 @@ func TestFailoverPromotesWarm(t *testing.T) {
 	if _, err := tx.Insert(p.tbl, r); err != nil {
 		t.Fatal(err)
 	}
-	if !p.sc.Master.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
+	if !p.sby.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
 		t.Fatal("in-flight redo did not ship")
 	}
 
@@ -123,7 +127,7 @@ func TestFailoverPromotesWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.sc.Master.Engine().Stop()
+	defer p.sby.Engine().Stop()
 	if p.brk.State() != broker.StateFailedOver {
 		t.Fatalf("state = %v", p.brk.State())
 	}
@@ -139,11 +143,11 @@ func TestFailoverPromotesWarm(t *testing.T) {
 	}
 
 	// Replicated commits visible, in-flight row gone.
-	pTbl, err := p.sc.Master.DB().Table(1, "T")
+	pTbl, err := p.sby.DB().Table(1, "T")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := countAt(t, p.sc.Master, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 300 {
+	if got := countAt(t, p.sby, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 300 {
 		t.Fatalf("post-promotion count = %d, want 300", got)
 	}
 
@@ -162,12 +166,12 @@ func TestFailoverPromotesWarm(t *testing.T) {
 	if commitSCN <= res.PromotedSCN {
 		t.Fatalf("commit SCN %d not past promotion SCN %d", commitSCN, res.PromotedSCN)
 	}
-	if got := countAt(t, p.sc.Master, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 301 {
+	if got := countAt(t, p.sby, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 301 {
 		t.Fatalf("count after promoted-node DML = %d, want 301", got)
 	}
 
 	// Warmness: the restarted engine found nothing to populate.
-	if got := p.sc.Master.Engine().Stats().UnitsPopulated; got != 0 {
+	if got := p.sby.Engine().Stats().UnitsPopulated; got != 0 {
 		t.Fatalf("restarted engine populated %d units over a warm store", got)
 	}
 
@@ -189,8 +193,9 @@ func TestSwitchoverRebuildsStandby(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.sc.Master.Engine().Stop()
+	defer p.sby.Engine().Stop()
 	defer res.NewStandby.Stop()
+	defer p.flt.Shutdown()
 	if p.brk.State() != broker.StateSwitchedOver {
 		t.Fatalf("state = %v", p.brk.State())
 	}
@@ -201,7 +206,7 @@ func TestSwitchoverRebuildsStandby(t *testing.T) {
 
 	// Redo from the promoted node reaches the rebuilt standby: the old
 	// primary's database keeps applying past the promotion SCN.
-	pTbl, err := p.sc.Master.DB().Table(1, "T")
+	pTbl, err := p.sby.DB().Table(1, "T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,16 +222,16 @@ func TestSwitchoverRebuildsStandby(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if !res.NewStandby.Master.WaitForSCN(newPri.Snapshot(), 10*time.Second) {
-		t.Fatalf("rebuilt standby did not catch up: %+v", res.NewStandby.Master.Stats())
+	if !res.NewStandby.WaitForSCN(newPri.Snapshot(), 10*time.Second) {
+		t.Fatalf("rebuilt standby did not catch up: %+v", res.NewStandby.Stats())
 	}
-	oldTbl, err := res.NewStandby.Master.DB().Table(1, "T")
+	oldTbl, err := res.NewStandby.DB().Table(1, "T")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := scanengine.NewExecutor(res.NewStandby.Master.Txns(), res.NewStandby.Stores()...)
+	ex := scanengine.NewExecutor(res.NewStandby.Txns(), p.flt.Stores()...)
 	got, err := ex.Run(&scanengine.Query{Table: oldTbl, Agg: scanengine.AggCount},
-		res.NewStandby.Master.QuerySCN())
+		res.NewStandby.QuerySCN())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,27 +248,106 @@ func TestFailoverStopsReaders(t *testing.T) {
 	p := newPair(t, 2)
 	p.insert(t, 0, 300)
 	p.catchUp(t)
-	for _, r := range p.sc.Readers() {
+	for _, r := range p.flt.ShareReaders() {
 		r.Engine().WaitIdle(10 * time.Second)
 	}
 
 	if _, err := p.brk.Failover(); err != nil {
 		t.Fatal(err)
 	}
-	defer p.sc.Master.Engine().Stop()
-	if got := len(p.sc.Readers()); got != 0 {
+	defer p.sby.Engine().Stop()
+	if got := len(p.flt.ShareReaders()); got != 0 {
 		t.Fatalf("%d readers still attached after failover", got)
 	}
 	newPri := p.brk.Promoted()
-	pTbl, err := p.sc.Master.DB().Table(1, "T")
+	pTbl, err := p.sby.DB().Table(1, "T")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The readers' home ranges were never in the master's store; the restarted
 	// engine (no home filter) populates them now.
-	p.sc.Master.Engine().WaitIdle(10 * time.Second)
-	if got := countAt(t, p.sc.Master, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 300 {
+	p.sby.Engine().WaitIdle(10 * time.Second)
+	if got := countAt(t, p.sby, newPri, pTbl.Partitions()[0].Seg.Obj(), pTbl); got != 300 {
 		t.Fatalf("post-promotion count = %d, want 300", got)
+	}
+}
+
+// TestSwitchoverReprovisionsReaders swaps roles on a standby with one
+// home-share and one full-copy reader: the broker rebinds the manager to the
+// rebuilt standby, which provisions both kinds again, and redo from the
+// promoted node keeps all three stores consistent.
+func TestSwitchoverReprovisionsReaders(t *testing.T) {
+	p := newPair(t, 1)
+	p.flt.SetReaders(1)
+	p.insert(t, 0, 600)
+	p.catchUp(t)
+	oldShare, oldFull := p.flt.ShareReaders()[0], p.flt.Readers()[0]
+
+	res, err := p.brk.Switchover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.sby.Engine().Stop()
+	defer res.NewStandby.Stop()
+	defer p.flt.Shutdown()
+	if oldShare.State() != fleet.StateGone || oldFull.State() != fleet.StateGone {
+		t.Fatalf("old readers survive the promotion: share %v, full copy %v", oldShare.State(), oldFull.State())
+	}
+	if p.flt.Master() != res.NewStandby {
+		t.Fatal("manager not rebound to the rebuilt standby")
+	}
+	if len(p.flt.ShareReaders()) != 1 || len(p.flt.Readers()) != 1 {
+		t.Fatalf("rebuilt standby has %d share and %d full-copy readers, want 1/1",
+			len(p.flt.ShareReaders()), len(p.flt.Readers()))
+	}
+
+	// DML on the promoted node reaches the rebuilt standby's three stores.
+	newPri := p.brk.Promoted()
+	pTbl, err := p.sby.DB().Table(1, "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := pTbl.Schema()
+	tx := newPri.Instance(0).Begin()
+	for id := int64(0); id < 600; id += 3 {
+		if err := tx.UpdateByID(pTbl, id, []uint16{1}, func(r *rowstore.Row) {
+			r.Nums[s.Col(1).Slot()] = -1
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	target := newPri.Snapshot()
+	if !res.NewStandby.WaitForSCN(target, 10*time.Second) {
+		t.Fatalf("rebuilt standby did not catch up: %+v", res.NewStandby.Stats())
+	}
+	full := p.flt.Readers()[0]
+	deadline := time.Now().Add(10 * time.Second)
+	for full.QuerySCN() < target && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	oldTbl, err := res.NewStandby.DB().Table(1, "T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &scanengine.Query{
+		Table:   oldTbl,
+		Filters: []scanengine.Filter{scanengine.EqNum(1, -1)},
+		Agg:     scanengine.AggCount,
+	}
+	for name, ex := range map[string]*scanengine.Executor{
+		"master + share": scanengine.NewExecutor(res.NewStandby.Txns(), p.flt.Stores()...),
+		"full copy":      scanengine.NewExecutor(res.NewStandby.Txns(), full.Store()),
+	} {
+		got, err := ex.Run(q, target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Count != 200 {
+			t.Fatalf("%s: %d updated rows visible at %d, want 200", name, got.Count, target)
+		}
 	}
 }
 
@@ -278,11 +362,11 @@ func TestBrokerConfigValidation(t *testing.T) {
 
 func TestSwitchoverNeedsPrimary(t *testing.T) {
 	p := newPair(t, 0)
-	p.brk = broker.New(broker.Config{Standby: p.sc})
+	p.brk = broker.New(broker.Config{Standby: p.flt})
 	if _, err := p.brk.Switchover(); err == nil {
 		t.Fatal("switchover accepted without a primary")
 	}
-	p.sc.Stop()
+	p.sby.Stop()
 	p.pri.Close()
 }
 
@@ -293,14 +377,14 @@ func TestBrokerMetrics(t *testing.T) {
 	p.insert(t, 0, 50)
 	p.catchUp(t)
 
-	if v, ok := p.sc.Master.Obs().GaugeValue("broker_role"); !ok || v != 0 {
+	if v, ok := p.sby.Obs().GaugeValue("broker_role"); !ok || v != 0 {
 		t.Fatalf("broker_role before failover = %v (%v), want 0", v, ok)
 	}
 	if _, err := p.brk.Failover(); err != nil {
 		t.Fatal(err)
 	}
-	defer p.sc.Master.Engine().Stop()
-	if v, ok := p.sc.Master.Obs().GaugeValue("broker_role"); !ok || v != 1 {
+	defer p.sby.Engine().Stop()
+	if v, ok := p.sby.Obs().GaugeValue("broker_role"); !ok || v != 1 {
 		t.Fatalf("broker_role after failover = %v (%v), want 1", v, ok)
 	}
 }

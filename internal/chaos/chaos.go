@@ -6,16 +6,19 @@
 // transitions — and after every quiesce point checks global invariants
 // against a primary-side oracle (see oracle.go):
 //
-//  1. equivalence — the standby's hybrid IMCS scan at QuerySCN s is
-//     byte-identical to a pure row-store CR scan and to the primary's
-//     consistent read at s, across the imcs/invalid/tail/rowstore paths
-//     (cross-checked against scanengine.Profile's path accounting);
+//  1. equivalence — the standby's hybrid IMCS scan at QuerySCN s, over the
+//     master's column store and those of its home-share readers (0-2 of
+//     them, by seed), is byte-identical to a pure row-store CR scan and to
+//     the primary's consistent read at s, across the
+//     imcs/invalid/tail/rowstore paths (cross-checked against
+//     scanengine.Profile's path accounting);
 //  2. QuerySCN monotonicity and SCN coherence (QuerySCN <= watermark <=
 //     dispatch frontier), sampled continuously by a monitor goroutine;
 //  3. journal / commit-table coherence — both drain to zero once the standby
 //     has caught up with no transactions in flight;
 //  4. IMCU coverage — after population settles, every chunk of every
-//     IMCS-enabled segment is covered by exactly one unit.
+//     IMCS-enabled segment is covered by exactly one unit, on exactly one
+//     instance.
 //
 // Every random decision derives from Options.Seed, so a failure replays
 // exactly (schedule and fault plan; goroutine interleaving still varies, so a
@@ -39,7 +42,6 @@ import (
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -139,6 +141,10 @@ type Result struct {
 	FleetMidAddsReady int
 	FleetChecks       int
 	FleetReaders      int // final membership
+	// ShareReaders is the number of home-share readers the run's standby had
+	// (seed-derived, 0-2): every equivalence check ran over the union of the
+	// master's store and theirs.
+	ShareReaders int
 	// Scan tuning the oracle executors ran with (seed-derived unless pinned
 	// in Options): the morsel granule and worker count every equivalence
 	// check exercised.
@@ -179,7 +185,6 @@ type Runner struct {
 	rng  *rand.Rand
 
 	pri *primary.Cluster
-	sc  *rac.StandbyCluster
 	sby *standby.Instance
 	tbl *rowstore.Table
 
@@ -196,9 +201,10 @@ type Runner struct {
 	monitor *monitor
 	stallCh chan *obs.Bundle // watchdog stall onsets (fail-fast in quiesceCatchUp)
 
-	// fleet churn (Options.FleetChurn): the reader fleet under membership
-	// storm, and the ids of readers provisioned after the base state settled
-	// (each must reach Ready by the final quiesce).
+	// flt owns the standby's readers: the seed-derived home-share readers of
+	// every run, and under Options.FleetChurn the full-copy readers under
+	// membership storm. midAdded holds the ids of readers provisioned after the
+	// base state settled (each must reach Ready by the final quiesce).
 	flt       *fleet.Manager
 	midAdded  map[int]bool
 	fleetSize int
@@ -262,7 +268,9 @@ func Run(opts Options) (*Result, error) {
 		opts:   opts,
 		rng:    rand.New(rand.NewSource(opts.Seed)),
 		nextID: 1_000_000, // far above the base rows; never collides
-		res:    Result{Seed: opts.Seed, Steps: opts.Steps},
+		// The standby's RAC shape is a function of the seed, like the scan
+		// tuning: 0, 1 or 2 home-share readers beside the master.
+		res: Result{Seed: opts.Seed, Steps: opts.Steps, ShareReaders: int(uint64(opts.Seed) % 3)},
 	}
 	r.resolveScanTuning()
 	if err := r.setup(); err != nil {
@@ -327,6 +335,7 @@ func (r *Runner) setup() error {
 		// backoff stretches (capped at 1s per reconnect) never false-positive.
 		WatchdogInterval:      50 * time.Millisecond,
 		WatchdogStallDeadline: 8 * time.Second,
+		HomeInstances:         r.res.ShareReaders + 1,
 	}
 	if r.opts.Checkpoints {
 		dir, err := os.MkdirTemp("", "chaos-ckpt-")
@@ -340,14 +349,16 @@ func (r *Runner) setup() error {
 		cfg.SnapshotInterval = 5 * time.Millisecond
 		cfg.SnapshotRetain = 3
 	}
-	r.sc = rac.NewStandbyCluster(cfg, 0)
-	r.sby = r.sc.Master
+	r.sby = standby.New(cfg)
+	// The manager attaches before apply starts, so the home-share readers see
+	// the whole run. Full-copy readers join later, under FleetChurn.
+	r.flt = fleet.NewManager(r.sby, fleet.Spec{DrainTimeout: 2 * time.Second})
 
 	src, err := r.buildTransport()
 	if err != nil {
 		return err
 	}
-	r.sc.Attach(src)
+	r.sby.Attach(src)
 	// Ship-stage backlog: furthest redo written on the primary minus the
 	// receiver's delivery frontier.
 	r.sby.SetShipFrontier(func() scn.SCN {
@@ -366,7 +377,7 @@ func (r *Runner) setup() error {
 		default:
 		}
 	})
-	r.sc.Start()
+	r.sby.Start()
 
 	tbl, err := r.pri.Instance(0).CreateTable(&rowstore.TableSpec{
 		Name:   "C101",
@@ -395,7 +406,7 @@ func (r *Runner) setup() error {
 	if err := r.quiesceCatchUp(); err != nil {
 		return err
 	}
-	if !r.sby.Engine().WaitIdle(20 * time.Second) {
+	if !r.settlePopulation(20 * time.Second) {
 		return fmt.Errorf("initial population did not settle")
 	}
 
@@ -403,10 +414,7 @@ func (r *Runner) setup() error {
 		// One reader before the storm; churn steps reconcile between 1 and 3.
 		r.fleetSize = 1
 		r.midAdded = map[int]bool{}
-		r.flt = fleet.NewManager(r.sc, fleet.Spec{
-			Readers:      r.fleetSize,
-			DrainTimeout: 2 * time.Second,
-		}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Interval: time.Millisecond})
+		r.flt.SetReaders(r.fleetSize)
 		if !r.flt.WaitReady(20 * time.Second) {
 			return fmt.Errorf("initial fleet reader never Ready: %+v", r.flt.Stats())
 		}
@@ -415,6 +423,17 @@ func (r *Runner) setup() error {
 	r.oracle = &oracle{r: r}
 	r.monitor = startMonitor(r)
 	return nil
+}
+
+// settlePopulation waits for the master's engine and every home-share
+// reader's to go idle (WaitIdle runs a coverage scan first, so segment growth
+// since the last engine pass is accounted for).
+func (r *Runner) settlePopulation(timeout time.Duration) bool {
+	ok := r.sby.Engine().WaitIdle(timeout)
+	for _, rd := range r.flt.ShareReaders() {
+		ok = rd.Engine().WaitIdle(timeout) && ok
+	}
+	return ok
 }
 
 // fleetChurnStep reconciles the fleet to a seeded target size while the storm
@@ -526,7 +545,7 @@ func (r *Runner) run() error {
 			if err := r.crashRestart(); err != nil {
 				return err
 			}
-		case p < 0.80 && r.flt != nil:
+		case p < 0.80 && r.opts.FleetChurn:
 			r.fleetChurnStep()
 		case p < 0.90 && r.ckptDir != "":
 			if err := r.checkpointStep(); err != nil {
@@ -544,7 +563,7 @@ func (r *Runner) run() error {
 	// A fleet-churn run must always verify a reader provisioned mid-storm: if
 	// no mid-added reader is still a member (the schedule dealt no add, or
 	// churn removed them all again), force one before the final quiesce.
-	if r.flt != nil && !r.midAddedPresent() {
+	if r.opts.FleetChurn && !r.midAddedPresent() {
 		r.reconcileFleet(r.fleetSize + 1)
 	}
 	// A checkpoint run must always exercise snapshot-then-redo-catch-up, not
@@ -805,7 +824,7 @@ func (r *Runner) quiescePoint() error {
 	if err := r.oracle.quiesceCheck(); err != nil {
 		return err
 	}
-	if r.flt != nil {
+	if r.opts.FleetChurn {
 		if err := r.oracle.fleetCheck(); err != nil {
 			return err
 		}
@@ -913,15 +932,16 @@ func (r *Runner) transition() error {
 		return err
 	}
 	r.monitor.stop() // promotion legitimately stops the apply pipeline
-	if r.flt != nil {
-		// The standby is about to be promoted: the fleet drains with it, the
-		// same path Cluster.Failover/Switchover takes.
-		r.flt.Shutdown()
-	}
+	// A promotion must retain what the master hosted; with home-share readers
+	// every IMCU may be homed elsewhere and there is nothing to retain.
+	hosted := r.sby.Store().Stats().PopulatedUnits > 0
 
+	// The broker drains the fleet with the promoted standby and, on a
+	// switchover, rebinds it to the rebuilt one — the same path
+	// Cluster.Failover/Switchover takes.
 	brk := broker.New(broker.Config{
 		Primary:      r.pri,
-		Standby:      r.sc,
+		Standby:      r.flt,
 		Source:       r.curSource,
 		Server:       r.srv,
 		DrainTimeout: 20 * time.Second,
@@ -930,6 +950,7 @@ func (r *Runner) transition() error {
 			PopulationInterval:   time.Millisecond,
 			BlocksPerIMCU:        blocksPerIMCU,
 			FreshnessSampleEvery: 1,
+			HomeInstances:        r.res.ShareReaders + 1,
 		},
 	})
 
@@ -940,7 +961,7 @@ func (r *Runner) transition() error {
 			return r.fail("failover: %v", err)
 		}
 		r.res.Transition = "failover"
-		if res.WarmUnits == 0 {
+		if hosted && res.WarmUnits == 0 {
 			return r.fail("failover promotion was cold: %+v", res)
 		}
 		return r.oracle.postPromotion(brk.Promoted(), res.PromotedSCN, nil)
@@ -950,7 +971,7 @@ func (r *Runner) transition() error {
 			return r.fail("switchover: %v", err)
 		}
 		r.res.Transition = "switchover"
-		if res.WarmUnits == 0 {
+		if hosted && res.WarmUnits == 0 {
 			return r.fail("switchover promotion was cold: %+v", res)
 		}
 		return r.oracle.postPromotion(brk.Promoted(), res.PromotedSCN, res.NewStandby)
@@ -990,15 +1011,15 @@ func (r *Runner) teardown() {
 		r.monitor.stop()
 	}
 	if r.flt != nil {
-		r.flt.Shutdown() // idempotent; transitions already drained it
+		r.flt.Shutdown() // idempotent; a failover already drained it
 		r.res.FleetReaders = r.fleetSize
 	}
 	if r.res.Transition != "" {
 		r.collectCounters()
 		return
 	}
-	if r.sc != nil {
-		r.sc.Stop()
+	if r.sby != nil {
+		r.sby.Stop()
 	}
 	if r.rcv != nil {
 		r.collectCounters()

@@ -44,6 +44,7 @@ func runSeed(t *testing.T, opts Options) *Result {
 		t.Fatalf("seed %d: watchdog reported %d stall(s) in a passing run (false positive)",
 			opts.Seed, res.Stalls)
 	}
+	t.Logf("seed %d: %d home-share reader(s)", opts.Seed, res.ShareReaders)
 	return res
 }
 
@@ -138,8 +139,8 @@ func TestChaosFleetChurn(t *testing.T) {
 
 // TestChaosFleetChurnTCPRestarts layers fleet churn over the faulted TCP
 // transport with standby crash-restarts: readers survive the master's crash
-// (their stores are fleet-local), re-attach to the restarted flusher's
-// fanout, and still pass per-reader equivalence at every quiesce.
+// (their stores are fleet-local), stay the rebuilt flusher's sink, and still
+// pass per-reader equivalence at every quiesce.
 func TestChaosFleetChurnTCPRestarts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet churn over faulted TCP skipped in -short mode")

@@ -8,8 +8,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
 	"dbimadg/internal/scn"
@@ -133,7 +133,7 @@ func (o *oracle) liveProbe() error {
 	}
 	r.res.Checks++
 
-	hybrid := r.newExec(r.sby.Txns(), r.sby.Store())
+	hybrid := r.newExec(r.sby.Txns(), r.flt.Stores()...)
 	pure := r.newExec(r.sby.Txns())
 	pri := r.newExec(r.pri.Txns())
 
@@ -180,17 +180,17 @@ func (o *oracle) quiesceCheck() error {
 		return r.fail("journal/commit table did not drain at quiesce: %+v", r.sby.Stats())
 	}
 
-	// Let population settle, then force one coverage scan so segment growth
-	// since the last engine pass is accounted for.
-	r.sby.Engine().Scan()
-	if !r.sby.Engine().WaitIdle(20 * time.Second) {
+	if !r.settlePopulation(20 * time.Second) {
 		return r.fail("population did not settle at quiesce: %+v", r.sby.Engine().Stats())
 	}
 
 	// (1) Equivalence at the published QuerySCN, full scan: standby hybrid
-	// (IMCS + SMU + journal + row store), standby pure row store, primary CR.
+	// (IMCS + SMU + journal + row store, over the master's store and every
+	// home-share reader's: they are acknowledged before the master publishes),
+	// standby pure row store, primary CR.
 	q := r.sby.QuerySCN()
-	hybrid := r.newExec(r.sby.Txns(), r.sby.Store())
+	stores := r.flt.Stores()
+	hybrid := r.newExec(r.sby.Txns(), stores...)
 	pure := r.newExec(r.sby.Txns())
 	pri := r.newExec(r.pri.Txns())
 
@@ -289,14 +289,22 @@ func (o *oracle) quiesceCheck() error {
 	}
 
 	// (4) IMCU coverage: every chunk of every segment must be covered by a
-	// unit (populated or placeholder) after the engine settled.
+	// unit (populated or placeholder) on exactly one instance — its home —
+	// after the engines settled.
 	for _, part := range tbl.Partitions() {
 		seg := part.Seg
 		obj := seg.Obj()
 		n := rowstore.BlockNo(seg.BlockCount())
 		for start := rowstore.BlockNo(0); start < n; start += blocksPerIMCU {
-			if _, ok := r.sby.Store().UnitForBlock(obj, start); !ok {
-				return r.fail("coverage gap: obj %d block %d (of %d) has no unit after settle", obj, start, n)
+			hosts := 0
+			for _, st := range stores {
+				if _, ok := st.UnitForBlock(obj, start); ok {
+					hosts++
+				}
+			}
+			if hosts != 1 {
+				return r.fail("coverage: obj %d block %d (of %d) has a unit on %d of %d instances after settle",
+					obj, start, n, hosts, len(stores))
 			}
 		}
 	}
@@ -323,8 +331,8 @@ func (o *oracle) freshnessCheck(inst *standby.Instance, published scn.SCN) error
 			n, published, st)
 	}
 	if st.Incomplete != 0 {
-		return r.fail("freshness: %d spans closed with required pipeline stages missing (%+v)",
-			st.Incomplete, st)
+		return r.fail("freshness: %d spans closed with required pipeline stages missing: %s (%+v)",
+			st.Incomplete, gapSpans(ft.Waterfalls(0)), st)
 	}
 	if st.Completed == 0 {
 		return r.fail("freshness: no span completed despite committed workload (%+v)", st)
@@ -337,6 +345,18 @@ func (o *oracle) freshnessCheck(inst *standby.Instance, published scn.SCN) error
 	r.res.SpansCompleted = st.Completed
 	r.res.SpansTruncated = st.Truncated
 	return nil
+}
+
+// gapSpans renders the retained spans that closed complete without a required
+// stage: the SCN and the absent stages of each.
+func gapSpans(spans []obs.SpanJSON) string {
+	var out []string
+	for _, sp := range spans {
+		if len(sp.MissingStages) > 0 {
+			out = append(out, fmt.Sprintf("scn=%d missing=%v", sp.SCN, sp.MissingStages))
+		}
+	}
+	return strings.Join(out, "; ")
 }
 
 // fleetCheck extends the quiesce oracle over the reader fleet: every reader
@@ -403,7 +423,7 @@ func (o *oracle) fleetCheck() error {
 // promotion SCN and stay consistent, and after a switchover the rebuilt
 // standby must converge on the promoted node's state. It also releases the
 // promoted-side resources.
-func (o *oracle) postPromotion(newPri *primary.Cluster, promoted scn.SCN, newSb *rac.StandbyCluster) error {
+func (o *oracle) postPromotion(newPri *primary.Cluster, promoted scn.SCN, newSb *standby.Instance) error {
 	r := o.r
 	master := r.sby
 	pTbl, err := master.DB().Table(1, "C101")
@@ -477,16 +497,16 @@ func (o *oracle) postPromotion(newPri *primary.Cluster, promoted scn.SCN, newSb 
 	// converges on the same state.
 	if newSb != nil {
 		target := newPri.Snapshot()
-		if !newSb.Master.WaitForSCN(target, 20*time.Second) {
+		if !newSb.WaitForSCN(target, 20*time.Second) {
 			return r.fail("rebuilt standby stuck: QuerySCN=%d target=%d stats=%+v",
-				newSb.Master.QuerySCN(), target, newSb.Master.Stats())
+				newSb.QuerySCN(), target, newSb.Stats())
 		}
-		oldTbl, err := newSb.Master.DB().Table(1, "C101")
+		oldTbl, err := newSb.DB().Table(1, "C101")
 		if err != nil {
 			return r.fail("rebuilt standby table missing: %v", err)
 		}
-		q2 := newSb.Master.QuerySCN()
-		sbEx := r.newExec(newSb.Master.Txns(), newSb.Stores()...)
+		q2 := newSb.QuerySCN()
+		sbEx := r.newExec(newSb.Txns(), r.flt.Stores()...)
 		a, _, err := canonScan(sbEx, oldTbl, q2)
 		if err != nil {
 			return r.fail("rebuilt standby scan: %v", err)
@@ -500,7 +520,7 @@ func (o *oracle) postPromotion(newPri *primary.Cluster, promoted scn.SCN, newSb 
 		}
 		// The rebuilt standby runs its own tracer from the promotion SCN on;
 		// the post-promotion DML must have traced end-to-end through it too.
-		if err := o.freshnessCheck(newSb.Master, q2); err != nil {
+		if err := o.freshnessCheck(newSb, q2); err != nil {
 			return err
 		}
 		newSb.Stop()

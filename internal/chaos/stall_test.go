@@ -9,7 +9,6 @@ import (
 
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/standby"
@@ -20,7 +19,6 @@ import (
 // for targeted liveness tests, outside the randomized Runner.
 type stallRig struct {
 	pri      *primary.Cluster
-	sc       *rac.StandbyCluster
 	sby      *standby.Instance
 	srv      *transport.Server
 	injector *transport.FaultInjector
@@ -40,8 +38,7 @@ func newStallRig(t *testing.T, deadline time.Duration) *stallRig {
 		WatchdogInterval:      10 * time.Millisecond,
 		WatchdogStallDeadline: deadline,
 	}
-	rig.sc = rac.NewStandbyCluster(cfg, 0)
-	rig.sby = rig.sc.Master
+	rig.sby = standby.New(cfg)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -56,7 +53,7 @@ func newStallRig(t *testing.T, deadline time.Duration) *stallRig {
 		t.Fatalf("connect: %v", err)
 	}
 	rig.rcv = rcv
-	rig.sc.Attach(rcv)
+	rig.sby.Attach(rcv)
 	rig.sby.SetShipFrontier(func() scn.SCN { return stream.LastSCN() })
 	rig.stallCh = make(chan *obs.Bundle, 1)
 	rig.sby.Watchdog().OnStall(func(b *obs.Bundle) {
@@ -65,9 +62,9 @@ func newStallRig(t *testing.T, deadline time.Duration) *stallRig {
 		default:
 		}
 	})
-	rig.sc.Start()
+	rig.sby.Start()
 	t.Cleanup(func() {
-		rig.sc.Stop()
+		rig.sby.Stop()
 		_ = rig.rcv.Close()
 		_ = rig.srv.Close()
 		rig.pri.Close()

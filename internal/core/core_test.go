@@ -378,17 +378,14 @@ func TestFlushCoarseInvalidationOnMissingBegin(t *testing.T) {
 
 type captureSink struct {
 	mu     sync.Mutex
-	sent   map[int][]Group
+	sent   []Group
 	coarse []rowstore.TenantID
 }
 
-func (c *captureSink) SendGroups(inst int, groups []Group) {
+func (c *captureSink) Groups(groups []Group) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sent == nil {
-		c.sent = map[int][]Group{}
-	}
-	c.sent[inst] = append(c.sent[inst], groups...)
+	c.sent = append(c.sent, groups...)
+	c.mu.Unlock()
 }
 
 func (c *captureSink) Barrier() {}
@@ -399,31 +396,45 @@ func (c *captureSink) CoarseInvalidate(tenant rowstore.TenantID) {
 	c.mu.Unlock()
 }
 
-func TestFlushRoutesRemoteGroups(t *testing.T) {
+// TestFlushHandsEveryGroupToSink: the sink sees one transaction's groups for
+// every home (it does the routing), while the local store only takes the
+// groups homed on this instance.
+func TestFlushHandsEveryGroupToSink(t *testing.T) {
 	_, _, j, _ := flushFixture(t)
 	sink := &captureSink{}
 	store := imcs.NewStore()
 	home := imcs.HomeMap{Instances: 2}
+	// One placeholder unit per chunk, so local invalidations are countable.
+	for blk := rowstore.BlockNo(0); blk < 64; blk += 4 {
+		if _, err := store.CreateUnit(9, 5, blk, blk+4); err != nil {
+			t.Fatal(err)
+		}
+	}
 	f := NewFlusher(j, store, home, 0, 4, sink)
 	j.EnsureAnchor(1, 5, true)
 	// Spread records over many chunks so both homes appear.
+	local := 0
 	for blk := rowstore.BlockNo(0); blk < 64; blk += 4 {
 		j.Add(0, 1, 5, InvalRecord{Obj: 9, Blk: blk, Slot: 0})
+		if home.HomeOf(9, blk) == 0 {
+			local++
+		}
 	}
 	a, _ := j.Get(1)
 	f.FlushNode(&CommitNode{Txn: 1, CommitSCN: 50, Tenant: 5, HasIMCS: true, Anchor: a})
-	if len(sink.sent[1]) == 0 {
-		t.Fatal("no groups routed to the remote instance")
+	if len(sink.sent) != 16 {
+		t.Fatalf("sink received %d groups, want all 16", len(sink.sent))
 	}
-	for _, g := range sink.sent[1] {
-		if home.HomeOf(g.Obj, g.Blk-g.Blk%4) != 1 {
-			t.Fatal("group routed to wrong home")
-		}
+	if local == 0 || local == 16 {
+		t.Fatalf("fixture does not spread over both homes: %d local", local)
 	}
-	// Coarse invalidation must fan out to peers.
+	if got := store.RowsInvalidated(); got != int64(local) {
+		t.Fatalf("local store invalidated %d rows, want the %d homed here", got, local)
+	}
+	// Coarse invalidation must fan out to the sink.
 	f.FlushNode(&CommitNode{Txn: 2, CommitSCN: 51, Tenant: 5, HasIMCS: true})
 	if len(sink.coarse) != 1 || sink.coarse[0] != 5 {
-		t.Fatalf("remote coarse invalidation: %v", sink.coarse)
+		t.Fatalf("sink coarse invalidation: %v", sink.coarse)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -19,38 +18,27 @@ type Group struct {
 	Slots []uint16
 }
 
-// RemoteSink ships invalidation work to other standby RAC instances. Nil when
-// the standby is a single instance.
-type RemoteSink interface {
-	// SendGroups delivers invalidation groups homed on instance inst.
-	// Implementations batch and pipeline (§III.F): the call may return before
-	// the receiving local recovery coordinator has applied the groups, as
-	// long as Barrier provides the acknowledgement point.
-	SendGroups(inst int, groups []Group)
-	// Barrier blocks until every previously sent group has been applied and
-	// acknowledged by its receiving instance. The master calls it after
-	// draining a worklink and before publishing the new QuerySCN, so no
-	// instance's column store lags the published consistency point.
-	Barrier()
-	// CoarseInvalidate asks every peer instance to coarse-invalidate the
-	// tenant's IMCUs (restart fallback, §III.E).
+// Sink is the flusher's one downstream: whatever keeps the column stores of
+// the standby's non-apply instances current (internal/fleet). It is nil on a
+// standby with no readers. Groups and CoarseInvalidate may be called from any
+// flushing goroutine (the coordinator or a cooperative helper) and must not
+// block: a slow consumer buffers, it never stalls the flush hot path. Every
+// call for one QuerySCN advancement completes before that advancement
+// publishes, so a FIFO consumer that applies them before acting on the
+// matching publication stays transactionally consistent.
+type Sink interface {
+	// Groups delivers the invalidation groups of one transaction, all homes;
+	// the sink routes them by placement (§III.F: batched and pipelined, the
+	// call returns before the receivers have applied anything).
+	Groups(groups []Group)
+	// CoarseInvalidate mirrors a coarse tenant invalidation (restart
+	// fallback, §III.E).
 	CoarseInvalidate(tenant rowstore.TenantID)
-}
-
-// Fanout receives a copy of every invalidation the flusher applies,
-// regardless of home instance — the feed behind full-copy reader standbys
-// (internal/fleet), whose column stores mirror the whole standby-enabled set
-// rather than a home-map share. Calls may come from any flushing goroutine
-// (the coordinator or a cooperative helper), but every call for one QuerySCN
-// advancement completes before that advancement publishes, so a FIFO consumer
-// that applies groups before acting on the matching publication stays
-// transactionally consistent. Implementations must not block: a slow consumer
-// must buffer, never stall the flush hot path.
-type Fanout interface {
-	// FanoutGroups delivers one transaction's invalidation groups (all homes).
-	FanoutGroups(groups []Group)
-	// FanoutCoarse mirrors a coarse tenant invalidation (§III.E fallback).
-	FanoutCoarse(tenant rowstore.TenantID)
+	// Barrier blocks until every receiver that shares the master's
+	// consistency point has applied and acknowledged what was delivered. The
+	// master calls it after draining a worklink and before publishing the new
+	// QuerySCN, so no such store lags the published consistency point.
+	Barrier()
 }
 
 // Flusher is the Invalidation Flush Component (paper §III.D): it walks a
@@ -64,39 +52,47 @@ type Flusher struct {
 	home    imcs.HomeMap
 	localID int // this instance's index in the home map
 	chunk   rowstore.BlockNo
-	remote  RemoteSink
 
 	flushedRecords atomic.Int64
 	coarseCount    atomic.Int64
 
-	trace  atomic.Pointer[obs.PipelineTrace]
-	fanout atomic.Pointer[Fanout]
+	trace atomic.Pointer[obs.PipelineTrace]
+	sink  atomic.Pointer[Sink]
 }
 
 // SetTrace attaches an optional pipeline trace; flush-stage latency is
 // observed per commit node when set.
 func (f *Flusher) SetTrace(t *obs.PipelineTrace) { f.trace.Store(t) }
 
-// SetFanout attaches (or, with nil, detaches) the full-copy invalidation
-// fanout; see Fanout.
-func (f *Flusher) SetFanout(fo Fanout) {
-	if fo == nil {
-		f.fanout.Store(nil)
+// SetSink attaches (or, with nil, detaches) the downstream; see Sink.
+func (f *Flusher) SetSink(sink Sink) {
+	if sink == nil {
+		f.sink.Store(nil)
 		return
 	}
-	f.fanout.Store(&fo)
+	f.sink.Store(&sink)
+}
+
+// Barrier waits for the attached sink's acknowledgement point (no-op without
+// a sink).
+func (f *Flusher) Barrier() {
+	if sink := f.sink.Load(); sink != nil {
+		(*sink).Barrier()
+	}
 }
 
 // NewFlusher assembles the flush component. chunk is the population engine's
 // BlocksPerIMCU, which determines IMCU boundaries and hence group homes.
-func NewFlusher(journal *Journal, local *imcs.Store, home imcs.HomeMap, localID int, chunk int, remote RemoteSink) *Flusher {
+func NewFlusher(journal *Journal, local *imcs.Store, home imcs.HomeMap, localID int, chunk int, sink Sink) *Flusher {
 	if chunk <= 0 {
 		chunk = 64
 	}
-	return &Flusher{
+	f := &Flusher{
 		journal: journal, local: local, home: home, localID: localID,
-		chunk: rowstore.BlockNo(chunk), remote: remote,
+		chunk: rowstore.BlockNo(chunk),
 	}
+	f.SetSink(sink)
+	return f
 }
 
 // FlushedRecords returns the number of invalidation records flushed to SMUs.
@@ -145,11 +141,8 @@ func (f *Flusher) flushNode(n *CommitNode) {
 		// restarted. Fall back to coarse invalidation of the tenant (§III.E).
 		f.coarseCount.Add(1)
 		f.local.InvalidateTenant(n.Tenant)
-		if f.remote != nil {
-			f.remote.CoarseInvalidate(n.Tenant)
-		}
-		if fo := f.fanout.Load(); fo != nil {
-			(*fo).FanoutCoarse(n.Tenant)
+		if sink := f.sink.Load(); sink != nil {
+			(*sink).CoarseInvalidate(n.Tenant)
 		}
 		if anchor != nil {
 			f.journal.Remove(n.Txn)
@@ -174,44 +167,25 @@ func (f *Flusher) flushAnchor(a *Anchor) {
 		k := key{r.Obj, r.Blk}
 		groups[k] = append(groups[k], r.Slot)
 	})
-	fo := f.fanout.Load()
-	var all []Group // every group regardless of home, for the full-copy fanout
-	var remote map[int][]Group
+	sink := f.sink.Load()
+	var all []Group // every group regardless of home, for the sink
 	for k, slots := range groups {
 		f.flushedRecords.Add(int64(len(slots)))
-		if fo != nil {
+		if sink != nil {
 			all = append(all, Group{Obj: k.obj, Blk: k.blk, Slots: slots})
 		}
-		home := f.home.HomeOf(k.obj, k.blk-k.blk%f.chunk)
-		if home == f.localID || f.remote == nil {
+		if f.home.HomeOf(k.obj, k.blk-k.blk%f.chunk) == f.localID {
 			f.local.InvalidateRows(k.obj, k.blk, slots)
-			continue
 		}
-		if remote == nil {
-			remote = make(map[int][]Group)
-		}
-		remote[home] = append(remote[home], Group{Obj: k.obj, Blk: k.blk, Slots: slots})
 	}
 	if len(all) > 0 {
-		(*fo).FanoutGroups(all)
-	}
-	for inst, gs := range remote {
-		// Deterministic order within a batch helps debugging; order across
-		// blocks does not affect correctness (invalidation is idempotent and
-		// monotone).
-		sort.Slice(gs, func(i, j int) bool {
-			if gs[i].Obj != gs[j].Obj {
-				return gs[i].Obj < gs[j].Obj
-			}
-			return gs[i].Blk < gs[j].Blk
-		})
-		f.remote.SendGroups(inst, gs)
+		(*sink).Groups(all)
 	}
 }
 
-// ApplyGroups applies invalidation groups received from another instance's
-// flush (the receiving side of SendGroups, run by the local recovery
-// coordinator on that instance).
+// ApplyGroups applies invalidation groups received from the master's flush
+// (the receiving side of Sink.Groups, run by a reader's local recovery
+// coordinator).
 func ApplyGroups(store *imcs.Store, groups []Group) {
 	for _, g := range groups {
 		store.InvalidateRows(g.Obj, g.Blk, g.Slots)

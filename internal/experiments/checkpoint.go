@@ -76,7 +76,7 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	d, err := openDeployment(p, 1, 0, service.StandbyOnly, func(c *standby.Config) {
+	d, err := openDeployment(p, 1, service.StandbyOnly, func(c *standby.Config) {
 		c.SnapshotDir = dir
 		// The phases checkpoint manually at known points; keep the background
 		// cadence out of the measurement.
@@ -104,7 +104,7 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 	}
 	settle()
 
-	master := d.sc.Master
+	master := d.sby
 	res := &CheckpointResult{Rows: p.Rows}
 	baseline := master.Store().Stats().PopulatedUnits
 	rng := rand.New(rand.NewSource(p.Seed))

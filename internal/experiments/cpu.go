@@ -33,7 +33,7 @@ func RunCPU(p Params) (*CPUResult, error) {
 	p = p.WithDefaults()
 	res := &CPUResult{Cores: runtime.NumCPU()}
 	for _, offload := range []bool{false, true} {
-		d, err := openDeployment(p, 1, 0, service.PrimaryAndStandby)
+		d, err := openDeployment(p, 1, service.PrimaryAndStandby)
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,6 @@ import (
 	"dbimadg/internal/metrics"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -113,7 +112,7 @@ func (p Params) WithDefaults() Params {
 // deployment is the wiring every experiment shares.
 type deployment struct {
 	pri *primary.Cluster
-	sc  *rac.StandbyCluster
+	sby *standby.Instance
 	tbl *rowstore.Table
 
 	priStore *imcs.Store
@@ -127,25 +126,16 @@ const (
 	tableName     = "C101"
 )
 
-// openDeployment builds primary (nPri instances) + standby RAC (readers) and
-// the wide table; inmemService routes INMEMORY population ("" = no DBIM).
-// tune callbacks, if any, adjust the standby config before the cluster is
-// built (e.g. the checkpoint experiment pointing SnapshotDir at a temp dir).
-func openDeployment(p Params, nPri, readers int, inmemService string, tune ...func(*standby.Config)) (*deployment, error) {
+// openDeployment builds primary (nPri instances) + standby and the wide table;
+// inmemService routes INMEMORY population ("" = no DBIM). tune callbacks, if
+// any, adjust the standby config before the standby is built (e.g. the
+// checkpoint experiment pointing SnapshotDir at a temp dir).
+func openDeployment(p Params, nPri int, inmemService string, tune ...func(*standby.Config)) (*deployment, error) {
 	d := &deployment{}
 	d.pri = primary.NewCluster(nPri, rowsPerBlock)
 	d.priStore = imcs.NewStore()
 	d.priEng = imcs.NewEngine(d.priStore, d.pri.Txns(), priSnap{d.pri}, func() []imcs.Target {
-		var out []imcs.Target
-		for _, tbl := range d.pri.DB().Tables() {
-			for _, part := range tbl.Partitions() {
-				attr := part.InMemory()
-				if attr.Enabled && d.pri.Services().RunsOn(attr.Service, service.RolePrimary) {
-					out = append(out, imcs.Target{Seg: part.Seg, Table: tbl, Priority: attr.Priority})
-				}
-			}
-		}
-		return out
+		return imcs.Targets(d.pri.DB(), d.pri.Services(), service.RolePrimary)
 	}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Workers: 2, Interval: 2 * time.Millisecond})
 	d.pri.SetDBIMHook(priHook{d.priStore})
 	d.priEng.Start()
@@ -161,13 +151,13 @@ func openDeployment(p Params, nPri, readers int, inmemService string, tune ...fu
 	for _, fn := range tune {
 		fn(&sbyCfg)
 	}
-	d.sc = rac.NewStandbyCluster(sbyCfg, readers)
+	d.sby = standby.New(sbyCfg)
 	var streams []*redo.Stream
 	for _, inst := range d.pri.Instances() {
 		streams = append(streams, inst.Stream())
 	}
-	d.sc.Attach(transport.NewInProc(streams...))
-	d.sc.Start()
+	d.sby.Attach(transport.NewInProc(streams...))
+	d.sby.Start()
 	if nPri > 1 {
 		d.pri.StartHeartbeats(time.Millisecond)
 	}
@@ -189,28 +179,23 @@ func openDeployment(p Params, nPri, readers int, inmemService string, tune ...fu
 
 func (d *deployment) close() {
 	d.pri.Close()
-	d.sc.Stop()
+	d.sby.Stop()
 	d.priEng.Stop()
 }
 
 // catchUp waits for the standby to reach the primary's current SCN.
 func (d *deployment) catchUp(timeout time.Duration) error {
-	if !d.sc.Master.WaitForSCN(d.pri.Snapshot(), timeout) {
+	if !d.sby.WaitForSCN(d.pri.Snapshot(), timeout) {
 		return fmt.Errorf("experiments: standby lagging (QuerySCN=%d, want %d)",
-			d.sc.Master.QuerySCN(), d.pri.Snapshot())
+			d.sby.QuerySCN(), d.pri.Snapshot())
 	}
 	return nil
 }
 
 // waitPopulated waits for all population engines to settle.
 func (d *deployment) waitPopulated(timeout time.Duration) error {
-	if !d.priEng.WaitIdle(timeout) || !d.sc.Master.Engine().WaitIdle(timeout) {
+	if !d.priEng.WaitIdle(timeout) || !d.sby.Engine().WaitIdle(timeout) {
 		return fmt.Errorf("experiments: population did not settle")
-	}
-	for _, r := range d.sc.Readers() {
-		if !r.Engine().WaitIdle(timeout) {
-			return fmt.Errorf("experiments: reader population did not settle")
-		}
 	}
 	return nil
 }
@@ -220,16 +205,16 @@ func (d *deployment) waitPopulated(timeout time.Duration) error {
 // profiles to QueryLogSink.
 func (d *deployment) emitSnapshot(p Params, phase string) {
 	if p.SnapshotSink != nil {
-		p.SnapshotSink(phase, d.sc.Master.Obs().Snapshot())
+		p.SnapshotSink(phase, d.sby.Obs().Snapshot())
 	}
 	if p.QueryLogSink != nil {
-		p.QueryLogSink(phase, d.sc.Master.QueryLog().Recent(0))
+		p.QueryLogSink(phase, d.sby.QueryLog().Recent(0))
 	}
 }
 
 // sbyTable resolves the standby replica of the wide table.
 func (d *deployment) sbyTable() (*rowstore.Table, error) {
-	return d.sc.Master.DB().Table(tenant, tableName)
+	return d.sby.DB().Table(tenant, tableName)
 }
 
 type priSnap struct{ c *primary.Cluster }
@@ -267,15 +252,15 @@ func (d *deployment) driver(p Params, mix workload.Mix, scanOnStandby, useIMCS b
 			return nil, err
 		}
 		drv.ScanTable = sTbl
-		drv.ScanSnap = func() scn.SCN { return d.sc.Master.QuerySCN() }
+		drv.ScanSnap = func() scn.SCN { return d.sby.QuerySCN() }
 		if useIMCS {
-			drv.ScanExec = scanengine.NewExecutor(d.sc.Master.Txns(), d.sc.Stores()...)
+			drv.ScanExec = scanengine.NewExecutor(d.sby.Txns(), d.sby.Store())
 		} else {
-			drv.ScanExec = scanengine.NewExecutor(d.sc.Master.Txns())
+			drv.ScanExec = scanengine.NewExecutor(d.sby.Txns())
 		}
-		drv.ScanExec.Obs = d.sc.Master.ScanStats()
+		drv.ScanExec.Obs = d.sby.ScanStats()
 		if p.QueryLogSink != nil {
-			drv.ScanExec.Profiles = d.sc.Master.RecordQuery
+			drv.ScanExec.Profiles = d.sby.RecordQuery
 		}
 	} else {
 		drv.ScanTable = d.tbl

@@ -43,7 +43,7 @@ type Fig11Result struct {
 // RunFig11 runs the redo-apply experiment.
 func RunFig11(p Params) (*Fig11Result, error) {
 	p = p.WithDefaults()
-	d, err := openDeployment(p, 2, 0, service.StandbyOnly)
+	d, err := openDeployment(p, 2, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func RunFig11(p Params) (*Fig11Result, error) {
 						top = last
 					}
 				}
-				st := d.sc.Master.Stats()
+				st := d.sby.Stats()
 				res.StdApplied.Sample(float64(st.AppliedWatermark))
 				res.StdQuery.Sample(float64(st.QuerySCN))
 				if top > st.AppliedWatermark {
@@ -197,16 +197,16 @@ func RunFig11(p Params) (*Fig11Result, error) {
 	// Catch-up phase: how fast does the standby reach the primary's head?
 	target := d.pri.Snapshot()
 	catchStart := time.Now()
-	if !d.sc.Master.WaitForSCN(target, 120*time.Second) {
+	if !d.sby.WaitForSCN(target, 120*time.Second) {
 		close(stopSample)
 		samplerWG.Wait()
-		return nil, fmt.Errorf("experiments: standby never caught up (lag %d SCNs)", uint64(target-d.sc.Master.QuerySCN()))
+		return nil, fmt.Errorf("experiments: standby never caught up (lag %d SCNs)", uint64(target-d.sby.QuerySCN()))
 	}
 	res.CatchupTime = time.Since(catchStart)
 	close(stopSample)
 	samplerWG.Wait()
 
-	st := d.sc.Master.Stats()
+	st := d.sby.Stats()
 	res.MaxLagSCN = maxLag
 	if target > st.AppliedWatermark {
 		res.FinalLagSCN = uint64(target - st.AppliedWatermark)

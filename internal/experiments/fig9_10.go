@@ -39,7 +39,7 @@ func runScanSide(p Params, mix workload.Mix, useIMCS bool) (*workload.Report, st
 		svc = service.StandbyOnly
 		phase = "with DBIM"
 	}
-	d, err := openDeployment(p, 1, 0, svc)
+	d, err := openDeployment(p, 1, svc)
 	if err != nil {
 		return nil, "", err
 	}
@@ -70,9 +70,9 @@ func runScanSide(p Params, mix workload.Mix, useIMCS bool) (*workload.Report, st
 		return nil, "", err
 	}
 	// Keep version chains bounded, as a production deployment would.
-	d.pri.Vacuum(d.sc.Master.QuerySCN())
+	d.pri.Vacuum(d.sby.QuerySCN())
 	d.emitSnapshot(p, phase)
-	stats := d.sc.Master.Obs().Snapshot().String()
+	stats := d.sby.Obs().Snapshot().String()
 	return rep, stats, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"dbimadg/internal/fleet"
-	"dbimadg/internal/imcs"
 	"dbimadg/internal/router"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -70,7 +69,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	if sessions <= 0 {
 		sessions = fleetSessions
 	}
-	d, err := openDeployment(p, 1, 0, service.StandbyOnly)
+	d, err := openDeployment(p, 1, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -106,14 +105,14 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	// A deliberately small fleet: two readers with tight admission limits, so
 	// the session pool overloads it by construction and the storm exercises
 	// the shed path, not just the happy path.
-	flt := fleet.NewManager(d.sc, fleet.Spec{
+	flt := fleet.NewManager(d.sby, fleet.Spec{
 		Readers:            fleetReaders,
 		MaxConcurrentScans: 1,
 		QueueDepth:         2,
 		QueueTimeout:       5 * time.Millisecond,
-	}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Interval: 2 * time.Millisecond})
+	})
 	defer flt.Shutdown()
-	rtr := router.New(flt, d.sc.Master.Services(), d.sc.Master.Obs())
+	rtr := router.New(flt, d.sby.Services(), d.sby.Obs())
 	if !flt.WaitReady(60 * time.Second) {
 		return nil, fmt.Errorf("experiments: fleet never became Ready")
 	}
@@ -124,7 +123,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	// to catch up, and returns apply throughput (CVs/s) over the whole phase —
 	// identical pacing in both phases, so a slowdown shows up as a lower rate.
 	applyPhase := func() (float64, error) {
-		before := d.sc.Master.Stats().CVsApplied
+		before := d.sby.Stats().CVsApplied
 		start := time.Now()
 		var wg sync.WaitGroup
 		deadline := start.Add(p.Duration)
@@ -159,7 +158,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 			return 0, err
 		}
 		elapsed := time.Since(start)
-		after := d.sc.Master.Stats().CVsApplied
+		after := d.sby.Stats().CVsApplied
 		return float64(after-before) / elapsed.Seconds(), nil
 	}
 
@@ -180,7 +179,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 	n1 := sTbl.Schema().ColIndex("n1")
 	execs := map[int]*scanengine.Executor{}
 	for _, rd := range flt.Readers() {
-		execs[rd.ID()] = scanengine.NewExecutor(d.sc.Master.Txns(), rd.Store())
+		execs[rd.ID()] = scanengine.NewExecutor(d.sby.Txns(), rd.Store())
 	}
 	stop := make(chan struct{})
 	var stormWG sync.WaitGroup

@@ -36,7 +36,7 @@ type GroupByResult struct {
 // both executors, so the latency gap is purely the execution pipeline.
 func RunGroupBy(p Params) (*GroupByResult, error) {
 	p = p.WithDefaults()
-	d, err := openDeployment(p, 1, 0, service.StandbyOnly)
+	d, err := openDeployment(p, 1, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +96,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 	if err := d.waitPopulated(120 * time.Second); err != nil {
 		return nil, err
 	}
-	sTbl, err := d.sc.Master.DB().Table(tenant, "G101")
+	sTbl, err := d.sby.DB().Table(tenant, "G101")
 	if err != nil {
 		return nil, err
 	}
@@ -113,16 +113,16 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 		}
 	}
 
-	hybrid := scanengine.NewExecutor(d.sc.Master.Txns(), d.sc.Stores()...)
-	hybrid.Obs = d.sc.Master.ScanStats()
-	pure := scanengine.NewExecutor(d.sc.Master.Txns())
+	hybrid := scanengine.NewExecutor(d.sby.Txns(), d.sby.Store())
+	hybrid.Obs = d.sby.ScanStats()
+	pure := scanengine.NewExecutor(d.sby.Txns())
 
 	res := &GroupByResult{}
 	settle()
 
 	// One profiled run records the encoded/decoded fold split and the group
 	// cardinality the comparison below re-measures.
-	r0, prof, err := hybrid.RunProfiled(groupQ(), d.sc.Master.QuerySCN())
+	r0, prof, err := hybrid.RunProfiled(groupQ(), d.sby.QuerySCN())
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 		deadline := time.Now().Add(dur)
 		for time.Now().Before(deadline) {
 			start := time.Now()
-			if _, err := ex.Run(q(), d.sc.Master.QuerySCN()); err != nil {
+			if _, err := ex.Run(q(), d.sby.QuerySCN()); err != nil {
 				return metrics.LatencySummary{}, err
 			}
 			samples = append(samples, time.Since(start))
@@ -175,7 +175,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 		start := time.Now()
 		for _, kind := range []scanengine.AggKind{scanengine.AggSum, scanengine.AggMax} {
 			q := &scanengine.Query{Table: sTbl, Agg: kind, AggCol: v, Parallel: p.ScanParallel}
-			if _, err := hybrid.Run(q, d.sc.Master.QuerySCN()); err != nil {
+			if _, err := hybrid.Run(q, d.sby.QuerySCN()); err != nil {
 				return nil, fmt.Errorf("two-scan multi-aggregate: %w", err)
 			}
 		}

@@ -48,7 +48,7 @@ type MorselResult struct {
 // RunMorsel runs the scan-scaling and apply-interference experiment.
 func RunMorsel(p Params) (*MorselResult, error) {
 	p = p.WithDefaults()
-	d, err := openDeployment(p, 1, 0, service.StandbyOnly)
+	d, err := openDeployment(p, 1, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -92,9 +92,9 @@ func RunMorsel(p Params) (*MorselResult, error) {
 			Parallel: par,
 		}
 	}
-	ex := scanengine.NewExecutor(d.sc.Master.Txns(), d.sc.Stores()...)
-	ex.Obs = d.sc.Master.ScanStats()
-	morselRows, _ := d.sc.Master.ScanTuning()
+	ex := scanengine.NewExecutor(d.sby.Txns(), d.sby.Store())
+	ex.Obs = d.sby.ScanStats()
+	morselRows, _ := d.sby.ScanTuning()
 
 	res := &MorselResult{MorselRows: morselRows}
 	settle()
@@ -109,7 +109,7 @@ func RunMorsel(p Params) (*MorselResult, error) {
 		deadline := time.Now().Add(phase)
 		for time.Now().Before(deadline) {
 			start := time.Now()
-			r, err := ex.Run(mkQuery(w), d.sc.Master.QuerySCN())
+			r, err := ex.Run(mkQuery(w), d.sby.QuerySCN())
 			if err != nil {
 				return nil, fmt.Errorf("experiments: scaling scan at %d workers: %w", w, err)
 			}
@@ -136,7 +136,7 @@ func RunMorsel(p Params) (*MorselResult, error) {
 	// saturating parallel scan loop beside it. Identical pacing both phases,
 	// so slower apply shows as a lower CV rate, not a longer phase.
 	applyPhase := func(withScans bool) (float64, int64, error) {
-		before := d.sc.Master.Stats().CVsApplied
+		before := d.sby.Stats().CVsApplied
 		start := time.Now()
 		stop := make(chan struct{})
 		var scans int64
@@ -151,7 +151,7 @@ func RunMorsel(p Params) (*MorselResult, error) {
 						return
 					default:
 					}
-					if _, err := ex.Run(mkQuery(p.ScanParallel), d.sc.Master.QuerySCN()); err != nil {
+					if _, err := ex.Run(mkQuery(p.ScanParallel), d.sby.QuerySCN()); err != nil {
 						return
 					}
 					atomic.AddInt64(&scans, 1)
@@ -193,7 +193,7 @@ func RunMorsel(p Params) (*MorselResult, error) {
 			return 0, 0, err
 		}
 		elapsed := time.Since(start)
-		after := d.sc.Master.Stats().CVsApplied
+		after := d.sby.Stats().CVsApplied
 		return float64(after-before) / elapsed.Seconds(), atomic.LoadInt64(&scans), nil
 	}
 

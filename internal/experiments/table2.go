@@ -27,7 +27,7 @@ func RunTable2(p Params) (*Table2Result, error) {
 	p = p.WithDefaults()
 	res := &Table2Result{}
 	for _, side := range []string{"primary", "standby"} {
-		d, err := openDeployment(p, 1, 0, service.PrimaryAndStandby)
+		d, err := openDeployment(p, 1, service.PrimaryAndStandby)
 		if err != nil {
 			return nil, err
 		}

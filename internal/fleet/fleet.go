@@ -1,20 +1,21 @@
-// Package fleet implements a declaratively managed fleet of full-copy reader
-// standbys over one redo-apply master — the capacity-expansion story of the
-// paper's §I ("three stacked standbys... capacity for analytics grows with
-// each added standby") scaled down to instances inside one process. A
-// Spec{Readers: n} is reconciled by a Manager that provisions new readers
-// from the row store, catches them up via the existing population engine,
-// marks them Ready once their QuerySCN reaches the fleet watermark, drains
-// and removes them, and survives role transitions (failover shuts the fleet
-// down with the lost standby; switchover rebinds it to the rebuilt one).
+// Package fleet keeps the column stores of a standby's non-apply instances
+// current: one Reader type over one redo-apply master, fed by the master's
+// invalidation flush and QuerySCN publications (§III.F), owned and reconciled
+// by a Manager that survives role transitions (failover shuts the fleet down
+// with the lost standby; switchover rebinds it to the rebuilt one).
 //
-// Unlike the RAC readers of internal/rac — which host a home-map *share* of
-// the column store and participate in the master's publication barrier — a
-// fleet reader mirrors the whole standby-enabled set and trails the master
-// asynchronously: the master never waits for it, so a slow reader shows up as
-// apply lag on that reader, never as apply backpressure on the pipeline. The
-// feed is the flusher's invalidation fanout (core.Fanout) plus QuerySCN
-// publication relays, both enqueued FIFO per reader; because all flush for an
+// A reader's placement is data, not a second implementation. With no home
+// predicate it is a full copy — the capacity-expansion story of the paper's §I
+// ("three stacked standbys... capacity for analytics grows with each added
+// standby") scaled down to instances inside one process: it mirrors the whole
+// standby-enabled set, receives every invalidation group, trails the master
+// asynchronously (a slow reader shows up as apply lag on that reader, never as
+// apply backpressure on the pipeline), is reconciled by Spec{Readers: n} and
+// serves routed sessions. With a home predicate it is the §III.F home-location
+// share of a standby RAC: it populates and receives only the IMCUs homed on
+// it, and the master waits for its acknowledgement before publishing, so a
+// scan at the master's QuerySCN can span the master's and the shares' stores.
+// Either way the feed is FIFO per reader, and because all flush for an
 // advancement completes before its publication, applying messages in order
 // keeps each reader transactionally consistent at its own published QuerySCN.
 //
@@ -50,14 +51,13 @@ var ErrOverloaded = errors.New("fleet: readers overloaded, scan shed")
 type State int32
 
 const (
-	// StateProvisioning: enlisted in the invalidation fanout, waiting for its
-	// first QuerySCN publication (the consistency point population starts at).
+	// StateProvisioning: built, not yet enlisted in the invalidation feed.
 	StateProvisioning State = iota
-	// StateCatchingUp: population engine running, initial population from the
-	// row store not yet settled or QuerySCN below the provision-time watermark.
+	// StateCatchingUp: enlisted at the master's QuerySCN with the population
+	// engine running; initial population from the row store not yet settled.
 	StateCatchingUp
-	// StateReady: at or past the fleet watermark captured at provision time
-	// with initial population settled; eligible for routing.
+	// StateReady: initial population settled; a full-copy reader is now
+	// eligible for routing.
 	StateReady
 	// StateDraining: removed from routing, waiting for in-flight scans.
 	StateDraining
@@ -84,7 +84,9 @@ func (s State) String() string {
 
 // Spec is the declared fleet shape the Manager reconciles toward.
 type Spec struct {
-	// Readers is the desired number of reader standbys.
+	// Readers is the desired number of full-copy reader standbys. (The
+	// home-share readers are not declared here: there is one per non-master
+	// share of the master's home-location map.)
 	Readers int
 	// MaxConcurrentScans caps in-flight scans per reader (default 64).
 	MaxConcurrentScans int
@@ -119,8 +121,7 @@ func (s Spec) withDefaults() Spec {
 }
 
 // msg is one entry on a reader's pipeline: invalidation groups, a coarse
-// tenant invalidation, or a QuerySCN publication — the same shapes the RAC
-// reader pipeline carries.
+// tenant invalidation, or a QuerySCN publication.
 type msg struct {
 	groups  []core.Group
 	coarse  *rowstore.TenantID
@@ -133,14 +134,16 @@ type publication struct {
 }
 
 // queue is an unbounded FIFO. The flush hot path pushes without ever
-// blocking (the core.Fanout contract); the reader's coordinator goroutine
-// pops in batches. Unboundedness is deliberate: a reader that falls behind
-// accumulates lag here and is skipped by lag-aware routing, instead of
-// stalling the master's flush.
+// blocking (the core.Sink contract); the reader's coordinator goroutine
+// pops in batches. Unboundedness is deliberate: a full-copy reader that falls
+// behind accumulates lag here and is skipped by lag-aware routing, instead of
+// stalling the master's flush. A home-share reader's backlog is bounded by one
+// advancement: the master's barrier waits for it to drain.
 type queue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []msg
+	pushed int64 // messages ever accepted
 	closed bool
 }
 
@@ -154,9 +157,16 @@ func (q *queue) push(m msg) {
 	q.mu.Lock()
 	if !q.closed {
 		q.items = append(q.items, m)
+		q.pushed++
 		q.cond.Signal()
 	}
 	q.mu.Unlock()
+}
+
+func (q *queue) accepted() int64 {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.pushed
 }
 
 // popAll blocks until at least one message is queued (or the queue closes)
@@ -179,33 +189,25 @@ func (q *queue) close() {
 	q.mu.Unlock()
 }
 
-func (q *queue) depth() int {
-	q.mu.Lock()
-	n := len(q.items)
-	q.mu.Unlock()
-	return n
-}
-
-// Reader is one fleet reader standby: a full copy of the standby-enabled
-// column-store set over the shared physical replica, a local coordinator
-// applying the fanout feed, and per-reader admission control.
+// Reader is one non-apply standby instance: a column store over the shared
+// physical replica, populated by its own engine at its own QuerySCN, a local
+// recovery coordinator applying the master's feed, and admission control.
 type Reader struct {
-	id    int
-	store *imcs.Store
-	// engine populates this reader's column store from the shared row store;
-	// started only after the first publication is received, so every
-	// population snapshot is covered by the invalidation feed.
+	id int
+	// home is the reader's placement. Nil: a full copy. Non-nil: the §III.F
+	// home-location share — it reports whether the IMCU covering block blk of
+	// obj is homed here, and doubles as the population engine's HomeFilter.
+	home   func(obj rowstore.ObjID, blk rowstore.BlockNo) bool
+	store  *imcs.Store
 	engine *imcs.Engine
 
-	state       atomic.Int32
-	querySCN    atomic.Uint64
-	quiesce     sync.RWMutex // local quiesce: population snapshot vs apply
-	readyTarget scn.SCN      // fleet watermark at provision time
-	sawPublish  atomic.Bool
-	engineOn    atomic.Bool
+	state    atomic.Int32
+	querySCN atomic.Uint64
+	quiesce  sync.RWMutex // local quiesce: population snapshot vs apply
 
-	q   *queue
-	adm *admission
+	q       *queue
+	applied atomic.Int64 // messages fully processed (the barrier's acknowledgement)
+	adm     *admission
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -260,11 +262,12 @@ func (r *Reader) SchedStats() (admitted, shed int64) {
 	return r.adm.admitted.Load(), r.adm.shed.Load()
 }
 
-// loop is the reader's local coordinator: it applies fanout messages in FIFO
-// order. The local quiesce period spans from the first invalidation of an
-// advancement until its publication, exactly as on a RAC reader: a population
-// snapshot captured in between could be older than invalidations already
-// applied, whose effect a later repopulation would silently discard.
+// loop is the reader's local recovery coordinator: it applies the feed in FIFO
+// order. The local quiesce period spans from the first invalidation of a
+// master advancement until the matching publication: a population snapshot
+// captured in between could be older than invalidations already applied, whose
+// effect a later repopulation would silently discard. The feed is FIFO, so
+// "groups... publish" boundaries delimit advancements exactly.
 func (r *Reader) loop() {
 	defer r.wg.Done()
 	inQuiesce := false
@@ -279,81 +282,59 @@ func (r *Reader) loop() {
 			return
 		}
 		for _, m := range batch {
+			if !inQuiesce {
+				r.quiesce.Lock()
+				inQuiesce = true
+			}
 			switch {
 			case m.groups != nil:
-				if !inQuiesce {
-					r.quiesce.Lock()
-					inQuiesce = true
-				}
 				core.ApplyGroups(r.store, m.groups)
 			case m.coarse != nil:
-				if !inQuiesce {
-					r.quiesce.Lock()
-					inQuiesce = true
-				}
 				r.store.InvalidateTenant(*m.coarse)
 			case m.publish != nil:
-				if !inQuiesce {
-					r.quiesce.Lock()
-					inQuiesce = true
-				}
 				for _, obj := range m.publish.dropped {
 					r.store.DropObject(obj)
 				}
-				r.querySCN.Store(uint64(m.publish.q))
+				// A master restart that restored a checkpoint republishes
+				// from the checkpoint SCN; this store is already past it.
+				if q := uint64(m.publish.q); q > r.querySCN.Load() {
+					r.querySCN.Store(q)
+				}
 				r.quiesce.Unlock()
 				inQuiesce = false
-				r.sawPublish.Store(true)
 			}
+			r.applied.Add(1)
 		}
 	}
 }
 
-// lifecycle drives Provisioning -> CatchingUp -> Ready. It waits for the
-// first received publication (so population snapshots are covered by the
-// fanout feed), starts the population engine with an immediate target scan,
-// and promotes the reader to Ready once its QuerySCN reaches the
-// provision-time watermark and the initial population has settled.
-func (r *Reader) lifecycle() {
+// awaitReady promotes the reader from CatchingUp to Ready once the initial
+// population pass its enlistment scheduled has settled.
+func (r *Reader) awaitReady() {
 	defer r.wg.Done()
-	for !r.sawPublish.Load() {
-		select {
-		case <-r.stop:
-			return
-		case <-time.After(100 * time.Microsecond):
-		}
-	}
-	if r.State() != StateProvisioning {
-		return // already draining
-	}
-	r.engine.Start()
-	r.engineOn.Store(true)
-	r.engine.Scan()
-	r.setState(StateCatchingUp)
 	for {
 		select {
 		case <-r.stop:
 			return
 		case <-time.After(200 * time.Microsecond):
 		}
-		if r.State() != StateCatchingUp {
-			return
-		}
-		if r.QuerySCN() >= r.readyTarget && r.engine.Pending() == 0 {
-			r.setState(StateReady)
+		if r.engine.Pending() == 0 {
+			// Fails, harmlessly, when a drain has already moved the state on.
+			r.state.CompareAndSwap(int32(StateCatchingUp), int32(StateReady))
 			return
 		}
 	}
 }
+
+// drained reports whether everything fed to the reader so far is applied.
+func (r *Reader) drained() bool { return r.applied.Load() >= r.q.accepted() }
 
 // close stops the reader's goroutines and engine. Idempotent.
 func (r *Reader) close() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	r.q.close()
 	r.wg.Wait()
-	if r.engineOn.Load() {
-		r.engine.Stop()
-	}
+	r.engine.Stop()
 	r.setState(StateGone)
 }
 

@@ -3,15 +3,15 @@ package fleet_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"dbimadg/internal/fleet"
-	"dbimadg/internal/imcs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
+	"dbimadg/internal/router"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
 	"dbimadg/internal/scn"
@@ -21,27 +21,31 @@ import (
 )
 
 type fleetPair struct {
-	pri *primary.Cluster
-	sc  *rac.StandbyCluster
-	tbl *rowstore.Table
+	pri    *primary.Cluster
+	master *standby.Instance
+	tbl    *rowstore.Table
 }
 
-func newFleetPair(t *testing.T) *fleetPair {
+// newFleetPair builds a primary and a standby master whose home-location map
+// has shares+1 instances: a manager over it provisions that many home-share
+// readers. memLimit caps each column store (0 = unlimited).
+func newFleetPair(t *testing.T, shares int, memLimit ...int) *fleetPair {
 	t.Helper()
 	pri := primary.NewCluster(1, 32)
-	sc := rac.NewStandbyCluster(standby.Config{
+	cfg := standby.Config{
 		RowsPerBlock:       32,
 		CheckpointInterval: time.Millisecond,
 		PopulationInterval: time.Millisecond,
 		BlocksPerIMCU:      4,
-	}, 0)
-	var streams []*redo.Stream
-	for _, inst := range pri.Instances() {
-		streams = append(streams, inst.Stream())
+		HomeInstances:      shares + 1,
 	}
-	sc.Attach(transport.NewInProc(streams...))
-	sc.Start()
-	t.Cleanup(sc.Stop)
+	if len(memLimit) > 0 {
+		cfg.MemLimitBytes = memLimit[0]
+	}
+	master := standby.New(cfg)
+	master.Attach(transport.NewInProc(priStreams(pri)...))
+	master.Start()
+	t.Cleanup(func() { master.Stop() })
 
 	tbl, err := pri.Instance(0).CreateTable(&rowstore.TableSpec{
 		Name: "T", Tenant: 1,
@@ -57,16 +61,20 @@ func newFleetPair(t *testing.T) *fleetPair {
 	if err := pri.Instance(0).AlterInMemory(1, "T", "", rowstore.InMemoryAttr{Enabled: true, Service: "standby"}); err != nil {
 		t.Fatal(err)
 	}
-	return &fleetPair{pri: pri, sc: sc, tbl: tbl}
+	return &fleetPair{pri: pri, master: master, tbl: tbl}
 }
 
-func popCfg() imcs.Config {
-	return imcs.Config{BlocksPerIMCU: 4, Interval: time.Millisecond}
+func priStreams(pri *primary.Cluster) []*redo.Stream {
+	var streams []*redo.Stream
+	for _, inst := range pri.Instances() {
+		streams = append(streams, inst.Stream())
+	}
+	return streams
 }
 
 func (p *fleetPair) manager(t *testing.T, spec fleet.Spec) *fleet.Manager {
 	t.Helper()
-	m := fleet.NewManager(p.sc, spec, popCfg())
+	m := fleet.NewManager(p.master, spec)
 	t.Cleanup(m.Shutdown)
 	return m
 }
@@ -88,15 +96,32 @@ func (p *fleetPair) insert(t *testing.T, from, to int64) {
 	}
 }
 
-// catchUp waits for the master and then every fleet reader to reach the
-// primary's current snapshot.
+// update sets n1 = val on the given rows in one transaction.
+func (p *fleetPair) update(t *testing.T, val int64, ids ...int64) {
+	t.Helper()
+	s := p.tbl.Schema()
+	tx := p.pri.Instance(0).Begin()
+	for _, id := range ids {
+		if err := tx.UpdateByID(p.tbl, id, []uint16{1}, func(row *rowstore.Row) {
+			row.Nums[s.Col(1).Slot()] = val
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// catchUp waits for the master and then every reader of either kind to reach
+// the primary's current snapshot.
 func (p *fleetPair) catchUp(t *testing.T, m *fleet.Manager) scn.SCN {
 	t.Helper()
 	target := p.pri.Snapshot()
-	if !p.sc.Master.WaitForSCN(target, 10*time.Second) {
-		t.Fatalf("master did not catch up: %+v", p.sc.Master.Stats())
+	if !p.master.WaitForSCN(target, 10*time.Second) {
+		t.Fatalf("master did not catch up: %+v", p.master.Stats())
 	}
-	for _, r := range m.Readers() {
+	for _, r := range slices.Concat(m.ShareReaders(), m.Readers()) {
 		r := r
 		if !testutil.WaitFor(10*time.Second, 0, func() bool { return r.QuerySCN() >= target }) {
 			t.Fatalf("fleet reader %d stuck at QuerySCN %d, target %d (state %v)",
@@ -106,9 +131,23 @@ func (p *fleetPair) catchUp(t *testing.T, m *fleet.Manager) scn.SCN {
 	return target
 }
 
+// waitPopulated waits for the master's and every home-share reader's
+// population to settle.
+func (p *fleetPair) waitPopulated(t *testing.T, m *fleet.Manager) {
+	t.Helper()
+	if !p.master.Engine().WaitIdle(10 * time.Second) {
+		t.Fatal("master population did not settle")
+	}
+	for _, r := range m.ShareReaders() {
+		if !r.Engine().WaitIdle(10 * time.Second) {
+			t.Fatalf("share reader %d population did not settle", r.ID())
+		}
+	}
+}
+
 func (p *fleetPair) sbyTable(t *testing.T) *rowstore.Table {
 	t.Helper()
-	tbl, err := p.sc.Master.DB().Table(1, "T")
+	tbl, err := p.master.DB().Table(1, "T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +179,10 @@ func scanKey(t *testing.T, ex *scanengine.Executor, tbl *rowstore.Table, snap sc
 // the reader must reach the fleet watermark captured at provision time and
 // settle its initial population before turning Ready.
 func TestReaderLifecycleToReady(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 1000)
 	target := p.pri.Snapshot()
-	if !p.sc.Master.WaitForSCN(target, 10*time.Second) {
+	if !p.master.WaitForSCN(target, 10*time.Second) {
 		t.Fatal("master lagging")
 	}
 	m := p.manager(t, fleet.Spec{Readers: 1})
@@ -173,10 +212,10 @@ func TestReaderLifecycleToReady(t *testing.T) {
 // without it the lifecycle would wait forever for a publication the
 // coordinator never emits.
 func TestIdleMasterProvisioning(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 100)
 	target := p.pri.Snapshot()
-	if !p.sc.Master.WaitForSCN(target, 10*time.Second) {
+	if !p.master.WaitForSCN(target, 10*time.Second) {
 		t.Fatal("master lagging")
 	}
 	// Let the pipeline go fully quiet before provisioning.
@@ -191,9 +230,9 @@ func TestIdleMasterProvisioning(t *testing.T) {
 
 // TestReaderScanConsistency checks a fleet reader serves exactly the
 // master's row-store CR view at the reader's own published QuerySCN, across
-// rounds of updates that exercise the invalidation fanout.
+// rounds of updates that exercise the invalidation feed.
 func TestReaderScanConsistency(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 1000)
 	m := p.manager(t, fleet.Spec{Readers: 1})
 	p.catchUp(t, m)
@@ -201,25 +240,17 @@ func TestReaderScanConsistency(t *testing.T) {
 		t.Fatal("reader never Ready")
 	}
 	r := m.Readers()[0]
-	s := p.tbl.Schema()
 	sTbl := p.sbyTable(t)
 	for round := 0; round < 8; round++ {
-		tx := p.pri.Instance(0).Begin()
+		var ids []int64
 		for i := int64(0); i < 40; i++ {
-			id := (int64(round)*61 + i*11) % 1000
-			if err := tx.UpdateByID(p.tbl, id, []uint16{1}, func(row *rowstore.Row) {
-				row.Nums[s.Col(1).Slot()] = int64(round*100 + 1)
-			}); err != nil {
-				t.Fatal(err)
-			}
+			ids = append(ids, (int64(round)*61+i*11)%1000)
 		}
-		if _, err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		p.update(t, int64(round*100+1), ids...)
 		p.catchUp(t, m)
 		q := r.QuerySCN()
-		viaReader := scanengine.NewExecutor(p.sc.Master.Txns(), r.Store())
-		viaRowStore := scanengine.NewExecutor(p.sc.Master.Txns())
+		viaReader := scanengine.NewExecutor(p.master.Txns(), r.Store())
+		viaRowStore := scanengine.NewExecutor(p.master.Txns())
 		if a, b := scanKey(t, viaReader, sTbl, q), scanKey(t, viaRowStore, sTbl, q); a != b {
 			t.Fatalf("round %d: fleet-reader scan diverges from row store at QuerySCN %d", round, q)
 		}
@@ -230,7 +261,7 @@ func TestReaderScanConsistency(t *testing.T) {
 // checks membership, Ready catch-up of a mid-stream-added reader, and the
 // Draining -> Gone walk of removed ones.
 func TestScaleUpAndDown(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 500)
 	m := p.manager(t, fleet.Spec{Readers: 0, DrainTimeout: time.Second})
 	if got := len(m.Readers()); got != 0 {
@@ -260,7 +291,7 @@ func TestScaleUpAndDown(t *testing.T) {
 	p.insert(t, 1000, 1200)
 	p.catchUp(t, m)
 	r := m.Readers()[0]
-	ex := scanengine.NewExecutor(p.sc.Master.Txns(), r.Store())
+	ex := scanengine.NewExecutor(p.master.Txns(), r.Store())
 	res, err := ex.Run(&scanengine.Query{Table: p.sbyTable(t), Agg: scanengine.AggCount}, r.QuerySCN())
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +310,7 @@ func TestScaleUpAndDown(t *testing.T) {
 // reader queues up to QueueDepth, sheds the excess immediately, sheds queued
 // waiters at the queue deadline, and recovers once slots release.
 func TestAdmissionControl(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 200)
 	m := p.manager(t, fleet.Spec{
 		Readers:            1,
@@ -332,12 +363,12 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestShutdownDetaches checks the failover path: Shutdown drains every
-// reader, detaches the fanout so flush no longer blocks on fleet state, and
+// reader, detaches the sink so flush no longer blocks on fleet state, and
 // later Admits fail typed.
 func TestShutdownDetaches(t *testing.T) {
-	p := newFleetPair(t)
+	p := newFleetPair(t, 0)
 	p.insert(t, 0, 200)
-	m := fleet.NewManager(p.sc, fleet.Spec{Readers: 1}, popCfg())
+	m := fleet.NewManager(p.master, fleet.Spec{Readers: 1})
 	p.catchUp(t, m)
 	if !m.WaitReady(10 * time.Second) {
 		t.Fatal("reader never Ready")
@@ -354,10 +385,248 @@ func TestShutdownDetaches(t *testing.T) {
 	if _, err := r.Admit(); !errors.Is(err, fleet.ErrNoReader) {
 		t.Fatalf("admit on gone reader err = %v, want ErrNoReader", err)
 	}
-	// The pipeline keeps running with the fanout detached.
+	// The pipeline keeps running with the sink detached.
 	p.insert(t, 200, 400)
 	target := p.pri.Snapshot()
-	if !p.sc.Master.WaitForSCN(target, 10*time.Second) {
+	if !p.master.WaitForSCN(target, 10*time.Second) {
 		t.Fatal("master stalled after fleet shutdown")
+	}
+}
+
+// TestSharesDistributeIMCUs: with one home-share reader the home-location map
+// splits the column store between it and the master, and a scan over both
+// stores at the master's QuerySCN is served entirely from the IMCS.
+func TestSharesDistributeIMCUs(t *testing.T) {
+	p := newFleetPair(t, 1)
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 2000) // 2000 rows / 32 per block = 63 blocks / 4-block IMCUs
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+	masterUnits := p.master.Store().Stats().Units
+	shareUnits := m.ShareReaders()[0].Store().Stats().Units
+	if masterUnits == 0 || shareUnits == 0 {
+		t.Fatalf("units not distributed: master=%d share=%d", masterUnits, shareUnits)
+	}
+	ex := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+	res, err := ex.Run(&scanengine.Query{Table: p.sbyTable(t)}, p.master.QuerySCN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2000 || res.FromIMCS != 2000 {
+		t.Fatalf("cross-instance scan: %d rows, %d from the IMCS, want 2000/2000", len(res.Rows), res.FromIMCS)
+	}
+}
+
+// TestShareReceivesItsGroups: invalidations of a transaction that touches
+// units on both homes reach the share reader's SMUs, and the updated rows are
+// served from the row store.
+func TestShareReceivesItsGroups(t *testing.T) {
+	p := newFleetPair(t, 1)
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 2000)
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+
+	var ids []int64
+	for i := int64(0); i < 2000; i += 10 {
+		ids = append(ids, i)
+	}
+	p.update(t, -7, ids...)
+	p.catchUp(t, m)
+
+	ex := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+	res, err := ex.Run(&scanengine.Query{
+		Table:   p.sbyTable(t),
+		Filters: []scanengine.Filter{scanengine.EqNum(1, -7)},
+	}, p.master.QuerySCN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 200 || res.FromRowStore != 200 {
+		t.Fatalf("updated rows = %d (%d from the row store), want 200/200", len(res.Rows), res.FromRowStore)
+	}
+	if m.ShareReaders()[0].Store().Stats().InvalidRows == 0 {
+		t.Fatal("no invalidations reached the share reader")
+	}
+}
+
+// TestShareQuerySCNConsistency: at any QuerySCN a share reader publishes, a
+// scan over all stores equals the master's row-store CR scan at the same SCN.
+func TestShareQuerySCNConsistency(t *testing.T) {
+	p := newFleetPair(t, 2)
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 1000)
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+	sTbl := p.sbyTable(t)
+	for round := 0; round < 10; round++ {
+		var ids []int64
+		for i := int64(0); i < 50; i++ {
+			ids = append(ids, (int64(round)*53+i*7)%1000)
+		}
+		p.update(t, int64(round*100), ids...)
+		p.catchUp(t, m)
+		q := m.ShareReaders()[0].QuerySCN()
+		hybrid := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+		base := scanengine.NewExecutor(p.master.Txns())
+		if a, b := scanKey(t, hybrid, sTbl, q), scanKey(t, base, sTbl, q); a != b {
+			t.Fatalf("round %d: cross-instance scan diverges at QuerySCN %d", round, q)
+		}
+	}
+}
+
+// TestCoarseInvalidationReachesShares: a transaction whose journal entries
+// died with a master restart is coarse-invalidated on the share readers too.
+func TestCoarseInvalidationReachesShares(t *testing.T) {
+	p := newFleetPair(t, 1)
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 500)
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+
+	// Partial transaction, restart the master, commit.
+	s := p.tbl.Schema()
+	longTx := p.pri.Instance(0).Begin()
+	if err := longTx.UpdateByID(p.tbl, 1, []uint16{1}, func(r *rowstore.Row) {
+		r.Nums[s.Col(1).Slot()] = 1234
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp(t, m)
+	if err := p.master.Restart(transport.NewInProc(priStreams(p.pri)...)); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	p.waitPopulated(t, m)
+	share := m.ShareReaders()[0].Store()
+	before := share.UnitsInvalidated()
+	if _, err := longTx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p.catchUp(t, m)
+	if p.master.Stats().CoarseInvals == 0 {
+		t.Fatal("coarse invalidation did not fire on the master")
+	}
+	if share.UnitsInvalidated() == before {
+		t.Fatal("coarse invalidation did not reach the share reader")
+	}
+	ex := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+	res, err := ex.Run(&scanengine.Query{
+		Table:   p.sbyTable(t),
+		Filters: []scanengine.Filter{scanengine.EqNum(1, 1234)},
+	}, p.master.QuerySCN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		t.Fatalf("rows after restart+coarse = %d, want 1", len(res.Rows))
+	}
+}
+
+// TestMixedPlacement runs one home-share reader beside two full-copy readers
+// over the same master. The publish barrier covers the share only: whenever
+// the master publishes, the share has applied every group homed on it, so a
+// scan over master + share stores at the master's QuerySCN is consistent with
+// no waiting. The router places on the full copies only.
+func TestMixedPlacement(t *testing.T) {
+	p := newFleetPair(t, 1)
+	m := p.manager(t, fleet.Spec{Readers: 2})
+	p.insert(t, 0, 1000)
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+	if !m.WaitReady(10 * time.Second) {
+		t.Fatalf("full-copy readers never Ready: %+v", m.Stats())
+	}
+	if len(m.ShareReaders()) != 1 || len(m.Readers()) != 2 {
+		t.Fatalf("membership: %d shares, %d full copies, want 1/2", len(m.ShareReaders()), len(m.Readers()))
+	}
+	share := m.ShareReaders()[0]
+
+	// Barrier: probe right behind each master publication, without waiting for
+	// any reader.
+	sTbl := p.sbyTable(t)
+	base := scanengine.NewExecutor(p.master.Txns())
+	for round := 0; round < 10; round++ {
+		var ids []int64
+		for i := int64(0); i < 50; i++ {
+			ids = append(ids, (int64(round)*37+i*13)%1000)
+		}
+		p.update(t, int64(1000+round), ids...)
+		if !p.master.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
+			t.Fatal("master lagging")
+		}
+		q := p.master.QuerySCN()
+		hybrid := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+		if a, b := scanKey(t, hybrid, sTbl, q), scanKey(t, base, sTbl, q); a != b {
+			t.Fatalf("round %d: master+share scan diverges at the master's QuerySCN %d", round, q)
+		}
+	}
+	if share.Store().Stats().Units == 0 || share.Store().RowsInvalidated() == 0 {
+		t.Fatalf("share reader idle: %+v", share.Store().Stats())
+	}
+	for _, r := range m.Readers() {
+		if r.Store().Stats().Units <= share.Store().Stats().Units {
+			t.Fatalf("full-copy reader %d hosts %d units, the share alone %d",
+				r.ID(), r.Store().Stats().Units, share.Store().Stats().Units)
+		}
+	}
+
+	// Router eligibility: every placement lands on a full copy.
+	p.catchUp(t, m)
+	rtr := router.New(m, p.master.Services(), p.master.Obs())
+	placed := map[int]bool{}
+	for i := 0; i < 50; i++ {
+		pl, err := rtr.Place(router.Options{})
+		if err != nil {
+			t.Fatalf("placement %d: %v", i, err)
+		}
+		if pl.Reader == share {
+			t.Fatal("router placed a session on the home-share reader")
+		}
+		placed[pl.Reader.ID()] = true
+		pl.Release()
+	}
+	if placed[share.ID()] {
+		t.Fatal("router placed a session on the home-share reader")
+	}
+
+	// Scaling the full copies down leaves the share alone.
+	m.SetReaders(0)
+	if len(m.ShareReaders()) != 1 || len(m.Readers()) != 0 {
+		t.Fatalf("after scale-down: %d shares, %d full copies, want 1/0", len(m.ShareReaders()), len(m.Readers()))
+	}
+	if _, err := rtr.Place(router.Options{Wait: -1}); !errors.Is(err, fleet.ErrNoReader) {
+		t.Fatalf("placement with only a share reader: err = %v, want ErrNoReader", err)
+	}
+}
+
+// TestShareHonoursMemLimit: MemLimitBytes caps each column store, the
+// home-share reader's included — once over the limit its engine schedules no
+// further population.
+func TestShareHonoursMemLimit(t *testing.T) {
+	const limit = 2 << 10
+	p := newFleetPair(t, 1, limit)
+	m := p.manager(t, fleet.Spec{})
+	share := m.ShareReaders()[0]
+	// The limit is checked per scheduler pass, so grow the table in steps and
+	// let each step's population finish before the next lands.
+	atLimit := -1 // populated units when the store first exceeded the limit
+	for i := int64(0); i < 10; i++ {
+		p.insert(t, i*800, (i+1)*800)
+		p.catchUp(t, m)
+		share.Engine().Scan()
+		if !testutil.WaitFor(10*time.Second, 0, func() bool { return share.Engine().Pending() == 0 }) {
+			t.Fatal("share reader population did not settle")
+		}
+		if st := share.Store().Stats(); atLimit < 0 && st.MemBytes >= limit {
+			atLimit = st.PopulatedUnits
+		}
+	}
+	st := share.Store().Stats()
+	if atLimit <= 0 {
+		t.Fatalf("fixture too small: share store never reached the %d-byte limit (%+v)", limit, st)
+	}
+	if st.PopulatedUnits != atLimit {
+		t.Fatalf("share reader kept populating past the limit: %d units at the limit, %d at the end (%+v)",
+			atLimit, st.PopulatedUnits, st)
 	}
 }

@@ -1,36 +1,39 @@
 package fleet
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dbimadg/internal/core"
 	"dbimadg/internal/imcs"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
+	"dbimadg/internal/service"
 	"dbimadg/internal/standby"
 )
 
-// Manager reconciles the fleet toward its Spec: it provisions and drains
-// readers, feeds them through the master flusher's invalidation fanout and
-// the publication relay, and survives role transitions (Shutdown on
-// failover, Rebind on switchover). It implements core.Fanout.
+// masterHome is the apply master's index in the home-location map; a reader
+// provisioned "at" it hosts no share and is a full copy.
+const masterHome = 0
+
+// Manager owns every reader over one master: it provisions one home-share
+// reader per non-master share of the master's home-location map, reconciles
+// the full-copy readers toward its Spec, feeds both kinds as the master
+// flusher's single downstream (it implements core.Sink) and through the
+// master's publish hook, and survives role transitions (Shutdown on failover,
+// Rebind on switchover).
 type Manager struct {
-	mu      sync.Mutex
-	spec    Spec
-	sc      *rac.StandbyCluster
-	imcsCfg imcs.Config // population settings fleet readers inherit
-	readers []*Reader   // live (non-Gone) readers, provision order
-	nextID  int
-	closed  bool
+	mu     sync.Mutex
+	spec   Spec
+	master *standby.Instance
+	nextID int
+	closed bool
 
-	cancelPub func()
-
-	// live is the broadcast set the fanout hot path reads lock-free. It is
-	// replaced (never mutated) under mu.
-	live atomic.Pointer[[]*Reader]
+	// live is the membership. The feed and the routing hot paths read it
+	// lock-free; it is replaced (never mutated) under mu.
+	live atomic.Pointer[membership]
 
 	// retired admission tallies from drained readers, so fleet-wide counters
 	// stay monotone across membership churn.
@@ -38,26 +41,37 @@ type Manager struct {
 	retiredShed     atomic.Int64
 }
 
-// NewManager builds a fleet manager over the standby cluster and reconciles
-// it to spec. popCfg carries the population-engine settings fleet readers
-// inherit (BlocksPerIMCU, workers, interval, thresholds, memory limit);
-// HomeFilter is ignored — fleet readers are full copies.
-func NewManager(sc *rac.StandbyCluster, spec Spec, popCfg imcs.Config) *Manager {
-	m := &Manager{spec: spec.withDefaults(), imcsCfg: popCfg}
-	m.bind(sc)
-	m.reconcile()
+// membership is one immutable snapshot of the live (non-Gone) readers: the
+// full copies in provision order, the home shares by home index.
+type membership struct {
+	full, share []*Reader
+}
+
+// NewManager builds the manager over master and reconciles it to spec. Readers
+// inherit the master's population settings (see standby.Config.Population).
+func NewManager(master *standby.Instance, spec Spec) *Manager {
+	m := &Manager{spec: spec.withDefaults()}
+	m.live.Store(&membership{})
+	m.bind(master)
 	return m
 }
 
-// bind attaches the manager to a standby cluster: the flusher fanout, the
-// publication relay, the fleet metrics on the master's registry, and the
-// fleet block in its /debug/stats document. Caller must not hold m.mu with
-// readers live (bind is called from NewManager and Rebind only).
-func (m *Manager) bind(sc *rac.StandbyCluster) {
-	m.sc = sc
-	sc.Master.SetFlushFanout(m)
-	m.cancelPub = sc.SubscribePublish(m.onPublish)
-	m.registerObs(sc.Master)
+// bind attaches the manager to a master — as its flusher's sink, its publish
+// hook, the fleet metrics on its registry and the fleet block in its
+// /debug/stats document — then provisions the home-share readers its
+// home-location map calls for and the declared full-copy readers. Called from
+// NewManager and Rebind only, with no reader live.
+func (m *Manager) bind(master *standby.Instance) {
+	m.mu.Lock()
+	m.master = master
+	m.mu.Unlock()
+	master.SetFlushSink(m)
+	master.SetPublishHook(m.onPublish)
+	m.registerObs(master)
+	for home := 1; home < master.HomeMap().Instances; home++ {
+		m.addReader(home)
+	}
+	m.reconcile()
 }
 
 // registerObs exposes fleet-wide metrics on the master's registry and the
@@ -119,40 +133,68 @@ func (m *Manager) registerObs(master *standby.Instance) {
 	master.AddDebugStats("fleet", func() any { return m.Stats() })
 }
 
-// FanoutGroups implements core.Fanout: broadcast one transaction's
-// invalidation groups to every live reader. Called from flushing goroutines
-// while the master holds its quiesce lock; push never blocks.
-func (m *Manager) FanoutGroups(groups []core.Group) {
-	rs := m.live.Load()
-	if rs == nil {
-		return
-	}
-	for _, r := range *rs {
+// Groups implements core.Sink: route one transaction's invalidation groups.
+// A full-copy reader takes them all; a home-share reader only those homed on
+// it. Called from flushing goroutines while the master holds its quiesce lock;
+// push never blocks.
+func (m *Manager) Groups(groups []core.Group) {
+	live := m.live.Load()
+	for _, r := range live.full {
 		r.q.push(msg{groups: groups})
 	}
+	for _, r := range live.share {
+		var own []core.Group
+		for _, g := range groups {
+			if r.home(g.Obj, g.Blk) {
+				own = append(own, g)
+			}
+		}
+		if own != nil {
+			r.q.push(msg{groups: own})
+		}
+	}
 }
 
-// FanoutCoarse implements core.Fanout (the §III.E restart fallback).
-func (m *Manager) FanoutCoarse(tenant rowstore.TenantID) {
-	rs := m.live.Load()
-	if rs == nil {
-		return
-	}
-	t := tenant
-	for _, r := range *rs {
-		r.q.push(msg{coarse: &t})
+// CoarseInvalidate implements core.Sink (the §III.E restart fallback).
+func (m *Manager) CoarseInvalidate(tenant rowstore.TenantID) {
+	m.broadcast(msg{coarse: &tenant})
+}
+
+// Barrier implements core.Sink: wait until every home-share reader has applied
+// everything routed to it — the acknowledgement point before the master
+// publishes. Full-copy readers trail asynchronously and are not waited for.
+func (m *Manager) Barrier() {
+	for _, r := range m.live.Load().share {
+		for !r.drained() {
+			select {
+			case <-r.stop:
+				return
+			default:
+				time.Sleep(10 * time.Microsecond)
+			}
+		}
 	}
 }
 
-// onPublish relays a QuerySCN publication to every live reader. Runs on the
-// recovery coordinator's goroutine, after all flush for the advancement.
-func (m *Manager) onPublish(q scn.SCN, dropped []rowstore.ObjID) {
-	rs := m.live.Load()
-	if rs == nil {
-		return
+// onPublish relays a QuerySCN publication (and the objects dropped by DDL at
+// that consistency point) to every reader's local recovery coordinator. It is
+// the master's publish hook: it runs after all flush for the advancement and
+// after Barrier.
+func (m *Manager) onPublish(q scn.SCN, markers []*standby.MarkerEvent) {
+	var dropped []rowstore.ObjID
+	for _, ev := range markers {
+		dropped = append(dropped, ev.DroppedObjs...)
 	}
-	for _, r := range *rs {
-		r.q.push(msg{publish: &publication{q: q, dropped: dropped}})
+	m.broadcast(msg{publish: &publication{q: q, dropped: dropped}})
+}
+
+func (m *Manager) broadcast(e msg) {
+	live := m.live.Load()
+	for _, r := range live.full {
+		r.q.push(e)
+	}
+	for _, r := range live.share {
+		r.q.push(e)
 	}
 }
 
@@ -187,7 +229,7 @@ func (m *Manager) SetReaders(n int) {
 	m.Apply(spec)
 }
 
-// reconcile drives membership toward spec.Readers.
+// reconcile drives the full-copy membership toward spec.Readers.
 func (m *Manager) reconcile() {
 	for {
 		m.mu.Lock()
@@ -195,11 +237,11 @@ func (m *Manager) reconcile() {
 			m.mu.Unlock()
 			return
 		}
-		want, have := m.spec.Readers, len(m.readers)
+		want, have := m.spec.Readers, len(m.live.Load().full)
 		m.mu.Unlock()
 		switch {
 		case have < want:
-			m.addReader()
+			m.addReader(0)
 		case have > want:
 			m.removeReader()
 		default:
@@ -208,36 +250,39 @@ func (m *Manager) reconcile() {
 	}
 }
 
-// addReader provisions one reader. The enlistment runs under the master's
-// shared quiesce lock: no advancement is mid-flight, so the synthetic
-// publication carrying the current QuerySCN is a true consistency point for
-// the empty store, and every later advancement's invalidations arrive FIFO
-// before their publication. This also covers the idle-master case — the
-// coordinator only publishes when the watermark moves, so a reader enlisted
-// on a quiet system would otherwise wait forever for its first publication.
+// addReader provisions one reader: the share of home-location index home, or
+// with home 0 (the master's own index) a full copy. The enlistment runs under
+// the master's shared quiesce lock: no advancement is mid-flight, so the
+// master's current QuerySCN is a true consistency point for the new store, and
+// every later advancement's invalidations arrive FIFO before their
+// publication. Seeding the reader's QuerySCN there also covers the idle-master
+// case — the coordinator only publishes when the watermark moves, so a reader
+// enlisted on a quiet system would otherwise wait forever for its first
+// publication. Population starts right after: its snapshots are at or past the
+// enlistment point, which the feed covers.
 //
-// Inside the same window the reader clones the master's column store from
-// checkpoint unit images instead of repopulating from the row store: every
-// serving unit's bitmap is consistent at exactly the enlistment QuerySCN (no
-// flush is in flight under the shared lock), and the fanout feed delivers
+// Inside the same window a full-copy reader clones the master's column store
+// from checkpoint unit images instead of repopulating from the row store:
+// every serving unit's bitmap is consistent at exactly the enlistment QuerySCN
+// (no flush is in flight under the shared lock), and the feed delivers
 // everything past it — so there is no gap to replay. IMCUs are immutable and
 // shared by pointer; the clone costs one validity-bitmap copy per unit. Only
 // tail blocks and ranges the master itself has not populated go through the
 // reader's engine, which keeps UnitsPopulated an honest repopulation-pressure
-// signal (restored units count under the store's UnitsRestored instead).
-func (m *Manager) addReader() {
+// signal (restored units count under the store's UnitsRestored instead). A
+// home-share reader has nothing to clone: the master hosts none of its units.
+func (m *Manager) addReader(home int) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	sc := m.sc
+	master := m.master
 	spec := m.spec
 	id := m.nextID
 	m.nextID++
 	m.mu.Unlock()
 
-	master := sc.Master
 	r := &Reader{
 		id:    id,
 		store: imcs.NewStore(),
@@ -245,45 +290,63 @@ func (m *Manager) addReader() {
 		adm:   newAdmission(spec.MaxConcurrentScans, spec.QueueDepth, spec.QueueTimeout),
 		stop:  make(chan struct{}),
 	}
-	cfg := m.imcsCfg
-	cfg.HomeFilter = nil // full copy
-	cfg.Trace = nil
+	cfg := master.PopulationConfig()
+	if home != masterHome {
+		hm, chunk := master.HomeMap(), rowstore.BlockNo(cfg.BlocksPerIMCU)
+		r.home = func(obj rowstore.ObjID, blk rowstore.BlockNo) bool {
+			return hm.HomeOf(obj, blk-blk%chunk) == home
+		}
+	}
+	cfg.HomeFilter = r.home
 	r.engine = imcs.NewEngine(r.store, master.Txns(), snapshotter{r}, func() []imcs.Target {
-		return rac.StandbyTargets(master.DB(), master.Services())
+		return imcs.Targets(master.DB(), master.Services(), service.RoleStandby)
 	}, cfg)
 	r.setState(StateProvisioning)
-	r.wg.Add(2)
+	r.wg.Add(1)
 	go r.loop()
-	go r.lifecycle()
 
 	master.WithQuiesceShared(func() {
-		q0 := master.QuerySCN()
-		r.readyTarget = q0
-		for _, img := range master.Store().CaptureImages() {
-			_ = r.store.RestoreUnit(img) // overlap/validation failures just repopulate
+		r.querySCN.Store(uint64(master.QuerySCN()))
+		if r.home == nil {
+			for _, img := range master.Store().CaptureImages() {
+				_ = r.store.RestoreUnit(img) // overlap/validation failures just repopulate
+			}
 		}
-		r.q.push(msg{publish: &publication{q: q0}})
 		m.mu.Lock()
-		m.readers = append(m.readers, r)
-		m.publishLive()
+		next := *m.live.Load()
+		if r.home == nil {
+			next.full = append(slices.Clone(next.full), r)
+		} else {
+			next.share = append(slices.Clone(next.share), r)
+		}
+		m.live.Store(&next)
 		m.mu.Unlock()
 	})
+	if !r.state.CompareAndSwap(int32(StateProvisioning), int32(StateCatchingUp)) {
+		return // a concurrent reconcile is already draining it
+	}
+	r.engine.Start()
+	r.engine.Scan()
+	r.wg.Add(1)
+	go r.awaitReady()
 }
 
-// removeReader drains and detaches the most recently added reader: it leaves
-// routing immediately (state Draining), stops receiving fanout messages (its
+// removeReader drains and detaches the most recently added full-copy reader: it
+// leaves routing immediately (state Draining), stops receiving the feed (its
 // store freezes at its current QuerySCN, which stays correct for every scan
 // snapshot already placed), waits — bounded — for in-flight and queued scans,
 // and stops.
 func (m *Manager) removeReader() {
 	m.mu.Lock()
-	if len(m.readers) == 0 {
+	next := *m.live.Load()
+	if len(next.full) == 0 {
 		m.mu.Unlock()
 		return
 	}
-	r := m.readers[len(m.readers)-1]
-	m.readers = m.readers[:len(m.readers)-1]
-	m.publishLive()
+	// Readers of the old snapshot keep its longer slice header.
+	r := next.full[len(next.full)-1]
+	next.full = next.full[:len(next.full)-1]
+	m.live.Store(&next)
 	timeout := m.spec.DrainTimeout
 	m.mu.Unlock()
 	m.drain(r, timeout)
@@ -302,33 +365,33 @@ func (m *Manager) drain(r *Reader, timeout time.Duration) {
 	m.retiredShed.Add(s)
 }
 
-// publishLive replaces the lock-free broadcast set. Caller holds m.mu.
-func (m *Manager) publishLive() {
-	rs := make([]*Reader, len(m.readers))
-	copy(rs, m.readers)
-	m.live.Store(&rs)
+// Readers returns the live (non-Gone) full-copy readers in provision order —
+// the routable set.
+func (m *Manager) Readers() []*Reader { return m.live.Load().full }
+
+// ShareReaders returns the home-share readers, by home index from 1.
+func (m *Manager) ShareReaders() []*Reader { return m.live.Load().share }
+
+// Stores returns every column store a scan at the master's QuerySCN spans: the
+// master's, then each home-share reader's.
+func (m *Manager) Stores() []*imcs.Store {
+	out := []*imcs.Store{m.Master().Store()}
+	for _, r := range m.ShareReaders() {
+		out = append(out, r.store)
+	}
+	return out
 }
 
-// Readers returns the live (non-Gone) readers in provision order.
-func (m *Manager) Readers() []*Reader {
-	rs := m.live.Load()
-	if rs == nil {
-		return nil
-	}
-	return *rs
+// Master returns the apply instance the manager is currently bound to.
+func (m *Manager) Master() *standby.Instance {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.master
 }
 
 // Watermark returns the fleet watermark: the master's published QuerySCN,
 // the freshest consistency point any reader can have reached.
-func (m *Manager) Watermark() scn.SCN {
-	m.mu.Lock()
-	sc := m.sc
-	m.mu.Unlock()
-	if sc == nil {
-		return 0
-	}
-	return sc.Master.QuerySCN()
-}
+func (m *Manager) Watermark() scn.SCN { return m.Master().QuerySCN() }
 
 // WaitReady blocks until every fleet reader is Ready or the timeout expires;
 // it reports whether the fleet settled.
@@ -352,9 +415,12 @@ func (m *Manager) WaitReady(timeout time.Duration) bool {
 	}
 }
 
-// Shutdown drains every reader and detaches from the master — the failover
-// path: the standby was promoted, there is no standby fleet anymore, and
-// routing fails with ErrNoReader until a Rebind. Idempotent.
+// Shutdown drains every reader of both kinds and detaches from the master —
+// the failover path: the standby was promoted and serves every block range
+// itself, there is no standby fleet anymore, and routing fails with
+// ErrNoReader until a Rebind. The readers have received the final QuerySCN
+// publication by then, so any query they are still serving completes
+// consistently. Idempotent.
 func (m *Manager) Shutdown() {
 	m.mu.Lock()
 	if m.closed {
@@ -362,37 +428,29 @@ func (m *Manager) Shutdown() {
 		return
 	}
 	m.closed = true
-	readers := m.readers
-	m.readers = nil
-	m.publishLive()
-	cancel := m.cancelPub
-	m.cancelPub = nil
-	sc := m.sc
+	was := m.live.Swap(&membership{})
+	master := m.master
 	timeout := m.spec.DrainTimeout
 	m.mu.Unlock()
 
-	if cancel != nil {
-		cancel()
-	}
-	if sc != nil {
-		sc.Master.SetFlushFanout(nil)
-	}
-	for _, r := range readers {
+	master.SetPublishHook(nil)
+	master.SetFlushSink(nil)
+	for _, r := range slices.Concat(was.full, was.share) {
 		m.drain(r, timeout)
 	}
 }
 
-// Rebind re-homes the fleet onto a new standby cluster — the switchover
-// path: the old fleet (whose master was just promoted) is shut down, the
-// manager attaches to the rebuilt standby, and the declared reader count is
-// re-provisioned against the new master and its service registry.
-func (m *Manager) Rebind(sc *rac.StandbyCluster) {
+// Rebind re-homes the fleet onto a new master — the switchover path: the old
+// fleet (whose master was just promoted) is shut down, the manager attaches to
+// the rebuilt standby, and both reader kinds are re-provisioned against it:
+// the shares from its home-location map, the full copies from the declared
+// spec.
+func (m *Manager) Rebind(master *standby.Instance) {
 	m.Shutdown()
 	m.mu.Lock()
 	m.closed = false
 	m.mu.Unlock()
-	m.bind(sc)
-	m.reconcile()
+	m.bind(master)
 }
 
 // ReaderStats is one row of the fleet table (the /debug/stats "fleet" block

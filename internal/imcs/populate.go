@@ -9,6 +9,7 @@ import (
 	"dbimadg/internal/obs"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
+	"dbimadg/internal/service"
 )
 
 // Snapshotter supplies population snapshot SCNs. On the primary this is the
@@ -24,6 +25,21 @@ type Target struct {
 	Seg      *rowstore.Segment
 	Table    *rowstore.Table
 	Priority int
+}
+
+// Targets lists the segments of db whose INMEMORY policy enables them on an
+// instance serving role, resolving each policy's service against services.
+func Targets(db *rowstore.Database, services *service.Registry, role service.Role) []Target {
+	var out []Target
+	for _, tbl := range db.Tables() {
+		for _, part := range tbl.Partitions() {
+			attr := part.InMemory()
+			if attr.Enabled && services.RunsOn(attr.Service, role) {
+				out = append(out, Target{Seg: part.Seg, Table: tbl, Priority: attr.Priority})
+			}
+		}
+	}
+	return out
 }
 
 // Config tunes the population engine.

@@ -455,7 +455,10 @@ type SpanJSON struct {
 	CommitToVisible time.Duration `json:"commit_to_visible_ns,omitempty"`
 	TruncatedWhy    string        `json:"truncated_why,omitempty"`
 	QueriedAt       *time.Time    `json:"first_query_at,omitempty"`
-	Segments        []SegmentJSON `json:"segments"`
+	// MissingStages names the required pipeline stages a complete span closed
+	// without — the spans FreshnessStats.Incomplete counts.
+	MissingStages []string      `json:"missing_stages,omitempty"`
+	Segments      []SegmentJSON `json:"segments"`
 }
 
 func (sp *span) json() SpanJSON {
@@ -484,6 +487,13 @@ func (sp *span) json() SpanJSON {
 	if sp.queriedNS != 0 {
 		at := time.Unix(0, sp.queriedNS)
 		out.QueriedAt = &at
+	}
+	if sp.state == SpanComplete {
+		for _, s := range requiredStages {
+			if sp.stages[s].count == 0 {
+				out.MissingStages = append(out.MissingStages, s.String())
+			}
+		}
 	}
 	for s := 0; s < freshnessStages; s++ {
 		if sp.stages[s].count == 0 {

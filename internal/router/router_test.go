@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"dbimadg/internal/fleet"
-	"dbimadg/internal/imcs"
 	"dbimadg/internal/primary"
-	"dbimadg/internal/rac"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/router"
 	"dbimadg/internal/rowstore"
@@ -20,7 +18,7 @@ import (
 
 type rig struct {
 	pri *primary.Cluster
-	sc  *rac.StandbyCluster
+	sby *standby.Instance
 	tbl *rowstore.Table
 	flt *fleet.Manager
 	rtr *router.Router
@@ -29,19 +27,19 @@ type rig struct {
 func newRig(t *testing.T, spec fleet.Spec) *rig {
 	t.Helper()
 	pri := primary.NewCluster(1, 32)
-	sc := rac.NewStandbyCluster(standby.Config{
+	sby := standby.New(standby.Config{
 		RowsPerBlock:       32,
 		CheckpointInterval: time.Millisecond,
 		PopulationInterval: time.Millisecond,
 		BlocksPerIMCU:      4,
-	}, 0)
+	})
 	var streams []*redo.Stream
 	for _, inst := range pri.Instances() {
 		streams = append(streams, inst.Stream())
 	}
-	sc.Attach(transport.NewInProc(streams...))
-	sc.Start()
-	t.Cleanup(sc.Stop)
+	sby.Attach(transport.NewInProc(streams...))
+	sby.Start()
+	t.Cleanup(func() { sby.Stop() })
 
 	tbl, err := pri.Instance(0).CreateTable(&rowstore.TableSpec{
 		Name: "T", Tenant: 1,
@@ -58,17 +56,17 @@ func newRig(t *testing.T, spec fleet.Spec) *rig {
 		t.Fatal(err)
 	}
 
-	g := &rig{pri: pri, sc: sc, tbl: tbl}
+	g := &rig{pri: pri, sby: sby, tbl: tbl}
 	g.insert(t, 0, 300)
-	if !sc.Master.WaitForSCN(pri.Snapshot(), 10*time.Second) {
+	if !sby.WaitForSCN(pri.Snapshot(), 10*time.Second) {
 		t.Fatal("master lagging")
 	}
-	g.flt = fleet.NewManager(sc, spec, imcs.Config{BlocksPerIMCU: 4, Interval: time.Millisecond})
+	g.flt = fleet.NewManager(sby, spec)
 	t.Cleanup(g.flt.Shutdown)
 	if spec.Readers > 0 && !g.flt.WaitReady(10*time.Second) {
 		t.Fatalf("fleet never Ready: %+v", g.flt.Stats())
 	}
-	g.rtr = router.New(g.flt, sc.Master.Services(), sc.Master.Obs())
+	g.rtr = router.New(g.flt, sby.Services(), sby.Obs())
 	return g
 }
 
@@ -186,7 +184,7 @@ func TestMaxLagBound(t *testing.T) {
 	g := newRig(t, fleet.Spec{Readers: 1})
 	r := g.flt.Readers()[0]
 	// Let the reader reach the watermark so lag is zero.
-	if !g.sc.Master.WaitForSCN(g.pri.Snapshot(), 10*time.Second) {
+	if !g.sby.WaitForSCN(g.pri.Snapshot(), 10*time.Second) {
 		t.Fatal("master lagging")
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -249,7 +247,7 @@ func TestOverloadSheds(t *testing.T) {
 // and an Unregister mid-flight stops new placements immediately.
 func TestServiceEligibility(t *testing.T) {
 	g := newRig(t, fleet.Spec{Readers: 1})
-	reg := g.sc.Master.Services()
+	reg := g.sby.Services()
 
 	if _, err := g.rtr.Place(router.Options{Service: service.PrimaryOnly, Wait: -1}); !errors.Is(err, router.ErrNoReader) {
 		t.Fatalf("primary-only service err = %v, want ErrNoReader", err)
@@ -276,7 +274,7 @@ func TestServiceEligibility(t *testing.T) {
 // outcome must be a placement or a typed error; runs under -race.
 func TestConcurrentRoutingUnderRegistryChurn(t *testing.T) {
 	g := newRig(t, fleet.Spec{Readers: 2})
-	reg := g.sc.Master.Services()
+	reg := g.sby.Services()
 	if err := reg.Register("reporting", service.RoleStandby); err != nil {
 		t.Fatal(err)
 	}

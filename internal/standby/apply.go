@@ -158,10 +158,13 @@ func (inst *Instance) dispatch(r *redo.Record) bool {
 		}
 	}
 	inst.recordsApplied.Add(1)
+	// Observe before the frontier moves: once it covers r.SCN the coordinator
+	// may publish past it and close the record's freshness span, and a stage
+	// observed after that is lost to the span.
+	inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
 	// Publish the dispatch frontier only after every CV is enqueued: the
 	// coordinator's watermark proof depends on this ordering.
 	inst.lastDispatched.Store(uint64(r.SCN))
-	inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
 	return true
 }
 
@@ -187,11 +190,14 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 			return
 		case t := <-w.ch:
 			inst.applyCV(w.id, t.scn, t.cv)
+			// Observed before the applied count moves, for the same reason as
+			// the dispatch stage: the count is what lets a publication cover
+			// t.scn.
+			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
 			w.appliedSCN.Store(uint64(t.scn))
 			w.applied.Add(1)
 			inst.cvsApplied.Add(1)
 			inst.applyBeat.Tick()
-			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
 			if !inst.cfg.DisableCoopFlush {
 				if wl := inst.pendingWL.Load(); wl != nil {
 					inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
@@ -367,9 +373,20 @@ func (inst *Instance) computeWatermark() scn.SCN {
 	return w
 }
 
-// advance performs one QuerySCN advancement: chop the commit table at the
-// watermark, flush the worklink (cooperatively), apply pending DDL to the
-// column store, and publish the new QuerySCN.
+// advance performs one QuerySCN advancement to the current apply watermark.
+func (inst *Instance) advance() {
+	if target := inst.computeWatermark(); target > inst.QuerySCN() {
+		inst.advanceTo(target, true)
+	}
+}
+
+// advanceTo is the one QuerySCN advancement body: chop the commit table at
+// target (an apply watermark), flush the worklink, wait for the sink's
+// acknowledgement, apply pending DDL to the column store, and publish target
+// as the new QuerySCN. live is false only for terminal recovery, which runs on
+// a stopped pipeline: no cooperative flush helpers exist and the stop channel
+// is already closed, so the caller drains the worklink alone and to the end.
+// A live advancement is abandoned without publishing when the instance stops.
 //
 // The quiesce lock is held for the whole advancement (§III.A): the paper's
 // Quiesce Period starts when the coordinator is "about to publish a new
@@ -380,40 +397,31 @@ func (inst *Instance) computeWatermark() scn.SCN {
 // flushed commits are then already part of its Consistent Read data), but
 // never in between, where a freshly installed placeholder could miss a flush
 // that this advancement has already passed.
-func (inst *Instance) advance() {
-	target := inst.computeWatermark()
-	if target <= inst.QuerySCN() {
-		return
-	}
+func (inst *Instance) advanceTo(target scn.SCN, live bool) {
 	start := time.Now()
-	defer func() {
-		// Publish latency: the full advancement (chop + flush + DDL + publish),
-		// i.e. the quiesce-period cost per consistency point.
-		inst.trace.Observe(obs.StagePublish, uint64(target), time.Since(start))
-	}()
 	inst.quiesce.Lock()
 	defer inst.quiesce.Unlock()
 	wl := inst.commits.Chop(target)
 	if wl.Len() > 0 {
-		if !inst.cfg.DisableCoopFlush {
+		if live && !inst.cfg.DisableCoopFlush {
 			inst.pendingWL.Store(wl)
 		}
 		inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
 		for !wl.Drained() {
-			select {
-			case <-inst.stop:
-				return
-			default:
-				time.Sleep(10 * time.Microsecond)
+			if live {
+				select {
+				case <-inst.stop:
+					return
+				default:
+				}
 			}
+			time.Sleep(10 * time.Microsecond)
 		}
 		inst.pendingWL.Store(nil)
 	}
-	if inst.remote != nil {
-		// Wait for peer instances to acknowledge all shipped invalidation
-		// groups before the new consistency point becomes visible anywhere.
-		inst.remote.Barrier()
-	}
+	// Readers sharing this consistency point acknowledge every shipped
+	// invalidation group before it becomes visible anywhere.
+	inst.flusher.Barrier()
 	var events []*MarkerEvent
 	for _, m := range inst.ddl.Collect(target) {
 		events = append(events, &MarkerEvent{Marker: m, DroppedObjs: inst.applyDDLToIMCS(m)})
@@ -424,9 +432,12 @@ func (inst *Instance) advance() {
 	// work for SCNs <= target finished above (the worklink drained before the
 	// store), so the spans are final.
 	inst.freshness.Publish(uint64(target))
-	if inst.onPublish != nil {
-		inst.onPublish(target, events)
+	if hook := inst.onPublish.Load(); hook != nil {
+		(*hook)(target, events)
 	}
+	// Publish latency: the full advancement (chop + flush + DDL + publish),
+	// i.e. the quiesce-period cost per consistency point.
+	inst.trace.Observe(obs.StagePublish, uint64(target), time.Since(start))
 }
 
 // applyDDLToIMCS drops the IMCUs of objects whose definition changed

@@ -54,10 +54,11 @@ type Config struct {
 	TailThreshold      float64
 	MemLimitBytes      int
 
-	// HomeInstances and LocalInstance configure the RAC home-location map
-	// (§III.F); defaults are a single-instance standby.
+	// HomeInstances sizes the RAC home-location map (§III.F): this instance,
+	// the apply master, hosts share 0 of the column store and the fleet
+	// provisions one home-share reader for each other share. Default 1: a
+	// single-instance standby.
 	HomeInstances int
-	LocalInstance int
 
 	// MetricsAddr, when non-empty, serves the observability endpoints
 	// (/metrics, /debug/stats, /debug/trace) on this address while the
@@ -140,6 +141,24 @@ const (
 	// commit table, not yet chopped into a worklink.
 	GaugeCommitPending = "standby_committable_pending"
 )
+
+// masterInstance is the apply master's index in the home-location map.
+const masterInstance = 0
+
+// Population converts the population settings into the engine's config. Every
+// column store of a deployment is built from it, so a setting such as
+// MemLimitBytes binds each of them; the caller adds only what is particular to
+// one store (HomeFilter, Trace).
+func (c Config) Population() imcs.Config {
+	return imcs.Config{
+		BlocksPerIMCU:  c.BlocksPerIMCU,
+		Workers:        c.PopulationWorkers,
+		Interval:       c.PopulationInterval,
+		RepopThreshold: c.RepopThreshold,
+		TailThreshold:  c.TailThreshold,
+		MemLimitBytes:  c.MemLimitBytes,
+	}
+}
 
 func (c Config) withDefaults() Config {
 	if c.ApplyWorkers <= 0 {
@@ -237,9 +256,8 @@ type Instance struct {
 	pendingWL      atomic.Pointer[core.Worklink]
 	endOfRedo      chan struct{} // closed by the merger at end of all logs
 
-	remote      core.RemoteSink
-	flushFanout core.Fanout // full-copy invalidation feed, survives initVolatile
-	onPublish   func(q scn.SCN, markers []*MarkerEvent)
+	sink      core.Sink // the flusher's downstream, survives initVolatile
+	onPublish atomic.Pointer[func(q scn.SCN, markers []*MarkerEvent)]
 
 	stop    chan struct{}
 	wg      sync.WaitGroup
@@ -637,19 +655,12 @@ func (inst *Instance) initVolatile() {
 	inst.miner = core.NewMiner(inst.journal, inst.commits, inst.ddl, &standbyPolicy{inst: inst})
 	inst.miner.SetTrace(inst.trace)
 	home := imcs.HomeMap{Instances: inst.cfg.HomeInstances}
-	inst.flusher = core.NewFlusher(inst.journal, inst.store, home, inst.cfg.LocalInstance, inst.cfg.BlocksPerIMCU, inst.remote)
+	inst.flusher = core.NewFlusher(inst.journal, inst.store, home, masterInstance, inst.cfg.BlocksPerIMCU, inst.sink)
 	inst.flusher.SetTrace(inst.trace)
-	inst.flusher.SetFanout(inst.flushFanout)
-	inst.engine = imcs.NewEngine(inst.store, inst.txns, &quiesceSnapshotter{inst: inst}, inst.populationTargets, imcs.Config{
-		BlocksPerIMCU:  inst.cfg.BlocksPerIMCU,
-		Workers:        inst.cfg.PopulationWorkers,
-		Interval:       inst.cfg.PopulationInterval,
-		RepopThreshold: inst.cfg.RepopThreshold,
-		TailThreshold:  inst.cfg.TailThreshold,
-		MemLimitBytes:  inst.cfg.MemLimitBytes,
-		HomeFilter:     inst.homeFilter(home),
-		Trace:          inst.trace,
-	})
+	pop := inst.cfg.Population()
+	pop.HomeFilter = inst.homeFilter(home)
+	pop.Trace = inst.trace
+	inst.engine = imcs.NewEngine(inst.store, inst.txns, &quiesceSnapshotter{inst: inst}, inst.populationTargets, pop)
 }
 
 // components reads the volatile component pointers coherently (gauge
@@ -844,39 +855,48 @@ func (inst *Instance) homeFilter(home imcs.HomeMap) func(rowstore.ObjID, rowstor
 	if inst.cfg.HomeInstances <= 1 {
 		return nil
 	}
-	local := inst.cfg.LocalInstance
 	return func(obj rowstore.ObjID, start rowstore.BlockNo) bool {
-		return home.HomeOf(obj, start) == local
+		return home.HomeOf(obj, start) == masterInstance
 	}
 }
 
-// SetRemoteSink wires the RAC invalidation-group transport; must be called
-// before Start.
-func (inst *Instance) SetRemoteSink(sink core.RemoteSink) {
-	inst.remote = sink
-	inst.initVolatile()
-}
-
-// SetFlushFanout attaches (or, with nil, detaches) the full-copy invalidation
-// fanout on the instance's flusher (see core.Fanout). Unlike the flusher
-// itself the attachment is not volatile: Restart's initVolatile reapplies it
-// to the rebuilt flusher, so fleet readers keep receiving invalidations across
-// a crash-restart (the coarse fallback flows through the same fanout).
-func (inst *Instance) SetFlushFanout(fo core.Fanout) {
+// SetFlushSink attaches (or, with nil, detaches) the flusher's downstream (see
+// core.Sink), before or after Start. Unlike the flusher itself the attachment
+// is not volatile: Restart's initVolatile hands it to the rebuilt flusher, so
+// readers keep receiving invalidations across a crash-restart (the coarse
+// fallback flows through the same sink).
+func (inst *Instance) SetFlushSink(sink core.Sink) {
 	inst.stateMu.Lock()
-	inst.flushFanout = fo
+	inst.sink = sink
 	f := inst.flusher
 	inst.stateMu.Unlock()
-	f.SetFanout(fo)
+	f.SetSink(sink)
 }
 
-// SetPublishHook registers a callback invoked after each QuerySCN
-// publication with the new QuerySCN and the DDL markers applied at that
-// consistency point; the RAC layer uses it to drive non-master instances'
-// local recovery coordinators (§III.F).
+// SetPublishHook registers (or, with nil, clears) a callback invoked after
+// each QuerySCN publication with the new QuerySCN and the DDL markers applied
+// at that consistency point. It runs on the recovery coordinator's goroutine
+// while the quiesce lock is still held, after all invalidation flush for the
+// advancement and the sink's barrier — so a hook that enqueues FIFO behind the
+// sink's deliveries orders every invalidation before the publication that
+// makes it current. The fleet uses it to drive its readers' local recovery
+// coordinators (§III.F). f must not block.
 func (inst *Instance) SetPublishHook(f func(q scn.SCN, markers []*MarkerEvent)) {
-	inst.onPublish = f
+	if f == nil {
+		inst.onPublish.Store(nil)
+		return
+	}
+	inst.onPublish.Store(&f)
 }
+
+// HomeMap returns the home-location map this instance is share 0 of.
+func (inst *Instance) HomeMap() imcs.HomeMap {
+	return imcs.HomeMap{Instances: inst.cfg.HomeInstances}
+}
+
+// PopulationConfig returns the population settings every column store over
+// this instance's replica is built from (see Config.Population).
+func (inst *Instance) PopulationConfig() imcs.Config { return inst.cfg.Population() }
 
 // DB returns the replica database.
 func (inst *Instance) DB() *rowstore.Database { return inst.db }
@@ -935,8 +955,8 @@ func (inst *Instance) QuerySCN() scn.SCN { return scn.SCN(inst.querySCN.Load()) 
 // WithQuiesceShared runs fn while holding the quiesce lock shared: no QuerySCN
 // advancement — and therefore no invalidation flush, which only runs inside an
 // advancement — is in progress while fn executes, and the published QuerySCN
-// is stable. The fleet layer uses it to enlist a new full-copy reader into the
-// invalidation fanout at a well-defined point between advancements. fn must
+// is stable. The fleet layer uses it to enlist a new reader into the
+// invalidation feed at a well-defined point between advancements. fn must
 // not block on the apply pipeline (deadlock: the coordinator needs this lock).
 func (inst *Instance) WithQuiesceShared(fn func()) {
 	inst.quiesce.RLock()
@@ -1277,16 +1297,8 @@ func (p *standbyPolicy) Enabled(obj rowstore.ObjID) bool {
 	return attr.Enabled && p.inst.services.RunsOn(attr.Service, p.inst.Role())
 }
 
-// populationTargets lists standby-enabled segments for the population engine.
+// populationTargets lists the segments enabled for this instance's current
+// role set.
 func (inst *Instance) populationTargets() []imcs.Target {
-	var out []imcs.Target
-	for _, tbl := range inst.db.Tables() {
-		for _, part := range tbl.Partitions() {
-			attr := part.InMemory()
-			if attr.Enabled && inst.services.RunsOn(attr.Service, inst.Role()) {
-				out = append(out, imcs.Target{Seg: part.Seg, Table: tbl, Priority: attr.Priority})
-			}
-		}
-	}
-	return out
+	return imcs.Targets(inst.db, inst.services, inst.Role())
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dbimadg/internal/imcs"
-	"dbimadg/internal/obs"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/transport"
 )
@@ -57,47 +56,21 @@ func (inst *Instance) FinishRecovery(timeout time.Duration) (scn.SCN, error) {
 	return final, nil
 }
 
-// terminalAdvance runs one QuerySCN advancement on a stopped instance. The
-// pipeline goroutines are gone, so no cooperative flush helpers exist: the
-// caller drains the worklink alone. Any advancement the coordinator abandoned
-// at Stop is completed here — claimed worklink batches are always flushed by
-// their claimants before exit, so re-chopping the commit table picks up
-// exactly the unflushed remainder.
+// terminalAdvance runs one QuerySCN advancement on a stopped instance, to the
+// dispatch frontier: the workers drained, so everything dispatched is applied.
+// Any advancement the coordinator abandoned at Stop is completed here —
+// claimed worklink batches are always flushed by their claimants before exit,
+// so re-chopping the commit table picks up exactly the unflushed remainder.
 func (inst *Instance) terminalAdvance() scn.SCN {
 	target := scn.SCN(inst.lastDispatched.Load())
 	if prev := scn.SCN(inst.watermark.Load()); target < prev {
 		target = prev
 	}
 	inst.watermark.Store(uint64(target))
-	if target <= inst.QuerySCN() {
-		return inst.QuerySCN()
+	if target > inst.QuerySCN() {
+		inst.advanceTo(target, false)
 	}
-	start := time.Now()
-	inst.quiesce.Lock()
-	defer inst.quiesce.Unlock()
-	_, _, _, commits, _, flusher := inst.components()
-	wl := commits.Chop(target)
-	if wl.Len() > 0 {
-		flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
-		for !wl.Drained() {
-			time.Sleep(10 * time.Microsecond)
-		}
-	}
-	if inst.remote != nil {
-		inst.remote.Barrier()
-	}
-	var events []*MarkerEvent
-	for _, m := range inst.ddl.Collect(target) {
-		events = append(events, &MarkerEvent{Marker: m, DroppedObjs: inst.applyDDLToIMCS(m)})
-	}
-	inst.querySCN.Store(uint64(target))
-	inst.advances.Add(1)
-	inst.freshness.Publish(uint64(target))
-	if inst.onPublish != nil {
-		inst.onPublish(target, events)
-	}
-	inst.trace.Observe(obs.StagePublish, uint64(target), time.Since(start))
-	return target
+	return inst.QuerySCN()
 }
 
 // RollbackInFlight aborts every transaction still active in the replicated
@@ -126,16 +99,10 @@ func (inst *Instance) RollbackInFlight() int {
 // The home filter is dropped: a promoted master serves all block ranges, so
 // ranges previously homed on reader instances populate here over time.
 func (inst *Instance) RestartPopulation(snap imcs.Snapshotter) {
+	pop := inst.cfg.Population()
+	pop.Trace = inst.trace
 	inst.stateMu.Lock()
-	inst.engine = imcs.NewEngine(inst.store, inst.txns, snap, inst.populationTargets, imcs.Config{
-		BlocksPerIMCU:  inst.cfg.BlocksPerIMCU,
-		Workers:        inst.cfg.PopulationWorkers,
-		Interval:       inst.cfg.PopulationInterval,
-		RepopThreshold: inst.cfg.RepopThreshold,
-		TailThreshold:  inst.cfg.TailThreshold,
-		MemLimitBytes:  inst.cfg.MemLimitBytes,
-		Trace:          inst.trace,
-	})
+	inst.engine = imcs.NewEngine(inst.store, inst.txns, snap, inst.populationTargets, pop)
 	eng := inst.engine
 	inst.stateMu.Unlock()
 	eng.Start()

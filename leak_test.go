@@ -9,15 +9,18 @@ import (
 )
 
 // TestCloseLeavesNoPipelineGoroutines deploys the full stack — TCP transport,
-// multi-instance primary, watchdog, metrics endpoint — runs traffic, then
-// closes the cluster and requires every pipeline goroutine (receivers, apply
-// workers, flusher, population engine, watchdog, HTTP server) to exit. A
+// multi-instance primary, a home-share and a full-copy standby reader,
+// watchdog, metrics endpoint — runs traffic, then closes the cluster and
+// requires every pipeline goroutine (receivers, apply workers, flusher, reader
+// coordinators, population engines, watchdog, HTTP server) to exit. A
 // worker that survives Close is a leak that compounds across restarts, and
 // the watchdog itself must not become the goroutine it was built to catch.
 func TestCloseLeavesNoPipelineGoroutines(t *testing.T) {
 	cfg := quickCfg()
 	cfg.UseTCP = true
 	cfg.PrimaryInstances = 2
+	cfg.StandbyReaders = 1
+	cfg.FleetReaders = 1
 	cfg.MetricsAddr = "127.0.0.1:0"
 	c, err := dbimadg.Open(cfg)
 	if err != nil {

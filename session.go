@@ -81,48 +81,34 @@ func (c *Cluster) PrimarySession(i int) *Session {
 // live primary snapshots; after a switchover it targets the rebuilt standby.
 func (c *Cluster) StandbySession() *Session {
 	c.mu.Lock()
-	sc, pri, promoted := c.sc, c.pri, c.promoted
+	sby, pri, promoted := c.sby, c.pri, c.promoted
 	c.mu.Unlock()
-	if promoted != nil && sc.Master == promoted {
-		ex := c.tuneExec(scanengine.NewExecutor(promoted.Txns(), sc.Stores()...), promoted)
-		ex.Obs = promoted.ScanStats()
-		return &Session{
-			c:      c,
-			exec:   ex,
-			snap:   pri.Snapshot,
-			record: promoted.RecordQuery,
-		}
+	if sby == promoted {
+		return c.standbySession(sby, pri.Snapshot)
 	}
-	ex := c.tuneExec(scanengine.NewExecutor(sc.Master.Txns(), sc.Stores()...), sc.Master)
-	ex.Obs = sc.Master.ScanStats()
-	return &Session{
-		c:      c,
-		exec:   ex,
-		snap:   func() scn.SCN { return sc.Master.QuerySCN() },
-		record: sc.Master.RecordQuery,
-	}
+	return c.standbySession(sby, sby.QuerySCN)
+}
+
+// standbySession builds a read-only session over the standby master's replica
+// and every column store a scan at its QuerySCN spans (the master's and the
+// home-share readers'; after a failover only the promoted master's remains).
+func (c *Cluster) standbySession(sby *standby.Instance, snap func() scn.SCN) *Session {
+	ex := c.tuneExec(scanengine.NewExecutor(sby.Txns(), c.flt.Stores()...), sby)
+	ex.Obs = sby.ScanStats()
+	return &Session{c: c, exec: ex, snap: snap, record: sby.RecordQuery}
 }
 
 // StandbyReaderSession opens a session against one standby RAC reader
 // instance: queries run at that instance's locally published QuerySCN and
 // still reach all instances' column stores (parallel query slaves).
 func (c *Cluster) StandbyReaderSession(i int) (*Session, error) {
-	sc := c.standbyCluster()
-	readers := sc.Readers()
+	readers := c.flt.ShareReaders()
 	if i < 0 || i >= len(readers) {
 		// Typed: after a failover the promoted node serves all ranges itself
 		// and the reader set is empty, so callers match with errors.Is.
 		return nil, fmt.Errorf("dbimadg: standby reader %d: %w", i, ErrNoReader)
 	}
-	r := readers[i]
-	ex := c.tuneExec(scanengine.NewExecutor(sc.Master.Txns(), sc.Stores()...), sc.Master)
-	ex.Obs = sc.Master.ScanStats()
-	return &Session{
-		c:      c,
-		exec:   ex,
-		snap:   func() scn.SCN { return r.QuerySCN() },
-		record: sc.Master.RecordQuery,
-	}, nil
+	return c.standbySession(c.StandbyMaster(), readers[i].QuerySCN), nil
 }
 
 // ReadOnly reports whether the session is bound to the standby.
@@ -217,7 +203,7 @@ func (s *Session) FetchByID(tbl *Table, id int64) (Row, bool, error) {
 	db := s.c.Primary().DB()
 	view := s.c.Primary().Txns()
 	if !s.primary {
-		m := s.c.standbyCluster().Master
+		m := s.c.StandbyMaster()
 		db = m.DB()
 		view = m.Txns()
 	}

@@ -106,7 +106,6 @@ const (
 
 // Service roles.
 const (
-	rolePrimary = service.RolePrimary
 	// RolePrimary marks a service running on the primary database.
 	RolePrimary = service.RolePrimary
 	// RoleStandby marks a service running on the standby database.
