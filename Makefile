@@ -38,19 +38,23 @@ test:
 # its batch kernels, the parallel scan engine and its SQL front end,
 # role-based service routing, the standby readers (RAC home shares and the
 # full-copy fleet are one type, both under ./internal/fleet/...) and their
-# session router, the role-transition broker, the reconnecting TCP transport,
-# and the public Session API.
+# session router, the role-transition broker, the redo streams' wake-ups, the
+# reconnecting TCP transport, and the public Session API (with it the
+# event-driven pipeline's idle-latency and lost-wake-up tests).
 race:
-	$(GO) test -race ./internal/obs/... ./internal/standby/... ./internal/core/... \
+	$(GO) test -race ./internal/obs/... ./internal/redo/... ./internal/standby/... ./internal/core/... \
 		./internal/imcs/... ./internal/scanengine/... ./internal/sqlmini/... \
 		./internal/service/... ./internal/fleet/... ./internal/router/... \
 		./internal/broker/... ./internal/transport/... ./internal/checkpoint/... .
 
-# Concurrency regressions that only show as rare interleavings: 200 race-enabled
-# iterations of the flight recorder's concurrent-capture test (out-of-order
-# ring inserts failed it about one run in six).
+# Concurrency regressions that only show as rare interleavings, 200 race-enabled
+# iterations each: the flight recorder's concurrent-capture test (out-of-order
+# ring inserts failed it about one run in six), and the event-driven redo →
+# QuerySCN path's idle-latency and lost-wake-up tests, in-process and over TCP
+# (a missed poke leaves a commit waiting for a heartbeat set too slow to help).
 stress:
 	$(GO) test -race -run TestFlightRecorderConcurrentCapture -count 200 ./internal/obs
+	$(GO) test -race -run 'TestIdleCommitVisibleWithoutHeartbeat|TestNoLostWakeups' -count 200 .
 
 # Allocation guards of the scan path (steady-state scans allocate only their
 # result). Not under -race: the race detector changes allocation counts.

@@ -172,7 +172,7 @@ type FreshnessStage struct {
 }
 
 // freshnessStageOrder is the redo pipeline's flow order for stable output.
-var freshnessStageOrder = []string{"ship", "merge", "dispatch", "apply", "mine", "journal", "flush", "publish"}
+var freshnessStageOrder = []string{"shipwait", "ship", "merge", "dispatch", "apply", "mine", "journal", "publishwait", "flush", "publish"}
 
 // freshnessSummary extracts the summary from a parsed benchmark set; nil when
 // the run did not include BenchmarkFreshness.

@@ -61,7 +61,11 @@ type Config struct {
 	BlocksPerIMCU int
 	// ApplyWorkers is the standby's recovery parallelism (default 4).
 	ApplyWorkers int
-	// CheckpointInterval is the QuerySCN advancement period (default 2ms).
+	// CheckpointInterval is the standby coordinator's heartbeat: the longest it
+	// goes without looking for a QuerySCN to advance to (default 2ms). It does
+	// not set the advancement cadence: a commit is published as soon as the
+	// standby has applied it, and under sustained load advancements are spaced
+	// by their own measured cost, by no more than this interval.
 	CheckpointInterval time.Duration
 	// SnapshotDir, when non-empty, enables IMCS checkpointing on the standby:
 	// a background checkpointer periodically persists the column store (every
@@ -114,7 +118,7 @@ type Config struct {
 	// Cluster.QueryLog and /debug/queries (default 128).
 	QueryLogSize int
 	// FreshnessSampleEvery traces every Nth SCN end-to-end through the
-	// commit-to-visible freshness tracer (default 16; 1 traces every commit,
+	// commit-to-visible freshness tracer (default 17; 1 traces every commit,
 	// negative disables tracing). See Cluster.Freshness and /debug/freshness.
 	FreshnessSampleEvery int
 	// FreshnessRing is the closed-span waterfall ring capacity behind

@@ -207,7 +207,10 @@ type Reader struct {
 
 	q       *queue
 	applied atomic.Int64 // messages fully processed (the barrier's acknowledgement)
-	adm     *admission
+	// caughtUp is poked (1-buffered, never blocking) each time the loop has
+	// applied a whole backlog: what the master's barrier sleeps on.
+	caughtUp chan struct{}
+	adm      *admission
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -304,6 +307,10 @@ func (r *Reader) loop() {
 				inQuiesce = false
 			}
 			r.applied.Add(1)
+		}
+		select {
+		case r.caughtUp <- struct{}{}:
+		default:
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,17 +32,21 @@ type fleetPair struct {
 // readers. memLimit caps each column store (0 = unlimited).
 func newFleetPair(t *testing.T, shares int, memLimit ...int) *fleetPair {
 	t.Helper()
-	pri := primary.NewCluster(1, 32)
-	cfg := standby.Config{
-		RowsPerBlock:       32,
-		CheckpointInterval: time.Millisecond,
-		PopulationInterval: time.Millisecond,
-		BlocksPerIMCU:      4,
-		HomeInstances:      shares + 1,
-	}
+	cfg := standby.Config{CheckpointInterval: time.Millisecond, HomeInstances: shares + 1}
 	if len(memLimit) > 0 {
 		cfg.MemLimitBytes = memLimit[0]
 	}
+	return newFleetPairCfg(t, cfg)
+}
+
+// newFleetPairCfg is newFleetPair with the master's heartbeat, home-location
+// map and memory limit taken from cfg.
+func newFleetPairCfg(t *testing.T, cfg standby.Config) *fleetPair {
+	t.Helper()
+	pri := primary.NewCluster(1, 32)
+	cfg.RowsPerBlock = 32
+	cfg.PopulationInterval = time.Millisecond
+	cfg.BlocksPerIMCU = 4
 	master := standby.New(cfg)
 	master.Attach(transport.NewInProc(priStreams(pri)...))
 	master.Start()
@@ -172,6 +177,80 @@ func scanKey(t *testing.T, ex *scanengine.Executor, tbl *rowstore.Table, snap sc
 		out += k + ";"
 	}
 	return out
+}
+
+// TestShareReaderNeverAheadOfItsGroups commits small transactions back to back
+// against a master whose heartbeat is a minute, so every publication is driven
+// by apply and they come as fast as the pacing lets them. Behind each one the
+// test scans the master's and the share's stores together, with no waiting, at
+// the QuerySCN the master has published (the barrier: the share has applied
+// every group of that consistency point) and at the one the share has
+// observed (the feed's order: a publication follows the groups it covers). A
+// share that lagged either would serve a row's old image from its IMCU.
+func TestShareReaderNeverAheadOfItsGroups(t *testing.T) {
+	p := newFleetPairCfg(t, standby.Config{CheckpointInterval: time.Minute, HomeInstances: 2})
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 1000)
+	p.catchUp(t, m)
+	p.waitPopulated(t, m)
+	share := m.ShareReaders()[0]
+	if share.Store().Stats().Units == 0 {
+		t.Fatal("the share hosts no unit")
+	}
+
+	var stop atomic.Bool
+	written := make(chan error, 1)
+	go func() { // the writer: five-row updates in back-to-back runs of 25 until told to stop
+		s := p.tbl.Schema()
+		for round := int64(0); !stop.Load(); round++ {
+			if round%25 == 0 && !p.master.WaitForSCN(p.pri.Snapshot(), 10*time.Second) {
+				written <- errors.New("master lagging")
+				return
+			}
+			tx := p.pri.Instance(0).Begin()
+			for i := int64(0); i < 5; i++ {
+				err := tx.UpdateByID(p.tbl, (round*37+i*211)%1000, []uint16{1}, func(row *rowstore.Row) {
+					row.Nums[s.Col(1).Slot()] = 1000 + round
+				})
+				if err != nil {
+					written <- err
+					return
+				}
+			}
+			if _, err := tx.Commit(); err != nil {
+				written <- err
+				return
+			}
+		}
+		written <- nil
+	}()
+
+	sTbl := p.sbyTable(t)
+	base := scanengine.NewExecutor(p.master.Txns())
+	hybrid := scanengine.NewExecutor(p.master.Txns(), m.Stores()...)
+	probed := map[scn.SCN]bool{}
+	for deadline := time.Now().Add(10 * time.Second); len(probed) < 40 && time.Now().Before(deadline); {
+		for _, q := range []scn.SCN{p.master.QuerySCN(), share.QuerySCN()} {
+			if a, b := scanKey(t, hybrid, sTbl, q), scanKey(t, base, sTbl, q); a != b {
+				stop.Store(true)
+				t.Fatalf("master+share scan diverges at QuerySCN %d (master at %d, share at %d)",
+					q, p.master.QuerySCN(), share.QuerySCN())
+			}
+			probed[q] = true
+		}
+	}
+	stop.Store(true)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+	q := p.catchUp(t, m)
+	if a, b := scanKey(t, hybrid, sTbl, q), scanKey(t, base, sTbl, q); a != b {
+		t.Fatalf("master+share scan diverges at the final QuerySCN %d", q)
+	}
+	if len(probed) < 40 || share.Store().RowsInvalidated() == 0 {
+		t.Fatalf("probed %d consistency points, share invalidated %d rows: the test saw too little",
+			len(probed), share.Store().RowsInvalidated())
+	}
 }
 
 // TestReaderLifecycleToReady provisions a reader against a standby with data

@@ -163,14 +163,15 @@ func (m *Manager) CoarseInvalidate(tenant rowstore.TenantID) {
 // Barrier implements core.Sink: wait until every home-share reader has applied
 // everything routed to it — the acknowledgement point before the master
 // publishes. Full-copy readers trail asynchronously and are not waited for.
+// A reader signals after every backlog it applies, and the signal may predate
+// the messages this barrier waits for, so each wake-up re-reads the counters.
 func (m *Manager) Barrier() {
 	for _, r := range m.live.Load().share {
 		for !r.drained() {
 			select {
 			case <-r.stop:
 				return
-			default:
-				time.Sleep(10 * time.Microsecond)
+			case <-r.caughtUp:
 			}
 		}
 	}
@@ -284,11 +285,12 @@ func (m *Manager) addReader(home int) {
 	m.mu.Unlock()
 
 	r := &Reader{
-		id:    id,
-		store: imcs.NewStore(),
-		q:     newQueue(),
-		adm:   newAdmission(spec.MaxConcurrentScans, spec.QueueDepth, spec.QueueTimeout),
-		stop:  make(chan struct{}),
+		id:       id,
+		store:    imcs.NewStore(),
+		q:        newQueue(),
+		caughtUp: make(chan struct{}, 1),
+		adm:      newAdmission(spec.MaxConcurrentScans, spec.QueueDepth, spec.QueueTimeout),
+		stop:     make(chan struct{}),
 	}
 	cfg := master.PopulationConfig()
 	if home != masterHome {

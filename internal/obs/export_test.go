@@ -151,7 +151,7 @@ func TestHandlerFreshnessEndpoint(t *testing.T) {
 		ft.Note(s, 3, time.Microsecond)
 	}
 	ft.Commit(3, 1, time.Now().UnixNano())
-	ft.Publish(3)
+	ft.Publish(3, 0)
 
 	resp, err = http.Get("http://" + srv.Addr() + "/debug/freshness?n=4")
 	if err != nil {

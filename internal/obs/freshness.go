@@ -12,8 +12,14 @@ import (
 // clock from the redo frame extension), per-stage segments accumulate as the
 // SCN flows through ship → merge → dispatch → apply → mine → journal → flush,
 // and the span closes when a published QuerySCN covers it — the commit is now
-// visible to standby queries. Closing observes the commit-to-visible latency
-// (origin clock to publication) and each stage's share into bounded
+// visible to standby queries. Two wait segments close the gaps the stage
+// timers leave: shipwait, from the primary's origin clock to the log merger
+// reading the record off its stream (the ship segment, the TCP receiver's
+// read, lies inside it), and publishwait, from the commit's last apply-side
+// activity to the start of the advancement that covered it. With merge,
+// dispatch, apply, flush and publish they tile the commit-to-visible interval;
+// mine and journal lie inside apply. Closing observes the commit-to-visible
+// latency (origin clock to publication) and each stage's share into bounded
 // histograms; the closed span lands in a waterfall ring behind
 // /debug/freshness. The first standby query whose snapshot covers a closed
 // span additionally records the data's first-query visibility age into
@@ -48,17 +54,43 @@ type FreshnessTracer struct {
 
 	c2v        *Histogram
 	queryAge   *Histogram
-	stageHists [freshnessStages]*Histogram
+	stageHists [freshnessSegments]*Histogram
 }
 
 // freshnessStages is the number of per-commit pipeline stages a span tracks:
 // ship through publish. Populate and transition are not per-commit stages.
 const freshnessStages = int(StagePublish) + 1
 
+// A span's segments are the pipeline stages followed by the two waits.
+const (
+	segShipWait = freshnessStages + iota
+	segPublishWait
+	freshnessSegments
+)
+
+// segmentOrder lists a span's segments in the order a commit meets them.
+var segmentOrder = [freshnessSegments]int{
+	segShipWait, int(StageShip), int(StageMerge), int(StageDispatch), int(StageApply),
+	int(StageMine), int(StageJournal), segPublishWait, int(StageFlush), int(StagePublish),
+}
+
+func segmentName(seg int) string {
+	switch seg {
+	case segShipWait:
+		return "shipwait"
+	case segPublishWait:
+		return "publishwait"
+	}
+	return Stage(seg).String()
+}
+
 // Defaults for NewFreshnessTracer's knobs.
 const (
-	// DefaultFreshnessSampleEvery traces one in every 16 SCNs.
-	DefaultFreshnessSampleEvery = 16
+	// DefaultFreshnessSampleEvery traces one in every 17 SCNs. The period is
+	// odd because a single-row transaction takes two SCNs: with an even one
+	// every commit SCN of such a workload falls on the same side of the
+	// modulus and none (or all) of them is sampled.
+	DefaultFreshnessSampleEvery = 17
 	// DefaultFreshnessRing is the closed-span waterfall ring capacity.
 	DefaultFreshnessRing = 512
 	// maxOpenSpans bounds the open-span set under pathological apply stalls;
@@ -75,7 +107,7 @@ type span struct {
 	originNS int64
 	firstNS  int64 // wall clock of the first observed segment
 	commit   bool
-	stages   [freshnessStages]stageAgg
+	stages   [freshnessSegments]stageAgg
 
 	// Closed-span fields.
 	closedNS  int64
@@ -142,10 +174,10 @@ func NewFreshnessTracer(reg *Registry, every, ring int) *FreshnessTracer {
 	t.queryAge = reg.Histogram("query_freshness_seconds",
 		"commit wall clock to the first standby query whose snapshot covered it", wide)
 	stage := DurationBuckets(time.Microsecond, 10*time.Second, 4)
-	for s := 0; s < freshnessStages; s++ {
+	for s := range t.stageHists {
 		t.stageHists[s] = reg.Histogram(
-			"freshness_stage_"+Stage(s).String()+"_seconds",
-			"per-span time attributed to the "+Stage(s).String()+" stage, sampled commits", stage)
+			"freshness_stage_"+segmentName(s)+"_seconds",
+			"per-span time attributed to the "+segmentName(s)+" segment, sampled commits", stage)
 	}
 	reg.GaugeFunc("freshness_open_spans", "sampled commits currently in flight",
 		func() float64 { st := t.Stats(); return float64(st.Open) })
@@ -181,11 +213,25 @@ func (t *FreshnessTracer) Note(stage Stage, scn uint64, d time.Duration) {
 	if t == nil || stage >= StagePublish || !t.Sampled(scn) {
 		return
 	}
+	t.note(int(stage), scn, d, time.Now().UnixNano())
+}
+
+// Shipped attaches the ship-wait segment: the record stamped originNS by the
+// primary has reached the standby's log merger. A record without an origin
+// stamp has no such segment.
+func (t *FreshnessTracer) Shipped(scn uint64, originNS int64) {
+	if t == nil || originNS == 0 || !t.Sampled(scn) {
+		return
+	}
 	now := time.Now().UnixNano()
+	t.note(segShipWait, scn, time.Duration(max(0, now-originNS)), now)
+}
+
+func (t *FreshnessTracer) note(seg int, scn uint64, d time.Duration, now int64) {
 	t.mu.Lock()
 	sp := t.locked(scn, now)
 	if sp != nil {
-		agg := &sp.stages[stage]
+		agg := &sp.stages[seg]
 		agg.count++
 		agg.durNS += int64(d)
 		agg.lastNS = now
@@ -237,8 +283,10 @@ func (t *FreshnessTracer) locked(scn uint64, nowNS int64) *span {
 // in the waterfall ring. Non-commit spans (sampled data/heartbeat records)
 // are dropped. The caller must guarantee all pipeline work for covered SCNs
 // finished first — the recovery coordinator's advancement provides exactly
-// that ordering (flush drains before the QuerySCN stores).
-func (t *FreshnessTracer) Publish(queryscn uint64) {
+// that ordering (flush drains before the QuerySCN stores). startNS is the wall
+// clock at which that advancement began: what a span did before it (everything
+// but its flush) to startNS is its publish-wait segment; 0 omits the segment.
+func (t *FreshnessTracer) Publish(queryscn uint64, startNS int64) {
 	if t == nil {
 		return
 	}
@@ -256,12 +304,18 @@ func (t *FreshnessTracer) Publish(queryscn uint64) {
 			t.dropped++
 			continue
 		}
+		// Only the flush runs inside the covering advancement.
 		last := sp.firstNS
 		for s := range sp.stages {
-			if sp.stages[s].lastNS > last {
+			if s != int(StageFlush) && sp.stages[s].lastNS > last {
 				last = sp.stages[s].lastNS
 			}
 		}
+		if startNS > last {
+			sp.stages[segPublishWait] = stageAgg{count: 1, durNS: startNS - last, lastNS: startNS}
+			last = startNS
+		}
+		last = max(last, sp.stages[StageFlush].lastNS)
 		pub := &sp.stages[StagePublish]
 		pub.count++
 		pub.durNS = now - last
@@ -274,7 +328,7 @@ func (t *FreshnessTracer) Publish(queryscn uint64) {
 			origin = sp.firstNS
 		}
 		t.c2v.Observe(float64(now-origin) / 1e9)
-		for s := 0; s < freshnessStages; s++ {
+		for s := range sp.stages {
 			if sp.stages[s].count > 0 {
 				t.stageHists[s].Observe(float64(sp.stages[s].durNS) / 1e9)
 			}
@@ -495,12 +549,12 @@ func (sp *span) json() SpanJSON {
 			}
 		}
 	}
-	for s := 0; s < freshnessStages; s++ {
+	for _, s := range segmentOrder {
 		if sp.stages[s].count == 0 {
 			continue
 		}
 		out.Segments = append(out.Segments, SegmentJSON{
-			Stage:  Stage(s).String(),
+			Stage:  segmentName(s),
 			Count:  sp.stages[s].count,
 			Dur:    time.Duration(sp.stages[s].durNS),
 			LastAt: time.Unix(0, sp.stages[s].lastNS),
@@ -576,12 +630,12 @@ func (t *FreshnessTracer) Summary() FreshnessSummary {
 		CommitToVisible: summarize(t.c2v),
 		QueryAge:        summarize(t.queryAge),
 	}
-	for s := 0; s < freshnessStages; s++ {
+	for _, s := range segmentOrder {
 		if t.stageHists[s].Count() == 0 {
 			continue
 		}
 		out.Stages = append(out.Stages, StageSummary{
-			Stage:           Stage(s).String(),
+			Stage:           segmentName(s),
 			QuantileSummary: summarize(t.stageHists[s]),
 		})
 	}

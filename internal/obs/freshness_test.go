@@ -41,7 +41,7 @@ func TestFreshnessSpanLifecycle(t *testing.T) {
 		t.Fatalf("pre-publish stats: %+v", st)
 	}
 
-	ft.Publish(9)
+	ft.Publish(9, 0)
 	st := ft.Stats()
 	if st.Open != 0 || st.Completed != 1 || st.Dropped != 1 || st.Incomplete != 0 {
 		t.Fatalf("post-publish stats: %+v", st)
@@ -73,7 +73,7 @@ func TestFreshnessIncompleteSpanCounted(t *testing.T) {
 	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
 	ft.Note(StageMerge, 5, time.Microsecond) // merge only: apply/mine/flush missing
 	ft.Commit(5, 1, time.Now().UnixNano())
-	ft.Publish(5)
+	ft.Publish(5, 0)
 	if st := ft.Stats(); st.Incomplete != 1 || st.Completed != 1 {
 		t.Fatalf("stats: %+v, want one incomplete completion", st)
 	}
@@ -81,7 +81,7 @@ func TestFreshnessIncompleteSpanCounted(t *testing.T) {
 
 func TestFreshnessLateObservationsIgnored(t *testing.T) {
 	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
-	ft.Publish(10)
+	ft.Publish(10, 0)
 	ft.Note(StageApply, 8, time.Microsecond) // behind the published frontier
 	ft.Commit(9, 1, 1)
 	if st := ft.Stats(); st.Open != 0 || st.Opened != 0 {
@@ -111,7 +111,7 @@ func TestFreshnessTruncation(t *testing.T) {
 	// The replayed commit opens a fresh span and completes normally.
 	driveSpan(ft, 3)
 	ft.Commit(3, 9, 1)
-	ft.Publish(3)
+	ft.Publish(3, 0)
 	if st := ft.Stats(); st.Completed != 1 {
 		t.Fatalf("replayed span did not complete: %+v", st)
 	}
@@ -121,7 +121,7 @@ func TestFreshnessFirstQueryAge(t *testing.T) {
 	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
 	driveSpan(ft, 4)
 	ft.Commit(4, 1, time.Now().Add(-time.Second).UnixNano())
-	ft.Publish(4)
+	ft.Publish(4, 0)
 	// A query at a snapshot below the commit does not touch it.
 	ft.ObserveQuery(3, time.Now().UnixNano())
 	if st := ft.Stats(); st.Queried != 0 {
@@ -148,7 +148,7 @@ func TestFreshnessRingWraparound(t *testing.T) {
 	for scn := uint64(1); scn <= 10; scn++ {
 		driveSpan(ft, scn)
 		ft.Commit(scn, scn, 1)
-		ft.Publish(scn)
+		ft.Publish(scn, 0)
 	}
 	wf := ft.Waterfalls(0)
 	if len(wf) != 4 {
@@ -168,7 +168,7 @@ func TestFreshnessNilSafety(t *testing.T) {
 	var ft *FreshnessTracer
 	ft.Note(StageApply, 1, time.Microsecond)
 	ft.Commit(1, 1, 1)
-	ft.Publish(1)
+	ft.Publish(1, 0)
 	ft.TruncateOpen("x")
 	ft.ObserveQuery(1, 1)
 	if ft.Sampled(1) || ft.SampleEvery() != 0 {
@@ -196,8 +196,69 @@ func TestFreshnessViaPipelineTrace(t *testing.T) {
 		tr.Observe(s, 6, time.Microsecond)
 	}
 	ft.Commit(6, 2, 1)
-	ft.Publish(6)
+	ft.Publish(6, 0)
 	if st := ft.Stats(); st.Completed != 1 || st.Incomplete != 0 {
 		t.Fatalf("trace-fed span did not complete gap-free: %+v", st)
+	}
+}
+
+// TestFreshnessWaitSegments drives one commit with known waits in it: shipped
+// some time after its origin stamp, applied, then left waiting for an
+// advancement whose flush comes after its start. The ship-wait is origin to
+// hand-over, the publish-wait is last apply-side activity to advancement
+// start (the flush inside the advancement does not shorten it), both appear in
+// the waterfall in the order the commit met them and in Summary().Stages.
+func TestFreshnessWaitSegments(t *testing.T) {
+	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
+	const shipWait, publishWait = 20 * time.Millisecond, 10 * time.Millisecond
+	origin := time.Now().Add(-shipWait).UnixNano()
+	ft.Shipped(5, origin)
+	ft.Shipped(6, 0) // no origin stamp: no ship-wait, and no span opened for it
+	for _, s := range []Stage{StageMerge, StageDispatch, StageApply, StageMine} {
+		ft.Note(s, 5, time.Microsecond)
+	}
+	ft.Commit(5, 1, origin)
+	time.Sleep(publishWait)
+	start := time.Now().UnixNano()
+	ft.Note(StageFlush, 5, time.Microsecond)
+	ft.Publish(5, start)
+
+	wf := ft.Waterfalls(0)
+	if len(wf) != 1 {
+		t.Fatalf("waterfalls: %+v", wf)
+	}
+	var order []string
+	dur := map[string]time.Duration{}
+	for _, seg := range wf[0].Segments {
+		order = append(order, seg.Stage)
+		dur[seg.Stage] = seg.Dur
+	}
+	want := []string{"shipwait", "merge", "dispatch", "apply", "mine", "publishwait", "flush", "publish"}
+	if len(order) != len(want) {
+		t.Fatalf("segments %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("segments %v, want %v", order, want)
+		}
+	}
+	if dur["shipwait"] < shipWait || dur["shipwait"] > shipWait+publishWait {
+		t.Fatalf("shipwait = %v, want about %v", dur["shipwait"], shipWait)
+	}
+	if dur["publishwait"] < publishWait || dur["publishwait"] > wf[0].CommitToVisible-shipWait {
+		t.Fatalf("publishwait = %v, want about %v of %v", dur["publishwait"], publishWait, wf[0].CommitToVisible)
+	}
+	if dur["publish"] > publishWait {
+		t.Fatalf("publish = %v: it must start at the flush, inside the advancement", dur["publish"])
+	}
+	stages := map[string]bool{}
+	for _, s := range ft.Summary().Stages {
+		stages[s.Stage] = true
+	}
+	if !stages["shipwait"] || !stages["publishwait"] {
+		t.Fatalf("wait segments missing from the summary: %+v", ft.Summary().Stages)
+	}
+	if st := ft.Stats(); st.Opened != 1 {
+		t.Fatalf("opened %d spans, want 1", st.Opened)
 	}
 }

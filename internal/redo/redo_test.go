@@ -260,6 +260,45 @@ func TestStreamTryNext(t *testing.T) {
 	}
 }
 
+// TestStreamWatch: a watcher is poked by appends and by Close without ever
+// blocking the appender, pokes coalesce in its buffer, one channel can watch
+// several streams, and Unwatch ends it.
+func TestStreamWatch(t *testing.T) {
+	a, b := NewStream(1), NewStream(2)
+	wake := make(chan struct{}, 1)
+	poked := func() bool {
+		select {
+		case <-wake:
+			return true
+		default:
+			return false
+		}
+	}
+	a.Watch(wake)
+	b.Watch(wake)
+	if poked() {
+		t.Fatal("poked before any append")
+	}
+	a.Append(&Record{SCN: 1})
+	a.Append(&Record{SCN: 2}) // finds the first poke pending; must not block
+	if !poked() || poked() {
+		t.Fatal("two appends should leave exactly one pending poke")
+	}
+	b.Append(&Record{SCN: 1, Thread: 2})
+	if !poked() {
+		t.Fatal("append to the second watched stream did not poke")
+	}
+	b.Close()
+	if !poked() {
+		t.Fatal("Close did not poke")
+	}
+	a.Unwatch(wake)
+	a.Append(&Record{SCN: 3})
+	if poked() {
+		t.Fatal("poked after Unwatch")
+	}
+}
+
 func TestCodecOriginExtensionRoundTrip(t *testing.T) {
 	r := sampleRecord()
 	r.OriginNS = 1_722_000_000_123_456_789

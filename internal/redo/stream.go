@@ -1,6 +1,7 @@
 package redo
 
 import (
+	"slices"
 	"sync"
 
 	"dbimadg/internal/scn"
@@ -9,15 +10,16 @@ import (
 // Stream is one redo thread's log: an SCN-ordered, append-only sequence of
 // records. It doubles as the archived log — readers can (re-)attach at any
 // position, which is how the standby resumes recovery after a restart
-// (§III.E). Appends wake blocked readers.
+// (§III.E). Appends wake blocked readers and poke registered watchers.
 type Stream struct {
 	thread uint16
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	recs   []*Record
-	bytes  int64
-	closed bool
+	mu       sync.Mutex
+	cond     *sync.Cond
+	recs     []*Record
+	bytes    int64
+	closed   bool
+	watchers []chan<- struct{}
 }
 
 // NewStream returns an empty stream for the given redo thread.
@@ -44,7 +46,40 @@ func (s *Stream) Append(r *Record) {
 	}
 	s.recs = append(s.recs, r)
 	s.bytes += int64(EncodedSize(r))
+	s.wake()
+}
+
+// wake releases blocked At callers and pokes every watcher. Caller holds s.mu.
+func (s *Stream) wake() {
 	s.cond.Broadcast()
+	for _, ch := range s.watchers {
+		select {
+		case ch <- struct{}{}:
+		default: // a poke is already pending: the watcher will look again
+		}
+	}
+}
+
+// Watch registers ch to be poked, with a send that never blocks, by every
+// later Append and by Close. It is the select-able counterpart of At for
+// consumers that poll with TryAt/TryNext and must also listen for a stop
+// signal: register a 1-buffered channel, then sweep with TryNext and block on
+// the channel only when a sweep that started after Watch found nothing, so no
+// append is missed. One channel may watch several streams. Pokes coalesce and
+// may be stale; the watcher re-reads the stream after each.
+func (s *Stream) Watch(ch chan<- struct{}) {
+	s.mu.Lock()
+	s.watchers = append(s.watchers, ch)
+	s.mu.Unlock()
+}
+
+// Unwatch removes a registration made by Watch.
+func (s *Stream) Unwatch(ch chan<- struct{}) {
+	s.mu.Lock()
+	if i := slices.Index(s.watchers, ch); i >= 0 {
+		s.watchers = slices.Delete(s.watchers, i, i+1)
+	}
+	s.mu.Unlock()
 }
 
 // Close marks the stream complete (primary shutdown); blocked readers drain
@@ -52,7 +87,7 @@ func (s *Stream) Append(r *Record) {
 func (s *Stream) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
+	s.wake()
 	s.mu.Unlock()
 }
 

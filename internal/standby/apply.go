@@ -41,10 +41,18 @@ type MarkerEvent struct {
 // primary threads by SCN and distributes their change vectors to the
 // recovery workers. A record from thread i is released only when every other
 // live thread has been observed past its SCN (primary heartbeats bound the
-// wait on idle threads).
+// wait on idle threads). With nothing to read or release it sleeps until any
+// of its streams is appended to or closed.
 func (inst *Instance) mergerLoop() {
 	defer inst.wg.Done()
 	streams := inst.src.Streams()
+	// One wake-up shared by every stream, registered before the first read so
+	// that an append between an empty sweep and the wait below is never missed.
+	wake := make(chan struct{}, 1)
+	for _, s := range streams {
+		s.Watch(wake)
+		defer s.Unwatch(wake)
+	}
 	readers := make([]*redo.Reader, len(streams))
 	peeks := make([]*redo.Record, len(streams))
 	peekAt := make([]time.Time, len(streams)) // merge-stage entry per peek
@@ -69,6 +77,7 @@ func (inst *Instance) mergerLoop() {
 			if ok {
 				peeks[i] = rec
 				peekAt[i] = time.Now()
+				inst.freshness.Shipped(uint64(rec.SCN), rec.OriginNS)
 				progress = true
 			} else if end {
 				eol[i] = true
@@ -125,7 +134,15 @@ func (inst *Instance) mergerLoop() {
 			}
 		}
 		if !progress {
-			time.Sleep(100 * time.Microsecond)
+			// Everything readable is dispatched. A worker that finished the
+			// last record's change vectors before its SCN became the dispatch
+			// frontier poked the coordinator too early to cover it.
+			inst.pokeCoordinator()
+			select {
+			case <-inst.stop:
+				return
+			case <-wake:
+			}
 		}
 	}
 }
@@ -195,9 +212,14 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 			// t.scn.
 			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
 			w.appliedSCN.Store(uint64(t.scn))
-			w.applied.Add(1)
+			applied := w.applied.Add(1)
 			inst.cvsApplied.Add(1)
 			inst.applyBeat.Tick()
+			// A commit became publishable, or this worker stopped holding the
+			// watermark back.
+			if t.cv.Kind == redo.CVCommit || applied == w.dispatched.Load() {
+				inst.pokeCoordinator()
+			}
 			if !inst.cfg.DisableCoopFlush {
 				if wl := inst.pendingWL.Load(); wl != nil {
 					inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
@@ -324,21 +346,72 @@ func (inst *Instance) waitWorkersDrained() bool {
 	}
 }
 
-// coordinatorLoop is the recovery coordinator: it periodically establishes a
-// new consistency point (§II.A) — flushing pending invalidations first
-// (§III.D) and applying mined DDL (§III.G) — and publishes it as the
-// QuerySCN under the quiesce lock (§III.A).
+// The coordinator's pacing. A schedule grants one advancement per gap, the gap
+// being advanceGapFactor times the running mean of an advancement's cost (at
+// most CheckpointInterval): over any stretch of sustained load advancing takes
+// no more than 1/advanceGapFactor of the time. Up to advanceBurst advancements
+// may run ahead of the schedule, so the few records of one idle-time
+// transaction are published as they are applied, without a sub-millisecond
+// timer between them (which an idle Go runtime stretches to a millisecond).
+const (
+	advanceGapFactor = 4
+	advanceBurst     = 8
+)
+
+// pokeCoordinator tells the recovery coordinator that the apply watermark may
+// have moved. It never blocks; pokes that find one pending collapse into it.
+func (inst *Instance) pokeCoordinator() {
+	select {
+	case inst.coordWake <- struct{}{}:
+	default:
+	}
+}
+
+// coordinatorLoop is the recovery coordinator: it establishes a new
+// consistency point (§II.A) — flushing pending invalidations first (§III.D)
+// and applying mined DDL (§III.G) — and publishes it as the QuerySCN under
+// the quiesce lock (§III.A). It is driven by work: the workers poke it when a
+// commit is applied or a queue drains and the merger when it runs out of redo,
+// so an idle pipeline publishes a commit as soon as it is applied. Under load
+// the pokes that arrive during an advancement collapse into one and the pacing
+// above spaces the advancements out: chop, drain and barrier do not tax
+// saturated apply, and population is not starved of the quiesce lock. The
+// CheckpointInterval ticker is only the heartbeat that bounds the gap should
+// a poke ever be missing.
 func (inst *Instance) coordinatorLoop() {
 	defer inst.wg.Done()
-	ticker := time.NewTicker(inst.cfg.CheckpointInterval)
-	defer ticker.Stop()
+	heartbeat := time.NewTicker(inst.cfg.CheckpointInterval)
+	defer heartbeat.Stop()
+	var (
+		cost time.Duration // running mean of an advancement's wall time
+		gap  time.Duration // the schedule's period
+		due  time.Time     // when the schedule grants the next advancement
+	)
 	for {
 		select {
 		case <-inst.stop:
 			return
-		case <-ticker.C:
-			inst.advance()
+		case <-inst.coordWake:
+		case <-heartbeat.C:
 		}
+		if wait := time.Until(due) - (advanceBurst-1)*gap; wait > 0 {
+			select {
+			case <-inst.stop:
+				return
+			case <-time.After(wait):
+			}
+		}
+		start := time.Now()
+		if !inst.advance() {
+			continue
+		}
+		end := time.Now()
+		cost += (end.Sub(start) - cost) / 8
+		gap = min(advanceGapFactor*cost, inst.cfg.CheckpointInterval)
+		if due.Before(end) {
+			due = end // idle time earns no more than the burst
+		}
+		due = due.Add(gap)
 	}
 }
 
@@ -373,11 +446,15 @@ func (inst *Instance) computeWatermark() scn.SCN {
 	return w
 }
 
-// advance performs one QuerySCN advancement to the current apply watermark.
-func (inst *Instance) advance() {
-	if target := inst.computeWatermark(); target > inst.QuerySCN() {
-		inst.advanceTo(target, true)
+// advance performs one QuerySCN advancement to the current apply watermark; it
+// reports whether there was anything to advance to.
+func (inst *Instance) advance() bool {
+	target := inst.computeWatermark()
+	if target <= inst.QuerySCN() {
+		return false
 	}
+	inst.advanceTo(target, true)
+	return true
 }
 
 // advanceTo is the one QuerySCN advancement body: chop the commit table at
@@ -428,10 +505,11 @@ func (inst *Instance) advanceTo(target scn.SCN, live bool) {
 	}
 	inst.querySCN.Store(uint64(target))
 	inst.advances.Add(1)
+	inst.notifyPublished()
 	// Close every sampled span this consistency point covers. All pipeline
 	// work for SCNs <= target finished above (the worklink drained before the
 	// store), so the spans are final.
-	inst.freshness.Publish(uint64(target))
+	inst.freshness.Publish(uint64(target), start.UnixNano())
 	if hook := inst.onPublish.Load(); hook != nil {
 		(*hook)(target, events)
 	}

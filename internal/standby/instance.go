@@ -30,8 +30,10 @@ import (
 type Config struct {
 	// ApplyWorkers is the number of recovery worker processes (default 4).
 	ApplyWorkers int
-	// CheckpointInterval is the recovery coordinator's QuerySCN advancement
-	// period (default 2ms).
+	// CheckpointInterval is the recovery coordinator's heartbeat: the longest
+	// it goes without looking for a QuerySCN to advance to (default 2ms). It
+	// does not set the advancement cadence — the coordinator advances when
+	// apply tells it there is something to publish (see coordinatorLoop).
 	CheckpointInterval time.Duration
 	// CommitTableParts partitions the IM-ADG Commit Table (default 4).
 	CommitTableParts int
@@ -114,7 +116,7 @@ type Config struct {
 	// replays only archived redo past the checkpoint SCN, and StartFrom does
 	// the same when rebuilding a standby after a switchover. Distinct from
 	// CheckpointInterval above, which is the (unfortunately named, paper
-	// §III.A) QuerySCN advancement period.
+	// §III.A) QuerySCN advancement heartbeat.
 	SnapshotDir string
 	// SnapshotInterval is the background checkpointer's period (default 1s
 	// when SnapshotDir is set; negative = on-demand checkpoints only, via
@@ -240,6 +242,10 @@ type Instance struct {
 
 	querySCN atomic.Uint64
 	quiesce  sync.RWMutex // the Quiesce lock (§III.A)
+	// published is closed, and forgotten, by the next QuerySCN publication; nil
+	// while nobody waits for one (see WaitForSCN).
+	pubMu     sync.Mutex
+	published chan struct{}
 
 	// roleMask is the set of roles this instance currently serves. A standby
 	// starts as RoleStandby; promotion ORs in RolePrimary so population
@@ -255,6 +261,7 @@ type Instance struct {
 	watermark      atomic.Uint64
 	pendingWL      atomic.Pointer[core.Worklink]
 	endOfRedo      chan struct{} // closed by the merger at end of all logs
+	coordWake      chan struct{} // 1-buffered: apply's pokes to the coordinator
 
 	sink      core.Sink // the flusher's downstream, survives initVolatile
 	onPublish atomic.Pointer[func(q scn.SCN, markers []*MarkerEvent)]
@@ -1032,6 +1039,7 @@ func (inst *Instance) Start() {
 	inst.started = true
 	inst.stop = make(chan struct{})
 	inst.endOfRedo = make(chan struct{})
+	inst.coordWake = make(chan struct{}, 1)
 	inst.workers = make([]*applyWorker, inst.cfg.ApplyWorkers)
 	for i := range inst.workers {
 		w := &applyWorker{id: i, ch: make(chan applyTask, 1024)}
@@ -1251,14 +1259,37 @@ func (inst *Instance) Stats() Stats {
 // expires; it reports whether the target was reached. It is the standby
 // analogue of "wait until the standby has caught up with the primary".
 func (inst *Instance) WaitForSCN(target scn.SCN, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the channel before reading the QuerySCN: a publication that the
+		// read misses closes this channel, not an earlier one.
+		inst.pubMu.Lock()
+		if inst.published == nil {
+			inst.published = make(chan struct{})
+		}
+		published := inst.published
+		inst.pubMu.Unlock()
 		if inst.QuerySCN() >= target {
 			return true
 		}
-		time.Sleep(200 * time.Microsecond)
+		select {
+		case <-published:
+		case <-timer.C:
+			return inst.QuerySCN() >= target
+		}
 	}
-	return inst.QuerySCN() >= target
+}
+
+// notifyPublished wakes every WaitForSCN caller; advanceTo calls it after
+// storing the new QuerySCN.
+func (inst *Instance) notifyPublished() {
+	inst.pubMu.Lock()
+	if inst.published != nil {
+		close(inst.published)
+		inst.published = nil
+	}
+	inst.pubMu.Unlock()
 }
 
 // quiesceSnapshotter captures population snapshots under the quiesce lock

@@ -73,6 +73,7 @@ type Server struct {
 	closed bool
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
+	done   chan struct{} // closed by Close: releases handlers waiting for redo
 }
 
 // NewServer starts serving the given streams on l.
@@ -81,6 +82,7 @@ func NewServer(l net.Listener, streams ...*redo.Stream) *Server {
 		ln:      l,
 		streams: make(map[uint16]*redo.Stream, len(streams)),
 		conns:   make(map[net.Conn]struct{}),
+		done:    make(chan struct{}),
 	}
 	for _, st := range streams {
 		s.streams[st.Thread()] = st
@@ -96,7 +98,10 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the server and waits for connection handlers.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.closed = true
+	if !s.closed {
+		s.closed = true
+		close(s.done)
+	}
 	for c := range s.conns {
 		c.Close()
 	}
@@ -173,16 +178,16 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	rd := redo.NewReaderAtSCN(stream, from)
+	// The handler waits for redo on the stream's wake-up, registered before the
+	// first read so no append is missed, and on the server's done channel: a
+	// blocking stream read could pin it past Close when the primary never
+	// closes its stream. While there is redo to ship, Close ends the handler
+	// through the write error on its closed connection.
+	wake := make(chan struct{}, 1)
+	stream.Watch(wake)
+	defer stream.Unwatch(wake)
 	var held []byte // frame parked by FaultReorder, shipped after its successor
 	for {
-		s.mu.Lock()
-		closed := s.closed
-		s.mu.Unlock()
-		if closed {
-			return
-		}
-		// Non-blocking read with a short poll: a blocking read could pin the
-		// handler past Close when the primary never closes its stream.
 		rec, ok, eol := rd.TryNext()
 		if eol {
 			if held != nil {
@@ -194,7 +199,11 @@ func (s *Server) serve(conn net.Conn) {
 			return
 		}
 		if !ok {
-			time.Sleep(500 * time.Microsecond)
+			select {
+			case <-wake:
+			case <-s.done:
+				return
+			}
 			continue
 		}
 		frame := redo.AppendFrame(nil, rec)
