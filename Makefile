@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt staticcheck test race stress allocs chaos leakcheck verify bench bench-json bench-e2e bench-compare checkpoint-bench
+.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-json bench-e2e bench-compare checkpoint-bench
 
 # Seed count for the chaos harness; override as `make chaos CHAOS_SEEDS=100`.
 CHAOS_SEEDS ?= 10
@@ -57,9 +57,19 @@ stress:
 	$(GO) test -race -run 'TestIdleCommitVisibleWithoutHeartbeat|TestNoLostWakeups' -count 200 .
 
 # Allocation guards of the scan path (steady-state scans allocate only their
-# result). Not under -race: the race detector changes allocation counts.
+# result) and of the redo wire path (shipping allocates nothing per record,
+# receiving only the decoded record). Not under -race: the race detector
+# changes allocation counts.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/scanengine
+	$(GO) test -run AllocsPerRun ./internal/scanengine ./internal/transport ./internal/redo
+
+# Native fuzzing of the decoders that read bytes from the wire: the frame
+# reader and the record decoder, seeded from the corruption tables of their
+# unit tests. go test fuzzes one target per run; the nightly job runs longer.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/redo
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
 
 # Deterministic chaos harness: seeded fault injection against the full
 # primary→transport→standby pipeline with a cross-node equivalence oracle
@@ -81,7 +91,7 @@ chaos:
 leakcheck:
 	$(GO) test -race -count=1 -run TestCloseLeavesNoPipelineGoroutines .
 
-verify: fmt vet staticcheck build test race stress allocs leakcheck chaos
+verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .

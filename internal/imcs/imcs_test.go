@@ -431,3 +431,40 @@ func TestHomeMapDeterministicAndBalanced(t *testing.T) {
 		t.Fatal("single-instance map must return 0")
 	}
 }
+
+// TestRepopulationSlots: stale units are admitted to repopulation half of the
+// workers at a time, the stalest first; the rest wait for a slot.
+func TestRepopulationSlots(t *testing.T) {
+	c, tbl := testCluster(t)
+	insertRows(t, c, tbl, 0, 16*4*4) // 16 rows per block, 4 blocks per unit: 4 units
+	store := imcs.NewStore()
+	cfg := imcs.Config{BlocksPerIMCU: 4, Workers: 2, RepopThreshold: 0.1, Interval: time.Hour}
+	eng := newEngine(c, tbl, store, cfg)
+	eng.Start()
+	if !eng.WaitIdle(5 * time.Second) {
+		t.Fatal("population did not finish")
+	}
+	eng.Stop() // workers gone: what the next passes admit stays queued
+	seg := tbl.Segments()[0]
+	units := store.Units(seg.Obj())
+	if len(units) != 4 {
+		t.Fatalf("units = %d, want 4", len(units))
+	}
+	// Unit i gets 8+4i invalid rows: all past the threshold, the last stalest.
+	for i, u := range units {
+		for k := 0; k < 8+4*i; k++ {
+			store.InvalidateRows(seg.Obj(), u.StartBlk+rowstore.BlockNo(k/16), []uint16{uint16(k % 16)})
+		}
+	}
+	if n := eng.Scan(); n != 1 {
+		t.Fatalf("first pass admitted %d repopulations, want 1 (half of 2 workers)", n)
+	}
+	if n := eng.Scan(); n != 0 {
+		t.Fatalf("second pass admitted %d more with the slot taken", n)
+	}
+	for i, u := range units {
+		if got, want := u.Stats().Repopulating, i == 3; got != want {
+			t.Fatalf("unit %d repopulating = %v, want %v (stalest first)", i, got, want)
+		}
+	}
+}

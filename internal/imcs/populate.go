@@ -47,6 +47,8 @@ type Config struct {
 	// BlocksPerIMCU is the chunk size a segment loader carves objects into.
 	BlocksPerIMCU int
 	// Workers is the number of background population worker goroutines.
+	// Repopulation of stale units may occupy at most half of them (one at
+	// least) at a time; see Engine.repopSlots.
 	Workers int
 	// Interval is the scheduler pass period.
 	Interval time.Duration
@@ -109,6 +111,10 @@ type Engine struct {
 	wg       sync.WaitGroup
 	pending  atomic.Int64
 
+	// repopInFlight counts repopulation tasks queued or running; the scheduler
+	// keeps it within repopSlots.
+	repopInFlight atomic.Int64
+
 	populated   atomic.Int64
 	repopulated atomic.Int64
 	rows        atomic.Int64
@@ -151,6 +157,32 @@ func (e *Engine) Start() {
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
+}
+
+// repopSlots is how many stale units may be rebuilt at a time: half of the
+// workers, the share Oracle gives trickle repopulation of its populate servers.
+// A unit under sustained DML is stale again as soon as it is rebuilt, so a redo
+// burst keeps every admitted rebuild busy back to back; with all workers
+// admitted, population took as many cores as it had workers from redo apply
+// for the length of the burst, and how many rebuilds fitted in was decided by
+// the scheduler's time slicing (a saturated replay's apply rate then spread
+// 8 % from one replay to the next, 2 % with the cap). Initial population of
+// uncovered ranges uses every worker.
+func (e *Engine) repopSlots() int64 { return int64(max(1, e.cfg.Workers/2)) }
+
+// claimRepopSlot takes a repopulation slot if one is free; the task's end
+// (or a failed enqueue) gives it back. Scheduler passes run concurrently
+// (WaitIdle callers beside the ticker), hence the compare-and-swap.
+func (e *Engine) claimRepopSlot() bool {
+	for {
+		n := e.repopInFlight.Load()
+		if n >= e.repopSlots() {
+			return false
+		}
+		if e.repopInFlight.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
 }
 
 // Pending returns the number of population tasks queued or in flight.
@@ -233,31 +265,49 @@ func (e *Engine) scanTarget(t Target) int {
 		}
 	}
 
-	// Repopulation heuristics over existing units.
+	// Repopulation heuristics over existing units. Slots are few (repopSlots),
+	// so the stalest units go first: in unit order a range under sustained DML
+	// would be rebuilt over and over ahead of the ones behind it.
+	type staleUnit struct {
+		unit  *Unit
+		stale float64 // invalid or missing rows as a fraction of the unit's
+	}
+	var stale []staleUnit
 	for _, u := range e.store.Units(seg.Obj()) {
 		st := u.Stats()
 		if !st.Populated || st.Repopulating || st.Dropped {
 			continue
 		}
-		need := st.AllInvalid
-		if !need && st.Rows > 0 && float64(st.InvalidRows)/float64(st.Rows) > e.cfg.RepopThreshold {
-			need = true
+		frac := float64(st.InvalidRows) / float64(max(st.Rows, 1))
+		need := st.AllInvalid || (st.Rows > 0 && frac > e.cfg.RepopThreshold)
+		if st.AllInvalid {
+			frac = 1
 		}
 		if !need && st.Rows < int(u.EndBlk-u.StartBlk)*seg.RowsPerBlock() {
 			// Edge growth: rows inserted into the unit's range after
 			// populate. Fully packed units cannot grow, so only units with
 			// free capacity are polled.
 			cur := e.rowsInRange(seg, u.StartBlk, u.EndBlk)
-			if cur > st.Rows && float64(cur-st.Rows) > e.cfg.TailThreshold*float64(max(st.Rows, 1)) {
-				need = true
+			if grown := float64(cur-st.Rows) / float64(max(st.Rows, 1)); grown > e.cfg.TailThreshold {
+				need, frac = true, grown
 			}
 		}
-		if need && u.BeginRepopulate() {
-			if e.enqueue(popTask{unit: u, target: t, repop: true}) {
-				enqueued++
-			} else {
-				u.AbortRepopulate()
-			}
+		if need {
+			stale = append(stale, staleUnit{u, frac})
+		}
+	}
+	sort.SliceStable(stale, func(i, j int) bool { return stale[i].stale > stale[j].stale })
+	for _, su := range stale {
+		if !e.claimRepopSlot() {
+			break
+		}
+		if !su.unit.BeginRepopulate() {
+			e.repopInFlight.Add(-1)
+		} else if e.enqueue(popTask{unit: su.unit, target: t, repop: true}) {
+			enqueued++
+		} else {
+			e.repopInFlight.Add(-1)
+			su.unit.AbortRepopulate()
 		}
 	}
 	return enqueued
@@ -311,6 +361,7 @@ func (e *Engine) runTask(t popTask, worker int) {
 	e.cfg.Trace.Observe(obs.StagePopulate, uint64(imcu.SnapSCN), time.Since(start))
 	if t.repop {
 		e.repopulated.Add(1)
+		e.repopInFlight.Add(-1)
 	} else {
 		e.populated.Add(1)
 	}

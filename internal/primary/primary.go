@@ -259,7 +259,7 @@ type LogWriter struct {
 func (w *LogWriter) Emit(cvs []redo.CV) scn.SCN {
 	w.mu.Lock()
 	s := w.clock.Next()
-	w.stream.Append(&redo.Record{SCN: s, Thread: w.thread, CVs: cvs, OriginNS: time.Now().UnixNano()})
+	w.stream.Append(redo.NewRecord(s, w.thread, cvs, time.Now().UnixNano()))
 	w.mu.Unlock()
 	return s
 }
@@ -269,7 +269,7 @@ func (w *LogWriter) EmitCommit(cvs []redo.CV, commitHook func(scn.SCN)) scn.SCN 
 	w.gate.Lock()
 	w.mu.Lock()
 	s := w.clock.Next()
-	w.stream.Append(&redo.Record{SCN: s, Thread: w.thread, CVs: cvs, OriginNS: time.Now().UnixNano()})
+	w.stream.Append(redo.NewRecord(s, w.thread, cvs, time.Now().UnixNano()))
 	if commitHook != nil {
 		commitHook(s)
 	}

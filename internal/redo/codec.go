@@ -1,12 +1,14 @@
 package redo
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
@@ -93,16 +95,57 @@ func appendCV(buf []byte, cv *CV) []byte {
 		buf = append(buf, s...)
 	}
 	if cv.Kind == CVMarker {
-		payload, err := json.Marshal(cv.Marker)
-		if err != nil {
-			// Markers are built from plain structs; marshal cannot fail in
-			// practice. Encode an empty payload defensively.
-			payload = nil
-		}
+		payload := markerPayload(cv.Marker)
 		buf = binary.AppendUvarint(buf, uint64(len(payload)))
 		buf = append(buf, payload...)
 	}
 	return buf
+}
+
+// markerPayload is a marker's JSON (plain structs: Marshal cannot fail), and
+// nothing for no marker, which is how the decoder reads an empty payload back.
+func markerPayload(m *Marker) []byte {
+	if m == nil {
+		return nil
+	}
+	payload, _ := json.Marshal(m)
+	return payload
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// WireSize returns len(AppendRecord(nil, r)) without encoding and without
+// writing to r (one record may be appended to several streams at once): the
+// size NewRecord or the frame reader fixed, else a walk that mirrors
+// AppendRecord and appendCV field for field.
+func (r *Record) WireSize() int {
+	if r.size != 0 {
+		return int(r.size)
+	}
+	n := uvarintLen(uint64(r.SCN)) + uvarintLen(uint64(r.Thread)) + uvarintLen(uint64(len(r.CVs)))
+	for i := range r.CVs {
+		cv := &r.CVs[i]
+		n += 2 + uvarintLen(uint64(cv.Txn)) + uvarintLen(uint64(cv.Tenant)) + uvarintLen(uint64(cv.DBA)) +
+			uvarintLen(uint64(cv.Slot)) + uvarintLen(uint64(len(cv.ChangedCols))) +
+			uvarintLen(uint64(len(cv.Row.Nums))) + uvarintLen(uint64(len(cv.Row.Strs))) // 2: kind, flags
+		for _, c := range cv.ChangedCols {
+			n += uvarintLen(uint64(c))
+		}
+		for _, v := range cv.Row.Nums {
+			n += uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) // zig-zag
+		}
+		for _, s := range cv.Row.Strs {
+			n += uvarintLen(uint64(len(s))) + len(s)
+		}
+		if cv.Kind == CVMarker {
+			payload := len(markerPayload(cv.Marker))
+			n += uvarintLen(uint64(payload)) + payload
+		}
+	}
+	if r.OriginNS > 0 {
+		n += 2 + uvarintLen(uint64(r.OriginNS)) // tag, one-byte length, payload
+	}
+	return n
 }
 
 // decoder reads varint-encoded fields from a byte slice.
@@ -203,7 +246,7 @@ func DecodeRecord(buf []byte) (*Record, error) {
 			return nil, fmt.Errorf("redo: reserved extension tag 0 at offset %d", d.off)
 		case extOriginNS:
 			v, k := binary.Uvarint(payload)
-			if k <= 0 {
+			if k <= 0 || v > math.MaxInt64 {
 				return nil, fmt.Errorf("redo: bad origin-timestamp extension payload")
 			}
 			r.OriginNS = int64(v)
@@ -342,39 +385,57 @@ func WriteEOL(w io.Writer) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed record from r and verifies its CRC-32C
-// before decoding. It returns ErrEndOfLog when the sender wrote the
-// end-of-log sentinel, and a *ChecksumError when the body does not match its
-// checksum (the caller should refetch the record from the archived log).
-func ReadFrame(r io.Reader) (*Record, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == eolFrame {
+// FrameReader reads one connection's frames: the connection 64 KiB at a time,
+// so one read call fetches every frame that has arrived, each body into a
+// buffer reused from frame to frame (DecodeRecord copies what a record keeps).
+// Bytes it has buffered belong to that connection; it must not outlive it.
+type FrameReader struct {
+	r    io.Reader
+	hdr  [frameHeaderSize]byte
+	body []byte
+}
+
+// NewFrameReader returns a buffered frame reader over conn.
+func NewFrameReader(conn io.Reader) *FrameReader {
+	return &FrameReader{r: bufio.NewReaderSize(conn, 64<<10)}
+}
+
+// Next reads one length-prefixed record and verifies its CRC-32C before
+// decoding. It returns ErrEndOfLog when the sender wrote the end-of-log
+// sentinel, and a *ChecksumError when the body does not match its checksum
+// (the caller should refetch the record from the archived log). The header is
+// read in one piece: the sentinel is half of one, with the close behind it.
+func (f *FrameReader) Next() (*Record, error) {
+	got, err := io.ReadFull(f.r, f.hdr[:])
+	n := binary.BigEndian.Uint32(f.hdr[:4])
+	if got >= 4 && n == eolFrame {
 		return nil, ErrEndOfLog
+	}
+	if err != nil {
+		return nil, err
 	}
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("redo: frame of %d bytes exceeds limit", n)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
+	if uint32(cap(f.body)) < n {
+		f.body = make([]byte, n)
+	}
+	body := f.body[:n]
+	if _, err := io.ReadFull(f.r, body); err != nil {
 		return nil, err
 	}
-	want := binary.BigEndian.Uint32(crcBuf[:])
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
-	}
+	want := binary.BigEndian.Uint32(f.hdr[4:])
 	if got := crc32.Checksum(body, castagnoli); got != want {
 		return nil, &ChecksumError{Want: want, Got: got}
 	}
-	return DecodeRecord(body)
+	rec, err := DecodeRecord(body)
+	if err == nil {
+		rec.size = n
+	}
+	return rec, err
 }
 
-// EncodedSize returns the wire size of a record (without the frame header);
-// used to account redo volume for the log-advancement experiment (Fig. 11).
-func EncodedSize(r *Record) int {
-	return len(AppendRecord(nil, r))
+// ReadFrame reads one frame from r, taking no byte past it.
+func ReadFrame(r io.Reader) (*Record, error) {
+	return (&FrameReader{r: r}).Next()
 }

@@ -152,7 +152,10 @@ func (cv *CV) Obj() rowstore.ObjID { return cv.DBA.Obj() }
 type Record struct {
 	SCN    scn.SCN
 	Thread uint16 // generating primary instance id (RAC redo thread)
-	CVs    []CV
+	// size caches WireSize; NewRecord and the frame reader set it before the
+	// record is shared. In Thread's padding, Record keeps its 48-byte class.
+	size uint32
+	CVs  []CV
 
 	// OriginNS is the primary-side wall clock (UnixNano) at which the record
 	// was emitted — for a commit record, the moment of commit. It rides the
@@ -160,6 +163,14 @@ type Record struct {
 	// standby's freshness tracer can measure true commit-to-visible latency.
 	// Zero means the origin timestamp was absent from the frame.
 	OriginNS int64
+}
+
+// NewRecord builds a record and fixes its wire size once, however many streams
+// it is appended to.
+func NewRecord(s scn.SCN, thread uint16, cvs []CV, originNS int64) *Record {
+	r := &Record{SCN: s, Thread: thread, CVs: cvs, OriginNS: originNS}
+	r.size = uint32(r.WireSize())
+	return r
 }
 
 // CommitSCN returns the commitSCN for a commit CV inside this record: by the

@@ -103,33 +103,7 @@ func TestCodecTruncatedInput(t *testing.T) {
 
 func TestCodecRandomRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rec := &Record{SCN: scn.SCN(rng.Uint64() >> 1), Thread: uint16(rng.Intn(4))}
-		nCV := rng.Intn(6)
-		for i := 0; i < nCV; i++ {
-			cv := CV{
-				Kind: CVKind(rng.Intn(6) + 1), Txn: scn.TxnID(rng.Uint64() >> 1),
-				Tenant: rowstore.TenantID(rng.Uint32()),
-				DBA:    rowstore.DBA(rng.Uint64()), Slot: uint16(rng.Uint32()),
-				HasIMCS: rng.Intn(2) == 0,
-			}
-			if cv.Kind == CVInsert || cv.Kind == CVUpdate {
-				for j := rng.Intn(5); j > 0; j-- {
-					cv.Row.Nums = append(cv.Row.Nums, rng.Int63()-rng.Int63())
-				}
-				for j := rng.Intn(5); j > 0; j-- {
-					b := make([]byte, rng.Intn(20))
-					rng.Read(b)
-					cv.Row.Strs = append(cv.Row.Strs, string(b))
-				}
-			}
-			if cv.Kind == CVUpdate {
-				for j := rng.Intn(3); j > 0; j-- {
-					cv.ChangedCols = append(cv.ChangedCols, uint16(rng.Uint32()))
-				}
-			}
-			rec.CVs = append(rec.CVs, cv)
-		}
+		rec := randomRecord(rand.New(rand.NewSource(seed)))
 		got, err := DecodeRecord(AppendRecord(nil, rec))
 		return err == nil && reflect.DeepEqual(rec, got)
 	}

@@ -36,6 +36,7 @@ func (s *Stream) Thread() uint16 { return s.thread }
 // order within a stream; Append panics otherwise, since out-of-order redo
 // within a thread indicates a bug in redo generation.
 func (s *Stream) Append(r *Record) {
+	size := int64(r.WireSize())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -45,7 +46,7 @@ func (s *Stream) Append(r *Record) {
 		panic("redo: out-of-order append within a redo thread")
 	}
 	s.recs = append(s.recs, r)
-	s.bytes += int64(EncodedSize(r))
+	s.bytes += size
 	s.wake()
 }
 

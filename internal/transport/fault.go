@@ -100,7 +100,9 @@ func NewFaultInjector(seed int64, plan FaultPlan) *FaultInjector {
 // sequence, one entry per shipped frame, then ships clean (or applies the
 // SetScriptTail fault, if one is set).
 func NewScriptedInjector(script ...FaultKind) *FaultInjector {
-	return &FaultInjector{rng: rand.New(rand.NewSource(1)), script: append([]FaultKind(nil), script...)}
+	fi := NewFaultInjector(1, FaultPlan{}) // for MaxDelay's default: a scripted delay draws from it
+	fi.script = append([]FaultKind(nil), script...)
+	return fi
 }
 
 // SetScriptTail sets the fault applied to every frame after the script is

@@ -186,19 +186,36 @@ func (s *Server) serve(conn net.Conn) {
 	wake := make(chan struct{}, 1)
 	stream.Watch(wake)
 	defer stream.Unwatch(wake)
+	// Group shipping: every record readable at a wake-up is framed into buf,
+	// this connection's and reused, and leaves in one write — a backlog costs a
+	// write per shipBatchBytes, an idle-time commit still goes at once (never
+	// wait to fill a batch). A fault is drawn per frame and applied to that
+	// frame's bytes inside the batch.
+	var buf []byte
 	var held []byte // frame parked by FaultReorder, shipped after its successor
+	// flush writes b, the batch or a prefix of it, and empties the batch.
+	flush := func(b []byte) bool {
+		if len(b) > 0 {
+			if _, err := conn.Write(b); err != nil {
+				return false
+			}
+		}
+		buf = buf[:0]
+		return true
+	}
 	for {
 		rec, ok, eol := rd.TryNext()
-		if eol {
-			if held != nil {
-				if _, err := conn.Write(held); err != nil {
-					return
-				}
-			}
-			_ = redo.WriteEOL(conn) // clean end of log, not a drop
-			return
-		}
 		if !ok {
+			if eol {
+				buf = append(buf, held...) // no successor left to follow
+			}
+			if !flush(buf) {
+				return
+			}
+			if eol {
+				_ = redo.WriteEOL(conn) // clean end of log, not a drop
+				return
+			}
 			select {
 			case <-wake:
 			case <-s.done:
@@ -206,14 +223,17 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			continue
 		}
-		frame := redo.AppendFrame(nil, rec)
+		start := len(buf)
+		buf = redo.AppendFrame(buf, rec)
 		if fi := s.injector.Load(); fi != nil {
-			d := fi.nextDecision()
-			switch d.kind {
+			frame := buf[start:]
+			switch d := fi.nextDecision(); d.kind {
 			case FaultDrop:
-				// Severing here loses nothing: the receiver redials at
-				// LastSCN+1 and this record is re-read from the stream. A held
-				// reordered frame is likewise re-served after reconnect.
+				// Severing here loses nothing: the frames before this one are
+				// delivered, the receiver redials at LastSCN+1 and this record
+				// is re-read from the stream. A held reordered frame is
+				// likewise re-served after reconnect.
+				flush(buf[:start])
 				return
 			case FaultPartial:
 				cut := int(d.cut * float64(len(frame)))
@@ -223,15 +243,21 @@ func (s *Server) serve(conn net.Conn) {
 				if cut >= len(frame) {
 					cut = len(frame) - 1
 				}
-				_, _ = conn.Write(frame[:cut])
+				flush(buf[:start+cut])
 				return
 			case FaultDelay:
+				// What precedes goes now; the delayed frame leads the next batch.
+				if !flush(buf[:start]) {
+					return
+				}
+				buf = append(buf, frame...)
 				time.Sleep(d.delay)
 			case FaultDup:
-				frame = append(frame, frame...)
+				buf = append(buf, frame...)
 			case FaultReorder:
-				if held == nil {
-					held = frame
+				if len(held) == 0 {
+					held = append(held, frame...)
+					buf = buf[:start]
 					continue // ship it after the next frame
 				}
 				// Already holding one; don't stack swaps.
@@ -244,17 +270,18 @@ func (s *Server) serve(conn net.Conn) {
 				}
 			}
 		}
-		if _, err := conn.Write(frame); err != nil {
+		buf = append(buf, held...)
+		held = held[:0]
+		if len(buf) >= shipBatchBytes && !flush(buf) {
 			return
-		}
-		if held != nil {
-			if _, err := conn.Write(held); err != nil {
-				return
-			}
-			held = nil
 		}
 	}
 }
+
+// shipBatchBytes is where a handler writes its batch out though more redo is
+// readable: hundreds of frames per write call, yet the receiver starts on a
+// backlog while the rest is still being framed.
+const shipBatchBytes = 256 << 10
 
 // Reconnect backoff bounds: the pump redials after a dropped connection with
 // exponential backoff plus jitter, capped so a long partition never pushes
@@ -313,7 +340,8 @@ type Options struct {
 }
 
 // SetTrace attaches an optional pipeline trace; ship-stage latency (time to
-// receive each frame, including network wait) is observed per record when set.
+// receive each frame, from the later of read start and the record's origin)
+// is observed per record when set.
 func (r *Receiver) SetTrace(t *obs.PipelineTrace) { r.trace.Store(t) }
 
 // RecordsReceived returns the redo records pumped into mirror streams.
@@ -518,11 +546,14 @@ func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Rec
 	release := func(rec *redo.Record) {
 		mirror.Append(rec)
 		r.records.Add(1)
-		r.bytes.Add(int64(redo.EncodedSize(rec)))
+		r.bytes.Add(int64(rec.WireSize()))
 	}
+	// One reader per connection: frames a dead connection delivered behind a
+	// corrupt or cut one die with it and are refetched in order at LastSCN+1.
+	fr := redo.NewFrameReader(conn)
 	for {
 		start := time.Now()
-		rec, err := redo.ReadFrame(conn)
+		rec, err := fr.Next()
 		if err == nil {
 			r.frames.Add(1)
 		}
@@ -545,7 +576,14 @@ func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Rec
 			r.dups.Add(1)
 			continue
 		}
-		r.trace.Load().Observe(obs.StageShip, uint64(rec.SCN), time.Since(start))
+		// Ship time is the record's: a read that began before the record
+		// existed (shipwait covers that) counts from the record's origin.
+		end := time.Now()
+		ship := end.Sub(start)
+		if rec.OriginNS > 0 {
+			ship = min(ship, max(0, time.Duration(end.UnixNano()-rec.OriginNS)))
+		}
+		r.trace.Load().Observe(obs.StageShip, uint64(rec.SCN), ship)
 		if r.opts.ReorderWindow < 2 {
 			release(rec)
 			continue
