@@ -57,11 +57,12 @@ stress:
 	$(GO) test -race -run 'TestIdleCommitVisibleWithoutHeartbeat|TestNoLostWakeups' -count 200 .
 
 # Allocation guards of the scan path (steady-state scans allocate only their
-# result) and of the redo wire path (shipping allocates nothing per record,
-# receiving only the decoded record). Not under -race: the race detector
-# changes allocation counts.
+# result), of the redo wire path (shipping allocates nothing per record,
+# receiving only the decoded record) and of IMCU builds (a few objects per
+# column, none per row; a merge reads exactly its re-read set from the row
+# store). Not under -race: the race detector changes allocation counts.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/scanengine ./internal/transport ./internal/redo
+	$(GO) test -run AllocsPerRun ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs
 
 # Native fuzzing of the decoders that read bytes from the wire: the frame
 # reader and the record decoder, seeded from the corruption tables of their
@@ -80,6 +81,8 @@ fuzz:
 # TestChaosCheckpoints* adds the snapshot hazards: crashes racing in-flight
 # checkpoints, corrupted snapshot files, and a forced snapshot-restore +
 # redo-catch-up restart before the final equivalence check on every seed.
+# TestChaosConstantMerge repopulates after 1 % of a unit changed, so its long
+# storms check images that hundreds of merges produced.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestWatchdog' -timeout 20m ./internal/chaos/ \
 		-chaos.seeds $(CHAOS_SEEDS) -chaos.seedbase $(CHAOS_SEEDBASE)
@@ -93,8 +96,11 @@ leakcheck:
 
 verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
+# Root benchmarks, then IMCU construction: a full build of one bench-table
+# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench 'BuildIMCU|Repopulate' -benchmem -run '^$$' ./internal/imcs
 
 # Machine-readable benchmark results: runs the root benchmarks and converts
 # the -bench output into BENCH_<date>.json via cmd/benchjson.

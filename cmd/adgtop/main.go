@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	adgtop -addr 127.0.0.1:9187 [-interval 1s] [-n 0] [-queries 5] [-slow] [-freshness 3] [-health] [-fleet] [-checkpoint]
+//	adgtop -addr 127.0.0.1:9187 [-interval 1s] [-n 0] [-queries 5] [-slow] [-freshness 3] [-health] [-fleet] [-checkpoint] [-imcs]
 //
 // Run cmd/adgdemo with -metrics 127.0.0.1:9187 -hold 2m in one terminal and
 // adgtop in another to watch the pipeline drain. With -queries N, each sample
@@ -26,6 +26,10 @@
 // the /debug/stats "checkpoint" block: snapshot cadence, size and age, plus
 // the restore-vs-rebuild counters of the snapshot-then-redo-catch-up restart
 // path.
+// With -imcs, each sample is followed by the IMCS pane from the /debug/stats
+// "imcs" and "population" blocks: what the store holds and what its rebuilds
+// cost — how many were merges, how many rows they read again against how many
+// they carried over, and the time per build of either kind.
 package main
 
 import (
@@ -86,7 +90,28 @@ type routerTotals struct {
 
 // snapshot is the subset of the /debug/stats document adgtop consumes. Fleet
 // and Router stay nil on nodes that run no reader fleet.
+// storeStats and populationStats mirror the /debug/stats "imcs" and
+// "population" blocks (imcs.StoreStats, imcs.EngineStats).
+type storeStats struct {
+	PopulatedUnits int
+	Rows           int
+	InvalidRows    int
+	MemBytes       int
+}
+
+type populationStats struct {
+	UnitsPopulated   int64
+	UnitsRepopulated int64
+	UnitsMerged      int64
+	RowsReread       int64
+	RowsCarried      int64
+	FullBuildTime    time.Duration
+	MergeBuildTime   time.Duration
+}
+
 type snapshot struct {
+	Store      storeStats         `json:"imcs"`
+	Population populationStats    `json:"population"`
 	Standby    standbyStats       `json:"standby"`
 	Gauges     map[string]float64 `json:"gauges"`
 	Fleet      *fleetStats        `json:"fleet"`
@@ -330,6 +355,26 @@ func printCheckpoint(cp *checkpointStats) {
 		cp.Restores, cp.RestoreFallbacks, cp.LastRestoreSCN, cp.LastRestoreUnits, cp.UnitsRestored)
 }
 
+// printIMCS renders the IMCS pane: the store's contents, then what rebuilding
+// it has cost since start and in the last interval.
+func printIMCS(cur, prev snapshot) {
+	st, p, q := cur.Store, cur.Population, prev.Population
+	fmt.Printf("  imcs: %d units, %d rows (%d invalid), %.1fMB\n",
+		st.PopulatedUnits, st.Rows, st.InvalidRows, float64(st.MemBytes)/(1<<20))
+	per := func(d time.Duration, n int64) time.Duration {
+		if n == 0 {
+			return 0
+		}
+		return (d / time.Duration(n)).Round(time.Microsecond)
+	}
+	full := p.UnitsPopulated + p.UnitsRepopulated - p.UnitsMerged
+	fmt.Printf("  builds: %d full (%v each), %d by merge (%v each); rows read %d, carried over %d; last interval +%d full +%d merged, read %d carried %d\n",
+		full, per(p.FullBuildTime, full), p.UnitsMerged, per(p.MergeBuildTime, p.UnitsMerged),
+		p.RowsReread, p.RowsCarried,
+		full-(q.UnitsPopulated+q.UnitsRepopulated-q.UnitsMerged), p.UnitsMerged-q.UnitsMerged,
+		p.RowsReread-q.RowsReread, p.RowsCarried-q.RowsCarried)
+}
+
 const headerEvery = 20
 
 func header() {
@@ -369,6 +414,7 @@ func main() {
 		health   = flag.Bool("health", false, "show the watchdog verdict and per-stage liveness table under each sample")
 		fleetP   = flag.Bool("fleet", false, "show the reader-fleet table and router totals under each sample")
 		ckptP    = flag.Bool("checkpoint", false, "show the IMCS checkpointer and restore counters under each sample")
+		imcsP    = flag.Bool("imcs", false, "show the column store's contents and its rebuild costs (full/merge, rows read/carried) under each sample")
 	)
 	flag.Parse()
 
@@ -429,6 +475,9 @@ func main() {
 		}
 		if *ckptP {
 			printCheckpoint(cur.Checkpoint)
+		}
+		if *imcsP {
+			printIMCS(cur, prev)
 		}
 		prev, prevAt = cur, now
 	}

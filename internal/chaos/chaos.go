@@ -110,6 +110,13 @@ type Options struct {
 	// a forced checkpoint → churn → crash-restart sequence so every seed
 	// exercises the restore path before the final quiesce oracle.
 	Checkpoints bool
+	// ConstantMerge sets the standby's repopulation and tail thresholds to
+	// 1 %, so that a unit is rebuilt after nearly every change to it and a
+	// long run repopulates by merge hundreds of times: across transport
+	// faults, on units a crash-restart restored from a checkpoint, and — by a
+	// full build, there being nothing valid to carry over — on units a restart
+	// coarse-invalidated.
+	ConstantMerge bool
 }
 
 // Result summarizes a successful run.
@@ -158,6 +165,11 @@ type Result struct {
 	CheckpointRestores  int64
 	CheckpointFallbacks int64
 	SnapshotsCorrupted  int
+	// Repopulations of the master's units over all incarnations: by merge
+	// (unchanged rows carried over from the old IMCU), and by reading every
+	// row (coarse-invalid units).
+	UnitsMerged  int64
+	FullRebuilds int64
 }
 
 // rowsPerBlock / base workload shape: small blocks and IMCUs so a modest row
@@ -208,6 +220,9 @@ type Runner struct {
 	flt       *fleet.Manager
 	midAdded  map[int]bool
 	fleetSize int
+
+	// tallied is what tallyBuilds last read from each population engine.
+	tallied map[*imcs.Engine]imcs.EngineStats
 
 	// ckptDir is the run's snapshot directory (Options.Checkpoints only),
 	// removed at teardown.
@@ -265,9 +280,10 @@ func Run(opts Options) (*Result, error) {
 		opts.Steps = 20
 	}
 	r := &Runner{
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		nextID: 1_000_000, // far above the base rows; never collides
+		opts:    opts,
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		nextID:  1_000_000, // far above the base rows; never collides
+		tallied: map[*imcs.Engine]imcs.EngineStats{},
 		// The standby's RAC shape is a function of the seed, like the scan
 		// tuning: 0, 1 or 2 home-share readers beside the master.
 		res: Result{Seed: opts.Seed, Steps: opts.Steps, ShareReaders: int(uint64(opts.Seed) % 3)},
@@ -336,6 +352,9 @@ func (r *Runner) setup() error {
 		WatchdogInterval:      50 * time.Millisecond,
 		WatchdogStallDeadline: 8 * time.Second,
 		HomeInstances:         r.res.ShareReaders + 1,
+	}
+	if r.opts.ConstantMerge {
+		cfg.RepopThreshold, cfg.TailThreshold = 0.01, 0.01
 	}
 	if r.opts.Checkpoints {
 		dir, err := os.MkdirTemp("", "chaos-ckpt-")
@@ -842,6 +861,7 @@ func (r *Runner) quiescePoint() error {
 // SCN, so the redial keeps the archived-log window the restore needs.
 func (r *Runner) crashRestart() error {
 	r.res.Restarts++
+	r.tallyBuilds() // the restart replaces the population engine
 	// The incarnation ends here: with a checkpoint configured the restore
 	// rolls QuerySCN back to the snapshot's SCN, which the monitor must treat
 	// as a fresh baseline, not a monotonicity violation.
@@ -979,6 +999,22 @@ func (r *Runner) transition() error {
 	return nil
 }
 
+// tallyBuilds adds to the result the repopulations the master's and the
+// home-share readers' engines have done since it last saw them. It runs before
+// a restart replaces the master's engine, and at the end.
+func (r *Runner) tallyBuilds() {
+	engines := []*imcs.Engine{r.sby.Engine()}
+	for _, rd := range r.flt.ShareReaders() {
+		engines = append(engines, rd.Engine())
+	}
+	for _, e := range engines {
+		st, was := e.Stats(), r.tallied[e]
+		r.res.UnitsMerged += st.UnitsMerged - was.UnitsMerged
+		r.res.FullRebuilds += (st.UnitsRepopulated - st.UnitsMerged) - (was.UnitsRepopulated - was.UnitsMerged)
+		r.tallied[e] = st
+	}
+}
+
 func (r *Runner) collectCounters() {
 	if r.injector != nil {
 		r.res.FaultCounts = r.injector.Counts()
@@ -1009,6 +1045,9 @@ func (r *Runner) teardown() {
 	}
 	if r.monitor != nil {
 		r.monitor.stop()
+	}
+	if r.sby != nil {
+		r.tallyBuilds()
 	}
 	if r.flt != nil {
 		r.flt.Shutdown() // idempotent; a failover already drained it

@@ -203,6 +203,29 @@ func TestChaosCheckpointsTCP(t *testing.T) {
 	}
 }
 
+// TestChaosConstantMerge runs long storms with repopulation triggered by 1 % of
+// a unit's rows: nearly every equivalence check then reads images that are the
+// product of many merges. One storm has the snapshot hazards in-process — units
+// restored from a checkpoint are merged, units a restart coarse-invalidated are
+// rebuilt in full — the other the transport faults over TCP. (Both at once, for
+// this many steps, diverge with or without merging; see ROADMAP.)
+func TestChaosConstantMerge(t *testing.T) {
+	for _, seed := range seeds() {
+		for _, opts := range []Options{
+			{Steps: 250, Checkpoints: true},
+			{Steps: 150, UseTCP: true, ReorderWindow: 4},
+		} {
+			opts.Seed, opts.CrashRestarts, opts.ConstantMerge = seed, true, true
+			res := runSeed(t, opts)
+			if res.UnitsMerged < 100 {
+				t.Fatalf("seed %d: %d repopulations by merge (%d full), want hundreds", seed, res.UnitsMerged, res.FullRebuilds)
+			}
+			t.Logf("seed %d: %d checks, %d restarts, %d restores, %d reconnects, %d merges, %d full rebuilds",
+				seed, res.Checks, res.Restarts, res.CheckpointRestores, res.Reconnects, res.UnitsMerged, res.FullRebuilds)
+		}
+	}
+}
+
 // TestChaosFailover runs the storm over TCP and then fails over under load:
 // the standby is promoted while redo is still in flight and its retained
 // store must agree with the row store, before and after new DML.

@@ -116,7 +116,51 @@ func writeCheckpoint(t *testing.T, f *fixture, dir string) ([]imcs.UnitImage, ch
 // column encoding (plain bit-packed, RLE, constant-width dictionary codes,
 // packed dictionary codes) plus the validity bitmaps.
 func TestCheckpointRoundTripEncodings(t *testing.T) {
+	checkRoundTrip(t, newFixture(t, 200))
+}
+
+// TestCheckpointRoundTripMergedUnits repeats the round trip over units that
+// repopulation has merged twice: their columns were re-encoded from carried
+// and re-read values, their dictionaries merged, pruned or shared with the
+// image before.
+func TestCheckpointRoundTripMergedUnits(t *testing.T) {
 	f := newFixture(t, 200)
+	s := f.tbl.Schema()
+	seg := f.tbl.Segments()[0]
+	units := int64(len(f.store.Units(seg.Obj())))
+	for round := int64(1); round <= 2; round++ {
+		tx := f.c.Instance(0).Begin()
+		var rids []rowstore.RowID
+		for id := round; id < 200; id += 3 {
+			if err := tx.UpdateByID(f.tbl, id, []uint16{1, 2, 4}, func(r *rowstore.Row) {
+				r.Nums[s.Col(1).Slot()] += round         // breaks runs
+				r.Nums[s.Col(2).Slot()] = -id * round    // widens the frame
+				r.Strs[s.Col(4).Slot()] = "zz-new-value" // new to the dictionary; "blue" loses references
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rid, _ := f.tbl.Index().Get(id)
+			rids = append(rids, rid)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, rid := range rids {
+			f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+		}
+		f.eng.Scan()
+		if !f.eng.WaitIdle(5 * time.Second) {
+			t.Fatal("repopulation did not reach idle")
+		}
+		if got := f.eng.Stats().UnitsMerged; got != units*round {
+			t.Fatalf("round %d: %d units merged so far, want %d", round, got, units*round)
+		}
+	}
+	checkRoundTrip(t, f)
+}
+
+func checkRoundTrip(t *testing.T, f *fixture) {
+	t.Helper()
 	images := f.store.CaptureImages()
 	if len(images) < 2 {
 		t.Fatalf("want multiple units, got %d", len(images))

@@ -6,7 +6,9 @@ package imcs
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // bitPacked is a frame-of-reference, bit-packed vector of n values: value i is
@@ -19,9 +21,8 @@ type bitPacked struct {
 }
 
 func packInts(vals []int64) bitPacked {
-	p := bitPacked{n: len(vals)}
 	if len(vals) == 0 {
-		return p
+		return bitPacked{}
 	}
 	mn, mx := vals[0], vals[0]
 	for _, v := range vals[1:] {
@@ -32,22 +33,38 @@ func packInts(vals []int64) bitPacked {
 			mx = v
 		}
 	}
-	p.min = mn
-	span := uint64(mx - mn)
-	p.width = uint8(bits.Len64(span))
+	return packRange(vals, mn, mx)
+}
+
+// packRange packs vals, whose smallest and largest values the caller already
+// knows to be mn and mx. Value i occupies bits [i*width, (i+1)*width) of the
+// little-endian word vector; the words are assembled in a register and stored
+// once each.
+func packRange(vals []int64, mn, mx int64) bitPacked {
+	p := bitPacked{n: len(vals), min: mn}
+	p.width = uint8(bits.Len64(uint64(mx - mn)))
 	if p.width == 0 {
 		return p // constant column: min carries the value
 	}
 	p.words = make([]uint64, (len(vals)*int(p.width)+63)/64)
 	w := uint(p.width)
-	for i, v := range vals {
+	var acc uint64
+	var used uint // bits of acc already filled
+	wi := 0
+	for _, v := range vals {
 		u := uint64(v - mn)
-		bitPos := uint(i) * w
-		word, off := bitPos/64, bitPos%64
-		p.words[word] |= u << off
-		if off+w > 64 {
-			p.words[word+1] |= u >> (64 - off)
+		acc |= u << used
+		if used+w >= 64 {
+			p.words[wi] = acc
+			wi++
+			acc = u >> (64 - used) // the part of u that did not fit; 0 when used == 0
+			used = used + w - 64
+		} else {
+			used += w
 		}
+	}
+	if used > 0 {
+		p.words[wi] = acc
 	}
 	return p
 }
@@ -101,8 +118,9 @@ type rle struct {
 	runEnds []uint32
 }
 
-func packRLE(vals []int64) rle {
-	r := rle{n: len(vals)}
+// packRLE run-length encodes vals, which the caller counted to hold runs runs.
+func packRLE(vals []int64, runs int) rle {
+	r := rle{n: len(vals), runVals: make([]int64, 0, runs), runEnds: make([]uint32, 0, runs)}
 	for i := 0; i < len(vals); {
 		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
@@ -174,9 +192,9 @@ func EncodeNums(vals []int64) *NumColumn {
 	// RLE pays off when average run length is long.
 	if len(vals)/runs >= 8 {
 		c.useRLE = true
-		c.runs = packRLE(vals)
+		c.runs = packRLE(vals, runs)
 	} else {
-		c.packed = packInts(vals)
+		c.packed = packRange(vals, c.min, c.max)
 	}
 	return c
 }
@@ -223,29 +241,238 @@ type StrColumn struct {
 
 // EncodeStrs builds a dictionary-encoded column.
 func EncodeStrs(vals []string) *StrColumn {
-	c := &StrColumn{n: len(vals)}
-	if len(vals) == 0 {
-		return c
-	}
-	uniq := make(map[string]struct{}, len(vals)/4+1)
-	for _, v := range vals {
-		uniq[v] = struct{}{}
-	}
-	c.dict = make([]string, 0, len(uniq))
-	for v := range uniq {
-		c.dict = append(c.dict, v)
-	}
-	sort.Strings(c.dict)
-	codeOf := make(map[string]int64, len(c.dict))
-	for i, v := range c.dict {
-		codeOf[v] = int64(i)
-	}
+	var d dictBuilder
+	d.reset(nil)
 	codes := make([]int64, len(vals))
 	for i, v := range vals {
-		codes[i] = codeOf[v]
+		codes[i] = d.code(v, sortKey(v), -1)
 	}
-	c.codes = packInts(codes)
-	return c
+	return newStrColumn(d.finish(codes, new(dictWork)), codes)
+}
+
+// newStrColumn packs codes, which index the sorted dictionary dict and
+// between them reference every entry of it.
+func newStrColumn(dict []string, codes []int64) *StrColumn {
+	if len(codes) == 0 {
+		return &StrColumn{}
+	}
+	return &StrColumn{n: len(codes), dict: dict, codes: packRange(codes, 0, int64(len(dict)-1))}
+}
+
+// dictBuilder builds one varchar column's sorted dictionary as a merge: the
+// dictionary of the image being replaced (empty when there is none) plus the
+// values of the rows that were read again. While the rows are read it hands
+// out provisional codes — a value of the old dictionary keeps its old code, a
+// new value gets len(old) + its first-seen order — and finish turns them into
+// codes of the new dictionary. Its memory is reused from column to column.
+type dictBuilder struct {
+	old   []string   // sorted dictionary of the replaced image
+	fresh []string   // new values in first-seen order
+	table []dictSlot // open-addressing hash table over fresh; a power of two long, at most half full
+}
+
+// dictWork is what finish needs beyond the dictBuilder; one serves any number
+// of columns in turn.
+type dictWork struct {
+	order []dictSlot // the new values, sorted
+	spare []dictSlot // the radix sort's other buffer
+	used  []bool     // per provisional code: some position holds it
+	remap []int64    // provisional code → code in the new dictionary
+}
+
+// dictSlot describes one new value: its sort key, its length, and 1 + its
+// index in fresh (0 marks an empty slot of the hash table). Key and length
+// identify a value of up to eight bytes, so a probe that ends on such a value
+// reads nothing but the slot.
+type dictSlot struct {
+	key uint64
+	n   int32
+	id  int32
+}
+
+// sortKey returns the first eight bytes of s as a big-endian number, zero
+// padded: keys order as their strings do wherever the keys differ, and two
+// strings of equal length up to eight with equal keys are equal.
+func sortKey(s string) uint64 {
+	if len(s) >= 8 {
+		_ = s[7]
+		return uint64(s[7]) | uint64(s[6])<<8 | uint64(s[5])<<16 | uint64(s[4])<<24 |
+			uint64(s[3])<<32 | uint64(s[2])<<40 | uint64(s[1])<<48 | uint64(s[0])<<56
+	}
+	var k uint64
+	for i := 0; i < len(s); i++ {
+		k |= uint64(s[i]) << (56 - 8*uint(i))
+	}
+	return k
+}
+
+// hashValue hashes s, whose sort key is key, eight bytes to a multiplication.
+// The loop is kept out of it so that the short case inlines.
+func hashValue(key uint64, s string) uint64 {
+	if len(s) > 8 {
+		return hashLong(key, s)
+	}
+	return (key ^ uint64(len(s))) * hashMul >> 32
+}
+
+const hashMul = 0x9E3779B97F4A7C15
+
+func hashLong(key uint64, s string) uint64 {
+	h := (key ^ uint64(len(s))) * hashMul
+	for i := 8; i < len(s); i += 8 {
+		h = (h ^ h>>32 ^ sortKey(s[i:])) * hashMul
+	}
+	return h >> 32
+}
+
+const minDictTable = 2048
+
+// reset starts a column whose replaced image had dictionary old.
+func (d *dictBuilder) reset(old []string) {
+	d.old = old
+	if d.table == nil {
+		d.table = make([]dictSlot, minDictTable)
+	}
+	clear(d.table)
+	clear(d.fresh)
+	d.fresh = d.fresh[:0]
+}
+
+// code returns the provisional code of v, whose sort key is key. hint is the
+// code the position held in the replaced image (anything else when it held
+// none): a row read again mostly still has its old value in most columns, and
+// then one comparison settles it. Other values of the old dictionary are found
+// by binary search, new ones cost one hash probe.
+func (d *dictBuilder) code(v string, key uint64, hint int64) int64 {
+	if uint64(hint) < uint64(len(d.old)) && d.old[hint] == v {
+		return hint
+	}
+	if i, found := slices.BinarySearch(d.old, v); found {
+		return int64(i)
+	}
+	mask := uint64(len(d.table) - 1)
+	i := hashValue(key, v) & mask
+	for ; d.table[i].id != 0; i = (i + 1) & mask {
+		if sl := d.table[i]; sl.key == key && int(sl.n) == len(v) && (len(v) <= 8 || d.fresh[sl.id-1] == v) {
+			return int64(len(d.old)) + int64(sl.id-1)
+		}
+	}
+	d.fresh = append(d.fresh, v)
+	d.table[i] = dictSlot{key, int32(len(v)), int32(len(d.fresh))}
+	if 2*len(d.fresh) > len(d.table) {
+		small := d.table
+		d.table = make([]dictSlot, 2*len(small))
+		mask = uint64(len(d.table) - 1)
+		for _, sl := range small {
+			if sl.id == 0 {
+				continue
+			}
+			i := hashValue(sl.key, d.fresh[sl.id-1]) & mask
+			for d.table[i].id != 0 {
+				i = (i + 1) & mask
+			}
+			d.table[i] = sl
+		}
+	}
+	return int64(len(d.old) + len(d.fresh) - 1)
+}
+
+// sortFresh fills w.order with the new values sorted: a byte-wise radix sort
+// of the sort keys over the bytes in which they differ at all, then a
+// comparison sort of whatever shares a key (values longer than eight bytes
+// with a common prefix).
+func (d *dictBuilder) sortFresh(w *dictWork) {
+	n := len(d.fresh)
+	w.order = slices.Grow(w.order[:0], n)[:0]
+	var differ uint64
+	for _, sl := range d.table {
+		if sl.id != 0 {
+			w.order = append(w.order, sl)
+			differ |= sl.key ^ w.order[0].key
+		}
+	}
+	w.spare = slices.Grow(w.spare[:0], n)[:n]
+	from, to := w.order, w.spare
+	for shift := uint(0); shift < 64; shift += 8 {
+		if differ>>shift&0xff == 0 {
+			continue
+		}
+		var start [257]int32
+		for _, sl := range from {
+			start[(sl.key>>shift&0xff)+1]++
+		}
+		for b := 1; b < 256; b++ {
+			start[b] += start[b-1]
+		}
+		for _, sl := range from {
+			b := sl.key >> shift & 0xff
+			to[start[b]] = sl
+			start[b]++
+		}
+		from, to = to, from
+	}
+	w.order, w.spare = from, to
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && from[hi].key == from[lo].key {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(from[lo:hi], func(a, b dictSlot) int {
+				return strings.Compare(d.fresh[a.id-1], d.fresh[b.id-1])
+			})
+		}
+		lo = hi
+	}
+}
+
+// finish rewrites the provisional codes in codes to codes of the new
+// dictionary and returns it: the old entries some position still holds merged
+// with the new values, sorted. Entries nothing references any more are left
+// out, so the storage index and the footprint do not drift over many merges. A
+// dictionary that comes out unchanged is shared with the replaced image
+// (dictionaries are immutable).
+func (d *dictBuilder) finish(codes []int64, w *dictWork) []string {
+	nOld, nFresh := len(d.old), len(d.fresh)
+	used := slices.Grow(w.used[:0], nOld+nFresh)[:nOld+nFresh]
+	w.used = used
+	clear(used)
+	for _, c := range codes {
+		used[c] = true
+	}
+	kept := 0
+	for _, u := range used[:nOld] {
+		if u {
+			kept++
+		}
+	}
+	if nFresh == 0 && kept == nOld {
+		return d.old
+	}
+	d.sortFresh(w)
+	remap := slices.Grow(w.remap[:0], nOld+nFresh)[:nOld+nFresh]
+	w.remap = remap
+	dict := make([]string, 0, kept+nFresh)
+	i, j := 0, 0
+	for i < nOld || j < nFresh {
+		switch {
+		case i < nOld && !used[i]:
+			i++
+		case j == nFresh || (i < nOld && d.old[i] < d.fresh[w.order[j].id-1]):
+			remap[i] = int64(len(dict))
+			dict = append(dict, d.old[i])
+			i++
+		default:
+			id := int(w.order[j].id - 1)
+			remap[nOld+id] = int64(len(dict))
+			dict = append(dict, d.fresh[id])
+			j++
+		}
+	}
+	for k, c := range codes {
+		codes[k] = remap[c]
+	}
+	return dict
 }
 
 // Len returns the number of values.

@@ -51,7 +51,7 @@ func TestBitPackPartialDecode(t *testing.T) {
 
 func TestRLERoundTrip(t *testing.T) {
 	vals := []int64{5, 5, 5, 1, 1, 9, 9, 9, 9, 9, 2}
-	r := packRLE(vals)
+	r := packRLE(vals, 4)
 	for i, want := range vals {
 		if got := r.get(i); got != want {
 			t.Fatalf("rle.get(%d) = %d, want %d", i, got, want)

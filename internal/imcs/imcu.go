@@ -1,6 +1,8 @@
 package imcs
 
 import (
+	"slices"
+
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 )
@@ -36,7 +38,7 @@ type IMCU struct {
 
 	// present marks row positions whose slot held a visible row at SnapSCN.
 	// Absent positions (uncommitted inserts or deleted rows at the snapshot)
-	// hold zero values in the column vectors and are skipped by scans.
+	// hold each column's smallest present value and are skipped by scans.
 	present []uint64
 
 	// numCols[s] is the compressed column for number-slot s of the captured
@@ -133,8 +135,45 @@ func (u *IMCU) computeMemSize() int {
 	return sz
 }
 
-// Builder accumulates rows for one IMCU during population. It is used by a
-// single population worker and is not safe for concurrent use.
+// Column vectors are gathered and encoded a tile of columns at a time: a tile
+// of number columns shares the cache lines of a row image's Nums, a tile of
+// varchar columns those of its string headers, so a row image is pulled through
+// the cache once per tile instead of once per column.
+const (
+	numTile = 8 // eight int64 values fill one cache line
+	strTile = 8 // eight string headers fill two cache lines
+)
+
+// buildScratch is the working memory of IMCU builds. A population worker owns
+// one and reuses it from build to build, so a build allocates what the IMCU
+// keeps and little else.
+type buildScratch struct {
+	// The re-read set: rows[i] is the image visible at the snapshot of row
+	// position pos[i]; absent lists the positions with no visible row. Both
+	// position lists ascend.
+	rows   []rowstore.Row
+	pos    []int32
+	absent []int32
+	// slots and oks are one block's re-read slots and Block.ReadRows'
+	// visibility flags for them.
+	slots []uint16
+	oks   []bool
+	// segs lists the runs of row positions carried over from the old image.
+	segs []carrySeg
+	// vals holds one tile of column vectors, numTile*rows values.
+	vals  []int64
+	dicts [strTile]dictBuilder
+	work  dictWork
+}
+
+// carrySeg is a run of n row positions of the old image starting at from that
+// the new image holds starting at to.
+type carrySeg struct{ from, to, n int }
+
+// Builder assembles one IMCU as a merge: the column values of an old image of
+// the same block range (none for a first build) plus a re-read set of rows
+// whose images replace or extend it. It is used by a single population worker
+// and is not safe for concurrent use.
 type Builder struct {
 	obj      rowstore.ObjID
 	tenant   rowstore.TenantID
@@ -143,22 +182,31 @@ type Builder struct {
 	endBlk   rowstore.BlockNo
 	schema   *rowstore.Schema
 
+	old *IMCU // image carried over; nil for none
+	sc  *buildScratch
+
 	blockRows []uint16
-	present   []bool
-	nums      [][]int64
-	strs      [][]string
+	nRows     int // row positions announced by BeginBlock so far
+	next      int // position AddRow fills next
 }
 
-// NewBuilder starts an IMCU build for the given segment range at snapshot
-// snap.
+// NewBuilder starts a full IMCU build for the given segment range at snapshot
+// snap: every row is added with AddRow.
 func NewBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.Schema, snap scn.SCN, startBlk, endBlk rowstore.BlockNo) *Builder {
-	b := &Builder{
+	return newBuilder(obj, tenant, schema, snap, startBlk, endBlk, nil, new(buildScratch))
+}
+
+// newBuilder starts a build that carries old's values over for every row
+// position the caller does not put into the re-read set; old may be nil, and
+// then every position must be. The re-read set lives in sc until Build.
+func newBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.Schema, snap scn.SCN, startBlk, endBlk rowstore.BlockNo, old *IMCU, sc *buildScratch) *Builder {
+	sc.rows, sc.pos, sc.absent = sc.rows[:0], sc.pos[:0], sc.absent[:0]
+	return &Builder{
 		obj: obj, tenant: tenant, snap: snap, schema: schema,
 		startBlk: startBlk, endBlk: endBlk,
-		nums: make([][]int64, schema.NumberSlots()),
-		strs: make([][]string, schema.VarcharSlots()),
+		old: old, sc: sc,
+		blockRows: make([]uint16, 0, int(endBlk-startBlk)),
 	}
-	return b
 }
 
 // BeginBlock starts the next block (must be called in block order for every
@@ -166,57 +214,202 @@ func NewBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.S
 // not be added).
 func (b *Builder) BeginBlock(capturedSlots int) {
 	b.blockRows = append(b.blockRows, uint16(capturedSlots))
+	b.next = b.nRows
+	b.nRows += capturedSlots
 }
 
-// AddRow appends the row at the next slot of the current block. row may be
-// the zero Row when ok is false (slot not visible at the snapshot).
+// AddRow puts the next slot of the current block into the re-read set. row
+// may be the zero Row when ok is false (slot not visible at the snapshot).
 func (b *Builder) AddRow(row rowstore.Row, ok bool) {
-	b.present = append(b.present, ok)
-	for s := range b.nums {
-		var v int64
-		if ok {
-			v = row.Nums[s]
-		}
-		b.nums[s] = append(b.nums[s], v)
-	}
-	for s := range b.strs {
-		var v string
-		if ok {
-			v = row.Strs[s]
-		}
-		b.strs[s] = append(b.strs[s], v)
+	b.add(b.next, row, ok)
+	b.next++
+}
+
+func (b *Builder) add(pos int, row rowstore.Row, ok bool) {
+	sc := b.sc
+	if ok {
+		sc.rows = append(sc.rows, row)
+		sc.pos = append(sc.pos, int32(pos))
+	} else {
+		sc.absent = append(sc.absent, int32(pos))
 	}
 }
 
-// Build compresses the accumulated data into an immutable IMCU.
+// readBlock starts the next block, of n slots, and puts the given slots of it
+// (ascending) into the re-read set with their images at the build's snapshot,
+// all read under one block latch.
+func (b *Builder) readBlock(blk *rowstore.Block, n int, slots []uint16, view rowstore.TxnView) {
+	base := b.nRows
+	b.BeginBlock(n)
+	sc := b.sc
+	// Read into the tail of rows, then keep the visible ones in place.
+	at := len(sc.rows)
+	sc.rows = slices.Grow(sc.rows, len(slots))
+	sc.oks = slices.Grow(sc.oks[:0], len(slots))[:len(slots)]
+	images := sc.rows[at : at+len(slots)]
+	blk.ReadRows(slots, b.snap, view, scn.InvalidTxn, images, sc.oks)
+	for i, slot := range slots {
+		b.add(base+int(slot), images[i], sc.oks[i])
+	}
+}
+
+// carrySegs lists, into scratch, where the old image's row positions lie in
+// the new one. Blocks only ever gain slots, so a block keeps its old rows at
+// the head of its new range; neighbouring blocks shifted by the same distance
+// (all of them, when no block grew) form one run.
+func (b *Builder) carrySegs(rowBase []uint32) []carrySeg {
+	segs := b.sc.segs[:0]
+	if b.old != nil {
+		for i, n := range b.old.blockRows {
+			from, to := int(b.old.rowBase[i]), int(rowBase[i])
+			if k := len(segs) - 1; k >= 0 && segs[k].from+segs[k].n == from && segs[k].to+segs[k].n == to {
+				segs[k].n += int(n)
+			} else if n > 0 {
+				segs = append(segs, carrySeg{from, to, int(n)})
+			}
+		}
+	}
+	b.sc.segs = segs
+	return segs
+}
+
+// Build encodes the new image: per column, the old image's values decoded
+// into their new positions, the re-read rows' values written over them, the
+// vector compressed again.
 func (b *Builder) Build() *IMCU {
+	sc := b.sc
+	n := b.nRows
 	u := &IMCU{
 		Obj: b.obj, Tenant: b.tenant, SnapSCN: b.snap,
 		StartBlk: b.startBlk, EndBlk: b.endBlk,
 		blockRows: b.blockRows,
 		schema:    b.schema,
-		nRows:     len(b.present),
+		nRows:     n,
 	}
 	u.rowBase = make([]uint32, len(b.blockRows))
 	base := uint32(0)
-	for i, n := range b.blockRows {
+	for i, c := range b.blockRows {
 		u.rowBase[i] = base
-		base += uint32(n)
+		base += uint32(c)
 	}
-	u.present = make([]uint64, (u.nRows+63)/64)
-	for i, ok := range b.present {
-		if ok {
-			u.present[i/64] |= 1 << (i % 64)
+	// Every position is either carried over, and then it was present in the
+	// old image (its presence gaps are in the re-read set), or was read again.
+	u.present = make([]uint64, (n+63)/64)
+	for w := range u.present {
+		u.present[w] = ^uint64(0)
+	}
+	if rem := n % 64; rem != 0 {
+		u.present[len(u.present)-1] = 1<<uint(rem) - 1
+	}
+	for _, p := range sc.absent {
+		u.present[p/64] &^= 1 << uint(p%64)
+	}
+	// Absent positions take a present row's value (scans never read them): the
+	// column's minimum, so that they add nothing to the dictionaries and do not
+	// widen the storage index. donor is some present position, -1 if none.
+	donor := 0
+	for _, p := range sc.absent {
+		if int(p) != donor {
+			break
+		}
+		donor++
+	}
+	if donor >= n {
+		donor = -1
+	}
+	segs := b.carrySegs(u.rowBase)
+	sc.vals = slices.Grow(sc.vals[:0], numTile*n)[:numTile*n]
+
+	u.numCols = make([]*NumColumn, b.schema.NumberSlots())
+	for s0 := 0; s0 < len(u.numCols); s0 += numTile {
+		g := min(numTile, len(u.numCols)-s0)
+		for k := 0; k < g; k++ {
+			col := sc.vals[k*n : (k+1)*n]
+			for _, sg := range segs {
+				b.old.numCols[s0+k].Decode(col[sg.to:sg.to+sg.n], sg.from)
+			}
+		}
+		for i, p := range sc.pos {
+			for k, v := range sc.rows[i].Nums[s0 : s0+g] {
+				sc.vals[k*n+int(p)] = v
+			}
+		}
+		for k := 0; k < g; k++ {
+			col := sc.vals[k*n : (k+1)*n]
+			fillAbsentNums(col, sc.absent, donor)
+			u.numCols[s0+k] = EncodeNums(col)
 		}
 	}
-	u.numCols = make([]*NumColumn, len(b.nums))
-	for s, vals := range b.nums {
-		u.numCols[s] = EncodeNums(vals)
+
+	u.strCols = make([]*StrColumn, b.schema.VarcharSlots())
+	for s0 := 0; s0 < len(u.strCols); s0 += strTile {
+		g := min(strTile, len(u.strCols)-s0)
+		for k := 0; k < g; k++ {
+			col := sc.vals[k*n : (k+1)*n]
+			var oldDict []string
+			if len(segs) > 0 {
+				oc := b.old.strCols[s0+k]
+				oldDict = oc.dict
+				for _, sg := range segs {
+					oc.DecodeCodes(col[sg.to:sg.to+sg.n], sg.from)
+				}
+			}
+			sc.dicts[k].reset(oldDict)
+		}
+		for i, p := range sc.pos {
+			for k, v := range sc.rows[i].Strs[s0 : s0+g] {
+				at := &sc.vals[k*n+int(p)]
+				*at = sc.dicts[k].code(v, sortKey(v), *at)
+			}
+		}
+		for k := 0; k < g; k++ {
+			col := sc.vals[k*n : (k+1)*n]
+			d := &sc.dicts[k]
+			if len(sc.absent) > 0 {
+				var fill int64
+				if donor >= 0 {
+					fill = col[donor]
+				} else {
+					fill = d.code("", 0, -1) // no row present at all
+				}
+				for _, p := range sc.absent {
+					col[p] = fill
+				}
+			}
+			dict := d.finish(col, &sc.work)
+			for _, p := range sc.absent {
+				col[p] = 0
+			}
+			u.strCols[s0+k] = newStrColumn(dict, col)
+		}
 	}
-	u.strCols = make([]*StrColumn, len(b.strs))
-	for s, vals := range b.strs {
-		u.strCols[s] = EncodeStrs(vals)
+	// Row images and the old dictionaries belong to others; do not keep them
+	// alive from scratch.
+	clear(sc.rows[:cap(sc.rows)])
+	for k := range sc.dicts {
+		sc.dicts[k].reset(nil)
 	}
 	u.memSize = u.computeMemSize()
 	return u
+}
+
+// fillAbsentNums gives the absent positions of a number column vector the
+// smallest value of the present ones (0 when no row is present).
+func fillAbsentNums(col []int64, absent []int32, donor int) {
+	if len(absent) == 0 {
+		return
+	}
+	mn := int64(0)
+	if donor >= 0 {
+		mn = col[donor]
+		for _, p := range absent {
+			col[p] = mn
+		}
+		for _, v := range col {
+			mn = min(mn, v)
+		}
+	}
+	for _, p := range absent {
+		col[p] = mn
+	}
 }

@@ -1,6 +1,8 @@
 package imcs
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,6 +18,16 @@ import (
 // commit-gate snapshot (any SCN is a consistency point); on the standby it is
 // the QuerySCN captured under the quiesce lock (§III.A: "the snapshot SCN of
 // an IMCU is always the QuerySCN established at the time").
+//
+// Contract: CaptureSnapshot returns S only after every invalidation of a
+// commit at or below S has reached the SMUs of this instance's store — the
+// same guarantee a scan at S needs to trust a unit's validity bitmap. The
+// primary invalidates under the commit gate the capture takes; the standby and
+// the fleet readers flush a QuerySCN's invalidations before they publish it,
+// and the quiesce lock keeps the capture out of a publication in progress.
+// Repopulation by merge rests on it: a row position that is valid in the SMU
+// after the capture has the same Consistent Read image at S as in the unit's
+// IMCU, so only the other positions are read again.
 type Snapshotter interface {
 	CaptureSnapshot() scn.SCN
 }
@@ -92,6 +104,18 @@ type EngineStats struct {
 	UnitsPopulated   int64
 	UnitsRepopulated int64
 	RowsPopulated    int64
+	// UnitsMerged counts the repopulations that kept the old image's values
+	// for the rows that had not changed; the other builds — first population,
+	// and repopulation of a coarse-invalid unit or after DDL — read every row.
+	UnitsMerged int64
+	// RowsReread and RowsCarried split the row positions of all builds into
+	// those read from the row store and those taken over from the old image.
+	RowsReread  int64
+	RowsCarried int64
+	// FullBuildTime and MergeBuildTime are the time spent in builds of either
+	// kind, snapshot capture to attach.
+	FullBuildTime  time.Duration
+	MergeBuildTime time.Duration
 }
 
 // Engine is the background population infrastructure: a scheduler (the
@@ -118,6 +142,11 @@ type Engine struct {
 	populated   atomic.Int64
 	repopulated atomic.Int64
 	rows        atomic.Int64
+	merged      atomic.Int64
+	reread      atomic.Int64
+	carried     atomic.Int64
+	fullNanos   atomic.Int64
+	mergeNanos  atomic.Int64
 }
 
 type popTask struct {
@@ -194,6 +223,11 @@ func (e *Engine) Stats() EngineStats {
 		UnitsPopulated:   e.populated.Load(),
 		UnitsRepopulated: e.repopulated.Load(),
 		RowsPopulated:    e.rows.Load(),
+		UnitsMerged:      e.merged.Load(),
+		RowsReread:       e.reread.Load(),
+		RowsCarried:      e.carried.Load(),
+		FullBuildTime:    time.Duration(e.fullNanos.Load()),
+		MergeBuildTime:   time.Duration(e.mergeNanos.Load()),
 	}
 }
 
@@ -340,25 +374,27 @@ func (e *Engine) enqueue(t popTask) bool {
 
 func (e *Engine) worker(id int) {
 	defer e.wg.Done()
+	sc := new(buildScratch) // this worker's, reused from build to build
 	for {
 		select {
 		case <-e.stop:
 			return
 		case t := <-e.tasks:
-			e.runTask(t, id)
+			e.runTask(t, id, sc)
 			e.pending.Add(-1)
 		}
 	}
 }
 
-func (e *Engine) runTask(t popTask, worker int) {
+func (e *Engine) runTask(t popTask, worker int, sc *buildScratch) {
 	start := time.Now()
-	imcu := e.BuildIMCU(t.target, t.unit)
+	imcu, reread := e.build(t.target, t.unit, t.repop, sc)
 	// Stamp the population→scan affinity hint before publication; the IMCU
 	// is immutable once attached.
 	imcu.PopulatedBy = worker
 	t.unit.Attach(imcu)
-	e.cfg.Trace.Observe(obs.StagePopulate, uint64(imcu.SnapSCN), time.Since(start))
+	took := time.Since(start)
+	e.cfg.Trace.Observe(obs.StagePopulate, uint64(imcu.SnapSCN), took)
 	if t.repop {
 		e.repopulated.Add(1)
 		e.repopInFlight.Add(-1)
@@ -366,33 +402,117 @@ func (e *Engine) runTask(t popTask, worker int) {
 		e.populated.Add(1)
 	}
 	e.rows.Add(int64(imcu.Rows()))
+	e.reread.Add(int64(reread))
+	if carried := imcu.Rows() - reread; carried > 0 {
+		e.merged.Add(1)
+		e.carried.Add(int64(carried))
+		e.mergeNanos.Add(int64(took))
+	} else {
+		e.fullNanos.Add(int64(took))
+	}
 }
 
-// BuildIMCU constructs an IMCU for a unit's block range by reading the row
-// store with Consistent Read at a freshly captured snapshot. The unit
-// (placeholder or repopulating) must already be installed so concurrent
-// invalidation flushes are buffered, not lost.
+// BuildIMCU constructs an IMCU for a unit's block range by reading every row
+// of it from the row store with Consistent Read at a freshly captured
+// snapshot. The unit (placeholder or repopulating) must already be installed
+// so concurrent invalidation flushes are buffered, not lost; the call has no
+// effect on it.
 func (e *Engine) BuildIMCU(t Target, unit *Unit) *IMCU {
+	imcu, _ := e.build(t, unit, false, new(buildScratch))
+	return imcu
+}
+
+// build constructs an IMCU for a unit's block range at a freshly captured
+// snapshot and reports how many row positions it read from the row store.
+// With merge it reads the unit as a scan at that snapshot would — the IMCU
+// and, copied after the capture, the validity bitmap with the presence gaps
+// overlaid — and takes the valid positions' values from the IMCU (see the
+// Snapshotter contract); the row store serves the rest: invalid rows, gaps,
+// and the slots and blocks the segment gained since. Invalidations of later
+// commits are buffered in the unit and land on the new image at Attach. A
+// unit that is coarse-invalid, whose IMCU predates a schema change, or whose
+// IMCU is of a later snapshot than this one (a restart took the QuerySCN back
+// to a checkpoint's under a reader that kept its store) has nothing to carry
+// over, like one that has no IMCU yet, and every row is read.
+func (e *Engine) build(t Target, unit *Unit, merge bool, sc *buildScratch) (*IMCU, int) {
 	snap := e.snap.CaptureSnapshot()
+	var old *IMCU
+	var stale []uint64
+	if merge {
+		imcu, invalid, usable := unit.ScanView()
+		if usable && imcu.schema == t.Table.Schema() && imcu.SnapSCN <= snap {
+			old, stale = imcu, invalid
+		}
+	}
+	b, ok := e.readRows(t, unit, snap, old, stale, sc)
+	if !ok {
+		// A truncate took blocks or slots of the old image from under it.
+		b, _ = e.readRows(t, unit, snap, nil, nil, sc)
+	}
+	return b.Build(), len(sc.pos) + len(sc.absent)
+}
+
+// readRows lays out the new image over the unit's blocks as the segment holds
+// them now and reads its re-read set: of the slots old captured, those stale
+// marks; every slot beyond. It fails when the segment no longer holds a slot
+// that old captured.
+func (e *Engine) readRows(t Target, unit *Unit, snap scn.SCN, old *IMCU, stale []uint64, sc *buildScratch) (*Builder, bool) {
 	seg := t.Seg
-	schema := t.Table.Schema()
-	b := NewBuilder(seg.Obj(), seg.Tenant(), schema, snap, unit.StartBlk, unit.EndBlk)
+	b := newBuilder(seg.Obj(), seg.Tenant(), t.Table.Schema(), snap, unit.StartBlk, unit.EndBlk, old, sc)
 	end := unit.EndBlk
 	if last := rowstore.BlockNo(seg.BlockCount()); end > last {
 		end = last
 	}
+	// Size the scratch for the most rows the range can hold, once, rather than
+	// let it grow block by block.
+	most := max(0, int(end-unit.StartBlk)) * seg.RowsPerBlock()
+	sc.rows, sc.pos = slices.Grow(sc.rows, most), slices.Grow(sc.pos, most)
 	for blkNo := unit.StartBlk; blkNo < end; blkNo++ {
 		blk := seg.Block(blkNo)
-		if blk == nil {
+		n := 0
+		if blk != nil {
+			n = blk.RowCount()
+		}
+		captured := 0
+		sc.slots = sc.slots[:0]
+		if old != nil {
+			captured = int(old.CapturedRows(blkNo))
+			if captured > n {
+				return nil, false
+			}
+			if captured > 0 {
+				base, _ := old.RowIndexOf(blkNo, 0)
+				sc.slots = appendSetBits(sc.slots, stale, base, base+captured)
+			}
+		}
+		for slot := captured; slot < n; slot++ {
+			sc.slots = append(sc.slots, uint16(slot))
+		}
+		if n == 0 {
 			b.BeginBlock(0)
 			continue
 		}
-		n := blk.RowCount()
-		b.BeginBlock(n)
-		for slot := 0; slot < n; slot++ {
-			row, ok := blk.ReadRow(uint16(slot), snap, e.view, scn.InvalidTxn)
-			b.AddRow(row, ok)
+		b.readBlock(blk, n, sc.slots, e.view)
+	}
+	if old != nil && len(b.blockRows) < len(old.blockRows) {
+		return nil, false
+	}
+	return b, true
+}
+
+// appendSetBits appends i-lo for every bit i in [lo, hi) set in bitmap.
+func appendSetBits(dst []uint16, bitmap []uint64, lo, hi int) []uint16 {
+	for w := lo / 64; w*64 < hi; w++ {
+		word := bitmap[w]
+		if w == lo/64 {
+			word &^= 1<<uint(lo%64) - 1
+		}
+		if rem := hi - w*64; rem < 64 {
+			word &= 1<<uint(rem) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, uint16(w*64+bits.TrailingZeros64(word)-lo))
 		}
 	}
-	return b.Build()
+	return dst
 }

@@ -80,6 +80,24 @@ func visible(v *version, snap scn.SCN, view TxnView, self scn.TxnID) bool {
 func (b *Block) ReadRow(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (row Row, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
+	return b.readRowLocked(slot, snap, view, self)
+}
+
+// ReadRows is ReadRow for many slots under one block latch: rows[i], ok[i]
+// receive what ReadRow(slots[i], ...) returns, so the images are mutually
+// consistent as of snap and the caller pays one latch per block, not one per
+// row. rows and ok must be at least as long as slots.
+func (b *Block) ReadRows(slots []uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Row, ok []bool) {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	for i, slot := range slots {
+		rows[i], ok[i] = b.readRowLocked(slot, snap, view, self)
+	}
+}
+
+// readRowLocked walks slot's version chain to the newest version visible at
+// snap; caller holds b.mu.
+func (b *Block) readRowLocked(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (Row, bool) {
 	if int(slot) >= len(b.rows) {
 		return Row{}, false
 	}

@@ -144,3 +144,75 @@ func TestDifferentialMidScanInvalidations(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestDifferentialAfterMerges runs the sweep over units that repopulation has
+// merged twice — updates to values old and new to the dictionaries, deletes,
+// and inserts past the captured rows in between — and checks every shape
+// against the row store as well: a merged image must serve what a fresh one
+// would.
+func TestDifferentialAfterMerges(t *testing.T) {
+	f := newFixture(t, 1200, true)
+	s := f.tbl.Schema()
+	seg := f.tbl.Segments()[0]
+	units := int64(len(f.store.Units(seg.Obj())))
+	for round := int64(1); round <= 2; round++ {
+		tx := f.c.Instance(0).Begin()
+		var touched []int64
+		for id := round; id < 1200; id += 5 {
+			if _, ok := f.tbl.Index().Get(id); !ok {
+				continue // deleted in the round before
+			}
+			if err := tx.UpdateByID(f.tbl, id, []uint16{1, 2}, func(r *rowstore.Row) {
+				r.Nums[s.Col(1).Slot()] += 7 * round
+				r.Strs[s.Col(2).Slot()] = []string{"blue", "teal", "zinc"}[int64(id)%3]
+			}); err != nil {
+				t.Fatal(err)
+			}
+			touched = append(touched, id)
+		}
+		for id := 100 * round; id < 1200; id += 211 {
+			rid, _ := f.tbl.Index().Get(id)
+			if err := tx.DeleteByID(f.tbl, id); err != nil {
+				t.Fatal(err)
+			}
+			f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range touched {
+			rid, _ := f.tbl.Index().Get(id)
+			f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+		}
+		f.insert(t, 1200+10*(round-1), 1200+10*round) // tail rows of the last unit
+		f.eng.Scan()
+		if !f.eng.WaitIdle(5 * time.Second) {
+			t.Fatal("repopulation did not settle")
+		}
+		if got := f.eng.Stats().UnitsMerged; got != units*round {
+			t.Fatalf("round %d: %d units merged so far, want %d", round, got, units*round)
+		}
+	}
+	snap := f.c.Snapshot()
+	scantest.Diff(t, scantest.Options{
+		NewExec:    f.exec,
+		Snap:       snap,
+		MorselRows: []int{0, 1, 255, 257},
+	}, shapes(f.tbl)...)
+	for _, c := range shapes(f.tbl) {
+		hybrid, err := f.exec().Run(c.Query(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := f.execNoIMCS().Run(c.Query(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hybrid.FromIMCS == 0 {
+			t.Fatalf("%s: merged units served nothing", c.Name)
+		}
+		if got, want := scantest.Canonical(hybrid, s), scantest.Canonical(rows, s); got != want {
+			t.Fatalf("%s over twice-merged units differs from the row store:\n%s\nwant:\n%s", c.Name, got, want)
+		}
+	}
+}

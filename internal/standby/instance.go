@@ -741,6 +741,16 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().UnitsPopulated) })
 	r.CounterFunc("imcs_units_repopulated_total", "IMCUs repopulated",
 		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().UnitsRepopulated) })
+	r.CounterFunc("imcs_units_merged_total", "repopulations that carried unchanged rows over from the old IMCU",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().UnitsMerged) })
+	r.CounterFunc("imcs_rows_reread_total", "row positions IMCU builds read from the row store",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().RowsReread) })
+	r.CounterFunc("imcs_rows_carried_total", "row positions IMCU builds carried over from the old IMCU",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().RowsCarried) })
+	r.CounterFunc("imcs_build_full_seconds_total", "time spent in IMCU builds that read every row",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return e.Stats().FullBuildTime.Seconds() })
+	r.CounterFunc("imcs_build_merge_seconds_total", "time spent in IMCU builds by merge",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return e.Stats().MergeBuildTime.Seconds() })
 	r.CounterFunc("imcs_rows_invalidated_total", "row slots invalidated in SMUs",
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.RowsInvalidated()) })
 	r.CounterFunc("imcs_units_coarse_invalidated_total", "units coarse-invalidated (object drop or tenant fallback)",
