@@ -36,6 +36,8 @@ test:
 # Race-check the concurrency-heavy trees: the telemetry registry/trace, the
 # standby apply pipeline, the mining/journal/flush core, the column store and
 # its batch kernels, the parallel scan engine and its SQL front end,
+# the row store and the transaction table under it (readers of a block write a
+# version's commit-SCN hint under the shared latch),
 # role-based service routing, the standby readers (RAC home shares and the
 # full-copy fleet are one type, both under ./internal/fleet/...) and their
 # session router, the role-transition broker, the redo streams' wake-ups, the
@@ -43,6 +45,7 @@ test:
 # event-driven pipeline's idle-latency and lost-wake-up tests).
 race:
 	$(GO) test -race ./internal/obs/... ./internal/redo/... ./internal/standby/... ./internal/core/... \
+		./internal/rowstore/... ./internal/txn/... \
 		./internal/imcs/... ./internal/scanengine/... ./internal/sqlmini/... \
 		./internal/service/... ./internal/fleet/... ./internal/router/... \
 		./internal/broker/... ./internal/transport/... ./internal/checkpoint/... .
@@ -57,12 +60,14 @@ stress:
 	$(GO) test -race -run 'TestIdleCommitVisibleWithoutHeartbeat|TestNoLostWakeups' -count 200 .
 
 # Allocation guards of the scan path (steady-state scans allocate only their
-# result), of the redo wire path (shipping allocates nothing per record,
-# receiving only the decoded record) and of IMCU builds (a few objects per
+# result, whatever share of their rows the row store serves; a second scan of
+# the same invalid rows asks the transaction table nothing), of the redo wire
+# path (shipping allocates nothing per record, receiving only the decoded
+# record) and of IMCU builds (a few objects per
 # column, none per row; a merge reads exactly its re-read set from the row
 # store). Not under -race: the race detector changes allocation counts.
 allocs:
-	$(GO) test -run AllocsPerRun ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs
+	$(GO) test -run 'AllocsPerRun|InvalidScanLookups' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs
 
 # Native fuzzing of the decoders that read bytes from the wire: the frame
 # reader and the record decoder, seeded from the corruption tables of their
@@ -82,7 +87,9 @@ fuzz:
 # checkpoints, corrupted snapshot files, and a forced snapshot-restore +
 # redo-catch-up restart before the final equivalence check on every seed.
 # TestChaosConstantMerge repopulates after 1 % of a unit changed, so its long
-# storms check images that hundreds of merges produced.
+# storms check images that hundreds of merges produced. TestChaosStaleStore
+# does the opposite — no repopulation, so invalid and tail rows pile up and the
+# hybrid scans run largely on the row-store serving path.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestWatchdog' -timeout 20m ./internal/chaos/ \
 		-chaos.seeds $(CHAOS_SEEDS) -chaos.seedbase $(CHAOS_SEEDBASE)
@@ -97,10 +104,13 @@ leakcheck:
 verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
 # Root benchmarks, then IMCU construction: a full build of one bench-table
-# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed.
+# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed;
+# then the bench's query classes over one such unit with 1, 6 and 25 % of its
+# rows invalid.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate' -benchmem -run '^$$' ./internal/imcs
+	$(GO) test -bench ScanInvalid -benchmem -run '^$$' ./internal/scanengine
 
 # Machine-readable benchmark results: runs the root benchmarks and converts
 # the -bench output into BENCH_<date>.json via cmd/benchjson.

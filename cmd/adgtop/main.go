@@ -132,12 +132,19 @@ type queryEntry struct {
 }
 
 // queryProfile is the slice of the embedded scanengine.Profile that the
-// queries pane shows: the morsel scheduler's per-query actuals.
+// queries pane shows: the morsel scheduler's per-query actuals, and what the
+// query took from the row store beside the column store — the usual reason a
+// scan of a populated table is slow.
 type queryProfile struct {
-	Parallel   int   `json:"parallel"`
-	MorselRows int   `json:"morsel_rows"`
-	Morsels    int64 `json:"morsels"`
-	Steals     int64 `json:"steals"`
+	Parallel     int   `json:"parallel"`
+	MorselRows   int   `json:"morsel_rows"`
+	Morsels      int64 `json:"morsels"`
+	Steals       int64 `json:"steals"`
+	RowsInvalid  int64 `json:"rows_invalid"`
+	RowsTail     int64 `json:"rows_tail"`
+	RowsRowStore int64 `json:"rows_rowstore"`
+	RowBlocks    int64 `json:"row_blocks"`
+	RowBatches   int64 `json:"row_batches"`
 }
 
 // queriesDoc is the /debug/queries response envelope.
@@ -195,6 +202,10 @@ func printQueries(client *http.Client, addr string, n int, slowOnly bool) {
 				sched += fmt.Sprintf(" steals=%d", p.Steals)
 			}
 			sched += "]"
+		}
+		if p := q.Profile; p != nil && p.RowBlocks > 0 {
+			sched += fmt.Sprintf("  [rowstore: invalid=%d tail=%d range=%d blocks=%d batches=%d]",
+				p.RowsInvalid, p.RowsTail, p.RowsRowStore, p.RowBlocks, p.RowBatches)
 		}
 		fmt.Printf("  %s #%-6d %-8s %8.3fms %8d rows  %s%s\n",
 			mark, q.Seq, q.Path, float64(q.WallNanos)/1e6, q.Rows, label, sched)

@@ -117,6 +117,13 @@ type Options struct {
 	// full build, there being nothing valid to carry over — on units a restart
 	// coarse-invalidated.
 	ConstantMerge bool
+	// StaleStore is the opposite tuning: both thresholds at 1.0, so that no
+	// unit is ever repopulated and invalid and tail rows pile up for the whole
+	// storm. Every hybrid scan of the oracle then takes most of its rows
+	// through the row-store serving path beside the column store — block
+	// batches, the commit-SCN hints on row versions, the operators' row entry
+	// point — under the same faults, restarts and transitions.
+	StaleStore bool
 }
 
 // Result summarizes a successful run.
@@ -170,6 +177,11 @@ type Result struct {
 	// row (coarse-invalid units).
 	UnitsMerged  int64
 	FullRebuilds int64
+	// What the oracle's hybrid scans took from each store, and the blocks they
+	// latched on the row-store serving path.
+	HybridRowsIMCS     int64
+	HybridRowsRowStore int64
+	HybridRowBlocks    int64
 }
 
 // rowsPerBlock / base workload shape: small blocks and IMCUs so a modest row
@@ -223,6 +235,9 @@ type Runner struct {
 
 	// tallied is what tallyBuilds last read from each population engine.
 	tallied map[*imcs.Engine]imcs.EngineStats
+	// hybridStats accumulates the path counters of every oracle executor that
+	// scans through a column store.
+	hybridStats scanengine.PathStats
 
 	// ckptDir is the run's snapshot directory (Options.Checkpoints only),
 	// removed at teardown.
@@ -270,6 +285,9 @@ func (r *Runner) newExec(view rowstore.TxnView, stores ...*imcs.Store) *scanengi
 	ex := scanengine.NewExecutor(view, stores...)
 	ex.MorselRows = r.scanMorselRows
 	ex.DefaultParallel = r.scanParallel
+	if len(stores) > 0 {
+		ex.Obs = &r.hybridStats
+	}
 	return ex
 }
 
@@ -355,6 +373,9 @@ func (r *Runner) setup() error {
 	}
 	if r.opts.ConstantMerge {
 		cfg.RepopThreshold, cfg.TailThreshold = 0.01, 0.01
+	}
+	if r.opts.StaleStore {
+		cfg.RepopThreshold, cfg.TailThreshold = 1, 1
 	}
 	if r.opts.Checkpoints {
 		dir, err := os.MkdirTemp("", "chaos-ckpt-")
@@ -1016,6 +1037,9 @@ func (r *Runner) tallyBuilds() {
 }
 
 func (r *Runner) collectCounters() {
+	r.res.HybridRowsIMCS = r.hybridStats.RowsFromIMCS()
+	r.res.HybridRowsRowStore = r.hybridStats.RowsFromRowStore()
+	r.res.HybridRowBlocks = r.hybridStats.RowStoreBlocks()
 	if r.injector != nil {
 		r.res.FaultCounts = r.injector.Counts()
 	}

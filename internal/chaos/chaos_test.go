@@ -226,6 +226,31 @@ func TestChaosConstantMerge(t *testing.T) {
 	}
 }
 
+// TestChaosStaleStore runs the storms with repopulation off, so that invalid
+// and tail rows pile up and the oracle's hybrid scans take a large share of
+// their rows — most, in storms without a restart to rebuild the store —
+// through the row-store serving path: over the faulted TCP transport with
+// crash-restarts, and into a failover.
+func TestChaosStaleStore(t *testing.T) {
+	for _, seed := range seeds() {
+		for _, opts := range []Options{
+			{Steps: 40, UseTCP: true, ReorderWindow: 4, CrashRestarts: true},
+			{Steps: 20, UseTCP: true, ReorderWindow: 4, Transition: TransitionFailover},
+		} {
+			opts.Seed, opts.StaleStore = seed, true
+			res := runSeed(t, opts)
+			if res.HybridRowBlocks == 0 {
+				t.Fatalf("seed %d: the hybrid scans never took the row-store serving path", seed)
+			}
+			// A unit that doubles, or that a restart coarse-invalidated, is
+			// still rebuilt.
+			t.Logf("seed %d: %d checks, %d restarts, %d reconnects, transition %q, %d merges, %d full rebuilds; hybrid scans: %d rows from the row store in %d block reads, %d from the column store",
+				seed, res.Checks, res.Restarts, res.Reconnects, res.Transition, res.UnitsMerged, res.FullRebuilds,
+				res.HybridRowsRowStore, res.HybridRowBlocks, res.HybridRowsIMCS)
+		}
+	}
+}
+
 // TestChaosFailover runs the storm over TCP and then fails over under load:
 // the standby is promoted while redo is still in flight and its retained
 // store must agree with the row store, before and after new DML.

@@ -18,22 +18,34 @@ func tinyParams() Params {
 	}
 }
 
+// scanParams is tinyParams with four times the rows, for the tests that
+// compare scan latencies of the two stores: at 4 000 rows a query's fixed cost
+// (planning, workers) is most of the column store's time.
+func scanParams() Params {
+	p := tinyParams()
+	p.Rows = 16000
+	return p
+}
+
 func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := RunFig9(tinyParams())
+	res, err := RunFig9(scanParams())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.WithQ1.Count == 0 || res.WithoutQ1.Count == 0 {
 		t.Fatalf("no scan samples: %+v", res)
 	}
-	// The shape: the IMCS must be markedly faster even at tiny scale.
-	if s := res.SpeedupQ1Median(); s < 2 {
+	// The shape: the IMCS must win even at tiny scale. Since row-store scans
+	// read a block at a time the baseline is twice as fast as it was, and at
+	// this scale the ratio is 2.5–4x on an idle machine and has dipped to 1.4x
+	// beside other packages' tests on two cores; the bound leaves that room.
+	if s := res.SpeedupQ1Median(); s < 1.2 {
 		t.Fatalf("Q1 median speedup = %.2fx; expected the columnar path to win", s)
 	}
-	if s := res.SpeedupQ2Median(); s < 2 {
+	if s := res.SpeedupQ2Median(); s < 1.2 {
 		t.Fatalf("Q2 median speedup = %.2fx", s)
 	}
 	if !strings.Contains(res.String(), "Q1 median") {
@@ -45,7 +57,7 @@ func TestFig10Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test")
 	}
-	res, err := RunFig10(tinyParams())
+	res, err := RunFig10(scanParams())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -494,6 +494,9 @@ func (c *StrColumn) Get(i int) string {
 	return c.dict[c.codes.get(i)]
 }
 
+// CodeAt returns the dictionary code of value i.
+func (c *StrColumn) CodeAt(i int) int64 { return c.codes.get(i) }
+
 // Code returns the dictionary code for s; found is false when s is absent
 // (so an equality predicate matches nothing in this IMCU).
 func (c *StrColumn) Code(s string) (code int64, found bool) {

@@ -104,6 +104,31 @@ func (u *IMCU) AddrOfRow(i int) (rowstore.BlockNo, uint16) {
 	return u.StartBlk + rowstore.BlockNo(lo), uint16(i - int(u.rowBase[lo]))
 }
 
+// AddrIter maps ascending row positions back to their (block, slot)
+// addresses: one binary search where it starts, then a step forward per block
+// boundary crossed — what a walk over the set bits of a bitmap window wants in
+// place of AddrOfRow's search per position.
+type AddrIter struct {
+	u  *IMCU
+	bi int // index of the block holding the last position asked for
+}
+
+// AddrsFrom returns an iterator positioned at row position i.
+func (u *IMCU) AddrsFrom(i int) AddrIter {
+	blk, _ := u.AddrOfRow(i)
+	return AddrIter{u: u, bi: int(blk - u.StartBlk)}
+}
+
+// Addr returns the address of row position i, which must not lie before the
+// position of the previous call.
+func (it *AddrIter) Addr(i int) (rowstore.BlockNo, uint16) {
+	base := it.u.rowBase
+	for it.bi+1 < len(base) && int(base[it.bi+1]) <= i {
+		it.bi++
+	}
+	return it.u.StartBlk + rowstore.BlockNo(it.bi), uint16(i - int(base[it.bi]))
+}
+
 // CapturedRows returns the number of slots captured for a block in range.
 func (u *IMCU) CapturedRows(blk rowstore.BlockNo) uint16 {
 	if blk < u.StartBlk || blk >= u.EndBlk {

@@ -611,17 +611,24 @@ func TestAllocsPerRunMergeIMCU(t *testing.T) {
 		t.Fatalf("merge of a 64-block unit: %.0f allocations, want <= %.0f", got, limit)
 	}
 
-	// The row store is read for the re-read set and nothing else: every slot
-	// holds one version, so a read is one transaction-table lookup.
+	// The row store is read for the re-read set and nothing else. The fixture's
+	// first build resolved every version's writer and left its commitSCN on the
+	// version, so re-reading rows nobody wrote since asks the transaction table
+	// nothing; rows updated since cost one lookup each, for the new version.
 	invalidate()
 	f.view.lookups.Store(0)
 	_, reread := f.repopulate(t, unit)
+	if lookups := int(f.view.lookups.Load()); reread != stale || lookups != 0 {
+		t.Fatalf("merge with %d invalid rows: re-read set %d, transaction-table lookups %d, want 0", stale, reread, lookups)
+	}
+	f.updateRows(t, rng, rows, stale)
+	_, reread = f.repopulate(t, unit)
 	if lookups := int(f.view.lookups.Load()); reread != stale || lookups != stale {
-		t.Fatalf("merge with %d invalid rows: re-read set %d, row-store reads %d", stale, reread, lookups)
+		t.Fatalf("merge with %d updated rows: re-read set %d, transaction-table lookups %d", stale, reread, lookups)
 	}
 	f.view.lookups.Store(0)
 	f.eng.BuildIMCU(f.target(), unit)
-	if lookups := int(f.view.lookups.Load()); lookups != rows {
-		t.Fatalf("full build of %d rows: %d row-store reads", rows, lookups)
+	if lookups := int(f.view.lookups.Load()); lookups != 0 {
+		t.Fatalf("full build of %d rows all resolved before: %d transaction-table lookups", rows, lookups)
 	}
 }

@@ -224,6 +224,13 @@ const (
 // TxnView resolves transaction visibility for Consistent Read. Both the
 // primary (its live transaction table) and the standby (a table maintained by
 // redo apply of begin/commit/abort change vectors) implement it.
+//
+// Committed and aborted are final: once Lookup has returned TxnCommitted with
+// a commitSCN for an id it returns nothing else for that id until the entry is
+// forgotten, and likewise for TxnAborted. Readers rely on it — a row version
+// caches the commitSCN the first reader resolved (see version.commit) and is
+// never asked about again — so an implementation must ignore any attempt to
+// reopen a finished transaction, a replayed begin included.
 type TxnView interface {
 	// Lookup returns the status of the transaction and, when committed, its
 	// commitSCN.

@@ -66,6 +66,19 @@ func (s *Segment) Block(no BlockNo) *Block {
 	return s.blocks[no]
 }
 
+// BlockRange returns the allocated blocks of [from, to) under one segment
+// latch; element i is block from+i. The slice is the segment's own (blocks are
+// only ever appended) and must not be modified.
+func (s *Segment) BlockRange(from, to BlockNo) []*Block {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	to = min(to, BlockNo(len(s.blocks)))
+	if from >= to {
+		return nil
+	}
+	return s.blocks[from:to]
+}
+
 // EnsureBlock returns block no, allocating it (and any gap before it) if
 // needed. Used by standby redo apply, which must mirror the primary's block
 // layout exactly.

@@ -87,6 +87,11 @@ type Result struct {
 	FromTail     int64
 	UnitsPruned  int64
 	UnitsScanned int64
+	// RowBlocks/RowBatches say what the row-store serving paths cost: blocks
+	// latched (each once for all the slots wanted of it) and batches of row
+	// images pushed through the filters and the operator.
+	RowBlocks  int64
+	RowBatches int64
 	// UnitsFallback counts populated units whose whole block range fell back
 	// to the row store (unit unusable, snapshot too old, or schema drift).
 	UnitsFallback int64
@@ -111,6 +116,7 @@ type PathStats struct {
 	queries       atomic.Int64
 	rowsIMCS      atomic.Int64
 	rowsRowStore  atomic.Int64
+	rowBlocks     atomic.Int64
 	unitsPruned   atomic.Int64
 	unitsScanned  atomic.Int64
 	unitsFallback atomic.Int64
@@ -130,6 +136,9 @@ func (p *PathStats) RowsFromIMCS() int64 { return p.rowsIMCS.Load() }
 // RowsFromRowStore returns matching rows served from the row store (gaps,
 // invalid rows, edge tails, and baseline scans).
 func (p *PathStats) RowsFromRowStore() int64 { return p.rowsRowStore.Load() }
+
+// RowStoreBlocks returns blocks latched on the row-store serving paths.
+func (p *PathStats) RowStoreBlocks() int64 { return p.rowBlocks.Load() }
 
 // UnitsPruned returns IMCUs skipped entirely via storage indexes.
 func (p *PathStats) UnitsPruned() int64 { return p.unitsPruned.Load() }
@@ -165,6 +174,7 @@ func (p *PathStats) add(r *Result) {
 	p.queries.Add(1)
 	p.rowsIMCS.Add(r.FromIMCS)
 	p.rowsRowStore.Add(r.FromRowStore)
+	p.rowBlocks.Add(r.RowBlocks)
 	p.unitsPruned.Add(r.UnitsPruned)
 	p.unitsScanned.Add(r.UnitsScanned)
 	p.unitsFallback.Add(r.UnitsFallback)
@@ -210,14 +220,16 @@ func NewExecutor(view rowstore.TxnView, stores ...*imcs.Store) *Executor {
 const batchSize = 1024 // rows per vectorized evaluation batch (multiple of 64)
 
 // scanScratch is one scan worker's working memory: the batch decode windows,
-// the match bitmap, the per-IMCU resolved filters and the group operator's
-// unit-local table. It holds no IMCU reference between queries.
+// the match bitmap, the per-IMCU resolved filters, the group operator's
+// unit-local table and the row-store path's batch of row images. It holds no
+// IMCU or row-image reference between queries.
 type scanScratch struct {
 	num, aux []int64   // predicate and kernel decode windows
 	match    []uint64  // batch match bitmap
 	wins     [][]int64 // group key/value windows, grown on demand
 	filters  []batchFilter
 	group    groupLocal
+	rows     rowBatch // the row-store serving path's batch, grown on first use
 }
 
 // win returns the i-th group decode window.
@@ -249,6 +261,8 @@ func getScratch() *scanScratch {
 }
 
 func putScratch(s *scanScratch) {
+	clear(s.rows.rows[:s.rows.used])
+	s.rows.used, s.rows.imcu = 0, nil
 	select {
 	case scratchPool <- s:
 	default:
@@ -368,6 +382,8 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile bool) (*Result, *Profil
 	prof.RowsInvalid = res.FromInvalid
 	prof.RowsTail = res.FromTail
 	prof.RowsRowStore = res.FromRowStore - res.FromInvalid - res.FromTail
+	prof.RowBlocks = res.RowBlocks
+	prof.RowBatches = res.RowBatches
 	prof.UnitsScanned = res.UnitsScanned
 	prof.UnitsPruned = res.UnitsPruned
 	prof.UnitsFallback = res.UnitsFallback
@@ -530,12 +546,13 @@ func sortUnits(units []*imcs.Unit) {
 // once however many morsels it split into.
 type taskResult struct {
 	op           operator
-	ordered      bool
 	curPart      int // partition index of the morsel being scanned
 	fromIMCS     int64
 	fromRowStore int64
 	fromInvalid  int64
 	fromTail     int64
+	rowBlocks    int64
+	rowBatches   int64
 	batches      int64
 	rowsEncoded  int64
 	rowsDecoded  int64
@@ -552,20 +569,21 @@ type taskProf struct {
 // pathCounters is a snapshot of a taskResult's per-path counters, used to
 // attribute deltas to one task under profiling.
 type pathCounters struct {
-	imcs, rowstore, invalid, tail, batches, encoded, decoded int64
+	imcs, rowstore, invalid, tail, rowBlocks, rowBatches, batches, encoded, decoded int64
 }
 
 func (r *taskResult) counters() pathCounters {
 	return pathCounters{
 		imcs: r.fromIMCS, rowstore: r.fromRowStore,
-		invalid: r.fromInvalid, tail: r.fromTail, batches: r.batches,
+		invalid: r.fromInvalid, tail: r.fromTail,
+		rowBlocks: r.rowBlocks, rowBatches: r.rowBatches, batches: r.batches,
 		encoded: r.rowsEncoded, decoded: r.rowsDecoded,
 	}
 }
 
 func newTaskResult(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered bool) *taskResult {
 	s := getScratch()
-	return &taskResult{op: newOperator(q, plan, schema, ordered, s), ordered: ordered, s: s}
+	return &taskResult{op: newOperator(q, plan, schema, ordered, s), s: s}
 }
 
 // release ends the worker's scan: the operator folds whatever unit-local
@@ -582,6 +600,8 @@ func (r *taskResult) merge(o *taskResult) {
 	r.fromRowStore += o.fromRowStore
 	r.fromInvalid += o.fromInvalid
 	r.fromTail += o.fromTail
+	r.rowBlocks += o.rowBlocks
+	r.rowBatches += o.rowBatches
 	r.batches += o.batches
 	r.rowsEncoded += o.rowsEncoded
 	r.rowsDecoded += o.rowsDecoded
@@ -592,21 +612,12 @@ func (r *taskResult) finish() *Result {
 		Min: math.MaxInt64, Max: math.MinInt64,
 		FromIMCS: r.fromIMCS, FromRowStore: r.fromRowStore,
 		FromInvalid: r.fromInvalid, FromTail: r.fromTail,
+		RowBlocks: r.rowBlocks, RowBatches: r.rowBatches,
 		Batches:     r.batches,
 		RowsEncoded: r.rowsEncoded, RowsDecoded: r.rowsDecoded,
 	}
 	r.op.finish(res)
 	return res
-}
-
-// acceptRow feeds one matching row image from a row-store serving path into
-// the query's operator, tagged with its RowID order key.
-func (r *taskResult) acceptRow(row rowstore.Row, blk rowstore.BlockNo, slot uint16) {
-	var key uint64
-	if r.ordered {
-		key = orderKey(r.curPart, blk, slot)
-	}
-	r.op.foldRow(r, row, key)
 }
 
 // projectRow materializes the projection: a row in the table's slot layout
@@ -625,29 +636,6 @@ func projectRow(q *Query, schema *rowstore.Schema, row rowstore.Row) rowstore.Ro
 		}
 	}
 	return out
-}
-
-// scanBlocks is the row-store path: a CR scan of blocks [from, to).
-func (ex *Executor) scanBlocks(q *Query, schema *rowstore.Schema, seg *rowstore.Segment, from, to rowstore.BlockNo, snap scn.SCN, res *taskResult) {
-	last := rowstore.BlockNo(seg.BlockCount())
-	if to > last {
-		to = last
-	}
-	for b := from; b < to; b++ {
-		blk := seg.Block(b)
-		if blk == nil {
-			continue
-		}
-		n := blk.RowCount()
-		for slot := 0; slot < n; slot++ {
-			row, ok := blk.ReadRow(uint16(slot), snap, ex.view, scn.InvalidTxn)
-			if !ok || !rowMatches(schema, row, q.Filters) {
-				continue
-			}
-			res.fromRowStore++
-			res.acceptRow(row, b, uint16(slot))
-		}
-	}
 }
 
 // pruneInfo describes why an IMCU can be skipped: the responsible filter,
@@ -811,32 +799,5 @@ func andCmpBitmap(match []uint64, vals []int64, op CmpOp, v int64) {
 			}
 		}
 		match[w] &= m
-	}
-}
-
-// scanTails reads rows appended to blocks after population (slots beyond the
-// captured count) from the row store — the "edge IMCU" effect of §IV.A.2.
-func (ex *Executor) scanTails(q *Query, schema *rowstore.Schema, seg *rowstore.Segment, imcu *imcs.IMCU, snap scn.SCN, res *taskResult) {
-	last := rowstore.BlockNo(seg.BlockCount())
-	end := imcu.EndBlk
-	if end > last {
-		end = last
-	}
-	for b := imcu.StartBlk; b < end; b++ {
-		blk := seg.Block(b)
-		if blk == nil {
-			continue
-		}
-		captured := int(imcu.CapturedRows(b))
-		n := blk.RowCount()
-		for slot := captured; slot < n; slot++ {
-			row, ok := blk.ReadRow(uint16(slot), snap, ex.view, scn.InvalidTxn)
-			if !ok || !rowMatches(schema, row, q.Filters) {
-				continue
-			}
-			res.fromRowStore++
-			res.fromTail++
-			res.acceptRow(row, b, uint16(slot))
-		}
 	}
 }

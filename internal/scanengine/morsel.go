@@ -1,7 +1,6 @@
 package scanengine
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,6 +46,8 @@ type taskState struct {
 	pRowsInvalid  atomic.Int64
 	pRowsTail     atomic.Int64
 	pRowsRowStore atomic.Int64
+	pRowBlocks    atomic.Int64
+	pRowBatches   atomic.Int64
 	pBatches      atomic.Int64
 	pRowsEncoded  atomic.Int64
 	pRowsDecoded  atomic.Int64
@@ -82,6 +83,8 @@ func (ts *taskState) taskProfile(schema *rowstore.Schema) TaskProfile {
 	tp.RowsInvalid = ts.pRowsInvalid.Load()
 	tp.RowsTail = ts.pRowsTail.Load()
 	tp.RowsRowStore = ts.pRowsRowStore.Load() - tp.RowsInvalid - tp.RowsTail
+	tp.RowBlocks = ts.pRowBlocks.Load()
+	tp.RowBatches = ts.pRowBatches.Load()
 	tp.Batches = ts.pBatches.Load()
 	tp.RowsEncoded = ts.pRowsEncoded.Load()
 	tp.RowsDecoded = ts.pRowsDecoded.Load()
@@ -211,15 +214,10 @@ func invalidMorsels(ts *taskState, morselRows int) []morsel {
 // runMorsel executes one morsel into res.
 func (ex *Executor) runMorsel(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult) {
 	res.curPart = m.ts.part
-	switch m.kind {
-	case morselIMCURows:
+	if m.kind == morselIMCURows {
 		ex.scanIMCUWindow(q, schema, m.ts, m.lo, m.hi, res)
-	case morselInvalid:
-		ex.scanInvalidWindow(q, schema, m.ts, m.lo, m.hi, snap, res)
-	case morselTail:
-		ex.scanTails(q, schema, m.ts.seg, m.ts.imcu, snap, res)
-	case morselBlocks:
-		ex.scanBlocks(q, schema, m.ts.seg, rowstore.BlockNo(m.lo), rowstore.BlockNo(m.hi), snap, res)
+	} else {
+		ex.scanRows(q, schema, m, snap, res)
 	}
 }
 
@@ -241,6 +239,8 @@ func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, sna
 	ts.pRowsInvalid.Add(after.invalid - before.invalid)
 	ts.pRowsTail.Add(after.tail - before.tail)
 	ts.pRowsRowStore.Add(after.rowstore - before.rowstore)
+	ts.pRowBlocks.Add(after.rowBlocks - before.rowBlocks)
+	ts.pRowBatches.Add(after.rowBatches - before.rowBatches)
 	ts.pBatches.Add(after.batches - before.batches)
 	ts.pRowsEncoded.Add(after.encoded - before.encoded)
 	ts.pRowsDecoded.Add(after.decoded - before.decoded)
@@ -431,42 +431,5 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 		}
 		res.fromIMCS += matched
 		res.op.foldBatch(res, imcu, base, n, match)
-	}
-}
-
-// scanInvalidWindow reconciles with the SMU over row window [lo, hi): rows
-// marked invalid are read from the row store at the scan snapshot (§II.B:
-// "invalid or stale data is not delivered from the IMCS, but delivered from
-// the database buffer cache"). Windows are word-aligned by planMorsels.
-func (ex *Executor) scanInvalidWindow(q *Query, schema *rowstore.Schema, ts *taskState, lo, hi int, snap scn.SCN, res *taskResult) {
-	imcu, invalid := ts.imcu, ts.invalid
-	seg := ts.seg
-	if hi > ts.rows {
-		hi = ts.rows
-	}
-	for w := lo / 64; w < (hi+63)/64 && w < len(invalid); w++ {
-		word := invalid[w]
-		if rem := hi - w*64; rem < 64 {
-			word &= (1 << rem) - 1
-		}
-		for word != 0 {
-			i := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if i >= ts.rows {
-				break
-			}
-			blk, slot := imcu.AddrOfRow(i)
-			block := seg.Block(blk)
-			if block == nil {
-				continue
-			}
-			row, ok := block.ReadRow(slot, snap, ex.view, scn.InvalidTxn)
-			if !ok || !rowMatches(schema, row, q.Filters) {
-				continue
-			}
-			res.fromRowStore++
-			res.fromInvalid++
-			res.acceptRow(row, blk, slot)
-		}
 	}
 }

@@ -19,7 +19,8 @@ import (
 // rowsOp (late materialization), aggOp (multi-aggregate accumulator) or
 // groupOp (code-indexed GROUP BY) — instead of a row-at-a-time fold. The
 // row-store serving paths (gaps, invalid rows, edge tails, fallbacks) feed the
-// same operator through foldRow, so hybrid results stay exact at QuerySCN.
+// same operator a batch of row images at a time through foldRows, so hybrid
+// results stay exact at QuerySCN.
 
 // AggSpec names one select-list aggregate. Col is the aggregated schema
 // column index (ignored for AggCount).
@@ -130,13 +131,14 @@ func aggLabel(a AggSpec, schema *rowstore.Schema) string {
 // beginUnit precedes the batches of one morsel and names their IMCU
 // (dictionary codes are IMCU-local, so code-keyed state lives until the unit
 // changes); flush ends the worker's scan, after which merge and finish see
-// no unit-local state. foldRow feeds a row image from a row-store serving
-// path, with its RowID order key.
+// no unit-local state. foldRows is foldBatch for the row-store serving path:
+// match is over b's row images, and when b names an IMCU, beginUnit has named
+// it too.
 type operator interface {
 	beginUnit(imcu *imcs.IMCU)
 	foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64)
 	flush()
-	foldRow(r *taskResult, row rowstore.Row, key uint64)
+	foldRows(r *taskResult, b *rowBatch, match []uint64)
 	merge(o operator)
 	finish(res *Result)
 }
@@ -264,10 +266,13 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	}
 }
 
-func (o *rowsOp) foldRow(r *taskResult, row rowstore.Row, key uint64) {
-	o.rows = append(o.rows, projectRow(o.q, o.schema, row))
-	if o.ordered {
-		o.keys = append(o.keys, key)
+func (o *rowsOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
+	o.idx = collectIdx(o.idx, match, b.n)
+	for _, i := range o.idx {
+		o.rows = append(o.rows, projectRow(o.q, o.schema, b.rows[i]))
+		if o.ordered {
+			o.keys = append(o.keys, orderKey(r.curPart, b.blks[i], b.slots[i]))
+		}
 	}
 }
 
@@ -423,10 +428,16 @@ func (o *aggOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []u
 	}
 }
 
-func (o *aggOp) foldRow(r *taskResult, row rowstore.Row, key uint64) {
-	o.count++
+func (o *aggOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
+	o.count += imcs.PopcountRange(match, 0, b.n)
 	for ci, s := range o.slots {
-		o.cells[ci].addVal(row.Nums[s])
+		cell := o.cells[ci]
+		for w := range match {
+			for m := match[w]; m != 0; m &= m - 1 {
+				cell.addVal(b.rows[w*64+bits.TrailingZeros64(m)].Nums[s])
+			}
+		}
+		o.cells[ci] = cell
 	}
 }
 
@@ -503,6 +514,10 @@ type groupLocal struct {
 	touched []int32        // slots folded into since the last flush
 	index   map[lkey]int32 // map-indexed form: key → slot (slots dense)
 	keys    []lkey         // map-indexed form: slot → key
+	// lastGroups is the size of the global table at the worker's last flush,
+	// of this query or the one before it: what a global table is built for
+	// when a key reaches it before any flush of its own has measured one.
+	lastGroups int
 }
 
 // groupOp is the GROUP BY operator. During an IMCU scan a row's group is a
@@ -513,8 +528,11 @@ type groupLocal struct {
 // into the same slab: one slot lookup per (run × match-word window),
 // aggregating values in encoded space. The local table outlives a morsel:
 // it folds into the global one — decoding labels once per (unit, group), not
-// per row — when the worker moves to another IMCU and at flush. Row-store
-// rows fold into the global table directly. finish emits groups in
+// per row — when the worker moves to another IMCU and at flush. A row image
+// of the unit's blocks (an invalid or tail row) folds into the same slab when
+// its key translates to the unit's code space (unitSlot), into the global
+// table by value otherwise, as do the rows of blocks no unit covers. finish
+// emits groups in
 // deterministic key order, independent of scan parallelism and task
 // interleaving.
 type groupOp struct {
@@ -574,7 +592,7 @@ func (o *groupOp) reserve(n int) {
 
 // globalSlot finds or creates the global group of a key.
 func (o *groupOp) globalSlot(kv []GroupValue) int {
-	o.reserve(0)
+	o.reserve(o.sizeHint())
 	next := int32(len(o.g.count))
 	var g int32
 	switch {
@@ -596,6 +614,21 @@ func (o *groupOp) globalSlot(kv []GroupValue) int {
 		o.g.grow(int(g) + 1)
 	}
 	return int(g)
+}
+
+// sizeHint guesses the global table's size for a key that arrives before any
+// flush has measured one — a row image that unitSlot could not place, or one
+// of a block no unit covers: the worker's last measured table or, when
+// larger, the dictionary of the unit at hand, which bounds a single VARCHAR
+// key's groups. Built empty, the table of a 1 000-group query grew by
+// doubling in every worker of every query, and that garbage showed in the
+// OLTP client's p90 beside it.
+func (o *groupOp) sizeHint() int {
+	n := o.loc.lastGroups
+	if o.unit != nil && len(o.keySlots) == 1 && o.keyIsStr[0] {
+		n = max(n, o.unit.StrCol(o.keySlots[0]).DictSize())
+	}
+	return n
 }
 
 // getOrPut returns m[k], after setting it to next when k is new.
@@ -693,6 +726,9 @@ func (o *groupOp) flush() {
 	loc.touched = loc.touched[:0]
 	loc.keys = loc.keys[:0]
 	clear(loc.index)
+	if n := len(o.g.count); n > 0 {
+		loc.lastGroups = n
+	}
 	o.unit = nil
 }
 
@@ -788,18 +824,76 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	r.rowsDecoded += matched * int64(max(nc, 1))
 }
 
-func (o *groupOp) foldRow(r *taskResult, row rowstore.Row, key uint64) {
-	for j, slot := range o.keySlots {
-		if o.keyIsStr[j] {
-			o.kv[j] = GroupValue{Str: row.Strs[slot], IsStr: true}
-		} else {
-			o.kv[j] = GroupValue{Num: row.Nums[slot]}
+// unitSlot translates a row image's key into the current unit's code space
+// and returns its slot of the local table; ok is false for a key the image
+// does not show to be one of the unit's — a VARCHAR value other than the one
+// the IMCU holds at the row's position pos (an update usually leaves the key
+// alone, so that one comparison settles most invalid rows; a tail row has no
+// position), or a NUMBER outside the range a direct-indexed table spans.
+// Searching the sorted dictionary for the rest was tried and lost to the
+// global table's one map probe: the dictionary's strings are scattered heap
+// objects, and a search misses the cache on half of its ten comparisons
+// (380 ns a search in the paced stage's profile).
+func (o *groupOp) unitSlot(row rowstore.Row, pos int32) (slot int, ok bool) {
+	var lk lkey
+	for j, ks := range o.keySlots {
+		if !o.keyIsStr[j] {
+			lk[j] = row.Nums[ks]
+			continue
+		}
+		if pos < 0 {
+			return 0, false
+		}
+		col := o.unit.StrCol(ks)
+		if lk[j] = col.CodeAt(int(pos)); col.Value(lk[j]) != row.Strs[ks] {
+			return 0, false
 		}
 	}
-	g := o.globalSlot(o.kv[:len(o.keySlots)])
-	o.g.count[g]++
-	for ci, s := range o.slots {
-		o.g.cells[g*o.g.nc+ci].addVal(row.Nums[s])
+	if !o.direct {
+		return int(o.mapSlot(lk)), true
+	}
+	for j := range o.keySlots {
+		d := lk[j] - o.kmin[j]
+		if uint64(d) >= uint64(o.krange[j]) {
+			return 0, false
+		}
+		slot = slot*int(o.krange[j]) + int(d)
+	}
+	return slot, true
+}
+
+func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
+	loc, nk := o.loc, len(o.keySlots)
+	coded := b.imcu != nil && b.imcu == o.unit
+	for w := range match {
+		for m := match[w]; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			row := b.rows[i]
+			slab := &loc.aggSlab
+			g, ok := 0, false
+			if coded {
+				g, ok = o.unitSlot(row, b.pos[i])
+			}
+			if ok {
+				if loc.count[g] == 0 {
+					loc.touched = append(loc.touched, int32(g))
+				}
+			} else {
+				// A key this unit has never held, or a block of no unit.
+				for j, ks := range o.keySlots {
+					if o.keyIsStr[j] {
+						o.kv[j] = GroupValue{Str: row.Strs[ks], IsStr: true}
+					} else {
+						o.kv[j] = GroupValue{Num: row.Nums[ks]}
+					}
+				}
+				g, slab = o.globalSlot(o.kv[:nk]), &o.g
+			}
+			slab.count[g]++
+			for ci, s := range o.slots {
+				slab.cells[g*slab.nc+ci].addVal(row.Nums[s])
+			}
+		}
 	}
 }
 

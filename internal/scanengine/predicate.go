@@ -7,11 +7,7 @@
 // is not populated (the paper's "without DBIM" baseline).
 package scanengine
 
-import (
-	"fmt"
-
-	"dbimadg/internal/rowstore"
-)
+import "fmt"
 
 // CmpOp is a comparison operator.
 type CmpOp uint8
@@ -66,24 +62,6 @@ func EqNum(col int, v int64) Filter { return Filter{Col: col, Op: EQ, Num: v} }
 // EqStr builds an equality filter on a varchar column.
 func EqStr(col int, v string) Filter { return Filter{Col: col, Op: EQ, Str: v} }
 
-func cmpInt(a int64, op CmpOp, b int64) bool {
-	switch op {
-	case EQ:
-		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	case GE:
-		return a >= b
-	}
-	return false
-}
-
 func cmpStr(a string, op CmpOp, b string) bool {
 	switch op {
 	case EQ:
@@ -100,24 +78,6 @@ func cmpStr(a string, op CmpOp, b string) bool {
 		return a >= b
 	}
 	return false
-}
-
-// rowMatches evaluates all filters against a row image.
-func rowMatches(schema *rowstore.Schema, row rowstore.Row, filters []Filter) bool {
-	for _, f := range filters {
-		col := schema.Col(f.Col)
-		switch col.Kind {
-		case rowstore.KindNumber:
-			if !cmpInt(row.Nums[col.Slot()], f.Op, f.Num) {
-				return false
-			}
-		case rowstore.KindVarchar:
-			if !cmpStr(row.Strs[col.Slot()], f.Op, f.Str) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // numRangeOverlaps reports whether a storage-index range [mn, mx] can contain

@@ -75,6 +75,10 @@ type TaskProfile struct {
 	RowsInvalid  int64 `json:"rows_invalid,omitempty"`
 	RowsTail     int64 `json:"rows_tail,omitempty"`
 	RowsRowStore int64 `json:"rows_rowstore,omitempty"`
+	// RowBlocks/RowBatches are what the three row-store paths cost the task:
+	// blocks latched, and batches of row images filtered and folded.
+	RowBlocks  int64 `json:"row_blocks,omitempty"`
+	RowBatches int64 `json:"row_batches,omitempty"`
 	// Batches is the number of vectorized predicate-evaluation batches run.
 	Batches int64 `json:"batches,omitempty"`
 	// RowsEncoded/RowsDecoded split the task's aggregate folds over
@@ -155,6 +159,8 @@ type Profile struct {
 	RowsInvalid   int64 `json:"rows_invalid"`
 	RowsTail      int64 `json:"rows_tail"`
 	RowsRowStore  int64 `json:"rows_rowstore"`
+	RowBlocks     int64 `json:"row_blocks,omitempty"`
+	RowBatches    int64 `json:"row_batches,omitempty"`
 	UnitsScanned  int64 `json:"units_scanned"`
 	UnitsPruned   int64 `json:"units_pruned"`
 	UnitsFallback int64 `json:"units_fallback"`
@@ -251,9 +257,11 @@ func (p *Profile) String() string {
 				if t.Kind == "imcu" && t.Decision == DecisionScan {
 					fmt.Fprintf(&b, " batches=%d", t.Batches)
 				}
-				fmt.Fprintf(&b, " imcs=%d invalid=%d tail=%d rowstore=%d wall=%v",
-					t.RowsIMCS, t.RowsInvalid, t.RowsTail, t.RowsRowStore,
-					time.Duration(t.WallNanos).Round(time.Microsecond))
+				fmt.Fprintf(&b, " imcs=%d invalid=%d tail=%d rowstore=%d", t.RowsIMCS, t.RowsInvalid, t.RowsTail, t.RowsRowStore)
+				if t.RowBlocks > 0 {
+					fmt.Fprintf(&b, " rowblocks=%d rowbatches=%d", t.RowBlocks, t.RowBatches)
+				}
+				fmt.Fprintf(&b, " wall=%v", time.Duration(t.WallNanos).Round(time.Microsecond))
 			}
 			b.WriteByte('\n')
 		}
@@ -261,6 +269,9 @@ func (p *Profile) String() string {
 	fmt.Fprintf(&b, "totals: rows=%d imcs=%d invalid=%d tail=%d rowstore=%d | units scan=%d pruned=%d fallback=%d batches=%d",
 		p.ResultRows, p.RowsIMCS, p.RowsInvalid, p.RowsTail, p.RowsRowStore,
 		p.UnitsScanned, p.UnitsPruned, p.UnitsFallback, p.Batches)
+	if p.RowBlocks > 0 {
+		fmt.Fprintf(&b, " | row path blocks=%d batches=%d", p.RowBlocks, p.RowBatches)
+	}
 	if p.Analyze && p.Steals > 0 {
 		fmt.Fprintf(&b, " steals=%d", p.Steals)
 	}

@@ -1,0 +1,403 @@
+package scanengine_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dbimadg/internal/imcs"
+	"dbimadg/internal/primary"
+	"dbimadg/internal/rowstore"
+	"dbimadg/internal/scanengine"
+	"dbimadg/internal/scanengine/scantest"
+	"dbimadg/internal/scn"
+	"dbimadg/internal/txn"
+	"dbimadg/internal/workload"
+)
+
+// Tests, guards and microbenchmarks of the row-store serving path over a unit
+// of the bench table: 7 143 rows of workload.WideTableSpec in 128-row blocks,
+// some share of them updated since population — each by its own transaction,
+// half in n1 and half in c1, as the bench's OLTP client does — and so marked
+// invalid in the SMU.
+
+const benchUnitRows = 7143
+
+// newBenchUnit loads and populates the unit, then updates and invalidates pct
+// percent of its rows. Every varchar value is its own allocation, as on a
+// standby, where redo apply decodes each.
+func newBenchUnit(tb testing.TB, pct int) *fixture {
+	tb.Helper()
+	c := primary.NewCluster(1, 128)
+	tbl, err := c.Instance(0).CreateTable(workload.WideTableSpec("C101", 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f := &fixture{c: c, tbl: tbl, store: imcs.NewStore()}
+	s := tbl.Schema()
+	rng := rand.New(rand.NewSource(11))
+	tx := c.Instance(0).Begin()
+	for id := int64(0); id < benchUnitRows; id++ {
+		r := workload.FillRow(s, id, rng)
+		for i := range r.Strs {
+			r.Strs[i] = strings.Clone(r.Strs[i])
+		}
+		if _, err := tx.Insert(tbl, r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if _, err := tx.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	seg := tbl.Segments()[0]
+	f.eng = imcs.NewEngine(f.store, c.Txns(), prisnap{c}, func() []imcs.Target {
+		return []imcs.Target{{Seg: seg, Table: tbl}}
+	}, imcs.Config{BlocksPerIMCU: 56, Workers: 1})
+	f.eng.Start()
+	if !f.eng.WaitIdle(10 * time.Second) {
+		tb.Fatal("population did not settle")
+	}
+	f.eng.Stop() // what changes below stays invalid
+	n1, c1 := s.ColIndex("n1"), s.ColIndex("c1")
+	for _, id := range rng.Perm(benchUnitRows)[:benchUnitRows*pct/100] {
+		tx := c.Instance(0).Begin()
+		col, v := n1, rng.Int63n(workload.NumDomain)
+		if id%2 == 0 {
+			col = c1
+		}
+		if err := tx.UpdateByID(tbl, int64(id), []uint16{uint16(col)}, func(r *rowstore.Row) {
+			if col == n1 {
+				r.Nums[s.Col(n1).Slot()] = v
+			} else {
+				r.Strs[s.Col(c1).Slot()] = fmt.Sprintf("val_%04d", v)
+			}
+		}); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+		rid, _ := tbl.Index().Get(int64(id))
+		f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+	}
+	return f
+}
+
+// benchMix returns the bench's query classes over the fixture's table, serial:
+// Q1 (n1 = v), AGG (four aggregates under n1 < v) and GRP (by c1).
+func benchMix(f *fixture) map[string]*scanengine.Query {
+	s := f.tbl.Schema()
+	n1, n2, n3, c1 := s.ColIndex("n1"), s.ColIndex("n2"), s.ColIndex("n3"), s.ColIndex("c1")
+	return map[string]*scanengine.Query{
+		"q1": {Table: f.tbl, Parallel: 1, Filters: []scanengine.Filter{scanengine.EqNum(n1, 42)}},
+		"agg": {Table: f.tbl, Parallel: 1,
+			Filters: []scanengine.Filter{{Col: n1, Op: scanengine.LT, Num: 500}},
+			Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: n2},
+				{Kind: scanengine.AggMin, Col: n3}, {Kind: scanengine.AggMax, Col: n3}}},
+		"grp": {Table: f.tbl, Parallel: 1, GroupBy: []int{c1},
+			Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: n1}}},
+	}
+}
+
+// BenchmarkScanInvalid times the bench's query classes over one unit with 1, 6
+// and 25 % of its rows invalid; rows_rowstore/op is the number that took the
+// row-store path.
+func BenchmarkScanInvalid(b *testing.B) {
+	for _, pct := range []int{1, 6, 25} {
+		f := newBenchUnit(b, pct)
+		ex, snap := f.exec(), f.c.Snapshot()
+		for _, class := range []string{"q1", "agg", "grp"} {
+			q := benchMix(f)[class]
+			b.Run(fmt.Sprintf("%s/%dpct", class, pct), func(b *testing.B) {
+				b.ReportAllocs()
+				var served int64
+				for i := 0; i < b.N; i++ {
+					res, err := ex.Run(q, snap)
+					if err != nil {
+						b.Fatal(err)
+					}
+					served = res.FromRowStore
+				}
+				b.ReportMetric(float64(served), "rows_rowstore/op")
+			})
+		}
+	}
+}
+
+// rowPathShapes is the differential suite's shape matrix with the filters also
+// as predicates, so that every point's rows by serving path are checked, plus
+// the single-key groupings whose row images translate to the unit's code
+// space one way each (dictionary code, value − min).
+func rowPathShapes(tbl *rowstore.Table) []scantest.Case {
+	all := func(rowstore.Row) bool { return true }
+	preds := map[string]func(rowstore.Row) bool{
+		"full-ordered":         all,
+		"filter":               func(r rowstore.Row) bool { return r.Strs[0] == "blue" },
+		"filter-range-project": func(r rowstore.Row) bool { return r.Nums[1] >= 40 },
+		"multi-agg":            all,
+		"filtered-agg":         func(r rowstore.Row) bool { return r.Strs[0] == "red" },
+		"groupby":              all,
+	}
+	cases := shapes(tbl)
+	for i := range cases {
+		cases[i].Match = preds[cases[i].Name]
+	}
+	aggs := []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: 1}, {Kind: scanengine.AggMax, Col: 0}}
+	return append(cases,
+		scantest.Case{Name: "point", Match: func(r rowstore.Row) bool { return r.Nums[1] == 42 },
+			Query: func() *scanengine.Query {
+				return &scanengine.Query{Table: tbl, Filters: []scanengine.Filter{scanengine.EqNum(1, 42)}, OrderByRowID: true}
+			}},
+		scantest.Case{Name: "groupby-varchar", Match: all,
+			Query: func() *scanengine.Query { return &scanengine.Query{Table: tbl, Aggs: aggs, GroupBy: []int{2}} }},
+		scantest.Case{Name: "groupby-number-filtered", Match: func(r rowstore.Row) bool { return r.Strs[0] != "green" },
+			Query: func() *scanengine.Query {
+				return &scanengine.Query{Table: tbl, Aggs: aggs, GroupBy: []int{1},
+					Filters: []scanengine.Filter{{Col: 2, Op: scanengine.NE, Str: "green"}}}
+			}},
+	)
+}
+
+// TestDifferentialRowPath sweeps every query class at every granule ×
+// parallelism over populated stores left stale, with 0, 1, 6, 25 and 100 % of
+// their rows changed since population — and with everything else the
+// row-store serving path can meet: version chains three deep, keys moved to
+// values no dictionary holds, deleted rows, versions of an aborted
+// transaction, the uncommitted updates and inserts of a writer still in
+// flight, tail rows behind the last unit's captured slots and blocks no unit
+// covers — at the newest snapshot and at one older than the last commits. Each
+// result must equal the serial scan of the row store alone, byte for byte, and
+// serve every row from the path its SMU state prescribes.
+func TestDifferentialRowPath(t *testing.T) {
+	const rows = 1600
+	for _, pct := range []int{0, 1, 6, 25, 100} {
+		t.Run(fmt.Sprintf("%dpct", pct), func(t *testing.T) {
+			f := newFixture(t, rows, true)
+			f.eng.Stop() // what changes below stays unpopulated
+			s := f.tbl.Schema()
+			seg := f.tbl.Segments()[0]
+			n1, c1 := s.Col(1).Slot(), s.Col(2).Slot()
+			invalidate := func(ids ...int64) {
+				for _, id := range ids {
+					if rid, ok := f.tbl.Index().Get(id); ok {
+						f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+					}
+				}
+			}
+			update := func(tx *txn.Txn, id, round int64) {
+				if err := tx.UpdateByID(f.tbl, id, []uint16{1, 2}, func(r *rowstore.Row) {
+					r.Nums[n1] = (id*7 + round) % 130 // in and out of the units' 0..99
+					switch (id + round) % 3 {
+					case 0: // key untouched
+					case 1:
+						r.Strs[c1] = colors[(id+round)%4]
+					default:
+						r.Strs[c1] = fmt.Sprintf("moved-%d", id%7) // in no dictionary
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			changed := rand.New(rand.NewSource(int64(pct))).Perm(rows)[:rows*pct/100]
+			var snaps []scn.SCN
+			// Three rounds over the changed rows, each its own commit: chains three
+			// deep, and a snapshot between the rounds that is older than the newest
+			// commit of every changed row.
+			for round := int64(0); round < 3; round++ {
+				tx := f.c.Instance(0).Begin()
+				for _, id := range changed {
+					update(tx, int64(id), round)
+				}
+				if _, err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				if round == 1 {
+					snaps = append(snaps, f.c.Snapshot())
+				}
+			}
+			for _, id := range changed {
+				invalidate(int64(id))
+			}
+			// Deleted rows; an aborted transaction's versions, some of them on rows
+			// the SMU marks invalid anyway; tail rows and blocks past the units.
+			tx := f.c.Instance(0).Begin()
+			var deleted []int64
+			for id := int64(5); id < rows; id += 97 {
+				deleted = append(deleted, id)
+			}
+			for _, id := range deleted {
+				rid, _ := f.tbl.Index().Get(id)
+				if err := tx.DeleteByID(f.tbl, id); err != nil {
+					t.Fatal(err)
+				}
+				f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+			}
+			if _, err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			tx = f.c.Instance(0).Begin()
+			for id := int64(11); id < rows; id += 83 {
+				if _, ok := f.tbl.Index().Get(id); ok {
+					update(tx, id, 9)
+				}
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			f.insert(t, rows, rows+300)
+			// A writer still in flight at every scan: updates of rows nobody else
+			// touched and inserts that occupy tail slots.
+			open := f.c.Instance(0).Begin()
+			for id := int64(17); id < rows; id += 101 {
+				if _, ok := f.tbl.Index().Get(id); ok {
+					update(open, id, 5)
+				}
+			}
+			for id := int64(rows + 300); id < rows+320; id++ {
+				r := rowstore.NewRow(s)
+				r.Nums[0], r.Nums[n1], r.Strs[c1] = id, id%100, "in-flight"
+				if _, err := open.Insert(f.tbl, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer open.Abort()
+			snaps = append(snaps, f.c.Snapshot())
+
+			for _, snap := range snaps {
+				n := scantest.Diff(t, scantest.Options{
+					NewExec: f.exec, Reference: f.execNoIMCS, Store: f.store, View: f.c.Txns(),
+					Snap: snap, Parallel: []int{1, 2, 8}, MorselRows: []int{0, 1, 255, 257},
+				}, rowPathShapes(f.tbl)...)
+				if n != len(rowPathShapes(f.tbl))*12 {
+					t.Fatalf("sweep at %d ran %d points", snap, n)
+				}
+				res, err := f.exec().Run(&scanengine.Query{Table: f.tbl}, snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				newest := snap == snaps[len(snaps)-1] // the older snapshot predates the inserts
+				if newest && (res.FromTail == 0 || res.FromRowStore == res.FromInvalid+res.FromTail) {
+					t.Fatalf("paths at %d: %+v", snap, scantest.PathsOf(res))
+				}
+				if pct == 100 && res.FromIMCS != 0 {
+					t.Fatalf("%d rows from the column store of a fully invalid store", res.FromIMCS)
+				}
+			}
+		})
+	}
+}
+
+// countingView counts transaction-table lookups.
+type countingView struct {
+	rowstore.TxnView
+	lookups atomic.Int64
+}
+
+func (v *countingView) Lookup(id scn.TxnID) (rowstore.TxnStatus, scn.SCN) {
+	v.lookups.Add(1)
+	return v.TxnView.Lookup(id)
+}
+
+// TestInvalidScanLookups counts what the commit-SCN hint saves: the first scan
+// over freshly updated rows asks the transaction table once per version it
+// walks — one per invalid row here, each holding the update's version over a
+// version population already resolved — and every scan after it, at the same
+// snapshot or a later one, asks nothing.
+func TestInvalidScanLookups(t *testing.T) {
+	f := newBenchUnit(t, 6)
+	view := &countingView{TxnView: f.c.Txns()}
+	ex := scanengine.NewExecutor(view, f.store)
+	snap := f.c.Snapshot()
+	q := &scanengine.Query{Table: f.tbl, Parallel: 1}
+	res, err := ex.Run(q, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	invalid := int64(benchUnitRows * 6 / 100)
+	if res.FromInvalid != invalid {
+		t.Fatalf("%d rows from the invalid path, want %d", res.FromInvalid, invalid)
+	}
+	if got := view.lookups.Load(); got != invalid {
+		t.Fatalf("first scan of %d invalid rows: %d transaction-table lookups, want one per version walked", invalid, got)
+	}
+	// A row inserted behind the unit's captured slots moves the snapshot on. Its
+	// version is the one nobody has read: whichever scan meets it first resolves
+	// it — at the old snapshot too, where the commit is too new to be visible —
+	// and no scan after that asks anything.
+	tx := f.c.Instance(0).Begin()
+	if _, err := tx.Insert(f.tbl, workload.FillRow(f.tbl.Schema(), benchUnitRows, rand.New(rand.NewSource(1)))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range []scn.SCN{snap, f.c.Snapshot(), snap} {
+		view.lookups.Store(0)
+		res, err := ex.Run(q, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FromInvalid != invalid || (res.FromTail == 1) != (at > snap) {
+			t.Fatalf("scan at %d: %d invalid and %d tail rows", at, res.FromInvalid, res.FromTail)
+		}
+		if got, want := view.lookups.Load(), int64(1-min(i, 1)); got != want {
+			t.Fatalf("scan %d of the same invalid rows, at %d: %d transaction-table lookups, want %d", i+2, at, got, want)
+		}
+	}
+}
+
+// TestAllocsPerRunInvalidScan guards the bench's query classes over a unit with
+// 6 % of its rows invalid: in the steady state the row-store serving path
+// allocates nothing per row and nothing per block — the same objects as over a
+// unit with 1 %.
+func TestAllocsPerRunInvalidScan(t *testing.T) {
+	cost := func(pct int) map[string]float64 {
+		f := newBenchUnit(t, pct)
+		ex, snap := f.exec(), f.c.Snapshot()
+		out := map[string]float64{}
+		for class, q := range benchMix(f) {
+			objects, _ := runCost(t, func() {
+				if _, err := ex.Run(q, snap); err != nil {
+					t.Fatal(err)
+				}
+			})
+			out[class] = objects
+		}
+		return out
+	}
+	few, many := cost(1), cost(6)
+	for class := range many {
+		t.Logf("%s: %.0f allocs at 1 %% invalid, %.0f at 6 %%", class, few[class], many[class])
+		if many[class] > few[class]+2 {
+			t.Errorf("%s: %.0f allocs per run at 6 %% invalid rows, %.0f at 1 %%: the row path allocates per row or per block",
+				class, many[class], few[class])
+		}
+	}
+}
+
+// TestAllocsPerRunGroupByInvalid guards the global group table's sizing: GRP
+// over a store with 6 % invalid rows — half of them with a key other than the
+// IMCU's, so bound for the global table by value, and met before any flush —
+// allocates what it does over a clean store, plus a constant.
+func TestAllocsPerRunGroupByInvalid(t *testing.T) {
+	cost := func(pct int) (objects, bytes float64) {
+		f := newBenchUnit(t, pct)
+		ex, snap, q := f.exec(), f.c.Snapshot(), benchMix(f)["grp"]
+		return runCost(t, func() {
+			if res, err := ex.Run(q, snap); err != nil || res.GroupCount < workload.StrDomain*9/10 {
+				t.Fatalf("groups=%v err=%v", res, err)
+			}
+		})
+	}
+	cleanObjs, cleanBytes := cost(0)
+	objs, bytes := cost(6)
+	t.Logf("clean: %.0f allocs, %.0f bytes; 6 %% invalid: %.0f allocs, %.0f bytes", cleanObjs, cleanBytes, objs, bytes)
+	// The constant: the invalid-window morsels of one unit.
+	if objs > cleanObjs+6 || bytes > cleanBytes+4096 {
+		t.Errorf("GRP over 6 %% invalid rows: %.0f allocs / %.0f bytes, over a clean store %.0f / %.0f: want the same plus a constant",
+			objs, bytes, cleanObjs, cleanBytes)
+	}
+}

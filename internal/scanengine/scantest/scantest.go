@@ -16,16 +16,22 @@ import (
 	"strings"
 	"testing"
 
+	"dbimadg/internal/imcs"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
 	"dbimadg/internal/scn"
 )
 
 // Case is one named query shape under differential test. Query must return a
-// fresh value each call: the harness mutates Parallel on it.
+// fresh value each call: the harness mutates Parallel on it. Match, when set,
+// is the query's filters as a Go predicate over a row image: Diff then also
+// checks every point's per-path row counts against ExpectPaths (Options.Store
+// and Options.View must be set, and the store must not change under the
+// sweep).
 type Case struct {
 	Name  string
 	Query func() *scanengine.Query
+	Match func(rowstore.Row) bool
 }
 
 // Options configures a Diff sweep.
@@ -40,6 +46,75 @@ type Options struct {
 	// MorselRows lists the granules to sweep; 0 means the executor's
 	// configured default (default just {0}).
 	MorselRows []int
+	// Reference, when set, builds an executor over the row store alone: every
+	// case's baseline must equal its serial result byte for byte, so the whole
+	// sweep is pinned to Consistent Read of the row store and not merely to
+	// itself.
+	Reference func() *scanengine.Executor
+	// Store and View are the column store NewExec scans through and its
+	// transaction view, for the per-path expectation of cases with a Match.
+	Store *imcs.Store
+	View  rowstore.TxnView
+}
+
+// Paths is a result's matching rows by serving path: compressed columns,
+// SMU-invalid rows re-read from the row store, rows appended to a unit's
+// blocks after population, and rows of blocks no usable unit covers.
+type Paths struct{ IMCS, Invalid, Tail, Range int64 }
+
+// PathsOf reads a result's per-path counters.
+func PathsOf(res *scanengine.Result) Paths {
+	return Paths{res.FromIMCS, res.FromInvalid, res.FromTail, res.FromRowStore - res.FromInvalid - res.FromTail}
+}
+
+// ExpectPaths says where a scan at snap must serve each matching row of the
+// table's segments from, by the rule of the paper's §II.B and nothing the
+// executor computes: a row visible at snap comes from its unit's IMCU unless
+// the SMU marks its position invalid (or a gap), from the row store as a tail
+// row when the IMCU never captured its slot, and from a plain row-store range
+// when no unit usable at snap covers its block.
+func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, snap scn.SCN, match func(rowstore.Row) bool) Paths {
+	var want Paths
+	for _, seg := range tbl.Segments() {
+		type unitView struct {
+			imcu    *imcs.IMCU
+			invalid []uint64
+		}
+		views := map[*imcs.Unit]unitView{}
+		seg.Scan(snap, view, func(rid rowstore.RowID, row rowstore.Row) bool {
+			if !match(row) {
+				return true
+			}
+			blk := rid.DBA.Block()
+			u, ok := store.UnitForBlock(seg.Obj(), blk)
+			if !ok {
+				want.Range++
+				return true
+			}
+			v, seen := views[u]
+			if !seen {
+				if imcu, invalid, usable := u.ScanView(); usable && imcu.SnapSCN <= snap && imcu.Schema() == tbl.Schema() {
+					v = unitView{imcu, invalid}
+				}
+				views[u] = v
+			}
+			if v.imcu == nil {
+				want.Range++
+				return true
+			}
+			pos, captured := v.imcu.RowIndexOf(blk, rid.Slot)
+			switch {
+			case !captured:
+				want.Tail++
+			case v.invalid[pos/64]&(1<<uint(pos%64)) != 0:
+				want.Invalid++
+			default:
+				want.IMCS++
+			}
+			return true
+		})
+	}
+	return want
 }
 
 // Canonical renders a scan result into a byte-comparable string: materialized
@@ -110,10 +185,26 @@ func Diff(t testing.TB, opts Options, cases ...Case) int {
 					t.Fatalf("scantest %s (morsel=%d parallel=%d): %v", c.Name, g, p, err)
 				}
 				got := Canonical(res, schema)
+				if c.Match != nil {
+					if want := ExpectPaths(q.Table, opts.Store, opts.View, opts.Snap, c.Match); PathsOf(res) != want {
+						t.Fatalf("scantest %s (morsel=%d parallel=%d): rows by path %+v, want %+v", c.Name, g, p, PathsOf(res), want)
+					}
+				}
 				if gi == 0 && p == par[0] {
 					// The sweep's first point (serial at the first granule)
 					// is the baseline every other point must match.
 					base, baseRes = got, res
+					if opts.Reference != nil {
+						rq := c.Query()
+						rq.Parallel = 1
+						ref, err := opts.Reference().Run(rq, opts.Snap)
+						if err != nil {
+							t.Fatalf("scantest %s reference: %v", c.Name, err)
+						}
+						if want := Canonical(ref, schema); got != want {
+							t.Fatalf("scantest %s differs from the row-store reference:\n%s\nwant:\n%s", c.Name, got, want)
+						}
+					}
 					checked++
 					continue
 				}

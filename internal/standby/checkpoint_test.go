@@ -176,3 +176,67 @@ func TestCheckpointerNoGoroutineLeak(t *testing.T) {
 	p.sby.Stop() // the t.Cleanup Stop is a no-op second call
 	testutil.NoGoroutineLeak(t, "dbimadg/")
 }
+
+// TestReplayedBeginKeepsCommit replays redo the standby has already applied:
+// a restart from a checkpoint re-applies the begin and the changes of a
+// transaction the row store and the transaction table hold as committed, and —
+// the replacement source ending just short of the commit record — stays there,
+// as a replay does for as long as it has not reached the commit again. The
+// transaction must stay committed and its rows visible at the snapshots that
+// showed them before: readers have cached its commitSCN on its row versions.
+func TestReplayedBeginKeepsCommit(t *testing.T) {
+	p := newPair(t, 1, standby.Config{SnapshotDir: t.TempDir(), SnapshotInterval: time.Hour}, "standby")
+	p.insert(t, 0, 200)
+	p.catchUp(t)
+	if !p.sby.Engine().WaitIdle(10 * time.Second) {
+		t.Fatal("population did not settle")
+	}
+	meta, err := p.sby.CheckpointNow()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := p.tbl.Schema()
+	tx := p.pri.Instance(0).Begin()
+	id := tx.ID()
+	for row := int64(0); row < 200; row += 7 {
+		if err := tx.UpdateByID(p.tbl, row, []uint16{1}, func(r *rowstore.Row) {
+			r.Nums[s.Col(1).Slot()] = 5000 + row
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commitSCN, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := p.catchUp(t)
+	pure := scanengine.NewExecutor(p.sby.Txns())
+	want := scanKey(t, pure, p.sbyTable(t), snap)
+
+	// The log again, up to but not including the commit record.
+	full := p.pri.Instance(0).Stream()
+	short := redo.NewStream(full.Thread())
+	for i := 0; ; i++ {
+		rec, ok := full.At(i)
+		if !ok || rec.SCN >= commitSCN {
+			break
+		}
+		short.Append(rec)
+	}
+	if short.LastSCN() <= meta.SCN {
+		t.Fatalf("nothing to replay: log ends at %d, checkpoint at %d", short.LastSCN(), meta.SCN)
+	}
+	if err := p.sby.Restart(transport.NewInProc(short)); err != nil {
+		t.Fatal(err)
+	}
+	if !p.sby.WaitForSCN(short.LastSCN(), 10*time.Second) {
+		t.Fatalf("replay did not reach %d: QuerySCN=%d", short.LastSCN(), p.sby.QuerySCN())
+	}
+	if st, c := p.sby.Txns().Lookup(id); st != rowstore.TxnCommitted || c != commitSCN {
+		t.Fatalf("after its begin was replayed the transaction is %v at %d, want committed at %d", st, c, commitSCN)
+	}
+	if got := scanKey(t, pure, p.sbyTable(t), snap); got != want {
+		t.Fatalf("row-store scan at %d changed under the replay:\n%s\nwant\n%s", snap, got, want)
+	}
+}

@@ -795,6 +795,8 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { return float64(inst.scanStats.RowsFromIMCS()) })
 	r.CounterFunc("scan_rows_from_rowstore_total", "matching rows served from the row store",
 		func() float64 { return float64(inst.scanStats.RowsFromRowStore()) })
+	r.CounterFunc("scan_rowstore_blocks_total", "blocks latched by scans serving invalid, tail and uncovered rows from the row store",
+		func() float64 { return float64(inst.scanStats.RowStoreBlocks()) })
 	r.CounterFunc("scan_units_pruned_total", "IMCUs skipped via storage indexes",
 		func() float64 { return float64(inst.scanStats.UnitsPruned()) })
 	r.CounterFunc("scan_units_scanned_total", "IMCUs whose columns were evaluated",

@@ -48,29 +48,31 @@ func (t *Table) shard(id scn.TxnID) *tableShard {
 	return &t.shards[x&(tableShards-1)]
 }
 
-// Begin records the transaction as active.
-func (t *Table) Begin(id scn.TxnID) {
+// set records a lifecycle transition of id. Committed and aborted are final
+// (rowstore.TxnView): a transition out of either is ignored. A standby replay
+// that starts below a checkpoint re-applies the begin of transactions the
+// restored table already holds as finished; reopening one would hide its rows
+// from Consistent Read until its commit is replayed again, and contradict the
+// commitSCN that readers have cached on its row versions.
+func (t *Table) set(id scn.TxnID, e tableEntry) {
 	s := t.shard(id)
 	s.mu.Lock()
-	s.m[id] = tableEntry{status: rowstore.TxnActive}
+	if cur := s.m[id].status; cur != rowstore.TxnCommitted && cur != rowstore.TxnAborted {
+		s.m[id] = e
+	}
 	s.mu.Unlock()
 }
+
+// Begin records the transaction as active.
+func (t *Table) Begin(id scn.TxnID) { t.set(id, tableEntry{status: rowstore.TxnActive}) }
 
 // Commit records the transaction committed at commitSCN.
 func (t *Table) Commit(id scn.TxnID, commitSCN scn.SCN) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.m[id] = tableEntry{status: rowstore.TxnCommitted, commitSCN: commitSCN}
-	s.mu.Unlock()
+	t.set(id, tableEntry{status: rowstore.TxnCommitted, commitSCN: commitSCN})
 }
 
 // Abort records the transaction rolled back.
-func (t *Table) Abort(id scn.TxnID) {
-	s := t.shard(id)
-	s.mu.Lock()
-	s.m[id] = tableEntry{status: rowstore.TxnAborted}
-	s.mu.Unlock()
-}
+func (t *Table) Abort(id scn.TxnID) { t.set(id, tableEntry{status: rowstore.TxnAborted}) }
 
 // Lookup implements rowstore.TxnView.
 func (t *Table) Lookup(id scn.TxnID) (rowstore.TxnStatus, scn.SCN) {

@@ -80,3 +80,31 @@ func TestTableConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want 8000", tbl.Len())
 	}
 }
+
+// TestTableTerminalStatesAreFinal is the TxnView invariant readers cache
+// commitSCNs under: once committed or aborted, a transaction stays so through
+// a replayed begin, commit or abort.
+func TestTableTerminalStatesAreFinal(t *testing.T) {
+	tbl := NewTable()
+	tbl.Begin(1)
+	tbl.Commit(1, 100)
+	tbl.Begin(1) // a replay from below a checkpoint re-applies the begin
+	if st, s := tbl.Lookup(1); st != rowstore.TxnCommitted || s != 100 {
+		t.Fatalf("Begin reopened a committed transaction: %v %d", st, s)
+	}
+	tbl.Abort(1)
+	tbl.Commit(1, 200)
+	if st, s := tbl.Lookup(1); st != rowstore.TxnCommitted || s != 100 {
+		t.Fatalf("a committed transaction changed: %v %d", st, s)
+	}
+	tbl.Begin(2)
+	tbl.Abort(2)
+	tbl.Begin(2)
+	tbl.Commit(2, 300)
+	if st, _ := tbl.Lookup(2); st != rowstore.TxnAborted {
+		t.Fatalf("an aborted transaction changed: %v", st)
+	}
+	if got := tbl.AbortActive(); len(got) != 0 {
+		t.Fatalf("AbortActive found %v among finished transactions", got)
+	}
+}
