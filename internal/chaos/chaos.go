@@ -177,11 +177,9 @@ type Result struct {
 	// row (coarse-invalid units).
 	UnitsMerged  int64
 	FullRebuilds int64
-	// What the oracle's hybrid scans took from each store, and the blocks they
+	// HybridRowBlocks counts the blocks the quiesce checks' hybrid scans
 	// latched on the row-store serving path.
-	HybridRowsIMCS     int64
-	HybridRowsRowStore int64
-	HybridRowBlocks    int64
+	HybridRowBlocks int64
 }
 
 // rowsPerBlock / base workload shape: small blocks and IMCUs so a modest row
@@ -235,9 +233,6 @@ type Runner struct {
 
 	// tallied is what tallyBuilds last read from each population engine.
 	tallied map[*imcs.Engine]imcs.EngineStats
-	// hybridStats accumulates the path counters of every oracle executor that
-	// scans through a column store.
-	hybridStats scanengine.PathStats
 
 	// ckptDir is the run's snapshot directory (Options.Checkpoints only),
 	// removed at teardown.
@@ -285,9 +280,6 @@ func (r *Runner) newExec(view rowstore.TxnView, stores ...*imcs.Store) *scanengi
 	ex := scanengine.NewExecutor(view, stores...)
 	ex.MorselRows = r.scanMorselRows
 	ex.DefaultParallel = r.scanParallel
-	if len(stores) > 0 {
-		ex.Obs = &r.hybridStats
-	}
 	return ex
 }
 
@@ -1037,9 +1029,6 @@ func (r *Runner) tallyBuilds() {
 }
 
 func (r *Runner) collectCounters() {
-	r.res.HybridRowsIMCS = r.hybridStats.RowsFromIMCS()
-	r.res.HybridRowsRowStore = r.hybridStats.RowsFromRowStore()
-	r.res.HybridRowBlocks = r.hybridStats.RowStoreBlocks()
 	if r.injector != nil {
 		r.res.FaultCounts = r.injector.Counts()
 	}

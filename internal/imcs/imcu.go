@@ -179,10 +179,10 @@ type buildScratch struct {
 	rows   []rowstore.Row
 	pos    []int32
 	absent []int32
-	// slots and oks are one block's re-read slots and Block.ReadRows'
-	// visibility flags for them.
+	// slots are one block's re-read slots, got those of them Block.ReadRows
+	// found visible.
 	slots []uint16
-	oks   []bool
+	got   []uint16
 	// segs lists the runs of row positions carried over from the old image.
 	segs []carrySeg
 	// vals holds one tile of column vectors, numTile*rows values.
@@ -267,14 +267,20 @@ func (b *Builder) readBlock(blk *rowstore.Block, n int, slots []uint16, view row
 	base := b.nRows
 	b.BeginBlock(n)
 	sc := b.sc
-	// Read into the tail of rows, then keep the visible ones in place.
+	// The visible images land behind rows; the slots not among them are absent.
 	at := len(sc.rows)
 	sc.rows = slices.Grow(sc.rows, len(slots))
-	sc.oks = slices.Grow(sc.oks[:0], len(slots))[:len(slots)]
-	images := sc.rows[at : at+len(slots)]
-	blk.ReadRows(slots, b.snap, view, scn.InvalidTxn, images, sc.oks)
-	for i, slot := range slots {
-		b.add(base+int(slot), images[i], sc.oks[i])
+	sc.got = slices.Grow(sc.got[:0], len(slots))[:len(slots)]
+	k := blk.ReadRows(slots, uint16(blk.Capacity()), b.snap, view, scn.InvalidTxn, sc.rows[at:at+len(slots)], sc.got)
+	sc.rows = sc.rows[:at+k]
+	j := 0
+	for _, slot := range slots {
+		if j < k && sc.got[j] == slot {
+			sc.pos = append(sc.pos, int32(base+int(slot)))
+			j++
+		} else {
+			sc.absent = append(sc.absent, int32(base+int(slot)))
+		}
 	}
 }
 

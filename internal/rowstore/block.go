@@ -101,28 +101,28 @@ func (b *Block) ReadRow(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID)
 	return b.readRowLocked(slot, snap, view, self)
 }
 
-// ReadRows is ReadRow for many slots under one block latch: rows[i], ok[i]
-// receive what ReadRow(slots[i], ...) returns, so the images are mutually
-// consistent as of snap and the caller pays one latch per block, not one per
-// row. rows and ok must be at least as long as slots.
-func (b *Block) ReadRows(slots []uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Row, ok []bool) {
+// ReadRows is ReadRow under one block latch for the slots listed and then for
+// every slot from `from` up to the high-water mark, which only the latch makes
+// known (pass Capacity() for none). It keeps the rows visible at snap: rows[i]
+// and at[i] receive the i-th of them and its slot, and their number is
+// returned. The images are mutually consistent as of snap and the caller pays
+// one latch per block, not one per row. rows and at must have room for
+// len(slots)+Capacity()-from entries; at may be slots itself.
+func (b *Block) ReadRows(slots []uint16, from uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Row, at []uint16) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	for i, slot := range slots {
-		rows[i], ok[i] = b.readRowLocked(slot, snap, view, self)
+	n := 0
+	for _, slot := range slots {
+		if row, ok := b.readRowLocked(slot, snap, view, self); ok {
+			rows[n], at[n] = row, slot
+			n++
+		}
 	}
-}
-
-// ReadRange is ReadRows for every slot from `from` up to the block's
-// high-water mark, which only the latch makes known: rows[i], ok[i] receive
-// what ReadRow(from+i, ...) returns and the number of slots read is returned.
-// rows and ok must hold Capacity()-from entries.
-func (b *Block) ReadRange(from uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Row, ok []bool) int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := max(len(b.rows)-int(from), 0)
-	for i := 0; i < n; i++ {
-		rows[i], ok[i] = b.readRowLocked(from+uint16(i), snap, view, self)
+	for s := int(from); s < len(b.rows); s++ {
+		if row, ok := b.readRowLocked(uint16(s), snap, view, self); ok {
+			rows[n], at[n] = row, uint16(s)
+			n++
+		}
 	}
 	return n
 }

@@ -109,6 +109,7 @@ func TestCommitHintProperty(t *testing.T) {
 			go func(r int) {
 				defer wg.Done()
 				rows, ok := make([]Row, slots), make([]bool, slots)
+				got, at := make([]Row, slots), make([]uint16, slots) // ReadRows' visible images and their slots
 				all := make([]uint16, slots)
 				for i := range all {
 					all[i] = uint16(i)
@@ -125,17 +126,21 @@ func TestCommitHintProperty(t *testing.T) {
 					if i%3 == r%3 && snap > 2 {
 						snap -= scn.SCN(1 + i%int(snap-2))
 					}
-					switch i % 3 {
-					case 0:
-						b.ReadRows(all, snap, view, scn.InvalidTxn, rows, ok)
-					case 1:
-						n := b.ReadRange(0, snap, view, scn.InvalidTxn, rows, ok)
-						for j := n; j < slots; j++ {
-							rows[j], ok[j] = Row{}, false
-						}
-					default:
+					// The slots listed, the range from a slot on, or one by one.
+					if i%3 == 2 {
 						for j := range all {
 							rows[j], ok[j] = b.ReadRow(uint16(j), snap, view, scn.InvalidTxn)
+						}
+					} else {
+						list, from := all[:i%slots], uint16(i%slots)
+						if i%3 == 0 {
+							list, from = all, slots
+						}
+						clear(rows)
+						clear(ok)
+						n := b.ReadRows(list, from, snap, view, scn.InvalidTxn, got, at)
+						for j := 0; j < n; j++ {
+							rows[at[j]], ok[at[j]] = got[j], true
 						}
 					}
 					for j := range all {

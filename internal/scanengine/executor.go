@@ -261,8 +261,7 @@ func getScratch() *scanScratch {
 }
 
 func putScratch(s *scanScratch) {
-	clear(s.rows.rows[:s.rows.used])
-	s.rows.used, s.rows.imcu = 0, nil
+	s.rows.imcu = nil
 	select {
 	case scratchPool <- s:
 	default:

@@ -824,28 +824,29 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	r.rowsDecoded += matched * int64(max(nc, 1))
 }
 
-// unitSlot translates a row image's key into the current unit's code space
-// and returns its slot of the local table; ok is false for a key the image
-// does not show to be one of the unit's — a VARCHAR value other than the one
-// the IMCU holds at the row's position pos (an update usually leaves the key
-// alone, so that one comparison settles most invalid rows; a tail row has no
-// position), or a NUMBER outside the range a direct-indexed table spans.
-// Searching the sorted dictionary for the rest was tried and lost to the
-// global table's one map probe: the dictionary's strings are scattered heap
-// objects, and a search misses the cache on half of its ten comparisons
+// unitSlot translates the key of a row image read at (blk, slot) into the
+// current unit's code space and returns its slot of the local table; ok is
+// false for a key the image does not show to be one of the unit's — a VARCHAR
+// value other than the one the IMCU holds for that row (an update usually
+// leaves the key alone, so that one comparison settles most invalid rows; a
+// tail row is not in the IMCU), or a NUMBER outside the range a direct-indexed
+// table spans. Searching the sorted dictionary for the rest was tried and lost
+// to the global table's one map probe: the dictionary's strings are scattered
+// heap objects, and a search misses the cache on half of its ten comparisons
 // (380 ns a search in the paced stage's profile).
-func (o *groupOp) unitSlot(row rowstore.Row, pos int32) (slot int, ok bool) {
+func (o *groupOp) unitSlot(row rowstore.Row, blk rowstore.BlockNo, at uint16) (slot int, ok bool) {
 	var lk lkey
 	for j, ks := range o.keySlots {
 		if !o.keyIsStr[j] {
 			lk[j] = row.Nums[ks]
 			continue
 		}
-		if pos < 0 {
+		pos, held := o.unit.RowIndexOf(blk, at)
+		if !held {
 			return 0, false
 		}
 		col := o.unit.StrCol(ks)
-		if lk[j] = col.CodeAt(int(pos)); col.Value(lk[j]) != row.Strs[ks] {
+		if lk[j] = col.CodeAt(pos); col.Value(lk[j]) != row.Strs[ks] {
 			return 0, false
 		}
 	}
@@ -864,7 +865,7 @@ func (o *groupOp) unitSlot(row rowstore.Row, pos int32) (slot int, ok bool) {
 
 func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 	loc, nk := o.loc, len(o.keySlots)
-	coded := b.imcu != nil && b.imcu == o.unit
+	coded := b.imcu != nil // then beginUnit has named it: it is o.unit
 	for w := range match {
 		for m := match[w]; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
@@ -872,7 +873,7 @@ func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 			slab := &loc.aggSlab
 			g, ok := 0, false
 			if coded {
-				g, ok = o.unitSlot(row, b.pos[i])
+				g, ok = o.unitSlot(row, b.blks[i], b.slots[i])
 			}
 			if ok {
 				if loc.count[g] == 0 {
