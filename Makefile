@@ -69,13 +69,16 @@ stress:
 allocs:
 	$(GO) test -run 'AllocsPerRun|InvalidScanLookups' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs
 
-# Native fuzzing of the decoders that read bytes from the wire: the frame
+# Native fuzzing of the decoders that read bytes from the wire — the frame
 # reader and the record decoder, seeded from the corruption tables of their
-# unit tests. go test fuzzes one target per run; the nightly job runs longer.
+# unit tests — and of the packed compare kernel against its decode-then-compare
+# reference (any width, window, mask and literal). go test fuzzes one target
+# per run; the nightly job runs longer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
+	$(GO) test -run '^$$' -fuzz '^FuzzCmpMask$$' -fuzztime $(FUZZTIME) ./internal/imcs
 
 # Deterministic chaos harness: seeded fault injection against the full
 # primary→transport→standby pipeline with a cross-node equivalence oracle
@@ -105,12 +108,14 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
 # Root benchmarks, then IMCU construction: a full build of one bench-table
 # unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed;
-# then the bench's query classes over one such unit with 1, 6 and 25 % of its
-# rows invalid.
+# the packed compare and unpack kernels per bit width, each beside the
+# decode-then-compare reference; then the bench's query classes over one unit
+# with 1, 6 and 25 % of its rows invalid, and a GROUP BY flush that brings the
+# table's keys again or as many new ones.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-	$(GO) test -bench 'BuildIMCU|Repopulate' -benchmem -run '^$$' ./internal/imcs
-	$(GO) test -bench ScanInvalid -benchmem -run '^$$' ./internal/scanengine
+	$(GO) test -bench 'BuildIMCU|Repopulate|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
+	$(GO) test -bench 'ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 
 # Machine-readable benchmark results: runs the root benchmarks and converts
 # the -bench output into BENCH_<date>.json via cmd/benchjson.

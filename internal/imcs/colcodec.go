@@ -87,24 +87,128 @@ func (p *bitPacked) get(i int) int64 {
 
 // decode fills dst with values [start, start+len(dst)).
 func (p *bitPacked) decode(dst []int64, start int) {
-	if p.width == 0 {
+	switch {
+	case p.width == 0:
 		for i := range dst {
 			dst[i] = p.min
 		}
-		return
-	}
-	w := uint(p.width)
-	mask := uint64(1)<<w - 1
-	bitPos := uint(start) * w
-	for i := range dst {
-		word, off := bitPos/64, bitPos%64
-		u := p.words[word] >> off
-		if off+w > 64 {
-			u |= p.words[word+1] << (64 - off)
+	case p.width == 64: // a word a value: nothing to unpack
+		for i, u := range p.words[start : start+len(dst)] {
+			dst[i] = p.min + int64(u)
 		}
-		dst[i] = p.min + int64(u&mask)
-		bitPos += w
+	case len(dst) > 0:
+		unpack(dst, p.words, uint(p.width), start, p.min)
 	}
+}
+
+// unpack decodes values from start on out of words packed w (1 to 63) bits a
+// value. It walks the words once, carrying the bits of the current word not
+// yet consumed: no value costs a division or a second look at a word. The
+// masks on the shift counts only tell the compiler they are below 64.
+func unpack(dst []int64, words []uint64, w uint, start int, mn int64) {
+	mask := uint64(1)<<(w&63) - 1
+	bit := uint(start) * w
+	k := bit >> 6
+	buf, have := words[k]>>(bit&63), 64-bit&63
+	for i := range dst {
+		var u uint64
+		if have >= w {
+			u = buf & mask
+			buf >>= w & 63
+			have -= w
+		} else { // low bits from what is left of this word, high bits from the next
+			k++
+			x := words[k]
+			u = (buf | x<<(have&63)) & mask
+			buf = x >> ((w - have) & 63)
+			have += 64 - w
+		}
+		dst[i] = mn + int64(u)
+	}
+}
+
+// CodeCmp is a comparison in a column's code space — value − min, unsigned,
+// for a NUMBER column, dictionary code for a VARCHAR one: code < C, or
+// code == C when Eq; Neg negates the outcome. The caller translates its
+// literal once, so the kernels never leave code space.
+type CodeCmp struct {
+	C   uint64
+	Eq  bool
+	Neg bool
+}
+
+// operands returns a, b and neg such that the comparison holds of code u
+// exactly when bit 0 of below(u^a, b)^neg is set: the one form every kernel
+// evaluates.
+func (cc CodeCmp) operands() (a, b, neg uint64) {
+	if cc.Neg {
+		neg = ^uint64(0)
+	}
+	if cc.Eq {
+		return cc.C, 1, neg
+	}
+	return 0, cc.C, neg
+}
+
+// below is the branch-free compare primitive: 1 when x < b (the borrow of
+// x − b, which unlike its sign bit holds over all 64 bits).
+func below(x, b uint64) uint64 {
+	if x < b {
+		return 1
+	}
+	return 0
+}
+
+// test evaluates the comparison on one code.
+func (cc CodeCmp) test(u uint64) bool {
+	a, b, neg := cc.operands()
+	return (below(u^a, b)^neg)&1 == 1
+}
+
+// cmpMask ANDs into match the outcome of cc over values [start, start+n):
+// bit i of match stands for value start+i. A match word that is already zero
+// skips its 64 values; a full word whose values begin on a word of the packed
+// vector — every one of a window that starts on a multiple of 64 — is compared
+// straight off those width words, any other through a decoded group.
+func (p *bitPacked) cmpMask(match []uint64, start, n int, cc CodeCmp) {
+	a, b, neg := cc.operands()
+	w := int(p.width)
+	for g := 0; g*64 < n; g++ {
+		if match[g] == 0 {
+			continue
+		}
+		var m uint64
+		if i, cnt := start+g*64, min(64, n-g*64); cnt == 64 && i%64 == 0 && w > 0 && w < 64 {
+			m = cmpGroup(p.words[i/64*w:i/64*w+w], uint(w), a, b)
+		} else {
+			var group [64]int64
+			p.decode(group[:cnt], i)
+			m = cmpValues64(group[:cnt], p.min, a, b)
+		}
+		match[g] &= m ^ neg
+	}
+}
+
+// cmpGroup returns the match word of the 64 values packed, w (1 to 63) bits
+// each, in src's w words: bit j says whether value j has u^a < b. Each word is
+// taken apart in a register — first the value its low bits complete, then the
+// values wholly inside it, the rest carried to the next word — and the
+// outcomes are shifted straight into the match word: no value is stored.
+func cmpGroup(src []uint64, w uint, a, b uint64) (m uint64) {
+	mask := uint64(1)<<(w&63) - 1
+	var carry uint64 // low bits of the value that runs on into the next word
+	cb := uint(0)    // how many they are: fewer than w
+	for _, x := range src {
+		m = m<<1 | below((carry|x<<(cb&63))&mask^a, b)
+		x >>= (w - cb) & 63
+		rem := 64 - (w - cb)
+		for ; rem >= w; rem -= w {
+			m = m<<1 | below(x&mask^a, b)
+			x >>= w & 63
+		}
+		carry, cb = x, rem
+	}
+	return bits.Reverse64(m) // value 0 went in first
 }
 
 // memSize returns the approximate in-memory footprint in bytes.

@@ -1,13 +1,18 @@
 package imcs
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
-// This file holds the encoding-aware aggregation kernels of the batch
-// execution pipeline: masked sum/min/max/count folds over a match bitmap,
-// evaluated directly against a column's compressed representation. Run-length
-// encoded (and constant) columns are aggregated at run level — a whole run
-// contributes value*popcount without decoding a single row — which is the
-// columnar analogue of the paper's SIMD-on-compressed-formats claim (§II.B).
+// This file holds the encoding-aware kernels of the batch execution pipeline,
+// evaluated directly against a column's compressed representation: predicates
+// compared in code space on the packed words (CmpMask) and masked
+// sum/min/max/count folds over the match bitmap (AggMasked). Run-length
+// encoded (and constant) columns are compared and aggregated at run level — a
+// whole run contributes value*popcount without decoding a single row — the
+// columnar analogue of the paper's SIMD-on-compressed-formats claim (§II.B);
+// bit-packed ones are unpacked only where a match word still selects a row.
 
 // MaskedAgg is the result of one masked aggregation kernel call: the matching
 // row count and the sum/min/max of the matching values. Min/Max are
@@ -98,7 +103,8 @@ func MaskOutsideRange(match []uint64, lo, hi, n int) uint64 {
 // values; it is used only on the decode path.
 //
 // RLE columns and constant vectors fold whole runs in encoded space; other
-// encodings decode the window into scratch and fold the set bits.
+// encodings decode into scratch the 64-row groups match selects and fold the
+// set bits.
 func (c *NumColumn) AggMasked(match []uint64, base, lo, hi int, scratch []int64) MaskedAgg {
 	var a MaskedAgg
 	if lo >= hi {
@@ -125,25 +131,106 @@ func (c *NumColumn) AggMasked(match []uint64, base, lo, hi int, scratch []int64)
 		a.EncodedRows = a.Count
 		return a
 	}
-	c.packed.decode(scratch[lo:hi], base+lo)
+	// Late decode: a 64-row group is unpacked only if match selects a row of it.
+	var cnt, sum int64
+	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 	for w := lo / 64; w <= (hi-1)/64; w++ {
-		m := match[w]
+		g0, g1 := max(w*64, lo), min(w*64+64, hi)
+		m := match[w] >> (g0 % 64) << (g0 % 64)
+		if g1%64 != 0 {
+			m &= (1 << (g1 % 64)) - 1
+		}
 		if m == 0 {
 			continue
 		}
-		if w == lo/64 {
-			m = m >> (lo % 64) << (lo % 64)
-		}
-		if w == (hi-1)/64 && hi%64 != 0 {
-			m &= (1 << (hi % 64)) - 1
-		}
-		for m != 0 {
-			i := w*64 + bits.TrailingZeros64(m)
-			a.addRun(scratch[i], 1)
-			m &= m - 1
+		c.packed.decode(scratch[g0:g1], base+g0)
+		cnt += int64(bits.OnesCount64(m))
+		for ; m != 0; m &= m - 1 {
+			v := scratch[w*64+bits.TrailingZeros64(m)]
+			sum += v
+			mn, mx = min(mn, v), max(mx, v)
 		}
 	}
-	return a
+	return MaskedAgg{Count: cnt, Sum: sum, Min: mn, Max: mx}
+}
+
+// clearBits clears the bits of match at positions [lo, hi).
+func clearBits(match []uint64, lo, hi int) {
+	for w := lo / 64; lo < hi; w++ {
+		end := min(hi, w*64+64)
+		match[w] &^= ^uint64(0) >> (64 - uint(end-lo)) << (lo % 64)
+		lo = end
+	}
+}
+
+// CmpMask ANDs into match the outcome of cc over the column's positions
+// [start, start+n): bit i of match stands for position start+i, and the bits
+// at n and beyond must be zero. cc is in the column's code space, value − min
+// (MinMax). A run-length encoded column is compared once per run and the mask
+// cleared by range; a bit-packed one is compared on its packed words.
+func (c *NumColumn) CmpMask(match []uint64, start, n int, cc CodeCmp) {
+	if !c.useRLE {
+		c.packed.cmpMask(match, start, n, cc)
+		return
+	}
+	r := &c.runs
+	run := r.runIndexOf(start)
+	for i := 0; i < n; run++ {
+		end := min(int(r.runEnds[run])-start, n)
+		if !cc.test(uint64(r.runVals[run]) - uint64(c.min)) {
+			clearBits(match, i, end)
+		}
+		i = end
+	}
+}
+
+// CmpMask is NumColumn.CmpMask over the column's dictionary codes.
+func (c *StrColumn) CmpMask(match []uint64, start, n int, cc CodeCmp) {
+	c.codes.cmpMask(match, start, n, cc)
+}
+
+// CmpValues ANDs into match the outcome of cc over vals, taken as codes
+// v − origin: the kernels' comparison for values that are not packed (row
+// images gathered from the row store).
+func CmpValues(match []uint64, vals []int64, origin int64, cc CodeCmp) {
+	a, b, neg := cc.operands()
+	for g := 0; g*64 < len(vals); g++ {
+		if match[g] != 0 {
+			match[g] &= cmpValues64(vals[g*64:min(g*64+64, len(vals))], origin, a, b) ^ neg
+		}
+	}
+}
+
+// cmpValues64 is cmpGroup for up to 64 values that are not packed.
+func cmpValues64(group []int64, origin int64, a, b uint64) (m uint64) {
+	for _, v := range group {
+		m = m<<1 | below(uint64(v-origin)^a, b)
+	}
+	return bits.Reverse64(m << ((64 - uint(len(group))) & 63))
+}
+
+// DecodeMasked is Decode for the 64-position groups of [start, start+len(dst))
+// whose word of match (bit i for position start+i) is not zero; the rest of
+// dst is left as it was: a selective filter leaves most of a window packed.
+func (c *NumColumn) DecodeMasked(dst []int64, start int, match []uint64) {
+	if c.useRLE {
+		c.runs.decode(dst, start)
+		return
+	}
+	c.packed.decodeMasked(dst, start, match)
+}
+
+// DecodeCodesMasked is DecodeCodes under DecodeMasked's rule.
+func (c *StrColumn) DecodeCodesMasked(dst []int64, start int, match []uint64) {
+	c.codes.decodeMasked(dst, start, match)
+}
+
+func (p *bitPacked) decodeMasked(dst []int64, start int, match []uint64) {
+	for g := 0; g*64 < len(dst); g++ {
+		if match[g] != 0 {
+			p.decode(dst[g*64:min(g*64+64, len(dst))], start+g*64)
+		}
+	}
 }
 
 // ForEachRun visits the maximal runs of equal values overlapping column

@@ -291,13 +291,13 @@ func (ex *Executor) validate(q *Query) (*rowstore.Schema, *queryPlan, error) {
 // scan is profiled and the Profile delivered to it.
 func (ex *Executor) Run(q *Query, snap scn.SCN) (*Result, error) {
 	if ex.Profiles != nil {
-		res, prof, err := ex.exec(q, snap, true)
+		res, prof, err := ex.exec(q, snap, profTree)
 		if err == nil {
 			ex.Profiles(prof)
 		}
 		return res, err
 	}
-	res, _, err := ex.exec(q, snap, false)
+	res, _, err := ex.exec(q, snap, profNone)
 	return res, err
 }
 
@@ -305,8 +305,25 @@ func (ex *Executor) Run(q *Query, snap scn.SCN) (*Result, error) {
 // per-partition and per-IMCU pruning decisions, per-path row counts, batch
 // counts and wall times. The profile is not delivered to the Profiles sink.
 func (ex *Executor) RunProfiled(q *Query, snap scn.SCN) (*Result, *Profile, error) {
-	return ex.exec(q, snap, true)
+	return ex.exec(q, snap, profTree)
 }
+
+// RunTotals executes a query and returns what a query log keeps of a profile
+// nobody asked to read: wall and per-worker busy times and the query's totals,
+// without the per-partition, per-task tree (Partitions is nil). The profile is
+// not delivered to the Profiles sink.
+func (ex *Executor) RunTotals(q *Query, snap scn.SCN) (*Result, *Profile, error) {
+	return ex.exec(q, snap, profTotals)
+}
+
+// profileLevel is how much of a Profile a run collects.
+type profileLevel uint8
+
+const (
+	profNone   profileLevel = iota // the Result alone; no clock is read
+	profTotals                     // wall and busy times and the query's totals
+	profTree                       // and the tree: every task's decision, rows and time
+)
 
 // morselRows resolves the executor's scheduling granule.
 func (ex *Executor) morselRows() int {
@@ -326,13 +343,13 @@ func (ex *Executor) effectiveParallel(q *Query) int {
 	return max(par, 1)
 }
 
-func (ex *Executor) exec(q *Query, snap scn.SCN, profile bool) (*Result, *Profile, error) {
+func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result, *Profile, error) {
 	schema, plan, err := ex.validate(q)
 	if err != nil {
 		return nil, nil, err
 	}
 	var start time.Time
-	if profile {
+	if profile != profNone {
 		start = time.Now()
 	}
 	decs, tasks := ex.planTasks(q, schema, snap)
@@ -362,14 +379,17 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile bool) (*Result, *Profil
 		res.Steals += wstats[i].Steals
 	}
 	ex.Obs.add(res)
-	if !profile {
+	if profile == profNone {
 		return res, nil, nil
 	}
-	profs := make([]taskProf, 0, len(tasks))
-	for _, ts := range tasks {
-		profs = append(profs, taskProf{part: ts.part, tp: ts.taskProfile(schema)})
+	prof := &Profile{Table: q.Table.Name, SnapSCN: snap, Analyze: true}
+	if profile == profTree {
+		profs := make([]taskProf, 0, len(tasks))
+		for _, ts := range tasks {
+			profs = append(profs, taskProf{part: ts.part, tp: ts.taskProfile(schema)})
+		}
+		prof = buildProfile(q, schema, snap, decs, profs, true)
 	}
-	prof := buildProfile(q, schema, snap, decs, profs, true)
 	prof.Parallel = workers
 	prof.MorselRows = morselRows
 	prof.Morsels = res.Morsels
@@ -699,26 +719,70 @@ func pruneIMCU(schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) *prun
 	return nil
 }
 
-// batchFilter is a filter resolved against one IMCU: the column slot to
-// decode and the comparison to run on its values — or, for a dictionary
-// column, on its codes.
+// batchFilter is a filter resolved against one IMCU: the column slot and the
+// comparison in that column's code space.
 type batchFilter struct {
 	slot int
 	str  bool
-	op   CmpOp
-	v    int64
+	cmp  imcs.CodeCmp
 }
 
-// resolveFilters rewrites the query's filters for one IMCU into dst. A
-// VARCHAR literal becomes a bound on the sorted dictionary's code space (the
-// two binary searches happen here, once per morsel, not per batch): EQ/NE
-// compare with the literal's code, or with -1 — which no code equals — when
-// the dictionary lacks it; ranges map to half-open code bounds.
-func resolveFilters(dst []batchFilter, schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) []batchFilter {
+// What a filter comes to over a whole range of values.
+const (
+	cmpSome = iota // the codes decide: compare them
+	cmpAll         // every value satisfies it
+	cmpNone        // no value does
+)
+
+// codeCmp translates "value op lit" over values spanning [mn, mx] into their
+// code space — value − mn, unsigned, which orders as the values do — and is
+// the one definition of each CmpOp there: equality compares with the literal's
+// code, every range operator is "code < C", negated for its complement. A
+// literal outside [mn, mx] settles the filter for the whole range (NE of a
+// value nothing holds is cmpAll), and only a literal inside it is subtracted
+// from, so nothing wraps near the ends of int64.
+func codeCmp(op CmpOp, lit, mn, mx int64) (imcs.CodeCmp, int) {
+	code := uint64(lit) - uint64(mn)
+	neg := op == NE || op == GE || op == GT
+	settled := func(holds bool) (imcs.CodeCmp, int) {
+		if holds != neg {
+			return imcs.CodeCmp{}, cmpAll
+		}
+		return imcs.CodeCmp{}, cmpNone
+	}
+	switch op {
+	case EQ, NE:
+		if lit < mn || lit > mx {
+			return settled(false)
+		}
+		return imcs.CodeCmp{C: code, Eq: true, Neg: neg}, cmpSome
+	case LT, GE: // value < lit
+		if lit <= mn || lit > mx {
+			return settled(lit > mx)
+		}
+		return imcs.CodeCmp{C: code, Neg: neg}, cmpSome
+	default: // LE, GT: value <= lit, that is value < lit+1
+		if lit < mn || lit >= mx {
+			return settled(lit >= mx)
+		}
+		return imcs.CodeCmp{C: code + 1, Neg: neg}, cmpSome
+	}
+}
+
+// resolveFilters rewrites the query's filters for one IMCU into dst, each a
+// comparison in its column's code space, once per morsel. A NUMBER literal
+// becomes its offset from the column's minimum; a VARCHAR literal a bound on
+// the sorted dictionary's codes (the two binary searches happen here): EQ/NE
+// compare with the literal's code, or with -1 — below every code — when the
+// dictionary lacks it; ranges map to half-open code bounds. A filter every row
+// satisfies is dropped; none says some filter rules every row out.
+func resolveFilters(dst []batchFilter, schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) (out []batchFilter, none bool) {
 	dst = dst[:0]
 	for _, f := range filters {
 		col := schema.Col(f.Col)
-		bf := batchFilter{slot: col.Slot(), op: f.Op, v: f.Num}
+		bf := batchFilter{slot: col.Slot()}
+		op, lit := f.Op, f.Num
+		var mn, mx int64
 		if col.Kind == rowstore.KindVarchar {
 			c := imcu.StrCol(bf.slot)
 			ge := c.CodeRangeGE(f.Str)
@@ -727,76 +791,37 @@ func resolveFilters(dst []batchFilter, schema *rowstore.Schema, imcu *imcs.IMCU,
 			if found {
 				upper++
 			}
-			bf.str, bf.v = true, ge
+			bf.str, lit, mx = true, ge, int64(c.DictSize())-1
 			switch {
-			case (f.Op == EQ || f.Op == NE) && !found:
-				bf.v = -1
-			case f.Op == LE:
-				bf.op, bf.v = LT, upper
-			case f.Op == GT:
-				bf.op, bf.v = GE, upper
+			case (op == EQ || op == NE) && !found:
+				lit = -1
+			case op == LE:
+				op, lit = LT, upper
+			case op == GT:
+				op, lit = GE, upper
 			}
+		} else {
+			mn, mx = imcu.NumCol(bf.slot).MinMax()
 		}
-		dst = append(dst, bf)
+		var verdict int
+		switch bf.cmp, verdict = codeCmp(op, lit, mn, mx); verdict {
+		case cmpNone:
+			return dst[:0], true
+		case cmpSome:
+			dst = append(dst, bf)
+		}
 	}
-	return dst
+	return dst, false
 }
 
 // andCmpBitmap ANDs into match the bitmap of positions of vals satisfying
-// (op, v). Specialized word-at-a-time loops keep the batch evaluation branch-
-// light — the stand-in for the paper's SIMD predicate evaluation (§II.B).
+// (op, v): the code-space comparison of the packed kernels over values
+// gathered from row images, their code space all of int64.
 func andCmpBitmap(match []uint64, vals []int64, op CmpOp, v int64) {
-	n := len(vals)
-	words := (n + 63) / 64
-	for w := 0; w < words; w++ {
-		if match[w] == 0 {
-			continue
-		}
-		base := w * 64
-		end := n - base
-		if end > 64 {
-			end = 64
-		}
-		var m uint64
-		chunk := vals[base : base+end]
-		switch op {
-		case EQ:
-			for b, x := range chunk {
-				if x == v {
-					m |= 1 << uint(b)
-				}
-			}
-		case NE:
-			for b, x := range chunk {
-				if x != v {
-					m |= 1 << uint(b)
-				}
-			}
-		case LT:
-			for b, x := range chunk {
-				if x < v {
-					m |= 1 << uint(b)
-				}
-			}
-		case LE:
-			for b, x := range chunk {
-				if x <= v {
-					m |= 1 << uint(b)
-				}
-			}
-		case GT:
-			for b, x := range chunk {
-				if x > v {
-					m |= 1 << uint(b)
-				}
-			}
-		case GE:
-			for b, x := range chunk {
-				if x >= v {
-					m |= 1 << uint(b)
-				}
-			}
-		}
-		match[w] &= m
+	switch cc, verdict := codeCmp(op, v, math.MinInt64, math.MaxInt64); verdict {
+	case cmpNone:
+		clear(match)
+	case cmpSome:
+		imcs.CmpValues(match, vals, math.MinInt64, cc)
 	}
 }

@@ -203,6 +203,11 @@ func TestAllocsPerRunGroupBy(t *testing.T) {
 				t.Fatalf("groups=%v err=%v", res, err)
 			}
 		})
+		// Over a clean store every key arrives in a unit's sorted dictionary:
+		// the merge places it, and nothing is ever hashed.
+		if byValue, err := ex.GroupsByValue(q, snap); err != nil || byValue != 0 {
+			t.Errorf("%d rows, parallel %d: %d groups inserted into the by-value table (err %v), want 0", rows, parallel, byValue, err)
+		}
 		return objects
 	}
 	for _, parallel := range []int{1, 2} {

@@ -221,11 +221,12 @@ func (ex *Executor) runMorsel(q *Query, schema *rowstore.Schema, m morsel, snap 
 	}
 }
 
-// runMorselOn executes a morsel, attributing its counter deltas and wall time
-// to the owning task when profiling. It returns the morsel's wall nanos (zero
-// when not profiling, keeping time calls off the unprofiled hot path).
-func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult, profiling bool) int64 {
-	if !profiling {
+// runMorselOn executes a morsel and returns its wall nanos (zero when not
+// profiling, keeping time calls off the unprofiled hot path); when the
+// profile's tree is wanted it attributes the morsel's counter deltas and wall
+// time to the owning task.
+func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult, profiling profileLevel) int64 {
+	if profiling == profNone {
 		ex.runMorsel(q, schema, m, snap, res)
 		return 0
 	}
@@ -233,6 +234,9 @@ func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, sna
 	start := time.Now()
 	ex.runMorsel(q, schema, m, snap, res)
 	wall := time.Since(start).Nanoseconds()
+	if profiling != profTree {
+		return wall
+	}
 	after := res.counters()
 	ts := m.ts
 	ts.pRowsIMCS.Add(after.imcs - before.imcs)
@@ -332,7 +336,7 @@ func stealInto(deques []*morselDeque, w int, rng *uint64, st *WorkerProfile) (mo
 // when workers <= 1) and returns the merged operator state plus per-worker
 // scheduling stats. Initial placement follows each task's affinity hint; load
 // balance comes from stealing.
-func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schema, morsels []morsel, workers int, snap scn.SCN, profiling, ordered bool) (*taskResult, []WorkerProfile) {
+func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schema, morsels []morsel, workers int, snap scn.SCN, profiling profileLevel, ordered bool) (*taskResult, []WorkerProfile) {
 	if workers <= 1 {
 		res := newTaskResult(q, plan, schema, ordered)
 		ws := make([]WorkerProfile, 1)
@@ -395,7 +399,10 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 	rows := ts.rows
 	present := imcu.PresentWords()
 	match := res.s.match
-	res.s.filters = resolveFilters(res.s.filters, schema, imcu, q.Filters)
+	var none bool
+	if res.s.filters, none = resolveFilters(res.s.filters, schema, imcu, q.Filters); none {
+		return
+	}
 	res.op.beginUnit(imcu)
 	for base := lo - lo%batchSize; base < hi; base += batchSize {
 		n := rows - base
@@ -416,14 +423,14 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 			continue
 		}
 		res.batches++
+		// Each filter is compared in code space on the packed words, over the
+		// 64-row groups the filters before it left a row in.
 		for _, f := range res.s.filters {
-			vals := res.s.num[:n]
 			if f.str {
-				imcu.StrCol(f.slot).DecodeCodes(vals, base)
+				imcu.StrCol(f.slot).CmpMask(match, base, n, f.cmp)
 			} else {
-				imcu.NumCol(f.slot).Decode(vals, base)
+				imcu.NumCol(f.slot).CmpMask(match, base, n, f.cmp)
 			}
-			andCmpBitmap(match, vals, f.op, f.v)
 		}
 		matched := imcs.PopcountRange(match, 0, n)
 		if matched == 0 {

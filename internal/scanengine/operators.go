@@ -223,24 +223,31 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	if len(o.idx) == 0 {
 		return
 	}
-	start := len(o.rows)
-	for range o.idx {
-		o.rows = append(o.rows, rowstore.NewRow(o.schema))
+	// The batch's rows are cut from one slab of numbers and one of strings, in
+	// the table's slot layout: two objects a batch, not two a row. Full-capacity
+	// slices, so appending to one row cannot reach its neighbour.
+	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
+	nums, strs := make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
+	for k := range o.idx {
+		o.rows = append(o.rows, rowstore.Row{
+			Nums: nums[k*nn : (k+1)*nn : (k+1)*nn],
+			Strs: strs[k*ns : (k+1)*ns : (k+1)*ns],
+		})
 	}
-	// Decode a column's whole window once when at least 1/8 of it survives;
-	// point-get for selective batches.
+	// Decode a column's window once (the 64-row groups that hold a match) when
+	// at least 1/8 of it survives; point-get for selective batches.
 	dense := len(o.idx)*8 >= n
 	for _, s := range o.numSlots {
 		col := imcu.NumCol(s)
 		if dense {
 			vals := r.s.aux[:n]
-			col.Decode(vals, base)
+			col.DecodeMasked(vals, base, match)
 			for k, i := range o.idx {
-				o.rows[start+k].Nums[s] = vals[i]
+				nums[k*nn+s] = vals[i]
 			}
 		} else {
 			for k, i := range o.idx {
-				o.rows[start+k].Nums[s] = col.Get(base + int(i))
+				nums[k*nn+s] = col.Get(base + int(i))
 			}
 		}
 	}
@@ -248,13 +255,13 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 		col := imcu.StrCol(s)
 		if dense {
 			codes := r.s.aux[:n]
-			col.DecodeCodes(codes, base)
+			col.DecodeCodesMasked(codes, base, match)
 			for k, i := range o.idx {
-				o.rows[start+k].Strs[s] = col.Value(codes[i])
+				strs[k*ns+s] = col.Value(codes[i])
 			}
 		} else {
 			for k, i := range o.idx {
-				o.rows[start+k].Strs[s] = col.Get(base + int(i))
+				strs[k*ns+s] = col.Get(base + int(i))
 			}
 		}
 	}
@@ -476,8 +483,8 @@ func (o *aggOp) finish(res *Result) {
 const maxDirectSlots = 1 << 16
 
 // lkey is a fixed-width composite group key. Unit-local: dictionary codes for
-// VARCHAR key columns, raw values for NUMBER ones. Global: interned string
-// ids in place of the codes.
+// VARCHAR key columns, raw values for NUMBER ones. In the by-value table:
+// interned string ids in place of the codes.
 type lkey [maxGroupCols]int64
 
 // aggSlab is flat group state: group g's matching-row count is count[g], its
@@ -506,19 +513,73 @@ func (s *aggSlab) foldGroup(g int, src *aggSlab, sg int) {
 	}
 }
 
-// groupLocal is the group operator's unit-local table. It lives in the
-// worker's scratch: between flushes only the touched slots are non-empty, so
-// a flush costs the groups seen, not the table's size.
+// empty resets group g.
+func (s *aggSlab) empty(g int) {
+	s.count[g] = 0
+	for i := g * s.nc; i < (g+1)*s.nc; i++ {
+		s.cells[i] = newAggCell()
+	}
+}
+
+// groupTable is a slab of groups with their keys, keys[g*nk : (g+1)*nk].
+type groupTable struct {
+	aggSlab
+	nk   int
+	keys []GroupValue
+}
+
+func (t *groupTable) key(g int) []GroupValue { return t.keys[g*t.nk : (g+1)*t.nk : (g+1)*t.nk] }
+
+// put makes group g a copy of group sg of src, under key k.
+func (t *groupTable) put(g int, k []GroupValue, src *aggSlab, sg int) {
+	copy(t.keys[g*t.nk:], k)
+	t.count[g] = src.count[sg]
+	copy(t.cells[g*t.nc:(g+1)*t.nc], src.cells[sg*t.nc:])
+}
+
+// cmpKeys orders group keys as the result lists them: column by column, by
+// string or by value (a NUMBER key's Str is empty, a VARCHAR key's Num zero).
+func cmpKeys(a, b []GroupValue) int {
+	for j := range a {
+		if a[j].Str != b[j].Str { // equal is the common case, and the cheaper test
+			return strings.Compare(a[j].Str, b[j].Str)
+		}
+		if a[j].Num != b[j].Num {
+			return cmp.Compare(a[j].Num, b[j].Num)
+		}
+	}
+	return 0
+}
+
+// groupLocal is the group operator's unit-local table, its by-value side
+// table and its merge scratch. It lives in the worker's scratch: between
+// flushes only the touched slots are non-empty, so a flush costs the groups
+// seen, not the table's size.
 type groupLocal struct {
 	aggSlab
-	touched []int32        // slots folded into since the last flush
+	touched []uint64       // direct form: bit s set when slot s was folded into since the last flush
 	index   map[lkey]int32 // map-indexed form: key → slot (slots dense)
 	keys    []lkey         // map-indexed form: slot → key
-	// lastGroups is the size of the global table at the worker's last flush,
-	// of this query or the one before it: what a global table is built for
-	// when a key reaches it before any flush of its own has measured one.
-	lastGroups int
+	slots   []int32        // a flush's touched slots, ascending
+	pos     []int32        // a flush's merge verdicts
+
+	// The by-value table, in arrival order; empty between queries. A single key
+	// column indexes it by its value (byStr or byNum); a composite key interns
+	// its VARCHAR values in byStr and indexes byKey. Nothing of it reaches the
+	// result, and built per query it grew by doubling in every worker of every
+	// query, garbage that showed in the OLTP client's p90 beside it.
+	v     groupTable
+	byStr map[string]int32
+	byNum map[int64]int32
+	byKey map[lkey]int32
 }
+
+// maxPooledGroups bounds the by-value table a scratch keeps between queries
+// (a grouped scan of a big table with no column store builds a larger one).
+const maxPooledGroups = 1 << 14
+
+// touch marks slot s of the direct form as folded into.
+func (l *groupLocal) touch(s int) { l.touched[s>>6] |= 1 << (uint(s) & 63) }
 
 // groupOp is the GROUP BY operator. During an IMCU scan a row's group is a
 // slot of the unit-local slab, found by direct index on the composite key
@@ -526,34 +587,36 @@ type groupLocal struct {
 // when the unit's code ranges fit maxDirectSlots, through one map otherwise.
 // Single-column NUMBER keys with run structure take a run-level fast path
 // into the same slab: one slot lookup per (run × match-word window),
-// aggregating values in encoded space. The local table outlives a morsel:
-// it folds into the global one — decoding labels once per (unit, group), not
-// per row — when the worker moves to another IMCU and at flush. A row image
-// of the unit's blocks (an invalid or tail row) folds into the same slab when
-// its key translates to the unit's code space (unitSlot), into the global
-// table by value otherwise, as do the rows of blocks no unit covers. finish
-// emits groups in
-// deterministic key order, independent of scan parallelism and task
-// interleaving.
+// aggregating values in encoded space. The local table outlives a morsel: it
+// folds into the operator's table when the worker moves to another IMCU and
+// at flush. That table is kept in key order and folding is a merge, not a
+// lookup: codes order as their values do and composite slots
+// lexicographically, so the direct form's touched slots in ascending order are
+// a sorted run of keys, as is another worker's table. Labels are decoded once
+// per (unit, group) and compared, never hashed, and finish emits without
+// sorting.
+//
+// Keys that arrive by value — a row image of the unit's blocks (an invalid or
+// tail row) whose key unitSlot cannot place in the unit's code space, a row of
+// a block no unit covers, the groups of a map-indexed unit, whose slots are in
+// first-seen order — collect in the scratch's hashed side table, sorted and
+// merged in once, when the worker's scan ends. Result order is key order,
+// independent of scan parallelism and task interleaving.
 type groupOp struct {
 	*queryPlan
 	schema *rowstore.Schema
 	slots  []int
 	colOf  []int
 
-	// Global table: group g's key values are gkeys[g*nk : (g+1)*nk]. A single
-	// key column indexes it by its value (byStr or byNum); a composite key
-	// interns its VARCHAR values in byStr and indexes byKey.
-	g     aggSlab
-	gkeys []GroupValue
-	byStr map[string]int32
-	byNum map[int64]int32
-	byKey map[lkey]int32
-	kv    [maxGroupCols]GroupValue // key assembly buffer
+	g       groupTable               // in key order
+	byValue int                      // groups that came through the by-value table
+	kv      [maxGroupCols]GroupValue // key assembly buffer
 
-	unit   *imcs.IMCU // the IMCU loc's slots are coded against
-	loc    *groupLocal
+	unit   *imcs.IMCU  // the IMCU loc's slots are coded against
+	loc    *groupLocal // the worker's, until its scan ends (flush): merge and finish run after
+	pos    []int32     // merge's verdicts
 	direct bool
+	nslots int       // direct form: the slots the unit's code ranges span
 	kmin   lkey      // per key column: code origin
 	krange lkey      // per key column: code range size (direct form)
 	vals   [][]int64 // per aggregated column: the batch's value window
@@ -563,80 +626,53 @@ func newGroupOp(plan *queryPlan, schema *rowstore.Schema, scratch *scanScratch) 
 	o := &groupOp{queryPlan: plan, schema: schema, loc: &scratch.group}
 	o.slots, o.colOf = uniqueAggCols(plan.aggs, schema)
 	o.vals = make([][]int64, len(o.slots))
-	o.g.nc = len(o.slots)
-	if o.loc.nc != o.g.nc {
+	nk, nc := len(plan.groupBy), len(o.slots)
+	o.g.nk, o.g.nc, o.loc.v.nk, o.loc.v.nc = nk, nc, nk, nc
+	if o.loc.nc != nc {
 		// Every slot is empty between queries, so a new cell width only
 		// re-cuts the slab.
-		o.loc.aggSlab = aggSlab{nc: o.g.nc, count: o.loc.count[:0], cells: o.loc.cells[:0]}
+		o.loc.aggSlab = aggSlab{nc: nc, count: o.loc.count[:0], cells: o.loc.cells[:0]}
 	}
 	return o
 }
 
-// reserve builds the global table, unless it is built, with room for n groups.
-func (o *groupOp) reserve(n int) {
-	if o.byStr != nil || o.byNum != nil {
-		return
-	}
-	nk := len(o.groupBy)
-	o.gkeys = make([]GroupValue, 0, n*nk)
-	o.g.count, o.g.cells = make([]int64, 0, n), make([]aggCell, 0, n*o.g.nc)
-	switch {
-	case nk > 1:
-		o.byStr, o.byKey = map[string]int32{}, make(map[lkey]int32, n)
-	case o.keyIsStr[0]:
-		o.byStr = make(map[string]int32, n)
-	default:
-		o.byNum = make(map[int64]int32, n)
-	}
-}
-
-// globalSlot finds or creates the global group of a key.
-func (o *groupOp) globalSlot(kv []GroupValue) int {
-	o.reserve(o.sizeHint())
-	next := int32(len(o.g.count))
+// byValueSlot finds or creates the by-value table's group of a key.
+func (o *groupOp) byValueSlot(kv []GroupValue) int {
+	loc := o.loc
+	next := int32(len(loc.v.count))
 	var g int32
 	switch {
 	case len(kv) > 1:
 		var ck lkey
 		for j, v := range kv {
 			if ck[j] = v.Num; v.IsStr {
-				ck[j] = int64(getOrPut(o.byStr, v.Str, int32(len(o.byStr))))
+				ck[j] = int64(getOrPut(&loc.byStr, v.Str, int32(len(loc.byStr))))
 			}
 		}
-		g = getOrPut(o.byKey, ck, next)
+		g = getOrPut(&loc.byKey, ck, next)
 	case kv[0].IsStr:
-		g = getOrPut(o.byStr, kv[0].Str, next)
+		g = getOrPut(&loc.byStr, kv[0].Str, next)
 	default:
-		g = getOrPut(o.byNum, kv[0].Num, next)
+		g = getOrPut(&loc.byNum, kv[0].Num, next)
 	}
 	if g == next {
-		o.gkeys = append(o.gkeys, kv...)
-		o.g.grow(int(g) + 1)
+		loc.v.keys = append(loc.v.keys, kv...)
+		loc.v.grow(int(g) + 1)
+		o.byValue++
 	}
 	return int(g)
 }
 
-// sizeHint guesses the global table's size for a key that arrives before any
-// flush has measured one — a row image that unitSlot could not place, or one
-// of a block no unit covers: the worker's last measured table or, when
-// larger, the dictionary of the unit at hand, which bounds a single VARCHAR
-// key's groups. Built empty, the table of a 1 000-group query grew by
-// doubling in every worker of every query, and that garbage showed in the
-// OLTP client's p90 beside it.
-func (o *groupOp) sizeHint() int {
-	n := o.loc.lastGroups
-	if o.unit != nil && len(o.keySlots) == 1 && o.keyIsStr[0] {
-		n = max(n, o.unit.StrCol(o.keySlots[0]).DictSize())
-	}
-	return n
-}
-
-// getOrPut returns m[k], after setting it to next when k is new.
-func getOrPut[K comparable](m map[K]int32, k K, next int32) int32 {
-	if v, ok := m[k]; ok {
+// getOrPut returns (*m)[k], after setting it to next when k is new; it makes
+// the map when there is none.
+func getOrPut[K comparable](m *map[K]int32, k K, next int32) int32 {
+	if v, ok := (*m)[k]; ok {
 		return v
 	}
-	m[k] = next
+	if *m == nil {
+		*m = map[K]int32{}
+	}
+	(*m)[k] = next
 	return next
 }
 
@@ -647,12 +683,14 @@ func (o *groupOp) beginUnit(imcu *imcs.IMCU) {
 	if imcu == o.unit {
 		return
 	}
-	o.flush()
+	o.flushUnit()
 	o.unit = imcu
-	var slots int
-	o.kmin, o.krange, slots = o.keySpans(imcu)
-	if o.direct = slots <= maxDirectSlots; o.direct {
-		o.loc.grow(slots)
+	o.kmin, o.krange, o.nslots = o.keySpans(imcu)
+	if o.direct = o.nslots <= maxDirectSlots; o.direct {
+		o.loc.grow(o.nslots)
+		for len(o.loc.touched)*64 < o.nslots {
+			o.loc.touched = append(o.loc.touched, 0)
+		}
 	}
 }
 
@@ -690,46 +728,160 @@ func (o *groupOp) mapSlot(lk lkey) int64 {
 	return int64(s)
 }
 
-// flush folds the local table's touched slots into the global table and
-// empties them.
-func (o *groupOp) flush() {
-	loc, nk := o.loc, len(o.groupBy)
-	if len(loc.touched) > 0 {
-		// A first flush brings a whole unit's groups: a measured floor on the
-		// result's, where the key's code range would be a guess.
-		o.reserve(len(loc.touched))
+// slotKey decodes the key of local slot s into the key assembly buffer.
+func (o *groupOp) slotKey(s int) []GroupValue {
+	var lk lkey
+	if o.direct {
+		rem := int64(s)
+		for j := len(o.keySlots) - 1; j > 0; j-- {
+			lk[j] = rem%o.krange[j] + o.kmin[j]
+			rem /= o.krange[j]
+		}
+		lk[0] = rem + o.kmin[0] // the leading column's: a single key divides nothing
+	} else {
+		lk = o.loc.keys[s]
 	}
-	for _, s := range loc.touched {
-		var lk lkey
-		if o.direct {
-			rem := int64(s)
-			for j := nk - 1; j >= 0; j-- {
-				lk[j] = rem%o.krange[j] + o.kmin[j]
-				rem /= o.krange[j]
-			}
+	for j, slot := range o.keySlots {
+		if o.keyIsStr[j] {
+			o.kv[j] = GroupValue{Str: o.unit.StrCol(slot).Value(lk[j]), IsStr: true}
 		} else {
-			lk = loc.keys[s]
+			o.kv[j] = GroupValue{Num: lk[j]}
 		}
-		for j, slot := range o.keySlots {
-			if o.keyIsStr[j] {
-				o.kv[j] = GroupValue{Str: o.unit.StrCol(slot).Value(lk[j]), IsStr: true}
-			} else {
-				o.kv[j] = GroupValue{Num: lk[j]}
+	}
+	return o.kv[:len(o.keySlots)]
+}
+
+// flushUnit folds the local table's touched slots into the operator's tables
+// and empties them: the direct form's, in ascending order, by merge; the
+// map-indexed form's by value.
+func (o *groupOp) flushUnit() {
+	loc := o.loc
+	if o.direct {
+		slots := loc.slots[:0]
+		for w, word := range loc.touched[:(o.nslots+63)/64] {
+			for ; word != 0; word &= word - 1 {
+				slots = append(slots, int32(w*64+bits.TrailingZeros64(word)))
+			}
+			loc.touched[w] = 0
+		}
+		loc.slots = slots
+		o.mergeSorted(&loc.pos, len(slots), slots, &loc.aggSlab, o.slotKey)
+		for _, s := range slots {
+			loc.empty(int(s))
+		}
+	} else {
+		for s := range loc.keys {
+			loc.v.foldGroup(o.byValueSlot(o.slotKey(s)), &loc.aggSlab, s)
+			loc.empty(s)
+		}
+		loc.keys = loc.keys[:0]
+		clear(loc.index)
+	}
+	o.unit, o.direct, o.nslots = nil, false, 0
+}
+
+// flush ends the worker's scan: the last unit folds, then the keys that came
+// by value are sorted, once, and merged in, and their table is left empty.
+func (o *groupOp) flush() {
+	o.flushUnit()
+	loc := o.loc
+	v := &loc.v
+	if n := len(v.count); n > 0 {
+		order := slices.Grow(loc.slots[:0], n)[:n]
+		loc.slots = order
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortFunc(order, func(a, b int32) int { return cmpKeys(v.key(int(a)), v.key(int(b))) })
+		o.mergeSorted(&loc.pos, n, order, &v.aggSlab, v.key)
+		if n > maxPooledGroups {
+			*v, loc.byStr, loc.byNum, loc.byKey = groupTable{}, nil, nil, nil
+		}
+		clear(v.keys) // the scratch keeps no row image's or dictionary's string
+		v.keys, v.count, v.cells = v.keys[:0], v.count[:0], v.cells[:0]
+		clear(loc.byStr)
+		clear(loc.byNum)
+		clear(loc.byKey)
+	}
+	o.loc = nil
+}
+
+// mergeSorted folds m groups of src whose keys ascend — the i-th is group
+// slots[i] (group i when slots is nil), its key key(slots[i]) — into the
+// operator's sorted table. One pass finds where each key stands: at the
+// table's next key in the common case, a binary search ahead otherwise. When
+// every key is already there the groups fold in place; new keys open their
+// gaps in one backward pass. scratch holds the verdicts.
+func (o *groupOp) mergeSorted(scratch *[]int32, m int, slots []int32, src *aggSlab, key func(slot int) []GroupValue) {
+	if m == 0 {
+		return
+	}
+	t := &o.g
+	if t.count == nil {
+		// A first merge brings a whole unit's groups, a measured floor on the
+		// result's; the eighth on top is for the few values a unit happens not
+		// to hold and a later one brings, which would else cost a second table.
+		n := m + m/8 + 8
+		t.keys = make([]GroupValue, 0, n*t.nk)
+		t.count, t.cells = make([]int64, 0, n), make([]aggCell, 0, n*t.nc)
+	}
+	n := len(t.count)
+	slotOf := func(i int) int {
+		if slots == nil {
+			return i
+		}
+		return int(slots[i])
+	}
+	// pos[i] is the table's group of key i, or ^p for a new key bound before p.
+	pos := slices.Grow((*scratch)[:0], m)[:m]
+	*scratch = pos
+	p, fresh := 0, 0
+	for i := range pos {
+		k := key(slotOf(i))
+		c := 1 // how the table's group p compares with k; past the end, above
+		if p < n {
+			if c = cmpKeys(t.key(p), k); c < 0 {
+				p++
+				p += sort.Search(n-p, func(d int) bool { return cmpKeys(t.key(p+d), k) >= 0 })
+				if c = 1; p < n {
+					c = cmpKeys(t.key(p), k)
+				}
 			}
 		}
-		o.g.foldGroup(o.globalSlot(o.kv[:nk]), &loc.aggSlab, int(s))
-		loc.count[s] = 0
-		for i := int(s) * loc.nc; i < (int(s)+1)*loc.nc; i++ {
-			loc.cells[i] = newAggCell()
+		if c == 0 {
+			pos[i] = int32(p)
+			p++
+		} else {
+			pos[i] = ^int32(p)
+			fresh++
 		}
 	}
-	loc.touched = loc.touched[:0]
-	loc.keys = loc.keys[:0]
-	clear(loc.index)
-	if n := len(o.g.count); n > 0 {
-		loc.lastGroups = n
+	if fresh == 0 {
+		for i, g := range pos {
+			t.foldGroup(int(g), src, slotOf(i))
+		}
+		return
 	}
-	o.unit = nil
+	t.grow(n + fresh)
+	t.keys = slices.Grow(t.keys, fresh*t.nk)[:(n+fresh)*t.nk]
+	// Backwards, so nothing is overwritten before it has moved: d is the place
+	// being filled, g the last table group not yet moved up.
+	g, i := n-1, m-1
+	for d := n + fresh - 1; i >= 0; d-- {
+		if at := pos[i]; at < 0 && int(^at) > g {
+			t.put(d, key(slotOf(i)), src, slotOf(i))
+			i--
+			continue
+		}
+		if d != g {
+			t.put(d, t.key(g), &t.aggSlab, g)
+		}
+		if int(pos[i]) == g {
+			t.foldGroup(d, src, slotOf(i))
+			i--
+		}
+		g--
+	}
 }
 
 func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
@@ -746,9 +898,8 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 			g := v - o.kmin[0]
 			if !o.direct {
 				g = o.mapSlot(lkey{v})
-			}
-			if loc.count[g] == 0 {
-				loc.touched = append(loc.touched, int32(g))
+			} else if loc.count[g] == 0 {
+				loc.touch(int(g))
 			}
 			loc.count[g] += cnt
 			if nc == 0 {
@@ -768,13 +919,14 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	}
 
 	// General path: decode key windows (codes for VARCHAR) and value windows,
-	// turn the keys into a window of slots, then fold each surviving row.
+	// where match still selects a row, turn the keys into a window of slots,
+	// then fold each surviving row.
 	sl := r.s.win(0)[:n]
 	for j, slot := range o.keySlots {
 		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
-			imcu.StrCol(slot).DecodeCodes(ks, base)
+			imcu.StrCol(slot).DecodeCodesMasked(ks, base, match)
 		} else {
-			imcu.NumCol(slot).Decode(ks, base)
+			imcu.NumCol(slot).DecodeMasked(ks, base, match)
 		}
 	}
 	switch {
@@ -802,17 +954,17 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	}
 	for ci, slot := range o.slots {
 		o.vals[ci] = r.s.win(nk + ci)[:n]
-		imcu.NumCol(slot).Decode(o.vals[ci], base)
+		imcu.NumCol(slot).DecodeMasked(o.vals[ci], base, match)
 	}
 	var matched int64
-	count, cells, vals, touched := loc.count, loc.cells, o.vals, loc.touched
+	count, cells, vals, touched, direct := loc.count, loc.cells, o.vals, loc.touched, o.direct
 	for w := 0; w < (n+63)/64; w++ {
 		matched += int64(bits.OnesCount64(match[w]))
 		for m := match[w]; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
 			g := int(sl[i])
-			if count[g] == 0 {
-				touched = append(touched, int32(g))
+			if count[g] == 0 && direct {
+				touched[g>>6] |= 1 << (uint(g) & 63)
 			}
 			count[g]++
 			for ci, vs := range vals {
@@ -820,7 +972,6 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 			}
 		}
 	}
-	loc.touched = touched
 	r.rowsDecoded += matched * int64(max(nc, 1))
 }
 
@@ -831,9 +982,9 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 // leaves the key alone, so that one comparison settles most invalid rows; a
 // tail row is not in the IMCU), or a NUMBER outside the range a direct-indexed
 // table spans. Searching the sorted dictionary for the rest was tried and lost
-// to the global table's one map probe: the dictionary's strings are scattered
-// heap objects, and a search misses the cache on half of its ten comparisons
-// (380 ns a search in the paced stage's profile).
+// to the by-value table's one map probe: the dictionary's strings are
+// scattered heap objects, and a search misses the cache on half of its ten
+// comparisons (380 ns a search in the paced stage's profile).
 func (o *groupOp) unitSlot(row rowstore.Row, blk rowstore.BlockNo, at uint16) (slot int, ok bool) {
 	var lk lkey
 	for j, ks := range o.keySlots {
@@ -860,6 +1011,9 @@ func (o *groupOp) unitSlot(row rowstore.Row, blk rowstore.BlockNo, at uint16) (s
 		}
 		slot = slot*int(o.krange[j]) + int(d)
 	}
+	if o.loc.count[slot] == 0 {
+		o.loc.touch(slot)
+	}
 	return slot, true
 }
 
@@ -875,11 +1029,7 @@ func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 			if coded {
 				g, ok = o.unitSlot(row, b.blks[i], b.slots[i])
 			}
-			if ok {
-				if loc.count[g] == 0 {
-					loc.touched = append(loc.touched, int32(g))
-				}
-			} else {
+			if !ok {
 				// A key this unit has never held, or a block of no unit.
 				for j, ks := range o.keySlots {
 					if o.keyIsStr[j] {
@@ -888,7 +1038,7 @@ func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 						o.kv[j] = GroupValue{Num: row.Nums[ks]}
 					}
 				}
-				g, slab = o.globalSlot(o.kv[:nk]), &o.g
+				g, slab = o.byValueSlot(o.kv[:nk]), &loc.v.aggSlab
 			}
 			slab.count[g]++
 			for ci, s := range o.slots {
@@ -898,30 +1048,15 @@ func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 	}
 }
 
+// merge folds another worker's table into this one's, as sorted as it.
 func (o *groupOp) merge(other operator) {
 	src := other.(*groupOp)
-	nk := len(o.groupBy)
-	for sg := range src.g.count {
-		o.g.foldGroup(o.globalSlot(src.gkeys[sg*nk:(sg+1)*nk]), &src.g, sg)
-	}
+	o.mergeSorted(&o.pos, len(src.g.count), nil, &src.g.aggSlab, src.g.key)
+	o.byValue += src.byValue
 }
 
 func (o *groupOp) finish(res *Result) {
-	nk, ns, n := len(o.groupBy), len(o.aggs), len(o.g.count)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		ka, kb := o.gkeys[a*nk:][:nk], o.gkeys[b*nk:][:nk]
-		for j := range ka {
-			// A NUMBER key's Str is empty and a VARCHAR key's Num zero.
-			if c := cmp.Or(strings.Compare(ka[j].Str, kb[j].Str), cmp.Compare(ka[j].Num, kb[j].Num)); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
+	ns, n := len(o.aggs), len(o.g.count)
 	g := &GroupedResult{Groups: make([]GroupRow, n)}
 	for _, ci := range o.groupBy {
 		g.KeyCols = append(g.KeyCols, o.schema.Col(ci).Name)
@@ -933,14 +1068,14 @@ func (o *groupOp) finish(res *Result) {
 	// one slab of their own.
 	vals := make([]int64, n*ns)
 	var total int64
-	for i, gi := range order {
+	for i := range g.Groups {
 		row := &g.Groups[i]
-		row.Keys = o.gkeys[gi*nk : (gi+1)*nk : (gi+1)*nk]
+		row.Keys = o.g.key(i)
 		row.Vals = vals[i*ns : (i+1)*ns : (i+1)*ns]
-		row.Count = o.g.count[gi]
+		row.Count = o.g.count[i]
 		total += row.Count
 		for k, a := range o.aggs {
-			row.Vals[k] = aggValue(a.Kind, row.Count, o.g.cells[gi*o.g.nc:], o.colOf[k])
+			row.Vals[k] = aggValue(a.Kind, row.Count, o.g.cells[i*o.g.nc:], o.colOf[k])
 		}
 	}
 	res.Grouped = g

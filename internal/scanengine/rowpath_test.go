@@ -378,23 +378,34 @@ func TestAllocsPerRunInvalidScan(t *testing.T) {
 	}
 }
 
-// TestAllocsPerRunGroupByInvalid guards the global group table's sizing: GRP
-// over a store with 6 % invalid rows — half of them with a key other than the
-// IMCU's, so bound for the global table by value, and met before any flush —
-// allocates what it does over a clean store, plus a constant.
+// TestAllocsPerRunGroupByInvalid guards the group tables' sizing: GRP over a
+// store with 6 % invalid rows — half of them with a key other than the IMCU's,
+// so bound for the by-value table, and met before any flush — allocates what
+// it does over a clean store, plus a constant: the by-value table is the
+// worker's scratch, and a clean store never touches it.
 func TestAllocsPerRunGroupByInvalid(t *testing.T) {
-	cost := func(pct int) (objects, bytes float64) {
+	cost := func(pct int) (objects, bytes float64, byValue int) {
 		f := newBenchUnit(t, pct)
 		ex, snap, q := f.exec(), f.c.Snapshot(), benchMix(f)["grp"]
-		return runCost(t, func() {
+		byValue, err := ex.GroupsByValue(q, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects, bytes = runCost(t, func() {
 			if res, err := ex.Run(q, snap); err != nil || res.GroupCount < workload.StrDomain*9/10 {
 				t.Fatalf("groups=%v err=%v", res, err)
 			}
 		})
+		return objects, bytes, byValue
 	}
-	cleanObjs, cleanBytes := cost(0)
-	objs, bytes := cost(6)
-	t.Logf("clean: %.0f allocs, %.0f bytes; 6 %% invalid: %.0f allocs, %.0f bytes", cleanObjs, cleanBytes, objs, bytes)
+	cleanObjs, cleanBytes, cleanByValue := cost(0)
+	objs, bytes, byValue := cost(6)
+	t.Logf("clean: %.0f allocs, %.0f bytes, %d groups by value; 6 %% invalid: %.0f allocs, %.0f bytes, %d groups by value",
+		cleanObjs, cleanBytes, cleanByValue, objs, bytes, byValue)
+	if cleanByValue != 0 || byValue == 0 {
+		t.Errorf("%d groups of a clean store and %d of one with invalid rows went through the by-value table, want 0 and some",
+			cleanByValue, byValue)
+	}
 	// The constant: the invalid-window morsels of one unit.
 	if objs > cleanObjs+6 || bytes > cleanBytes+4096 {
 		t.Errorf("GRP over 6 %% invalid rows: %.0f allocs / %.0f bytes, over a clean store %.0f / %.0f: want the same plus a constant",

@@ -130,21 +130,13 @@ func (s *Session) Snapshot() SCN { return s.snap() }
 
 // Query executes a scan at the session's current snapshot.
 func (s *Session) Query(q *Query) (*Result, error) {
-	if s.record == nil {
-		return s.runQueryFast(q, s.snap())
-	}
-	res, _, err := s.runQuery(q, s.snap(), "")
-	return res, err
+	return s.runLogged(q, s.snap(), "")
 }
 
 // QueryAt executes a scan at an explicit snapshot (for example a previously
 // captured Snapshot(), to run several consistent queries).
 func (s *Session) QueryAt(q *Query, at SCN) (*Result, error) {
-	if s.record == nil {
-		return s.runQueryFast(q, at)
-	}
-	res, _, err := s.runQuery(q, at, "")
-	return res, err
+	return s.runLogged(q, at, "")
 }
 
 // QueryProfiled executes a scan and returns its EXPLAIN ANALYZE profile
@@ -153,9 +145,9 @@ func (s *Session) QueryProfiled(q *Query) (*Result, *ScanProfile, error) {
 	return s.runQuery(q, s.snap(), "")
 }
 
-// runQuery is the profiled execution path. Sessions with a query-log hook
-// (standby sessions) take it for every scan and record the profile; others
-// only when the caller asked for the profile.
+// runQuery executes a scan whose caller asked for its profile: the whole
+// EXPLAIN ANALYZE document, which a session with a query-log hook (a standby
+// session) also records.
 func (s *Session) runQuery(q *Query, at SCN, sql string) (*Result, *ScanProfile, error) {
 	res, prof, err := s.exec.RunProfiled(q, at)
 	if err != nil {
@@ -168,10 +160,21 @@ func (s *Session) runQuery(q *Query, at SCN, sql string) (*Result, *ScanProfile,
 	return res, prof, nil
 }
 
-// runQueryFast executes without profiling — the path for plain Query calls on
-// sessions with no query log attached.
-func (s *Session) runQueryFast(q *Query, at SCN) (*Result, error) {
-	return s.exec.Run(q, at)
+// runLogged executes a scan nobody asked to explain. A session with a
+// query-log hook records the profile's totals — times, paths, row counts; the
+// per-task tree is built only for a caller that wants to read it — and one
+// without runs unprofiled.
+func (s *Session) runLogged(q *Query, at SCN, sql string) (*Result, error) {
+	if s.record == nil {
+		return s.exec.Run(q, at)
+	}
+	res, prof, err := s.exec.RunTotals(q, at)
+	if err != nil {
+		return nil, err
+	}
+	prof.SQL = sql
+	s.record(prof)
+	return res, nil
 }
 
 // Explain plans a query at the session's current snapshot without executing
@@ -250,11 +253,7 @@ func (s *Session) QuerySQL(tbl *Table, sql string, binds map[string]Bind) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	if s.record == nil {
-		return s.runQueryFast(q, s.snap())
-	}
-	res, _, err := s.runQuery(q, s.snap(), sql)
-	return res, err
+	return s.runLogged(q, s.snap(), sql)
 }
 
 // ExplainSQL handles "EXPLAIN SELECT ..." (plan only, no execution) and
