@@ -63,11 +63,15 @@ stress:
 # result, whatever share of their rows the row store serves; a second scan of
 # the same invalid rows asks the transaction table nothing), of the redo wire
 # path (shipping allocates nothing per record, receiving only the decoded
-# record) and of IMCU builds (a few objects per
+# record: a row CV is its packed image and its changed-column list), of redo
+# apply (an applied CV adds the row version alone), of the row version itself
+# (its size classes, and the heap 10 000 of them hold on a standby and on a
+# primary) and of IMCU builds (a few objects per
 # column, none per row; a merge reads exactly its re-read set from the row
 # store). Not under -race: the race detector changes allocation counts.
 allocs:
-	$(GO) test -run 'AllocsPerRun|InvalidScanLookups' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs
+	$(GO) test -run 'AllocsPerRun|InvalidScanLookups|HeapPerVersion|VersionStaysInItsSizeClass' -v ./internal/rowstore
+	$(GO) test -run 'AllocsPerRun|InvalidScanLookups' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs ./internal/standby
 
 # Native fuzzing of the decoders that read bytes from the wire — the frame
 # reader and the record decoder, seeded from the corruption tables of their
@@ -111,11 +115,13 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 # the packed compare and unpack kernels per bit width, each beside the
 # decode-then-compare reference; then the bench's query classes over one unit
 # with 1, 6 and 25 % of its rows invalid, and a GROUP BY flush that brings the
-# table's keys again or as many new ones.
+# table's keys again or as many new ones; last the row image (pack, one number,
+# one string, unpack) and the codec over a full-row record of the bench table.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
 	$(GO) test -bench 'ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
+	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
 
 # Machine-readable benchmark results: runs the root benchmarks and converts
 # the -bench output into BENCH_<date>.json via cmd/benchjson.

@@ -754,7 +754,7 @@ func benchRecord() *redo.Record {
 	}
 	return &redo.Record{SCN: 12345, Thread: 1, CVs: []redo.CV{{
 		Kind: redo.CVUpdate, Txn: 7, Tenant: 1,
-		DBA: rowstore.MakeDBA(3, 9), Slot: 17, Row: row, ChangedCols: []uint16{1},
+		DBA: rowstore.MakeDBA(3, 9), Slot: 17, Row: rowstore.Pack(row), ChangedCols: []uint16{1},
 	}}}
 }
 

@@ -367,3 +367,66 @@ func TestVacuumKeepsQueriesCorrect(t *testing.T) {
 		t.Fatalf("standby post-vacuum SUM = %d, want %d", sres.Sum, want)
 	}
 }
+
+// TestAbortedDeleteKeepsIndexEntry: a delete that is rolled back leaves the row
+// reachable through the identity index on both sides. The delete used to drop
+// the index entry at once — on the primary in DeleteByID, on the standby when
+// the delete CV was applied — and the abort restored nothing: every scan saw
+// the row, FetchByID and UpdateByID said there was none.
+func TestAbortedDeleteKeepsIndexEntry(t *testing.T) {
+	cfg := quickCfg()
+	cfg.UseTCP = true
+	c, err := dbimadg.Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tbl, _ := c.CreateTable(simpleSpec("T", 1))
+	insertRows(t, c, tbl, 0, 20)
+	pri := c.PrimarySession(0)
+
+	tx, _ := pri.Begin()
+	if err := tx.DeleteByID(tbl, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	// A committed delete beside it: that row is gone, by Consistent Read.
+	tx, _ = pri.Begin()
+	if err := tx.DeleteByID(tbl, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.WaitStandbyCaughtUp(10 * time.Second) {
+		t.Fatal("standby did not catch up")
+	}
+	sTbl, _ := c.StandbyTable(1, "T")
+	for side, fetch := range map[string]func(id int64) (dbimadg.Row, bool, error){
+		"primary": func(id int64) (dbimadg.Row, bool, error) { return pri.FetchByID(tbl, id) },
+		"standby": func(id int64) (dbimadg.Row, bool, error) { return c.StandbySession().FetchByID(sTbl, id) },
+	} {
+		if row, ok, err := fetch(7); err != nil || !ok || row.Num(tbl.Schema(), 0) != 7 {
+			t.Errorf("%s: row 7 after delete + abort: ok=%v err=%v", side, ok, err)
+		}
+		if _, ok, err := fetch(8); err != nil || ok {
+			t.Errorf("%s: row 8 after a committed delete: ok=%v err=%v", side, ok, err)
+		}
+	}
+	// The row can be updated again by its key, and the update replicates.
+	tx, _ = pri.Begin()
+	if err := tx.UpdateByID(tbl, 7, []uint16{1}, func(r *dbimadg.Row) { r.Nums[1] = 4242 }); err != nil {
+		t.Fatalf("UpdateByID after delete + abort: %v", err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if !c.WaitStandbyCaughtUp(10 * time.Second) {
+		t.Fatal("standby did not catch up")
+	}
+	if row, ok, _ := c.StandbySession().FetchByID(sTbl, 7); !ok || row.Num(sTbl.Schema(), 1) != 4242 {
+		t.Fatalf("standby row 7 after the update: ok=%v", ok)
+	}
+}

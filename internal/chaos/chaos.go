@@ -198,7 +198,7 @@ type writerOp struct {
 	marker  int64   // value written to n1
 	inserts []int64 // fresh ids to insert
 	deletes []int64 // existing ids to delete (owned by this writer)
-	abort   bool    // abort instead of commit (abort ops never insert/delete)
+	abort   bool    // abort instead of commit (abort ops never insert; what they delete stays)
 }
 
 // Runner owns the cluster under test and the seeded schedule.
@@ -645,13 +645,16 @@ func (r *Runner) writerBurst() error {
 					op.inserts = append(op.inserts, r.nextID)
 					r.nextID++
 				}
-				if len(r.liveIDs) > 0 && r.rng.Intn(3) == 0 {
-					// Pop a committed id; each id is deleted at most once.
-					i := r.rng.Intn(len(r.liveIDs))
-					op.deletes = append(op.deletes, r.liveIDs[i])
-					r.liveIDs[i] = r.liveIDs[len(r.liveIDs)-1]
-					r.liveIDs = r.liveIDs[:len(r.liveIDs)-1]
-				}
+			}
+			if len(r.liveIDs) > 0 && r.rng.Intn(3) == 0 {
+				// Pop a committed id: no concurrent writer touches it, and a
+				// committed delete is its last. A rolled-back delete puts it back
+				// after the burst — the row must then be there on every side, by
+				// scan and through the identity index.
+				i := r.rng.Intn(len(r.liveIDs))
+				op.deletes = append(op.deletes, r.liveIDs[i])
+				r.liveIDs[i] = r.liveIDs[len(r.liveIDs)-1]
+				r.liveIDs = r.liveIDs[:len(r.liveIDs)-1]
 			}
 			scripts[w] = append(scripts[w], op)
 		}
@@ -681,10 +684,13 @@ func (r *Runner) writerBurst() error {
 	if probeErr != nil {
 		return probeErr
 	}
-	// Committed inserts become eligible for future deletion.
+	// Committed inserts become eligible for future deletion, and so do the rows
+	// whose delete was rolled back.
 	for _, script := range scripts {
 		for _, op := range script {
-			if !op.abort {
+			if op.abort {
+				r.liveIDs = append(r.liveIDs, op.deletes...)
+			} else {
 				r.liveIDs = append(r.liveIDs, op.inserts...)
 			}
 		}

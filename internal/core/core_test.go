@@ -279,7 +279,7 @@ func flushFixture(t *testing.T) (*imcs.Store, *rowstore.Segment, *Journal, *Flus
 			rid := seg.AllocRowSlot()
 			row := rowstore.NewRow(schema)
 			row.Nums[0] = int64(b*8 + s)
-			_ = seg.Block(rid.DBA.Block()).Insert(rid.Slot, scn.FrozenTxn, row)
+			_ = seg.Block(rid.DBA.Block()).Insert(rid.Slot, scn.FrozenTxn, rowstore.Pack(row))
 		}
 	}
 	unit, err := store.CreateUnit(9, 5, 0, 4)
@@ -292,7 +292,7 @@ func flushFixture(t *testing.T) (*imcs.Store, *rowstore.Segment, *Journal, *Flus
 		for s := 0; s < 8; s++ {
 			row := rowstore.NewRow(schema)
 			row.Nums[0] = int64(int(blk)*8 + s)
-			b.AddRow(row, true)
+			b.AddRow(rowstore.Pack(row), true)
 		}
 	}
 	unit.Attach(b.Build())

@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+
+	"dbimadg/internal/rowstore"
 )
 
 // bitPacked is a frame-of-reference, bit-packed vector of n values: value i is
@@ -535,7 +537,10 @@ func (d *dictBuilder) sortFresh(w *dictWork) {
 // with the new values, sorted. Entries nothing references any more are left
 // out, so the storage index and the footprint do not drift over many merges. A
 // dictionary that comes out unchanged is shared with the replaced image
-// (dictionaries are immutable).
+// (dictionaries are immutable); any other has its bytes laid out in one string
+// of its own, the entries substrings of it in order — it references no row
+// image a new value was read from and no older dictionary, it is one object to
+// allocate and to mark, and a scan comparing its labels reads them in sequence.
 func (d *dictBuilder) finish(codes []int64, w *dictWork) []string {
 	nOld, nFresh := len(d.old), len(d.fresh)
 	used := slices.Grow(w.used[:0], nOld+nFresh)[:nOld+nFresh]
@@ -576,6 +581,7 @@ func (d *dictBuilder) finish(codes []int64, w *dictWork) []string {
 	for k, c := range codes {
 		codes[k] = remap[c]
 	}
+	rowstore.CompactStrs(dict)
 	return dict
 }
 

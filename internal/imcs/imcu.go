@@ -161,12 +161,12 @@ func (u *IMCU) computeMemSize() int {
 }
 
 // Column vectors are gathered and encoded a tile of columns at a time: a tile
-// of number columns shares the cache lines of a row image's Nums, a tile of
-// varchar columns those of its string headers, so a row image is pulled through
+// of number columns shares a cache line of a packed row image, a tile of
+// varchar columns a run of its string bytes, so a row image is pulled through
 // the cache once per tile instead of once per column.
 const (
 	numTile = 8 // eight int64 values fill one cache line
-	strTile = 8 // eight string headers fill two cache lines
+	strTile = 8 // eight short strings, and one walk over the lengths before them
 )
 
 // buildScratch is the working memory of IMCU builds. A population worker owns
@@ -176,9 +176,11 @@ type buildScratch struct {
 	// The re-read set: rows[i] is the image visible at the snapshot of row
 	// position pos[i]; absent lists the positions with no visible row. Both
 	// position lists ascend.
-	rows   []rowstore.Row
+	rows   []rowstore.Image
 	pos    []int32
 	absent []int32
+	// strs[i] walks rows[i]'s strings, a tile of slots at each visit.
+	strs []rowstore.StrIter
 	// slots are one block's re-read slots, got those of them Block.ReadRows
 	// found visible.
 	slots []uint16
@@ -244,13 +246,13 @@ func (b *Builder) BeginBlock(capturedSlots int) {
 }
 
 // AddRow puts the next slot of the current block into the re-read set. row
-// may be the zero Row when ok is false (slot not visible at the snapshot).
-func (b *Builder) AddRow(row rowstore.Row, ok bool) {
+// may be the zero Image when ok is false (slot not visible at the snapshot).
+func (b *Builder) AddRow(row rowstore.Image, ok bool) {
 	b.add(b.next, row, ok)
 	b.next++
 }
 
-func (b *Builder) add(pos int, row rowstore.Row, ok bool) {
+func (b *Builder) add(pos int, row rowstore.Image, ok bool) {
 	sc := b.sc
 	if ok {
 		sc.rows = append(sc.rows, row)
@@ -360,8 +362,10 @@ func (b *Builder) Build() *IMCU {
 				b.old.numCols[s0+k].Decode(col[sg.to:sg.to+sg.n], sg.from)
 			}
 		}
+		var tile [numTile]int64
 		for i, p := range sc.pos {
-			for k, v := range sc.rows[i].Nums[s0 : s0+g] {
+			sc.rows[i].Nums(tile[:g], s0)
+			for k, v := range tile[:g] {
 				sc.vals[k*n+int(p)] = v
 			}
 		}
@@ -373,6 +377,10 @@ func (b *Builder) Build() *IMCU {
 	}
 
 	u.strCols = make([]*StrColumn, b.schema.VarcharSlots())
+	sc.strs = slices.Grow(sc.strs[:0], len(sc.rows))[:len(sc.rows)]
+	for i, row := range sc.rows {
+		sc.strs[i] = row.StrsFrom(0)
+	}
 	for s0 := 0; s0 < len(u.strCols); s0 += strTile {
 		g := min(strTile, len(u.strCols)-s0)
 		for k := 0; k < g; k++ {
@@ -387,8 +395,10 @@ func (b *Builder) Build() *IMCU {
 			}
 			sc.dicts[k].reset(oldDict)
 		}
+		var tile [strTile]string // views of the images: a dictionary copies what it keeps
 		for i, p := range sc.pos {
-			for k, v := range sc.rows[i].Strs[s0 : s0+g] {
+			sc.strs[i].Fill(tile[:g])
+			for k, v := range tile[:g] {
 				at := &sc.vals[k*n+int(p)]
 				*at = sc.dicts[k].code(v, sortKey(v), *at)
 			}
@@ -417,6 +427,7 @@ func (b *Builder) Build() *IMCU {
 	// Row images and the old dictionaries belong to others; do not keep them
 	// alive from scratch.
 	clear(sc.rows[:cap(sc.rows)])
+	clear(sc.strs)
 	for k := range sc.dicts {
 		sc.dicts[k].reset(nil)
 	}

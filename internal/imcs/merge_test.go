@@ -347,7 +347,7 @@ func (h *history) transact(t *testing.T) {
 			rid := h.rids[h.rng.Intn(len(h.rids))]
 			blk := h.f.seg.Block(rid.DBA.Block())
 			if img, ok := blk.LatestImage(rid.Slot, h.f.c.Txns()); ok {
-				if err := tx.DeleteByID(h.f.tbl, img.Nums[0]); err == nil {
+				if err := tx.DeleteByID(h.f.tbl, img.Num(0)); err == nil {
 					h.rowsOf[tx] = append(h.rowsOf[tx], rid)
 				}
 			}

@@ -26,7 +26,7 @@ func TestRowAddressingProperty(t *testing.T) {
 				row := rowstore.NewRow(schema)
 				row.Nums[0] = next
 				next++
-				b.AddRow(row, true)
+				b.AddRow(rowstore.Pack(row), true)
 			}
 		}
 		u := b.Build()
@@ -78,7 +78,7 @@ func TestSMUInvalidationProperty(t *testing.T) {
 		for i := 0; i < blocks; i++ {
 			b.BeginBlock(perBlock)
 			for s := 0; s < perBlock; s++ {
-				b.AddRow(rowstore.NewRow(schema), true)
+				b.AddRow(rowstore.Pack(rowstore.NewRow(schema)), true)
 			}
 		}
 		unit.Attach(b.Build())
@@ -161,7 +161,7 @@ func TestScanViewMarksPresenceGapsInvalid(t *testing.T) {
 	b.BeginBlock(perBlock)
 	gaps := map[int]bool{0: true, 33: true, 63: true, 64: true, perBlock - 1: true}
 	for s := 0; s < perBlock; s++ {
-		b.AddRow(rowstore.NewRow(schema), !gaps[s])
+		b.AddRow(rowstore.Pack(rowstore.NewRow(schema)), !gaps[s])
 	}
 	unit.Attach(b.Build())
 

@@ -1,6 +1,7 @@
 package primary
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -87,12 +88,12 @@ func TestUpdateByIDAndIndex(t *testing.T) {
 	rid, _ := tbl.Index().Get(7)
 	seg := tbl.Segments()[0]
 	row, ok := seg.Block(rid.DBA.Block()).ReadRow(rid.Slot, mid, c.Txns(), scn.InvalidTxn)
-	if !ok || row.Num(tbl.Schema(), 1) != 7 {
-		t.Fatalf("pre-commit snapshot sees n1=%d, want 7", row.Num(tbl.Schema(), 1))
+	if !ok || row.Num(tbl.Schema().Col(1).Slot()) != 7 {
+		t.Fatalf("pre-commit snapshot sees n1=%d, want 7", row.Num(tbl.Schema().Col(1).Slot()))
 	}
 	row, ok = seg.Block(rid.DBA.Block()).ReadRow(rid.Slot, c.Snapshot(), c.Txns(), scn.InvalidTxn)
-	if !ok || row.Num(tbl.Schema(), 1) != 777 {
-		t.Fatalf("post-commit snapshot sees n1=%d, want 777", row.Num(tbl.Schema(), 1))
+	if !ok || row.Num(tbl.Schema().Col(1).Slot()) != 777 {
+		t.Fatalf("post-commit snapshot sees n1=%d, want 777", row.Num(tbl.Schema().Col(1).Slot()))
 	}
 	if err := tx2.UpdateByID(tbl, 7, nil, nil); err != txn.ErrTxnDone {
 		t.Fatalf("use after commit: %v, want ErrTxnDone", err)
@@ -156,8 +157,8 @@ func TestRedoShapePerTransaction(t *testing.T) {
 	if cv.Kind != redo.CVUpdate || len(cv.ChangedCols) != 1 || cv.ChangedCols[0] != 1 {
 		t.Fatalf("update CV mangled: %+v", cv)
 	}
-	if cv.Row.Nums[1] != 2 {
-		t.Fatalf("after-image n1 = %d, want 2", cv.Row.Nums[1])
+	if cv.Row.Num(1) != 2 {
+		t.Fatalf("after-image n1 = %d, want 2", cv.Row.Num(1))
 	}
 }
 
@@ -267,7 +268,7 @@ func TestCommitAtomicityUnderConcurrentSnapshots(t *testing.T) {
 				snap := c.Snapshot()
 				v0, _ := seg.Block(rid0.DBA.Block()).ReadRow(rid0.Slot, snap, c.Txns(), scn.InvalidTxn)
 				v1, _ := seg.Block(rid1.DBA.Block()).ReadRow(rid1.Slot, snap, c.Txns(), scn.InvalidTxn)
-				if v0.Num(schema, 1) != v1.Num(schema, 1) {
+				if v0.Num(schema.Col(1).Slot()) != v1.Num(schema.Col(1).Slot()) {
 					select {
 					case errs <- "torn transaction observed":
 					default:
@@ -399,8 +400,8 @@ func TestVacuumAndForget(t *testing.T) {
 	// Data remains correct after vacuum+forget.
 	rid, _ := tbl.Index().Get(1)
 	row, ok := tbl.Segments()[0].Block(rid.DBA.Block()).ReadRow(rid.Slot, c.Snapshot(), c.Txns(), scn.InvalidTxn)
-	if !ok || row.Num(tbl.Schema(), 1) != 11 {
-		t.Fatalf("post-vacuum read: %v ok=%v, want n1=11", row.Num(tbl.Schema(), 1), ok)
+	if !ok || row.Num(tbl.Schema().Col(1).Slot()) != 11 {
+		t.Fatalf("post-vacuum read: %v ok=%v, want n1=11", row.Num(tbl.Schema().Col(1).Slot()), ok)
 	}
 }
 
@@ -427,4 +428,69 @@ func TestRowLockConflictAcrossTxns(t *testing.T) {
 		t.Fatalf("update after unlock: %v", err)
 	}
 	_, _ = t2.Commit()
+}
+
+// TestUpdateOfDeletedRow: updating a row whose newest version is a delete —
+// through a stale RowID, or after a delete in the same transaction — returns
+// rowstore.ErrRowDeleted and never runs the callback (it used to receive an
+// empty row and index it while the block latch was write-held).
+func TestUpdateOfDeletedRow(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sameTxn bool
+	}{{"stale RowID after a committed delete", false}, {"delete then update in one transaction", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCluster(1, 8)
+			inst := c.Instance(0)
+			tbl, _ := inst.CreateTable(wideSpec(1))
+			tx := inst.Begin()
+			rid, err := tx.Insert(tbl, newRow(tbl, 1, 1, "a"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = tx.Commit()
+			tx = inst.Begin()
+			if err := tx.DeleteByID(tbl, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !tc.sameTxn {
+				_, _ = tx.Commit()
+				tx = inst.Begin()
+			}
+			mutate := func(r *rowstore.Row) { t.Error("callback ran on a deleted row"); r.Nums[1] = 9 }
+			if err := tx.UpdateAt(tbl, rid, []uint16{1}, mutate); !errors.Is(err, rowstore.ErrRowDeleted) {
+				t.Fatalf("UpdateAt = %v, want ErrRowDeleted", err)
+			}
+			if err := tx.UpdateByID(tbl, 1, []uint16{1}, mutate); !errors.Is(err, rowstore.ErrRowDeleted) {
+				t.Fatalf("UpdateByID = %v, want ErrRowDeleted", err)
+			}
+			if err := tx.DeleteByID(tbl, 1); !errors.Is(err, rowstore.ErrRowDeleted) {
+				t.Fatalf("second DeleteByID = %v, want ErrRowDeleted", err)
+			}
+		})
+	}
+}
+
+// TestInsertCopiesTheRow: the row store packs what Insert is given; the caller
+// may go on using its Row.
+func TestInsertCopiesTheRow(t *testing.T) {
+	c := NewCluster(1, 8)
+	inst := c.Instance(0)
+	tbl, _ := inst.CreateTable(wideSpec(1))
+	row := newRow(tbl, 1, 100, "a")
+	tx := inst.Begin()
+	rid, err := tx.Insert(tbl, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row.Nums[1], row.Strs[0] = -1, "overwritten"
+	_, _ = tx.Commit()
+	img, ok := tbl.Segments()[0].Block(rid.DBA.Block()).ReadRow(rid.Slot, c.Snapshot(), c.Txns(), scn.InvalidTxn)
+	if !ok || img.Num(1) != 100 || img.Str(0) != "a" {
+		t.Fatalf("stored image follows the caller's row: n1=%d c1=%q", img.Num(1), img.Str(0))
+	}
+	rec, _ := inst.Stream().At(inst.Stream().Len() - 2)
+	if cv := rec.CVs[len(rec.CVs)-1]; cv.Kind != redo.CVInsert || cv.Row != img {
+		t.Fatalf("insert CV does not carry the version's image: %+v", cv)
+	}
 }

@@ -85,14 +85,26 @@ func appendCV(buf []byte, cv *CV) []byte {
 	for _, c := range cv.ChangedCols {
 		buf = binary.AppendUvarint(buf, uint64(c))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(cv.Row.Nums)))
-	for _, n := range cv.Row.Nums {
-		buf = binary.AppendVarint(buf, n)
+	nNums, nStrs := cv.Row.NumCount(), cv.Row.StrCount()
+	buf = binary.AppendUvarint(buf, uint64(nNums))
+	var tile [16]int64
+	for s := 0; s < nNums; s += len(tile) {
+		vals := tile[:min(len(tile), nNums-s)]
+		cv.Row.Nums(vals, s)
+		for _, v := range vals {
+			buf = binary.AppendVarint(buf, v)
+		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(cv.Row.Strs)))
-	for _, s := range cv.Row.Strs {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
+	buf = binary.AppendUvarint(buf, uint64(nStrs))
+	var strs [16]string
+	for it := cv.Row.StrsFrom(0); nStrs > 0; {
+		views := strs[:min(len(strs), nStrs)]
+		it.Fill(views)
+		for _, s := range views {
+			buf = binary.AppendUvarint(buf, uint64(len(s)))
+			buf = append(buf, s...)
+		}
+		nStrs -= len(views)
 	}
 	if cv.Kind == CVMarker {
 		payload := markerPayload(cv.Marker)
@@ -125,16 +137,23 @@ func (r *Record) WireSize() int {
 	n := uvarintLen(uint64(r.SCN)) + uvarintLen(uint64(r.Thread)) + uvarintLen(uint64(len(r.CVs)))
 	for i := range r.CVs {
 		cv := &r.CVs[i]
+		nNums, nStrs := cv.Row.NumCount(), cv.Row.StrCount()
 		n += 2 + uvarintLen(uint64(cv.Txn)) + uvarintLen(uint64(cv.Tenant)) + uvarintLen(uint64(cv.DBA)) +
 			uvarintLen(uint64(cv.Slot)) + uvarintLen(uint64(len(cv.ChangedCols))) +
-			uvarintLen(uint64(len(cv.Row.Nums))) + uvarintLen(uint64(len(cv.Row.Strs))) // 2: kind, flags
+			uvarintLen(uint64(nNums)) + uvarintLen(uint64(nStrs)) // 2: kind, flags
 		for _, c := range cv.ChangedCols {
 			n += uvarintLen(uint64(c))
 		}
-		for _, v := range cv.Row.Nums {
-			n += uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) // zig-zag
+		var tile [16]int64
+		for s := 0; s < nNums; s += len(tile) {
+			vals := tile[:min(len(tile), nNums-s)]
+			cv.Row.Nums(vals, s)
+			for _, v := range vals {
+				n += uvarintLen(uint64(v)<<1 ^ uint64(v>>63)) // zig-zag
+			}
 		}
-		for _, s := range cv.Row.Strs {
+		for it := cv.Row.StrsFrom(0); nStrs > 0; nStrs-- {
+			s := it.Next()
 			n += uvarintLen(uint64(len(s))) + len(s)
 		}
 		if cv.Kind == CVMarker {
@@ -148,45 +167,72 @@ func (r *Record) WireSize() int {
 	return n
 }
 
-// decoder reads varint-encoded fields from a byte slice.
+// decoder reads varint-encoded fields from a byte slice. The first error
+// sticks and empties buf, so that every later read fails on its bounds check
+// and the common path tests nothing else.
 type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+	d.buf, d.off = nil, 0
+}
+
+// uvarint reads an unsigned varint in its shortest form (the only one
+// AppendRecord writes: a padded one would decode and re-encode differently).
+// The one-byte case — a count, a flag, a short string's length — inlines.
 func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+	if d.off < len(d.buf) {
+		if b := d.buf[d.off]; b < 0x80 {
+			d.off++
+			return uint64(b)
+		}
+	}
+	return d.uvarintLong()
+}
+
+func (d *decoder) uvarintLong() uint64 {
+	if b := d.buf[d.off:]; len(b) > 1 && b[1]-1 < 0x7f { // two bytes: most numbers
+		d.off += 2
+		return uint64(b[0]&0x7f) | uint64(b[1])<<7
 	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	if n <= 0 {
-		d.err = fmt.Errorf("redo: truncated uvarint at offset %d", d.off)
+		d.fail("redo: truncated uvarint at offset %d", d.off)
+		return 0
+	}
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		d.fail("redo: uvarint at offset %d is not in its shortest form", d.off)
 		return 0
 	}
 	d.off += n
+	return v
+}
+
+// upto reads a uvarint that must not exceed max; what names the field in the
+// error.
+func (d *decoder) upto(max uint64, what string) uint64 {
+	v := d.uvarint()
+	if v > max {
+		d.fail("redo: %s %d out of range", what, v)
+		return 0
+	}
 	return v
 }
 
 func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.err = fmt.Errorf("redo: truncated varint at offset %d", d.off)
-		return 0
-	}
-	d.off += n
-	return v
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1) // zig-zag, as binary.Varint
 }
 
 func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
 	if d.off >= len(d.buf) {
-		d.err = fmt.Errorf("redo: truncated byte at offset %d", d.off)
+		d.fail("redo: truncated byte at offset %d", d.off)
 		return 0
 	}
 	b := d.buf[d.off]
@@ -195,16 +241,12 @@ func (d *decoder) byte() byte {
 }
 
 func (d *decoder) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
 	if n > uint64(len(d.buf)-d.off) {
-		d.err = fmt.Errorf("redo: truncated bytes (%d wanted) at offset %d", n, d.off)
+		d.fail("redo: truncated bytes (%d wanted) at offset %d", n, d.off)
 		return nil
 	}
-	b := d.buf[d.off : d.off+int(n)]
 	d.off += int(n)
-	return b
+	return d.buf[d.off-int(n) : d.off]
 }
 
 // DecodeRecord parses one record from buf (which must contain exactly one
@@ -213,7 +255,7 @@ func DecodeRecord(buf []byte) (*Record, error) {
 	d := &decoder{buf: buf}
 	r := &Record{
 		SCN:    scn.SCN(d.uvarint()),
-		Thread: uint16(d.uvarint()),
+		Thread: uint16(d.upto(math.MaxUint16, "thread")),
 	}
 	nCV := d.uvarint()
 	if nCV > uint64(len(buf)) { // cheap sanity bound: every CV takes >= 1 byte
@@ -261,51 +303,25 @@ func decodeCV(d *decoder) (CV, error) {
 	var cv CV
 	cv.Kind = CVKind(d.byte())
 	cv.Txn = scn.TxnID(d.uvarint())
-	cv.Tenant = rowstore.TenantID(d.uvarint())
+	cv.Tenant = rowstore.TenantID(d.upto(math.MaxUint32, "tenant"))
 	cv.DBA = rowstore.DBA(d.uvarint())
-	cv.Slot = uint16(d.uvarint())
+	cv.Slot = uint16(d.upto(math.MaxUint16, "slot"))
 	flags := d.byte()
+	if flags&^cvFlagHasIMCS != 0 {
+		d.fail("redo: unknown CV flags %#x", flags)
+	}
 	cv.HasIMCS = flags&cvFlagHasIMCS != 0
-	nChanged := d.uvarint()
+	nChanged := d.upto(math.MaxUint16, "changed-column count")
 	if d.err != nil {
 		return cv, d.err
-	}
-	if nChanged > math.MaxUint16 {
-		return cv, fmt.Errorf("redo: implausible changed-column count %d", nChanged)
 	}
 	if nChanged > 0 {
 		cv.ChangedCols = make([]uint16, nChanged)
 		for i := range cv.ChangedCols {
-			cv.ChangedCols[i] = uint16(d.uvarint())
+			cv.ChangedCols[i] = uint16(d.upto(math.MaxUint16, "changed column"))
 		}
 	}
-	nNums := d.uvarint()
-	if d.err != nil {
-		return cv, d.err
-	}
-	if nNums > math.MaxUint16 {
-		return cv, fmt.Errorf("redo: implausible number-column count %d", nNums)
-	}
-	if nNums > 0 {
-		cv.Row.Nums = make([]int64, nNums)
-		for i := range cv.Row.Nums {
-			cv.Row.Nums[i] = d.varint()
-		}
-	}
-	nStrs := d.uvarint()
-	if d.err != nil {
-		return cv, d.err
-	}
-	if nStrs > math.MaxUint16 {
-		return cv, fmt.Errorf("redo: implausible string-column count %d", nStrs)
-	}
-	if nStrs > 0 {
-		cv.Row.Strs = make([]string, nStrs)
-		for i := range cv.Row.Strs {
-			n := d.uvarint()
-			cv.Row.Strs[i] = string(d.bytes(n))
-		}
-	}
+	cv.Row = decodeImage(d)
 	if cv.Kind == CVMarker {
 		n := d.uvarint()
 		payload := d.bytes(n)
@@ -320,6 +336,47 @@ func decodeCV(d *decoder) (CV, error) {
 		}
 	}
 	return cv, d.err
+}
+
+// decodeImage reads a CV's row section into the row store's packed image — the
+// record's one allocation per row. A first pass over the section sizes the
+// image, a second fills it in the order it is laid out: the numbers, then the
+// strings.
+func decodeImage(d *decoder) rowstore.Image {
+	var p rowstore.Packer
+	nNums := d.upto(math.MaxUint16, "number-column count")
+	nums := d.off
+	for k := nNums; k > 0; d.off++ { // a varint ends at its first byte below 0x80
+		if d.off >= len(d.buf) {
+			d.fail("redo: truncated row at offset %d", d.off)
+			return ""
+		}
+		if d.buf[d.off] < 0x80 {
+			k--
+		}
+	}
+	nStrs := d.upto(math.MaxUint16, "string-column count")
+	strs := d.off
+	for i := uint64(0); i < nStrs; i++ {
+		p.CountStr(len(d.bytes(d.uvarint())))
+	}
+	end := d.off
+	if d.err != nil {
+		return ""
+	}
+	p.Count(int(nNums))
+	p.Begin()
+	d.off = nums
+	for i := uint64(0); i < nNums; i++ {
+		p.Num(d.varint())
+	}
+	if d.err != nil { // a number padded, or past 64 bits; the strings have been read once
+		return ""
+	}
+	for d.off = strs; d.off < end; {
+		p.StrBytes(d.bytes(d.uvarint()))
+	}
+	return p.Image()
 }
 
 // castagnoli is the CRC-32C table used for frame checksums; the same

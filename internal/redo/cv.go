@@ -118,27 +118,31 @@ type Marker struct {
 	InMemory *rowstore.InMemoryAttr
 }
 
-// CV is a single change vector.
+// CV is a single change vector. The one-, two- and four-byte fields share a
+// word, which keeps the struct at 72 bytes: a record's CV list is allocated per
+// record, and the 80- and 144-byte classes of one and two CVs are the 96 and
+// 192 of a layout with a word for each.
 type CV struct {
-	Kind   CVKind
-	Txn    scn.TxnID
-	Tenant rowstore.TenantID
-	DBA    rowstore.DBA
-	Slot   uint16
-
-	// Row is the full after-image for CVInsert/CVUpdate. Full-image logging
-	// (rather than Oracle's byte-level block deltas) keeps parallel apply
-	// workers free of any cross-block base-image dependency; the mining and
-	// invalidation protocols under study are unaffected by the image format.
-	Row rowstore.Row
-	// ChangedCols lists schema column indexes modified by a CVUpdate; the
-	// mining component records them in invalidation records.
-	ChangedCols []uint16
-
+	Kind CVKind
 	// HasIMCS is the specialized redo generation flag on CVCommit (§III.E):
 	// whether the transaction modified any object enabled for IMCS
 	// population.
 	HasIMCS bool
+	Slot    uint16
+	Tenant  rowstore.TenantID
+	Txn     scn.TxnID
+	DBA     rowstore.DBA
+
+	// Row is the full after-image for CVInsert/CVUpdate, packed: on the primary
+	// the very image the new row version holds, on the standby the one redo
+	// apply hands to it. Full-image logging (rather than Oracle's byte-level
+	// block deltas) keeps parallel apply workers free of any cross-block
+	// base-image dependency; the mining and invalidation protocols under study
+	// are unaffected by the image format.
+	Row rowstore.Image
+	// ChangedCols lists schema column indexes modified by a CVUpdate; the
+	// mining component records them in invalidation records.
+	ChangedCols []uint16
 
 	// Marker is the payload for CVMarker.
 	Marker *Marker

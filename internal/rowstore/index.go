@@ -10,7 +10,9 @@ const indexShards = 16
 // inserted when the row is physically written (on the primary by DML, on the
 // standby by redo apply), and lookups re-validate visibility with a CR read of
 // the target block. Identity keys are unique and immutable, so a reader at an
-// older snapshot simply fails the CR re-check.
+// older snapshot simply fails the CR re-check — and so does a reader of a
+// deleted row: a delete leaves the entry where it is (the delete may be rolled
+// back; an insert that reuses the key overwrites it).
 type Index struct {
 	shards [indexShards]indexShard
 }
@@ -52,14 +54,6 @@ func (idx *Index) Get(key int64) (RowID, bool) {
 	rid, ok := s.m[key]
 	s.mu.RUnlock()
 	return rid, ok
-}
-
-// Delete removes the entry for key.
-func (idx *Index) Delete(key int64) {
-	s := idx.shard(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
 }
 
 // Len returns the number of entries.

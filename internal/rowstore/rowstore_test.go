@@ -66,6 +66,8 @@ func mkRow(s *Schema, id, n1 int64, c1 string) Row {
 	return r
 }
 
+func mkImg(s *Schema, id, n1 int64, c1 string) Image { return Pack(mkRow(s, id, n1, c1)) }
+
 func TestSchemaBasics(t *testing.T) {
 	s := testSchema(t)
 	if s.NumCols() != 3 {
@@ -150,7 +152,7 @@ func TestBlockInsertAndVisibility(t *testing.T) {
 	b := NewBlock(MakeDBA(1, 0), 16)
 
 	tt.set(10, TxnActive, 0)
-	if err := b.Insert(0, 10, mkRow(s, 1, 100, "a")); err != nil {
+	if err := b.Insert(0, 10, mkImg(s, 1, 100, "a")); err != nil {
 		t.Fatal(err)
 	}
 	// Uncommitted: invisible to other readers at any snapshot.
@@ -166,7 +168,7 @@ func TestBlockInsertAndVisibility(t *testing.T) {
 		t.Fatal("row visible before commitSCN")
 	}
 	row, ok := b.ReadRow(0, 50, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 0) != 1 {
+	if !ok || row.Num(s.Col(0).Slot()) != 1 {
 		t.Fatal("row not visible at commitSCN")
 	}
 }
@@ -177,24 +179,24 @@ func TestBlockUpdateVersionChain(t *testing.T) {
 	b := NewBlock(MakeDBA(1, 0), 16)
 
 	tt.set(1, TxnCommitted, 10)
-	if err := b.Insert(0, 1, mkRow(s, 1, 100, "a")); err != nil {
+	if err := b.Insert(0, 1, mkImg(s, 1, 100, "a")); err != nil {
 		t.Fatal(err)
 	}
 	tt.set(2, TxnCommitted, 20)
-	if _, err := b.Update(0, 2, tt, func(r *Row) { r.Nums[s.Col(1).Slot()] = 200 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = 200 }); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot between the two commits sees the old image (CR via chain).
 	row, ok := b.ReadRow(0, 15, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 1) != 100 {
+	if !ok || row.Num(s.Col(1).Slot()) != 100 {
 		t.Fatalf("CR read at 15: got %v ok=%v, want n1=100", row, ok)
 	}
 	row, ok = b.ReadRow(0, 20, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 1) != 200 {
+	if !ok || row.Num(s.Col(1).Slot()) != 200 {
 		t.Fatalf("CR read at 20: got %v ok=%v, want n1=200", row, ok)
 	}
 	// Update must not have mutated the old version in place.
-	if row.Str(s, 2) != "a" {
+	if row.Str(s.Col(2).Slot()) != "a" {
 		t.Fatal("unchanged column lost by update")
 	}
 }
@@ -204,18 +206,18 @@ func TestBlockWriteConflict(t *testing.T) {
 	tt := newFakeTxnTable()
 	b := NewBlock(MakeDBA(1, 0), 16)
 	tt.set(1, TxnCommitted, 10)
-	_ = b.Insert(0, 1, mkRow(s, 1, 100, "a"))
+	_ = b.Insert(0, 1, mkImg(s, 1, 100, "a"))
 
 	tt.set(2, TxnActive, 0)
-	if _, err := b.Update(0, 2, tt, func(r *Row) { r.Nums[0] = 1 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[0] = 1 }); err != nil {
 		t.Fatal(err)
 	}
 	tt.set(3, TxnActive, 0)
-	if _, err := b.Update(0, 3, tt, func(r *Row) { r.Nums[0] = 2 }); err != ErrRowLocked {
+	if _, err := b.Update(0, 3, tt, new(Row), func(r *Row) { r.Nums[0] = 2 }); err != ErrRowLocked {
 		t.Fatalf("concurrent update err = %v, want ErrRowLocked", err)
 	}
 	// Same transaction may stack updates.
-	if _, err := b.Update(0, 2, tt, func(r *Row) { r.Nums[0] = 3 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[0] = 3 }); err != nil {
 		t.Fatalf("same-txn second update: %v", err)
 	}
 }
@@ -225,23 +227,23 @@ func TestBlockAbortedVersionsSkipped(t *testing.T) {
 	tt := newFakeTxnTable()
 	b := NewBlock(MakeDBA(1, 0), 16)
 	tt.set(1, TxnCommitted, 10)
-	_ = b.Insert(0, 1, mkRow(s, 1, 100, "a"))
+	_ = b.Insert(0, 1, mkImg(s, 1, 100, "a"))
 	tt.set(2, TxnActive, 0)
-	_, _ = b.Update(0, 2, tt, func(r *Row) { r.Nums[s.Col(1).Slot()] = 999 })
+	_, _ = b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = 999 })
 	tt.set(2, TxnAborted, 0)
 
 	row, ok := b.ReadRow(0, 100, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 1) != 100 {
+	if !ok || row.Num(s.Col(1).Slot()) != 100 {
 		t.Fatalf("aborted version leaked: %v ok=%v", row, ok)
 	}
 	// A new writer sees through the aborted version for its base image.
 	tt.set(3, TxnCommitted, 30)
-	if _, err := b.Update(0, 3, tt, func(r *Row) { r.Nums[s.Col(1).Slot()]++ }); err != nil {
+	if _, err := b.Update(0, 3, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()]++ }); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = b.ReadRow(0, 30, tt, scn.InvalidTxn)
-	if row.Num(s, 1) != 101 {
-		t.Fatalf("base image included aborted version: n1=%d, want 101", row.Num(s, 1))
+	if row.Num(s.Col(1).Slot()) != 101 {
+		t.Fatalf("base image included aborted version: n1=%d, want 101", row.Num(s.Col(1).Slot()))
 	}
 }
 
@@ -250,7 +252,7 @@ func TestBlockDelete(t *testing.T) {
 	tt := newFakeTxnTable()
 	b := NewBlock(MakeDBA(1, 0), 16)
 	tt.set(1, TxnCommitted, 10)
-	_ = b.Insert(0, 1, mkRow(s, 1, 100, "a"))
+	_ = b.Insert(0, 1, mkImg(s, 1, 100, "a"))
 	tt.set(2, TxnCommitted, 20)
 	if err := b.Delete(0, 2, tt); err != nil {
 		t.Fatal(err)
@@ -268,10 +270,10 @@ func TestBlockVacuum(t *testing.T) {
 	tt := newFakeTxnTable()
 	b := NewBlock(MakeDBA(1, 0), 16)
 	tt.set(1, TxnCommitted, 10)
-	_ = b.Insert(0, 1, mkRow(s, 1, 0, "a"))
+	_ = b.Insert(0, 1, mkImg(s, 1, 0, "a"))
 	for i := 2; i <= 10; i++ {
 		tt.set(scn.TxnID(i), TxnCommitted, scn.SCN(i*10))
-		_, _ = b.Update(0, scn.TxnID(i), tt, func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) })
+		_, _ = b.Update(0, scn.TxnID(i), tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) })
 	}
 	if got := b.ChainLen(0); got != 10 {
 		t.Fatalf("chain length = %d, want 10", got)
@@ -282,11 +284,11 @@ func TestBlockVacuum(t *testing.T) {
 	}
 	// Reads at or above the horizon still work.
 	row, ok := b.ReadRow(0, 55, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 1) != 5 {
+	if !ok || row.Num(s.Col(1).Slot()) != 5 {
 		t.Fatalf("post-vacuum read at 55: %v ok=%v, want n1=5", row, ok)
 	}
 	row, ok = b.ReadRow(0, 100, tt, scn.InvalidTxn)
-	if !ok || row.Num(s, 1) != 10 {
+	if !ok || row.Num(s.Col(1).Slot()) != 10 {
 		t.Fatalf("post-vacuum read at 100: %v ok=%v, want n1=10", row, ok)
 	}
 }
@@ -303,7 +305,7 @@ func TestSegmentAllocAndScan(t *testing.T) {
 		if blk == nil {
 			t.Fatalf("allocated slot in missing block %v", rid)
 		}
-		if err := blk.Insert(rid.Slot, 1, mkRow(s, int64(i), int64(i*10), fmt.Sprintf("r%d", i))); err != nil {
+		if err := blk.Insert(rid.Slot, 1, mkImg(s, int64(i), int64(i*10), fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,8 +313,8 @@ func TestSegmentAllocAndScan(t *testing.T) {
 		t.Fatalf("BlockCount = %d, want 3 (10 rows / 4 per block)", seg.BlockCount())
 	}
 	var got []int64
-	seg.Scan(10, tt, func(_ RowID, r Row) bool {
-		got = append(got, r.Num(s, 0))
+	seg.Scan(10, tt, func(_ RowID, r Image) bool {
+		got = append(got, r.Num(s.Col(0).Slot()))
 		return true
 	})
 	if len(got) != rows {
@@ -348,7 +350,7 @@ func TestSegmentTruncate(t *testing.T) {
 	seg := NewSegment(1, 0, "t", "", 4)
 	tt.set(1, TxnCommitted, 5)
 	rid := seg.AllocRowSlot()
-	_ = seg.Block(rid.DBA.Block()).Insert(rid.Slot, 1, mkRow(s, 1, 1, "x"))
+	_ = seg.Block(rid.DBA.Block()).Insert(rid.Slot, 1, mkImg(s, 1, 1, "x"))
 	seg.Truncate()
 	if seg.BlockCount() != 0 {
 		t.Fatal("truncate left blocks behind")
@@ -369,10 +371,6 @@ func TestIndexBasics(t *testing.T) {
 	rid, ok := idx.Get(500)
 	if !ok || rid.Slot != uint16(500%128) {
 		t.Fatalf("Get(500) = %v %v", rid, ok)
-	}
-	idx.Delete(500)
-	if _, ok := idx.Get(500); ok {
-		t.Fatal("deleted key still present")
 	}
 	idx.Clear()
 	if idx.Len() != 0 {
@@ -487,10 +485,10 @@ func TestDatabaseVacuum(t *testing.T) {
 	seg := tbl.Segments()[0]
 	rid := seg.AllocRowSlot()
 	tt.set(1, TxnCommitted, 10)
-	_ = seg.Block(0).Insert(rid.Slot, 1, mkRow(s, 1, 0, "a"))
+	_ = seg.Block(0).Insert(rid.Slot, 1, mkImg(s, 1, 0, "a"))
 	for i := 2; i < 8; i++ {
 		tt.set(scn.TxnID(i), TxnCommitted, scn.SCN(i*10))
-		_, _ = seg.Block(0).Update(rid.Slot, scn.TxnID(i), tt, func(r *Row) { r.Nums[1] = int64(i) })
+		_, _ = seg.Block(0).Update(rid.Slot, scn.TxnID(i), tt, new(Row), func(r *Row) { r.Nums[1] = int64(i) })
 	}
 	if freed := db.Vacuum(math.MaxInt64, tt); freed == 0 {
 		t.Fatal("vacuum freed nothing")
@@ -520,10 +518,10 @@ func TestCRVisibilityProperty(t *testing.T) {
 			txn := scn.TxnID(i + 1)
 			tt.set(txn, TxnCommitted, cur)
 			if i == 0 {
-				if err := b.Insert(0, txn, mkRow(s, 0, int64(i), "v")); err != nil {
+				if err := b.Insert(0, txn, mkImg(s, 0, int64(i), "v")); err != nil {
 					return false
 				}
-			} else if _, err := b.Update(0, txn, tt, func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) }); err != nil {
+			} else if _, err := b.Update(0, txn, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) }); err != nil {
 				return false
 			}
 		}
@@ -542,7 +540,7 @@ func TestCRVisibilityProperty(t *testing.T) {
 				}
 				continue
 			}
-			if !ok || row.Num(s, 1) != want {
+			if !ok || row.Num(s.Col(1).Slot()) != want {
 				return false
 			}
 		}
@@ -562,7 +560,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	rids := make([]RowID, 64)
 	for i := range rids {
 		rids[i] = seg.AllocRowSlot()
-		_ = seg.Block(rids[i].DBA.Block()).Insert(rids[i].Slot, 1, mkRow(s, int64(i), 0, "x"))
+		_ = seg.Block(rids[i].DBA.Block()).Insert(rids[i].Slot, 1, mkImg(s, int64(i), 0, "x"))
 	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -581,7 +579,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				}
 				tt.set(txn, TxnActive, 0)
 				rid := rids[w*16+i%16]
-				_, _ = seg.Block(rid.DBA.Block()).Update(rid.Slot, txn, tt, func(r *Row) { r.Nums[1]++ })
+				_, _ = seg.Block(rid.DBA.Block()).Update(rid.Slot, txn, tt, new(Row), func(r *Row) { r.Nums[1]++ })
 				next += 10
 				tt.set(txn, TxnCommitted, next)
 				txn += 10
@@ -594,8 +592,8 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				seg.Scan(scn.SCN(1+i), tt, func(_ RowID, row Row) bool {
-					_ = row.Num(s, 1)
+				seg.Scan(scn.SCN(1+i), tt, func(_ RowID, row Image) bool {
+					_ = row.Num(s.Col(1).Slot())
 					return true
 				})
 			}

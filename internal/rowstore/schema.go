@@ -152,9 +152,11 @@ func (s *Schema) DropColumn(name string) (*Schema, error) {
 	return out, nil
 }
 
-// Row is one row image, with values split by kind for compactness: Nums holds
-// the KindNumber column values indexed by Column.Slot, Strs the KindVarchar
-// values.
+// Row is a row's values unpacked, split by kind: Nums holds the KindNumber
+// column values indexed by Column.Slot, Strs the KindVarchar values. It is the
+// exchange type at the API edge — what callers fill for an insert, change in an
+// update callback and get back from a fetch or a scan; the row store itself
+// keeps and ships the packed Image.
 type Row struct {
 	Nums []int64
 	Strs []string
@@ -166,17 +168,6 @@ func NewRow(s *Schema) Row {
 		Nums: make([]int64, s.numCount),
 		Strs: make([]string, s.strCount),
 	}
-}
-
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row {
-	out := Row{
-		Nums: make([]int64, len(r.Nums)),
-		Strs: make([]string, len(r.Strs)),
-	}
-	copy(out.Nums, r.Nums)
-	copy(out.Strs, r.Strs)
-	return out
 }
 
 // Num returns the value of the schema's i-th column, which must be a number

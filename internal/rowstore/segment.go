@@ -137,7 +137,7 @@ func (s *Segment) ForEachBlock(f func(*Block) bool) {
 
 // Scan performs a Consistent Read scan of every row visible at snap, invoking
 // yield with each row id and image until yield returns false.
-func (s *Segment) Scan(snap scn.SCN, view TxnView, yield func(RowID, Row) bool) {
+func (s *Segment) Scan(snap scn.SCN, view TxnView, yield func(RowID, Image) bool) {
 	stop := false
 	s.ForEachBlock(func(b *Block) bool {
 		n := b.RowCount()
@@ -160,7 +160,7 @@ func (s *Segment) Scan(snap scn.SCN, view TxnView, yield func(RowID, Row) bool) 
 // verification scans.
 func (s *Segment) RowCountVisible(snap scn.SCN, view TxnView) int {
 	n := 0
-	s.Scan(snap, view, func(RowID, Row) bool { n++; return true })
+	s.Scan(snap, view, func(RowID, Image) bool { n++; return true })
 	return n
 }
 

@@ -104,7 +104,7 @@ func TestResolveFiltersEdges(t *testing.T) {
 		for i := range n {
 			row := rowstore.NewRow(schema)
 			row.Nums[0], row.Strs[0] = n[i], s[i]
-			bld.AddRow(row, true)
+			bld.AddRow(rowstore.Pack(row), true)
 		}
 		return bld.Build()
 	}

@@ -229,7 +229,8 @@ type scanScratch struct {
 	wins     [][]int64 // group key/value windows, grown on demand
 	filters  []batchFilter
 	group    groupLocal
-	rows     rowBatch // the row-store serving path's batch, grown on first use
+	rows     rowBatch     // the row-store serving path's batch, grown on first use
+	unpacked rowstore.Row // one image of it unpacked for projection, its strings views: empty between batches
 }
 
 // win returns the i-th group decode window.
@@ -637,24 +638,6 @@ func (r *taskResult) finish() *Result {
 	}
 	r.op.finish(res)
 	return res
-}
-
-// projectRow materializes the projection: a row in the table's slot layout
-// with only the projected columns copied (all columns when Project is nil).
-func projectRow(q *Query, schema *rowstore.Schema, row rowstore.Row) rowstore.Row {
-	if q.Project == nil {
-		return row.Clone()
-	}
-	out := rowstore.NewRow(schema)
-	for _, ci := range q.Project {
-		col := schema.Col(ci)
-		if col.Kind == rowstore.KindNumber {
-			out.Nums[col.Slot()] = row.Nums[col.Slot()]
-		} else {
-			out.Strs[col.Slot()] = row.Strs[col.Slot()]
-		}
-	}
-	return out
 }
 
 // pruneInfo describes why an IMCU can be skipped: the responsible filter,

@@ -27,7 +27,7 @@ func BenchmarkGroupFlush(b *testing.B) {
 		for i := 0; i < groups; i++ {
 			row := rowstore.NewRow(schema)
 			row.Nums[0], row.Strs[0] = int64(i), fmt.Sprintf("val_%05d", 2*i+offset)
-			bld.AddRow(row, true)
+			bld.AddRow(rowstore.Pack(row), true)
 		}
 		return bld.Build()
 	}

@@ -26,7 +26,7 @@ func TestKeySpans(t *testing.T) {
 		for i := range a {
 			row := rowstore.NewRow(schema)
 			row.Nums[0], row.Nums[1], row.Strs[0] = a[i], b[i], s[i]
-			bld.AddRow(row, true)
+			bld.AddRow(rowstore.Pack(row), true)
 		}
 		return bld.Build()
 	}

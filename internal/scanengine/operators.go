@@ -273,14 +273,33 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	}
 }
 
+// foldRows copies the projected columns of the matching images out, into the
+// slabs foldBatch cuts its rows from and, for the strings' bytes, one more: a
+// result row references no row image.
 func (o *rowsOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 	o.idx = collectIdx(o.idx, match, b.n)
-	for _, i := range o.idx {
-		o.rows = append(o.rows, projectRow(o.q, o.schema, b.rows[i]))
+	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
+	nums, strs := make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
+	img := &r.s.unpacked
+	for k, i := range o.idx {
+		img.Nums, img.Strs = img.Nums[:0], img.Strs[:0]
+		b.rows[i].AppendTo(img)
+		for _, s := range o.numSlots {
+			nums[k*nn+s] = img.Nums[s]
+		}
+		for _, s := range o.strSlots {
+			strs[k*ns+s] = img.Strs[s]
+		}
+		o.rows = append(o.rows, rowstore.Row{
+			Nums: nums[k*nn : (k+1)*nn : (k+1)*nn],
+			Strs: strs[k*ns : (k+1)*ns : (k+1)*ns],
+		})
 		if o.ordered {
 			o.keys = append(o.keys, orderKey(r.curPart, b.blks[i], b.slots[i]))
 		}
 	}
+	rowstore.CompactStrs(strs)
+	clear(img.Strs)
 }
 
 func (o *rowsOp) merge(other operator) {
@@ -441,7 +460,7 @@ func (o *aggOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 		cell := o.cells[ci]
 		for w := range match {
 			for m := match[w]; m != 0; m &= m - 1 {
-				cell.addVal(b.rows[w*64+bits.TrailingZeros64(m)].Nums[s])
+				cell.addVal(b.rows[w*64+bits.TrailingZeros64(m)].Num(s))
 			}
 		}
 		o.cells[ci] = cell
@@ -572,6 +591,24 @@ type groupLocal struct {
 	byStr map[string]int32
 	byNum map[int64]int32
 	byKey map[lkey]int32
+	// held is where a key string that arrived as a view of a row image is copied
+	// to: chunks of keys, an object a chunk, not one a key. The result takes the
+	// chunks with its keys; flush lets go of them.
+	held strings.Builder
+}
+
+// hold returns a copy of s that pins nothing but other held keys.
+func (l *groupLocal) hold(s string) string {
+	if len(s) == 0 {
+		return ""
+	}
+	if l.held.Cap()-l.held.Len() < len(s) {
+		l.held = strings.Builder{}
+		l.held.Grow(max(2048, len(s)))
+	}
+	at := l.held.Len()
+	l.held.WriteString(s)
+	return l.held.String()[at:]
 }
 
 // maxPooledGroups bounds the by-value table a scratch keeps between queries
@@ -636,7 +673,9 @@ func newGroupOp(plan *queryPlan, schema *rowstore.Schema, scratch *scanScratch) 
 	return o
 }
 
-// byValueSlot finds or creates the by-value table's group of a key.
+// byValueSlot finds or creates the by-value table's group of a key. The key's
+// strings may be views of a row image: a key that is new is copied, in kv, so
+// that the table — and the result its keys end up in — pins no image.
 func (o *groupOp) byValueSlot(kv []GroupValue) int {
 	loc := o.loc
 	next := int32(len(loc.v.count))
@@ -646,12 +685,16 @@ func (o *groupOp) byValueSlot(kv []GroupValue) int {
 		var ck lkey
 		for j, v := range kv {
 			if ck[j] = v.Num; v.IsStr {
-				ck[j] = int64(getOrPut(&loc.byStr, v.Str, int32(len(loc.byStr))))
+				ck[j] = int64(loc.strID(&v.Str, int32(len(loc.byStr))))
 			}
 		}
-		g = getOrPut(&loc.byKey, ck, next)
+		if g = getOrPut(&loc.byKey, ck, next); g == next {
+			for j := range kv {
+				kv[j].Str = loc.hold(kv[j].Str)
+			}
+		}
 	case kv[0].IsStr:
-		g = getOrPut(&loc.byStr, kv[0].Str, next)
+		g = loc.strID(&kv[0].Str, next)
 	default:
 		g = getOrPut(&loc.byNum, kv[0].Num, next)
 	}
@@ -674,6 +717,16 @@ func getOrPut[K comparable](m *map[K]int32, k K, next int32) int32 {
 	}
 	(*m)[k] = next
 	return next
+}
+
+// strID is getOrPut on byStr for a string that may be a view: a new key is
+// copied, in place, before the map keeps it.
+func (l *groupLocal) strID(s *string, next int32) int32 {
+	if v, ok := l.byStr[*s]; ok {
+		return v
+	}
+	*s = l.hold(*s)
+	return getOrPut(&l.byStr, *s, next)
 }
 
 // beginUnit points the local table at imcu. Morsels of one IMCU keep
@@ -802,6 +855,7 @@ func (o *groupOp) flush() {
 		clear(loc.byStr)
 		clear(loc.byNum)
 		clear(loc.byKey)
+		loc.held = strings.Builder{}
 	}
 	o.loc = nil
 }
@@ -985,11 +1039,11 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 // to the by-value table's one map probe: the dictionary's strings are
 // scattered heap objects, and a search misses the cache on half of its ten
 // comparisons (380 ns a search in the paced stage's profile).
-func (o *groupOp) unitSlot(row rowstore.Row, blk rowstore.BlockNo, at uint16) (slot int, ok bool) {
+func (o *groupOp) unitSlot(row rowstore.Image, blk rowstore.BlockNo, at uint16) (slot int, ok bool) {
 	var lk lkey
 	for j, ks := range o.keySlots {
 		if !o.keyIsStr[j] {
-			lk[j] = row.Nums[ks]
+			lk[j] = row.Num(ks)
 			continue
 		}
 		pos, held := o.unit.RowIndexOf(blk, at)
@@ -997,7 +1051,7 @@ func (o *groupOp) unitSlot(row rowstore.Row, blk rowstore.BlockNo, at uint16) (s
 			return 0, false
 		}
 		col := o.unit.StrCol(ks)
-		if lk[j] = col.CodeAt(pos); col.Value(lk[j]) != row.Strs[ks] {
+		if lk[j] = col.CodeAt(pos); col.Value(lk[j]) != row.Str(ks) {
 			return 0, false
 		}
 	}
@@ -1033,16 +1087,16 @@ func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 				// A key this unit has never held, or a block of no unit.
 				for j, ks := range o.keySlots {
 					if o.keyIsStr[j] {
-						o.kv[j] = GroupValue{Str: row.Strs[ks], IsStr: true}
+						o.kv[j] = GroupValue{Str: row.Str(ks), IsStr: true}
 					} else {
-						o.kv[j] = GroupValue{Num: row.Nums[ks]}
+						o.kv[j] = GroupValue{Num: row.Num(ks)}
 					}
 				}
 				g, slab = o.byValueSlot(o.kv[:nk]), &loc.v.aggSlab
 			}
 			slab.count[g]++
 			for ci, s := range o.slots {
-				slab.cells[g*slab.nc+ci].addVal(row.Nums[s])
+				slab.cells[g*slab.nc+ci].addVal(row.Num(s))
 			}
 		}
 	}

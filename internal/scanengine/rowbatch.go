@@ -19,9 +19,12 @@ import (
 
 // rowBatch is a worker's batch of row images read from the row store at the
 // scan snapshot, each with its address. It lives in the worker's scratch and
-// is empty between morsels.
+// is empty between morsels. The filters and the operators read the images
+// through their accessors; a string so read is a view that pins its image and
+// dies with the batch — what an operator keeps (a result row, a group key that
+// arrived by value) it copies out.
 type rowBatch struct {
-	rows  []rowstore.Row
+	rows  []rowstore.Image
 	blks  []rowstore.BlockNo
 	slots []uint16
 	n     int
@@ -34,7 +37,7 @@ func (s *scanScratch) growRows(capacity int) {
 		return
 	}
 	s.rows = rowBatch{
-		rows:  make([]rowstore.Row, capacity),
+		rows:  make([]rowstore.Image, capacity),
 		blks:  make([]rowstore.BlockNo, capacity),
 		slots: make([]uint16, capacity),
 	}
@@ -98,7 +101,7 @@ func (rs *rowScan) flush() {
 			// branches; the comparison then runs the decoded windows' kernel.
 			vals := s.num[:n]
 			for i := range rows {
-				vals[i] = rows[i].Nums[slot]
+				vals[i] = rows[i].Num(slot)
 			}
 			andCmpBitmap(match, vals, f.Op, f.Num)
 			continue
@@ -106,7 +109,7 @@ func (rs *rowScan) flush() {
 		for w := range match {
 			for m := match[w]; m != 0; m &= m - 1 {
 				i := w*64 + bits.TrailingZeros64(m)
-				if !cmpStr(rows[i].Strs[slot], f.Op, f.Str) {
+				if !cmpStr(rows[i].Str(slot), f.Op, f.Str) {
 					match[w] &^= 1 << uint(i%64)
 				}
 			}

@@ -132,13 +132,13 @@ func BenchmarkScanInvalid(b *testing.B) {
 // the single-key groupings whose row images translate to the unit's code
 // space one way each (dictionary code, value − min).
 func rowPathShapes(tbl *rowstore.Table) []scantest.Case {
-	all := func(rowstore.Row) bool { return true }
-	preds := map[string]func(rowstore.Row) bool{
+	all := func(rowstore.Image) bool { return true }
+	preds := map[string]func(rowstore.Image) bool{
 		"full-ordered":         all,
-		"filter":               func(r rowstore.Row) bool { return r.Strs[0] == "blue" },
-		"filter-range-project": func(r rowstore.Row) bool { return r.Nums[1] >= 40 },
+		"filter":               func(r rowstore.Image) bool { return r.Str(0) == "blue" },
+		"filter-range-project": func(r rowstore.Image) bool { return r.Num(1) >= 40 },
 		"multi-agg":            all,
-		"filtered-agg":         func(r rowstore.Row) bool { return r.Strs[0] == "red" },
+		"filtered-agg":         func(r rowstore.Image) bool { return r.Str(0) == "red" },
 		"groupby":              all,
 	}
 	cases := shapes(tbl)
@@ -147,13 +147,13 @@ func rowPathShapes(tbl *rowstore.Table) []scantest.Case {
 	}
 	aggs := []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: 1}, {Kind: scanengine.AggMax, Col: 0}}
 	return append(cases,
-		scantest.Case{Name: "point", Match: func(r rowstore.Row) bool { return r.Nums[1] == 42 },
+		scantest.Case{Name: "point", Match: func(r rowstore.Image) bool { return r.Num(1) == 42 },
 			Query: func() *scanengine.Query {
 				return &scanengine.Query{Table: tbl, Filters: []scanengine.Filter{scanengine.EqNum(1, 42)}, OrderByRowID: true}
 			}},
 		scantest.Case{Name: "groupby-varchar", Match: all,
 			Query: func() *scanengine.Query { return &scanengine.Query{Table: tbl, Aggs: aggs, GroupBy: []int{2}} }},
-		scantest.Case{Name: "groupby-number-filtered", Match: func(r rowstore.Row) bool { return r.Strs[0] != "green" },
+		scantest.Case{Name: "groupby-number-filtered", Match: func(r rowstore.Image) bool { return r.Str(0) != "green" },
 			Query: func() *scanengine.Query {
 				return &scanengine.Query{Table: tbl, Aggs: aggs, GroupBy: []int{1},
 					Filters: []scanengine.Filter{{Col: 2, Op: scanengine.NE, Str: "green"}}}
@@ -371,7 +371,7 @@ func TestAllocsPerRunInvalidScan(t *testing.T) {
 	few, many := cost(1), cost(6)
 	for class := range many {
 		t.Logf("%s: %.0f allocs at 1 %% invalid, %.0f at 6 %%", class, few[class], many[class])
-		if many[class] > few[class]+2 {
+		if many[class] > few[class]+3 { // one batch of result rows: a number slab, a string slab, the strings' bytes
 			t.Errorf("%s: %.0f allocs per run at 6 %% invalid rows, %.0f at 1 %%: the row path allocates per row or per block",
 				class, many[class], few[class])
 		}

@@ -31,7 +31,7 @@ import (
 type Case struct {
 	Name  string
 	Query func() *scanengine.Query
-	Match func(rowstore.Row) bool
+	Match func(rowstore.Image) bool
 }
 
 // Options configures a Diff sweep.
@@ -73,7 +73,7 @@ func PathsOf(res *scanengine.Result) Paths {
 // the SMU marks its position invalid (or a gap), from the row store as a tail
 // row when the IMCU never captured its slot, and from a plain row-store range
 // when no unit usable at snap covers its block.
-func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, snap scn.SCN, match func(rowstore.Row) bool) Paths {
+func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, snap scn.SCN, match func(rowstore.Image) bool) Paths {
 	var want Paths
 	for _, seg := range tbl.Segments() {
 		type unitView struct {
@@ -81,7 +81,7 @@ func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, 
 			invalid []uint64
 		}
 		views := map[*imcs.Unit]unitView{}
-		seg.Scan(snap, view, func(rid rowstore.RowID, row rowstore.Row) bool {
+		seg.Scan(snap, view, func(rid rowstore.RowID, row rowstore.Image) bool {
 			if !match(row) {
 				return true
 			}

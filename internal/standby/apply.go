@@ -249,7 +249,7 @@ func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 		blk := seg.EnsureBlock(cv.DBA.Block())
 		blk.ApplyVersion(cv.Slot, cv.Txn, cv.Row, false)
 		if tbl, ok := inst.db.TableForObj(cv.DBA.Obj()); ok && tbl.Index() != nil {
-			tbl.Index().Put(cv.Row.Num(tbl.Schema(), tbl.IdentityCol), rowstore.RowID{DBA: cv.DBA, Slot: cv.Slot})
+			tbl.Index().Put(cv.Row.Num(tbl.Schema().Col(tbl.IdentityCol).Slot()), rowstore.RowID{DBA: cv.DBA, Slot: cv.Slot})
 		}
 	case redo.CVUpdate:
 		seg, ok := inst.db.Segment(cv.DBA.Obj())
@@ -262,13 +262,9 @@ func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 		if !ok {
 			break
 		}
-		blk := seg.EnsureBlock(cv.DBA.Block())
-		if tbl, ok := inst.db.TableForObj(cv.DBA.Obj()); ok && tbl.Index() != nil {
-			if img, ok := blk.LatestImage(cv.Slot, inst.txns); ok {
-				tbl.Index().Delete(img.Num(tbl.Schema(), tbl.IdentityCol))
-			}
-		}
-		blk.ApplyVersion(cv.Slot, cv.Txn, rowstore.Row{}, true)
+		// The identity index keeps the row's entry, as on the primary: a lookup
+		// re-reads the chain by CR, and the delete may yet be rolled back.
+		seg.EnsureBlock(cv.DBA.Block()).ApplyVersion(cv.Slot, cv.Txn, "", true)
 	}
 	inst.miner.MineCV(worker, recSCN, cv)
 }

@@ -16,7 +16,7 @@ func mkStream(thread uint16, scns ...scn.SCN) *redo.Stream {
 	for _, v := range scns {
 		s.Append(&redo.Record{SCN: v, Thread: thread, CVs: []redo.CV{{
 			Kind: redo.CVInsert, Txn: 1, DBA: rowstore.MakeDBA(1, 0),
-			Row: rowstore.Row{Nums: []int64{int64(v)}},
+			Row: rowstore.Pack(rowstore.Row{Nums: []int64{int64(v)}}),
 		}}})
 	}
 	return s
@@ -72,7 +72,7 @@ func TestTCPShipsRecords(t *testing.T) {
 	if len(m1) != 3 || len(m2) != 2 {
 		t.Fatalf("mirrored %d/%d records, want 3/2", len(m1), len(m2))
 	}
-	if m1[2].SCN != 30 || m1[2].CVs[0].Row.Nums[0] != 30 {
+	if m1[2].SCN != 30 || m1[2].CVs[0].Row.Num(0) != 30 {
 		t.Fatalf("record content mangled: %+v", m1[2])
 	}
 	// Live append flows through.
@@ -155,7 +155,7 @@ func TestTCPReconnectResumes(t *testing.T) {
 	for _, v := range []scn.SCN{40, 50, 60} {
 		s1.Append(&redo.Record{SCN: v, Thread: 1, CVs: []redo.CV{{
 			Kind: redo.CVInsert, Txn: 1, DBA: rowstore.MakeDBA(1, 0),
-			Row: rowstore.Row{Nums: []int64{int64(v)}},
+			Row: rowstore.Pack(rowstore.Row{Nums: []int64{int64(v)}}),
 		}}})
 	}
 	got := drain(t, rcv.Streams()[0], 6, 10*time.Second)

@@ -98,6 +98,7 @@ type Txn struct {
 	done  bool
 
 	mu       sync.Mutex
+	scratch  rowstore.Row // an update's image unpacked for its mutate callback
 	changes  []RowChange
 	touchIM  bool // touched an object enabled for standby IMCS population
 	tenant   rowstore.TenantID
@@ -135,7 +136,8 @@ func (tx *Txn) noteChange(tenant rowstore.TenantID, obj rowstore.ObjID, dba rows
 }
 
 // Insert adds a row to tbl, routing it to the right partition, maintaining the
-// identity index, and emitting begin+insert redo.
+// identity index, and emitting begin+insert redo. The row is packed; the caller
+// keeps its Row.
 func (tx *Txn) Insert(tbl *rowstore.Table, row rowstore.Row) (rowstore.RowID, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
@@ -150,7 +152,8 @@ func (tx *Txn) Insert(tbl *rowstore.Table, row rowstore.Row) (rowstore.RowID, er
 	seg := part.Seg
 	rid := seg.AllocRowSlot()
 	blk := seg.Block(rid.DBA.Block())
-	if err := blk.Insert(rid.Slot, tx.id, row); err != nil {
+	img := rowstore.Pack(row)
+	if err := blk.Insert(rid.Slot, tx.id, img); err != nil {
 		return rowstore.RowID{}, err
 	}
 	if idx := tbl.Index(); idx != nil {
@@ -158,7 +161,7 @@ func (tx *Txn) Insert(tbl *rowstore.Table, row rowstore.Row) (rowstore.RowID, er
 	}
 	cvs := append(tx.controlCVs(tbl.Tenant), redo.CV{
 		Kind: redo.CVInsert, Txn: tx.id, Tenant: tbl.Tenant,
-		DBA: rid.DBA, Slot: rid.Slot, Row: row,
+		DBA: rid.DBA, Slot: rid.Slot, Row: img,
 	})
 	tx.m.emit.Emit(cvs)
 	tx.noteChange(tbl.Tenant, seg.Obj(), rid.DBA, rid.Slot)
@@ -202,7 +205,7 @@ func (tx *Txn) UpdateAt(tbl *rowstore.Table, rid rowstore.RowID, changedCols []u
 	if blk == nil {
 		return fmt.Errorf("txn: no block %v", rid.DBA)
 	}
-	after, err := blk.Update(rid.Slot, tx.id, tx.m.table, mutate)
+	after, err := blk.Update(rid.Slot, tx.id, tx.m.table, &tx.scratch, mutate)
 	if err != nil {
 		return err
 	}
@@ -215,7 +218,10 @@ func (tx *Txn) UpdateAt(tbl *rowstore.Table, rid rowstore.RowID, changedCols []u
 	return nil
 }
 
-// DeleteByID deletes the row with the given identity key.
+// DeleteByID deletes the row with the given identity key. The identity index
+// keeps its entry: lookups resolve visibility by Consistent Read on the version
+// chain, so the delete hides the row once it commits and an abort needs nothing
+// restored; an insert that reuses the key overwrites the entry.
 func (tx *Txn) DeleteByID(tbl *rowstore.Table, id int64) error {
 	idx := tbl.Index()
 	if idx == nil {
@@ -237,7 +243,6 @@ func (tx *Txn) DeleteByID(tbl *rowstore.Table, id int64) error {
 	if err := seg.Block(rid.DBA.Block()).Delete(rid.Slot, tx.id, tx.m.table); err != nil {
 		return err
 	}
-	idx.Delete(id)
 	cvs := append(tx.controlCVs(tbl.Tenant), redo.CV{
 		Kind: redo.CVDelete, Txn: tx.id, Tenant: tbl.Tenant,
 		DBA: rid.DBA, Slot: rid.Slot,

@@ -193,7 +193,8 @@ func (s *Session) ExplainAnalyze(q *Query) (*ScanProfile, error) {
 }
 
 // FetchByID performs an index point-read of the row with the given identity
-// key at the session's snapshot.
+// key at the session's snapshot. The Row is the caller's: a copy that shares
+// nothing with the row store's image.
 func (s *Session) FetchByID(tbl *Table, id int64) (Row, bool, error) {
 	idx := tbl.Index()
 	if idx == nil {
@@ -218,8 +219,8 @@ func (s *Session) FetchByID(tbl *Table, id int64) (Row, bool, error) {
 	if blk == nil {
 		return Row{}, false, nil
 	}
-	row, ok := blk.ReadRow(rid.Slot, s.snap(), view, scn.InvalidTxn)
-	return row, ok, nil
+	img, ok := blk.ReadRow(rid.Slot, s.snap(), view, scn.InvalidTxn)
+	return img.Row(), ok, nil
 }
 
 // StoreStats is re-exported for observability.
