@@ -34,8 +34,10 @@ test:
 	$(GO) test ./...
 
 # Race-check the concurrency-heavy trees: the telemetry registry/trace, the
-# standby apply pipeline, the mining/journal/flush core, the column store and
-# its batch kernels, the parallel scan engine and its SQL front end,
+# standby apply pipeline, the mining/journal/flush core (its flush now hands the
+# SMUs what changed), the column store, its column deltas and
+# its batch kernels, the parallel scan engine (views of a delta are captured
+# under the latch flushes append under) and its SQL front end,
 # the row store and the transaction table under it (readers of a block write a
 # version's commit-SCN hint under the shared latch),
 # role-based service routing, the standby readers (RAC home shares and the
@@ -61,7 +63,8 @@ stress:
 
 # Allocation guards of the scan path (steady-state scans allocate only their
 # result, whatever share of their rows the row store serves; a second scan of
-# the same invalid rows asks the transaction table nothing), of the redo wire
+# the same invalid rows asks the transaction table nothing, and a scan of rows a
+# column delta explains latches no block for them), of the redo wire
 # path (shipping allocates nothing per record, receiving only the decoded
 # record: a row CV is its packed image and its changed-column list), of redo
 # apply (an applied CV adds the row version alone), of the row version itself
@@ -71,7 +74,7 @@ stress:
 # store). Not under -race: the race detector changes allocation counts.
 allocs:
 	$(GO) test -run 'AllocsPerRun|InvalidScanLookups|HeapPerVersion|VersionStaysInItsSizeClass' -v ./internal/rowstore
-	$(GO) test -run 'AllocsPerRun|InvalidScanLookups' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs ./internal/standby
+	$(GO) test -run 'AllocsPerRun|InvalidScanLookups|DeltaScanTouchesNoBlock' ./internal/scanengine ./internal/transport ./internal/redo ./internal/imcs ./internal/standby
 
 # Native fuzzing of the decoders that read bytes from the wire — the frame
 # reader and the record decoder, seeded from the corruption tables of their
@@ -94,9 +97,10 @@ fuzz:
 # checkpoints, corrupted snapshot files, and a forced snapshot-restore +
 # redo-catch-up restart before the final equivalence check on every seed.
 # TestChaosConstantMerge repopulates after 1 % of a unit changed, so its long
-# storms check images that hundreds of merges produced. TestChaosStaleStore
-# does the opposite — no repopulation, so invalid and tail rows pile up and the
-# hybrid scans run largely on the row-store serving path.
+# storms check images that hundreds of merges produced, fed from the units'
+# column deltas. TestChaosStaleStore does the opposite — no repopulation, so
+# invalid and tail rows pile up and the hybrid scans serve them from the deltas
+# and, where a delta was dropped or never knew, on the row-store serving path.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestWatchdog' -timeout 20m ./internal/chaos/ \
 		-chaos.seeds $(CHAOS_SEEDS) -chaos.seedbase $(CHAOS_SEEDBASE)
@@ -111,15 +115,17 @@ leakcheck:
 verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
 # Root benchmarks, then IMCU construction: a full build of one bench-table
-# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed;
-# the packed compare and unpack kernels per bit width, each beside the
-# decode-then-compare reference; then the bench's query classes over one unit
-# with 1, 6 and 25 % of its rows invalid, and a GROUP BY flush that brings the
+# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed
+# (12.5pct-delta: changed in two columns the unit's delta explains), and one
+# patch appended to a delta; the packed compare and unpack kernels per bit
+# width, each beside the decode-then-compare reference; then the bench's query
+# classes over one unit with 1, 6 and 25 % of its rows invalid — served by the
+# row store and, -delta, by the column delta — and a GROUP BY flush that brings the
 # table's keys again or as many new ones; last the row image (pack, one number,
 # one string, unpack) and the codec over a full-row record of the bench table.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' .
-	$(GO) test -bench 'BuildIMCU|Repopulate|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
+	$(GO) test -bench 'BuildIMCU|Repopulate|DeltaAppend|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
 	$(GO) test -bench 'ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
 

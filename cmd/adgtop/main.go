@@ -97,6 +97,9 @@ type storeStats struct {
 	Rows           int
 	InvalidRows    int
 	MemBytes       int
+	DeltaEntries   int
+	DeltaBytes     int
+	OpaqueRows     int
 }
 
 type populationStats struct {
@@ -105,6 +108,8 @@ type populationStats struct {
 	UnitsMerged      int64
 	RowsReread       int64
 	RowsCarried      int64
+	ColsPatched      int64
+	ColsShared       int64
 	FullBuildTime    time.Duration
 	MergeBuildTime   time.Duration
 }
@@ -141,6 +146,7 @@ type queryProfile struct {
 	Morsels      int64 `json:"morsels"`
 	Steals       int64 `json:"steals"`
 	RowsInvalid  int64 `json:"rows_invalid"`
+	RowsDelta    int64 `json:"rows_delta"`
 	RowsTail     int64 `json:"rows_tail"`
 	RowsRowStore int64 `json:"rows_rowstore"`
 	RowBlocks    int64 `json:"row_blocks"`
@@ -206,6 +212,9 @@ func printQueries(client *http.Client, addr string, n int, slowOnly bool) {
 		if p := q.Profile; p != nil && p.RowBlocks > 0 {
 			sched += fmt.Sprintf("  [rowstore: invalid=%d tail=%d range=%d blocks=%d batches=%d]",
 				p.RowsInvalid, p.RowsTail, p.RowsRowStore, p.RowBlocks, p.RowBatches)
+		}
+		if p := q.Profile; p != nil && p.RowsDelta > 0 {
+			sched += fmt.Sprintf("  [delta=%d]", p.RowsDelta)
 		}
 		fmt.Printf("  %s #%-6d %-8s %8.3fms %8d rows  %s%s\n",
 			mark, q.Seq, q.Path, float64(q.WallNanos)/1e6, q.Rows, label, sched)
@@ -370,8 +379,9 @@ func printCheckpoint(cp *checkpointStats) {
 // it has cost since start and in the last interval.
 func printIMCS(cur, prev snapshot) {
 	st, p, q := cur.Store, cur.Population, prev.Population
-	fmt.Printf("  imcs: %d units, %d rows (%d invalid), %.1fMB\n",
-		st.PopulatedUnits, st.Rows, st.InvalidRows, float64(st.MemBytes)/(1<<20))
+	fmt.Printf("  imcs: %d units, %d rows (%d invalid, %d of them opaque), %.1fMB; deltas: %d entries, %.2fMB; scans served %.0f rows from deltas\n",
+		st.PopulatedUnits, st.Rows, st.InvalidRows, st.OpaqueRows, float64(st.MemBytes)/(1<<20),
+		st.DeltaEntries, float64(st.DeltaBytes)/(1<<20), cur.Gauges["scan_rows_from_delta_total"])
 	per := func(d time.Duration, n int64) time.Duration {
 		if n == 0 {
 			return 0
@@ -379,9 +389,9 @@ func printIMCS(cur, prev snapshot) {
 		return (d / time.Duration(n)).Round(time.Microsecond)
 	}
 	full := p.UnitsPopulated + p.UnitsRepopulated - p.UnitsMerged
-	fmt.Printf("  builds: %d full (%v each), %d by merge (%v each); rows read %d, carried over %d; last interval +%d full +%d merged, read %d carried %d\n",
+	fmt.Printf("  builds: %d full (%v each), %d by merge (%v each); rows read %d, carried over %d, values patched from deltas %d, columns shared %d; last interval +%d full +%d merged, read %d carried %d\n",
 		full, per(p.FullBuildTime, full), p.UnitsMerged, per(p.MergeBuildTime, p.UnitsMerged),
-		p.RowsReread, p.RowsCarried,
+		p.RowsReread, p.RowsCarried, p.ColsPatched, p.ColsShared,
 		full-(q.UnitsPopulated+q.UnitsRepopulated-q.UnitsMerged), p.UnitsMerged-q.UnitsMerged,
 		p.RowsReread-q.RowsReread, p.RowsCarried-q.RowsCarried)
 }

@@ -177,6 +177,11 @@ type Result struct {
 	// row (coarse-invalid units).
 	UnitsMerged  int64
 	FullRebuilds int64
+	// HybridRowsDelta counts the rows the quiesce checks' hybrid scans served
+	// from unit column deltas, DeltaDrops the deltas the storm threw away
+	// (StaleStore only: the rows they explained fall through to the row store).
+	HybridRowsDelta int64
+	DeltaDrops      int
 	// HybridRowBlocks counts the blocks the quiesce checks' hybrid scans
 	// latched on the row-store serving path.
 	HybridRowBlocks int64
@@ -194,11 +199,21 @@ const (
 // randomness is drawn on the scheduler goroutine, so the workload script is a
 // pure function of the seed.
 type writerOp struct {
-	updates []int64 // ids to update (disjoint across concurrent writers)
-	marker  int64   // value written to n1
-	inserts []int64 // fresh ids to insert
-	deletes []int64 // existing ids to delete (owned by this writer)
-	abort   bool    // abort instead of commit (abort ops never insert; what they delete stays)
+	updates []rowUpdate // base rows to update (disjoint across concurrent writers)
+	marker  int64       // value written to n1
+	inserts []int64     // fresh ids to insert
+	deletes []int64     // existing ids to delete (owned by this writer)
+	abort   bool        // abort instead of commit (abort ops never insert; what they delete stays)
+}
+
+// rowUpdate is one update statement, or two, of a base row: of n1, of c1 — to a
+// value the units' dictionaries hold or to one they lack — or of both; twice
+// updates n1 once more in the same transaction.
+type rowUpdate struct {
+	id     int64
+	n1, c1 bool
+	str    string
+	twice  bool
 }
 
 // Runner owns the cluster under test and the seeded schedule.
@@ -238,8 +253,9 @@ type Runner struct {
 	// removed at teardown.
 	ckptDir string
 
-	nextID  int64   // fresh-id allocator for inserts
-	liveIDs []int64 // committed inserted ids eligible for deletion
+	nextID  int64          // fresh-id allocator for inserts
+	liveIDs []int64        // committed inserted ids eligible for deletion
+	dead    map[int64]bool // base rows a committed delete took
 
 	// scan tuning applied to every oracle executor (see Options and newExec).
 	scanMorselRows int
@@ -293,6 +309,7 @@ func Run(opts Options) (*Result, error) {
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		nextID:  1_000_000, // far above the base rows; never collides
+		dead:    map[int64]bool{},
 		tallied: map[*imcs.Engine]imcs.EngineStats{},
 		// The standby's RAC shape is a function of the seed, like the scan
 		// tuning: 0, 1 or 2 home-share readers beside the master.
@@ -588,6 +605,9 @@ func (r *Runner) run() error {
 				return err
 			}
 		}
+		if r.opts.StaleStore && r.rng.Intn(6) == 0 {
+			r.dropDelta() // a row of a forgotten delta stays opaque: not too often
+		}
 		if err := r.monitor.err(); err != nil {
 			return r.fail("%v", err)
 		}
@@ -624,6 +644,21 @@ func (r *Runner) run() error {
 	return r.quiescePoint()
 }
 
+// dropDelta makes a random unit of the standby's stores forget its column delta:
+// the rows it explained must come out of the row store the same.
+func (r *Runner) dropDelta() {
+	var units []*imcs.Unit
+	for _, st := range r.flt.Stores() {
+		for _, obj := range st.Objects() {
+			units = append(units, st.Units(obj)...)
+		}
+	}
+	if len(units) > 0 {
+		units[r.rng.Intn(len(units))].ForgetDelta()
+		r.res.DeltaDrops++
+	}
+}
+
 // writerBurst runs 1–3 concurrent writer goroutines, each committing a few
 // precomputed transactions, while the scheduler goroutine interleaves live
 // equivalence probes against the moving QuerySCN.
@@ -638,7 +673,34 @@ func (r *Runner) writerBurst() error {
 			op.abort = r.rng.Intn(6) == 0
 			lo := w * chunk
 			for j := 0; j < 1+r.rng.Intn(5); j++ {
-				op.updates = append(op.updates, int64(lo+r.rng.Intn(chunk)))
+				u := rowUpdate{id: int64(lo + r.rng.Intn(chunk)), twice: r.rng.Intn(4) == 0}
+				// A third of the time the row the writer's previous transaction
+				// updated: two commits on one row inside one advancement window.
+				if prev := scripts[w]; j == 0 && len(prev) > 0 && len(prev[len(prev)-1].updates) > 0 && r.rng.Intn(3) == 0 {
+					u.id = prev[len(prev)-1].updates[0].id
+				}
+				if r.dead[u.id] {
+					continue
+				}
+				switch shape := r.rng.Intn(4); {
+				case shape < 2:
+					u.n1 = true
+				default:
+					u.n1, u.c1 = shape == 3, true
+					if u.str = colors[r.rng.Intn(len(colors))]; r.rng.Intn(2) == 0 {
+						u.str = fmt.Sprintf("chaos-%d", r.rng.Intn(50)) // no dictionary holds it
+					}
+				}
+				op.updates = append(op.updates, u)
+			}
+			// A base row of the writer's own range, often one just patched,
+			// deleted for good unless the transaction aborts.
+			if id := int64(lo + r.rng.Intn(chunk)); r.rng.Intn(8) == 0 && !r.dead[id] {
+				if len(op.updates) > 0 && r.rng.Intn(2) == 0 {
+					id = op.updates[0].id
+				}
+				op.deletes = append(op.deletes, id)
+				r.dead[id] = !op.abort
 			}
 			if !op.abort {
 				for j := 0; j < r.rng.Intn(3); j++ {
@@ -689,7 +751,11 @@ func (r *Runner) writerBurst() error {
 	for _, script := range scripts {
 		for _, op := range script {
 			if op.abort {
-				r.liveIDs = append(r.liveIDs, op.deletes...)
+				for _, id := range op.deletes {
+					if id >= baseRows {
+						r.liveIDs = append(r.liveIDs, id)
+					}
+				}
 			} else {
 				r.liveIDs = append(r.liveIDs, op.inserts...)
 			}
@@ -703,11 +769,29 @@ func (r *Runner) runScript(script []writerOp) error {
 	s := r.tbl.Schema()
 	for _, op := range script {
 		tx := r.pri.Instance(0).Begin()
-		for _, id := range op.updates {
-			if err := tx.UpdateByID(r.tbl, id, []uint16{1}, func(row *rowstore.Row) {
-				row.Nums[s.Col(1).Slot()] = op.marker
-			}); err != nil {
-				return fmt.Errorf("update id %d: %w", id, err)
+		for _, u := range op.updates {
+			var cols []uint16
+			if u.n1 {
+				cols = append(cols, 1)
+			}
+			if u.c1 {
+				cols = append(cols, 2)
+			}
+			err := tx.UpdateByID(r.tbl, u.id, cols, func(row *rowstore.Row) {
+				if u.n1 {
+					row.Nums[s.Col(1).Slot()] = op.marker
+				}
+				if u.c1 {
+					row.Strs[s.Col(2).Slot()] = u.str
+				}
+			})
+			if err == nil && u.twice {
+				err = tx.UpdateByID(r.tbl, u.id, []uint16{1}, func(row *rowstore.Row) {
+					row.Nums[s.Col(1).Slot()] = op.marker + 1
+				})
+			}
+			if err != nil {
+				return fmt.Errorf("update id %d: %w", u.id, err)
 			}
 		}
 		for _, id := range op.inserts {

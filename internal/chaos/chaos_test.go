@@ -230,8 +230,15 @@ func TestChaosConstantMerge(t *testing.T) {
 // and tail rows pile up and the oracle's hybrid scans take a large share of
 // their rows — most, in storms without a restart to rebuild the store —
 // through the row-store serving path: over the faulted TCP transport with
-// crash-restarts, and into a failover.
+// crash-restarts, and into a failover. Nothing merges, so committed updates of
+// captured rows stay invalid for the whole storm: the unit deltas' home ground.
+// The generator updates n1, c1 (to values inside and outside the dictionaries)
+// or both, the same row twice in one transaction and in consecutive ones, and
+// deletes patched rows; every few steps a random unit forgets its delta, and
+// the rows it explained must come out of the row store the same.
 func TestChaosStaleStore(t *testing.T) {
+	var fromDelta int64
+	var drops int
 	for _, seed := range seeds() {
 		for _, opts := range []Options{
 			{Steps: 40, UseTCP: true, ReorderWindow: 4, CrashRestarts: true},
@@ -242,11 +249,15 @@ func TestChaosStaleStore(t *testing.T) {
 			if res.HybridRowBlocks == 0 {
 				t.Fatalf("seed %d: the hybrid scans never took the row-store serving path", seed)
 			}
+			fromDelta, drops = fromDelta+res.HybridRowsDelta, drops+res.DeltaDrops
 			// A unit that doubles, or that a restart coarse-invalidated, is
 			// still rebuilt.
-			t.Logf("seed %d: %d checks, %d restarts, %d reconnects, transition %q, %d merges, %d full rebuilds, %d blocks read on the row path",
-				seed, res.Checks, res.Restarts, res.Reconnects, res.Transition, res.UnitsMerged, res.FullRebuilds, res.HybridRowBlocks)
+			t.Logf("seed %d: %d checks, %d restarts, %d reconnects, transition %q, %d merges, %d full rebuilds, %d blocks read on the row path, %d rows from deltas, %d deltas dropped",
+				seed, res.Checks, res.Restarts, res.Reconnects, res.Transition, res.UnitsMerged, res.FullRebuilds, res.HybridRowBlocks, res.HybridRowsDelta, res.DeltaDrops)
 		}
+	}
+	if fromDelta == 0 || drops == 0 {
+		t.Fatalf("%d rows served from deltas, %d deltas dropped over all storms; want both", fromDelta, drops)
 	}
 }
 

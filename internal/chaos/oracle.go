@@ -234,6 +234,7 @@ func (o *oracle) quiesceCheck() error {
 		return r.fail("profile result rows %d != scan rows %d", prof.ResultRows, len(res.Rows))
 	}
 	r.res.HybridRowBlocks += prof.RowBlocks
+	r.res.HybridRowsDelta += prof.RowsDelta
 	if prof.RowsIMCS == 0 && !r.opts.StaleStore {
 		return r.fail("settled IMCS served no rows at %d (profile %+v, store %+v)",
 			q, prof, r.sby.Store().Stats())

@@ -113,7 +113,7 @@ func (t *CommitTable) Len() int {
 // recovery coordinator "chops off the Commit Table and creates a Worklink").
 // The returned worklink may be empty.
 func (t *CommitTable) Chop(upTo scn.SCN) *Worklink {
-	w := &Worklink{}
+	w := &Worklink{drained: make(chan struct{})}
 	for i := range t.parts {
 		p := &t.parts[i]
 		p.mu.Lock()
@@ -128,6 +128,9 @@ func (t *CommitTable) Chop(upTo scn.SCN) *Worklink {
 			w.nodes = append(w.nodes, n)
 		}
 		p.mu.Unlock()
+	}
+	if len(w.nodes) == 0 {
+		close(w.drained)
 	}
 	return w
 }
@@ -147,9 +150,10 @@ func (t *CommitTable) Reset() {
 // recovery workers drain it cooperatively: each claims batches through
 // NextBatch until it is empty (§III.D.2).
 type Worklink struct {
-	nodes []*CommitNode
-	next  atomic.Int64
-	done  atomic.Int64
+	nodes   []*CommitNode
+	next    atomic.Int64
+	done    atomic.Int64
+	drained chan struct{} // Chop's: closed by the MarkDone that accounts for the last node
 }
 
 // Len returns the total number of nodes.
@@ -176,12 +180,19 @@ func (w *Worklink) NextBatch(n int) []*CommitNode {
 	}
 }
 
-// MarkDone records that n claimed nodes have been flushed.
+// MarkDone records that n claimed nodes have been flushed. Batches are
+// disjoint, so exactly one call brings the count to the total.
 func (w *Worklink) MarkDone(n int) {
-	w.done.Add(int64(n))
+	if n > 0 && w.done.Add(int64(n)) == int64(len(w.nodes)) && w.drained != nil {
+		close(w.drained)
+	}
 }
 
 // Drained reports whether every node has been claimed and flushed.
 func (w *Worklink) Drained() bool {
 	return w.done.Load() >= int64(len(w.nodes))
 }
+
+// Done is closed once the worklink is drained: what a flusher that ran out of
+// batches waits on for the helpers still flushing theirs.
+func (w *Worklink) Done() <-chan struct{} { return w.drained }

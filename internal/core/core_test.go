@@ -268,7 +268,7 @@ func TestMinerAbortDiscards(t *testing.T) {
 }
 
 // flushFixture builds a store with populated units over a tiny segment.
-func flushFixture(t *testing.T) (*imcs.Store, *rowstore.Segment, *Journal, *Flusher) {
+func flushFixture(t testing.TB) (*imcs.Store, *rowstore.Segment, *Journal, *Flusher) {
 	t.Helper()
 	store := imcs.NewStore()
 	seg := rowstore.NewSegment(9, 5, "T", "", 8)
@@ -507,5 +507,66 @@ func TestCommitTableChopStress(t *testing.T) {
 	}
 	if len(seen) != inserted {
 		t.Fatalf("chopped %d, inserted %d", len(seen), inserted)
+	}
+}
+
+// TestFlushHandsOverWhatChanged: a record that kept its change vector reaches
+// the SMU as a patch with the node's commitSCN — the row is explained, not
+// opaque — and the same goes to the sink; an insert, a record without its CV
+// and an update that declared no column leave opaque rows.
+func TestFlushHandsOverWhatChanged(t *testing.T) {
+	store, _, j, f := flushFixture(t)
+	var got []Group
+	f.SetSink(sinkFunc(func(g []Group) { got = append(got, g...) }))
+	m := NewMiner(j, NewCommitTable(1), NewDDLTable(), allowAll{})
+	img := func(v int64) rowstore.Image { return rowstore.Pack(rowstore.Row{Nums: []int64{v}}) }
+	m.MineCV(0, 101, &redo.CV{Kind: redo.CVBegin, Txn: 1, Tenant: 5})
+	m.MineCV(0, 102, &redo.CV{Kind: redo.CVUpdate, Txn: 1, Tenant: 5, DBA: rowstore.MakeDBA(9, 1), Slot: 2, Row: img(-7), ChangedCols: []uint16{0}})
+	m.MineCV(0, 103, &redo.CV{Kind: redo.CVDelete, Txn: 1, Tenant: 5, DBA: rowstore.MakeDBA(9, 1), Slot: 3})
+	m.MineCV(1, 104, &redo.CV{Kind: redo.CVUpdate, Txn: 1, Tenant: 5, DBA: rowstore.MakeDBA(9, 2), Slot: 0, Row: img(-8)})
+	m.MineCV(1, 105, &redo.CV{Kind: redo.CVInsert, Txn: 1, Tenant: 5, DBA: rowstore.MakeDBA(9, 2), Slot: 1, Row: img(-9)})
+	j.Add(1, 1, 5, InvalRecord{Obj: 9, Blk: 3, Slot: 4})
+	a, _ := j.Get(1)
+	f.FlushNode(&CommitNode{Txn: 1, CommitSCN: 110, Tenant: 5, HasIMCS: true, Anchor: a})
+
+	u, _ := store.UnitForBlock(9, 0)
+	if st := u.Stats(); st.InvalidRows != 5 || st.OpaqueRows != 3 || st.DeltaEntries != 2 {
+		t.Fatalf("after the flush: %+v, want 5 invalid rows, 3 of them opaque, 2 delta entries", st)
+	}
+	var v imcs.View
+	u.View(&v)
+	if e := v.Delta[0]; e.SCN != 110 || e.Val != -7 || e.Col() != imcs.NumColID(0) || v.Delta[1].Col() != imcs.ColDeleted {
+		t.Fatalf("delta %+v", v.Delta)
+	}
+	if len(got) != 3 || got[0].SCN != 110 || len(got[0].Patches) != 2 || !got[0].Patches[1].Deleted || got[0].Patches[0].Row != img(-7) {
+		t.Fatalf("sink got %+v", got)
+	}
+	// A reader applying the groups ends up with the same delta.
+	readerStore, _, _, _ := flushFixture(t)
+	ApplyGroups(readerStore, got)
+	ru, _ := readerStore.UnitForBlock(9, 0)
+	if st := ru.Stats(); st.InvalidRows != 5 || st.OpaqueRows != 3 || st.DeltaEntries != 2 {
+		t.Fatalf("reader after ApplyGroups: %+v", st)
+	}
+}
+
+type sinkFunc func([]Group)
+
+func (s sinkFunc) Groups(g []Group)                 { s(g) }
+func (sinkFunc) CoarseInvalidate(rowstore.TenantID) {}
+func (sinkFunc) Barrier()                           {}
+
+// BenchmarkFlushNode is the invalidation flush of one single-row update a
+// transaction: the journal record, the commit node's flush, the SMU's delta.
+func BenchmarkFlushNode(b *testing.B) {
+	_, _, j, f := flushFixture(b)
+	cv := &redo.CV{Kind: redo.CVUpdate, Tenant: 5, Row: rowstore.Pack(rowstore.Row{Nums: []int64{1}}), ChangedCols: []uint16{0}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		txn := scn.TxnID(i + 1)
+		j.EnsureAnchor(txn, 5, true)
+		j.Add(0, txn, 5, InvalRecord{Obj: 9, Blk: rowstore.BlockNo(i % 4), Slot: uint16(i % 8), CV: cv})
+		a, _ := j.Get(txn)
+		f.FlushNode(&CommitNode{Txn: txn, CommitSCN: scn.SCN(200 + i), Tenant: 5, HasIMCS: true, Anchor: a})
 	}
 }

@@ -7,15 +7,22 @@ import (
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/rowstore"
+	"dbimadg/internal/scn"
 )
 
 // Group is an invalidation group (paper §III.D): the invalidation records of
 // one transaction that target one data block, routed as a unit to the SMU (or
 // to the RAC instance, §III.F) hosting the covering IMCU.
+//
+// SCN is the transaction's commitSCN and Patches, when not nil, says slot by
+// slot what it changed (imcs.Unit.Invalidate); a group without them only marks
+// its rows invalid.
 type Group struct {
-	Obj   rowstore.ObjID
-	Blk   rowstore.BlockNo
-	Slots []uint16
+	Obj     rowstore.ObjID
+	Blk     rowstore.BlockNo
+	Slots   []uint16
+	SCN     scn.SCN
+	Patches []imcs.Patch
 }
 
 // Sink is the flusher's one downstream: whatever keeps the column stores of
@@ -152,34 +159,57 @@ func (f *Flusher) flushNode(n *CommitNode) {
 	if anchor == nil {
 		return // read-only w.r.t. the IMCS: nothing to flush
 	}
-	f.flushAnchor(anchor)
+	f.flushAnchor(anchor, n.CommitSCN)
 	f.journal.Remove(n.Txn)
 }
 
-// flushAnchor groups the anchor's records and applies them.
-func (f *Flusher) flushAnchor(a *Anchor) {
-	type key struct {
-		obj rowstore.ObjID
-		blk rowstore.BlockNo
-	}
-	groups := make(map[key][]uint16)
-	a.Records(func(r InvalRecord) {
-		k := key{r.Obj, r.Blk}
-		groups[k] = append(groups[k], r.Slot)
-	})
+// flushAnchor groups the records of a transaction committed at SCN at by block
+// and applies them, each with what its change vector says changed. A record
+// looks for its group among the few made so far.
+func (f *Flusher) flushAnchor(a *Anchor, at scn.SCN) {
 	sink := f.sink.Load()
-	var all []Group // every group regardless of home, for the sink
-	for k, slots := range groups {
-		f.flushedRecords.Add(int64(len(slots)))
-		if sink != nil {
-			all = append(all, Group{Obj: k.obj, Blk: k.blk, Slots: slots})
-		}
-		if f.home.HomeOf(k.obj, k.blk-k.blk%f.chunk) == f.localID {
-			f.local.InvalidateRows(k.obj, k.blk, slots)
+	single := sink == nil && a.RecordCount() == 1
+	var groups []Group
+	for _, area := range a.areas {
+		for _, r := range area {
+			if single {
+				// The usual transaction, one row changed and nobody to keep
+				// the group: its lists stay on the stack.
+				f.flush(Group{Obj: r.Obj, Blk: r.Blk, SCN: at, Slots: []uint16{r.Slot}, Patches: []imcs.Patch{r.patch()}})
+				return
+			}
+			i := len(groups) - 1
+			for ; i >= 0 && (groups[i].Obj != r.Obj || groups[i].Blk != r.Blk); i-- {
+			}
+			if i < 0 {
+				i = len(groups)
+				groups = append(groups, Group{Obj: r.Obj, Blk: r.Blk, SCN: at})
+			}
+			g := &groups[i]
+			g.Slots = append(g.Slots, r.Slot)
+			if r.CV != nil || g.Patches != nil {
+				// Patches run parallel to Slots from the first record that has
+				// something to say; a bulk load's groups never get any.
+				for len(g.Patches) < len(g.Slots)-1 {
+					g.Patches = append(g.Patches, imcs.Patch{})
+				}
+				g.Patches = append(g.Patches, r.patch())
+			}
 		}
 	}
-	if len(all) > 0 {
-		(*sink).Groups(all)
+	for _, g := range groups {
+		f.flush(g)
+	}
+	if len(groups) > 0 && sink != nil {
+		(*sink).Groups(groups) // every group regardless of home
+	}
+}
+
+// flush applies a group to the local store if it is homed here.
+func (f *Flusher) flush(g Group) {
+	f.flushedRecords.Add(int64(len(g.Slots)))
+	if f.home.HomeOf(g.Obj, g.Blk-g.Blk%f.chunk) == f.localID {
+		f.local.Invalidate(g.Obj, g.Blk, g.Slots, g.SCN, g.Patches)
 	}
 }
 
@@ -188,7 +218,7 @@ func (f *Flusher) flushAnchor(a *Anchor) {
 // coordinator).
 func ApplyGroups(store *imcs.Store, groups []Group) {
 	for _, g := range groups {
-		store.InvalidateRows(g.Obj, g.Blk, g.Slots)
+		store.Invalidate(g.Obj, g.Blk, g.Slots, g.SCN, g.Patches)
 	}
 }
 

@@ -11,6 +11,8 @@ package core
 import (
 	"sync"
 
+	"dbimadg/internal/imcs"
+	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 )
@@ -19,10 +21,25 @@ import (
 // a change vector that modifies an IMCS-enabled object — object, block,
 // changed row — tagged (by its position in a transaction's anchor) with the
 // transaction that made the change. Tenant information lives on the anchor.
+//
+// CV, a step past the paper, is the change vector itself when it is an update
+// or a delete: it says what changed (the after-image, ChangedCols), which the
+// flush hands to the unit's column delta. The redo log holds the record the CV
+// belongs to for as long as the journal does. Nil means only "this row
+// changed".
 type InvalRecord struct {
 	Obj  rowstore.ObjID
 	Blk  rowstore.BlockNo
 	Slot uint16
+	CV   *redo.CV
+}
+
+// patch is what the record's change vector says changed.
+func (r InvalRecord) patch() imcs.Patch {
+	if r.CV == nil {
+		return imcs.Patch{}
+	}
+	return imcs.Patch{Row: r.CV.Row, Cols: r.CV.ChangedCols, Deleted: r.CV.Kind == redo.CVDelete}
 }
 
 // Anchor is a hashtable node of the IM-ADG Journal: the per-transaction

@@ -76,9 +76,11 @@ func (m *Miner) mineCV(w int, recSCN scn.SCN, cv *redo.CV) {
 			if tr != nil {
 				start = time.Now()
 			}
-			m.journal.Add(w, cv.Txn, cv.Tenant, InvalRecord{
-				Obj: cv.DBA.Obj(), Blk: cv.DBA.Block(), Slot: cv.Slot,
-			})
+			rec := InvalRecord{Obj: cv.DBA.Obj(), Blk: cv.DBA.Block(), Slot: cv.Slot}
+			if cv.Kind != redo.CVInsert {
+				rec.CV = cv // an insert patches nothing the IMCU holds
+			}
+			m.journal.Add(w, cv.Txn, cv.Tenant, rec)
 			if tr != nil {
 				tr.Observe(obs.StageJournal, uint64(recSCN), time.Since(start))
 			}

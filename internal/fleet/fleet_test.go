@@ -497,8 +497,8 @@ func TestSharesDistributeIMCUs(t *testing.T) {
 }
 
 // TestShareReceivesItsGroups: invalidations of a transaction that touches
-// units on both homes reach the share reader's SMUs, and the updated rows are
-// served from the row store.
+// units on both homes reach the share reader's SMUs with what they changed, and
+// the updated rows are served from the units' column deltas on either home.
 func TestShareReceivesItsGroups(t *testing.T) {
 	p := newFleetPair(t, 1)
 	m := p.manager(t, fleet.Spec{})
@@ -521,8 +521,8 @@ func TestShareReceivesItsGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 200 || res.FromRowStore != 200 {
-		t.Fatalf("updated rows = %d (%d from the row store), want 200/200", len(res.Rows), res.FromRowStore)
+	if len(res.Rows) != 200 || res.FromDelta != 200 || res.FromRowStore != 0 {
+		t.Fatalf("updated rows = %d (%d from the deltas, %d from the row store), want 200/200/0", len(res.Rows), res.FromDelta, res.FromRowStore)
 	}
 	if m.ShareReaders()[0].Store().Stats().InvalidRows == 0 {
 		t.Fatal("no invalidations reached the share reader")

@@ -187,6 +187,12 @@ type buildScratch struct {
 	got   []uint16
 	// segs lists the runs of row positions carried over from the old image.
 	segs []carrySeg
+	// view is the unit as a merge's build captured it; patches what its delta
+	// says of the positions it explains, keyed by their position in the new
+	// image, and dirty which columns (numbers first) those entries name.
+	view    View
+	patches []DeltaEntry
+	dirty   []bool
 	// vals holds one tile of column vectors, numTile*rows values.
 	vals  []int64
 	dicts [strTile]dictBuilder
@@ -209,29 +215,32 @@ type Builder struct {
 	endBlk   rowstore.BlockNo
 	schema   *rowstore.Schema
 
-	old *IMCU // image carried over; nil for none
-	sc  *buildScratch
+	old  *IMCU // image carried over; nil for none
+	view *View // the unit's view old is of
+	sc   *buildScratch
 
 	blockRows []uint16
 	nRows     int // row positions announced by BeginBlock so far
 	next      int // position AddRow fills next
+	shared    int // Build: column objects taken over from old
 }
 
 // NewBuilder starts a full IMCU build for the given segment range at snapshot
 // snap: every row is added with AddRow.
 func NewBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.Schema, snap scn.SCN, startBlk, endBlk rowstore.BlockNo) *Builder {
-	return newBuilder(obj, tenant, schema, snap, startBlk, endBlk, nil, new(buildScratch))
+	return newBuilder(obj, tenant, schema, snap, startBlk, endBlk, new(View), new(buildScratch))
 }
 
-// newBuilder starts a build that carries old's values over for every row
-// position the caller does not put into the re-read set; old may be nil, and
-// then every position must be. The re-read set lives in sc until Build.
-func newBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.Schema, snap scn.SCN, startBlk, endBlk rowstore.BlockNo, old *IMCU, sc *buildScratch) *Builder {
-	sc.rows, sc.pos, sc.absent = sc.rows[:0], sc.pos[:0], sc.absent[:0]
+// newBuilder starts a build that carries the values of old's IMCU over for
+// every row position the caller does not put into the re-read set; that IMCU
+// may be nil, and then every position must be. The re-read set lives in sc
+// until Build.
+func newBuilder(obj rowstore.ObjID, tenant rowstore.TenantID, schema *rowstore.Schema, snap scn.SCN, startBlk, endBlk rowstore.BlockNo, old *View, sc *buildScratch) *Builder {
+	sc.rows, sc.pos, sc.absent, sc.patches = sc.rows[:0], sc.pos[:0], sc.absent[:0], sc.patches[:0]
 	return &Builder{
 		obj: obj, tenant: tenant, snap: snap, schema: schema,
 		startBlk: startBlk, endBlk: endBlk,
-		old: old, sc: sc,
+		old: old.IMCU, view: old, sc: sc,
 		blockRows: make([]uint16, 0, int(endBlk-startBlk)),
 	}
 }
@@ -286,6 +295,28 @@ func (b *Builder) readBlock(blk *rowstore.Block, n int, slots []uint16, view row
 	}
 }
 
+// explain takes out of sc.slots, the invalid slots of the unit's off-th block
+// (the next to begin), those the view's delta explains at the build's snapshot,
+// and lists what it says of them in sc.patches. A deleted row stays: the row
+// store says so again. di is the delta cursor (View.Row), returned advanced.
+func (b *Builder) explain(off rowstore.BlockNo, di int) int {
+	sc := b.sc
+	kept := sc.slots[:0]
+	for _, slot := range sc.slots {
+		entries, next, explained, deleted := b.view.Row(di, DeltaAddr(off, slot), b.snap)
+		if di = next; !explained || deleted {
+			kept = append(kept, slot)
+			continue
+		}
+		for _, e := range entries {
+			e.Key = uint64(b.nRows+int(slot))<<16 | uint64(e.Col())
+			sc.patches = append(sc.patches, e)
+		}
+	}
+	sc.slots = kept
+	return di
+}
+
 // carrySegs lists, into scratch, where the old image's row positions lie in
 // the new one. Blocks only ever gain slots, so a block keeps its old rows at
 // the head of its new range; neighbouring blocks shifted by the same distance
@@ -307,8 +338,10 @@ func (b *Builder) carrySegs(rowBase []uint32) []carrySeg {
 }
 
 // Build encodes the new image: per column, the old image's values decoded
-// into their new positions, the re-read rows' values written over them, the
-// vector compressed again.
+// into their new positions, the re-read rows' values and the delta's written
+// over them, the vector compressed again. When no row was read again and no
+// block grew, a column the delta does not name holds what it held, and the new
+// image shares the old one's object for it: images are immutable.
 func (b *Builder) Build() *IMCU {
 	sc := b.sc
 	n := b.nRows
@@ -352,10 +385,34 @@ func (b *Builder) Build() *IMCU {
 	}
 	segs := b.carrySegs(u.rowBase)
 	sc.vals = slices.Grow(sc.vals[:0], numTile*n)[:numTile*n]
+	nNums := b.schema.NumberSlots()
+	sc.dirty = slices.Grow(sc.dirty[:0], nNums+b.schema.VarcharSlots())[:nNums+b.schema.VarcharSlots()]
+	clear(sc.dirty)
+	for _, p := range sc.patches {
+		if c := p.Col(); c&strCol != 0 {
+			sc.dirty[nNums+int(c&^strCol)] = true
+		} else {
+			sc.dirty[c] = true
+		}
+	}
+	share := b.old != nil && len(sc.pos)+len(sc.absent) == 0 && slices.Equal(b.blockRows, b.old.blockRows)
+	// clean reports whether g columns from c of dirty are the old image's as
+	// they stand, and counts them as shared.
+	clean := func(c, g int) bool {
+		if !share || slices.Contains(sc.dirty[c:c+g], true) {
+			return false
+		}
+		b.shared += g
+		return true
+	}
 
-	u.numCols = make([]*NumColumn, b.schema.NumberSlots())
+	u.numCols = make([]*NumColumn, nNums)
 	for s0 := 0; s0 < len(u.numCols); s0 += numTile {
 		g := min(numTile, len(u.numCols)-s0)
+		if clean(s0, g) {
+			copy(u.numCols[s0:s0+g], b.old.numCols[s0:])
+			continue
+		}
 		for k := 0; k < g; k++ {
 			col := sc.vals[k*n : (k+1)*n]
 			for _, sg := range segs {
@@ -369,7 +426,16 @@ func (b *Builder) Build() *IMCU {
 				sc.vals[k*n+int(p)] = v
 			}
 		}
+		for _, p := range sc.patches {
+			if k := int(p.Col()) - s0; k >= 0 && k < g {
+				sc.vals[k*n+int(p.Key>>16)] = p.Val
+			}
+		}
 		for k := 0; k < g; k++ {
+			if clean(s0+k, 1) {
+				u.numCols[s0+k] = b.old.numCols[s0+k]
+				continue
+			}
 			col := sc.vals[k*n : (k+1)*n]
 			fillAbsentNums(col, sc.absent, donor)
 			u.numCols[s0+k] = EncodeNums(col)
@@ -383,6 +449,10 @@ func (b *Builder) Build() *IMCU {
 	}
 	for s0 := 0; s0 < len(u.strCols); s0 += strTile {
 		g := min(strTile, len(u.strCols)-s0)
+		if clean(nNums+s0, g) {
+			copy(u.strCols[s0:s0+g], b.old.strCols[s0:])
+			continue
+		}
 		for k := 0; k < g; k++ {
 			col := sc.vals[k*n : (k+1)*n]
 			var oldDict []string
@@ -403,7 +473,18 @@ func (b *Builder) Build() *IMCU {
 				*at = sc.dicts[k].code(v, sortKey(v), *at)
 			}
 		}
+		for _, p := range sc.patches {
+			if k := int(p.Col()) - strCol - s0; k >= 0 && k < g {
+				v := b.view.Str(b.old.strCols[s0+k], p.Val)
+				at := &sc.vals[k*n+int(p.Key>>16)]
+				*at = sc.dicts[k].code(v, sortKey(v), *at)
+			}
+		}
 		for k := 0; k < g; k++ {
+			if clean(nNums+s0+k, 1) {
+				u.strCols[s0+k] = b.old.strCols[s0+k]
+				continue
+			}
 			col := sc.vals[k*n : (k+1)*n]
 			d := &sc.dicts[k]
 			if len(sc.absent) > 0 {

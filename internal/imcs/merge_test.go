@@ -31,6 +31,8 @@ type mergeFixture struct {
 	store *Store
 	eng   *Engine
 	view  *countingView
+	// patches, set before a Commit, says what its transaction changed.
+	patches []Patch
 }
 
 // countingView counts transaction-table lookups: the read of a slot whose only
@@ -45,12 +47,20 @@ func (v *countingView) Lookup(id scn.TxnID) (rowstore.TxnStatus, scn.SCN) {
 	return v.TxnView.Lookup(id)
 }
 
-type invalidateOnCommit struct{ store *Store }
+// invalidateOnCommit is the primary's patch-less hook, unless the test says what
+// the committing transaction's statements changed, in statement order, as a
+// standby's flush would: then f.patches is handed over with the commitSCN.
+type invalidateOnCommit struct{ f *mergeFixture }
 
-func (h invalidateOnCommit) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ scn.SCN) {
-	for _, ch := range changes {
-		h.store.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
+func (h invalidateOnCommit) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, at scn.SCN) {
+	for i, ch := range changes {
+		var patches []Patch
+		if h.f.patches != nil {
+			patches = h.f.patches[i : i+1]
+		}
+		h.f.store.Invalidate(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot}, at, patches)
 	}
+	h.f.patches = nil
 }
 
 type gateSnapshot struct{ c *primary.Cluster }
@@ -61,7 +71,6 @@ func newMergeFixture(tb testing.TB, cols []rowstore.Column, rowsPerBlock int, cf
 	tb.Helper()
 	c := primary.NewCluster(1, rowsPerBlock)
 	store := NewStore()
-	c.SetDBIMHook(invalidateOnCommit{store})
 	tbl, err := c.Instance(0).CreateTable(&rowstore.TableSpec{
 		Name: "T", Tenant: 1, Columns: cols, IdentityCol: 0, PartitionCol: -1,
 	})
@@ -73,6 +82,7 @@ func newMergeFixture(tb testing.TB, cols []rowstore.Column, rowsPerBlock int, cf
 		tb.Fatal(err)
 	}
 	f := &mergeFixture{c: c, tbl: tbl, seg: tbl.Segments()[0], store: store}
+	c.SetDBIMHook(invalidateOnCommit{f})
 	f.view = &countingView{TxnView: c.Txns()}
 	targets := func() []Target { return []Target{f.target()} }
 	f.eng = NewEngine(store, f.view, gateSnapshot{c}, targets, cfg)
@@ -131,19 +141,30 @@ func newWideFixture(tb testing.TB, rows int) (*mergeFixture, *Unit) {
 }
 
 // updateRows changes one number and one varchar column of n distinct random
-// rows in one transaction; its commit invalidates them.
-func (f *mergeFixture) updateRows(tb testing.TB, rng *rand.Rand, rows, n int) {
+// rows in one transaction; its commit invalidates them. With patched the two
+// columns are n1 and c1 in every row, as in the bench, and the commit says what
+// changed.
+func (f *mergeFixture) updateRows(tb testing.TB, rng *rand.Rand, rows, n int, patched bool) {
 	tb.Helper()
 	tx := f.c.Instance(0).Begin()
+	perBlock := f.seg.RowsPerBlock()
 	for _, id := range rng.Perm(rows)[:n] {
 		num, str := rng.Int63n(wideDomain), wideValue(rng)
 		ns, ss := 1+rng.Intn(wideCols), rng.Intn(wideCols)
-		err := tx.UpdateByID(f.tbl, int64(id), []uint16{uint16(ns), uint16(1 + wideCols + ss)}, func(r *rowstore.Row) {
+		if patched {
+			ns, ss = 1, 0
+		}
+		cols := []uint16{uint16(ns), uint16(1 + wideCols + ss)}
+		err := tx.UpdateByID(f.tbl, int64(id), cols, func(r *rowstore.Row) {
 			r.Nums[ns] = num
 			r.Strs[ss] = str
 		})
 		if err != nil {
 			tb.Fatal(err)
+		}
+		if patched {
+			after, _ := f.seg.Block(rowstore.BlockNo(id/perBlock)).LatestImage(uint16(id%perBlock), f.c.Txns())
+			f.patches = append(f.patches, Patch{Row: after, Cols: cols})
 		}
 	}
 	if _, err := tx.Commit(); err != nil {
@@ -177,10 +198,16 @@ func BenchmarkBuildIMCU(b *testing.B) {
 }
 
 // BenchmarkRepopulate is one repopulation by merge of the same unit after a
-// given share of its rows changed.
+// given share of its rows changed; -delta after changes of two columns, the
+// same in every row, that the unit's delta explains.
 func BenchmarkRepopulate(b *testing.B) {
-	for _, pct := range []float64{1, 12.5, 50} {
-		b.Run(fmt.Sprintf("%gpct", pct), func(b *testing.B) {
+	for _, pct := range []float64{1, 12.5, 50, -12.5} {
+		name, patched := fmt.Sprintf("%gpct", pct), pct < 0
+		if patched {
+			pct = -pct
+			name = fmt.Sprintf("%gpct-delta", pct)
+		}
+		b.Run(name, func(b *testing.B) {
 			f, unit := newWideFixture(b, benchUnitRows)
 			rng := rand.New(rand.NewSource(2))
 			changed := int(float64(benchUnitRows) * pct / 100)
@@ -189,7 +216,7 @@ func BenchmarkRepopulate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f.updateRows(b, rng, benchUnitRows, changed)
+				f.updateRows(b, rng, benchUnitRows, changed, patched)
 				// Keep the update's garbage out of the measurement: without
 				// this the collector runs beside most merges.
 				f.seg.Vacuum(f.c.Snapshot(), f.c.Txns())
@@ -294,11 +321,22 @@ type history struct {
 	// last cleared it.
 	touched map[rowstore.RowID]bool
 	rowsOf  map[*txn.Txn][]rowstore.RowID
+	// patchesOf, when patched is set, says statement by statement what a
+	// transaction changed, and its commit hands that to the column store.
+	patched   bool
+	patchesOf map[*txn.Txn][]Patch
 }
 
 func newHistory(f *mergeFixture, seed int64) *history {
 	return &history{f: f, rng: rand.New(rand.NewSource(seed)),
-		touched: map[rowstore.RowID]bool{}, rowsOf: map[*txn.Txn][]rowstore.RowID{}}
+		touched: map[rowstore.RowID]bool{}, rowsOf: map[*txn.Txn][]rowstore.RowID{},
+		patchesOf: map[*txn.Txn][]Patch{}}
+}
+
+// did records one statement of tx on rid.
+func (h *history) did(tx *txn.Txn, rid rowstore.RowID, p Patch) {
+	h.rowsOf[tx] = append(h.rowsOf[tx], rid)
+	h.patchesOf[tx] = append(h.patchesOf[tx], p)
 }
 
 // value draws from a small domain, so that the last reference to a dictionary
@@ -326,29 +364,37 @@ func (h *history) transact(t *testing.T) {
 				t.Fatal(err)
 			}
 			h.rids = append(h.rids, rid)
-			h.rowsOf[tx] = append(h.rowsOf[tx], rid)
+			h.did(tx, rid, Patch{})
 		case op < 9: // update one or several columns
 			rid := h.rids[h.rng.Intn(len(h.rids))]
 			n1, c1, many := h.rng.Int63n(50)-25, h.value(), h.rng.Intn(2) == 0
 			c2 := h.value()
-			if _, ok := h.f.seg.Block(rid.DBA.Block()).LatestImage(rid.Slot, h.f.c.Txns()); !ok {
+			blk := h.f.seg.Block(rid.DBA.Block())
+			if _, ok := blk.LatestImage(rid.Slot, h.f.c.Txns()); !ok {
 				continue // deleted
 			}
-			err := tx.UpdateAt(h.f.tbl, rid, []uint16{1, 3}, func(r *rowstore.Row) {
+			cols := []uint16{1}
+			if many {
+				cols = []uint16{1, 3, 4}
+			}
+			err := tx.UpdateAt(h.f.tbl, rid, cols, func(r *rowstore.Row) {
 				r.Nums[1] = n1
 				if many {
 					r.Strs[0], r.Strs[1] = c1, c2
 				}
 			})
 			if err == nil {
-				h.rowsOf[tx] = append(h.rowsOf[tx], rid)
-			} // else: locked by another transaction
+				after, _ := blk.LatestImage(rid.Slot, h.f.c.Txns())
+				h.did(tx, rid, Patch{Row: after, Cols: cols})
+			} else if err != rowstore.ErrRowLocked {
+				t.Fatal(err)
+			}
 		default: // delete
 			rid := h.rids[h.rng.Intn(len(h.rids))]
 			blk := h.f.seg.Block(rid.DBA.Block())
 			if img, ok := blk.LatestImage(rid.Slot, h.f.c.Txns()); ok {
 				if err := tx.DeleteByID(h.f.tbl, img.Num(0)); err == nil {
-					h.rowsOf[tx] = append(h.rowsOf[tx], rid)
+					h.did(tx, rid, Patch{Deleted: true})
 				}
 			}
 		}
@@ -369,6 +415,9 @@ func (h *history) finish(t *testing.T) {
 			t.Fatal(err)
 		}
 	} else {
+		if h.patched {
+			h.f.patches = h.patchesOf[tx]
+		}
 		if _, err := tx.Commit(); err != nil {
 			t.Fatal(err)
 		}
@@ -377,6 +426,7 @@ func (h *history) finish(t *testing.T) {
 		}
 	}
 	delete(h.rowsOf, tx)
+	delete(h.patchesOf, tx)
 }
 
 func (h *history) step(t *testing.T) {
@@ -393,11 +443,16 @@ func (h *history) step(t *testing.T) {
 // reference, commits landing between BeginRepopulate, the capture, the bitmap
 // copy and Attach, and a concurrent invalidator — every repopulation by merge
 // yields the image a full build at the same snapshot yields, and the SMU it
-// leaves marks every row committed after that snapshot.
+// leaves marks every row committed after that snapshot. Every other history's
+// commits say what they changed, as a standby's flush does, so that its merges
+// are fed from the unit's delta, carry entries over Attach, and re-read only
+// what the delta does not explain.
 func TestMergeEqualsFullBuild(t *testing.T) {
+	var patched int64
 	for seed := int64(1); seed <= 40; seed++ {
 		f := newMergeFixture(t, smallColumns(), 8, Config{})
 		h := newHistory(f, seed)
+		h.patched = seed%2 == 0
 		for len(h.rids) < 20 {
 			h.transact(t)
 			h.finish(t)
@@ -463,6 +518,84 @@ func TestMergeEqualsFullBuild(t *testing.T) {
 		if merges == 0 {
 			t.Fatalf("seed %d: no repopulation carried a row over", seed)
 		}
+		if st := f.eng.Stats(); h.patched {
+			patched += st.ColsPatched
+		} else if st.ColsPatched != 0 {
+			t.Fatalf("seed %d: %d values patched from a delta nothing fed", seed, st.ColsPatched)
+		}
+	}
+	if patched < 100 {
+		t.Fatalf("merges took %d column values from deltas, want hundreds", patched)
+	}
+}
+
+// TestMergeSharesUntouchedColumns: when the delta explains every invalid row
+// and no block grew, a merge re-encodes the columns the delta names and takes
+// every other column object over from the old image — and still yields the
+// image a full build at its snapshot yields. One row read again, or one row
+// more, and nothing is shared.
+func TestMergeSharesUntouchedColumns(t *testing.T) {
+	const rows = 64 * 16
+	f, unit := newWideFixture(t, rows)
+	rng := rand.New(rand.NewSource(5))
+	old, _, _ := unit.ScanView()
+	const ns, ss = 3, 7 // the two columns the updates touch: n3 and c8
+	update := func(n int) {
+		tx := f.c.Instance(0).Begin()
+		for _, id := range rng.Perm(rows)[:n] {
+			cols := []uint16{ns, 1 + wideCols + ss}
+			err := tx.UpdateByID(f.tbl, int64(id), cols, func(r *rowstore.Row) {
+				r.Nums[ns], r.Strs[ss] = rng.Int63n(wideDomain), wideValue(rng)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := f.seg.Block(rowstore.BlockNo(id/16)).LatestImage(uint16(id%16), f.c.Txns())
+			f.patches = append(f.patches, Patch{Row: after, Cols: cols})
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := func(imcu *IMCU) (n int) {
+		for s := range imcu.numCols {
+			if imcu.numCols[s] == old.numCols[s] {
+				n++
+			}
+		}
+		for s := range imcu.strCols {
+			if imcu.strCols[s] == old.strCols[s] {
+				n++
+			}
+		}
+		return n
+	}
+
+	update(100)
+	if st := unit.Stats(); st.InvalidRows != 100 || st.OpaqueRows != 0 || st.DeltaEntries != 200 {
+		t.Fatalf("after 100 two-column updates: %+v", st)
+	}
+	imcu, reread := f.repopulate(t, unit)
+	if err := sameImage(imcu, f.fullBuildAt(unit, imcu.SnapSCN)); err != nil {
+		t.Fatal(err)
+	}
+	if n := shared(imcu); reread != 0 || n != 2*wideCols-1 || imcu.numCols[ns] == old.numCols[ns] || imcu.strCols[ss] == old.strCols[ss] {
+		t.Fatalf("delta-fed merge: %d rows read again, %d of %d columns shared", reread, n, 1+2*wideCols)
+	}
+	if st := unit.Stats(); st.InvalidRows != 0 || st.DeltaEntries != 0 {
+		t.Fatalf("after the merge: %+v", st)
+	}
+
+	// An opaque row is read again, and then every column is encoded again.
+	old = imcu
+	update(50)
+	unit.InvalidateRows(3, []uint16{5})
+	imcu, reread = f.repopulate(t, unit)
+	if err := sameImage(imcu, f.fullBuildAt(unit, imcu.SnapSCN)); err != nil {
+		t.Fatal(err)
+	}
+	if n := shared(imcu); reread != 1 || n != 0 {
+		t.Fatalf("merge with an opaque row: %d rows read again, %d columns shared", reread, n)
 	}
 }
 
@@ -621,7 +754,7 @@ func TestAllocsPerRunMergeIMCU(t *testing.T) {
 	if lookups := int(f.view.lookups.Load()); reread != stale || lookups != 0 {
 		t.Fatalf("merge with %d invalid rows: re-read set %d, transaction-table lookups %d, want 0", stale, reread, lookups)
 	}
-	f.updateRows(t, rng, rows, stale)
+	f.updateRows(t, rng, rows, stale, false)
 	_, reread = f.repopulate(t, unit)
 	if lookups := int(f.view.lookups.Load()); reread != stale || lookups != stale {
 		t.Fatalf("merge with %d updated rows: re-read set %d, transaction-table lookups %d", stale, reread, lookups)

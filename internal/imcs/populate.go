@@ -112,6 +112,11 @@ type EngineStats struct {
 	// those read from the row store and those taken over from the old image.
 	RowsReread  int64
 	RowsCarried int64
+	// ColsPatched counts the column values builds took from a unit's delta in
+	// place of a row read, ColsShared the column objects a build took over from
+	// the old image because nothing in them changed.
+	ColsPatched int64
+	ColsShared  int64
 	// FullBuildTime and MergeBuildTime are the time spent in builds of either
 	// kind, snapshot capture to attach.
 	FullBuildTime  time.Duration
@@ -145,6 +150,8 @@ type Engine struct {
 	merged      atomic.Int64
 	reread      atomic.Int64
 	carried     atomic.Int64
+	patched     atomic.Int64
+	shared      atomic.Int64
 	fullNanos   atomic.Int64
 	mergeNanos  atomic.Int64
 }
@@ -226,6 +233,8 @@ func (e *Engine) Stats() EngineStats {
 		UnitsMerged:      e.merged.Load(),
 		RowsReread:       e.reread.Load(),
 		RowsCarried:      e.carried.Load(),
+		ColsPatched:      e.patched.Load(),
+		ColsShared:       e.shared.Load(),
 		FullBuildTime:    time.Duration(e.fullNanos.Load()),
 		MergeBuildTime:   time.Duration(e.mergeNanos.Load()),
 	}
@@ -426,39 +435,42 @@ func (e *Engine) BuildIMCU(t Target, unit *Unit) *IMCU {
 // snapshot and reports how many row positions it read from the row store.
 // With merge it reads the unit as a scan at that snapshot would — the IMCU
 // and, copied after the capture, the validity bitmap with the presence gaps
-// overlaid — and takes the valid positions' values from the IMCU (see the
-// Snapshotter contract); the row store serves the rest: invalid rows, gaps,
-// and the slots and blocks the segment gained since. Invalidations of later
-// commits are buffered in the unit and land on the new image at Attach. A
-// unit that is coarse-invalid, whose IMCU predates a schema change, or whose
-// IMCU is of a later snapshot than this one (a restart took the QuerySCN back
-// to a checkpoint's under a reader that kept its store) has nothing to carry
-// over, like one that has no IMCU yet, and every row is read.
+// overlaid and the column delta — and takes the valid positions' values from
+// the IMCU (see the Snapshotter contract) and the explained positions' changed
+// columns from the delta; the row store serves the rest: opaque rows, gaps, and
+// the slots and blocks the segment gained since. Invalidations of later commits
+// are buffered in the unit, or kept by its delta, and land on the new image at
+// Attach. A unit that is coarse-invalid, whose IMCU predates a schema change,
+// or whose IMCU is of a later snapshot than this one (a restart took the
+// QuerySCN back to a checkpoint's under a reader that kept its store) has
+// nothing to carry over, like one that has no IMCU yet, and every row is read.
 func (e *Engine) build(t Target, unit *Unit, merge bool, sc *buildScratch) (*IMCU, int) {
 	snap := e.snap.CaptureSnapshot()
-	var old *IMCU
-	var stale []uint64
-	if merge {
-		imcu, invalid, usable := unit.ScanView()
-		if usable && imcu.schema == t.Table.Schema() && imcu.SnapSCN <= snap {
-			old, stale = imcu, invalid
-		}
+	old := &sc.view
+	defer old.Release()
+	if !merge || !unit.View(old) || old.IMCU.schema != t.Table.Schema() || old.IMCU.SnapSCN > snap {
+		old.Release()
 	}
-	b, ok := e.readRows(t, unit, snap, old, stale, sc)
+	b, reread, ok := e.readRows(t, unit, snap, old, sc)
 	if !ok {
 		// A truncate took blocks or slots of the old image from under it.
-		b, _ = e.readRows(t, unit, snap, nil, nil, sc)
+		old.Release()
+		b, reread, _ = e.readRows(t, unit, snap, old, sc)
 	}
-	return b.Build(), len(sc.pos) + len(sc.absent)
+	imcu := b.Build()
+	e.patched.Add(int64(len(sc.patches)))
+	e.shared.Add(int64(b.shared))
+	return imcu, reread
 }
 
 // readRows lays out the new image over the unit's blocks as the segment holds
-// them now and reads its re-read set: of the slots old captured, those stale
-// marks; every slot beyond. It fails when the segment no longer holds a slot
+// them now and reads its re-read set: of the slots old.IMCU captured (none
+// when that is nil), those old marks invalid and its delta does not explain at
+// snap; every slot beyond. It fails when the segment no longer holds a slot
 // that old captured.
-func (e *Engine) readRows(t Target, unit *Unit, snap scn.SCN, old *IMCU, stale []uint64, sc *buildScratch) (*Builder, bool) {
+func (e *Engine) readRows(t Target, unit *Unit, snap scn.SCN, old *View, sc *buildScratch) (b *Builder, reread int, ok bool) {
 	seg := t.Seg
-	b := newBuilder(seg.Obj(), seg.Tenant(), t.Table.Schema(), snap, unit.StartBlk, unit.EndBlk, old, sc)
+	b = newBuilder(seg.Obj(), seg.Tenant(), t.Table.Schema(), snap, unit.StartBlk, unit.EndBlk, old, sc)
 	end := unit.EndBlk
 	if last := rowstore.BlockNo(seg.BlockCount()); end > last {
 		end = last
@@ -467,6 +479,7 @@ func (e *Engine) readRows(t Target, unit *Unit, snap scn.SCN, old *IMCU, stale [
 	// let it grow block by block.
 	most := max(0, int(end-unit.StartBlk)) * seg.RowsPerBlock()
 	sc.rows, sc.pos = slices.Grow(sc.rows, most), slices.Grow(sc.pos, most)
+	di := -1 // the delta is walked in step with the blocks
 	for blkNo := unit.StartBlk; blkNo < end; blkNo++ {
 		blk := seg.Block(blkNo)
 		n := 0
@@ -475,29 +488,31 @@ func (e *Engine) readRows(t Target, unit *Unit, snap scn.SCN, old *IMCU, stale [
 		}
 		captured := 0
 		sc.slots = sc.slots[:0]
-		if old != nil {
-			captured = int(old.CapturedRows(blkNo))
+		if old.IMCU != nil {
+			captured = int(old.IMCU.CapturedRows(blkNo))
 			if captured > n {
-				return nil, false
+				return nil, 0, false
 			}
 			if captured > 0 {
-				base, _ := old.RowIndexOf(blkNo, 0)
-				sc.slots = appendSetBits(sc.slots, stale, base, base+captured)
+				base, _ := old.IMCU.RowIndexOf(blkNo, 0)
+				sc.slots = appendSetBits(sc.slots, old.Invalid, base, base+captured)
+				di = b.explain(blkNo-unit.StartBlk, di)
 			}
 		}
 		for slot := captured; slot < n; slot++ {
 			sc.slots = append(sc.slots, uint16(slot))
 		}
+		reread += len(sc.slots)
 		if n == 0 {
 			b.BeginBlock(0)
 			continue
 		}
 		b.readBlock(blk, n, sc.slots, e.view)
 	}
-	if old != nil && len(b.blockRows) < len(old.blockRows) {
-		return nil, false
+	if old.IMCU != nil && len(b.blockRows) < len(old.IMCU.blockRows) {
+		return nil, 0, false
 	}
-	return b, true
+	return b, reread, true
 }
 
 // appendSetBits appends i-lo for every bit i in [lo, hi) set in bitmap.

@@ -1,19 +1,12 @@
 package imcs
 
 import (
+	"slices"
 	"sync"
 
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 )
-
-// pendingInval is an invalidation that arrived while the unit's IMCU was
-// still being built (placeholder phase or repopulation); it is converted to
-// row indexes once the IMCU attaches.
-type pendingInval struct {
-	blk   rowstore.BlockNo
-	slots []uint16
-}
 
 // SMU is the Snapshot Metadata Unit accompanying an IMCU (paper §II.B): it
 // tracks the validity of the IMCU's data at block and row granularity,
@@ -35,9 +28,17 @@ type SMU struct {
 	dropped      bool
 	repopulating bool
 
-	// pending buffers invalidations while imcu == nil or a repopulation is in
-	// flight (they apply to the replacement IMCU).
-	pending []pendingInval
+	// delta says what changed at invalid positions of imcu: a position with
+	// entries is explained (see View), one without is opaque. It holds nothing of
+	// a commit at or below imcu.SnapSCN — the image has those, and an entry of
+	// one could override a newer value the image holds.
+	delta delta
+
+	// pending buffers, as colOpaque markers by row address, the invalidations
+	// the replacement IMCU must show and the delta will not carry over to it:
+	// all of them while imcu == nil, the opaque ones while a repopulation is in
+	// flight.
+	pending delta
 	// pendingAllInvalid records a coarse invalidation that arrived while a
 	// build was in flight: the build's snapshot may predate the invalidated
 	// commit, so Attach must install the IMCU as coarse-invalid rather than
@@ -66,8 +67,16 @@ func (u *Unit) contains(blk rowstore.BlockNo) bool {
 	return blk >= u.StartBlk && blk < u.EndBlk
 }
 
-// Attach installs a freshly built IMCU, converting invalidations buffered
-// during the build. It completes both initial population and repopulation.
+// index maps a delta address to imcu's row position.
+func (u *Unit) index(imcu *IMCU, addr uint64) (int, bool) {
+	return imcu.RowIndexOf(u.StartBlk+rowstore.BlockNo(addr>>32), uint16(addr>>16))
+}
+
+// Attach installs a freshly built IMCU. It completes both initial population
+// and repopulation: the invalidations buffered during the build land on the new
+// image, and so does what the delta holds of commits after its snapshot — the
+// entries of earlier commits are dropped with the bits they explained, for the
+// image has them.
 func (u *Unit) Attach(imcu *IMCU) {
 	s := &u.smu
 	s.mu.Lock()
@@ -75,6 +84,7 @@ func (u *Unit) Attach(imcu *IMCU) {
 	if s.dropped {
 		return // dropped while building; discard
 	}
+	old, was := s.imcu, s.delta
 	s.imcu = imcu
 	s.invalid = make([]uint64, (imcu.Rows()+63)/64)
 	s.invalidRows = 0
@@ -82,18 +92,47 @@ func (u *Unit) Attach(imcu *IMCU) {
 	s.pendingAllInvalid = false
 	s.repopulating = false
 	s.totalInvalidations = 0
-	for _, p := range s.pending {
-		for _, slot := range p.slots {
-			if idx, ok := imcu.RowIndexOf(p.blk, slot); ok {
-				s.setInvalidLocked(idx)
-			}
+	s.delta = delta{}
+	// Entries patch the image they were made against or a later one of the same
+	// shape; a VARCHAR's code is looked up again in the new dictionary.
+	carry := old != nil && old.schema == imcu.schema && old.SnapSCN <= imcu.SnapSCN
+	for _, e := range was.e {
+		switch c := e.Col(); {
+		case e.SCN <= imcu.SnapSCN:
+		case !carry:
+			s.pending.mark(e.Key)
+		case c&strCol != 0 && c != ColDeleted:
+			slot := c &^ strCol
+			s.delta.putStr(len(s.delta.e), e.Key, e.SCN, imcu.strCols[slot], deltaStr(was.extra, old.strCols[slot], e.Val))
+		default:
+			s.delta.e = append(s.delta.e, e)
 		}
 	}
-	s.pending = nil
+	for i := 0; i < len(s.delta.e); {
+		addr := s.delta.e[i].Key &^ 0xFFFF
+		_, hi := s.delta.row(addr)
+		idx, held := u.index(imcu, addr)
+		if held {
+			s.setInvalidLocked(idx)
+		}
+		if held && imcu.Present(idx) {
+			i = hi
+		} else {
+			s.delta.e = slices.Delete(s.delta.e, i, hi)
+		}
+	}
+	for _, m := range s.pending.e {
+		s.opaqueLocked(m.Key &^ 0xFFFF)
+		if idx, held := u.index(imcu, m.Key); held {
+			s.setInvalidLocked(idx)
+		}
+	}
+	s.pending = delta{}
 }
 
 // BeginRepopulate marks the unit as rebuilding: subsequent invalidations are
-// applied to the current bitmap AND buffered for the replacement IMCU.
+// applied to the current bitmap and delta AND, those the delta does not
+// explain, buffered for the replacement IMCU.
 // It returns false when the unit is dropped or already repopulating.
 func (u *Unit) BeginRepopulate() bool {
 	s := &u.smu
@@ -103,7 +142,7 @@ func (u *Unit) BeginRepopulate() bool {
 		return false
 	}
 	s.repopulating = true
-	s.pending = nil
+	s.pending = delta{}
 	return true
 }
 
@@ -115,7 +154,7 @@ func (u *Unit) AbortRepopulate() {
 	s := &u.smu
 	s.mu.Lock()
 	s.repopulating = false
-	s.pending = nil
+	s.pending = delta{}
 	s.pendingAllInvalid = false
 	s.mu.Unlock()
 }
@@ -128,30 +167,90 @@ func (s *SMU) setInvalidLocked(idx int) {
 	}
 }
 
-// InvalidateRows marks the given slots of a block invalid. Slots outside the
-// captured data (tail inserts) are ignored — they are served from the row
-// store anyway. Buffered while populating/repopulating.
+// opaqueLocked drops what the delta holds of the row at addr.
+func (s *SMU) opaqueLocked(addr uint64) {
+	if lo, hi := s.delta.row(addr); hi > lo {
+		s.delta.e = slices.Delete(s.delta.e, lo, hi)
+	}
+}
+
+// deltaBound is how many entries a unit's delta may hold before a row it does
+// not know yet goes opaque instead: twice what the default repopulation
+// threshold lets single-column updates pile up before the unit is rebuilt.
+func deltaBound(rows int) int { return rows/4 + 64 }
+
+// explainLocked records in the delta what a commit at SCN at did to the valid
+// or explained row at position idx, and marks it invalid. It reports false,
+// whatever it recorded to be dropped, when the row must go opaque: the patch
+// does not say what changed, the image has no row there to patch or is not
+// older than the commit (a restart replays redo under an image that has it;
+// the bit is set as it always was), the row is opaque already, or the delta is
+// full.
+func (s *SMU) explainLocked(addr uint64, idx int, at scn.SCN, p *Patch) bool {
+	imcu := s.imcu
+	lo, hi := s.delta.row(addr)
+	switch set := s.invalid[idx/64]&(1<<uint(idx%64)) != 0; {
+	case at <= imcu.SnapSCN, !imcu.Present(idx):
+		return false
+	case lo == hi && (set || len(s.delta.e) >= deltaBound(imcu.nRows)):
+		return false
+	}
+	if !s.delta.apply(lo, addr, at, p, imcu) {
+		return false
+	}
+	s.setInvalidLocked(idx)
+	return true
+}
+
+// InvalidateRows marks the given slots of a block invalid without saying what
+// changed: the positions are opaque, served from the row store.
 func (u *Unit) InvalidateRows(blk rowstore.BlockNo, slots []uint16) {
+	u.Invalidate(blk, slots, scn.Invalid, nil)
+}
+
+// Invalidate marks the given slots of a block invalid for a transaction
+// committed at SCN at; patches, when not nil, says slot by slot what it changed,
+// and a row so explained is served from the IMCU and the delta (see View).
+// Slots outside the captured data (tail inserts) are ignored — they are served
+// from the row store anyway. While a build is in flight what the new image
+// must show is buffered for it.
+func (u *Unit) Invalidate(blk rowstore.BlockNo, slots []uint16, at scn.SCN, patches []Patch) {
 	s := &u.smu
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dropped {
 		return
 	}
-	if s.imcu == nil || s.repopulating {
-		cp := make([]uint16, len(slots))
-		copy(cp, slots)
-		s.pending = append(s.pending, pendingInval{blk: blk, slots: cp})
-		if s.imcu == nil {
-			return
+	for i, slot := range slots {
+		addr := DeltaAddr(blk-u.StartBlk, slot)
+		if s.imcu != nil {
+			if idx, held := s.imcu.RowIndexOf(blk, slot); held {
+				s.totalInvalidations++
+				if patches != nil && s.explainLocked(addr, idx, at, &patches[i]) {
+					continue // the delta carries it to a replacement IMCU
+				}
+				s.setInvalidLocked(idx)
+				s.opaqueLocked(addr)
+			}
+		}
+		if s.imcu == nil || s.repopulating {
+			s.pending.mark(addr)
 		}
 	}
-	for _, slot := range slots {
-		if idx, ok := s.imcu.RowIndexOf(blk, slot); ok {
-			s.setInvalidLocked(idx)
-			s.totalInvalidations++
+}
+
+// ForgetDelta drops the unit's column delta, to shed memory: the rows it
+// explained are opaque from here on, and served from the row store.
+func (u *Unit) ForgetDelta() {
+	s := &u.smu
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.repopulating {
+		for _, e := range s.delta.e {
+			s.pending.mark(e.Key)
 		}
 	}
+	s.delta = delta{}
 }
 
 // InvalidateAll coarse-invalidates the unit (paper §III.E): every row is
@@ -183,7 +282,7 @@ func (u *Unit) Drop() {
 	s.dropped = true
 	s.imcu = nil
 	s.invalid = nil
-	s.pending = nil
+	s.delta, s.pending = delta{}, delta{}
 	s.pendingAllInvalid = false
 	s.mu.Unlock()
 }
@@ -195,38 +294,50 @@ func (u *Unit) Dropped() bool {
 	return u.smu.dropped
 }
 
-// ScanView atomically captures what a scan needs: the current IMCU and a copy
-// of the row-validity bitmap. usable is false when the unit cannot serve
-// scans (populating, coarse-invalidated or dropped) — the caller then reads
-// the unit's block range from the row store.
+// View atomically captures into v, reusing its buffers, what a scan needs: the
+// current IMCU, a copy of the row-validity bitmap and a copy of the column
+// delta. It reports false when the unit cannot serve scans (populating,
+// coarse-invalidated or dropped) — the caller then reads the unit's block range
+// from the row store.
 //
-// The returned bitmap additionally marks every captured slot with no visible
-// row at the population snapshot (presence gap: an insert whose transaction
-// was still in flight at capture time, or a deleted row). Such slots carry no
-// column data and a commit that later fills one is not guaranteed to flush an
-// invalidation here, so scans must resolve them through the row-store re-read
-// path like invalidated rows. Gaps are a view-level overlay only — the stored
-// bitmap and InvalidRows keep counting explicit invalidations (including ones
-// landing on gap slots), so the repopulation pressure that heals a stale or
-// gap-ridden IMCU is unchanged.
-func (u *Unit) ScanView() (imcu *IMCU, invalid []uint64, usable bool) {
+// The bitmap additionally marks every captured slot with no visible row at the
+// population snapshot (presence gap: an insert whose transaction was still in
+// flight at capture time, or a deleted row). Such slots carry no column data
+// and a commit that later fills one is not guaranteed to flush an invalidation
+// here, so scans must resolve them through the row-store re-read path like
+// opaque rows (the delta never explains one). Gaps are a view-level overlay
+// only — the stored bitmap and InvalidRows keep counting explicit
+// invalidations (including ones landing on gap slots), so the repopulation
+// pressure that heals a stale or gap-ridden IMCU is unchanged.
+func (u *Unit) View(v *View) bool {
 	s := &u.smu
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v.Invalid, v.Delta = slices.Grow(v.Invalid[:0], len(s.invalid)), v.Delta[:0]
 	if s.dropped || s.imcu == nil || s.allInvalid {
-		return nil, nil, false
+		v.Release()
+		return false
 	}
-	cp := make([]uint64, len(s.invalid))
+	v.IMCU, v.extra = s.imcu, s.delta.extra
+	v.Delta = append(v.Delta, s.delta.e...)
 	present := s.imcu.PresentWords()
 	rows := s.imcu.Rows()
-	for w := range cp {
+	for w, word := range s.invalid {
 		gap := ^present[w]
 		if rem := rows - w*64; rem < 64 {
 			gap &= (1 << uint(rem)) - 1
 		}
-		cp[w] = s.invalid[w] | gap
+		v.Invalid = append(v.Invalid, word|gap)
 	}
-	return s.imcu, cp, true
+	return true
+}
+
+// ScanView is View without the delta, into a bitmap of its own: every invalid
+// position is then to be read from the row store.
+func (u *Unit) ScanView() (imcu *IMCU, invalid []uint64, usable bool) {
+	var v View
+	usable = u.View(&v)
+	return v.IMCU, v.Invalid, usable
 }
 
 // Stats is a snapshot of the SMU's health, feeding repopulation heuristics
@@ -239,7 +350,12 @@ type Stats struct {
 	Rows         int
 	InvalidRows  int
 	SnapSCN      scn.SCN
-	MemBytes     int
+	MemBytes     int // the IMCU and the delta
+	// DeltaEntries and DeltaBytes size the column delta; OpaqueRows counts the
+	// invalid rows it does not explain, which scans read from the row store.
+	DeltaEntries int
+	DeltaBytes   int
+	OpaqueRows   int
 }
 
 // Stats returns the unit's current statistics.
@@ -253,11 +369,19 @@ func (u *Unit) Stats() Stats {
 		AllInvalid:   s.allInvalid,
 		Dropped:      s.dropped,
 		InvalidRows:  s.invalidRows,
+		DeltaEntries: len(s.delta.e),
+		DeltaBytes:   s.delta.memSize(),
+		OpaqueRows:   s.invalidRows,
+	}
+	for i, e := range s.delta.e {
+		if i == 0 || e.Key>>16 != s.delta.e[i-1].Key>>16 {
+			st.OpaqueRows--
+		}
 	}
 	if s.imcu != nil {
 		st.Rows = s.imcu.Rows()
 		st.SnapSCN = s.imcu.SnapSCN
-		st.MemBytes = s.imcu.MemSize()
+		st.MemBytes = s.imcu.MemSize() + st.DeltaBytes
 	}
 	return st
 }

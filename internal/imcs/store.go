@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"dbimadg/internal/rowstore"
+	"dbimadg/internal/scn"
 )
 
 // Store is one instance's In-Memory Column Store: the units (IMCU+SMU pairs)
@@ -97,10 +98,16 @@ func (s *Store) UnitForBlock(obj rowstore.ObjID, blk rowstore.BlockNo) (*Unit, b
 }
 
 // InvalidateRows marks rows of one block invalid in the covering unit (no-op
-// when the block is not populated).
+// when the block is not populated) without saying what changed.
 func (s *Store) InvalidateRows(obj rowstore.ObjID, blk rowstore.BlockNo, slots []uint16) {
+	s.Invalidate(obj, blk, slots, scn.Invalid, nil)
+}
+
+// Invalidate marks rows of one block invalid in the covering unit for a
+// transaction committed at SCN at; see Unit.Invalidate.
+func (s *Store) Invalidate(obj rowstore.ObjID, blk rowstore.BlockNo, slots []uint16, at scn.SCN, patches []Patch) {
 	if u, ok := s.UnitForBlock(obj, blk); ok {
-		u.InvalidateRows(blk, slots)
+		u.Invalidate(blk, slots, at, patches)
 		s.rowInvals.Add(int64(len(slots)))
 	}
 }
@@ -185,7 +192,11 @@ type StoreStats struct {
 	PopulatedUnits int
 	Rows           int
 	InvalidRows    int
-	MemBytes       int
+	MemBytes       int // IMCUs and deltas
+	// DeltaEntries, DeltaBytes and OpaqueRows sum the units' (see Stats).
+	DeltaEntries int
+	DeltaBytes   int
+	OpaqueRows   int
 }
 
 // Stats returns aggregate statistics over all units.
@@ -212,6 +223,9 @@ func (s *Store) Stats() StoreStats {
 			st.Rows += us.Rows
 			st.InvalidRows += us.InvalidRows
 			st.MemBytes += us.MemBytes
+			st.DeltaEntries += us.DeltaEntries
+			st.DeltaBytes += us.DeltaBytes
+			st.OpaqueRows += us.OpaqueRows
 		}
 	}
 	return st

@@ -494,3 +494,56 @@ func TestInsertCopiesTheRow(t *testing.T) {
 		t.Fatalf("insert CV does not carry the version's image: %+v", cv)
 	}
 }
+
+// TestUpdateDeclaresItsColumns: the changed-column list is checked against what
+// the callback did before anything is written or logged, and goes into the redo
+// record as given.
+func TestUpdateDeclaresItsColumns(t *testing.T) {
+	c := NewCluster(1, 8)
+	inst := c.Instance(0)
+	tbl, _ := inst.CreateTable(wideSpec(1))
+	tx := inst.Begin()
+	rid, err := tx.Insert(tbl, newRow(tbl, 1, 100, "a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = tx.Commit()
+	logged := inst.Stream().Len()
+
+	tx = inst.Begin()
+	for _, tc := range []struct {
+		name     string
+		declared []uint16
+		mutate   func(*rowstore.Row)
+	}{
+		{"number for a varchar", []uint16{1}, func(r *rowstore.Row) { r.Strs[0] = "b" }},
+		{"one of two", []uint16{2}, func(r *rowstore.Row) { r.Nums[1], r.Strs[0] = 5, "b" }},
+	} {
+		if err := tx.UpdateAt(tbl, rid, tc.declared, tc.mutate); !errors.Is(err, rowstore.ErrUndeclaredChange) {
+			t.Fatalf("%s: UpdateAt = %v, want ErrUndeclaredChange", tc.name, err)
+		}
+		if err := tx.UpdateByID(tbl, 1, tc.declared, tc.mutate); !errors.Is(err, rowstore.ErrUndeclaredChange) {
+			t.Fatalf("%s: UpdateByID = %v, want ErrUndeclaredChange", tc.name, err)
+		}
+	}
+	if n := inst.Stream().Len(); n != logged {
+		t.Fatalf("refused updates logged %d records", n-logged)
+	}
+	if img, _ := tbl.Segments()[0].Block(rid.DBA.Block()).LatestImage(rid.Slot, c.Txns()); img.Num(1) != 100 || img.Str(0) != "a" {
+		t.Fatalf("refused updates changed the row: n1=%d c1=%q", img.Num(1), img.Str(0))
+	}
+	// Declared, and more than changed: accepted, logged as declared.
+	if err := tx.UpdateAt(tbl, rid, []uint16{2, 1}, func(r *rowstore.Row) { r.Strs[0] = "b" }); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ := inst.Stream().At(inst.Stream().Len() - 1)
+	cv := rec.CVs[len(rec.CVs)-1]
+	if cv.Kind != redo.CVUpdate || len(cv.ChangedCols) != 2 || cv.ChangedCols[0] != 2 || cv.ChangedCols[1] != 1 {
+		t.Fatalf("logged %v with columns %v, want the update with [2 1]", cv.Kind, cv.ChangedCols)
+	}
+	// No list: unknown, not checked.
+	if err := tx.UpdateAt(tbl, rid, nil, func(r *rowstore.Row) { r.Nums[1] = 1 }); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = tx.Commit()
+}

@@ -140,8 +140,11 @@ type CV struct {
 	// base-image dependency; the mining and invalidation protocols under study
 	// are unaffected by the image format.
 	Row rowstore.Image
-	// ChangedCols lists schema column indexes modified by a CVUpdate; the
-	// mining component records them in invalidation records.
+	// ChangedCols lists the schema column indexes a CVUpdate modified, checked
+	// against the images where the update was made (rowstore.ErrUndeclaredChange).
+	// The mining component keeps the CV with its invalidation record, and the
+	// invalidation flush patches the column store with these columns of Row; an
+	// empty list means "unknown" and the row is re-read from the row store.
 	ChangedCols []uint16
 
 	// Marker is the payload for CVMarker.

@@ -16,6 +16,11 @@ var ErrRowLocked = errors.New("rowstore: row locked by another transaction")
 // ErrBlockFull is returned when a block has no free slot for an insert.
 var ErrBlockFull = errors.New("rowstore: block full")
 
+// ErrUndeclaredChange is returned when an update changes a column its caller
+// did not list among the changed ones. The list goes into the redo record, and
+// a standby patches its column store with exactly the columns listed.
+var ErrUndeclaredChange = errors.New("rowstore: update changed a column it did not declare")
+
 // ErrRowDeleted is returned when a writer updates a row whose newest
 // non-aborted version is a delete: there is no image to change.
 var ErrRowDeleted = errors.New("rowstore: row deleted")
@@ -180,7 +185,10 @@ func (b *Block) Insert(slot uint16, txn scn.TxnID, img Image) error {
 //
 // mutate receives the current image unpacked into scratch (whose arrays are
 // reused and whose strings are views of that image) and modifies it in place.
-func (b *Block) Update(slot uint16, txn scn.TxnID, view TxnView, scratch *Row, mutate func(*Row)) (Image, error) {
+// declared lists the columns of schema it may change; a change to any other is
+// ErrUndeclaredChange, and no version is installed. An empty list declares
+// nothing and is not checked: the redo record then says "changed, unknown where".
+func (b *Block) Update(slot uint16, txn scn.TxnID, view TxnView, scratch *Row, schema *Schema, declared []uint16, mutate func(*Row)) (Image, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if int(slot) >= len(b.rows) || b.rows[slot] == nil {
@@ -201,8 +209,56 @@ func (b *Block) Update(slot uint16, txn scn.TxnID, view TxnView, scratch *Row, m
 	mutate(scratch)
 	img := Pack(*scratch)
 	clear(scratch.Strs) // views of the image replaced
+	if len(declared) > 0 && !changedWithin(base, img, schema, declared) {
+		return "", ErrUndeclaredChange
+	}
 	b.writeLocked(slot, txn, img, false)
 	return img, nil
+}
+
+// changedWithin reports whether img differs from base only in columns of schema
+// that declared lists. The number region is compared at once and, where that
+// says different, word by word; the lengths and bytes of the strings likewise,
+// and walked only on a difference.
+func changedWithin(base, img Image, schema *Schema, declared []uint16) bool {
+	listed := func(kind ColKind, slot int) bool {
+		for _, c := range declared {
+			if int(c) < len(schema.cols) && schema.cols[c].Kind == kind && schema.cols[c].slot == slot {
+				return true
+			}
+		}
+		return false
+	}
+	n := base.NumCount()
+	if n != img.NumCount() || base.StrCount() != img.StrCount() {
+		return false
+	}
+	if base == "" {
+		return true // a row of no values
+	}
+	strs := imageHeader + 8*n // where the lengths start
+	if base[imageHeader:strs] != img[imageHeader:strs] {
+		for s := 0; s < n; s++ {
+			if base.Num(s) != img.Num(s) && !listed(KindNumber, s) {
+				return false
+			}
+		}
+	}
+	if base[strs:] != img[strs:] {
+		was, is := base.StrsFrom(0), img.StrsFrom(0)
+		for s := 0; s < base.StrCount(); s++ {
+			if was.Next() == is.Next() {
+				continue
+			}
+			if !listed(KindVarchar, s) {
+				return false
+			}
+			if was.rest() == is.rest() {
+				break // the one string that changed
+			}
+		}
+	}
+	return true
 }
 
 // latestLocked returns the newest non-aborted image for slot, ok false when

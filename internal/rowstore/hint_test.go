@@ -163,7 +163,7 @@ func TestCommitHintProperty(t *testing.T) {
 					_ = b.Delete(uint16(rng.Intn(used)), id, view) // ErrRowLocked: another writer's row
 				default:
 					// ErrRowLocked, or ErrRowDeleted: nothing is written.
-					_, _ = b.Update(uint16(rng.Intn(used)), id, view, new(Row), func(r *Row) { r.Nums[1] = int64(step) })
+					_, _ = b.Update(uint16(rng.Intn(used)), id, view, new(Row), nil, nil, func(r *Row) { r.Nums[1] = int64(step) })
 				}
 			}
 			switch end := rng.Intn(10); {

@@ -130,6 +130,12 @@ func (it *StrIter) Next() string {
 	return string(it.m[it.off-n : it.off])
 }
 
+// rest returns what the iterator has not walked yet, the lengths and the bytes,
+// for comparison with another image's.
+func (it *StrIter) rest() [2]Image {
+	return [2]Image{it.m[it.len:it.m.bytesOff()], it.m[it.off:]}
+}
+
 // Fill sets dst to views of the next len(dst) slots' strings.
 func (it *StrIter) Fill(dst []string) {
 	for i := range dst {

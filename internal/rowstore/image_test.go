@@ -200,7 +200,7 @@ func TestBlockUpdateDeletedRow(t *testing.T) {
 				tt.set(3, TxnActive, 0)
 			}
 			called := false
-			_, err := b.Update(0, updater, tt, new(Row), func(r *Row) { called = true; r.Nums[1] = 7 })
+			_, err := b.Update(0, updater, tt, new(Row), nil, nil, func(r *Row) { called = true; r.Nums[1] = 7 })
 			if err != tc.want {
 				t.Fatalf("Update = %v, want %v", err, tc.want)
 			}

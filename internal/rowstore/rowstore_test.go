@@ -1,6 +1,7 @@
 package rowstore
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -183,7 +184,7 @@ func TestBlockUpdateVersionChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	tt.set(2, TxnCommitted, 20)
-	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = 200 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), nil, nil, func(r *Row) { r.Nums[s.Col(1).Slot()] = 200 }); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot between the two commits sees the old image (CR via chain).
@@ -209,15 +210,15 @@ func TestBlockWriteConflict(t *testing.T) {
 	_ = b.Insert(0, 1, mkImg(s, 1, 100, "a"))
 
 	tt.set(2, TxnActive, 0)
-	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[0] = 1 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), nil, nil, func(r *Row) { r.Nums[0] = 1 }); err != nil {
 		t.Fatal(err)
 	}
 	tt.set(3, TxnActive, 0)
-	if _, err := b.Update(0, 3, tt, new(Row), func(r *Row) { r.Nums[0] = 2 }); err != ErrRowLocked {
+	if _, err := b.Update(0, 3, tt, new(Row), nil, nil, func(r *Row) { r.Nums[0] = 2 }); err != ErrRowLocked {
 		t.Fatalf("concurrent update err = %v, want ErrRowLocked", err)
 	}
 	// Same transaction may stack updates.
-	if _, err := b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[0] = 3 }); err != nil {
+	if _, err := b.Update(0, 2, tt, new(Row), nil, nil, func(r *Row) { r.Nums[0] = 3 }); err != nil {
 		t.Fatalf("same-txn second update: %v", err)
 	}
 }
@@ -229,7 +230,7 @@ func TestBlockAbortedVersionsSkipped(t *testing.T) {
 	tt.set(1, TxnCommitted, 10)
 	_ = b.Insert(0, 1, mkImg(s, 1, 100, "a"))
 	tt.set(2, TxnActive, 0)
-	_, _ = b.Update(0, 2, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = 999 })
+	_, _ = b.Update(0, 2, tt, new(Row), nil, nil, func(r *Row) { r.Nums[s.Col(1).Slot()] = 999 })
 	tt.set(2, TxnAborted, 0)
 
 	row, ok := b.ReadRow(0, 100, tt, scn.InvalidTxn)
@@ -238,7 +239,7 @@ func TestBlockAbortedVersionsSkipped(t *testing.T) {
 	}
 	// A new writer sees through the aborted version for its base image.
 	tt.set(3, TxnCommitted, 30)
-	if _, err := b.Update(0, 3, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()]++ }); err != nil {
+	if _, err := b.Update(0, 3, tt, new(Row), nil, nil, func(r *Row) { r.Nums[s.Col(1).Slot()]++ }); err != nil {
 		t.Fatal(err)
 	}
 	row, _ = b.ReadRow(0, 30, tt, scn.InvalidTxn)
@@ -273,7 +274,7 @@ func TestBlockVacuum(t *testing.T) {
 	_ = b.Insert(0, 1, mkImg(s, 1, 0, "a"))
 	for i := 2; i <= 10; i++ {
 		tt.set(scn.TxnID(i), TxnCommitted, scn.SCN(i*10))
-		_, _ = b.Update(0, scn.TxnID(i), tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) })
+		_, _ = b.Update(0, scn.TxnID(i), tt, new(Row), nil, nil, func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) })
 	}
 	if got := b.ChainLen(0); got != 10 {
 		t.Fatalf("chain length = %d, want 10", got)
@@ -488,7 +489,7 @@ func TestDatabaseVacuum(t *testing.T) {
 	_ = seg.Block(0).Insert(rid.Slot, 1, mkImg(s, 1, 0, "a"))
 	for i := 2; i < 8; i++ {
 		tt.set(scn.TxnID(i), TxnCommitted, scn.SCN(i*10))
-		_, _ = seg.Block(0).Update(rid.Slot, scn.TxnID(i), tt, new(Row), func(r *Row) { r.Nums[1] = int64(i) })
+		_, _ = seg.Block(0).Update(rid.Slot, scn.TxnID(i), tt, new(Row), nil, nil, func(r *Row) { r.Nums[1] = int64(i) })
 	}
 	if freed := db.Vacuum(math.MaxInt64, tt); freed == 0 {
 		t.Fatal("vacuum freed nothing")
@@ -521,7 +522,7 @@ func TestCRVisibilityProperty(t *testing.T) {
 				if err := b.Insert(0, txn, mkImg(s, 0, int64(i), "v")); err != nil {
 					return false
 				}
-			} else if _, err := b.Update(0, txn, tt, new(Row), func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) }); err != nil {
+			} else if _, err := b.Update(0, txn, tt, new(Row), nil, nil, func(r *Row) { r.Nums[s.Col(1).Slot()] = int64(i) }); err != nil {
 				return false
 			}
 		}
@@ -579,7 +580,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				}
 				tt.set(txn, TxnActive, 0)
 				rid := rids[w*16+i%16]
-				_, _ = seg.Block(rid.DBA.Block()).Update(rid.Slot, txn, tt, new(Row), func(r *Row) { r.Nums[1]++ })
+				_, _ = seg.Block(rid.DBA.Block()).Update(rid.Slot, txn, tt, new(Row), nil, nil, func(r *Row) { r.Nums[1]++ })
 				next += 10
 				tt.set(txn, TxnCommitted, next)
 				txn += 10
@@ -607,4 +608,52 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	// so just close stop now and wait for everything.
 	close(stop)
 	<-done
+}
+
+// TestBlockUpdateUndeclaredChange: a change to a column outside a non-empty
+// declared list is ErrUndeclaredChange and installs no version; the list may
+// name columns that did not change, and an empty one is not checked.
+func TestBlockUpdateUndeclaredChange(t *testing.T) {
+	s := MustSchema([]Column{
+		{Name: "id", Kind: KindNumber}, {Name: "n1", Kind: KindNumber},
+		{Name: "c1", Kind: KindVarchar}, {Name: "c2", Kind: KindVarchar},
+	})
+	for _, tc := range []struct {
+		name     string
+		declared []uint16
+		mutate   func(*Row)
+		ok       bool
+	}{
+		{"declared number", []uint16{1}, func(r *Row) { r.Nums[1] = 7 }, true},
+		{"declared varchar", []uint16{3}, func(r *Row) { r.Strs[1] = "longer than it was" }, true},
+		{"both declared", []uint16{1, 2}, func(r *Row) { r.Nums[1], r.Strs[0] = 7, "" }, true},
+		{"declared, unchanged", []uint16{1, 3}, func(r *Row) {}, true},
+		{"declared, same value", []uint16{1}, func(r *Row) { r.Nums[1] = 100 }, true},
+		{"undeclared number", []uint16{2}, func(r *Row) { r.Nums[1] = 7 }, false},
+		{"undeclared identity", []uint16{1}, func(r *Row) { r.Nums[0], r.Nums[1] = 9, 7 }, false},
+		{"undeclared varchar, same length", []uint16{2}, func(r *Row) { r.Strs[0], r.Strs[1] = "x", "B" }, false},
+		{"undeclared varchar, bytes moved", []uint16{2}, func(r *Row) { r.Strs[0], r.Strs[1] = "aa", "" }, false},
+		{"wrong kind's slot", []uint16{0}, func(r *Row) { r.Strs[0] = "x" }, false},
+		{"column past the schema", []uint16{9}, func(r *Row) { r.Nums[1] = 7 }, false},
+		{"nothing declared", nil, func(r *Row) { r.Nums[0], r.Strs[1] = 9, "any" }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tt := newFakeTxnTable()
+			b := NewBlock(MakeDBA(1, 0), 4)
+			tt.set(1, TxnCommitted, 10)
+			r := NewRow(s)
+			r.Nums[0], r.Nums[1], r.Strs[0], r.Strs[1] = 1, 100, "a", "b"
+			if err := b.Insert(0, 1, Pack(r)); err != nil {
+				t.Fatal(err)
+			}
+			tt.set(2, TxnActive, 0)
+			img, err := b.Update(0, 2, tt, new(Row), s, tc.declared, tc.mutate)
+			if tc.ok != (err == nil) || (!tc.ok && !errors.Is(err, ErrUndeclaredChange)) {
+				t.Fatalf("Update = %v, want ok=%v", err, tc.ok)
+			}
+			if want := map[bool]int{true: 2, false: 1}[tc.ok]; b.ChainLen(0) != want || (img == "") == tc.ok {
+				t.Fatalf("chain length %d, image returned %v; want %d versions", b.ChainLen(0), img != "", want)
+			}
+		})
+	}
 }

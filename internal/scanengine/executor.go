@@ -80,8 +80,12 @@ type Result struct {
 	// observability mirroring the paper's scan statistics. FromInvalid and
 	// FromTail break FromRowStore down: SMU-invalidated rows re-read from the
 	// row store, and rows appended to blocks after population; the remainder
-	// is plain row-store range scanning (gaps and fallbacks).
+	// is plain row-store range scanning (gaps and fallbacks). FromDelta breaks
+	// FromIMCS down the same way: invalid rows whose committed changes the
+	// unit's column delta explained at the scan snapshot, served from the IMCU
+	// with the changed columns replaced and no block touched.
 	FromIMCS     int64
+	FromDelta    int64
 	FromRowStore int64
 	FromInvalid  int64
 	FromTail     int64
@@ -115,6 +119,7 @@ type Result struct {
 type PathStats struct {
 	queries       atomic.Int64
 	rowsIMCS      atomic.Int64
+	rowsDelta     atomic.Int64
 	rowsRowStore  atomic.Int64
 	rowBlocks     atomic.Int64
 	unitsPruned   atomic.Int64
@@ -132,6 +137,10 @@ func (p *PathStats) Queries() int64 { return p.queries.Load() }
 
 // RowsFromIMCS returns matching rows served from the column store.
 func (p *PathStats) RowsFromIMCS() int64 { return p.rowsIMCS.Load() }
+
+// RowsFromDelta returns the rows among RowsFromIMCS that a unit's column
+// delta patched: invalid rows that did not go to the row store.
+func (p *PathStats) RowsFromDelta() int64 { return p.rowsDelta.Load() }
 
 // RowsFromRowStore returns matching rows served from the row store (gaps,
 // invalid rows, edge tails, and baseline scans).
@@ -173,6 +182,7 @@ func (p *PathStats) add(r *Result) {
 	}
 	p.queries.Add(1)
 	p.rowsIMCS.Add(r.FromIMCS)
+	p.rowsDelta.Add(r.FromDelta)
 	p.rowsRowStore.Add(r.FromRowStore)
 	p.rowBlocks.Add(r.RowBlocks)
 	p.unitsPruned.Add(r.UnitsPruned)
@@ -230,6 +240,7 @@ type scanScratch struct {
 	filters  []batchFilter
 	group    groupLocal
 	rows     rowBatch     // the row-store serving path's batch, grown on first use
+	delta    deltaBatch   // the delta-served rows' batch, made on first use
 	unpacked rowstore.Row // one image of it unpacked for projection, its strings views: empty between batches
 }
 
@@ -262,9 +273,50 @@ func getScratch() *scanScratch {
 }
 
 func putScratch(s *scanScratch) {
-	s.rows.imcu = nil
+	s.rows.imcu, s.delta.view = nil, nil
 	select {
 	case scratchPool <- s:
+	default:
+	}
+}
+
+// planBuf holds the unit views of one query's plan. It is pooled like the scan
+// scratch: planning copies each unit's validity bitmap and column delta into
+// memory an earlier query used.
+type planBuf struct {
+	views []*imcs.View
+	used  int
+}
+
+// view returns the next unused view.
+func (pb *planBuf) view() *imcs.View {
+	if pb.used == len(pb.views) {
+		pb.views = append(pb.views, new(imcs.View))
+	}
+	pb.used++
+	return pb.views[pb.used-1]
+}
+
+var planPool = make(chan *planBuf, runtime.GOMAXPROCS(0))
+
+func getPlanBuf() *planBuf {
+	select {
+	case pb := <-planPool:
+		return pb
+	default:
+		return new(planBuf)
+	}
+}
+
+// putPlanBuf returns pb once nothing of its query reads the views any more;
+// they let go of their IMCUs.
+func putPlanBuf(pb *planBuf) {
+	for _, v := range pb.views[:pb.used] {
+		v.Release()
+	}
+	pb.used = 0
+	select {
+	case planPool <- pb:
 	default:
 	}
 }
@@ -353,7 +405,9 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result,
 	if profile != profNone {
 		start = time.Now()
 	}
-	decs, tasks := ex.planTasks(q, schema, snap)
+	pb := getPlanBuf()
+	defer putPlanBuf(pb)
+	decs, tasks := ex.planTasks(q, schema, snap, pb)
 	morselRows := ex.morselRows()
 	morsels := planMorsels(tasks, morselRows)
 	// Clamp against morsels, not tasks: a small-unit table still splits into
@@ -399,6 +453,7 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result,
 	prof.WallNanos = time.Since(start).Nanoseconds()
 	prof.ResultRows = res.Count
 	prof.RowsIMCS = res.FromIMCS
+	prof.RowsDelta = res.FromDelta
 	prof.RowsInvalid = res.FromInvalid
 	prof.RowsTail = res.FromTail
 	prof.RowsRowStore = res.FromRowStore - res.FromInvalid - res.FromTail
@@ -424,7 +479,9 @@ func (ex *Executor) Explain(q *Query, snap scn.SCN) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	decs, tasks := ex.planTasks(q, schema, snap)
+	pb := getPlanBuf()
+	defer putPlanBuf(pb)
+	decs, tasks := ex.planTasks(q, schema, snap, pb)
 	profs := make([]taskProf, 0, len(tasks))
 	for _, ts := range tasks {
 		profs = append(profs, taskProf{part: ts.part, tp: ts.taskProfile(schema)})
@@ -568,6 +625,7 @@ type taskResult struct {
 	op           operator
 	curPart      int // partition index of the morsel being scanned
 	fromIMCS     int64
+	fromDelta    int64
 	fromRowStore int64
 	fromInvalid  int64
 	fromTail     int64
@@ -589,12 +647,12 @@ type taskProf struct {
 // pathCounters is a snapshot of a taskResult's per-path counters, used to
 // attribute deltas to one task under profiling.
 type pathCounters struct {
-	imcs, rowstore, invalid, tail, rowBlocks, rowBatches, batches, encoded, decoded int64
+	imcs, delta, rowstore, invalid, tail, rowBlocks, rowBatches, batches, encoded, decoded int64
 }
 
 func (r *taskResult) counters() pathCounters {
 	return pathCounters{
-		imcs: r.fromIMCS, rowstore: r.fromRowStore,
+		imcs: r.fromIMCS, delta: r.fromDelta, rowstore: r.fromRowStore,
 		invalid: r.fromInvalid, tail: r.fromTail,
 		rowBlocks: r.rowBlocks, rowBatches: r.rowBatches, batches: r.batches,
 		encoded: r.rowsEncoded, decoded: r.rowsDecoded,
@@ -617,6 +675,7 @@ func (r *taskResult) release() {
 func (r *taskResult) merge(o *taskResult) {
 	r.op.merge(o.op)
 	r.fromIMCS += o.fromIMCS
+	r.fromDelta += o.fromDelta
 	r.fromRowStore += o.fromRowStore
 	r.fromInvalid += o.fromInvalid
 	r.fromTail += o.fromTail
@@ -630,7 +689,7 @@ func (r *taskResult) merge(o *taskResult) {
 func (r *taskResult) finish() *Result {
 	res := &Result{
 		Min: math.MaxInt64, Max: math.MinInt64,
-		FromIMCS: r.fromIMCS, FromRowStore: r.fromRowStore,
+		FromIMCS: r.fromIMCS, FromDelta: r.fromDelta, FromRowStore: r.fromRowStore,
 		FromInvalid: r.fromInvalid, FromTail: r.fromTail,
 		RowBlocks: r.rowBlocks, RowBatches: r.rowBatches,
 		Batches:     r.batches,

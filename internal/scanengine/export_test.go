@@ -10,7 +10,9 @@ func (ex *Executor) GroupsByValue(q *Query, snap scn.SCN) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	_, tasks := ex.planTasks(q, schema, snap)
+	pb := getPlanBuf()
+	defer putPlanBuf(pb)
+	_, tasks := ex.planTasks(q, schema, snap, pb)
 	morsels := planMorsels(tasks, ex.morselRows())
 	workers := max(min(ex.effectiveParallel(q), len(morsels)), 1)
 	merged, _ := ex.runMorsels(q, plan, schema, morsels, workers, snap, profNone, false)

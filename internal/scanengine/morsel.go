@@ -39,10 +39,12 @@ type taskState struct {
 	prune    *pruneInfo
 	imcu     *imcs.IMCU
 	invalid  []uint64
-	rows     int // captured row positions (usable imcu tasks)
-	affinity int // preferred initial worker (population worker, else partition)
+	view     *imcs.View // imcu and invalid are its; its delta explains invalid rows
+	rows     int        // captured row positions (usable imcu tasks)
+	affinity int        // preferred initial worker (population worker, else partition)
 
 	pRowsIMCS     atomic.Int64
+	pRowsDelta    atomic.Int64
 	pRowsInvalid  atomic.Int64
 	pRowsTail     atomic.Int64
 	pRowsRowStore atomic.Int64
@@ -80,6 +82,7 @@ func (ts *taskState) taskProfile(schema *rowstore.Schema) TaskProfile {
 		ts.prune.fill(&tp, schema)
 	}
 	tp.RowsIMCS = ts.pRowsIMCS.Load()
+	tp.RowsDelta = ts.pRowsDelta.Load()
 	tp.RowsInvalid = ts.pRowsInvalid.Load()
 	tp.RowsTail = ts.pRowsTail.Load()
 	tp.RowsRowStore = ts.pRowsRowStore.Load() - tp.RowsInvalid - tp.RowsTail
@@ -97,7 +100,7 @@ func (ts *taskState) taskProfile(schema *rowstore.Schema) TaskProfile {
 // tasks, capturing each unit's ScanView and pruning verdict once. Explain and
 // exec share this planning step, so EXPLAIN predictions always match what a
 // run at the same snapshot records.
-func (ex *Executor) planTasks(q *Query, schema *rowstore.Schema, snap scn.SCN) ([]partDecision, []*taskState) {
+func (ex *Executor) planTasks(q *Query, schema *rowstore.Schema, snap scn.SCN, pb *planBuf) ([]partDecision, []*taskState) {
 	decs := ex.partitionDecisions(q)
 	var tasks []*taskState
 	for pi, d := range decs {
@@ -113,7 +116,10 @@ func (ex *Executor) planTasks(q *Query, schema *rowstore.Schema, snap scn.SCN) (
 				continue
 			}
 			ts.kind = "imcu"
-			imcu, invalid, usable := t.unit.ScanView()
+			view := pb.view()
+			usable := t.unit.View(view)
+			imcu, invalid := view.IMCU, view.Invalid
+			ts.view = view
 			// An IMCU can only serve snapshots at or after its population
 			// snapshot, and only while the live schema matches the one it was
 			// built with.
@@ -240,6 +246,7 @@ func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, sna
 	after := res.counters()
 	ts := m.ts
 	ts.pRowsIMCS.Add(after.imcs - before.imcs)
+	ts.pRowsDelta.Add(after.delta - before.delta)
 	ts.pRowsInvalid.Add(after.invalid - before.invalid)
 	ts.pRowsTail.Add(after.tail - before.tail)
 	ts.pRowsRowStore.Add(after.rowstore - before.rowstore)

@@ -133,12 +133,14 @@ func aggLabel(a AggSpec, schema *rowstore.Schema) string {
 // changes); flush ends the worker's scan, after which merge and finish see
 // no unit-local state. foldRows is foldBatch for the row-store serving path:
 // match is over b's row images, and when b names an IMCU, beginUnit has named
-// it too.
+// it too. foldDelta is foldBatch for scattered positions of the IMCU beginUnit
+// named, some of whose columns the unit's delta replaces: match is over b's rows.
 type operator interface {
 	beginUnit(imcu *imcs.IMCU)
 	foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64)
 	flush()
 	foldRows(r *taskResult, b *rowBatch, match []uint64)
+	foldDelta(r *taskResult, b *deltaBatch, match []uint64)
 	merge(o operator)
 	finish(res *Result)
 }
@@ -220,14 +222,24 @@ func (o *rowsOp) flush()               {}
 
 func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
 	o.idx = collectIdx(o.idx, match, n)
+	for k := range o.idx {
+		o.idx[k] += int32(base)
+	}
+	o.materialize(r, imcu, base, n, match)
+}
+
+// materialize appends one result row per IMCU position in o.idx, in the batch's
+// slabs, which it returns. match, unless n is 0, is the positions' bitmap over
+// the window [base, base+n).
+func (o *rowsOp) materialize(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) (nums []int64, strs []string) {
 	if len(o.idx) == 0 {
-		return
+		return nil, nil
 	}
 	// The batch's rows are cut from one slab of numbers and one of strings, in
 	// the table's slot layout: two objects a batch, not two a row. Full-capacity
 	// slices, so appending to one row cannot reach its neighbour.
 	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
-	nums, strs := make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
+	nums, strs = make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
 	for k := range o.idx {
 		o.rows = append(o.rows, rowstore.Row{
 			Nums: nums[k*nn : (k+1)*nn : (k+1)*nn],
@@ -236,18 +248,18 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 	}
 	// Decode a column's window once (the 64-row groups that hold a match) when
 	// at least 1/8 of it survives; point-get for selective batches.
-	dense := len(o.idx)*8 >= n
+	dense := len(o.idx)*8 >= n && n > 0
 	for _, s := range o.numSlots {
 		col := imcu.NumCol(s)
 		if dense {
 			vals := r.s.aux[:n]
 			col.DecodeMasked(vals, base, match)
-			for k, i := range o.idx {
-				nums[k*nn+s] = vals[i]
+			for k, p := range o.idx {
+				nums[k*nn+s] = vals[int(p)-base]
 			}
 		} else {
-			for k, i := range o.idx {
-				nums[k*nn+s] = col.Get(base + int(i))
+			for k, p := range o.idx {
+				nums[k*nn+s] = col.Get(int(p))
 			}
 		}
 	}
@@ -256,19 +268,43 @@ func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []
 		if dense {
 			codes := r.s.aux[:n]
 			col.DecodeCodesMasked(codes, base, match)
-			for k, i := range o.idx {
-				strs[k*ns+s] = col.Value(codes[i])
+			for k, p := range o.idx {
+				strs[k*ns+s] = col.Value(codes[int(p)-base])
 			}
 		} else {
-			for k, i := range o.idx {
-				strs[k*ns+s] = col.Get(base + int(i))
+			for k, p := range o.idx {
+				strs[k*ns+s] = col.Get(int(p))
 			}
 		}
 	}
 	if o.ordered {
-		for _, i := range o.idx {
-			blk, slot := imcu.AddrOfRow(base + int(i))
+		for _, p := range o.idx {
+			blk, slot := imcu.AddrOfRow(int(p))
 			o.keys = append(o.keys, orderKey(r.curPart, blk, slot))
+		}
+	}
+	return nums, strs
+}
+
+// foldDelta materializes the matching positions by point lookup and writes the
+// delta's values over the projected columns it names.
+func (o *rowsOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
+	b.sel = collectIdx(b.sel, match, b.n)
+	o.idx = o.idx[:0]
+	for _, i := range b.sel {
+		o.idx = append(o.idx, b.pos[i])
+	}
+	imcu := b.view.IMCU
+	nums, strs := o.materialize(r, imcu, 0, 0, nil)
+	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
+	for k, i := range b.sel {
+		for _, e := range b.of(i) {
+			switch s, str := e.Slot(); {
+			case str && slices.Contains(o.strSlots, s):
+				strs[k*ns+s] = b.view.Str(imcu.StrCol(s), e.Val)
+			case !str && slices.Contains(o.numSlots, s):
+				nums[k*nn+s] = e.Val
+			}
 		}
 	}
 }
@@ -464,6 +500,26 @@ func (o *aggOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
 			}
 		}
 		o.cells[ci] = cell
+	}
+}
+
+func (o *aggOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
+	cnt := imcs.PopcountRange(match, 0, b.n)
+	o.count += cnt
+	if len(o.slots) == 0 {
+		r.rowsEncoded += cnt
+	}
+	for ci, s := range o.slots {
+		vals := r.s.aux[:b.n]
+		b.nums(vals, s)
+		cell := o.cells[ci]
+		for w := range match {
+			for m := match[w]; m != 0; m &= m - 1 {
+				cell.addVal(vals[w*64+bits.TrailingZeros64(m)])
+			}
+		}
+		o.cells[ci] = cell
+		r.rowsDecoded += cnt
 	}
 }
 
@@ -973,9 +1029,7 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 	}
 
 	// General path: decode key windows (codes for VARCHAR) and value windows,
-	// where match still selects a row, turn the keys into a window of slots,
-	// then fold each surviving row.
-	sl := r.s.win(0)[:n]
+	// where match still selects a row, then fold each surviving row.
 	for j, slot := range o.keySlots {
 		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
 			imcu.StrCol(slot).DecodeCodesMasked(ks, base, match)
@@ -983,6 +1037,20 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 			imcu.NumCol(slot).DecodeMasked(ks, base, match)
 		}
 	}
+	for ci, slot := range o.slots {
+		o.vals[ci] = r.s.win(nk + ci)[:n]
+		imcu.NumCol(slot).DecodeMasked(o.vals[ci], base, match)
+	}
+	o.foldWindows(r, n, match)
+}
+
+// foldWindows folds the rows match selects of n whose keys, in the unit's code
+// space, lie in the scratch's first windows and whose aggregated columns in
+// o.vals: the keys turn into a window of slots, then each row folds.
+func (o *groupOp) foldWindows(r *taskResult, n int, match []uint64) {
+	loc := o.loc
+	nk, nc := len(o.groupBy), loc.nc
+	sl := r.s.win(0)[:n]
 	switch {
 	case !o.direct:
 		for w := 0; w < (n+63)/64; w++ {
@@ -1006,10 +1074,6 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 			}
 		}
 	}
-	for ci, slot := range o.slots {
-		o.vals[ci] = r.s.win(nk + ci)[:n]
-		imcu.NumCol(slot).DecodeMasked(o.vals[ci], base, match)
-	}
 	var matched int64
 	count, cells, vals, touched, direct := loc.count, loc.cells, o.vals, loc.touched, o.direct
 	for w := 0; w < (n+63)/64; w++ {
@@ -1027,6 +1091,56 @@ func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match [
 		}
 	}
 	r.rowsDecoded += matched * int64(max(nc, 1))
+}
+
+// foldDelta gathers the key and value windows position by position, patched,
+// and folds them as foldBatch does a decoded window's. A key outside the unit's
+// code space — a patched VARCHAR its dictionary lacks, a patched NUMBER beyond a
+// direct-indexed table's range — goes to the by-value table first.
+func (o *groupOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
+	loc, n, nk := o.loc, b.n, len(o.keySlots)
+	for j, slot := range o.keySlots {
+		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
+			b.codes(ks, slot)
+		} else {
+			b.nums(ks, slot)
+		}
+	}
+	for ci, slot := range o.slots {
+		o.vals[ci] = r.s.win(nk + ci)[:n]
+		b.nums(o.vals[ci], slot)
+	}
+	for w := range match {
+		for m := match[w]; m != 0; m &= m - 1 {
+			i := w*64 + bits.TrailingZeros64(m)
+			coded := true
+			for j := range o.keySlots {
+				if k := r.s.wins[j][i]; o.keyIsStr[j] {
+					coded = coded && k >= 0
+				} else {
+					coded = coded && (!o.direct || uint64(k-o.kmin[j]) < uint64(o.krange[j]))
+				}
+			}
+			if coded {
+				continue
+			}
+			for j, ks := range o.keySlots {
+				if k := r.s.wins[j][i]; o.keyIsStr[j] {
+					o.kv[j] = GroupValue{Str: b.view.Str(o.unit.StrCol(ks), k), IsStr: true}
+				} else {
+					o.kv[j] = GroupValue{Num: k}
+				}
+			}
+			match[w] &^= 1 << uint(i%64)
+			g := o.byValueSlot(o.kv[:nk])
+			loc.v.count[g]++
+			for ci, vs := range o.vals {
+				loc.v.cells[g*loc.v.nc+ci].addVal(vs[i])
+			}
+			r.rowsDecoded += int64(max(loc.nc, 1))
+		}
+	}
+	o.foldWindows(r, n, match)
 }
 
 // unitSlot translates the key of a row image read at (blk, slot) into the

@@ -70,8 +70,10 @@ type TaskProfile struct {
 
 	// Per-path matching row counts (ANALYZE only): compressed columns,
 	// journal-invalidated rows re-read from the row store, tail rows appended
-	// after population, and plain row-store range rows.
+	// after population, and plain row-store range rows. RowsDelta is the part
+	// of RowsIMCS that was invalid rows patched from the unit's column delta.
 	RowsIMCS     int64 `json:"rows_imcs,omitempty"`
+	RowsDelta    int64 `json:"rows_delta,omitempty"`
 	RowsInvalid  int64 `json:"rows_invalid,omitempty"`
 	RowsTail     int64 `json:"rows_tail,omitempty"`
 	RowsRowStore int64 `json:"rows_rowstore,omitempty"`
@@ -156,6 +158,7 @@ type Profile struct {
 
 	// Totals across every task (ANALYZE only for the row counts).
 	RowsIMCS      int64 `json:"rows_imcs"`
+	RowsDelta     int64 `json:"rows_delta,omitempty"` // of RowsIMCS: invalid rows the column deltas explained
 	RowsInvalid   int64 `json:"rows_invalid"`
 	RowsTail      int64 `json:"rows_tail"`
 	RowsRowStore  int64 `json:"rows_rowstore"`
@@ -258,6 +261,9 @@ func (p *Profile) String() string {
 					fmt.Fprintf(&b, " batches=%d", t.Batches)
 				}
 				fmt.Fprintf(&b, " imcs=%d invalid=%d tail=%d rowstore=%d", t.RowsIMCS, t.RowsInvalid, t.RowsTail, t.RowsRowStore)
+				if t.RowsDelta > 0 {
+					fmt.Fprintf(&b, " rows_delta=%d", t.RowsDelta)
+				}
 				if t.RowBlocks > 0 {
 					fmt.Fprintf(&b, " rowblocks=%d rowbatches=%d", t.RowBlocks, t.RowBatches)
 				}
@@ -269,6 +275,9 @@ func (p *Profile) String() string {
 	fmt.Fprintf(&b, "totals: rows=%d imcs=%d invalid=%d tail=%d rowstore=%d | units scan=%d pruned=%d fallback=%d batches=%d",
 		p.ResultRows, p.RowsIMCS, p.RowsInvalid, p.RowsTail, p.RowsRowStore,
 		p.UnitsScanned, p.UnitsPruned, p.UnitsFallback, p.Batches)
+	if p.RowsDelta > 0 {
+		fmt.Fprintf(&b, " | rows_delta=%d of imcs", p.RowsDelta)
+	}
 	if p.RowBlocks > 0 {
 		fmt.Fprintf(&b, " | row path blocks=%d batches=%d", p.RowBlocks, p.RowBatches)
 	}

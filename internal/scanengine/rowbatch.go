@@ -31,6 +31,67 @@ type rowBatch struct {
 	imcu  *imcs.IMCU // the unit whose blocks the images come from; nil for none
 }
 
+// deltaBatch is a worker's batch of invalid row positions that the unit's column
+// delta explains at the scan snapshot (imcs.View): row i is the IMCU's at pos[i]
+// with the columns of its entries replaced. No block is latched and no version
+// walked for it; the filters and the operators gather its columns as patch,
+// else IMCU value.
+type deltaBatch struct {
+	view *imcs.View
+	pos  []int32
+	// ents holds the rows' entries, row by row, each keyed by its row's index in
+	// the batch in place of the address; row i's start at from[i].
+	ents []imcs.DeltaEntry
+	from []int32
+	sel  []int32 // an operator's matching rows
+	n    int
+}
+
+// add appends the row at IMCU position pos, explained by entries.
+func (b *deltaBatch) add(pos int, entries []imcs.DeltaEntry) {
+	if b.pos == nil {
+		b.pos, b.from = make([]int32, batchSize), make([]int32, batchSize+1)
+	}
+	for _, e := range entries {
+		e.Key = uint64(b.n)<<16 | uint64(e.Col())
+		b.ents = append(b.ents, e)
+	}
+	b.pos[b.n] = int32(pos)
+	b.n++
+	b.from[b.n] = int32(len(b.ents))
+}
+
+// of returns row i's entries.
+func (b *deltaBatch) of(i int32) []imcs.DeltaEntry { return b.ents[b.from[i]:b.from[i+1]] }
+
+// nums gathers the NUMBER column in slot of the batch's rows into dst.
+func (b *deltaBatch) nums(dst []int64, slot int) {
+	col := b.view.IMCU.NumCol(slot)
+	for i, p := range b.pos[:b.n] {
+		dst[i] = col.Get(int(p))
+	}
+	b.patch(dst, imcs.NumColID(slot))
+}
+
+// codes gathers the dictionary codes of the VARCHAR column in slot into dst; a
+// negative one is a patch's value the dictionary lacks (imcs.View.Str).
+func (b *deltaBatch) codes(dst []int64, slot int) {
+	col := b.view.IMCU.StrCol(slot)
+	for i, p := range b.pos[:b.n] {
+		dst[i] = col.CodeAt(int(p))
+	}
+	b.patch(dst, imcs.StrColID(slot))
+}
+
+// patch writes the entries of column col over a gathered vector.
+func (b *deltaBatch) patch(dst []int64, col uint16) {
+	for _, e := range b.ents {
+		if e.Col() == col {
+			dst[e.Key>>16] = e.Val
+		}
+	}
+}
+
 // growRows makes room for capacity images, and for their filter windows.
 func (s *scanScratch) growRows(capacity int) {
 	if len(s.rows.rows) >= capacity {
@@ -84,14 +145,7 @@ func (rs *rowScan) flush() {
 		return
 	}
 	res.rowBatches++
-	words := (n + 63) / 64
-	match := s.match[:words]
-	for w := range match {
-		match[w] = ^uint64(0)
-	}
-	if rem := n % 64; rem != 0 {
-		match[words-1] = 1<<uint(rem) - 1
-	}
+	match := allOnes(s.match, n)
 	rows := b.rows[:n]
 	for _, f := range rs.q.Filters {
 		col := rs.schema.Col(f.Col)
@@ -129,6 +183,55 @@ func (rs *rowScan) flush() {
 	b.n = 0
 }
 
+// allOnes returns the head of buf as a match mask selecting all of n rows.
+func allOnes(buf []uint64, n int) []uint64 {
+	match := buf[:(n+63)/64]
+	for w := range match {
+		match[w] = ^uint64(0)
+	}
+	if rem := n % 64; rem != 0 {
+		match[len(match)-1] = 1<<uint(rem) - 1
+	}
+	return match
+}
+
+// flushDelta is flush for the delta batch: the same filters over columns
+// gathered from the IMCU and patched, the survivors counted as served by the
+// column store.
+func (rs *rowScan) flushDelta() {
+	res, s := rs.res, rs.res.s
+	b := &s.delta
+	if b.n == 0 {
+		return
+	}
+	match := allOnes(s.match, b.n)
+	vals := s.num[:b.n]
+	for _, f := range rs.q.Filters {
+		col := rs.schema.Col(f.Col)
+		if col.Kind == rowstore.KindNumber {
+			b.nums(vals, col.Slot())
+			andCmpBitmap(match, vals, f.Op, f.Num)
+			continue
+		}
+		b.codes(vals, col.Slot())
+		dict := b.view.IMCU.StrCol(col.Slot())
+		for w := range match {
+			for m := match[w]; m != 0; m &= m - 1 {
+				i := w*64 + bits.TrailingZeros64(m)
+				if !cmpStr(b.view.Str(dict, vals[i]), f.Op, f.Str) {
+					match[w] &^= 1 << uint(i%64)
+				}
+			}
+		}
+	}
+	if matched := imcs.PopcountRange(match, 0, b.n); matched != 0 {
+		res.fromIMCS += matched
+		res.fromDelta += matched
+		res.op.foldDelta(res, b, match)
+	}
+	b.n, b.ents = 0, b.ents[:0]
+}
+
 // scanRows executes a row-store morsel: the invalid rows of an IMCU row
 // window, the tails of a unit's blocks, or a raw block range.
 func (ex *Executor) scanRows(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult) {
@@ -154,18 +257,24 @@ func (ex *Executor) scanRows(q *Query, schema *rowstore.Schema, m morsel, snap s
 			}
 		}
 	case morselInvalid:
+		res.s.delta.view = ts.view
 		rs.scanInvalid(ts, m.lo, min(m.hi, ts.rows))
+		rs.flushDelta()
 	}
 	rs.flush()
 }
 
 // scanInvalid reconciles with the SMU over the word-aligned row window
-// [lo, hi): the set bits of the invalidity bitmap, cut into one slot list per
-// block in block order — IMCU positions ascend with the block address.
+// [lo, hi): the set bits of the invalidity bitmap, walked in step with the
+// column delta. A position the delta explains at the scan snapshot — it holds
+// entries for it, none of a later commit — joins the delta batch, or is passed
+// over if the row was deleted; the others are cut into one slot list per block
+// in block order — IMCU positions ascend with the block address.
 func (rs *rowScan) scanInvalid(ts *taskState, lo, hi int) {
-	imcu, b := ts.imcu, &rs.res.s.rows
+	imcu, b, db := ts.imcu, &rs.res.s.rows, &rs.res.s.delta
 	blocks := ts.seg.BlockRange(imcu.StartBlk, imcu.EndBlk)
 	it := imcu.AddrsFrom(lo)
+	di := -1                   // the delta's cursor
 	cur, k := imcu.StartBlk, 0 // the block being staged and its slots so far
 	for w := lo / 64; w < (hi+63)/64 && w < len(ts.invalid); w++ {
 		word := ts.invalid[w]
@@ -173,7 +282,19 @@ func (rs *rowScan) scanInvalid(ts *taskState, lo, hi int) {
 			word &= (1 << uint(rem)) - 1
 		}
 		for ; word != 0; word &= word - 1 {
-			no, slot := it.Addr(w*64 + bits.TrailingZeros64(word))
+			pos := w*64 + bits.TrailingZeros64(word)
+			no, slot := it.Addr(pos)
+			if len(ts.view.Delta) > 0 {
+				entries, next, explained, deleted := ts.view.Row(di, imcs.DeltaAddr(no-imcu.StartBlk, slot), rs.snap)
+				if di = next; explained {
+					if !deleted {
+						if db.add(pos, entries); db.n == batchSize {
+							rs.flushDelta()
+						}
+					}
+					continue
+				}
+			}
 			if no != cur && k > 0 {
 				rs.read(blocks[cur-imcu.StartBlk], cur, k, uint16(rs.perBlk))
 				k = 0

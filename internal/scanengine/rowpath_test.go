@@ -27,9 +27,10 @@ import (
 const benchUnitRows = 7143
 
 // newBenchUnit loads and populates the unit, then updates and invalidates pct
-// percent of its rows. Every varchar value is its own allocation, as on a
-// standby, where redo apply decodes each.
-func newBenchUnit(tb testing.TB, pct int) *fixture {
+// percent of its rows — saying what changed, as a standby's flush does, when
+// patched. Every varchar value is its own allocation, as on a standby, where
+// redo apply decodes each.
+func newBenchUnit(tb testing.TB, pct int, patched bool) *fixture {
 	tb.Helper()
 	c := primary.NewCluster(1, 128)
 	tbl, err := c.Instance(0).CreateTable(workload.WideTableSpec("C101", 1))
@@ -77,11 +78,17 @@ func newBenchUnit(tb testing.TB, pct int) *fixture {
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		if _, err := tx.Commit(); err != nil {
+		at, err := tx.Commit()
+		if err != nil {
 			tb.Fatal(err)
 		}
 		rid, _ := tbl.Index().Get(int64(id))
-		f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+		var patches []imcs.Patch
+		if patched {
+			after, _ := seg.Block(rid.DBA.Block()).LatestImage(rid.Slot, c.Txns())
+			patches = []imcs.Patch{{Row: after, Cols: []uint16{uint16(col)}}}
+		}
+		f.store.Invalidate(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot}, at, patches)
 	}
 	return f
 }
@@ -104,25 +111,34 @@ func benchMix(f *fixture) map[string]*scanengine.Query {
 
 // BenchmarkScanInvalid times the bench's query classes over one unit with 1, 6
 // and 25 % of its rows invalid; rows_rowstore/op is the number that took the
-// row-store path.
+// row-store path. The -delta runs are over the same unit with the invalid rows
+// explained by its column delta: rows_delta/op is how many it served, and the
+// time per invalid row is the difference to the 1pct run over the difference in
+// rows.
 func BenchmarkScanInvalid(b *testing.B) {
-	for _, pct := range []int{1, 6, 25} {
-		f := newBenchUnit(b, pct)
-		ex, snap := f.exec(), f.c.Snapshot()
-		for _, class := range []string{"q1", "agg", "grp"} {
-			q := benchMix(f)[class]
-			b.Run(fmt.Sprintf("%s/%dpct", class, pct), func(b *testing.B) {
-				b.ReportAllocs()
-				var served int64
-				for i := 0; i < b.N; i++ {
-					res, err := ex.Run(q, snap)
-					if err != nil {
-						b.Fatal(err)
-					}
-					served = res.FromRowStore
+	for _, patched := range []bool{false, true} {
+		for _, pct := range []int{1, 6, 25} {
+			f := newBenchUnit(b, pct, patched)
+			ex, snap := f.exec(), f.c.Snapshot()
+			for _, class := range []string{"q1", "agg", "grp"} {
+				q := benchMix(f)[class]
+				name := fmt.Sprintf("%s/%dpct", class, pct)
+				if patched {
+					name += "-delta"
 				}
-				b.ReportMetric(float64(served), "rows_rowstore/op")
-			})
+				b.Run(name, func(b *testing.B) {
+					b.ReportAllocs()
+					var res *scanengine.Result
+					for i := 0; i < b.N; i++ {
+						var err error
+						if res, err = ex.Run(q, snap); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(res.FromRowStore), "rows_rowstore/op")
+					b.ReportMetric(float64(res.FromDelta), "rows_delta/op")
+				})
+			}
 		}
 	}
 }
@@ -171,19 +187,40 @@ func rowPathShapes(tbl *rowstore.Table) []scantest.Case {
 // covers — at the newest snapshot and at one older than the last commits. Each
 // result must equal the serial scan of the row store alone, byte for byte, and
 // serve every row from the path its SMU state prescribes.
+//
+// The sweep runs three times: with invalidations that say nothing (every
+// invalid row opaque), with each commit's invalidations saying what it changed
+// (the rows explained by the units' deltas, up to their bound, at the newest
+// snapshot and newer than the older one), and with those deltas forgotten by
+// every other unit before the scans.
 func TestDifferentialRowPath(t *testing.T) {
+	for _, mode := range []string{"opaque", "delta", "dropped"} {
+		for _, pct := range []int{0, 1, 6, 25, 100} {
+			t.Run(fmt.Sprintf("%s/%dpct", mode, pct), func(t *testing.T) { differentialRowPath(t, pct, mode) })
+		}
+	}
+}
+
+func differentialRowPath(t *testing.T, pct int, mode string) {
 	const rows = 1600
-	for _, pct := range []int{0, 1, 6, 25, 100} {
-		t.Run(fmt.Sprintf("%dpct", pct), func(t *testing.T) {
+	{
+		{
 			f := newFixture(t, rows, true)
 			f.eng.Stop() // what changes below stays unpopulated
 			s := f.tbl.Schema()
 			seg := f.tbl.Segments()[0]
 			n1, c1 := s.Col(1).Slot(), s.Col(2).Slot()
-			invalidate := func(ids ...int64) {
+			// invalidate flushes the rows a transaction committed at SCN at
+			// changed: patch-less, or with their after-images and the columns
+			// update declares.
+			invalidate := func(at scn.SCN, deleted bool, ids ...int64) {
 				for _, id := range ids {
 					if rid, ok := f.tbl.Index().Get(id); ok {
-						f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
+						var patches []imcs.Patch
+						if after, _ := seg.Block(rid.DBA.Block()).LatestImage(rid.Slot, f.c.Txns()); mode != "opaque" {
+							patches = []imcs.Patch{{Row: after, Cols: []uint16{1, 2}, Deleted: deleted}}
+						}
+						f.store.Invalidate(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot}, at, patches)
 					}
 				}
 			}
@@ -211,15 +248,16 @@ func TestDifferentialRowPath(t *testing.T) {
 				for _, id := range changed {
 					update(tx, int64(id), round)
 				}
-				if _, err := tx.Commit(); err != nil {
+				at, err := tx.Commit()
+				if err != nil {
 					t.Fatal(err)
+				}
+				for _, id := range changed {
+					invalidate(at, false, int64(id))
 				}
 				if round == 1 {
 					snaps = append(snaps, f.c.Snapshot())
 				}
-			}
-			for _, id := range changed {
-				invalidate(int64(id))
 			}
 			// Deleted rows; an aborted transaction's versions, some of them on rows
 			// the SMU marks invalid anyway; tail rows and blocks past the units.
@@ -229,15 +267,15 @@ func TestDifferentialRowPath(t *testing.T) {
 				deleted = append(deleted, id)
 			}
 			for _, id := range deleted {
-				rid, _ := f.tbl.Index().Get(id)
 				if err := tx.DeleteByID(f.tbl, id); err != nil {
 					t.Fatal(err)
 				}
-				f.store.InvalidateRows(seg.Obj(), rid.DBA.Block(), []uint16{rid.Slot})
 			}
-			if _, err := tx.Commit(); err != nil {
+			at, err := tx.Commit()
+			if err != nil {
 				t.Fatal(err)
 			}
+			invalidate(at, true, deleted...)
 			tx = f.c.Instance(0).Begin()
 			for id := int64(11); id < rows; id += 83 {
 				if _, ok := f.tbl.Index().Get(id); ok {
@@ -265,6 +303,13 @@ func TestDifferentialRowPath(t *testing.T) {
 			}
 			defer open.Abort()
 			snaps = append(snaps, f.c.Snapshot())
+			if mode == "dropped" {
+				for i, u := range f.store.Units(seg.Obj()) {
+					if i%2 == 0 {
+						u.ForgetDelta()
+					}
+				}
+			}
 
 			for _, snap := range snaps {
 				n := scantest.Diff(t, scantest.Options{
@@ -282,11 +327,17 @@ func TestDifferentialRowPath(t *testing.T) {
 				if newest && (res.FromTail == 0 || res.FromRowStore == res.FromInvalid+res.FromTail) {
 					t.Fatalf("paths at %d: %+v", snap, scantest.PathsOf(res))
 				}
-				if pct == 100 && res.FromIMCS != 0 {
-					t.Fatalf("%d rows from the column store of a fully invalid store", res.FromIMCS)
+				if pct == 100 && res.FromIMCS != res.FromDelta {
+					t.Fatalf("%d rows from the columns alone of a fully invalid store", res.FromIMCS-res.FromDelta)
+				}
+				// What the deltas serve: nothing when no flush said what changed
+				// or every changed row has a newer commit than the snapshot; the
+				// changed rows otherwise, as far as the deltas' bound lets them.
+				if served := res.FromDelta > 0; served != (mode != "opaque" && newest && pct > 0) {
+					t.Fatalf("%s store at %d (newest: %v): %d rows from the deltas", mode, snap, newest, res.FromDelta)
 				}
 			}
-		})
+		}
 	}
 }
 
@@ -307,7 +358,7 @@ func (v *countingView) Lookup(id scn.TxnID) (rowstore.TxnStatus, scn.SCN) {
 // version population already resolved — and every scan after it, at the same
 // snapshot or a later one, asks nothing.
 func TestInvalidScanLookups(t *testing.T) {
-	f := newBenchUnit(t, 6)
+	f := newBenchUnit(t, 6, false)
 	view := &countingView{TxnView: f.c.Txns()}
 	ex := scanengine.NewExecutor(view, f.store)
 	snap := f.c.Snapshot()
@@ -355,7 +406,7 @@ func TestInvalidScanLookups(t *testing.T) {
 // unit with 1 %.
 func TestAllocsPerRunInvalidScan(t *testing.T) {
 	cost := func(pct int) map[string]float64 {
-		f := newBenchUnit(t, pct)
+		f := newBenchUnit(t, pct, false)
 		ex, snap := f.exec(), f.c.Snapshot()
 		out := map[string]float64{}
 		for class, q := range benchMix(f) {
@@ -385,7 +436,7 @@ func TestAllocsPerRunInvalidScan(t *testing.T) {
 // worker's scratch, and a clean store never touches it.
 func TestAllocsPerRunGroupByInvalid(t *testing.T) {
 	cost := func(pct int) (objects, bytes float64, byValue int) {
-		f := newBenchUnit(t, pct)
+		f := newBenchUnit(t, pct, false)
 		ex, snap, q := f.exec(), f.c.Snapshot(), benchMix(f)["grp"]
 		byValue, err := ex.GroupsByValue(q, snap)
 		if err != nil {
@@ -410,5 +461,74 @@ func TestAllocsPerRunGroupByInvalid(t *testing.T) {
 	if objs > cleanObjs+6 || bytes > cleanBytes+4096 {
 		t.Errorf("GRP over 6 %% invalid rows: %.0f allocs / %.0f bytes, over a clean store %.0f / %.0f: want the same plus a constant",
 			objs, bytes, cleanObjs, cleanBytes)
+	}
+}
+
+// TestDeltaScanTouchesNoBlock: over a unit whose every invalid row the column
+// delta explains, no query class latches a block for them or asks the
+// transaction table anything — not on the first scan either: the IMCU and the
+// delta serve all. (The one block every scan of this unit latches is its last,
+// which has room for tail rows.)
+func TestDeltaScanTouchesNoBlock(t *testing.T) {
+	const tailBlocks = 1
+	f := newBenchUnit(t, 6, true)
+	view := &countingView{TxnView: f.c.Txns()}
+	ex := scanengine.NewExecutor(view, f.store)
+	snap := f.c.Snapshot()
+	queries := benchMix(f)
+	queries["full"] = &scanengine.Query{Table: f.tbl, Parallel: 1}
+	for class, q := range queries {
+		res, err := ex.Run(q, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowBlocks != tailBlocks || res.FromRowStore != 0 || view.lookups.Load() != 0 {
+			t.Errorf("%s: %d blocks latched, %d rows from the row store, %d transaction-table lookups; want none",
+				class, res.RowBlocks, res.FromRowStore, view.lookups.Load())
+		}
+		if invalid := int64(benchUnitRows * 6 / 100); class == "full" && (res.FromDelta != invalid || res.FromIMCS != benchUnitRows) {
+			t.Errorf("full scan: %d of %d rows from the delta, %d from the column store in all", res.FromDelta, invalid, res.FromIMCS)
+		}
+	}
+	// The same rows the row store holds, whichever way they are read.
+	scantest.Diff(t, scantest.Options{
+		NewExec: func() *scanengine.Executor { return scanengine.NewExecutor(f.c.Txns(), f.store) }, Reference: f.execNoIMCS,
+		Snap: snap, Parallel: []int{1, 2}, MorselRows: []int{0, 100},
+	}, scantest.Case{Name: "q1", Query: func() *scanengine.Query { q := *benchMix(f)["q1"]; q.OrderByRowID = true; return &q }},
+		scantest.Case{Name: "q2", Query: func() *scanengine.Query {
+			return &scanengine.Query{Table: f.tbl, OrderByRowID: true, Filters: []scanengine.Filter{scanengine.EqStr(f.tbl.Schema().ColIndex("c1"), "val_0042")}}
+		}},
+		scantest.Case{Name: "agg", Query: func() *scanengine.Query { q := *benchMix(f)["agg"]; return &q }},
+		scantest.Case{Name: "grp", Query: func() *scanengine.Query { q := *benchMix(f)["grp"]; return &q }})
+}
+
+// TestAllocsPerRunDeltaScan guards the delta-served path as
+// TestAllocsPerRunInvalidScan guards the row-store one: over a unit with 6 % of
+// its rows explained by the delta the query classes allocate what they do over
+// one with 1 % — the view's copy of the delta comes out of pooled plan memory,
+// the batch out of the worker's scratch.
+func TestAllocsPerRunDeltaScan(t *testing.T) {
+	cost := func(pct int) map[string]float64 {
+		f := newBenchUnit(t, pct, true)
+		ex, snap := f.exec(), f.c.Snapshot()
+		out := map[string]float64{}
+		for class, q := range benchMix(f) {
+			if res, err := ex.Run(q, snap); err != nil || res.RowBlocks > 1 {
+				t.Fatalf("%s: err=%v, %d blocks latched", class, err, res.RowBlocks)
+			}
+			out[class], _ = runCost(t, func() {
+				if _, err := ex.Run(q, snap); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return out
+	}
+	few, many := cost(1), cost(6)
+	for class := range many {
+		t.Logf("%s: %.0f allocs at 1 %% explained, %.0f at 6 %%", class, few[class], many[class])
+		if many[class] > few[class]+3 { // one batch of result rows, as on the row path
+			t.Errorf("%s: %.0f allocs per run at 6 %% delta-served rows, %.0f at 1 %%", class, many[class], few[class])
+		}
 	}
 }

@@ -57,30 +57,29 @@ type Options struct {
 	View  rowstore.TxnView
 }
 
-// Paths is a result's matching rows by serving path: compressed columns,
+// Paths is a result's matching rows by serving path: compressed columns —
+// Delta of them SMU-invalid rows patched from the unit's column delta —
 // SMU-invalid rows re-read from the row store, rows appended to a unit's
 // blocks after population, and rows of blocks no usable unit covers.
-type Paths struct{ IMCS, Invalid, Tail, Range int64 }
+type Paths struct{ IMCS, Delta, Invalid, Tail, Range int64 }
 
 // PathsOf reads a result's per-path counters.
 func PathsOf(res *scanengine.Result) Paths {
-	return Paths{res.FromIMCS, res.FromInvalid, res.FromTail, res.FromRowStore - res.FromInvalid - res.FromTail}
+	return Paths{res.FromIMCS, res.FromDelta, res.FromInvalid, res.FromTail, res.FromRowStore - res.FromInvalid - res.FromTail}
 }
 
 // ExpectPaths says where a scan at snap must serve each matching row of the
 // table's segments from, by the rule of the paper's §II.B and nothing the
 // executor computes: a row visible at snap comes from its unit's IMCU unless
-// the SMU marks its position invalid (or a gap), from the row store as a tail
-// row when the IMCU never captured its slot, and from a plain row-store range
-// when no unit usable at snap covers its block.
+// the SMU marks its position invalid (or a gap) — and then still, patched, when
+// the unit's delta holds entries for the position and none of a commit after
+// snap — from the row store as a tail row when the IMCU never captured its
+// slot, and from a plain row-store range when no unit usable at snap covers its
+// block.
 func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, snap scn.SCN, match func(rowstore.Image) bool) Paths {
 	var want Paths
 	for _, seg := range tbl.Segments() {
-		type unitView struct {
-			imcu    *imcs.IMCU
-			invalid []uint64
-		}
-		views := map[*imcs.Unit]unitView{}
+		views := map[*imcs.Unit]*imcs.View{}
 		seg.Scan(snap, view, func(rid rowstore.RowID, row rowstore.Image) bool {
 			if !match(row) {
 				return true
@@ -93,28 +92,45 @@ func ExpectPaths(tbl *rowstore.Table, store *imcs.Store, view rowstore.TxnView, 
 			}
 			v, seen := views[u]
 			if !seen {
-				if imcu, invalid, usable := u.ScanView(); usable && imcu.SnapSCN <= snap && imcu.Schema() == tbl.Schema() {
-					v = unitView{imcu, invalid}
+				v = new(imcs.View)
+				if !u.View(v) || v.IMCU.SnapSCN > snap || v.IMCU.Schema() != tbl.Schema() {
+					v.Release()
 				}
 				views[u] = v
 			}
-			if v.imcu == nil {
+			if v.IMCU == nil {
 				want.Range++
 				return true
 			}
-			pos, captured := v.imcu.RowIndexOf(blk, rid.Slot)
+			pos, captured := v.IMCU.RowIndexOf(blk, rid.Slot)
 			switch {
 			case !captured:
 				want.Tail++
-			case v.invalid[pos/64]&(1<<uint(pos%64)) != 0:
-				want.Invalid++
-			default:
+			case v.Invalid[pos/64]&(1<<uint(pos%64)) == 0:
 				want.IMCS++
+			case explained(v, imcs.DeltaAddr(blk-v.IMCU.StartBlk, rid.Slot), snap):
+				want.IMCS++
+				want.Delta++
+			default:
+				want.Invalid++
 			}
 			return true
 		})
 	}
 	return want
+}
+
+// explained reports whether v's delta holds entries for the row at addr and
+// none of a commit after snap.
+func explained(v *imcs.View, addr uint64, snap scn.SCN) bool {
+	i := v.Seek(addr)
+	first := i
+	for ; i < len(v.Delta) && v.Delta[i].Key>>16 == addr>>16; i++ {
+		if v.Delta[i].SCN > snap {
+			return false
+		}
+	}
+	return i > first
 }
 
 // Canonical renders a scan result into a byte-comparable string: materialized

@@ -480,15 +480,15 @@ func (inst *Instance) advanceTo(target scn.SCN, live bool) {
 			inst.pendingWL.Store(wl)
 		}
 		inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
-		for !wl.Drained() {
-			if live {
-				select {
-				case <-inst.stop:
-					return
-				default:
-				}
+		// A cooperative helper may still be flushing the batch it claimed.
+		if live {
+			select {
+			case <-wl.Done():
+			case <-inst.stop:
+				return
 			}
-			time.Sleep(10 * time.Microsecond)
+		} else {
+			<-wl.Done()
 		}
 		inst.pendingWL.Store(nil)
 	}

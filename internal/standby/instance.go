@@ -761,8 +761,18 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().PopulatedUnits) })
 	r.GaugeFunc("imcs_invalid_rows", "rows currently marked invalid across SMUs",
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().InvalidRows) })
-	r.GaugeFunc("imcs_mem_bytes", "column store memory footprint",
+	r.GaugeFunc("imcs_mem_bytes", "column store memory footprint, IMCUs and column deltas",
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().MemBytes) })
+	r.GaugeFunc("imcs_delta_entries", "column values the units' deltas hold for invalid rows",
+		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().DeltaEntries) })
+	r.GaugeFunc("imcs_delta_bytes", "memory footprint of the units' column deltas",
+		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().DeltaBytes) })
+	r.GaugeFunc("imcs_opaque_rows", "invalid rows no delta explains: scans read them from the row store",
+		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().OpaqueRows) })
+	r.CounterFunc("imcs_cols_patched_total", "column values IMCU builds took from a delta in place of a row read",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().ColsPatched) })
+	r.CounterFunc("imcs_cols_shared_total", "column objects IMCU builds took over unchanged from the old image",
+		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().ColsShared) })
 
 	if inst.ckpt != nil {
 		r.CounterFunc("checkpoint_written_total", "checkpoint snapshots installed on disk",
@@ -793,6 +803,8 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { return float64(inst.scanStats.Queries()) })
 	r.CounterFunc("scan_rows_from_imcs_total", "matching rows served from the column store",
 		func() float64 { return float64(inst.scanStats.RowsFromIMCS()) })
+	r.CounterFunc("scan_rows_from_delta_total", "of the rows served from the column store, invalid ones patched from a unit's column delta",
+		func() float64 { return float64(inst.scanStats.RowsFromDelta()) })
 	r.CounterFunc("scan_rows_from_rowstore_total", "matching rows served from the row store",
 		func() float64 { return float64(inst.scanStats.RowsFromRowStore()) })
 	r.CounterFunc("scan_rowstore_blocks_total", "blocks latched by scans serving invalid, tail and uncovered rows from the row store",

@@ -217,8 +217,10 @@ func TestInvalidationFlowEndToEnd(t *testing.T) {
 	if len(res.Rows) != 4 {
 		t.Fatalf("updated rows visible = %d, want 4 (stats %+v)", len(res.Rows), p.sby.Stats())
 	}
-	if res.FromRowStore != 4 {
-		t.Fatalf("updated rows must come from the row store, got FromRowStore=%d", res.FromRowStore)
+	// The flush said what changed: the stale IMCU rows are patched from the
+	// unit's column delta, and nothing goes to the row store.
+	if res.FromDelta != 4 || res.FromRowStore != 0 {
+		t.Fatalf("updated rows must come from the column delta, got FromDelta=%d FromRowStore=%d", res.FromDelta, res.FromRowStore)
 	}
 	st := p.sby.Stats()
 	if st.MinedRecords == 0 || st.FlushedRecords == 0 {

@@ -177,7 +177,10 @@ func (tx *Txn) route(tbl *rowstore.Table, schema *rowstore.Schema, row rowstore.
 
 // UpdateByID updates the row with the given identity key. mutate modifies a
 // copy of the current image in place; changedCols lists the schema column
-// indexes it modifies (recorded in redo for the mining component).
+// indexes it modifies. The list goes into the redo record as given, and the
+// standby patches its column store with those columns and no other, so a change
+// outside a non-empty list fails with rowstore.ErrUndeclaredChange and writes
+// nothing; an empty list says "unknown" and the standby re-reads the row.
 func (tx *Txn) UpdateByID(tbl *rowstore.Table, id int64, changedCols []uint16, mutate func(*rowstore.Row)) error {
 	idx := tbl.Index()
 	if idx == nil {
@@ -205,7 +208,7 @@ func (tx *Txn) UpdateAt(tbl *rowstore.Table, rid rowstore.RowID, changedCols []u
 	if blk == nil {
 		return fmt.Errorf("txn: no block %v", rid.DBA)
 	}
-	after, err := blk.Update(rid.Slot, tx.id, tx.m.table, &tx.scratch, mutate)
+	after, err := blk.Update(rid.Slot, tx.id, tx.m.table, &tx.scratch, tbl.Schema(), changedCols, mutate)
 	if err != nil {
 		return err
 	}
