@@ -616,15 +616,17 @@ func (c *Cluster) WaitPopulated(timeout time.Duration) bool {
 
 // Vacuum prunes primary row versions up to the standby's applied watermark
 // (safe: the standby re-reads redo, not row versions) and the standby's
-// replica up to its QuerySCN. Long-running deployments call this
-// periodically.
+// replica up to its QuerySCN, or the oldest snapshot a reader holds there;
+// a later read below that fails with ErrSnapshotTooOld. The standby reclaims
+// behind its repopulations on its own; this pass also covers tables without
+// a column store.
 func (c *Cluster) Vacuum() {
 	q := c.sby.QuerySCN()
 	if q == 0 {
 		return
 	}
 	c.pri.Vacuum(q)
-	c.sby.DB().Vacuum(q, c.sby.Txns())
+	c.sby.DB().Vacuum(rowstore.SnapshotsOf(c.sby.Txns()).Reclaim(q), c.sby.Txns())
 }
 
 // ClusterStats aggregates deployment statistics.

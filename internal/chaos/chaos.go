@@ -185,6 +185,10 @@ type Result struct {
 	// HybridRowBlocks counts the blocks the quiesce checks' hybrid scans
 	// latched on the row-store serving path.
 	HybridRowBlocks int64
+	// Reads at an old snapshot, one per quiesce point: answered as the primary
+	// CR answers, or refused because repopulations reclaimed below it.
+	OldSnapsServed  int
+	OldSnapsRefused int
 }
 
 // rowsPerBlock / base workload shape: small blocks and IMCUs so a modest row

@@ -44,7 +44,8 @@ func runSeed(t *testing.T, opts Options) *Result {
 		t.Fatalf("seed %d: watchdog reported %d stall(s) in a passing run (false positive)",
 			opts.Seed, res.Stalls)
 	}
-	t.Logf("seed %d: %d home-share reader(s)", opts.Seed, res.ShareReaders)
+	t.Logf("seed %d: %d home-share reader(s), old snapshots %d served / %d refused",
+		opts.Seed, res.ShareReaders, res.OldSnapsServed, res.OldSnapsRefused)
 	return res
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -131,6 +132,13 @@ func (o *oracle) liveProbe() error {
 	if err != nil {
 		return nil // replication of the CREATE TABLE marker still in flight
 	}
+	// Three scans at one SCN under live writers: the probe holds the snapshot,
+	// or a repopulation may reclaim versions the later ones read.
+	snaps := rowstore.SnapshotsOf(r.sby.Txns())
+	if snaps.Pin(q) != nil {
+		return nil // reclaimed between the read and the pin
+	}
+	defer snaps.Unpin(q)
 	r.res.Checks++
 
 	hybrid := r.newExec(r.sby.Txns(), r.flt.Stores()...)
@@ -291,6 +299,10 @@ func (o *oracle) quiesceCheck() error {
 		return r.fail("GROUP BY diverges at %d (standby vs primary CR): %q vs %q", q, hg, gg)
 	}
 
+	if err := o.oldSnapshotCheck(hybrid, pri, tbl, q); err != nil {
+		return err
+	}
+
 	// (4) IMCU coverage: every chunk of every segment must be covered by a
 	// unit (populated or placeholder) on exactly one instance — its home —
 	// after the engines settled.
@@ -318,6 +330,34 @@ func (o *oracle) quiesceCheck() error {
 	// pipeline stages missing. Spans interrupted by a crash-restart are
 	// explicitly truncated — counted, never leaked.
 	return o.freshnessCheck(r.sby, q)
+}
+
+// oldSnapshotCheck reads at a random SCN up to 200 below the quiescent
+// QuerySCN q: the standby's hybrid scan must answer what the primary's CR
+// does there, or refuse with rowstore.ErrSnapshotTooOld where repopulations
+// reclaimed the versions it needs. Never a different answer.
+func (o *oracle) oldSnapshotCheck(hybrid, pri *scanengine.Executor, tbl *rowstore.Table, q scn.SCN) error {
+	r := o.r
+	// Drawn off the storm's generator, whose schedule stays the seed's.
+	s := q - scn.SCN((uint64(q)*0x9E3779B97F4A7C15^uint64(r.opts.Seed))%uint64(min(q, 201)))
+	h, _, err := canonScan(hybrid, tbl, s)
+	if errors.Is(err, rowstore.ErrSnapshotTooOld) {
+		r.res.OldSnapsRefused++
+		return nil
+	}
+	if err != nil {
+		return r.fail("hybrid scan at old snapshot %d: %v", s, err)
+	}
+	g, _, err := canonScan(pri, r.tbl, s)
+	if err != nil {
+		return r.fail("primary CR scan at old snapshot %d: %v", s, err)
+	}
+	if h != g {
+		return r.fail("scans diverge at old snapshot %d, QuerySCN %d (standby vs primary CR): %s",
+			s, q, diffKeys(h, g))
+	}
+	r.res.OldSnapsServed++
+	return nil
 }
 
 // freshnessCheck asserts the complete-span invariant on inst's tracer with

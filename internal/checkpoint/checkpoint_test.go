@@ -78,7 +78,9 @@ func newFixture(t *testing.T, rows int64) *fixture {
 	targets := func() []imcs.Target {
 		return []imcs.Target{{Seg: tbl.Segments()[0], Table: tbl}}
 	}
-	eng := imcs.NewEngine(store, c.Txns(), prisnap{c}, targets, imcs.Config{BlocksPerIMCU: 4, Workers: 2})
+	// No scheduler tick in a test's lifetime: WaitIdle's own passes schedule
+	// every build, so none starts while a test is still invalidating rows.
+	eng := imcs.NewEngine(store, c.Txns(), prisnap{c}, targets, imcs.Config{BlocksPerIMCU: 4, Workers: 2, Interval: time.Hour})
 	eng.Start()
 	t.Cleanup(eng.Stop)
 	if !eng.WaitIdle(5 * time.Second) {

@@ -135,16 +135,6 @@ func (t *CommitTable) Chop(upTo scn.SCN) *Worklink {
 	return w
 }
 
-// Reset drops all state (standby instance restart).
-func (t *CommitTable) Reset() {
-	for i := range t.parts {
-		p := &t.parts[i]
-		p.mu.Lock()
-		p.head, p.tail, p.n = nil, nil, 0
-		p.mu.Unlock()
-	}
-}
-
 // Worklink is a chopped batch of commit nodes whose invalidations must be
 // flushed before a new QuerySCN publishes. The recovery coordinator and the
 // recovery workers drain it cooperatively: each claims batches through

@@ -45,10 +45,6 @@ func TestJournalAnchorsAndAreas(t *testing.T) {
 	if j.Len() != 1 {
 		t.Fatalf("Len = %d", j.Len())
 	}
-	j.Reset()
-	if j.Len() != 0 {
-		t.Fatal("reset left anchors")
-	}
 }
 
 func TestJournalConcurrentWorkers(t *testing.T) {

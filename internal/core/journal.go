@@ -10,6 +10,7 @@ package core
 
 import (
 	"sync"
+	"unsafe"
 
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/redo"
@@ -24,9 +25,9 @@ import (
 //
 // CV, a step past the paper, is the change vector itself when it is an update
 // or a delete: it says what changed (the after-image, ChangedCols), which the
-// flush hands to the unit's column delta. The redo log holds the record the CV
-// belongs to for as long as the journal does. Nil means only "this row
-// changed".
+// flush hands to the unit's column delta. The record it belongs to may have
+// left the redo log (a TCP mirror releases what the merger dispatched): the
+// pointer keeps the change vector. Nil means only "this row changed".
 type InvalRecord struct {
 	Obj  rowstore.ObjID
 	Blk  rowstore.BlockNo
@@ -179,12 +180,16 @@ func (j *Journal) Len() int {
 	return n
 }
 
-// Reset drops all state (standby instance restart: the journal has no
-// persistent footprint, §III.E).
-func (j *Journal) Reset() {
+// MemBytes returns what the anchors and their records take.
+func (j *Journal) MemBytes() int64 {
+	var n int64
 	for i := range j.buckets {
 		j.buckets[i].mu.Lock()
-		j.buckets[i].m = make(map[scn.TxnID]*Anchor)
+		for _, a := range j.buckets[i].m {
+			n += int64(unsafe.Sizeof(*a)) + int64(unsafe.Sizeof(a.areas[0]))*int64(len(a.areas)) +
+				int64(unsafe.Sizeof(InvalRecord{}))*int64(a.RecordCount())
+		}
 		j.buckets[i].mu.Unlock()
 	}
+	return n
 }

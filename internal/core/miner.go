@@ -174,10 +174,3 @@ func (t *DDLTable) Len() int {
 	defer t.mu.Unlock()
 	return len(t.entries)
 }
-
-// Reset drops all state (standby instance restart).
-func (t *DDLTable) Reset() {
-	t.mu.Lock()
-	t.entries = nil
-	t.mu.Unlock()
-}

@@ -219,7 +219,7 @@ func BenchmarkRepopulate(b *testing.B) {
 				f.updateRows(b, rng, benchUnitRows, changed, patched)
 				// Keep the update's garbage out of the measurement: without
 				// this the collector runs beside most merges.
-				f.seg.Vacuum(f.c.Snapshot(), f.c.Txns())
+				f.seg.ForEachBlock(func(b *rowstore.Block) bool { b.Vacuum(f.c.Snapshot(), f.c.Txns()); return true })
 				runtime.GC()
 				b.StartTimer()
 				benchSink, reread = f.repopulate(b, unit)

@@ -166,56 +166,3 @@ func (s *Series) Points() []Point {
 	copy(out, s.points)
 	return out
 }
-
-// CPUAccount tracks busy time attributed to a component; the ratio of busy
-// time to (wall x cores) approximates the CPU-usage percentages of §IV.
-type CPUAccount struct {
-	mu    sync.Mutex
-	busy  time.Duration
-	since time.Time
-}
-
-// NewCPUAccount starts an account anchored at now.
-func NewCPUAccount() *CPUAccount {
-	return &CPUAccount{since: time.Now()}
-}
-
-// Add attributes busy time to the account.
-func (a *CPUAccount) Add(d time.Duration) {
-	a.mu.Lock()
-	a.busy += d
-	a.mu.Unlock()
-}
-
-// Track runs f and attributes its wall time to the account.
-func (a *CPUAccount) Track(f func()) {
-	start := time.Now()
-	f()
-	a.Add(time.Since(start))
-}
-
-// Busy returns the accumulated busy time.
-func (a *CPUAccount) Busy() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.busy
-}
-
-// UtilizationPct returns busy / (elapsed * cores) as a percentage.
-func (a *CPUAccount) UtilizationPct(cores int) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	elapsed := time.Since(a.since)
-	if elapsed <= 0 || cores <= 0 {
-		return 0
-	}
-	return 100 * float64(a.busy) / (float64(elapsed) * float64(cores))
-}
-
-// Reset zeroes the account and re-anchors it at now.
-func (a *CPUAccount) Reset() {
-	a.mu.Lock()
-	a.busy = 0
-	a.since = time.Now()
-	a.mu.Unlock()
-}

@@ -120,22 +120,3 @@ func TestSeries(t *testing.T) {
 		t.Fatal("elapsed not monotone")
 	}
 }
-
-func TestCPUAccount(t *testing.T) {
-	a := NewCPUAccount()
-	a.Add(10 * time.Millisecond)
-	a.Track(func() { time.Sleep(time.Millisecond) })
-	if a.Busy() < 11*time.Millisecond {
-		t.Fatalf("Busy = %v", a.Busy())
-	}
-	if pct := a.UtilizationPct(1); pct <= 0 || pct > 100*1000 {
-		t.Fatalf("UtilizationPct = %v", pct)
-	}
-	if a.UtilizationPct(0) != 0 {
-		t.Fatal("zero cores should yield 0")
-	}
-	a.Reset()
-	if a.Busy() != 0 {
-		t.Fatal("Reset did not zero")
-	}
-}

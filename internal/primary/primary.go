@@ -90,9 +90,6 @@ func NewClusterFrom(n int, db *rowstore.Database, txns *txn.Table, services *ser
 	return c
 }
 
-// Roles returns the role set this cluster's node serves.
-func (c *Cluster) Roles() service.Role { return c.roles }
-
 // SetDBIMHook installs the primary-side column-store maintenance hook. It
 // must be set before transactional activity begins.
 func (c *Cluster) SetDBIMHook(h txn.DBIMHook) {

@@ -164,17 +164,6 @@ func (s *Segment) RowCountVisible(snap scn.SCN, view TxnView) int {
 	return n
 }
 
-// Vacuum prunes version chains in every block with the given horizon and
-// returns the number of versions freed.
-func (s *Segment) Vacuum(horizon scn.SCN, view TxnView) int {
-	freed := 0
-	s.ForEachBlock(func(b *Block) bool {
-		freed += b.Vacuum(horizon, view)
-		return true
-	})
-	return freed
-}
-
 // Truncate discards all blocks (TRUNCATE DDL). Subsequent inserts start a new
 // block layout; the standby mirrors this through a truncate change vector.
 func (s *Segment) Truncate() {

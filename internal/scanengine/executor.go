@@ -200,6 +200,7 @@ func (p *PathStats) add(r *Result) {
 // query can reach; an empty list is the paper's "without DBIM" baseline).
 type Executor struct {
 	view   rowstore.TxnView
+	snaps  *rowstore.Snapshots // every run pins its snapshot here
 	stores []*imcs.Store
 
 	// Obs, when set, accumulates every Run's path counters (shared across the
@@ -224,7 +225,7 @@ type Executor struct {
 
 // NewExecutor builds an executor. stores may be empty.
 func NewExecutor(view rowstore.TxnView, stores ...*imcs.Store) *Executor {
-	return &Executor{view: view, stores: stores}
+	return &Executor{view: view, snaps: rowstore.SnapshotsOf(view), stores: stores}
 }
 
 const batchSize = 1024 // rows per vectorized evaluation batch (multiple of 64)
@@ -401,6 +402,10 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result,
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := ex.snaps.Pin(snap); err != nil {
+		return nil, nil, fmt.Errorf("scanengine: scan at SCN %d: %w", snap, err)
+	}
+	defer ex.snaps.Unpin(snap)
 	var start time.Time
 	if profile != profNone {
 		start = time.Now()

@@ -89,15 +89,6 @@ func (r *Registry) RunsOn(name string, role Role) bool {
 	return ok && roles&role != 0
 }
 
-// Roles returns the roles the named service runs on, and whether the service
-// is registered at all.
-func (r *Registry) Roles(name string) (Role, bool) {
-	r.mu.RLock()
-	roles, ok := r.m[name]
-	r.mu.RUnlock()
-	return roles, ok
-}
-
 // Snapshot returns a copy of the full name → roles mapping. The broker uses
 // it to carry custom service registrations across a role transition.
 func (r *Registry) Snapshot() map[string]Role {

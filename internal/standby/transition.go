@@ -31,17 +31,7 @@ func (inst *Instance) FinishRecovery(timeout time.Duration) (scn.SCN, error) {
 	case <-time.After(timeout):
 		return 0, fmt.Errorf("standby: finish recovery: redo apply did not reach end-of-redo within %v", timeout)
 	}
-	for {
-		drained := true
-		for _, w := range inst.workers {
-			if w.applied.Load() != w.dispatched.Load() {
-				drained = false
-				break
-			}
-		}
-		if drained {
-			break
-		}
+	for inst.applyBacklog() > 0 {
 		if time.Now().After(deadline) {
 			return 0, fmt.Errorf("standby: finish recovery: apply workers did not drain within %v", timeout)
 		}

@@ -623,13 +623,32 @@ func (r *Receiver) jitter(d time.Duration) time.Duration {
 	}
 }
 
-// ResumeSCN returns the SCN this receiver was dialed at: its mirror streams
-// begin there, so redo below it is NOT available from this source. A standby
-// restoring an IMCS checkpoint compares this against the checkpoint SCN to
-// decide whether the archived-log catch-up window is satisfiable (see
-// standby.Instance.Restart); in-process sources expose the whole archived log
-// and have no such limit.
-func (r *Receiver) ResumeSCN() scn.SCN { return r.from }
+// ResumeSCN returns the first SCN this receiver can still serve: the SCN it
+// was dialed at, or past the newest record its consumer released from a mirror
+// (the standby's merger releases what it has dispatched). Redo below it is NOT
+// available from this source. A standby restoring an IMCS checkpoint compares
+// this against the checkpoint SCN to decide whether the archived-log catch-up
+// window is satisfiable (see standby.Instance.Restart); in-process sources
+// expose the whole archived log and have no such limit.
+func (r *Receiver) ResumeSCN() scn.SCN {
+	from := r.from
+	for _, m := range r.mirrors {
+		if _, _, rel := m.Held(); rel != scn.Invalid {
+			from = max(from, rel+1)
+		}
+	}
+	return from
+}
+
+// Held returns the records the mirrors still hold and what they take besides
+// their row images (see redo.Stream.Held).
+func (r *Receiver) Held() (records int, bytes int64) {
+	for _, m := range r.mirrors {
+		n, b, _ := m.Held()
+		records, bytes = records+n, bytes+b
+	}
+	return records, bytes
+}
 
 // Streams implements Source.
 func (r *Receiver) Streams() []*redo.Stream { return r.mirrors }

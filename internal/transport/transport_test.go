@@ -82,6 +82,39 @@ func TestTCPShipsRecords(t *testing.T) {
 	}
 }
 
+// TestTrimmedMirrorResumeSCN: a receiver serves from the SCN it was dialed at
+// until its consumer releases mirror records; from then on from just past the
+// newest one released, and its held count drops to the backlog.
+func TestTrimmedMirrorResumeSCN(t *testing.T) {
+	s1 := mkStream(1, 10, 20, 30, 40)
+	ln, _ := net.Listen("tcp", "127.0.0.1:0")
+	srv := NewServer(ln, s1)
+	defer srv.Close()
+	rcv, err := Connect(srv.Addr(), []uint16{1}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.Close()
+	mirror := rcv.Streams()[0]
+	if got := drain(t, mirror, 4, 5*time.Second); len(got) != 4 {
+		t.Fatalf("mirrored %d records, want 4", len(got))
+	}
+	if rs := rcv.ResumeSCN(); rs != 5 {
+		t.Fatalf("untrimmed ResumeSCN = %d, want the dial SCN 5", rs)
+	}
+	mirror.Release(2)
+	if rs, n := rcv.ResumeSCN(), mirror.Len(); rs != 21 || n != 4 {
+		t.Fatalf("after releasing two records: ResumeSCN %d, Len %d; want 21, 4", rs, n)
+	}
+	mirror.Release(4)
+	if rs := rcv.ResumeSCN(); rs != 41 {
+		t.Fatalf("after releasing all: ResumeSCN %d, want 41", rs)
+	}
+	if n, _ := rcv.Held(); n != 0 {
+		t.Fatalf("a drained mirror holds %d records", n)
+	}
+}
+
 func TestTCPReattachAtSCN(t *testing.T) {
 	s1 := mkStream(1, 10, 20, 30, 40)
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")

@@ -17,9 +17,11 @@ const tableShards = 64
 // Table is a sharded transaction table mapping transaction ids to their
 // lifecycle state and commitSCN. The primary updates it from the live
 // transaction manager; the standby updates it by applying begin/commit/abort
-// change vectors during redo apply. It implements rowstore.TxnView.
+// change vectors during redo apply. It implements rowstore.TxnView, and keeps
+// beside it the registry of snapshots its readers hold (rowstore.SnapshotsOf).
 type Table struct {
 	shards [tableShards]tableShard
+	snaps  rowstore.Snapshots
 }
 
 type tableShard struct {
@@ -85,6 +87,9 @@ func (t *Table) Lookup(id scn.TxnID) (rowstore.TxnStatus, scn.SCN) {
 	}
 	return e.status, e.commitSCN
 }
+
+// Snapshots returns the registry of the snapshots the table's readers hold.
+func (t *Table) Snapshots() *rowstore.Snapshots { return &t.snaps }
 
 // Forget drops entries for transactions committed at or before horizon,
 // bounding table growth. Safe only once no reader can use a snapshot below

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dbimadg/internal/imcs"
+	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/sqlmini"
@@ -219,7 +220,13 @@ func (s *Session) FetchByID(tbl *Table, id int64) (Row, bool, error) {
 	if blk == nil {
 		return Row{}, false, nil
 	}
-	img, ok := blk.ReadRow(rid.Slot, s.snap(), view, scn.InvalidTxn)
+	at := s.snap()
+	snaps := rowstore.SnapshotsOf(view)
+	if err := snaps.Pin(at); err != nil {
+		return Row{}, false, fmt.Errorf("dbimadg: fetch at SCN %d: %w", at, err)
+	}
+	defer snaps.Unpin(at)
+	img, ok := blk.ReadRow(rid.Slot, at, view, scn.InvalidTxn)
 	return img.Row(), ok, nil
 }
 

@@ -77,6 +77,10 @@ type (
 	ServiceRole = service.Role
 )
 
+// ErrSnapshotTooOld refuses a query or fetch at a snapshot below the standby's
+// reclaim floor: the row versions it needs were freed (Oracle's ORA-01555).
+var ErrSnapshotTooOld = rowstore.ErrSnapshotTooOld
+
 // Column kinds.
 const (
 	// NumberKind is a 64-bit integer column (NUMBER).
