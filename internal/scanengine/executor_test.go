@@ -64,9 +64,12 @@ func newFixtureFill(t testing.TB, rows, blocksPerIMCU int, fill func(i int64) (i
 	f := &fixture{c: c, tbl: tbl, store: imcs.NewStore(), fill: fill}
 	f.insert(t, 0, int64(rows))
 	if blocksPerIMCU > 0 {
+		// No scheduler tick in a test's lifetime: WaitIdle's and Scan's own
+		// passes schedule every build, so none starts while a test is still
+		// invalidating rows.
 		f.eng = imcs.NewEngine(f.store, c.Txns(), prisnap{c}, func() []imcs.Target {
 			return []imcs.Target{{Seg: tbl.Segments()[0], Table: tbl}}
-		}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Workers: 2})
+		}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Workers: 2, Interval: time.Hour})
 		f.eng.Start()
 		t.Cleanup(f.eng.Stop)
 		if !f.eng.WaitIdle(5 * time.Second) {
