@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-json bench-e2e bench-compare checkpoint-bench
+.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-e2e bench-compare checkpoint-bench
 
 # Seed count for the chaos harness; override as `make chaos CHAOS_SEEDS=100`.
 CHAOS_SEEDS ?= 10
@@ -119,8 +119,9 @@ leakcheck:
 
 verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
-# Root benchmarks, then IMCU construction: a full build of one bench-table
-# unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed
+# The two root benchmarks (warm failover against a cold repopulation, and the
+# checkpoint cold restart), then IMCU construction: a full build of one
+# bench-table unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed
 # (12.5pct-delta: changed in two columns the unit's delta explains), and one
 # patch appended to a delta; the packed compare and unpack kernels per bit
 # width, each beside the decode-then-compare reference; then the bench's query
@@ -129,33 +130,30 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 # table's keys again or as many new ones; last the row image (pack, one number,
 # one string, unpack) and the codec over a full-row record of the bench table.
 bench:
-	$(GO) test -bench=. -benchmem -run '^$$' .
+	$(GO) test -bench 'Failover|CheckpointRestart' -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate|DeltaAppend|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
 	$(GO) test -bench 'ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
 
-# Machine-readable benchmark results: runs the root benchmarks and converts
-# the -bench output into BENCH_<date>.json via cmd/benchjson.
-bench-json:
-	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -o BENCH_$$(date +%Y%m%d).json
-
 # End-to-end benchmark (bench/, declared in BENCHMARK.json): RUNS seeds per
 # workload from SEED into one result set, and the comparison of two result
-# sets — medians, quartiles and a verdict per workload and metric.
+# sets of one session — medians, quartiles and a verdict per workload and
+# metric. Across sessions, go run ./cmd/trajectory chains same-session ratios.
+# run.sh builds with go build, which stamps the commit into the set; go run
+# would record "unknown".
 RUNS ?= 10
 SEED ?= 100
 OUT ?= bench/out/results.json
 bench-e2e:
-	$(GO) run ./bench --runs $(RUNS) --seed $(SEED) --out $(OUT)
+	bash bench/run.sh --runs $(RUNS) --seed $(SEED) --out $(OUT)
 
-BASE ?= bench/baseline.json
 HEAD ?= $(OUT)
 bench-compare:
+	@if [ -z "$(BASE)" ]; then echo "usage: make bench-compare BASE=parent.json [HEAD=change.json]"; exit 2; fi
 	$(GO) run ./bench --compare $(BASE) $(HEAD)
 
 # Cold-restart benchmark only: checkpoint-restore + redo catch-up vs the full
 # row-store rebuild at 300k rows (BenchmarkCheckpointRestart), plus snapshot
 # size and the apply-interference ratio of one checkpoint racing paced DML.
-# The benchjson `checkpoint` block records the same numbers.
 checkpoint-bench:
 	$(GO) test -bench BenchmarkCheckpointRestart -benchtime 1x -run '^$$' .

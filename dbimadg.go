@@ -86,9 +86,6 @@ type Config struct {
 	RepopThreshold float64
 	// MemLimitBytes caps each column store's footprint (0 = unlimited).
 	MemLimitBytes int
-	// DisableCoopFlush switches the invalidation flush to coordinator-only
-	// (the serial ablation).
-	DisableCoopFlush bool
 	// CommitTableParts partitions the IM-ADG commit table (default 4).
 	CommitTableParts int
 	// UseTCP ships redo over a loopback TCP connection with the binary wire
@@ -218,7 +215,6 @@ func Open(cfg Config) (*Cluster, error) {
 		SnapshotInterval:      cfg.SnapshotInterval,
 		SnapshotRetain:        cfg.SnapshotRetain,
 		CommitTableParts:      cfg.CommitTableParts,
-		DisableCoopFlush:      cfg.DisableCoopFlush,
 		RowsPerBlock:          cfg.RowsPerBlock,
 		BlocksPerIMCU:         cfg.BlocksPerIMCU,
 		PopulationWorkers:     cfg.PopulationWorkers,

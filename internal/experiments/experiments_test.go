@@ -130,7 +130,7 @@ func TestFleetOverloadShape(t *testing.T) {
 		t.Skip("experiment smoke test")
 	}
 	p := tinyParams()
-	p.FleetSessions = 2000 // acceptance scale (10k) lives in BenchmarkFleetOverload
+	p.FleetSessions = 2000 // the acceptance scale, 10k, is adgbench -experiment fleet's default
 	res, err := RunFleetOverload(p)
 	if err != nil {
 		t.Fatal(err)

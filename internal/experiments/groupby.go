@@ -191,11 +191,6 @@ func (r *GroupByResult) Speedup() float64 {
 	return metrics.Speedup(r.RowStore.Median, r.IMCS.Median)
 }
 
-// SinglePassGain returns two-scans/single-pass median ratio.
-func (r *GroupByResult) SinglePassGain() float64 {
-	return metrics.Speedup(r.TwoScans.Median, r.SinglePass.Median)
-}
-
 // String renders the comparison.
 func (r *GroupByResult) String() string {
 	header := []string{"metric", "row store", "IMCS", "speedup"}

@@ -7,8 +7,7 @@ import (
 
 // Progress is a cheap liveness heartbeat for one pipeline stage: a monotonic
 // advance count plus the wall time of the last advance. Hot paths call Tick
-// (two uncontended atomic stores, ~a few ns — measured against the redo apply
-// loop in the benchjson "watchdog" block); the Watchdog polls Count/LastNanos
+// (two uncontended atomic stores, ~a few ns); the Watchdog polls Count/LastNanos
 // to decide whether the stage is moving. All methods are nil-safe so
 // components can carry an optional heartbeat.
 type Progress struct {

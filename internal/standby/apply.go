@@ -246,10 +246,8 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 			if t.cv.Kind == redo.CVCommit || applied == w.dispatched.Load() {
 				inst.pokeCoordinator()
 			}
-			if !inst.cfg.DisableCoopFlush {
-				if wl := inst.pendingWL.Load(); wl != nil {
-					inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
-				}
+			if wl := inst.pendingWL.Load(); wl != nil {
+				inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
 			}
 		}
 	}
@@ -505,7 +503,7 @@ func (inst *Instance) advanceTo(target scn.SCN, live bool) {
 	defer inst.quiesce.Unlock()
 	wl := inst.commits.Chop(target)
 	if wl.Len() > 0 {
-		if live && !inst.cfg.DisableCoopFlush {
+		if live {
 			inst.pendingWL.Store(wl)
 		}
 		inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)

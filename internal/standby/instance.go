@@ -42,9 +42,6 @@ type Config struct {
 	// JournalBuckets sizes the IM-ADG Journal hash table (0 = derived from
 	// the apply parallelism).
 	JournalBuckets int
-	// DisableCoopFlush turns off cooperative flush: only the coordinator
-	// drains worklinks (the paper's serial alternative, for ablation).
-	DisableCoopFlush bool
 	// FlushBatch is the worklink batch size claimed per helper (default 8).
 	FlushBatch int
 	// RowsPerBlock must match the primary's block capacity.

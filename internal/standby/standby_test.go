@@ -593,31 +593,6 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	}
 }
 
-func TestSerialFlushAblationStillCorrect(t *testing.T) {
-	p := newPair(t, 1, standby.Config{DisableCoopFlush: true}, "standby")
-	p.insert(t, 0, 200)
-	p.catchUp(t)
-	p.sby.Engine().WaitIdle(10 * time.Second)
-	s := p.tbl.Schema()
-	tx := p.pri.Instance(0).Begin()
-	for i := int64(0); i < 50; i++ {
-		_ = tx.UpdateByID(p.tbl, i, []uint16{1}, func(r *rowstore.Row) { r.Nums[s.Col(1).Slot()] = -5 })
-	}
-	_, _ = tx.Commit()
-	p.catchUp(t)
-	ex := scanengine.NewExecutor(p.sby.Txns(), p.sby.Store())
-	res, err := ex.Run(&scanengine.Query{
-		Table:   p.sbyTable(t),
-		Filters: []scanengine.Filter{scanengine.EqNum(1, -5)},
-	}, p.sby.QuerySCN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 50 {
-		t.Fatalf("serial flush: rows = %d, want 50", len(res.Rows))
-	}
-}
-
 func TestDeleteReplication(t *testing.T) {
 	p := newPair(t, 1, standby.Config{}, "standby")
 	p.insert(t, 0, 100)
