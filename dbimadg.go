@@ -44,7 +44,6 @@ import (
 	"dbimadg/internal/scn"
 	"dbimadg/internal/standby"
 	"dbimadg/internal/transport"
-	"dbimadg/internal/txn"
 )
 
 // Config describes a deployment: a primary cluster and one standby database
@@ -174,6 +173,9 @@ const (
 type Cluster struct {
 	cfg    Config
 	sbyCfg standby.Config
+	// closeOnce runs the teardown once and holds later Close calls until it
+	// has finished.
+	closeOnce sync.Once
 
 	// mu guards the role-mutable state below: Failover/Switchover swap the
 	// primary (and, for switchover, the standby) while sessions and Close read
@@ -243,10 +245,10 @@ func Open(cfg Config) (*Cluster, error) {
 	// engine belongs to that node (a role transition reassigns c.pri from
 	// another goroutine's point of view and stops this engine).
 	c.priStore = imcs.NewStore()
-	c.priEng = imcs.NewEngine(c.priStore, pri.Txns(), primarySnapshotter{pri},
+	c.priEng = imcs.NewEngine(c.priStore, pri.Txns(), pri,
 		func() []imcs.Target { return imcs.Targets(pri.DB(), pri.Services(), RolePrimary) },
 		sbyCfg.Population())
-	c.pri.SetDBIMHook(&primaryHook{store: c.priStore})
+	c.pri.SetDBIMHook(c.priStore)
 	c.priEng.Start()
 
 	c.sby = standby.New(sbyCfg)
@@ -325,16 +327,15 @@ func (c *Cluster) buildTransport() (transport.Source, error) {
 }
 
 // Close shuts the deployment down. It is idempotent and role-transition
-// safe: a second Close is a no-op, and the teardown order — redo generation,
-// then transport, then standby apply, then population engines — holds whether
-// the cluster is in its steady state or was failed/switched over (components a
-// transition already stopped shut down as no-ops).
-func (c *Cluster) Close() {
+// safe: every Close returns only once the first one's teardown has finished,
+// and the teardown order — redo generation, then transport, then standby
+// apply, then population engines — holds whether the cluster is in its steady
+// state or was failed/switched over (components a transition already stopped
+// shut down as no-ops).
+func (c *Cluster) Close() { c.closeOnce.Do(c.close) }
+
+func (c *Cluster) close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
 	c.closed = true
 	pri, sby, promoted, flt := c.pri, c.sby, c.promoted, c.flt
 	rcv, srv, priEng := c.tcpReceiver, c.tcpServer, c.priEng
@@ -650,23 +651,4 @@ func (c *Cluster) Stats() ClusterStats {
 		st.RedoBytesPerInst = append(st.RedoBytesPerInst, inst.Stream().Bytes())
 	}
 	return st
-}
-
-// --- primary-side DBIM glue --------------------------------------------------
-
-// primarySnapshotter: any primary snapshot is a consistency point.
-type primarySnapshotter struct{ c *primary.Cluster }
-
-func (p primarySnapshotter) CaptureSnapshot() scn.SCN { return p.c.Snapshot() }
-
-// primaryHook invalidates the primary column store at commit (the DBIM
-// Transaction Manager's job, §II.B). It runs under the commit gate.
-type primaryHook struct {
-	store *imcs.Store
-}
-
-func (h *primaryHook) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ scn.SCN) {
-	for _, ch := range changes {
-		h.store.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
-	}
 }

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"dbimadg"
-	"dbimadg/internal/metrics"
+	"dbimadg/internal/obs"
 )
 
 const (
@@ -35,13 +35,19 @@ func main() {
 	with := runPhase(true)
 
 	fmt.Printf("\nresults (Q1-style report: SELECT * WHERE n1 = :v):\n")
-	fmt.Printf("  without DBIM: %v\n", without)
-	fmt.Printf("  with DBIM:    %v\n", with)
+	fmt.Printf("  without DBIM: %s\n", summary(without))
+	fmt.Printf("  with DBIM:    %s\n", summary(with))
 	fmt.Printf("  median speedup: %.1fx (paper Fig. 9: ~100x at 6M rows on Exadata)\n",
-		metrics.Speedup(without.Median, with.Median))
+		without.Quantile(0.5)/with.Quantile(0.5))
 }
 
-func runPhase(useDBIM bool) metrics.LatencySummary {
+// summary renders a report-latency distribution like the paper's Fig. 9 bars.
+func summary(h obs.HistogramSnapshot) string {
+	return fmt.Sprintf("n=%d median=%.3fms avg=%.3fms p95=%.3fms",
+		h.Count, h.Quantile(0.5)*1e3, h.Mean()*1e3, h.Quantile(0.95)*1e3)
+}
+
+func runPhase(useDBIM bool) obs.HistogramSnapshot {
 	c, err := dbimadg.Open(dbimadg.Config{
 		MetricsAddr:          *metricsAddr,
 		FreshnessSampleEvery: 1, // trace every commit end-to-end for the demo
@@ -136,7 +142,7 @@ func runPhase(useDBIM bool) metrics.LatencySummary {
 		log.Fatal(err)
 	}
 	sby := c.StandbySession()
-	rec := metrics.NewLatencyRecorder()
+	rec := obs.NewHistogram(obs.LatencyBuckets)
 	deadline := time.Now().Add(reportFor)
 	qrng := rand.New(rand.NewSource(17))
 	for time.Now().Before(deadline) {
@@ -147,12 +153,12 @@ func runPhase(useDBIM bool) metrics.LatencySummary {
 		}); err != nil {
 			log.Fatal(err)
 		}
-		rec.Record(time.Since(start))
+		rec.ObserveDuration(time.Since(start))
 	}
 	close(stop)
 	wg.Wait()
-	sum := rec.Summary()
-	fmt.Printf("  %d reports, %s\n", sum.Count, sum)
+	sum := rec.Snapshot()
+	fmt.Printf("  %d reports, %s\n", sum.Count, summary(sum))
 
 	// EXPLAIN ANALYZE of the same report query: which IMCUs were pruned and
 	// which path (column store, invalid-row fallback, tails, row store)

@@ -2,6 +2,8 @@ package dbimadg_test
 
 import (
 	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -270,10 +272,33 @@ func TestCloseIdempotent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
+		// Several callers race Close; each must return only after the
+		// teardown finished, which closes the standby's metrics listener
+		// last of all, so a dial right after any Close returns is refused.
+		{"concurrent", func(t *testing.T, c *dbimadg.Cluster) {
+			addr := c.MetricsAddr()
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					c.Close()
+					if conn, err := net.Dial("tcp", addr); err == nil {
+						conn.Close()
+						t.Error("Close returned before the teardown finished: metrics endpoint still up")
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := quickCfg()
 			cfg.UseTCP = true
+			cfg.MetricsAddr = "127.0.0.1:0"
 			c, err := dbimadg.Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -285,7 +310,7 @@ func TestCloseIdempotent(t *testing.T) {
 			}
 			tc.prep(t, c)
 			c.Close()
-			c.Close() // second Close must be a no-op
+			c.Close() // a later Close must be a no-op
 			if _, err := c.Failover(); err == nil {
 				t.Fatal("failover accepted on a closed cluster")
 			}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"dbimadg/internal/fleet"
-	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
 	"dbimadg/internal/redo"
@@ -27,7 +26,6 @@ import (
 	"dbimadg/internal/service"
 	"dbimadg/internal/standby"
 	"dbimadg/internal/transport"
-	"dbimadg/internal/txn"
 )
 
 // State is the broker's view of the configuration.
@@ -322,12 +320,12 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 	master.SetRole(roles)
 	newPri := primary.NewClusterFrom(b.cfg.PromotedInstances,
 		master.DB(), master.Txns(), master.Services(), finalSCN, roles)
-	newPri.SetDBIMHook(&promotedHook{store: master.Store()})
+	newPri.SetDBIMHook(master.Store())
 
 	// 7. Warm IMCS: population restarts over the retained store; coverage
 	// checks skip every retained unit, so only missing ranges populate.
 	warm := master.Store().Stats().PopulatedUnits
-	master.RestartPopulation(promotedSnapshotter{newPri})
+	master.RestartPopulation(newPri)
 
 	elapsed := time.Since(start)
 	b.failoverHist.ObserveDuration(elapsed)
@@ -340,26 +338,6 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 		CheckpointSCN:  ckptSCN,
 		Elapsed:        elapsed,
 	}, newPri, nil
-}
-
-// promotedSnapshotter supplies population snapshots on the promoted primary:
-// any commit-gate snapshot is a consistency point.
-type promotedSnapshotter struct{ c *primary.Cluster }
-
-func (p promotedSnapshotter) CaptureSnapshot() scn.SCN { return p.c.Snapshot() }
-
-// promotedHook invalidates the retained column store at commit time on the
-// promoted primary — the same DBIM Transaction Manager role as on the
-// original primary (§II.B), pointed at the store that survived the
-// transition.
-type promotedHook struct {
-	store *imcs.Store
-}
-
-func (h *promotedHook) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ scn.SCN) {
-	for _, ch := range changes {
-		h.store.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
-	}
 }
 
 // rowsPerBlockOf recovers the block capacity of an existing database so the

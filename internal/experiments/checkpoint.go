@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"time"
 
+	"dbimadg"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/service"
-	"dbimadg/internal/standby"
 	"dbimadg/internal/transport"
 	"dbimadg/internal/workload"
 )
@@ -55,8 +55,8 @@ func (r *CheckpointResult) Speedup() float64 {
 func (r *CheckpointResult) String() string {
 	header := []string{"restart path", "time to serving", "speedup"}
 	rows := [][]string{
-		{"full rebuild (no snapshot)", fmtDur(r.ColdRestart), "1.0x"},
-		{"snapshot + redo catch-up", fmtDur(r.RestoreRestart), fmt.Sprintf("%.1fx", r.Speedup())},
+		{"full rebuild (no snapshot)", fmtSec(r.ColdRestart.Seconds()), "1.0x"},
+		{"snapshot + redo catch-up", fmtSec(r.RestoreRestart.Seconds()), fmt.Sprintf("%.1fx", r.Speedup())},
 	}
 	out := fmt.Sprintf("Checkpoint cold restart — %d rows, snapshot %d units / %.1f KB at SCN %d (written in %v, %d units restored)\n",
 		r.Rows, r.SnapshotUnits, float64(r.SnapshotBytes)/1024, r.SnapshotSCN,
@@ -76,35 +76,19 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	d, err := openDeployment(p, 1, service.StandbyOnly, func(c *standby.Config) {
-		c.SnapshotDir = dir
-		// The phases checkpoint manually at known points; keep the background
-		// cadence out of the measurement.
-		c.SnapshotInterval = time.Hour
-	})
+	// The phases checkpoint manually at known points; keep the background
+	// cadence out of the measurement.
+	c, tbl, err := open(p, dbimadg.Config{SnapshotDir: dir, SnapshotInterval: time.Hour}, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
-	defer d.close()
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, err
-	}
-	drv, err := d.driver(p, workload.UpdateOnly, false, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := drv.Load(p.Rows); err != nil {
-		return nil, err
-	}
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, err
-	}
-	if err := d.waitPopulated(120 * time.Second); err != nil {
+	defer c.Close()
+	if err := load(c, tbl, p.Rows, p.Seed); err != nil {
 		return nil, err
 	}
 	settle()
 
-	master := d.sby
+	pri, master := c.Primary(), c.StandbyMaster()
 	res := &CheckpointResult{Rows: p.Rows}
 	baseline := master.Store().Stats().PopulatedUnits
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -112,14 +96,14 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 	// churn commits a burst of updates the restarted standby must catch up on
 	// (redo past the checkpoint SCN in the restore phase).
 	churn := func() error {
-		inst := d.pri.Instance(0)
-		schema := d.tbl.Schema()
+		inst := pri.Instance(0)
+		schema := tbl.Schema()
 		n1 := schema.ColIndex("n1")
 		for k := 0; k < p.Rows/100+1; k++ {
 			tx := inst.Begin()
 			id := rng.Int63n(int64(p.Rows))
 			v := rng.Int63n(workload.NumDomain)
-			if err := tx.UpdateByID(d.tbl, id, []uint16{uint16(n1)}, func(r *rowstore.Row) {
+			if err := tx.UpdateByID(tbl, id, []uint16{uint16(n1)}, func(r *rowstore.Row) {
 				r.Nums[schema.Col(n1).Slot()] = v
 			}); err != nil {
 				_ = tx.Abort()
@@ -136,14 +120,14 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 	// primary's frontier and the column store back at its baseline coverage.
 	restart := func() (time.Duration, error) {
 		var streams []*redo.Stream
-		for _, inst := range d.pri.Instances() {
+		for _, inst := range pri.Instances() {
 			streams = append(streams, inst.Stream())
 		}
 		start := time.Now()
 		if err := master.Restart(transport.NewInProc(streams...)); err != nil {
 			return 0, err
 		}
-		if !master.WaitForSCN(d.pri.Snapshot(), 120*time.Second) {
+		if !master.WaitForSCN(pri.Snapshot(), 120*time.Second) {
 			return 0, fmt.Errorf("experiments: restarted standby never caught up")
 		}
 		deadline := time.Now().Add(120 * time.Second)
@@ -171,8 +155,8 @@ func RunCheckpoint(p Params) (*CheckpointResult, error) {
 
 	// Phase 2 — snapshot restore: checkpoint the settled store, churn past it,
 	// restart.
-	if err := d.waitPopulated(120 * time.Second); err != nil {
-		return nil, err
+	if !c.WaitPopulated(120 * time.Second) {
+		return nil, fmt.Errorf("experiments: population did not settle")
 	}
 	ckptStart := time.Now()
 	meta, err := master.CheckpointNow()

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"dbimadg/internal/service"
 	"dbimadg/internal/workload"
@@ -13,13 +12,13 @@ import (
 // scans to the standby moves scan CPU off the primary. CPU usage is
 // approximated by attributing each operation's wall time to the side that
 // executed it (DML and fetches to the primary; scans to the configured scan
-// side), normalized by elapsed time x cores.
+// side), normalized by elapsed time x cores. With the scans on the primary
+// the standby only applies redo, which this does not measure.
 type CPUResult struct {
 	Cores int
 
-	// Scans on the primary:
-	OnPrimaryPriPct float64 // primary CPU (DML + scans)
-	OnPrimarySbyPct float64 // standby CPU (≈0: apply only, unmeasured here)
+	// Scans on the primary: primary CPU (DML + scans).
+	OnPrimaryPriPct float64
 
 	// Scans offloaded to the standby:
 	OffloadPriPct float64 // primary CPU (DML only)
@@ -32,54 +31,25 @@ type CPUResult struct {
 func RunCPU(p Params) (*CPUResult, error) {
 	p = p.WithDefaults()
 	res := &CPUResult{Cores: runtime.NumCPU()}
-	for _, offload := range []bool{false, true} {
-		d, err := openDeployment(p, 1, service.PrimaryAndStandby)
+	// pct attributes a run's DML and scan busy time as a share of its wall
+	// time across all cores.
+	pct := func(ph phase) (dml, scan float64, err error) {
+		rep, drv, err := p.run(ph)
 		if err != nil {
-			return nil, err
+			return 0, 0, err
 		}
-		if err := d.catchUp(60 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		drv, err := d.driver(p, workload.UpdateOnly, offload, true)
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := drv.Load(p.Rows); err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := d.catchUp(60 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := d.waitPopulated(120 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		settle()
-		rep, err := drv.Run(p.Duration)
-		if offload {
-			d.emitSnapshot(p, "scans offloaded")
-		} else {
-			d.emitSnapshot(p, "scans on primary")
-		}
-		d.close()
-		if err != nil {
-			return nil, err
-		}
-		wall := rep.Duration
-		denom := float64(wall) * float64(res.Cores)
-		dmlPct := 100 * float64(drv.DMLBusy()) / denom
-		scanPct := 100 * float64(drv.ScanBusy()) / denom
-		if offload {
-			res.OffloadPriPct = dmlPct
-			res.OffloadSbyPct = scanPct
-		} else {
-			res.OnPrimaryPriPct = dmlPct + scanPct
-			res.OnPrimarySbyPct = 0
-		}
+		denom := float64(rep.Duration) * float64(res.Cores) / 100
+		return float64(drv.DMLBusy()) / denom, float64(drv.ScanBusy()) / denom, nil
+	}
+	ph := phase{name: "scans on primary", inmem: service.PrimaryAndStandby, mix: workload.UpdateOnly, imcs: true}
+	dml, scan, err := pct(ph)
+	if err != nil {
+		return nil, err
+	}
+	res.OnPrimaryPriPct = dml + scan
+	ph.name, ph.standby = "scans offloaded", true
+	if res.OffloadPriPct, res.OffloadSbyPct, err = pct(ph); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -88,7 +58,7 @@ func RunCPU(p Params) (*CPUResult, error) {
 func (r *CPUResult) String() string {
 	header := []string{"configuration", "primary CPU %", "standby CPU %"}
 	rows := [][]string{
-		{"scans on primary", fmt.Sprintf("%.1f", r.OnPrimaryPriPct), fmt.Sprintf("%.1f", r.OnPrimarySbyPct)},
+		{"scans on primary", fmt.Sprintf("%.1f", r.OnPrimaryPriPct), "-"},
 		{"scans offloaded to standby", fmt.Sprintf("%.1f", r.OffloadPriPct), fmt.Sprintf("%.1f", r.OffloadSbyPct)},
 	}
 	out := fmt.Sprintf("CPU shift (update-only workload, %d cores) — §IV.A/IV.B\n", r.Cores)

@@ -1,9 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§IV). Each Run* function builds the deployment the experiment
-// needs, drives the paper's workload at scaled-down size, and returns a typed
-// result with a printable rendering of the same rows/series the paper
-// reports. cmd/adgbench and the repository's benchmarks both call into this
-// package, so the numbers in EXPERIMENTS.md are reproducible from either.
+// evaluation (§IV). Each Run* function opens the public deployment
+// (dbimadg.Open) at laptop scale, drives the paper's workload, and returns a
+// typed result with a printable rendering of the same rows/series the paper
+// reports. cmd/adgbench calls into this package, so the numbers in
+// EXPERIMENTS.md are reproducible from it.
 package experiments
 
 import (
@@ -12,18 +12,11 @@ import (
 	"strings"
 	"time"
 
+	"dbimadg"
 	"dbimadg/internal/imcs"
-	"dbimadg/internal/metrics"
 	"dbimadg/internal/obs"
-	"dbimadg/internal/primary"
-	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
-	"dbimadg/internal/scn"
-	"dbimadg/internal/service"
-	"dbimadg/internal/standby"
-	"dbimadg/internal/transport"
-	"dbimadg/internal/txn"
 	"dbimadg/internal/workload"
 )
 
@@ -109,136 +102,99 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
-// deployment is the wiring every experiment shares.
-type deployment struct {
-	pri *primary.Cluster
-	sby *standby.Instance
-	tbl *rowstore.Table
-
-	priStore *imcs.Store
-	priEng   *imcs.Engine
-}
+// shortPhase is the length of each timed loop of an experiment that runs
+// several back to back: a quarter of Duration, at least 250 ms.
+func (p Params) shortPhase() time.Duration { return max(p.Duration/4, 250*time.Millisecond) }
 
 const (
-	rowsPerBlock  = 128
-	blocksPerIMCU = 16
-	tenant        = rowstore.TenantID(1)
-	tableName     = "C101"
+	tenant    = rowstore.TenantID(1)
+	tableName = "C101"
 )
 
-// openDeployment builds primary (nPri instances) + standby and the wide table;
-// inmemService routes INMEMORY population ("" = no DBIM). tune callbacks, if
-// any, adjust the standby config before the standby is built (e.g. the
-// checkpoint experiment pointing SnapshotDir at a temp dir).
-func openDeployment(p Params, nPri int, inmemService string, tune ...func(*standby.Config)) (*deployment, error) {
-	d := &deployment{}
-	d.pri = primary.NewCluster(nPri, rowsPerBlock)
-	d.priStore = imcs.NewStore()
-	d.priEng = imcs.NewEngine(d.priStore, d.pri.Txns(), priSnap{d.pri}, func() []imcs.Target {
-		return imcs.Targets(d.pri.DB(), d.pri.Services(), service.RolePrimary)
-	}, imcs.Config{BlocksPerIMCU: blocksPerIMCU, Workers: 2, Interval: 2 * time.Millisecond})
-	d.pri.SetDBIMHook(priHook{d.priStore})
-	d.priEng.Start()
-
-	sbyCfg := standby.Config{
-		ApplyWorkers:       p.ApplyWorkers,
-		CheckpointInterval: time.Millisecond,
-		RowsPerBlock:       rowsPerBlock,
-		BlocksPerIMCU:      blocksPerIMCU,
-		PopulationWorkers:  2,
-		PopulationInterval: 2 * time.Millisecond,
-	}
-	for _, fn := range tune {
-		fn(&sbyCfg)
-	}
-	d.sby = standby.New(sbyCfg)
-	var streams []*redo.Stream
-	for _, inst := range d.pri.Instances() {
-		streams = append(streams, inst.Stream())
-	}
-	d.sby.Attach(transport.NewInProc(streams...))
-	d.sby.Start()
-	if nPri > 1 {
-		d.pri.StartHeartbeats(time.Millisecond)
-	}
-
-	tbl, err := d.pri.Instance(0).CreateTable(workload.WideTableSpec(tableName, tenant))
+// open starts the deployment every experiment runs on: dbimadg.Open with small
+// blocks and IMCUs, a 1 ms coordinator heartbeat and two population workers on
+// a 2 ms tick per side, plus what cfg sets on top. It creates the wide table
+// and, unless inmem is "", makes it INMEMORY on that service.
+func open(p Params, cfg dbimadg.Config, inmem string) (*dbimadg.Cluster, *rowstore.Table, error) {
+	cfg.RowsPerBlock, cfg.BlocksPerIMCU = 128, 16
+	cfg.ApplyWorkers = p.ApplyWorkers
+	cfg.CheckpointInterval = time.Millisecond
+	cfg.PopulationWorkers, cfg.PopulationInterval = 2, 2*time.Millisecond
+	c, err := dbimadg.Open(cfg)
 	if err != nil {
-		d.close()
-		return nil, err
+		return nil, nil, err
 	}
-	d.tbl = tbl
-	if inmemService != "" {
-		if err := d.pri.Instance(0).AlterInMemory(tenant, tableName, "", rowstore.InMemoryAttr{Enabled: true, Service: inmemService}); err != nil {
-			d.close()
-			return nil, err
-		}
+	tbl, err := c.CreateTable(workload.WideTableSpec(tableName, tenant))
+	if err == nil && inmem != "" {
+		err = c.AlterInMemory(tenant, tableName, "", rowstore.InMemoryAttr{Enabled: true, Service: inmem})
 	}
-	return d, nil
+	if err != nil {
+		c.Close()
+		return nil, nil, err
+	}
+	return c, tbl, nil
 }
 
-func (d *deployment) close() {
-	d.pri.Close()
-	d.sby.Stop()
-	d.priEng.Stop()
+// load inserts n rows of FillRow data into tbl on the primary, then waits
+// until the standby has applied them and population has settled.
+func load(c *dbimadg.Cluster, tbl *rowstore.Table, n int, seed int64) error {
+	if err := (&workload.Driver{Pri: c.Primary(), Table: tbl, Seed: seed}).Load(n); err != nil {
+		return err
+	}
+	return ready(c)
 }
 
-// catchUp waits for the standby to reach the primary's current SCN.
-func (d *deployment) catchUp(timeout time.Duration) error {
-	if !d.sby.WaitForSCN(d.pri.Snapshot(), timeout) {
+// ready waits for the standby to reach the primary's current SCN and for
+// population to settle on every side.
+func ready(c *dbimadg.Cluster) error {
+	if !c.WaitStandbyCaughtUp(60 * time.Second) {
 		return fmt.Errorf("experiments: standby lagging (QuerySCN=%d, want %d)",
-			d.sby.QuerySCN(), d.pri.Snapshot())
+			c.StandbyMaster().QuerySCN(), c.Primary().Snapshot())
 	}
-	return nil
-}
-
-// waitPopulated waits for all population engines to settle.
-func (d *deployment) waitPopulated(timeout time.Duration) error {
-	if !d.priEng.WaitIdle(timeout) || !d.sby.Engine().WaitIdle(timeout) {
+	if !c.WaitPopulated(120 * time.Second) {
 		return fmt.Errorf("experiments: population did not settle")
 	}
 	return nil
 }
 
-// emitSnapshot hands the standby master's telemetry snapshot to the
-// experiment's SnapshotSink, if one is configured, and the recorded query
-// profiles to QueryLogSink.
-func (d *deployment) emitSnapshot(p Params, phase string) {
+// emit hands the standby master's telemetry snapshot to the SnapshotSink and
+// its recorded query profiles to the QueryLogSink, where configured.
+func (p Params) emit(c *dbimadg.Cluster, phase string) {
 	if p.SnapshotSink != nil {
-		p.SnapshotSink(phase, d.sby.Obs().Snapshot())
+		p.SnapshotSink(phase, c.Observability().Snapshot())
 	}
 	if p.QueryLogSink != nil {
-		p.QueryLogSink(phase, d.sby.QueryLog().Recent(0))
+		p.QueryLogSink(phase, c.QueryLog().Recent(0))
 	}
 }
 
-// sbyTable resolves the standby replica of the wide table.
-func (d *deployment) sbyTable() (*rowstore.Table, error) {
-	return d.sby.DB().Table(tenant, tableName)
+// phase is one measured run of the paper's workload (Figs. 9-10, Table 2, the
+// CPU shift) on a deployment of its own.
+type phase struct {
+	name    string // the sinks' phase name
+	inmem   string // the wide table's INMEMORY service; "" = none
+	mix     workload.Mix
+	standby bool // scans on the standby, not the primary
+	imcs    bool // scans through the column store, not the row store alone
 }
 
-type priSnap struct{ c *primary.Cluster }
-
-func (s priSnap) CaptureSnapshot() scn.SCN { return s.c.Snapshot() }
-
-type priHook struct{ store *imcs.Store }
-
-func (h priHook) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ scn.SCN) {
-	for _, ch := range changes {
-		h.store.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
+// run opens a deployment, loads p.Rows rows, waits for catch-up and
+// population, settles, and drives ph.mix for p.Duration. The mix's scan share
+// moves to a dedicated closed-loop scan thread (ScanRate), keeping the DML
+// throughput stable while scans are measured — the paper's "dedicated
+// threads" configuration.
+func (p Params) run(ph phase) (*workload.Report, *workload.Driver, error) {
+	c, tbl, err := open(p, dbimadg.Config{}, ph.inmem)
+	if err != nil {
+		return nil, nil, err
 	}
-}
-
-// driver builds a workload driver with the scan side configured. The mix's
-// scan share moves to a dedicated closed-loop scan thread (ScanRate), keeping
-// the DML throughput stable while scans are measured — the paper's
-// "dedicated threads" configuration.
-func (d *deployment) driver(p Params, mix workload.Mix, scanOnStandby, useIMCS bool) (*workload.Driver, error) {
+	defer c.Close()
+	mix := ph.mix
 	mix.FetchPct += mix.ScanPct
 	mix.ScanPct = 0
 	drv := &workload.Driver{
-		Pri:          d.pri,
-		Table:        d.tbl,
+		Pri:          c.Primary(),
+		Table:        tbl,
 		Mix:          mix,
 		TargetOps:    p.TargetOps,
 		Threads:      p.Threads,
@@ -246,32 +202,57 @@ func (d *deployment) driver(p Params, mix workload.Mix, scanOnStandby, useIMCS b
 		ScanParallel: p.ScanParallel,
 		ScanRate:     p.ScanRate,
 	}
-	if scanOnStandby {
-		sTbl, err := d.sbyTable()
-		if err != nil {
-			return nil, err
+	if err := drv.Load(p.Rows); err != nil {
+		return nil, nil, err
+	}
+	if err := ready(c); err != nil {
+		return nil, nil, err
+	}
+	var stores []*imcs.Store
+	if ph.standby {
+		sby := c.StandbyMaster()
+		if drv.ScanTable, err = c.StandbyTable(tenant, tableName); err != nil {
+			return nil, nil, err
 		}
-		drv.ScanTable = sTbl
-		drv.ScanSnap = func() scn.SCN { return d.sby.QuerySCN() }
-		if useIMCS {
-			drv.ScanExec = scanengine.NewExecutor(d.sby.Txns(), d.sby.Store())
-		} else {
-			drv.ScanExec = scanengine.NewExecutor(d.sby.Txns())
+		if ph.imcs {
+			stores = append(stores, sby.Store())
 		}
-		drv.ScanExec.Obs = d.sby.ScanStats()
+		drv.ScanSnap = sby.QuerySCN
+		drv.ScanExec = scanengine.NewExecutor(sby.Txns(), stores...)
+		drv.ScanExec.Obs = sby.ScanStats()
 		if p.QueryLogSink != nil {
-			drv.ScanExec.Profiles = d.sby.RecordQuery
+			drv.ScanExec.Profiles = sby.RecordQuery
 		}
 	} else {
-		drv.ScanTable = d.tbl
-		drv.ScanSnap = d.pri.Snapshot
-		if useIMCS {
-			drv.ScanExec = scanengine.NewExecutor(d.pri.Txns(), d.priStore)
-		} else {
-			drv.ScanExec = scanengine.NewExecutor(d.pri.Txns())
+		pri := c.Primary()
+		if ph.imcs {
+			stores = append(stores, c.PrimaryStore())
 		}
+		drv.ScanTable, drv.ScanSnap = tbl, pri.Snapshot
+		drv.ScanExec = scanengine.NewExecutor(pri.Txns(), stores...)
 	}
-	return drv, nil
+	settle()
+	rep, err := drv.Run(p.Duration)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Keep version chains bounded, as a production deployment would.
+	c.Primary().Vacuum(c.StandbyMaster().QuerySCN())
+	p.emit(c, ph.name)
+	return rep, drv, nil
+}
+
+// sample runs op back to back for d and returns its latency distribution.
+func sample(d time.Duration, op func() error) (obs.HistogramSnapshot, error) {
+	h := obs.NewHistogram(obs.LatencyBuckets)
+	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
+		start := time.Now()
+		if err := op(); err != nil {
+			return obs.HistogramSnapshot{}, err
+		}
+		h.ObserveDuration(time.Since(start))
+	}
+	return h.Snapshot(), nil
 }
 
 // settle runs a full GC and lets background work (population, floating
@@ -283,9 +264,25 @@ func settle() {
 	runtime.GC()
 }
 
-// fmtDur renders durations at µs precision like the paper's ms tables.
-func fmtDur(d time.Duration) string {
-	return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
+// median is the summary statistic the figures' headlines compare.
+func median(s obs.HistogramSnapshot) float64 { return s.Quantile(0.5) }
+
+// stats are the median/average/95th-percentile rows the paper reports.
+var stats = []struct {
+	name string
+	of   func(obs.HistogramSnapshot) float64
+}{
+	{"median", median},
+	{"average", obs.HistogramSnapshot.Mean},
+	{"p95", func(s obs.HistogramSnapshot) float64 { return s.Quantile(0.95) }},
+}
+
+// fmtSec renders seconds at µs precision like the paper's ms tables.
+func fmtSec(s float64) string { return fmt.Sprintf("%.3fms", s*1e3) }
+
+// speedupRow renders one with/without comparison row.
+func speedupRow(name string, without, with float64) []string {
+	return []string{name, fmtSec(without), fmtSec(with), fmt.Sprintf("%.1fx", without/with)}
 }
 
 // table renders an aligned two-dimensional text table.
@@ -316,10 +313,4 @@ func table(header []string, rows [][]string) string {
 		line(r)
 	}
 	return b.String()
-}
-
-// speedupRow renders one with/without comparison row.
-func speedupRow(name string, without, with metrics.LatencySummary, pick func(metrics.LatencySummary) time.Duration) []string {
-	w, h := pick(without), pick(with)
-	return []string{name, fmtDur(w), fmtDur(h), fmt.Sprintf("%.1fx", metrics.Speedup(w, h))}
 }

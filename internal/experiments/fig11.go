@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"dbimadg/internal/metrics"
+	"dbimadg"
+	"dbimadg/internal/obs"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/service"
@@ -20,11 +22,11 @@ import (
 // minimal despite the DBIM-on-ADG overheads.
 type Fig11Result struct {
 	// PriLog[i] tracks primary instance i's generated redo (last SCN).
-	PriLog []*metrics.Series
+	PriLog []*obs.Series
 	// StdApplied tracks the standby's applied watermark; StdQuery the
 	// published QuerySCN.
-	StdApplied *metrics.Series
-	StdQuery   *metrics.Series
+	StdApplied *obs.Series
+	StdQuery   *obs.Series
 
 	// MaxLagSCN / FinalLagSCN quantify (generated - applied) in SCNs.
 	MaxLagSCN   uint64
@@ -43,49 +45,37 @@ type Fig11Result struct {
 // RunFig11 runs the redo-apply experiment.
 func RunFig11(p Params) (*Fig11Result, error) {
 	p = p.WithDefaults()
-	d, err := openDeployment(p, 2, service.StandbyOnly)
+	c, tbl, err := open(p, dbimadg.Config{PrimaryInstances: 2}, service.StandbyOnly)
 	if err != nil {
 		return nil, err
 	}
-	defer d.close()
+	defer c.Close()
+	pri, sby := c.Primary(), c.StandbyMaster()
 
 	// Second tenant with its own table (the paper runs Oracle multi-tenant).
-	spec2 := workload.WideTableSpec("C101_T2", 2)
-	tbl2, err := d.pri.Instance(0).CreateTable(spec2)
+	tbl2, err := c.CreateTable(workload.WideTableSpec("C101_T2", 2))
 	if err != nil {
 		return nil, err
 	}
-	if err := d.pri.Instance(0).AlterInMemory(2, "C101_T2", "", rowstore.InMemoryAttr{Enabled: true, Service: service.StandbyOnly}); err != nil {
+	if err := c.AlterInMemory(2, "C101_T2", "", rowstore.InMemoryAttr{Enabled: true, Service: service.StandbyOnly}); err != nil {
 		return nil, err
 	}
 
 	// Seed both tables.
-	seedRows := p.Rows / 10
-	if seedRows < 1000 {
-		seedRows = 1000
-	}
-	rng := rand.New(rand.NewSource(p.Seed))
-	for _, tbl := range []*rowstore.Table{d.tbl, tbl2} {
-		tx := d.pri.Instance(0).Begin()
-		for i := 0; i < seedRows; i++ {
-			if _, err := tx.Insert(tbl, workload.FillRow(tbl.Schema(), int64(i), rng)); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := tx.Commit(); err != nil {
+	seedRows := max(p.Rows/10, 1000)
+	tables := []*rowstore.Table{tbl, tbl2}
+	for _, t := range tables {
+		if err := load(c, t, seedRows, p.Seed); err != nil {
 			return nil, err
 		}
 	}
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, err
-	}
 
 	res := &Fig11Result{
-		StdApplied: metrics.NewSeries("std_applied"),
-		StdQuery:   metrics.NewSeries("std_queryscn"),
+		StdApplied: obs.NewSeries("std_applied"),
+		StdQuery:   obs.NewSeries("std_queryscn"),
 	}
-	for i := range d.pri.Instances() {
-		res.PriLog = append(res.PriLog, metrics.NewSeries(fmt.Sprintf("pri_log%d", i+1)))
+	for i := range pri.Instances() {
+		res.PriLog = append(res.PriLog, obs.NewSeries(fmt.Sprintf("pri_log%d", i+1)))
 	}
 
 	// Sampler goroutine.
@@ -103,14 +93,14 @@ func RunFig11(p Params) (*Fig11Result, error) {
 				return
 			case <-t.C:
 				var top scn.SCN
-				for i, inst := range d.pri.Instances() {
+				for i, inst := range pri.Instances() {
 					last := inst.Stream().LastSCN()
 					res.PriLog[i].Sample(float64(last))
 					if last > top {
 						top = last
 					}
 				}
-				st := d.sby.Stats()
+				st := sby.Stats()
 				res.StdApplied.Sample(float64(st.AppliedWatermark))
 				res.StdQuery.Sample(float64(st.QuerySCN))
 				if top > st.AppliedWatermark {
@@ -125,19 +115,17 @@ func RunFig11(p Params) (*Fig11Result, error) {
 	// High-throughput transaction mix: short (1 op), medium (10), long (100)
 	// transactions spread over both tenants and both primary instances.
 	var (
-		committed  int64
-		commitsMu  sync.Mutex
+		committed  atomic.Int64
 		loadWG     sync.WaitGroup
 		deadline   = time.Now().Add(p.Duration)
 		nextIDBase = int64(seedRows)
 	)
-	tables := []*rowstore.Table{d.tbl, tbl2}
 	for th := 0; th < p.Threads; th++ {
 		loadWG.Add(1)
 		go func(th int) {
 			defer loadWG.Done()
 			rng := rand.New(rand.NewSource(p.Seed + int64(th)*131))
-			inst := d.pri.Instance(th % 2)
+			inst := pri.Instance(th % 2)
 			local := int64(0)
 			// Pace each thread so the apply side is driven hard but the run
 			// stays reproducible on small machines.
@@ -185,9 +173,7 @@ func RunFig11(p Params) (*Fig11Result, error) {
 					continue
 				}
 				if _, err := tx.Commit(); err == nil {
-					commitsMu.Lock()
-					committed++
-					commitsMu.Unlock()
+					committed.Add(1)
 				}
 			}
 		}(th)
@@ -195,34 +181,33 @@ func RunFig11(p Params) (*Fig11Result, error) {
 	loadWG.Wait()
 
 	// Catch-up phase: how fast does the standby reach the primary's head?
-	target := d.pri.Snapshot()
+	target := pri.Snapshot()
 	catchStart := time.Now()
-	if !d.sby.WaitForSCN(target, 120*time.Second) {
-		close(stopSample)
-		samplerWG.Wait()
-		return nil, fmt.Errorf("experiments: standby never caught up (lag %d SCNs)", uint64(target-d.sby.QuerySCN()))
-	}
+	caughtUp := sby.WaitForSCN(target, 120*time.Second)
 	res.CatchupTime = time.Since(catchStart)
 	close(stopSample)
 	samplerWG.Wait()
+	if !caughtUp {
+		return nil, fmt.Errorf("experiments: standby never caught up (lag %d SCNs)", uint64(target-sby.QuerySCN()))
+	}
 
-	st := d.sby.Stats()
+	st := sby.Stats()
 	res.MaxLagSCN = maxLag
 	if target > st.AppliedWatermark {
 		res.FinalLagSCN = uint64(target - st.AppliedWatermark)
 	}
-	res.TxnsCommitted = committed
+	res.TxnsCommitted = committed.Load()
 	res.CVsApplied = st.CVsApplied
 	res.MinedRecords = st.MinedRecords
 	res.Flushed = st.FlushedRecords
-	d.emitSnapshot(p, "redo apply")
+	p.emit(c, "redo apply")
 	return res, nil
 }
 
 // String renders the log-advancement series (downsampled) plus the summary.
 func (r *Fig11Result) String() string {
 	header := []string{"t"}
-	var cols [][]metrics.Point
+	var cols [][]obs.Point
 	for _, s := range r.PriLog {
 		header = append(header, s.Name)
 		cols = append(cols, s.Points())

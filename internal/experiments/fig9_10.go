@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"dbimadg/internal/metrics"
+	"dbimadg/internal/obs"
 	"dbimadg/internal/service"
 	"dbimadg/internal/workload"
 )
@@ -16,81 +15,33 @@ type SpeedupResult struct {
 	Name string
 	Mix  workload.Mix
 
-	WithoutQ1 metrics.LatencySummary
-	WithoutQ2 metrics.LatencySummary
-	WithQ1    metrics.LatencySummary
-	WithQ2    metrics.LatencySummary
+	WithoutQ1 obs.HistogramSnapshot
+	WithoutQ2 obs.HistogramSnapshot
+	WithQ1    obs.HistogramSnapshot
+	WithQ2    obs.HistogramSnapshot
 
 	// Achieved throughput of the mixed workload in each phase; the paper
 	// notes the 4000 ops/s target "cannot be sustained without DBIM" because
 	// the same threads issue DML and the (slow) scans.
 	WithoutOps float64
 	WithOps    float64
-
-	StandbyStats string
 }
 
-// runScanSide loads the table, syncs the standby, and runs the mix with
-// standby scans either through the IMCS or through the row store.
-func runScanSide(p Params, mix workload.Mix, useIMCS bool) (*workload.Report, string, error) {
-	svc := ""
-	phase := "without DBIM"
-	if useIMCS {
-		svc = service.StandbyOnly
-		phase = "with DBIM"
-	}
-	d, err := openDeployment(p, 1, svc)
-	if err != nil {
-		return nil, "", err
-	}
-	defer d.close()
-	// Let the create-table/INMEMORY markers replicate before resolving the
-	// standby catalog.
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, "", err
-	}
-	drv, err := d.driver(p, mix, true, useIMCS)
-	if err != nil {
-		return nil, "", err
-	}
-	if err := drv.Load(p.Rows); err != nil {
-		return nil, "", err
-	}
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, "", err
-	}
-	if useIMCS {
-		if err := d.waitPopulated(120 * time.Second); err != nil {
-			return nil, "", err
-		}
-	}
-	settle()
-	rep, err := drv.Run(p.Duration)
-	if err != nil {
-		return nil, "", err
-	}
-	// Keep version chains bounded, as a production deployment would.
-	d.pri.Vacuum(d.sby.QuerySCN())
-	d.emitSnapshot(p, phase)
-	stats := d.sby.Obs().Snapshot().String()
-	return rep, stats, nil
-}
-
-// runSpeedup runs the without/with comparison for a mix.
+// runSpeedup runs the without/with comparison for a mix: standby scans
+// through the row store alone, then through the column store.
 func runSpeedup(name string, p Params, mix workload.Mix) (*SpeedupResult, error) {
 	p = p.WithDefaults()
 	res := &SpeedupResult{Name: name, Mix: mix}
-	without, _, err := runScanSide(p, mix, false)
+	without, _, err := p.run(phase{name: "without DBIM", mix: mix, standby: true})
 	if err != nil {
 		return nil, fmt.Errorf("%s (without DBIM): %w", name, err)
 	}
 	res.WithoutQ1, res.WithoutQ2, res.WithoutOps = without.Q1, without.Q2, without.AchievedOps
-	with, stats, err := runScanSide(p, mix, true)
+	with, _, err := p.run(phase{name: "with DBIM", inmem: service.StandbyOnly, mix: mix, standby: true, imcs: true})
 	if err != nil {
 		return nil, fmt.Errorf("%s (with DBIM): %w", name, err)
 	}
 	res.WithQ1, res.WithQ2, res.WithOps = with.Q1, with.Q2, with.AchievedOps
-	res.StandbyStats = stats
 	return res, nil
 }
 
@@ -111,25 +62,22 @@ func RunFig10(p Params) (*SpeedupResult, error) {
 }
 
 // SpeedupQ1Median returns the Q1 median speedup (the figure's headline).
-func (r *SpeedupResult) SpeedupQ1Median() float64 {
-	return metrics.Speedup(r.WithoutQ1.Median, r.WithQ1.Median)
-}
+func (r *SpeedupResult) SpeedupQ1Median() float64 { return median(r.WithoutQ1) / median(r.WithQ1) }
 
 // SpeedupQ2Median returns the Q2 median speedup.
-func (r *SpeedupResult) SpeedupQ2Median() float64 {
-	return metrics.Speedup(r.WithoutQ2.Median, r.WithQ2.Median)
-}
+func (r *SpeedupResult) SpeedupQ2Median() float64 { return median(r.WithoutQ2) / median(r.WithQ2) }
 
 // String renders the figure's bar values as a table.
 func (r *SpeedupResult) String() string {
 	header := []string{"metric", "without DBIM-on-ADG", "with DBIM-on-ADG", "speedup"}
-	rows := [][]string{
-		speedupRow("Q1 median", r.WithoutQ1, r.WithQ1, func(s metrics.LatencySummary) time.Duration { return s.Median }),
-		speedupRow("Q1 average", r.WithoutQ1, r.WithQ1, func(s metrics.LatencySummary) time.Duration { return s.Avg }),
-		speedupRow("Q1 p95", r.WithoutQ1, r.WithQ1, func(s metrics.LatencySummary) time.Duration { return s.P95 }),
-		speedupRow("Q2 median", r.WithoutQ2, r.WithQ2, func(s metrics.LatencySummary) time.Duration { return s.Median }),
-		speedupRow("Q2 average", r.WithoutQ2, r.WithQ2, func(s metrics.LatencySummary) time.Duration { return s.Avg }),
-		speedupRow("Q2 p95", r.WithoutQ2, r.WithQ2, func(s metrics.LatencySummary) time.Duration { return s.P95 }),
+	var rows [][]string
+	for _, q := range []struct {
+		name          string
+		without, with obs.HistogramSnapshot
+	}{{"Q1", r.WithoutQ1, r.WithQ1}, {"Q2", r.WithoutQ2, r.WithQ2}} {
+		for _, st := range stats {
+			rows = append(rows, speedupRow(q.name+" "+st.name, st.of(q.without), st.of(q.with)))
+		}
 	}
 	out := fmt.Sprintf("%s — Q1/Q2 on standby (samples: %d/%d without, %d/%d with)\n",
 		r.Name, r.WithoutQ1.Count, r.WithoutQ2.Count, r.WithQ1.Count, r.WithQ2.Count)

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"dbimadg/internal/metrics"
+	"dbimadg"
+	"dbimadg/internal/obs"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
 	"dbimadg/internal/service"
@@ -19,11 +19,11 @@ import (
 type GroupByResult struct {
 	Groups int
 
-	IMCS     metrics.LatencySummary
-	RowStore metrics.LatencySummary
+	IMCS     obs.HistogramSnapshot
+	RowStore obs.HistogramSnapshot
 
-	SinglePass metrics.LatencySummary
-	TwoScans   metrics.LatencySummary
+	SinglePass obs.HistogramSnapshot
+	TwoScans   obs.HistogramSnapshot
 
 	// RowsEncoded/RowsDecoded are the profile totals of one grouped IMCS
 	// scan: how many aggregate folds stayed in encoded space.
@@ -36,20 +36,17 @@ type GroupByResult struct {
 // both executors, so the latency gap is purely the execution pipeline.
 func RunGroupBy(p Params) (*GroupByResult, error) {
 	p = p.WithDefaults()
-	d, err := openDeployment(p, 1, service.StandbyOnly)
+	c, _, err := open(p, dbimadg.Config{}, "")
 	if err != nil {
 		return nil, err
 	}
-	defer d.close()
-	if err := d.catchUp(60 * time.Second); err != nil {
-		return nil, err
-	}
+	defer c.Close()
 
 	// The grouped workload gets its own table: key g arrives in long runs of
 	// one value (64 groups), so the standby's encoder picks RLE and the
 	// grouped scan can fold whole runs; v is a plain bit-packed measure.
 	const groupDomain = 64
-	gTbl, err := d.pri.Instance(0).CreateTable(&rowstore.TableSpec{
+	gTbl, err := c.CreateTable(&rowstore.TableSpec{
 		Name: "G101", Tenant: tenant,
 		Columns: []rowstore.Column{
 			{Name: "id", Kind: rowstore.KindNumber},
@@ -61,7 +58,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.pri.Instance(0).AlterInMemory(tenant, "G101", "", rowstore.InMemoryAttr{
+	if err := c.AlterInMemory(tenant, "G101", "", rowstore.InMemoryAttr{
 		Enabled: true, Service: service.StandbyOnly,
 	}); err != nil {
 		return nil, err
@@ -73,7 +70,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 	s := gTbl.Schema()
 	const batch = 512
 	for lo := 0; lo < p.Rows; lo += batch {
-		tx := d.pri.Instance(0).Begin()
+		tx := c.Primary().Instance(0).Begin()
 		for id := int64(lo); id < int64(lo+batch) && id < int64(p.Rows); id++ {
 			row := rowstore.NewRow(s)
 			row.Nums[s.Col(0).Slot()] = id
@@ -90,13 +87,10 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 			return nil, err
 		}
 	}
-	if err := d.catchUp(60 * time.Second); err != nil {
+	if err := ready(c); err != nil {
 		return nil, err
 	}
-	if err := d.waitPopulated(120 * time.Second); err != nil {
-		return nil, err
-	}
-	sTbl, err := d.sby.DB().Table(tenant, "G101")
+	sTbl, err := c.StandbyTable(tenant, "G101")
 	if err != nil {
 		return nil, err
 	}
@@ -113,42 +107,33 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 		}
 	}
 
-	hybrid := scanengine.NewExecutor(d.sby.Txns(), d.sby.Store())
-	hybrid.Obs = d.sby.ScanStats()
-	pure := scanengine.NewExecutor(d.sby.Txns())
+	sby := c.StandbyMaster()
+	hybrid := scanengine.NewExecutor(sby.Txns(), sby.Store())
+	hybrid.Obs = sby.ScanStats()
+	pure := scanengine.NewExecutor(sby.Txns())
 
 	res := &GroupByResult{}
 	settle()
 
 	// One profiled run records the encoded/decoded fold split and the group
 	// cardinality the comparison below re-measures.
-	r0, prof, err := hybrid.RunProfiled(groupQ(), d.sby.QuerySCN())
+	r0, prof, err := hybrid.RunProfiled(groupQ(), sby.QuerySCN())
 	if err != nil {
 		return nil, err
 	}
 	res.Groups = len(r0.Grouped.Groups)
 	res.RowsEncoded, res.RowsDecoded = prof.RowsEncoded, prof.RowsDecoded
 
-	measure := func(ex *scanengine.Executor, q func() *scanengine.Query, dur time.Duration) (metrics.LatencySummary, error) {
-		var samples []time.Duration
-		deadline := time.Now().Add(dur)
-		for time.Now().Before(deadline) {
-			start := time.Now()
-			if _, err := ex.Run(q(), d.sby.QuerySCN()); err != nil {
-				return metrics.LatencySummary{}, err
-			}
-			samples = append(samples, time.Since(start))
-		}
-		return metrics.Summarize(samples), nil
+	measure := func(ex *scanengine.Executor, q func() *scanengine.Query) (obs.HistogramSnapshot, error) {
+		return sample(p.shortPhase(), func() error {
+			_, err := ex.Run(q(), sby.QuerySCN())
+			return err
+		})
 	}
-	phase := p.Duration / 4
-	if phase < 250*time.Millisecond {
-		phase = 250 * time.Millisecond
-	}
-	if res.IMCS, err = measure(hybrid, groupQ, phase); err != nil {
+	if res.IMCS, err = measure(hybrid, groupQ); err != nil {
 		return nil, fmt.Errorf("grouped IMCS scan: %w", err)
 	}
-	if res.RowStore, err = measure(pure, groupQ, phase); err != nil {
+	if res.RowStore, err = measure(pure, groupQ); err != nil {
 		return nil, fmt.Errorf("grouped row-store scan: %w", err)
 	}
 
@@ -164,42 +149,37 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 			Parallel: p.ScanParallel,
 		}
 	}
-	if res.SinglePass, err = measure(hybrid, multiQ, phase); err != nil {
+	if res.SinglePass, err = measure(hybrid, multiQ); err != nil {
 		return nil, fmt.Errorf("single-pass multi-aggregate: %w", err)
 	}
 	// Two separate scans per sample: the cost the multi-aggregate
 	// accumulator saves.
-	var samples []time.Duration
-	deadline := time.Now().Add(phase)
-	for time.Now().Before(deadline) {
-		start := time.Now()
+	if res.TwoScans, err = sample(p.shortPhase(), func() error {
 		for _, kind := range []scanengine.AggKind{scanengine.AggSum, scanengine.AggMax} {
 			q := &scanengine.Query{Table: sTbl, Agg: kind, AggCol: v, Parallel: p.ScanParallel}
-			if _, err := hybrid.Run(q, d.sby.QuerySCN()); err != nil {
-				return nil, fmt.Errorf("two-scan multi-aggregate: %w", err)
+			if _, err := hybrid.Run(q, sby.QuerySCN()); err != nil {
+				return err
 			}
 		}
-		samples = append(samples, time.Since(start))
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("two-scan multi-aggregate: %w", err)
 	}
-	res.TwoScans = metrics.Summarize(samples)
-	d.emitSnapshot(p, "grouped aggregation")
+	p.emit(c, "grouped aggregation")
 	return res, nil
 }
 
 // Speedup returns the grouped IMCS-vs-rowstore median speedup.
-func (r *GroupByResult) Speedup() float64 {
-	return metrics.Speedup(r.RowStore.Median, r.IMCS.Median)
-}
+func (r *GroupByResult) Speedup() float64 { return median(r.RowStore) / median(r.IMCS) }
 
 // String renders the comparison.
 func (r *GroupByResult) String() string {
 	header := []string{"metric", "row store", "IMCS", "speedup"}
-	rows := [][]string{
-		speedupRow("GROUP BY median", r.RowStore, r.IMCS, func(s metrics.LatencySummary) time.Duration { return s.Median }),
-		speedupRow("GROUP BY average", r.RowStore, r.IMCS, func(s metrics.LatencySummary) time.Duration { return s.Avg }),
-		speedupRow("GROUP BY p95", r.RowStore, r.IMCS, func(s metrics.LatencySummary) time.Duration { return s.P95 }),
-		speedupRow("4-agg two scans vs one pass", r.TwoScans, r.SinglePass, func(s metrics.LatencySummary) time.Duration { return s.Median }),
+	var rows [][]string
+	for _, st := range stats {
+		rows = append(rows, speedupRow("GROUP BY "+st.name, st.of(r.RowStore), st.of(r.IMCS)))
 	}
+	rows = append(rows, speedupRow("4-agg two scans vs one pass", median(r.TwoScans), median(r.SinglePass)))
 	out := fmt.Sprintf("GROUP BY g / multi-aggregate on standby — %d groups (samples: %d rowstore, %d imcs)\n",
 		r.Groups, r.RowStore.Count, r.IMCS.Count)
 	out += table(header, rows)

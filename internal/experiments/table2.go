@@ -2,9 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"dbimadg/internal/metrics"
+	"dbimadg/internal/obs"
 	"dbimadg/internal/service"
 	"dbimadg/internal/workload"
 )
@@ -15,71 +14,46 @@ import (
 // The paper's point is that the two sides perform equally well, so scans of
 // DML-quiet data offload transparently.
 type Table2Result struct {
-	Primary metrics.LatencySummary
-	Standby metrics.LatencySummary
+	Primary obs.HistogramSnapshot
+	Standby obs.HistogramSnapshot
 	// Q2 is measured as well (the paper's table shows Q1 only).
-	PrimaryQ2 metrics.LatencySummary
-	StandbyQ2 metrics.LatencySummary
+	PrimaryQ2 obs.HistogramSnapshot
+	StandbyQ2 obs.HistogramSnapshot
 }
 
 // RunTable2 runs the scan-only comparison.
 func RunTable2(p Params) (*Table2Result, error) {
 	p = p.WithDefaults()
-	res := &Table2Result{}
-	for _, side := range []string{"primary", "standby"} {
-		d, err := openDeployment(p, 1, service.PrimaryAndStandby)
-		if err != nil {
-			return nil, err
-		}
-		if err := d.catchUp(60 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		drv, err := d.driver(p, workload.ScanOnly, side == "standby", true)
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := drv.Load(p.Rows); err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := d.catchUp(60 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		if err := d.waitPopulated(120 * time.Second); err != nil {
-			d.close()
-			return nil, err
-		}
-		settle()
-		rep, err := drv.Run(p.Duration)
-		d.emitSnapshot(p, "scans on "+side)
-		d.close()
-		if err != nil {
-			return nil, err
-		}
-		if side == "primary" {
-			res.Primary, res.PrimaryQ2 = rep.Q1, rep.Q2
-		} else {
-			res.Standby, res.StandbyQ2 = rep.Q1, rep.Q2
-		}
+	ph := phase{name: "scans on primary", inmem: service.PrimaryAndStandby, mix: workload.ScanOnly, imcs: true}
+	pri, _, err := p.run(ph)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	ph.name, ph.standby = "scans on standby", true
+	sby, _, err := p.run(ph)
+	if err != nil {
+		return nil, err
+	}
+	return &Table2Result{Primary: pri.Q1, Standby: sby.Q1, PrimaryQ2: pri.Q2, StandbyQ2: sby.Q2}, nil
 }
 
 // Ratio returns standby/primary median response time (1.0 = identical, the
 // paper's finding).
-func (r *Table2Result) Ratio() float64 {
-	return metrics.Speedup(r.Standby.Median, r.Primary.Median)
-}
+func (r *Table2Result) Ratio() float64 { return median(r.Standby) / median(r.Primary) }
 
 // String renders the paper's Table 2 rows.
 func (r *Table2Result) String() string {
 	header := []string{"", "Median", "Average", "95th percentile"}
-	rows := [][]string{
-		{"Primary", fmtDur(r.Primary.Median), fmtDur(r.Primary.Avg), fmtDur(r.Primary.P95)},
-		{"Standby", fmtDur(r.Standby.Median), fmtDur(r.Standby.Avg), fmtDur(r.Standby.P95)},
+	var rows [][]string
+	for _, side := range []struct {
+		name string
+		q1   obs.HistogramSnapshot
+	}{{"Primary", r.Primary}, {"Standby", r.Standby}} {
+		row := []string{side.name}
+		for _, st := range stats {
+			row = append(row, fmtSec(st.of(side.q1)))
+		}
+		rows = append(rows, row)
 	}
 	out := "Table 2 — Q1 response time, scan-only workload, DBIM on both sides\n"
 	out += table(header, rows)

@@ -8,6 +8,7 @@ import (
 
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
+	"dbimadg/internal/txn"
 )
 
 // Store is one instance's In-Memory Column Store: the units (IMCU+SMU pairs)
@@ -102,6 +103,15 @@ func (s *Store) UnitForBlock(obj rowstore.ObjID, blk rowstore.BlockNo) (*Unit, b
 // when the block is not populated) without saying what changed.
 func (s *Store) InvalidateRows(obj rowstore.ObjID, blk rowstore.BlockNo, slots []uint16) {
 	s.Invalidate(obj, blk, slots, scn.Invalid, nil)
+}
+
+// OnCommit makes a primary's column store its transaction manager's DBIM hook
+// (txn.DBIMHook; the paper's DBIM Transaction Manager, §II.B): at commit,
+// under the commit gate, it invalidates every row the transaction changed.
+func (s *Store) OnCommit(_ rowstore.TenantID, changes []txn.RowChange, _ scn.SCN) {
+	for _, ch := range changes {
+		s.InvalidateRows(ch.Obj, ch.DBA.Block(), []uint16{ch.Slot})
+	}
 }
 
 // Invalidate marks rows of one block invalid in the covering unit for a

@@ -55,18 +55,32 @@ func TestHistogramQuantileEnvelope(t *testing.T) {
 }
 
 func TestHistogramQuantileAccuracy(t *testing.T) {
-	// Uniform values 1..1000 with 8 buckets/doubling: quantiles must land
-	// within one bucket width (~9%) of the exact nearest-rank value.
-	h := NewHistogram(ExpBuckets(1, math.Pow(2, 1.0/8), 90))
-	for i := 1; i <= 1000; i++ {
-		h.Observe(float64(i))
-	}
-	s := h.Snapshot()
-	for _, p := range []float64{0.25, 0.5, 0.9, 0.95, 0.99} {
-		exact := math.Ceil(p * 1000)
-		got := s.Quantile(p)
-		if math.Abs(got-exact)/exact > 0.10 {
-			t.Fatalf("Quantile(%v) = %v, exact %v: error > 10%%", p, got, exact)
+	// Uniform values 1..1000 (scaled) with 8 buckets/doubling: quantiles must
+	// land within one bucket width (~9%) of the exact nearest-rank value, and
+	// the mean is exact. LatencyBuckets is the response-time layout, fed
+	// 1..1000 ms.
+	for _, c := range []struct {
+		name   string
+		bounds []float64
+		unit   float64
+	}{
+		{"unit", ExpBuckets(1, math.Pow(2, 1.0/8), 90), 1},
+		{"latency", LatencyBuckets, time.Millisecond.Seconds()},
+	} {
+		h := NewHistogram(c.bounds)
+		for i := 1; i <= 1000; i++ {
+			h.Observe(float64(i) * c.unit)
+		}
+		s := h.Snapshot()
+		for _, p := range []float64{0.25, 0.5, 0.9, 0.95, 0.99} {
+			exact := math.Ceil(p*1000) * c.unit
+			got := s.Quantile(p)
+			if math.Abs(got-exact)/exact > 0.10 {
+				t.Fatalf("%s: Quantile(%v) = %v, exact %v: error > 10%%", c.name, p, got, exact)
+			}
+		}
+		if mean := 500.5 * c.unit; math.Abs(s.Mean()-mean)/mean > 1e-9 {
+			t.Fatalf("%s: Mean = %v, want %v", c.name, s.Mean(), mean)
 		}
 	}
 }
@@ -232,6 +246,19 @@ func TestSampler(t *testing.T) {
 	defer mu.Unlock()
 	if !sampled || got[0] != 11 {
 		t.Fatalf("samples: %v", got)
+	}
+}
+
+func TestSeries(t *testing.T) {
+	s := NewSeries("std_log1")
+	s.Sample(1)
+	s.Sample(2)
+	pts := s.Points()
+	if len(pts) != 2 || pts[0].Value != 1 || pts[1].Value != 2 {
+		t.Fatalf("points: %+v", pts)
+	}
+	if pts[1].Elapsed < pts[0].Elapsed {
+		t.Fatal("elapsed not monotone")
 	}
 }
 

@@ -5,11 +5,47 @@ import (
 	"time"
 )
 
+// Series is a time series of (elapsed, value) points: what a Sampler's sinks
+// append to for the Fig. 11-style lag-over-time plots.
+type Series struct {
+	Name string
+
+	mu     sync.Mutex
+	start  time.Time
+	points []Point
+}
+
+// Point is one sample of a Series.
+type Point struct {
+	Elapsed time.Duration
+	Value   float64
+}
+
+// NewSeries starts a series anchored at now.
+func NewSeries(name string) *Series {
+	return &Series{Name: name, start: time.Now()}
+}
+
+// Sample appends the current value.
+func (s *Series) Sample(v float64) {
+	s.mu.Lock()
+	s.points = append(s.points, Point{Elapsed: time.Since(s.start), Value: v})
+	s.mu.Unlock()
+}
+
+// Points returns a copy of the sampled points.
+func (s *Series) Points() []Point {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Point, len(s.points))
+	copy(out, s.points)
+	return out
+}
+
 // Sampler periodically evaluates registry gauges and feeds each value to a
 // per-gauge sink. The standby wires the derived lag gauges (apply lag, query
 // staleness, journal residency, commit-table pending) through a sampler into
-// metrics.Series, producing the Fig.-11-style lag-over-time plots without obs
-// depending on the metrics package.
+// one Series each.
 //
 // The lifecycle is a restartable state machine: Start while running and Stop
 // while stopped are no-ops, Stop blocks until the loop has exited, and a

@@ -133,6 +133,10 @@ func (c *Cluster) Snapshot() scn.SCN {
 	return s
 }
 
+// CaptureSnapshot is Snapshot as a population engine asks for it
+// (imcs.Snapshotter): any commit-gate snapshot is a consistency point.
+func (c *Cluster) CaptureSnapshot() scn.SCN { return c.Snapshot() }
+
 // Close ends redo generation on all instances (shutting down the primary);
 // standby readers drain the remaining records. It also stops heartbeats.
 func (c *Cluster) Close() {

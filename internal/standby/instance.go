@@ -18,7 +18,6 @@ import (
 	"dbimadg/internal/checkpoint"
 	"dbimadg/internal/core"
 	"dbimadg/internal/imcs"
-	"dbimadg/internal/metrics"
 	"dbimadg/internal/obs"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -70,7 +69,7 @@ type Config struct {
 	// (default obs.DefaultTraceRing).
 	TraceRing int
 	// LagSampleInterval, when > 0, samples the derived lag gauges into
-	// metrics.Series (see LagSeries) at this period — the data behind the
+	// obs.Series (see LagSeries) at this period — the data behind the
 	// paper's Fig.-11-style lag-over-time plots.
 	LagSampleInterval time.Duration
 
@@ -301,7 +300,7 @@ type Instance struct {
 	queryLog       *obs.QueryLog
 	scanHist       map[string]*obs.Histogram // per scan path, keyed by Profile.Path()
 	workerBusyHist *obs.Histogram            // per-worker busy time within parallel scans
-	lagSeries      map[string]*metrics.Series
+	lagSeries      map[string]*obs.Series
 	sampler        *obs.Sampler
 	obsSrv         *obs.Server
 	obsHandler     *obs.Handler
@@ -354,11 +353,11 @@ func build(cfg Config, db *rowstore.Database, txns *txn.Table, services *service
 		inst.freshness = obs.NewFreshnessTracer(inst.reg, cfg.FreshnessSampleEvery, cfg.FreshnessRing)
 		inst.trace.SetFreshness(inst.freshness)
 	}
-	inst.lagSeries = map[string]*metrics.Series{
-		GaugeApplyLag:       metrics.NewSeries(GaugeApplyLag),
-		GaugeQueryStaleness: metrics.NewSeries(GaugeQueryStaleness),
-		GaugeJournalTxns:    metrics.NewSeries(GaugeJournalTxns),
-		GaugeCommitPending:  metrics.NewSeries(GaugeCommitPending),
+	inst.lagSeries = map[string]*obs.Series{
+		GaugeApplyLag:       obs.NewSeries(GaugeApplyLag),
+		GaugeQueryStaleness: obs.NewSeries(GaugeQueryStaleness),
+		GaugeJournalTxns:    obs.NewSeries(GaugeJournalTxns),
+		GaugeCommitPending:  obs.NewSeries(GaugeCommitPending),
 	}
 	// The watchdog, like the registry and trace, persists across Restart: a
 	// crash-restart is a planned pause, not a fresh watchdog.
@@ -959,7 +958,7 @@ func (inst *Instance) ScanStats() *scanengine.PathStats { return inst.scanStats 
 
 // LagSeries returns the sampled lag time series keyed by gauge name (empty
 // series unless Config.LagSampleInterval is set).
-func (inst *Instance) LagSeries() map[string]*metrics.Series { return inst.lagSeries }
+func (inst *Instance) LagSeries() map[string]*obs.Series { return inst.lagSeries }
 
 // MetricsAddr returns the bound observability listen address, or "" when the
 // exporter is not running.

@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbimadg/internal/metrics"
+	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
@@ -136,9 +136,8 @@ type Driver struct {
 	// Rows tracks the identity high-water mark; Load initializes it.
 	rows atomic.Int64
 
-	// Q1Lat and Q2Lat record scan response times (created by Run if nil).
-	Q1Lat *metrics.LatencyRecorder
-	Q2Lat *metrics.LatencyRecorder
+	// q1 and q2 record scan response times (new on each Run).
+	q1, q2 *obs.Histogram
 
 	// dmlBusy and scanBusy accumulate busy nanoseconds by operation class,
 	// for the CPU-shift experiment (§IV.A-B): DML and fetches burn primary
@@ -162,8 +161,8 @@ type Report struct {
 	Fetches     int64
 	Scans       int64
 	AchievedOps float64
-	Q1          metrics.LatencySummary
-	Q2          metrics.LatencySummary
+	Q1          obs.HistogramSnapshot
+	Q2          obs.HistogramSnapshot
 	// Retries counts DML retries due to row-lock conflicts.
 	Retries int64
 }
@@ -226,12 +225,7 @@ func (d *Driver) Run(duration time.Duration) (*Report, error) {
 	if threads <= 0 {
 		threads = 4
 	}
-	if d.Q1Lat == nil {
-		d.Q1Lat = metrics.NewLatencyRecorder()
-	}
-	if d.Q2Lat == nil {
-		d.Q2Lat = metrics.NewLatencyRecorder()
-	}
+	d.q1, d.q2 = obs.NewHistogram(obs.LatencyBuckets), obs.NewHistogram(obs.LatencyBuckets)
 	var (
 		wg      sync.WaitGroup
 		ops     atomic.Int64
@@ -338,8 +332,8 @@ func (d *Driver) Run(duration time.Duration) (*Report, error) {
 		Fetches:     fetches.Load(),
 		Scans:       scans.Load(),
 		AchievedOps: float64(ops.Load()) / elapsed.Seconds(),
-		Q1:          d.Q1Lat.Summary(),
-		Q2:          d.Q2Lat.Summary(),
+		Q1:          d.q1.Snapshot(),
+		Q2:          d.q2.Snapshot(),
 		Retries:     retries.Load(),
 	}, nil
 }
@@ -367,6 +361,9 @@ func (d *Driver) doUpdate(inst *primary.Instance, rng *rand.Rand, retriesCtr *at
 	c1 := schema.ColIndex("c1")
 	for attempt := 0; ; attempt++ {
 		id := rng.Int63n(n)
+		if _, ok := d.Table.Index().Get(id); !ok {
+			return nil // another thread reserved id and has not inserted it yet; skip this op
+		}
 		tx := inst.Begin()
 		var err error
 		if rng.Intn(2) == 0 {
@@ -431,10 +428,10 @@ func (d *Driver) doScan(rng *rand.Rand, q2 bool) error {
 	var err error
 	if q2 {
 		_, err = d.ScanExec.Run(d.Q2Query(strVal(rng.Int63n(StrDomain))), snap)
-		d.Q2Lat.Record(time.Since(start))
+		d.q2.ObserveDuration(time.Since(start))
 	} else {
 		_, err = d.ScanExec.Run(d.Q1Query(rng.Int63n(NumDomain)), snap)
-		d.Q1Lat.Record(time.Since(start))
+		d.q1.ObserveDuration(time.Since(start))
 	}
 	return err
 }

@@ -120,7 +120,7 @@ func TestDriverScansRecorded(t *testing.T) {
 	if rep.Scans == 0 {
 		t.Fatal("no scans ran")
 	}
-	if rep.Q1.Count+rep.Q2.Count != int(rep.Scans) {
+	if rep.Q1.Count+rep.Q2.Count != uint64(rep.Scans) {
 		t.Fatalf("latencies %d+%d != scans %d", rep.Q1.Count, rep.Q2.Count, rep.Scans)
 	}
 }
