@@ -83,7 +83,8 @@ allocs:
 # unit tests — of the packed compare kernel against its decode-then-compare
 # reference (any width, window, mask and literal), and of the unit-image decoder
 # a checkpoint restore re-interns from (seeded from the checkpoint's corruption
-# cases). go test fuzzes one target
+# cases), and of the SQL front end down to the scan engine's Explain and Run
+# (seeded from the bench's statement mix). go test fuzzes one target
 # per run; the nightly job runs longer.
 FUZZTIME ?= 10s
 fuzz:
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzCmpMask$$' -fuzztime $(FUZZTIME) ./internal/imcs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUnitImage$$' -fuzztime $(FUZZTIME) ./internal/imcs
+	$(GO) test -run '^$$' -fuzz '^FuzzParseAndCompile$$' -fuzztime $(FUZZTIME) ./internal/sqlmini
 
 # Deterministic chaos harness: seeded fault injection against the full
 # primary→transport→standby pipeline with a cross-node equivalence oracle

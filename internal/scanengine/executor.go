@@ -1,9 +1,11 @@
 package scanengine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -232,25 +234,32 @@ const batchSize = 1024 // rows per vectorized evaluation batch (multiple of 64)
 
 // scanScratch is one scan worker's working memory: the batch decode windows,
 // the match bitmap, the per-IMCU resolved filters, the group operator's
-// unit-local table and the row-store path's batch of row images. It holds no
-// IMCU or row-image reference between queries.
+// unit-local table and the three sources' batches. It holds no IMCU or
+// row-image reference between queries.
 type scanScratch struct {
-	num, aux []int64   // predicate and kernel decode windows
-	match    []uint64  // batch match bitmap
-	wins     [][]int64 // group key/value windows, grown on demand
+	num, aux []int64  // predicate and kernel decode windows
+	strs     []string // a VARCHAR column's window
+	match    []uint64 // batch match bitmap
+	sub      []uint64 // a second mask: a group's rows out of key space, a sparse window's rows
+	wins     [][]int64
+	swins    [][]string // group key/value windows, grown on demand
 	filters  []batchFilter
 	group    groupLocal
-	rows     rowBatch     // the row-store serving path's batch, grown on first use
-	delta    deltaBatch   // the delta-served rows' batch, made on first use
-	unpacked rowstore.Row // one image of it unpacked for projection, its strings views: empty between batches
+	window   window     // the decoded-window source
+	sparse   window     // a sparse window's rows, by position
+	rows     rowBatch   // the row-store serving path's batch, grown on first use
+	delta    deltaBatch // the delta-served rows' batch, made on first use
 }
 
-// win returns the i-th group decode window.
-func (s *scanScratch) win(i int) []int64 {
-	for len(s.wins) <= i {
-		s.wins = append(s.wins, make([]int64, batchSize))
+// buf returns the i-th of a scratch's windows, with room for n values.
+func buf[T any](wins *[][]T, i, n int) []T {
+	for len(*wins) <= i {
+		*wins = append(*wins, nil)
 	}
-	return s.wins[i]
+	if len((*wins)[i]) < n {
+		(*wins)[i] = make([]T, max(n, batchSize))
+	}
+	return (*wins)[i][:n]
 }
 
 // scratchPool is the process's bounded free list of scan-worker scratch: a
@@ -266,15 +275,19 @@ func getScratch() *scanScratch {
 		return s
 	default:
 		return &scanScratch{
-			num:   make([]int64, batchSize),
-			aux:   make([]int64, batchSize),
-			match: make([]uint64, batchSize/64),
+			num:    make([]int64, batchSize),
+			aux:    make([]int64, batchSize),
+			strs:   make([]string, batchSize),
+			match:  make([]uint64, batchSize/64),
+			sub:    make([]uint64, batchSize/64),
+			sparse: window{pos: make([]int32, 0, batchSize)},
 		}
 	}
 }
 
 func putScratch(s *scanScratch) {
-	s.rows.imcu, s.delta.view = nil, nil
+	s.window.imcu, s.sparse.imcu, s.rows.imcu, s.delta.imcu, s.delta.view = nil, nil, nil, nil, nil
+	clear(s.strs)
 	select {
 	case scratchPool <- s:
 	default:
@@ -329,29 +342,21 @@ func (ex *Executor) validate(q *Query) (*rowstore.Schema, *queryPlan, error) {
 		return nil, nil, fmt.Errorf("scanengine: query has no table")
 	}
 	schema := q.Table.Schema()
-	for _, f := range q.Filters {
-		if f.Col < 0 || f.Col >= schema.NumCols() {
-			return nil, nil, fmt.Errorf("scanengine: filter column %d out of range", f.Col)
-		}
-	}
 	plan, err := planQuery(q, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return schema, plan, nil
+	return schema, plan, err
 }
 
 // Run executes a query at snapshot snap. When the Profiles sink is set, the
 // scan is profiled and the Profile delivered to it.
 func (ex *Executor) Run(q *Query, snap scn.SCN) (*Result, error) {
+	level := profNone
 	if ex.Profiles != nil {
-		res, prof, err := ex.exec(q, snap, profTree)
-		if err == nil {
-			ex.Profiles(prof)
-		}
-		return res, err
+		level = profTree
 	}
-	res, _, err := ex.exec(q, snap, profNone)
+	res, prof, err := ex.exec(q, snap, level)
+	if prof != nil {
+		ex.Profiles(prof)
+	}
 	return res, err
 }
 
@@ -387,14 +392,16 @@ func (ex *Executor) morselRows() int {
 	return DefaultMorselRows
 }
 
-// effectiveParallel resolves a query's worker count before the morsel-count
-// clamp: the query's explicit Parallel, else the executor default, else 1.
-func (ex *Executor) effectiveParallel(q *Query) int {
+// workers resolves a query's worker count: its Parallel, else the executor's
+// DefaultParallel, clamped against its morsels, not its tasks — a small-unit
+// table still splits into enough morsels to feed every requested worker — and
+// at least 1.
+func (ex *Executor) workers(q *Query, morsels int) int {
 	par := q.Parallel
 	if par <= 0 {
 		par = ex.DefaultParallel
 	}
-	return max(par, 1)
+	return max(min(par, morsels), 1)
 }
 
 func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result, *Profile, error) {
@@ -415,25 +422,13 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result,
 	decs, tasks := ex.planTasks(q, schema, snap, pb)
 	morselRows := ex.morselRows()
 	morsels := planMorsels(tasks, morselRows)
-	// Clamp against morsels, not tasks: a small-unit table still splits into
-	// enough morsels to feed every requested worker.
-	workers := min(ex.effectiveParallel(q), len(morsels))
-	workers = max(workers, 1)
+	workers := ex.workers(q, len(morsels))
 	// Parallel materializing scans sort their merged rows by RowID so the
 	// result does not depend on morsel scheduling.
 	ordered := q.OrderByRowID || (workers > 1 && len(plan.aggs) == 0 && len(plan.groupBy) == 0)
 	merged, wstats := ex.runMorsels(q, plan, schema, morsels, workers, snap, profile, ordered)
 	res := merged.finish()
-	for _, ts := range tasks {
-		switch ts.decision {
-		case DecisionScan:
-			res.UnitsScanned++
-		case DecisionPrunedMinMax, DecisionPrunedDict:
-			res.UnitsPruned++
-		case DecisionFallbackUnusable, DecisionFallbackSnapshot, DecisionFallbackSchema:
-			res.UnitsFallback++
-		}
-	}
+	res.UnitsScanned, res.UnitsPruned, res.UnitsFallback = unitCounts(tasks)
 	res.Morsels = int64(len(morsels))
 	for i := range wstats {
 		res.Steals += wstats[i].Steals
@@ -444,33 +439,16 @@ func (ex *Executor) exec(q *Query, snap scn.SCN, profile profileLevel) (*Result,
 	}
 	prof := &Profile{Table: q.Table.Name, SnapSCN: snap, Analyze: true}
 	if profile == profTree {
-		profs := make([]taskProf, 0, len(tasks))
-		for _, ts := range tasks {
-			profs = append(profs, taskProf{part: ts.part, tp: ts.taskProfile(schema)})
-		}
-		prof = buildProfile(q, schema, snap, decs, profs, true)
+		prof = buildProfile(q, schema, snap, decs, tasks, true)
 	}
-	prof.Parallel = workers
-	prof.MorselRows = morselRows
-	prof.Morsels = res.Morsels
-	prof.Steals = res.Steals
-	prof.Workers = wstats
-	prof.WallNanos = time.Since(start).Nanoseconds()
-	prof.ResultRows = res.Count
-	prof.RowsIMCS = res.FromIMCS
-	prof.RowsDelta = res.FromDelta
-	prof.RowsInvalid = res.FromInvalid
-	prof.RowsTail = res.FromTail
+	prof.Parallel, prof.MorselRows, prof.Morsels, prof.Steals = workers, morselRows, res.Morsels, res.Steals
+	prof.Workers, prof.WallNanos = wstats, time.Since(start).Nanoseconds()
+	prof.ResultRows, prof.Groups = res.Count, res.GroupCount
+	prof.RowsIMCS, prof.RowsDelta, prof.RowsInvalid, prof.RowsTail = res.FromIMCS, res.FromDelta, res.FromInvalid, res.FromTail
 	prof.RowsRowStore = res.FromRowStore - res.FromInvalid - res.FromTail
-	prof.RowBlocks = res.RowBlocks
-	prof.RowBatches = res.RowBatches
-	prof.UnitsScanned = res.UnitsScanned
-	prof.UnitsPruned = res.UnitsPruned
-	prof.UnitsFallback = res.UnitsFallback
-	prof.Batches = res.Batches
-	prof.RowsEncoded = res.RowsEncoded
-	prof.RowsDecoded = res.RowsDecoded
-	prof.Groups = res.GroupCount
+	prof.RowBlocks, prof.RowBatches, prof.Batches = res.RowBlocks, res.RowBatches, res.Batches
+	prof.UnitsScanned, prof.UnitsPruned, prof.UnitsFallback = res.UnitsScanned, res.UnitsPruned, res.UnitsFallback
+	prof.RowsEncoded, prof.RowsDecoded = res.RowsEncoded, res.RowsDecoded
 	return res, prof, nil
 }
 
@@ -487,13 +465,11 @@ func (ex *Executor) Explain(q *Query, snap scn.SCN) (*Profile, error) {
 	pb := getPlanBuf()
 	defer putPlanBuf(pb)
 	decs, tasks := ex.planTasks(q, schema, snap, pb)
-	profs := make([]taskProf, 0, len(tasks))
-	for _, ts := range tasks {
-		profs = append(profs, taskProf{part: ts.part, tp: ts.taskProfile(schema)})
-	}
-	prof := buildProfile(q, schema, snap, decs, profs, false)
+	prof := buildProfile(q, schema, snap, decs, tasks, false)
 	prof.MorselRows = ex.morselRows()
 	prof.Morsels = int64(len(planMorsels(tasks, prof.MorselRows)))
+	prof.Parallel = ex.workers(q, int(prof.Morsels))
+	prof.UnitsScanned, prof.UnitsPruned, prof.UnitsFallback = unitCounts(tasks)
 	return prof, nil
 }
 
@@ -519,9 +495,8 @@ func (ex *Executor) partitionDecisions(q *Query) []partDecision {
 				}
 				// Partition covers [Lo, Hi); prune when the filter cannot
 				// match any key in that interval.
-				if !numRangeOverlaps(p.Lo, p.Hi-1, f.Op, f.Num) {
-					d.keep = false
-					d.by = f
+				if !rangeOverlaps(p.Lo, p.Hi-1, f.Op, f.Num) {
+					d.keep, d.by = false, f
 					break
 				}
 			}
@@ -532,14 +507,9 @@ func (ex *Executor) partitionDecisions(q *Query) []partDecision {
 }
 
 // buildProfile assembles a Profile skeleton from partition decisions and the
-// per-task profiles collected (or predicted) for the kept partitions.
-func buildProfile(q *Query, schema *rowstore.Schema, snap scn.SCN, decs []partDecision, profs []taskProf, analyze bool) *Profile {
-	prof := &Profile{
-		Table:    q.Table.Name,
-		SnapSCN:  snap,
-		Analyze:  analyze,
-		Parallel: q.Parallel,
-	}
+// profiles of the kept partitions' tasks, collected or predicted.
+func buildProfile(q *Query, schema *rowstore.Schema, snap scn.SCN, decs []partDecision, tasks []*taskState, analyze bool) *Profile {
+	prof := &Profile{Table: q.Table.Name, SnapSCN: snap, Analyze: analyze}
 	for pi, d := range decs {
 		pp := &PartitionProfile{Name: d.part.Name, Lo: d.part.Lo, Hi: d.part.Hi}
 		if !d.keep {
@@ -548,45 +518,37 @@ func buildProfile(q *Query, schema *rowstore.Schema, snap scn.SCN, decs []partDe
 			pp.PruneOp = d.by.Op.String()
 			pp.PruneLit = strconv.FormatInt(d.by.Num, 10)
 		} else {
-			for _, t := range profs {
-				if t.part == pi {
-					pp.Tasks = append(pp.Tasks, t.tp)
+			for _, ts := range tasks {
+				if ts.part == pi {
+					pp.Tasks = append(pp.Tasks, ts.taskProfile(schema))
 				}
 			}
 			sort.Slice(pp.Tasks, func(i, j int) bool { return pp.Tasks[i].From < pp.Tasks[j].From })
 		}
 		prof.Partitions = append(prof.Partitions, pp)
-		if !analyze {
-			// Plan-only: fold predicted per-task verdicts into the totals.
-			for i := range pp.Tasks {
-				switch pp.Tasks[i].Decision {
-				case DecisionScan:
-					prof.UnitsScanned++
-				case DecisionPrunedMinMax, DecisionPrunedDict:
-					prof.UnitsPruned++
-				case DecisionFallbackUnusable, DecisionFallbackSnapshot, DecisionFallbackSchema:
-					prof.UnitsFallback++
-				}
-			}
-		}
 	}
 	return prof
 }
 
-// scanTask is one unit of planned scan coverage: either a populated
-// column-store unit or a raw block range. planTasks resolves it into a
-// taskState with its scan decision fixed.
-type scanTask struct {
-	seg  *rowstore.Segment
-	unit *imcs.Unit // nil for a row-store range task
-	from rowstore.BlockNo
-	to   rowstore.BlockNo
+// unitCounts counts the tasks' unit verdicts: scanned, pruned, fallen back.
+func unitCounts(tasks []*taskState) (scanned, pruned, fallback int64) {
+	for _, ts := range tasks {
+		switch ts.decision {
+		case DecisionScan:
+			scanned++
+		case DecisionPrunedMinMax, DecisionPrunedDict:
+			pruned++
+		case DecisionFallbackUnusable, DecisionFallbackSnapshot, DecisionFallbackSchema:
+			fallback++
+		}
+	}
+	return scanned, pruned, fallback
 }
 
-// planSegment builds tasks covering all blocks of a segment: column-store
-// units where populated (across all reachable stores), row-store ranges for
-// the gaps.
-func (ex *Executor) planSegment(q *Query, seg *rowstore.Segment) []scanTask {
+// planSegment calls add for every unit of planned scan coverage of a segment,
+// in block order: column-store units where populated (across all reachable
+// stores), row-store ranges (u nil) for the gaps.
+func (ex *Executor) planSegment(seg *rowstore.Segment, add func(u *imcs.Unit, from, to rowstore.BlockNo)) {
 	nBlocks := rowstore.BlockNo(seg.BlockCount())
 	var units []*imcs.Unit
 	for _, st := range ex.stores {
@@ -594,74 +556,53 @@ func (ex *Executor) planSegment(q *Query, seg *rowstore.Segment) []scanTask {
 	}
 	// Units are non-overlapping within a store and, with a correct home map,
 	// across stores; sort by range start.
-	sortUnits(units)
-	var tasks []scanTask
+	slices.SortFunc(units, func(a, b *imcs.Unit) int { return cmp.Compare(a.StartBlk, b.StartBlk) })
 	cursor := rowstore.BlockNo(0)
 	for _, u := range units {
 		if u.StartBlk >= nBlocks {
 			break
 		}
 		if u.StartBlk > cursor {
-			tasks = append(tasks, scanTask{seg: seg, from: cursor, to: u.StartBlk})
+			add(nil, cursor, u.StartBlk)
 		}
-		tasks = append(tasks, scanTask{seg: seg, unit: u, from: u.StartBlk, to: u.EndBlk})
+		add(u, u.StartBlk, u.EndBlk)
 		cursor = u.EndBlk
 	}
 	if cursor < nBlocks {
-		tasks = append(tasks, scanTask{seg: seg, from: cursor, to: nBlocks})
+		add(nil, cursor, nBlocks)
 	}
-	return tasks
 }
 
-func sortUnits(units []*imcs.Unit) {
-	// Insertion sort: unit lists are short and usually already ordered.
-	for i := 1; i < len(units); i++ {
-		for j := i; j > 0 && units[j].StartBlk < units[j-1].StartBlk; j-- {
-			units[j], units[j-1] = units[j-1], units[j]
-		}
-	}
-}
+// The scan-path counters, by index into pathCounters: matching rows by
+// serving path (the column store — of them the delta-patched rows — the row
+// store — of them the invalid and the tail rows), the row path's blocks and
+// batches, predicate batches, and aggregate folds by how they ran.
+const (
+	cIMCS = iota
+	cDelta
+	cRowStore
+	cInvalid
+	cTail
+	cRowBlocks
+	cRowBatches
+	cBatches
+	cEncoded
+	cDecoded
+	numCounters
+)
+
+// pathCounters is a worker's scan-path counters, or a task's share of them.
+type pathCounters [numCounters]int64
 
 // taskResult accumulates one worker's output: path counters plus the query's
 // operator, which folds every matching row regardless of serving path. Unit
 // verdict counters live on the plan (taskState), not here — a unit is counted
 // once however many morsels it split into.
 type taskResult struct {
-	op           operator
-	curPart      int // partition index of the morsel being scanned
-	fromIMCS     int64
-	fromDelta    int64
-	fromRowStore int64
-	fromInvalid  int64
-	fromTail     int64
-	rowBlocks    int64
-	rowBatches   int64
-	batches      int64
-	rowsEncoded  int64
-	rowsDecoded  int64
-
-	s *scanScratch // on loan from scratchPool until release
-}
-
-// taskProf is a collected TaskProfile tagged with its partition index.
-type taskProf struct {
-	part int
-	tp   TaskProfile
-}
-
-// pathCounters is a snapshot of a taskResult's per-path counters, used to
-// attribute deltas to one task under profiling.
-type pathCounters struct {
-	imcs, delta, rowstore, invalid, tail, rowBlocks, rowBatches, batches, encoded, decoded int64
-}
-
-func (r *taskResult) counters() pathCounters {
-	return pathCounters{
-		imcs: r.fromIMCS, delta: r.fromDelta, rowstore: r.fromRowStore,
-		invalid: r.fromInvalid, tail: r.fromTail,
-		rowBlocks: r.rowBlocks, rowBatches: r.rowBatches, batches: r.batches,
-		encoded: r.rowsEncoded, decoded: r.rowsDecoded,
-	}
+	op      operator
+	curPart int // partition index of the morsel being scanned
+	cnt     pathCounters
+	s       *scanScratch // on loan from scratchPool until release
 }
 
 func newTaskResult(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered bool) *taskResult {
@@ -679,27 +620,16 @@ func (r *taskResult) release() {
 
 func (r *taskResult) merge(o *taskResult) {
 	r.op.merge(o.op)
-	r.fromIMCS += o.fromIMCS
-	r.fromDelta += o.fromDelta
-	r.fromRowStore += o.fromRowStore
-	r.fromInvalid += o.fromInvalid
-	r.fromTail += o.fromTail
-	r.rowBlocks += o.rowBlocks
-	r.rowBatches += o.rowBatches
-	r.batches += o.batches
-	r.rowsEncoded += o.rowsEncoded
-	r.rowsDecoded += o.rowsDecoded
+	for i, v := range o.cnt {
+		r.cnt[i] += v
+	}
 }
 
 func (r *taskResult) finish() *Result {
-	res := &Result{
-		Min: math.MaxInt64, Max: math.MinInt64,
-		FromIMCS: r.fromIMCS, FromDelta: r.fromDelta, FromRowStore: r.fromRowStore,
-		FromInvalid: r.fromInvalid, FromTail: r.fromTail,
-		RowBlocks: r.rowBlocks, RowBatches: r.rowBatches,
-		Batches:     r.batches,
-		RowsEncoded: r.rowsEncoded, RowsDecoded: r.rowsDecoded,
-	}
+	c := &r.cnt
+	res := &Result{Min: math.MaxInt64, Max: math.MinInt64,
+		FromIMCS: c[cIMCS], FromDelta: c[cDelta], FromRowStore: c[cRowStore], FromInvalid: c[cInvalid], FromTail: c[cTail],
+		RowBlocks: c[cRowBlocks], RowBatches: c[cRowBatches], Batches: c[cBatches], RowsEncoded: c[cEncoded], RowsDecoded: c[cDecoded]}
 	r.op.finish(res)
 	return res
 }
@@ -731,13 +661,9 @@ func pruneIMCU(schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) *prun
 		col := schema.Col(f.Col)
 		if col.Kind == rowstore.KindNumber {
 			c := imcu.NumCol(col.Slot())
-			if mn, mx := c.MinMax(); !numRangeOverlaps(mn, mx, f.Op, f.Num) {
-				return &pruneInfo{
-					f: f, decision: DecisionPrunedMinMax,
-					lit: strconv.FormatInt(f.Num, 10),
-					min: strconv.FormatInt(mn, 10),
-					max: strconv.FormatInt(mx, 10),
-				}
+			if mn, mx := c.MinMax(); !rangeOverlaps(mn, mx, f.Op, f.Num) {
+				itoa := func(v int64) string { return strconv.FormatInt(v, 10) }
+				return &pruneInfo{f: f, decision: DecisionPrunedMinMax, lit: itoa(f.Num), min: itoa(mn), max: itoa(mx)}
 			}
 			continue
 		}
@@ -746,20 +672,14 @@ func pruneIMCU(schema *rowstore.Schema, imcu *imcs.IMCU, filters []Filter) *prun
 			continue
 		}
 		mn, mx := c.MinMax()
-		if !strRangeOverlaps(mn, mx, f.Op, f.Str) {
-			return &pruneInfo{
-				f: f, decision: DecisionPrunedMinMax,
-				lit: f.Str, min: mn, max: mx,
-			}
+		if !rangeOverlaps(mn, mx, f.Op, f.Str) {
+			return &pruneInfo{f: f, decision: DecisionPrunedMinMax, lit: f.Str, min: mn, max: mx}
 		}
 		// Dictionary prune: equality with a literal inside [min, max] but
 		// absent from the sorted dictionary matches no captured row.
 		if f.Op == EQ {
 			if _, found := c.Code(f.Str); !found {
-				return &pruneInfo{
-					f: f, decision: DecisionPrunedDict,
-					lit: f.Str, min: mn, max: mx,
-				}
+				return &pruneInfo{f: f, decision: DecisionPrunedDict, lit: f.Str, min: mn, max: mx}
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func TestGroupMergeEqualsSort(t *testing.T) {
 		"overlapping": func(i int64) (int64, string) { return i%9 - 4, fmt.Sprintf("v%03d", i/unitRows*20+i%40) },
 		// No two units share a value: every flush only inserts.
 		"disjoint": func(i int64) (int64, string) { return i / unitRows * 100, fmt.Sprintf("u%d-%02d", i/unitRows, i%16) },
-		// Keys whose range per unit is past maxDirectSlots: map-indexed units.
+		// Keys whose range per unit is past maxDirectSlots: every row by value.
 		"wide": func(i int64) (int64, string) { return i * 1_000_003 % 7_000_000_000, fmt.Sprintf("v%03d", i%64) },
 	}
 	for name, fill := range dicts {

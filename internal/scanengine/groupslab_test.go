@@ -12,9 +12,10 @@ import (
 	"dbimadg/internal/testutil"
 )
 
-// Tests of the slab-based group operator: the direct- and map-indexed forms
-// of the unit-local table, its survival across the morsels of a unit, and
-// row-store rows meeting IMCU rows in the same groups.
+// Tests of the slab-based group operator: the direct-indexed unit-local table
+// and the by-value table it leaves key spaces too wide for it to, its survival
+// across the morsels of a unit, and row-store rows meeting IMCU rows in the
+// same groups.
 
 var groupAggs = []scanengine.AggSpec{
 	{Kind: scanengine.AggCount},
@@ -68,7 +69,7 @@ func TestGroupSlabCardinalities(t *testing.T) {
 		// 2 048-row units whose dictionaries hold all 1 000 values: direct.
 		{"varchar-1000-groups", 5000, 64,
 			func(i int64) (int64, string) { return i % 7, fmt.Sprintf("v%04d", i*7%1000) }, []int{2}, 1000},
-		// 1 000 codes × a 2 048-wide id range is past the direct bound: map.
+		// 1 000 codes × a 2 048-wide id range is past the direct bound: by value.
 		{"varchar-x-id-map-indexed", 5000, 64,
 			func(i int64) (int64, string) { return i % 7, fmt.Sprintf("v%04d", i*7%1000) }, []int{2, 0}, 5000},
 		// 4 codes × 100 values: a direct composite.
@@ -80,7 +81,7 @@ func TestGroupSlabCardinalities(t *testing.T) {
 		// Run-encoded NUMBER key with a negative origin: the run-level path.
 		{"number-negative-runs", 3000, 8,
 			func(i int64) (int64, string) { return i/500 - 3, "x" }, []int{1}, 6},
-		// NUMBER key too wide for direct indexing: map-indexed, both paths.
+		// NUMBER key too wide for direct indexing: by value, both paths.
 		{"number-wide-range", 3000, 8,
 			func(i int64) (int64, string) { return (i%50 - 25) * 1e12, "x" }, []int{1}, 50},
 		{"number-wide-runs", 3000, 8,

@@ -37,62 +37,34 @@ type taskState struct {
 	kind     string // "imcu" or "rowstore"
 	decision string // Decision* constant
 	prune    *pruneInfo
-	imcu     *imcs.IMCU
+	imcu     *imcs.IMCU // set when the task scans through the view (scan, pruned or empty)
 	invalid  []uint64
 	view     *imcs.View // imcu and invalid are its; its delta explains invalid rows
 	rows     int        // captured row positions (usable imcu tasks)
 	affinity int        // preferred initial worker (population worker, else partition)
 
-	pRowsIMCS     atomic.Int64
-	pRowsDelta    atomic.Int64
-	pRowsInvalid  atomic.Int64
-	pRowsTail     atomic.Int64
-	pRowsRowStore atomic.Int64
-	pRowBlocks    atomic.Int64
-	pRowBatches   atomic.Int64
-	pBatches      atomic.Int64
-	pRowsEncoded  atomic.Int64
-	pRowsDecoded  atomic.Int64
-	pWall         atomic.Int64
-	pMorsels      atomic.Int64
-}
-
-// usableIMCU reports whether the task scans through a captured IMCU view
-// (scan, pruned or empty) rather than the row store.
-func (ts *taskState) usableIMCU() bool {
-	switch ts.decision {
-	case DecisionScan, DecisionEmpty, DecisionPrunedMinMax, DecisionPrunedDict:
-		return true
-	}
-	return false
+	pCounts  [numCounters]atomic.Int64 // pathCounters
+	pWall    atomic.Int64
+	pMorsels atomic.Int64
 }
 
 // taskProfile renders the task as a TaskProfile. Plan-time fields are always
 // present; the actuals are whatever the profiling accumulators hold (zero for
 // plan-only Explain).
 func (ts *taskState) taskProfile(schema *rowstore.Schema) TaskProfile {
-	tp := TaskProfile{
-		Kind:     ts.kind,
-		From:     ts.from,
-		To:       ts.to,
-		Decision: ts.decision,
-		Rows:     ts.rows,
-	}
+	tp := TaskProfile{Kind: ts.kind, From: ts.from, To: ts.to, Decision: ts.decision, Rows: ts.rows}
 	if ts.prune != nil {
 		ts.prune.fill(&tp, schema)
 	}
-	tp.RowsIMCS = ts.pRowsIMCS.Load()
-	tp.RowsDelta = ts.pRowsDelta.Load()
-	tp.RowsInvalid = ts.pRowsInvalid.Load()
-	tp.RowsTail = ts.pRowsTail.Load()
-	tp.RowsRowStore = ts.pRowsRowStore.Load() - tp.RowsInvalid - tp.RowsTail
-	tp.RowBlocks = ts.pRowBlocks.Load()
-	tp.RowBatches = ts.pRowBatches.Load()
-	tp.Batches = ts.pBatches.Load()
-	tp.RowsEncoded = ts.pRowsEncoded.Load()
-	tp.RowsDecoded = ts.pRowsDecoded.Load()
-	tp.WallNanos = ts.pWall.Load()
-	tp.Morsels = ts.pMorsels.Load()
+	var c pathCounters
+	for i := range c {
+		c[i] = ts.pCounts[i].Load()
+	}
+	tp.RowsIMCS, tp.RowsDelta, tp.RowsInvalid, tp.RowsTail = c[cIMCS], c[cDelta], c[cInvalid], c[cTail]
+	tp.RowsRowStore = c[cRowStore] - c[cInvalid] - c[cTail]
+	tp.RowBlocks, tp.RowBatches, tp.Batches = c[cRowBlocks], c[cRowBatches], c[cBatches]
+	tp.RowsEncoded, tp.RowsDecoded = c[cEncoded], c[cDecoded]
+	tp.WallNanos, tp.Morsels = ts.pWall.Load(), ts.pMorsels.Load()
 	return tp
 }
 
@@ -107,19 +79,16 @@ func (ex *Executor) planTasks(q *Query, schema *rowstore.Schema, snap scn.SCN, p
 		if !d.keep {
 			continue
 		}
-		for _, t := range ex.planSegment(q, d.part.Seg) {
-			ts := &taskState{seg: t.seg, part: pi, from: t.from, to: t.to, affinity: pi}
-			if t.unit == nil {
-				ts.kind = "rowstore"
-				ts.decision = DecisionRowStore
-				tasks = append(tasks, ts)
-				continue
+		ex.planSegment(d.part.Seg, func(u *imcs.Unit, from, to rowstore.BlockNo) {
+			ts := &taskState{seg: d.part.Seg, part: pi, from: from, to: to, affinity: pi}
+			tasks = append(tasks, ts)
+			if u == nil {
+				ts.kind, ts.decision = "rowstore", DecisionRowStore
+				return
 			}
-			ts.kind = "imcu"
-			view := pb.view()
-			usable := t.unit.View(view)
-			imcu, invalid := view.IMCU, view.Invalid
-			ts.view = view
+			ts.kind, ts.view = "imcu", pb.view()
+			usable := u.View(ts.view)
+			imcu, invalid := ts.view.IMCU, ts.view.Invalid
 			// An IMCU can only serve snapshots at or after its population
 			// snapshot, and only while the live schema matches the one it was
 			// built with.
@@ -143,8 +112,7 @@ func (ex *Executor) planTasks(q *Query, schema *rowstore.Schema, snap scn.SCN, p
 					ts.decision = DecisionScan
 				}
 			}
-			tasks = append(tasks, ts)
-		}
+		})
 	}
 	return decs, tasks
 }
@@ -172,15 +140,10 @@ type morsel struct {
 func planMorsels(tasks []*taskState, morselRows int) []morsel {
 	var out []morsel
 	for _, ts := range tasks {
-		if !ts.usableIMCU() {
-			rpb := ts.seg.RowsPerBlock()
-			if rpb <= 0 {
-				rpb = 1
-			}
-			chunk := rowstore.BlockNo(max(1, morselRows/rpb))
+		if ts.imcu == nil { // fallback and gap tasks
+			chunk := rowstore.BlockNo(max(1, morselRows/max(ts.seg.RowsPerBlock(), 1)))
 			for b := ts.from; b < ts.to; b += chunk {
-				e := min(b+chunk, ts.to)
-				out = append(out, morsel{ts: ts, kind: morselBlocks, lo: int(b), hi: int(e)})
+				out = append(out, morsel{ts: ts, kind: morselBlocks, lo: int(b), hi: int(min(b+chunk, ts.to))})
 			}
 			continue
 		}
@@ -217,46 +180,32 @@ func invalidMorsels(ts *taskState, morselRows int) []morsel {
 	return out
 }
 
-// runMorsel executes one morsel into res.
-func (ex *Executor) runMorsel(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult) {
+// runMorselOn executes a morsel into res and returns its wall nanos (zero
+// when not profiling, keeping time calls off the unprofiled hot path); when
+// the profile's tree is wanted it attributes the morsel's counter deltas and
+// wall time to the owning task.
+func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult, profiling profileLevel) int64 {
+	before, start := res.cnt, time.Time{}
+	if profiling != profNone {
+		start = time.Now()
+	}
 	res.curPart = m.ts.part
 	if m.kind == morselIMCURows {
 		ex.scanIMCUWindow(q, schema, m.ts, m.lo, m.hi, res)
 	} else {
 		ex.scanRows(q, schema, m, snap, res)
 	}
-}
-
-// runMorselOn executes a morsel and returns its wall nanos (zero when not
-// profiling, keeping time calls off the unprofiled hot path); when the
-// profile's tree is wanted it attributes the morsel's counter deltas and wall
-// time to the owning task.
-func (ex *Executor) runMorselOn(q *Query, schema *rowstore.Schema, m morsel, snap scn.SCN, res *taskResult, profiling profileLevel) int64 {
 	if profiling == profNone {
-		ex.runMorsel(q, schema, m, snap, res)
 		return 0
 	}
-	before := res.counters()
-	start := time.Now()
-	ex.runMorsel(q, schema, m, snap, res)
 	wall := time.Since(start).Nanoseconds()
-	if profiling != profTree {
-		return wall
+	if ts := m.ts; profiling == profTree {
+		for i, v := range res.cnt {
+			ts.pCounts[i].Add(v - before[i])
+		}
+		ts.pWall.Add(wall)
+		ts.pMorsels.Add(1)
 	}
-	after := res.counters()
-	ts := m.ts
-	ts.pRowsIMCS.Add(after.imcs - before.imcs)
-	ts.pRowsDelta.Add(after.delta - before.delta)
-	ts.pRowsInvalid.Add(after.invalid - before.invalid)
-	ts.pRowsTail.Add(after.tail - before.tail)
-	ts.pRowsRowStore.Add(after.rowstore - before.rowstore)
-	ts.pRowBlocks.Add(after.rowBlocks - before.rowBlocks)
-	ts.pRowBatches.Add(after.rowBatches - before.rowBatches)
-	ts.pBatches.Add(after.batches - before.batches)
-	ts.pRowsEncoded.Add(after.encoded - before.encoded)
-	ts.pRowsDecoded.Add(after.decoded - before.decoded)
-	ts.pWall.Add(wall)
-	ts.pMorsels.Add(1)
 	return wall
 }
 
@@ -402,23 +351,19 @@ func (ex *Executor) runMorsels(q *Query, plan *queryPlan, schema *rowstore.Schem
 // (the match bitmap's word indexing depends on it); the window mask clips the
 // first and last partial batch, so morsel boundaries can fall anywhere.
 func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskState, lo, hi int, res *taskResult) {
-	imcu, invalid := ts.imcu, ts.invalid
-	rows := ts.rows
-	present := imcu.PresentWords()
-	match := res.s.match
+	imcu, invalid, rows := ts.imcu, ts.invalid, ts.rows
+	present, match := imcu.PresentWords(), res.s.match
 	var none bool
 	if res.s.filters, none = resolveFilters(res.s.filters, schema, imcu, q.Filters); none {
 		return
 	}
 	res.op.beginUnit(imcu)
+	win := &res.s.window
+	win.imcu, win.aux = imcu, res.s.aux
 	for base := lo - lo%batchSize; base < hi; base += batchSize {
-		n := rows - base
-		if n > batchSize {
-			n = batchSize
-		}
+		n := min(rows-base, batchSize)
 		wLo, wHi := max(lo-base, 0), min(hi-base, n)
-		words := (n + 63) / 64
-		w0 := base / 64
+		words, w0 := (n+63)/64, base/64
 		for w := 0; w < words; w++ {
 			m := present[w0+w] &^ invalid[w0+w]
 			if w == words-1 && n%64 != 0 {
@@ -429,7 +374,7 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 		if imcs.MaskOutsideRange(match, wLo, wHi, n) == 0 {
 			continue
 		}
-		res.batches++
+		res.cnt[cBatches]++
 		// Each filter is compared in code space on the packed words, over the
 		// 64-row groups the filters before it left a row in.
 		for _, f := range res.s.filters {
@@ -439,11 +384,10 @@ func (ex *Executor) scanIMCUWindow(q *Query, schema *rowstore.Schema, ts *taskSt
 				imcu.NumCol(f.slot).CmpMask(match, base, n, f.cmp)
 			}
 		}
-		matched := imcs.PopcountRange(match, 0, n)
-		if matched == 0 {
-			continue
+		if matched := imcs.PopcountRange(match, 0, n); matched != 0 {
+			res.cnt[cIMCS] += matched
+			win.base, win.n = base, n
+			res.op.fold(res, win, match[:words])
 		}
-		res.fromIMCS += matched
-		res.op.foldBatch(res, imcu, base, n, match)
 	}
 }

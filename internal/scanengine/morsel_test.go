@@ -102,33 +102,43 @@ func TestMorselBoundarySweep(t *testing.T) {
 
 // TestMorselCountsReported asserts the executor reports its scheduling work:
 // a single-row granule over a 2000-row table must split into at least one
-// morsel per populated unit, and Explain's predicted morsel count must match
-// what a run at the same snapshot executes.
+// morsel per populated unit, and Explain's predicted morsel count and
+// parallelism must match what a run at the same snapshot executes — for a
+// query that sets its parallelism and for one that leaves it to the
+// executor's default.
 func TestMorselCountsReported(t *testing.T) {
 	f := newFixture(t, 2000, true)
 	snap := f.c.Snapshot()
-	ex := f.exec()
-	ex.MorselRows = 64
-	q := &scanengine.Query{Table: f.tbl, Parallel: 4}
-	res, prof, err := ex.RunProfiled(q, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Morsels < 2000/64 {
-		t.Fatalf("Morsels = %d, want >= %d", res.Morsels, 2000/64)
-	}
-	if prof.Morsels != res.Morsels {
-		t.Fatalf("profile morsels %d != result morsels %d", prof.Morsels, res.Morsels)
-	}
-	plan, err := ex.Explain(q, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Morsels != res.Morsels {
-		t.Fatalf("Explain predicted %d morsels, run executed %d", plan.Morsels, res.Morsels)
-	}
-	if plan.MorselRows != 64 || prof.MorselRows != 64 {
-		t.Fatalf("granule not surfaced: explain=%d run=%d", plan.MorselRows, prof.MorselRows)
+	for _, c := range []struct {
+		name                 string
+		parallel, defaultPar int
+	}{{"query-parallel", 4, 0}, {"executor-default", 0, 4}} {
+		ex := f.exec()
+		ex.MorselRows, ex.DefaultParallel = 64, c.defaultPar
+		q := &scanengine.Query{Table: f.tbl, Parallel: c.parallel}
+		res, prof, err := ex.RunProfiled(q, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Morsels < 2000/64 {
+			t.Fatalf("%s: Morsels = %d, want >= %d", c.name, res.Morsels, 2000/64)
+		}
+		if prof.Morsels != res.Morsels {
+			t.Fatalf("%s: profile morsels %d != result morsels %d", c.name, prof.Morsels, res.Morsels)
+		}
+		plan, err := ex.Explain(q, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Morsels != res.Morsels {
+			t.Fatalf("%s: Explain predicted %d morsels, run executed %d", c.name, plan.Morsels, res.Morsels)
+		}
+		if plan.Parallel != prof.Parallel || prof.Parallel != 4 {
+			t.Fatalf("%s: Explain predicted parallel=%d, run used %d, want 4", c.name, plan.Parallel, prof.Parallel)
+		}
+		if plan.MorselRows != 64 || prof.MorselRows != 64 {
+			t.Fatalf("%s: granule not surfaced: explain=%d run=%d", c.name, plan.MorselRows, prof.MorselRows)
+		}
 	}
 }
 

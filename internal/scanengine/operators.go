@@ -14,13 +14,13 @@ import (
 	"dbimadg/internal/rowstore"
 )
 
-// This file holds the batch operator pipeline: after scanIMCU builds a match
-// bitmap for a batch, the surviving rows flow into exactly one operator —
-// rowsOp (late materialization), aggOp (multi-aggregate accumulator) or
-// groupOp (code-indexed GROUP BY) — instead of a row-at-a-time fold. The
-// row-store serving paths (gaps, invalid rows, edge tails, fallbacks) feed the
-// same operator a batch of row images at a time through foldRows, so hybrid
-// results stay exact at QuerySCN.
+// This file holds the batch operator pipeline: the matching rows of a scan
+// flow into exactly one operator — rowsOp (late materialization), aggOp
+// (multi-aggregate accumulator) or groupOp (code-indexed GROUP BY) — a batch
+// at a time, through one fold per operator that reads the batch's columns from
+// its source (source.go): a decoded IMCU window, the window ⊕ the unit's
+// column delta, or row images from the row store. So hybrid results stay
+// exact at QuerySCN with one copy of each operator.
 
 // AggSpec names one select-list aggregate. Col is the aggregated schema
 // column index (ignored for AggCount).
@@ -76,8 +76,14 @@ type queryPlan struct {
 	keyIsStr []bool
 }
 
-// planQuery normalizes and validates a query's aggregate/grouping shape.
+// planQuery validates a query's filter columns and normalizes and validates
+// its aggregate/grouping shape.
 func planQuery(q *Query, schema *rowstore.Schema) (*queryPlan, error) {
+	for _, f := range q.Filters {
+		if f.Col < 0 || f.Col >= schema.NumCols() {
+			return nil, fmt.Errorf("scanengine: filter column %d out of range", f.Col)
+		}
+	}
 	p := &queryPlan{aggs: q.Aggs, groupBy: q.GroupBy}
 	if len(p.aggs) == 0 && q.Agg != AggNone {
 		p.aggs = []AggSpec{{Kind: q.Agg, Col: q.AggCol}}
@@ -116,31 +122,21 @@ func aggLabel(a AggSpec, schema *rowstore.Schema) string {
 	switch a.Kind {
 	case AggCount:
 		return "COUNT(*)"
-	case AggSum:
-		return "SUM(" + schema.Col(a.Col).Name + ")"
-	case AggMin:
-		return "MIN(" + schema.Col(a.Col).Name + ")"
-	case AggMax:
-		return "MAX(" + schema.Col(a.Col).Name + ")"
+	case AggSum, AggMin, AggMax:
+		return [...]string{AggSum: "SUM(", AggMin: "MIN(", AggMax: "MAX("}[a.Kind] + schema.Col(a.Col).Name + ")"
 	}
 	return "?"
 }
 
-// operator consumes the matching rows of one scan task stream. foldBatch
-// receives a batch-local match bitmap over IMCU positions [base, base+n);
-// beginUnit precedes the batches of one morsel and names their IMCU
-// (code-keyed state lives until the codes change meaning: a unit of another
-// key space); flush ends the worker's scan, after which merge and finish see
-// no unit-local state. foldRows is foldBatch for the row-store serving path:
-// match is over b's row images, and when b names an IMCU, beginUnit has named
-// it too. foldDelta is foldBatch for scattered positions of the IMCU beginUnit
-// named, some of whose columns the unit's delta replaces: match is over b's rows.
+// operator consumes the matching rows of one scan task stream. fold receives
+// a batch of src and a match bitmap over its positions; when src has an IMCU,
+// beginUnit has named it (code-keyed state lives until the codes change
+// meaning: a unit of another key space). flush ends the worker's scan, after
+// which merge and finish see no unit-local state.
 type operator interface {
 	beginUnit(imcu *imcs.IMCU)
-	foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64)
+	fold(r *taskResult, src source, match []uint64)
 	flush()
-	foldRows(r *taskResult, b *rowBatch, match []uint64)
-	foldDelta(r *taskResult, b *deltaBatch, match []uint64)
 	merge(o operator)
 	finish(res *Result)
 }
@@ -167,24 +163,9 @@ func orderKey(part int, blk rowstore.BlockNo, slot uint16) uint64 {
 	return uint64(part)<<48 | uint64(blk)<<16 | uint64(slot)
 }
 
-// collectIdx expands the set bits of match over n positions into idx.
-func collectIdx(idx []int32, match []uint64, n int) []int32 {
-	idx = idx[:0]
-	for w := 0; w < (n+63)/64; w++ {
-		m := match[w]
-		for m != 0 {
-			idx = append(idx, int32(w*64+bits.TrailingZeros64(m)))
-			m &= m - 1
-		}
-	}
-	return idx
-}
-
-// rowsOp materializes matching rows (AggNone). IMCU batches are gathered
-// late: only the projected columns are decoded, a window at a time for dense
-// matches, by point lookup for sparse ones.
+// rowsOp materializes matching rows (AggNone), gathered late: only the
+// projected columns are read from the source.
 type rowsOp struct {
-	q        *Query
 	schema   *rowstore.Schema
 	ordered  bool
 	numSlots []int
@@ -192,25 +173,16 @@ type rowsOp struct {
 
 	rows []rowstore.Row
 	keys []uint64
-	idx  []int32
 }
 
 func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool) *rowsOp {
-	o := &rowsOp{q: q, schema: schema, ordered: ordered}
-	if q.Project == nil {
-		for s := 0; s < schema.NumberSlots(); s++ {
-			o.numSlots = append(o.numSlots, s)
-		}
-		for s := 0; s < schema.VarcharSlots(); s++ {
-			o.strSlots = append(o.strSlots, s)
-		}
-		return o
-	}
-	for _, ci := range q.Project {
-		col := schema.Col(ci)
-		if col.Kind == rowstore.KindNumber {
+	o := &rowsOp{schema: schema, ordered: ordered}
+	for ci := 0; ci < schema.NumCols(); ci++ {
+		switch col := schema.Col(ci); {
+		case q.Project != nil && !slices.Contains(q.Project, ci):
+		case col.Kind == rowstore.KindNumber:
 			o.numSlots = append(o.numSlots, col.Slot())
-		} else {
+		default:
 			o.strSlots = append(o.strSlots, col.Slot())
 		}
 	}
@@ -220,122 +192,40 @@ func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool) *rowsOp {
 func (o *rowsOp) beginUnit(*imcs.IMCU) {}
 func (o *rowsOp) flush()               {}
 
-func (o *rowsOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
-	o.idx = collectIdx(o.idx, match, n)
-	for k := range o.idx {
-		o.idx[k] += int32(base)
+// fold appends one result row per selected position, cut from one slab of
+// numbers and one of strings in the table's slot layout: two objects a batch,
+// not two a row. Full-capacity slices, so appending to one row cannot reach
+// its neighbour. A row image's strings are copied out, into one more object:
+// a result row references no image.
+func (o *rowsOp) fold(r *taskResult, src source, match []uint64) {
+	n := src.size()
+	k := int(imcs.PopcountRange(match, 0, n))
+	if win, ok := src.(*window); ok && k*8 < n {
+		// Under an eighth of the batch selected, decoding a group of 64 rows
+		// for one costs more than a point lookup.
+		match, src, n = win.byPosition(&r.s.sparse, match, r.s.sub), &r.s.sparse, k
 	}
-	o.materialize(r, imcu, base, n, match)
-}
-
-// materialize appends one result row per IMCU position in o.idx, in the batch's
-// slabs, which it returns. match, unless n is 0, is the positions' bitmap over
-// the window [base, base+n).
-func (o *rowsOp) materialize(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) (nums []int64, strs []string) {
-	if len(o.idx) == 0 {
-		return nil, nil
-	}
-	// The batch's rows are cut from one slab of numbers and one of strings, in
-	// the table's slot layout: two objects a batch, not two a row. Full-capacity
-	// slices, so appending to one row cannot reach its neighbour.
 	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
-	nums, strs = make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
-	for k := range o.idx {
-		o.rows = append(o.rows, rowstore.Row{
-			Nums: nums[k*nn : (k+1)*nn : (k+1)*nn],
-			Strs: strs[k*ns : (k+1)*ns : (k+1)*ns],
-		})
+	nums, strs := make([]int64, k*nn), make([]string, k*ns)
+	for j := 0; j < k; j++ {
+		o.rows = append(o.rows, rowstore.Row{Nums: nums[j*nn : (j+1)*nn : (j+1)*nn], Strs: strs[j*ns : (j+1)*ns : (j+1)*ns]})
 	}
-	// Decode a column's window once (the 64-row groups that hold a match) when
-	// at least 1/8 of it survives; point-get for selective batches.
-	dense := len(o.idx)*8 >= n && n > 0
 	for _, s := range o.numSlots {
-		col := imcu.NumCol(s)
-		if dense {
-			vals := r.s.aux[:n]
-			col.DecodeMasked(vals, base, match)
-			for k, p := range o.idx {
-				nums[k*nn+s] = vals[int(p)-base]
-			}
-		} else {
-			for k, p := range o.idx {
-				nums[k*nn+s] = col.Get(int(p))
-			}
-		}
+		src.nums(r.s.num[:n], s, match)
+		j := s
+		each(match, func(i int) { nums[j], j = r.s.num[i], j+nn })
 	}
 	for _, s := range o.strSlots {
-		col := imcu.StrCol(s)
-		if dense {
-			codes := r.s.aux[:n]
-			col.DecodeCodesMasked(codes, base, match)
-			for k, p := range o.idx {
-				strs[k*ns+s] = col.Value(codes[int(p)-base])
-			}
-		} else {
-			for k, p := range o.idx {
-				strs[k*ns+s] = col.Get(int(p))
-			}
-		}
+		src.strs(r.s.strs[:n], s, match)
+		j := s
+		each(match, func(i int) { strs[j], j = r.s.strs[i], j+ns })
 	}
 	if o.ordered {
-		for _, p := range o.idx {
-			blk, slot := imcu.AddrOfRow(int(p))
-			o.keys = append(o.keys, orderKey(r.curPart, blk, slot))
-		}
+		o.keys = src.orderKeys(o.keys, r.curPart, match)
 	}
-	return nums, strs
-}
-
-// foldDelta materializes the matching positions by point lookup and writes the
-// delta's values over the projected columns it names.
-func (o *rowsOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
-	b.sel = collectIdx(b.sel, match, b.n)
-	o.idx = o.idx[:0]
-	for _, i := range b.sel {
-		o.idx = append(o.idx, b.pos[i])
+	if _, images := src.(*rowBatch); images {
+		rowstore.CompactStrs(strs)
 	}
-	imcu := b.view.IMCU
-	nums, strs := o.materialize(r, imcu, 0, 0, nil)
-	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
-	for k, i := range b.sel {
-		for _, e := range b.of(i) {
-			switch s, str := e.Slot(); {
-			case str && slices.Contains(o.strSlots, s):
-				strs[k*ns+s] = b.view.Str(imcu.StrCol(s), e.Val)
-			case !str && slices.Contains(o.numSlots, s):
-				nums[k*nn+s] = e.Val
-			}
-		}
-	}
-}
-
-// foldRows copies the projected columns of the matching images out, into the
-// slabs foldBatch cuts its rows from and, for the strings' bytes, one more: a
-// result row references no row image.
-func (o *rowsOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
-	o.idx = collectIdx(o.idx, match, b.n)
-	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
-	nums, strs := make([]int64, len(o.idx)*nn), make([]string, len(o.idx)*ns)
-	img := &r.s.unpacked
-	for k, i := range o.idx {
-		img.Nums, img.Strs = img.Nums[:0], img.Strs[:0]
-		b.rows[i].AppendTo(img)
-		for _, s := range o.numSlots {
-			nums[k*nn+s] = img.Nums[s]
-		}
-		for _, s := range o.strSlots {
-			strs[k*ns+s] = img.Strs[s]
-		}
-		o.rows = append(o.rows, rowstore.Row{
-			Nums: nums[k*nn : (k+1)*nn : (k+1)*nn],
-			Strs: strs[k*ns : (k+1)*ns : (k+1)*ns],
-		})
-		if o.ordered {
-			o.keys = append(o.keys, orderKey(r.curPart, b.blks[i], b.slots[i]))
-		}
-	}
-	rowstore.CompactStrs(strs)
-	clear(img.Strs)
 }
 
 func (o *rowsOp) merge(other operator) {
@@ -374,36 +264,15 @@ type aggCell struct {
 func newAggCell() aggCell { return aggCell{min: math.MaxInt64, max: math.MinInt64} }
 
 func (c *aggCell) addMasked(a imcs.MaskedAgg) {
-	if a.Count == 0 {
-		return
-	}
-	c.sum += a.Sum
-	if a.Min < c.min {
-		c.min = a.Min
-	}
-	if a.Max > c.max {
-		c.max = a.Max
+	if a.Count != 0 {
+		c.mergeCell(aggCell{a.Sum, a.Min, a.Max})
 	}
 }
 
-func (c *aggCell) addVal(v int64) {
-	c.sum += v
-	if v < c.min {
-		c.min = v
-	}
-	if v > c.max {
-		c.max = v
-	}
-}
+func (c *aggCell) addVal(v int64) { c.mergeCell(aggCell{v, v, v}) }
 
 func (c *aggCell) mergeCell(o aggCell) {
-	c.sum += o.sum
-	if o.min < c.min {
-		c.min = o.min
-	}
-	if o.max > c.max {
-		c.max = o.max
-	}
+	c.sum, c.min, c.max = c.sum+o.sum, min(c.min, o.min), max(c.max, o.max)
 }
 
 // aggValue reads one aggregate out of accumulated state: the row count, or
@@ -430,18 +299,9 @@ func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots []int, colOf 
 			continue
 		}
 		s := schema.Col(a.Col).Slot()
-		ci := -1
-		for j, have := range slots {
-			if have == s {
-				ci = j
-				break
-			}
+		if colOf[k] = slices.Index(slots, s); colOf[k] < 0 {
+			colOf[k], slots = len(slots), append(slots, s)
 		}
-		if ci < 0 {
-			ci = len(slots)
-			slots = append(slots, s)
-		}
-		colOf[k] = ci
 	}
 	return slots, colOf
 }
@@ -471,55 +331,24 @@ func newAggOp(plan *queryPlan, schema *rowstore.Schema) *aggOp {
 func (o *aggOp) beginUnit(*imcs.IMCU) {}
 func (o *aggOp) flush()               {}
 
-func (o *aggOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
-	cnt := imcs.PopcountRange(match, 0, n)
-	if cnt == 0 {
-		return
-	}
+// fold runs the source's masked aggregate once per distinct column. Folds
+// over rows the column store served count by how they ran; row images count
+// under neither.
+func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
+	cnt := imcs.PopcountRange(match, 0, src.size())
 	o.count += cnt
-	if len(o.slots) == 0 {
+	_, images := src.(*rowBatch)
+	if len(o.slots) == 0 && !images {
 		// COUNT-only: the popcount itself is the fold; nothing decoded.
-		r.rowsEncoded += cnt
-		return
+		r.cnt[cEncoded] += cnt
 	}
 	for ci, s := range o.slots {
-		a := imcu.NumCol(s).AggMasked(match, base, 0, n, r.s.aux)
+		a := src.agg(s, match, r.s.aux)
 		o.cells[ci].addMasked(a)
-		r.rowsEncoded += a.EncodedRows
-		r.rowsDecoded += a.Count - a.EncodedRows
-	}
-}
-
-func (o *aggOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
-	o.count += imcs.PopcountRange(match, 0, b.n)
-	for ci, s := range o.slots {
-		cell := o.cells[ci]
-		for w := range match {
-			for m := match[w]; m != 0; m &= m - 1 {
-				cell.addVal(b.rows[w*64+bits.TrailingZeros64(m)].Num(s))
-			}
+		if !images {
+			r.cnt[cEncoded] += a.EncodedRows
+			r.cnt[cDecoded] += a.Count - a.EncodedRows
 		}
-		o.cells[ci] = cell
-	}
-}
-
-func (o *aggOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
-	cnt := imcs.PopcountRange(match, 0, b.n)
-	o.count += cnt
-	if len(o.slots) == 0 {
-		r.rowsEncoded += cnt
-	}
-	for ci, s := range o.slots {
-		vals := r.s.aux[:b.n]
-		b.nums(vals, s)
-		cell := o.cells[ci]
-		for w := range match {
-			for m := match[w]; m != 0; m &= m - 1 {
-				cell.addVal(vals[w*64+bits.TrailingZeros64(m)])
-			}
-		}
-		o.cells[ci] = cell
-		r.rowsDecoded += cnt
 	}
 }
 
@@ -538,23 +367,21 @@ func (o *aggOp) finish(res *Result) {
 		res.AggVals[k] = aggValue(a.Kind, o.count, o.cells, o.colOf[k])
 	}
 	// Legacy single-aggregate fields carry the first spec of each kind.
-	var haveSum, haveMin, haveMax bool
-	for k, a := range o.specs {
-		switch {
-		case a.Kind == AggSum && !haveSum:
-			res.Sum, haveSum = res.AggVals[k], true
-		case a.Kind == AggMin && !haveMin:
-			res.Min, haveMin = res.AggVals[k], true
-		case a.Kind == AggMax && !haveMax:
-			res.Max, haveMax = res.AggVals[k], true
+	for k := len(o.specs) - 1; k >= 0; k-- {
+		switch o.specs[k].Kind {
+		case AggSum:
+			res.Sum = res.AggVals[k]
+		case AggMin:
+			res.Min = res.AggVals[k]
+		case AggMax:
+			res.Max = res.AggVals[k]
 		}
 	}
 }
 
-// maxDirectSlots bounds the code-indexed form of the unit-local group table:
-// while the product of an IMCU's key-column code ranges fits it, a row's
-// group slot is its composite key code; past it, one map probe per row finds
-// the slot.
+// maxDirectSlots bounds the unit-local group table: while the product of an
+// IMCU's key-column code ranges fits it, a row's group slot is its composite
+// key code; past it, every row's key goes to the by-value table.
 const maxDirectSlots = 1 << 16
 
 // lkey is a fixed-width composite group key. Unit-local: dictionary codes for
@@ -632,11 +459,9 @@ func cmpKeys(a, b []GroupValue) int {
 // seen, not the table's size.
 type groupLocal struct {
 	aggSlab
-	touched []uint64       // direct form: bit s set when slot s was folded into since the last flush
-	index   map[lkey]int32 // map-indexed form: key → slot (slots dense)
-	keys    []lkey         // map-indexed form: slot → key
-	slots   []int32        // a flush's touched slots, ascending
-	pos     []int32        // a flush's merge verdicts
+	touched []uint64 // bit s set when slot s was folded into since the last flush
+	slots   []int32  // a flush's touched slots, ascending
+	pos     []int32  // a flush's merge verdicts
 
 	// The by-value table, in arrival order; empty between queries. A single key
 	// column indexes it by its value (byStr or byNum); a composite key interns
@@ -671,31 +496,30 @@ func (l *groupLocal) hold(s string) string {
 // (a grouped scan of a big table with no column store builds a larger one).
 const maxPooledGroups = 1 << 14
 
-// touch marks slot s of the direct form as folded into.
+// touch marks slot s as folded into.
 func (l *groupLocal) touch(s int) { l.touched[s>>6] |= 1 << (uint(s) & 63) }
 
 // groupOp is the GROUP BY operator. During an IMCU scan a row's group is a
 // slot of the unit-local slab, found by direct index on the composite key
-// code — dictionary code for VARCHAR keys, value − min for NUMBER keys —
-// when the unit's code ranges fit maxDirectSlots, through one map otherwise.
-// Single-column NUMBER keys with run structure take a run-level fast path
-// into the same slab: one slot lookup per (run × match-word window),
-// aggregating values in encoded space. The local table outlives a morsel and
-// a unit: it folds into the operator's table when the worker moves to a unit
-// of another key space (keySpace: units of a store share their dictionaries)
-// and at flush. That table is kept in key order and folding is a merge, not a
-// lookup: codes order as their values do and composite slots
-// lexicographically, so the direct form's touched slots in ascending order are
-// a sorted run of keys, as is another worker's table. Labels are decoded once
-// per (unit, group) and compared, never hashed, and finish emits without
-// sorting.
+// code — dictionary code for VARCHAR keys, value − min for NUMBER keys — while
+// the unit's code ranges fit maxDirectSlots. Single-column NUMBER keys with
+// run structure take a run-level fast path into the same slab: one slot
+// lookup per (run × match-word window), aggregating values in encoded space.
+// The local table outlives a morsel and a unit: it folds into the operator's
+// table when the worker moves to a unit of another key space (keySpace: units
+// of a store share their dictionaries) and at flush. That table is kept in key
+// order and folding is a merge, not a lookup: codes order as their values do
+// and composite slots lexicographically, so the touched slots in ascending
+// order are a sorted run of keys, as is another worker's table. Labels are
+// decoded once per (unit, group) and compared, never hashed, and finish emits
+// without sorting.
 //
-// Keys that arrive by value — a row image of the unit's blocks (an invalid or
-// tail row) whose key unitSlot cannot place in the unit's code space, a row of
-// a block no unit covers, the groups of a map-indexed unit, whose slots are in
-// first-seen order — collect in the scratch's hashed side table, sorted and
-// merged in once, when the worker's scan ends. Result order is key order,
-// independent of scan parallelism and task interleaving.
+// Keys that arrive by value — a row image or a delta-patched row whose key
+// lies outside the unit's code space, a row of a block no unit covers, every
+// row of a unit whose code ranges are too wide for the slab — collect in the
+// scratch's hashed side table, sorted and merged in once, when the worker's
+// scan ends. Result order is key order, independent of scan parallelism and
+// task interleaving.
 type groupOp struct {
 	*queryPlan
 	schema *rowstore.Schema
@@ -709,8 +533,8 @@ type groupOp struct {
 	unit   *imcs.IMCU  // the IMCU whose rows fold now; loc's slots are of its key space
 	loc    *groupLocal // the worker's, until its scan ends (flush): merge and finish run after
 	pos    []int32     // merge's verdicts
-	direct bool
-	nslots int // direct form: the slots the key space spans
+	direct bool        // the key space fits the slab
+	nslots int         // the slots it spans
 	keySpace
 	flushes int       // unit-local tables merged into g, this worker's and those merged in
 	vals    [][]int64 // per aggregated column: the batch's value window
@@ -722,7 +546,7 @@ type groupOp struct {
 // NUMBER keys span one range, are one key space and fold into one table.
 type keySpace struct {
 	kmin   lkey // per key column: code origin
-	krange lkey // per key column: code range size (direct form)
+	krange lkey // per key column: code range size
 	dicts  [maxGroupCols]*imcs.Dict
 }
 
@@ -810,8 +634,9 @@ func (o *groupOp) beginUnit(imcu *imcs.IMCU) {
 		return
 	}
 	o.flushUnit()
-	o.unit, o.keySpace, o.nslots = imcu, ks, nslots
-	if o.direct = o.nslots <= maxDirectSlots; o.direct {
+	o.unit, o.keySpace, o.direct = imcu, ks, nslots <= maxDirectSlots
+	if o.direct {
+		o.nslots = nslots
 		o.loc.grow(o.nslots)
 		for len(o.loc.touched)*64 < o.nslots {
 			o.loc.touched = append(o.loc.touched, 0)
@@ -821,8 +646,8 @@ func (o *groupOp) beginUnit(imcu *imcs.IMCU) {
 
 // spaceOf returns imcu's key space — per key column the origin and the size
 // of its code range, all of its dictionary's codes for VARCHAR, min..max for
-// NUMBER — and the size of the composite range: the slots a direct-indexed
-// table needs. Sizes are clamped just past maxDirectSlots, so the product
+// NUMBER — and the size of the composite range: the slots the table
+// needs. Sizes are clamped just past maxDirectSlots, so the product
 // cannot wrap.
 func (p *queryPlan) spaceOf(imcu *imcs.IMCU) (ks keySpace, slots int) {
 	slots = 1
@@ -839,35 +664,15 @@ func (p *queryPlan) spaceOf(imcu *imcs.IMCU) (ks keySpace, slots int) {
 	return ks, slots
 }
 
-// mapSlot is the map-indexed form's slot lookup.
-func (o *groupOp) mapSlot(lk lkey) int64 {
-	loc := o.loc
-	s, ok := loc.index[lk]
-	if !ok {
-		if loc.index == nil {
-			loc.index = map[lkey]int32{}
-		}
-		s = int32(len(loc.keys))
-		loc.index[lk] = s
-		loc.keys = append(loc.keys, lk)
-		loc.grow(len(loc.keys))
-	}
-	return int64(s)
-}
-
 // slotKey decodes the key of local slot s into the key assembly buffer.
 func (o *groupOp) slotKey(s int) []GroupValue {
 	var lk lkey
-	if o.direct {
-		rem := int64(s)
-		for j := len(o.keySlots) - 1; j > 0; j-- {
-			lk[j] = rem%o.krange[j] + o.kmin[j]
-			rem /= o.krange[j]
-		}
-		lk[0] = rem + o.kmin[0] // the leading column's: a single key divides nothing
-	} else {
-		lk = o.loc.keys[s]
+	rem := int64(s)
+	for j := len(o.keySlots) - 1; j > 0; j-- {
+		lk[j] = rem%o.krange[j] + o.kmin[j]
+		rem /= o.krange[j]
 	}
+	lk[0] = rem + o.kmin[0] // the leading column's: a single key divides nothing
 	for j, slot := range o.keySlots {
 		if o.keyIsStr[j] {
 			o.kv[j] = GroupValue{Str: o.unit.StrCol(slot).Value(lk[j]), IsStr: true}
@@ -878,34 +683,24 @@ func (o *groupOp) slotKey(s int) []GroupValue {
 	return o.kv[:len(o.keySlots)]
 }
 
-// flushUnit folds the local table's touched slots into the operator's tables
-// and empties them: the direct form's, in ascending order, by merge; the
-// map-indexed form's by value.
+// flushUnit folds the local table's touched slots, in ascending order, into
+// the operator's table by merge and empties them.
 func (o *groupOp) flushUnit() {
 	loc := o.loc
 	if o.unit != nil {
 		o.flushes++
 	}
-	if o.direct {
-		slots := loc.slots[:0]
-		for w, word := range loc.touched[:(o.nslots+63)/64] {
-			for ; word != 0; word &= word - 1 {
-				slots = append(slots, int32(w*64+bits.TrailingZeros64(word)))
-			}
-			loc.touched[w] = 0
+	slots := loc.slots[:0]
+	for w, word := range loc.touched[:(o.nslots+63)/64] {
+		for ; word != 0; word &= word - 1 {
+			slots = append(slots, int32(w*64+bits.TrailingZeros64(word)))
 		}
-		loc.slots = slots
-		o.mergeSorted(&loc.pos, len(slots), slots, &loc.aggSlab, o.slotKey)
-		for _, s := range slots {
-			loc.empty(int(s))
-		}
-	} else {
-		for s := range loc.keys {
-			loc.v.foldGroup(o.byValueSlot(o.slotKey(s)), &loc.aggSlab, s)
-			loc.empty(s)
-		}
-		loc.keys = loc.keys[:0]
-		clear(loc.index)
+		loc.touched[w] = 0
+	}
+	loc.slots = slots
+	o.mergeSorted(&loc.pos, len(slots), slots, &loc.aggSlab, o.slotKey)
+	for _, s := range slots {
+		loc.empty(int(s))
 	}
 	o.unit, o.direct, o.nslots = nil, false, 0
 }
@@ -1015,76 +810,62 @@ func (o *groupOp) mergeSorted(scratch *[]int32, m int, slots []int32, src *aggSl
 	}
 }
 
-func (o *groupOp) foldBatch(r *taskResult, imcu *imcs.IMCU, base, n int, match []uint64) {
+// fold folds the selected rows of src into the unit-local table. A single
+// NUMBER key over a window with run structure visits each run once and
+// aggregates its match window in encoded space. Otherwise the key columns are
+// gathered as codes in the unit's key space and the aggregated ones as values;
+// rows whose key lies outside the space go to the by-value table — a window's
+// never do — and each of the others folds into the slot its codes make.
+func (o *groupOp) fold(r *taskResult, src source, match []uint64) {
 	loc := o.loc
 	nk, nc := len(o.groupBy), loc.nc
-	// Run-level fast path: a single NUMBER key with run structure visits each
-	// run once and aggregates its match window in encoded space.
-	if nk == 1 && !o.keyIsStr[0] {
-		ok := imcu.NumCol(o.keySlots[0]).ForEachRun(base, 0, n, func(s, e int, v int64) {
-			cnt := imcs.PopcountRange(match, s, e)
-			if cnt == 0 {
-				return
-			}
-			g := v - o.kmin[0]
-			if !o.direct {
-				g = o.mapSlot(lkey{v})
-			} else if loc.count[g] == 0 {
-				loc.touch(int(g))
-			}
-			loc.count[g] += cnt
-			if nc == 0 {
-				r.rowsEncoded += cnt
-				return
-			}
-			for ci, slot := range o.slots {
-				a := imcu.NumCol(slot).AggMasked(match, base, s, e, r.s.aux)
-				loc.cells[int(g)*nc+ci].addMasked(a)
-				r.rowsEncoded += a.EncodedRows
-				r.rowsDecoded += a.Count - a.EncodedRows
-			}
-		})
-		if ok {
+	win, clean := src.(*window)
+	if clean && nk == 1 && !o.keyIsStr[0] && win.imcu.NumCol(o.keySlots[0]).ForEachRun(win.base, 0, win.n, func(s, e int, v int64) {
+		cnt := imcs.PopcountRange(match, s, e)
+		if cnt == 0 {
 			return
 		}
+		slab, g := &loc.aggSlab, int(v-o.kmin[0])
+		if !o.direct {
+			o.kv[0] = GroupValue{Num: v}
+			slab, g = &loc.v.aggSlab, o.byValueSlot(o.kv[:1])
+		} else if loc.count[g] == 0 {
+			loc.touch(g)
+		}
+		slab.count[g] += cnt
+		if nc == 0 {
+			r.cnt[cEncoded] += cnt
+			return
+		}
+		for ci, slot := range o.slots {
+			a := win.imcu.NumCol(slot).AggMasked(match, win.base, s, e, r.s.aux)
+			slab.cells[g*nc+ci].addMasked(a)
+			r.cnt[cEncoded] += a.EncodedRows
+			r.cnt[cDecoded] += a.Count - a.EncodedRows
+		}
+	}) {
+		return
 	}
-
-	// General path: decode key windows (codes for VARCHAR) and value windows,
-	// where match still selects a row, then fold each surviving row.
+	n := src.size()
 	for j, slot := range o.keySlots {
-		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
-			imcu.StrCol(slot).DecodeCodesMasked(ks, base, match)
+		if ks := buf(&r.s.wins, j, n); o.keyIsStr[j] {
+			src.codes(ks, slot, match)
 		} else {
-			imcu.NumCol(slot).DecodeMasked(ks, base, match)
+			src.nums(ks, slot, match)
 		}
 	}
 	for ci, slot := range o.slots {
-		o.vals[ci] = r.s.win(nk + ci)[:n]
-		imcu.NumCol(slot).DecodeMasked(o.vals[ci], base, match)
+		o.vals[ci] = buf(&r.s.wins, nk+ci, n)
+		src.nums(o.vals[ci], slot, match)
 	}
-	o.foldWindows(r, n, match)
-}
-
-// foldWindows folds the rows match selects of n whose keys, in the unit's code
-// space, lie in the scratch's first windows and whose aggregated columns in
-// o.vals: the keys turn into a window of slots, then each row folds.
-func (o *groupOp) foldWindows(r *taskResult, n int, match []uint64) {
-	loc := o.loc
-	nk, nc := len(o.groupBy), loc.nc
-	sl := r.s.win(0)[:n]
-	switch {
-	case !o.direct:
-		for w := 0; w < (n+63)/64; w++ {
-			for m := match[w]; m != 0; m &= m - 1 {
-				i := w*64 + bits.TrailingZeros64(m)
-				var lk lkey
-				for j := 0; j < nk; j++ {
-					lk[j] = r.s.wins[j][i]
-				}
-				sl[i] = o.mapSlot(lk)
-			}
-		}
-	case nk > 1 || o.kmin[0] != 0:
+	if _, images := src.(*rowBatch); !images {
+		r.cnt[cDecoded] += imcs.PopcountRange(match, 0, n) * int64(max(nc, 1))
+	}
+	if !clean || !o.direct {
+		o.byValueRows(r, src, match)
+	}
+	sl := r.s.wins[0][:n]
+	if nk > 1 || o.kmin[0] != 0 {
 		for i := range sl {
 			sl[i] -= o.kmin[0]
 		}
@@ -1095,14 +876,12 @@ func (o *groupOp) foldWindows(r *taskResult, n int, match []uint64) {
 			}
 		}
 	}
-	var matched int64
-	count, cells, vals, touched, direct := loc.count, loc.cells, o.vals, loc.touched, o.direct
-	for w := 0; w < (n+63)/64; w++ {
-		matched += int64(bits.OnesCount64(match[w]))
+	count, cells, vals, touched := loc.count, loc.cells, o.vals, loc.touched
+	for w := range match {
 		for m := match[w]; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
 			g := int(sl[i])
-			if count[g] == 0 && direct {
+			if count[g] == 0 {
 				touched[g>>6] |= 1 << (uint(g) & 63)
 			}
 			count[g]++
@@ -1111,132 +890,60 @@ func (o *groupOp) foldWindows(r *taskResult, n int, match []uint64) {
 			}
 		}
 	}
-	r.rowsDecoded += matched * int64(max(nc, 1))
 }
 
-// foldDelta gathers the key and value windows position by position, patched,
-// and folds them as foldBatch does a decoded window's. A key outside the unit's
-// code space — a patched VARCHAR its dictionary lacks, a patched NUMBER beyond a
-// direct-indexed table's range — goes to the by-value table first.
-func (o *groupOp) foldDelta(r *taskResult, b *deltaBatch, match []uint64) {
-	loc, n, nk := o.loc, b.n, len(o.keySlots)
-	for j, slot := range o.keySlots {
-		if ks := r.s.win(j)[:n]; o.keyIsStr[j] {
-			b.codes(ks, slot)
-		} else {
-			b.nums(ks, slot)
-		}
-	}
-	for ci, slot := range o.slots {
-		o.vals[ci] = r.s.win(nk + ci)[:n]
-		b.nums(o.vals[ci], slot)
-	}
+// byValueRows moves the selected rows whose key the scratch's windows hold
+// outside the unit's key space — a VARCHAR value its dictionary lacks, a
+// NUMBER beyond the table's range, any key of a space too wide for the table
+// or of a batch no unit covers — out of match and into the by-value table,
+// their keys read as values.
+func (o *groupOp) byValueRows(r *taskResult, src source, match []uint64) {
+	b, _ := src.(*rowBatch)
+	spaced := o.direct && (b == nil || b.imcu != nil)
+	out, spilled := r.s.sub[:len(match)], uint64(0)
 	for w := range match {
+		out[w] = 0
 		for m := match[w]; m != 0; m &= m - 1 {
 			i := w*64 + bits.TrailingZeros64(m)
-			coded := true
+			coded := spaced
 			for j := range o.keySlots {
 				if k := r.s.wins[j][i]; o.keyIsStr[j] {
 					coded = coded && k >= 0
 				} else {
-					coded = coded && (!o.direct || uint64(k-o.kmin[j]) < uint64(o.krange[j]))
+					coded = coded && uint64(k-o.kmin[j]) < uint64(o.krange[j])
 				}
 			}
-			if coded {
-				continue
-			}
-			for j, ks := range o.keySlots {
-				if k := r.s.wins[j][i]; o.keyIsStr[j] {
-					o.kv[j] = GroupValue{Str: b.view.Str(o.unit.StrCol(ks), k), IsStr: true}
-				} else {
-					o.kv[j] = GroupValue{Num: k}
-				}
-			}
-			match[w] &^= 1 << uint(i%64)
-			g := o.byValueSlot(o.kv[:nk])
-			loc.v.count[g]++
-			for ci, vs := range o.vals {
-				loc.v.cells[g*loc.v.nc+ci].addVal(vs[i])
-			}
-			r.rowsDecoded += int64(max(loc.nc, 1))
-		}
-	}
-	o.foldWindows(r, n, match)
-}
-
-// unitSlot translates the key of a row image read at (blk, slot) into the
-// current unit's code space and returns its slot of the local table; ok is
-// false for a key outside it — a VARCHAR value the key dictionary lacks, or a
-// NUMBER outside the range a direct-indexed table spans. A VARCHAR value is
-// first compared with the one the IMCU holds for that row (an update usually
-// leaves the key alone, so that one comparison settles most invalid rows), then
-// searched for in the dictionary, which the store's units share, so it is hot
-// and its labels contiguous: a search beat the by-value table's map probe
-// (BenchmarkScanInvalid/grp/25pct 906 → 764 µs; DESIGN §4).
-func (o *groupOp) unitSlot(row rowstore.Image, blk rowstore.BlockNo, at uint16) (slot int, ok bool) {
-	var lk lkey
-	for j, ks := range o.keySlots {
-		if !o.keyIsStr[j] {
-			lk[j] = row.Num(ks)
-			continue
-		}
-		col, v := o.unit.StrCol(ks), row.Str(ks)
-		if pos, held := o.unit.RowIndexOf(blk, at); held {
-			if lk[j] = col.CodeAt(pos); col.Value(lk[j]) == v {
-				continue
+			if !coded {
+				out[w] |= 1 << uint(i%64)
 			}
 		}
-		code, found := col.Dict().Code(v)
-		if !found {
-			return 0, false
-		}
-		lk[j] = code
+		match[w] &^= out[w]
+		spilled |= out[w]
 	}
-	if !o.direct {
-		return int(o.mapSlot(lk)), true
+	if spilled == 0 {
+		return
 	}
-	for j := range o.keySlots {
-		d := lk[j] - o.kmin[j]
-		if uint64(d) >= uint64(o.krange[j]) {
-			return 0, false
-		}
-		slot = slot*int(o.krange[j]) + int(d)
-	}
-	if o.loc.count[slot] == 0 {
-		o.loc.touch(slot)
-	}
-	return slot, true
-}
-
-func (o *groupOp) foldRows(r *taskResult, b *rowBatch, match []uint64) {
-	loc, nk := o.loc, len(o.keySlots)
-	coded := b.imcu != nil // then beginUnit has named it: it is o.unit
-	for w := range match {
-		for m := match[w]; m != 0; m &= m - 1 {
-			i := w*64 + bits.TrailingZeros64(m)
-			row := b.rows[i]
-			slab := &loc.aggSlab
-			g, ok := 0, false
-			if coded {
-				g, ok = o.unitSlot(row, b.blks[i], b.slots[i])
-			}
-			if !ok {
-				// A key this unit has never held, or a block of no unit.
-				for j, ks := range o.keySlots {
-					if o.keyIsStr[j] {
-						o.kv[j] = GroupValue{Str: row.Str(ks), IsStr: true}
-					} else {
-						o.kv[j] = GroupValue{Num: row.Num(ks)}
-					}
-				}
-				g, slab = o.byValueSlot(o.kv[:nk]), &loc.v.aggSlab
-			}
-			slab.count[g]++
-			for ci, s := range o.slots {
-				slab.cells[g*slab.nc+ci].addVal(row.Num(s))
-			}
+	n, nk, v := src.size(), len(o.keySlots), &o.loc.v
+	for j, slot := range o.keySlots {
+		if o.keyIsStr[j] {
+			src.strs(buf(&r.s.swins, j, n), slot, out)
 		}
 	}
+	each(out, func(i int) {
+		for j := range o.keySlots {
+			if o.keyIsStr[j] {
+				o.kv[j] = GroupValue{Str: r.s.swins[j][i], IsStr: true}
+				r.s.swins[j][i] = "" // the scratch keeps no row image
+			} else {
+				o.kv[j] = GroupValue{Num: r.s.wins[j][i]}
+			}
+		}
+		g := o.byValueSlot(o.kv[:nk])
+		v.count[g]++
+		for ci, vs := range o.vals {
+			v.cells[g*v.nc+ci].addVal(vs[i])
+		}
+	})
 }
 
 // merge folds another worker's table into this one's, as sorted as it.

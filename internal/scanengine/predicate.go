@@ -7,7 +7,10 @@
 // is not populated (the paper's "without DBIM" baseline).
 package scanengine
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // CmpOp is a comparison operator.
 type CmpOp uint8
@@ -27,23 +30,13 @@ const (
 	GE
 )
 
+var cmpOpNames = [...]string{EQ: "=", NE: "!=", LT: "<", LE: "<=", GT: ">", GE: ">="}
+
 func (o CmpOp) String() string {
-	switch o {
-	case EQ:
-		return "="
-	case NE:
-		return "!="
-	case LT:
-		return "<"
-	case LE:
-		return "<="
-	case GT:
-		return ">"
-	case GE:
-		return ">="
-	default:
-		return fmt.Sprintf("CmpOp(%d)", uint8(o))
+	if int(o) < len(cmpOpNames) {
+		return cmpOpNames[o]
 	}
+	return fmt.Sprintf("CmpOp(%d)", uint8(o))
 }
 
 // Filter is one column comparison; a query's filters are ANDed.
@@ -62,46 +55,19 @@ func EqNum(col int, v int64) Filter { return Filter{Col: col, Op: EQ, Num: v} }
 // EqStr builds an equality filter on a varchar column.
 func EqStr(col int, v string) Filter { return Filter{Col: col, Op: EQ, Str: v} }
 
+// cmpStr reports whether a op b: the one-value range [a, a] can hold a value
+// satisfying (op, b) exactly when a does. Equality, the common filter, takes
+// one comparison instead of two.
 func cmpStr(a string, op CmpOp, b string) bool {
-	switch op {
-	case EQ:
+	if op == EQ {
 		return a == b
-	case NE:
-		return a != b
-	case LT:
-		return a < b
-	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	case GE:
-		return a >= b
 	}
-	return false
+	return rangeOverlaps(a, a, op, b)
 }
 
-// numRangeOverlaps reports whether a storage-index range [mn, mx] can contain
-// a value satisfying (op, v); false allows pruning the IMCU scan.
-func numRangeOverlaps(mn, mx int64, op CmpOp, v int64) bool {
-	switch op {
-	case EQ:
-		return v >= mn && v <= mx
-	case NE:
-		return !(mn == mx && mn == v)
-	case LT:
-		return mn < v
-	case LE:
-		return mn <= v
-	case GT:
-		return mx > v
-	case GE:
-		return mx >= v
-	}
-	return true
-}
-
-// strRangeOverlaps is the string analogue of numRangeOverlaps.
-func strRangeOverlaps(mn, mx string, op CmpOp, v string) bool {
+// rangeOverlaps reports whether a storage-index range [mn, mx] can contain a
+// value satisfying (op, v); false allows pruning the IMCU scan.
+func rangeOverlaps[T cmp.Ordered](mn, mx T, op CmpOp, v T) bool {
 	switch op {
 	case EQ:
 		return v >= mn && v <= mx

@@ -138,8 +138,7 @@ type Profile struct {
 	// plan-only EXPLAIN.
 	Analyze bool `json:"analyze"`
 	// Parallel is the scan's worker count: the effective (default-resolved,
-	// morsel-clamped) parallelism for an executed query, the query's
-	// requested parallelism for a plan-only EXPLAIN.
+	// morsel-clamped) parallelism, which a plan-only EXPLAIN predicts.
 	Parallel int `json:"parallel"`
 	// MorselRows is the scheduling granule the scan split into, Morsels the
 	// resulting morsel count (planned for EXPLAIN, executed for ANALYZE), and

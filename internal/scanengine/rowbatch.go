@@ -17,81 +17,6 @@ import (
 // filters and the query's operator then take a column at a time, like a
 // decoded IMCU window.
 
-// rowBatch is a worker's batch of row images read from the row store at the
-// scan snapshot, each with its address. It lives in the worker's scratch and
-// is empty between morsels. The filters and the operators read the images
-// through their accessors; a string so read is a view that pins its image and
-// dies with the batch — what an operator keeps (a result row, a group key that
-// arrived by value) it copies out.
-type rowBatch struct {
-	rows  []rowstore.Image
-	blks  []rowstore.BlockNo
-	slots []uint16
-	n     int
-	imcu  *imcs.IMCU // the unit whose blocks the images come from; nil for none
-}
-
-// deltaBatch is a worker's batch of invalid row positions that the unit's column
-// delta explains at the scan snapshot (imcs.View): row i is the IMCU's at pos[i]
-// with the columns of its entries replaced. No block is latched and no version
-// walked for it; the filters and the operators gather its columns as patch,
-// else IMCU value.
-type deltaBatch struct {
-	view *imcs.View
-	pos  []int32
-	// ents holds the rows' entries, row by row, each keyed by its row's index in
-	// the batch in place of the address; row i's start at from[i].
-	ents []imcs.DeltaEntry
-	from []int32
-	sel  []int32 // an operator's matching rows
-	n    int
-}
-
-// add appends the row at IMCU position pos, explained by entries.
-func (b *deltaBatch) add(pos int, entries []imcs.DeltaEntry) {
-	if b.pos == nil {
-		b.pos, b.from = make([]int32, batchSize), make([]int32, batchSize+1)
-	}
-	for _, e := range entries {
-		e.Key = uint64(b.n)<<16 | uint64(e.Col())
-		b.ents = append(b.ents, e)
-	}
-	b.pos[b.n] = int32(pos)
-	b.n++
-	b.from[b.n] = int32(len(b.ents))
-}
-
-// of returns row i's entries.
-func (b *deltaBatch) of(i int32) []imcs.DeltaEntry { return b.ents[b.from[i]:b.from[i+1]] }
-
-// nums gathers the NUMBER column in slot of the batch's rows into dst.
-func (b *deltaBatch) nums(dst []int64, slot int) {
-	col := b.view.IMCU.NumCol(slot)
-	for i, p := range b.pos[:b.n] {
-		dst[i] = col.Get(int(p))
-	}
-	b.patch(dst, imcs.NumColID(slot))
-}
-
-// codes gathers the dictionary codes of the VARCHAR column in slot into dst; a
-// negative one is a patch's value the dictionary lacks (imcs.View.Str).
-func (b *deltaBatch) codes(dst []int64, slot int) {
-	col := b.view.IMCU.StrCol(slot)
-	for i, p := range b.pos[:b.n] {
-		dst[i] = col.CodeAt(int(p))
-	}
-	b.patch(dst, imcs.StrColID(slot))
-}
-
-// patch writes the entries of column col over a gathered vector.
-func (b *deltaBatch) patch(dst []int64, col uint16) {
-	for _, e := range b.ents {
-		if e.Col() == col {
-			dst[e.Key>>16] = e.Val
-		}
-	}
-}
-
 // growRows makes room for capacity images, and for their filter windows.
 func (s *scanScratch) growRows(capacity int) {
 	if len(s.rows.rows) >= capacity {
@@ -103,8 +28,8 @@ func (s *scanScratch) growRows(capacity int) {
 		slots: make([]uint16, capacity),
 	}
 	if capacity > len(s.num) {
-		s.num = make([]int64, capacity)
-		s.match = make([]uint64, (capacity+63)/64)
+		s.num, s.aux, s.strs = make([]int64, capacity), make([]int64, capacity), make([]string, capacity)
+		s.match, s.sub = make([]uint64, (capacity+63)/64), make([]uint64, (capacity+63)/64)
 	}
 }
 
@@ -129,58 +54,75 @@ func (rs *rowScan) read(blk *rowstore.Block, no rowstore.BlockNo, k int, from ui
 		b.blks[i] = no
 	}
 	b.n += got
-	rs.res.rowBlocks++
+	rs.res.cnt[cRowBlocks]++
 	if b.n+rs.perBlk > len(b.rows) {
-		rs.flush()
+		rs.flush(b)
 	}
 }
 
-// flush runs the batch through the filters, a column at a time into a match
-// mask, and hands the survivors to the operator.
-func (rs *rowScan) flush() {
-	res, s := rs.res, rs.res.s
-	b := &s.rows
-	n := b.n
+// filter runs the query's filters over a delta or image batch, a column at a
+// time into the match mask it returns: a NUMBER column gathered and compared
+// with the decoded windows' kernel (gathering first keeps the loop that misses
+// the cache free of branches), a VARCHAR2 one value by value.
+func (rs *rowScan) filter(src source) []uint64 {
+	s, n := rs.res.s, src.size()
+	match := allOnes(s.match, n)
+	for _, f := range rs.q.Filters {
+		col := rs.schema.Col(f.Col)
+		if col.Kind == rowstore.KindNumber {
+			src.nums(s.num[:n], col.Slot(), match)
+			andCmpBitmap(match, s.num[:n], f.Op, f.Num)
+			continue
+		}
+		src.strs(s.strs[:n], col.Slot(), match)
+		each(match, func(i int) {
+			if !cmpStr(s.strs[i], f.Op, f.Str) {
+				match[i/64] &^= 1 << uint(i%64)
+			}
+		})
+	}
+	return match
+}
+
+// batch is a source the row path fills, flushes and empties in place.
+type batch interface {
+	source
+	// keep moves the rows match selects to the front, in order, and drops the
+	// others; keep(nil) empties the batch.
+	keep(match []uint64)
+}
+
+// flush hands the matching rows of a batch, alone, to the operator: the image
+// batch's as served by the row store, the delta batch's by the column store.
+func (rs *rowScan) flush(src batch) {
+	res, n := rs.res, src.size()
 	if n == 0 {
 		return
 	}
-	res.rowBatches++
-	match := allOnes(s.match, n)
-	rows := b.rows[:n]
-	for _, f := range rs.q.Filters {
-		col := rs.schema.Col(f.Col)
-		slot := col.Slot()
-		if col.Kind == rowstore.KindNumber {
-			// Gathering first keeps the loop that misses the cache free of
-			// branches; the comparison then runs the decoded windows' kernel.
-			vals := s.num[:n]
-			for i := range rows {
-				vals[i] = rows[i].Num(slot)
-			}
-			andCmpBitmap(match, vals, f.Op, f.Num)
-			continue
-		}
-		for w := range match {
-			for m := match[w]; m != 0; m &= m - 1 {
-				i := w*64 + bits.TrailingZeros64(m)
-				if !cmpStr(rows[i].Str(slot), f.Op, f.Str) {
-					match[w] &^= 1 << uint(i%64)
-				}
-			}
-		}
-	}
-	if matched := imcs.PopcountRange(match, 0, n); matched != 0 {
-		res.fromRowStore += matched
+	match := rs.filter(src)
+	matched := imcs.PopcountRange(match, 0, n)
+	if _, images := src.(*rowBatch); images {
+		res.cnt[cRowBatches]++
+		res.cnt[cRowStore] += matched
 		switch rs.kind {
 		case morselInvalid:
-			res.fromInvalid += matched
+			res.cnt[cInvalid] += matched
 		case morselTail:
-			res.fromTail += matched
+			res.cnt[cTail] += matched
 		}
-		res.op.foldRows(res, b, match)
+	} else {
+		res.cnt[cIMCS] += matched
+		res.cnt[cDelta] += matched
 	}
-	clear(rows) // the scratch keeps no row image
-	b.n = 0
+	if matched != 0 {
+		if matched < int64(n) {
+			src.keep(match)
+			match = allOnes(match, int(matched))
+		}
+		res.op.fold(res, src, match)
+	}
+	clear(res.s.strs[:n])
+	src.keep(nil)
 }
 
 // allOnes returns the head of buf as a match mask selecting all of n rows.
@@ -193,43 +135,6 @@ func allOnes(buf []uint64, n int) []uint64 {
 		match[len(match)-1] = 1<<uint(rem) - 1
 	}
 	return match
-}
-
-// flushDelta is flush for the delta batch: the same filters over columns
-// gathered from the IMCU and patched, the survivors counted as served by the
-// column store.
-func (rs *rowScan) flushDelta() {
-	res, s := rs.res, rs.res.s
-	b := &s.delta
-	if b.n == 0 {
-		return
-	}
-	match := allOnes(s.match, b.n)
-	vals := s.num[:b.n]
-	for _, f := range rs.q.Filters {
-		col := rs.schema.Col(f.Col)
-		if col.Kind == rowstore.KindNumber {
-			b.nums(vals, col.Slot())
-			andCmpBitmap(match, vals, f.Op, f.Num)
-			continue
-		}
-		b.codes(vals, col.Slot())
-		dict := b.view.IMCU.StrCol(col.Slot())
-		for w := range match {
-			for m := match[w]; m != 0; m &= m - 1 {
-				i := w*64 + bits.TrailingZeros64(m)
-				if !cmpStr(b.view.Str(dict, vals[i]), f.Op, f.Str) {
-					match[w] &^= 1 << uint(i%64)
-				}
-			}
-		}
-	}
-	if matched := imcs.PopcountRange(match, 0, b.n); matched != 0 {
-		res.fromIMCS += matched
-		res.fromDelta += matched
-		res.op.foldDelta(res, b, match)
-	}
-	b.n, b.ents = 0, b.ents[:0]
 }
 
 // scanRows executes a row-store morsel: the invalid rows of an IMCU row
@@ -257,11 +162,11 @@ func (ex *Executor) scanRows(q *Query, schema *rowstore.Schema, m morsel, snap s
 			}
 		}
 	case morselInvalid:
-		res.s.delta.view = ts.view
+		res.s.delta.view, res.s.delta.imcu = ts.view, imcu
 		rs.scanInvalid(ts, m.lo, min(m.hi, ts.rows))
-		rs.flushDelta()
+		rs.flush(&res.s.delta)
 	}
-	rs.flush()
+	rs.flush(&res.s.rows)
 }
 
 // scanInvalid reconciles with the SMU over the word-aligned row window
@@ -289,7 +194,7 @@ func (rs *rowScan) scanInvalid(ts *taskState, lo, hi int) {
 				if di = next; explained {
 					if !deleted {
 						if db.add(pos, entries); db.n == batchSize {
-							rs.flushDelta()
+							rs.flush(db)
 						}
 					}
 					continue

@@ -336,6 +336,11 @@ func differentialRowPath(t *testing.T, pct int, mode string) {
 				if served := res.FromDelta > 0; served != (mode != "opaque" && newest && pct > 0) {
 					t.Fatalf("%s store at %d (newest: %v): %d rows from the deltas", mode, snap, newest, res.FromDelta)
 				}
+				// Every row the deltas explain reads the same through the window ⊕
+				// delta as through its row image.
+				if compared, err := f.exec().SourcesAgree(f.tbl, snap); mode == "delta" && (err != nil || compared != int(res.FromDelta)) {
+					t.Fatalf("delta store at %d: %d rows compared of %d from the deltas: %v", snap, compared, res.FromDelta, err)
+				}
 			}
 		}
 	}

@@ -8,7 +8,7 @@ import (
 	"dbimadg/internal/scanengine"
 )
 
-func testTable(t *testing.T) *rowstore.Table {
+func testTable(t testing.TB) *rowstore.Table {
 	t.Helper()
 	db := rowstore.NewDatabase(16)
 	tbl, err := db.CreateTable(&rowstore.TableSpec{
