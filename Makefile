@@ -83,15 +83,17 @@ allocs:
 # unit tests — of the packed compare kernel against its decode-then-compare
 # reference (any width, window, mask and literal), and of the unit-image decoder
 # a checkpoint restore re-interns from (seeded from the checkpoint's corruption
-# cases), and of the SQL front end down to the scan engine's Explain and Run
-# (seeded from the bench's statement mix). go test fuzzes one target
-# per run; the nightly job runs longer.
+# cases), of the checkpoint file's framing down to Store.RestoreUnit (seeded
+# from a small checkpoint, truncated and bit-flipped), and of the SQL front end
+# down to the scan engine's Explain and Run (seeded from the bench's statement
+# mix). go test fuzzes one target per run; the nightly job runs longer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzCmpMask$$' -fuzztime $(FUZZTIME) ./internal/imcs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUnitImage$$' -fuzztime $(FUZZTIME) ./internal/imcs
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAndCompile$$' -fuzztime $(FUZZTIME) ./internal/sqlmini
 
 # Deterministic chaos harness: seeded fault injection against the full

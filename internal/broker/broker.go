@@ -21,7 +21,6 @@ import (
 	"dbimadg/internal/obs"
 	"dbimadg/internal/primary"
 	"dbimadg/internal/redo"
-	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/service"
 	"dbimadg/internal/standby"
@@ -98,8 +97,7 @@ type FailoverResult struct {
 	WarmUnits int
 	// CheckpointSCN is the transition checkpoint recorded right after terminal
 	// recovery, when the standby has snapshotting configured (0 otherwise).
-	// A switchover's rebuilt standby — and any reader provisioned against the
-	// same snapshot directory — restores from it instead of rebuilding.
+	// A switchover's rebuilt standby installs it instead of rebuilding.
 	CheckpointSCN scn.SCN
 	// Elapsed is the wall time from invocation to open.
 	Elapsed time.Duration
@@ -244,20 +242,24 @@ func (b *Broker) Switchover() (*SwitchoverResult, error) {
 	old := b.cfg.Primary
 	old.Txns().AbortActive()
 	sbCfg := b.cfg.StandbyConfig
-	sbCfg.RowsPerBlock = rowsPerBlockOf(old.DB())
+	sbCfg.RowsPerBlock = old.DB().RowsPerBlock()
 	// The rebuilt standby inherits the old standby's snapshot directory unless
-	// the caller overrode it: StartFrom then restores the transition
+	// the caller overrode it: its Restart then installs the transition
 	// checkpoint written in promote() instead of repopulating from scratch,
 	// and the new standby keeps checkpointing for its own future restarts.
 	if sbCfg.SnapshotDir == "" {
 		sbCfg.SnapshotDir = b.master.SnapshotDir()
 	}
-	newSb := standby.NewFrom(sbCfg, old.DB(), old.Txns(), old.Services())
+	newSb := standby.NewFrom(sbCfg, old.DB(), old.Txns(), old.Services(), res.PromotedSCN)
 	var streams []*redo.Stream
 	for _, inst := range newPri.Instances() {
 		streams = append(streams, inst.Stream())
 	}
-	newSb.StartFrom(transport.NewInProc(streams...), res.PromotedSCN)
+	if err := newSb.Restart(transport.NewInProc(streams...)); err != nil {
+		// The promotion stands: what is left is a failed-over configuration.
+		b.state = StateFailedOver
+		return nil, fmt.Errorf("broker: switchover: start the rebuilt standby: %w", err)
+	}
 	b.cfg.Standby.Rebind(newSb)
 	b.newStandby = newSb
 	b.state = StateSwitchedOver
@@ -339,7 +341,3 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 		Elapsed:        elapsed,
 	}, newPri, nil
 }
-
-// rowsPerBlockOf recovers the block capacity of an existing database so the
-// rebuilt standby's config matches its adopted replica.
-func rowsPerBlockOf(db *rowstore.Database) int { return db.RowsPerBlock() }

@@ -1,6 +1,7 @@
 package broker_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -358,6 +359,25 @@ func TestBrokerConfigValidation(t *testing.T) {
 		}
 	}()
 	broker.New(broker.Config{})
+}
+
+// TestSwitchoverReturnsRestartError: the rebuilt standby goes live through
+// Restart, and a refusal there reaches the caller. With the old primary's
+// reclaim floor past the promotion SCN, Install refuses every snapshot; the
+// promotion stands, so the broker is left failed over.
+func TestSwitchoverReturnsRestartError(t *testing.T) {
+	p := newPair(t, 0)
+	p.insert(t, 0, 50)
+	p.catchUp(t)
+	rowstore.SnapshotsOf(p.pri.Txns()).Reclaim(p.pri.Snapshot() + 1000)
+	res, err := p.brk.Switchover()
+	defer p.sby.Engine().Stop()
+	if !errors.Is(err, rowstore.ErrSnapshotTooOld) || res != nil {
+		t.Fatalf("switchover = %v, %v; want the rebuilt standby's ErrSnapshotTooOld", res, err)
+	}
+	if p.brk.State() != broker.StateFailedOver || p.brk.Promoted() == nil || p.brk.NewStandby() != nil {
+		t.Fatalf("after a failed rebuild: state %v, promoted %v, new standby %v", p.brk.State(), p.brk.Promoted() != nil, p.brk.NewStandby() != nil)
+	}
 }
 
 func TestSwitchoverNeedsPrimary(t *testing.T) {

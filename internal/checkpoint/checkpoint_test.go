@@ -39,7 +39,7 @@ type fixture struct {
 	eng   *imcs.Engine
 }
 
-func newFixture(t *testing.T, rows int64) *fixture {
+func newFixture(t testing.TB, rows int64) *fixture {
 	t.Helper()
 	c := primary.NewCluster(1, 16)
 	tbl, err := c.Instance(0).CreateTable(&rowstore.TableSpec{
@@ -98,7 +98,7 @@ func (f *fixture) resolve(obj rowstore.ObjID) *rowstore.Schema {
 
 // writeCheckpoint captures the fixture's store and writes one checkpoint,
 // returning the captured images alongside the written meta.
-func writeCheckpoint(t *testing.T, f *fixture, dir string) ([]imcs.UnitImage, checkpoint.Meta) {
+func writeCheckpoint(t testing.TB, f *fixture, dir string) ([]imcs.UnitImage, checkpoint.Meta) {
 	t.Helper()
 	images := f.store.CaptureImages()
 	if len(images) == 0 {

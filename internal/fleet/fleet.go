@@ -52,7 +52,7 @@ var ErrOverloaded = errors.New("fleet: readers overloaded, scan shed")
 type State int32
 
 const (
-	// StateProvisioning: built, not yet enlisted in the invalidation feed.
+	// StateProvisioning (the zero state): built, not yet enlisted in the feed.
 	StateProvisioning State = iota
 	// StateCatchingUp: enlisted at the master's QuerySCN with the population
 	// engine running; initial population from the row store not yet settled.

@@ -586,6 +586,24 @@ func TestShutdownDetaches(t *testing.T) {
 	}
 }
 
+// TestRefusedReaderIsNotEnlisted: a reader goes live through standby.Install
+// at the master's QuerySCN. With the reclaim floor forced past it Install
+// refuses the pin, and the reader is not enlisted: reconciling stops at the
+// refusal instead of retrying forever. (The master is stopped first: its own
+// population could not pin a snapshot either.)
+func TestRefusedReaderIsNotEnlisted(t *testing.T) {
+	p := newFleetPair(t, 0)
+	m := p.manager(t, fleet.Spec{})
+	p.insert(t, 0, 200)
+	p.catchUp(t, m)
+	p.master.Stop()
+	rowstore.SnapshotsOf(p.master.Txns()).Reclaim(p.master.QuerySCN() + 1000)
+	m.SetReaders(2)
+	if n := len(m.Readers()); n != 0 || m.Spec().Readers != 2 {
+		t.Fatalf("%d readers enlisted below the reclaim floor (spec %d)", n, m.Spec().Readers)
+	}
+}
+
 // TestSharesDistributeIMCUs: with one home-share reader the home-location map
 // splits the column store between it and the master, and a scan over both
 // stores at the master's QuerySCN is served entirely from the IMCS.

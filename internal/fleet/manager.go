@@ -71,7 +71,7 @@ func (m *Manager) bind(master *standby.Instance) {
 	master.SetPublishHook(m.onPublish)
 	m.registerObs(master)
 	for home := 1; home < master.HomeMap().Instances; home++ {
-		m.addReader(home)
+		_ = m.addReader(home) // scans read a share not enlisted from the row store
 	}
 	m.reconcile()
 }
@@ -115,7 +115,7 @@ func (m *Manager) registerObs(master *standby.Instance) {
 			}
 			return float64(n)
 		})
-	r.CounterFunc("fleet_units_restored_total", "IMCUs cloned from checkpoint images across all fleet readers",
+	r.CounterFunc("fleet_units_restored_total", "IMCUs installed from the master's capture across all fleet readers",
 		func() float64 {
 			var n int64
 			for _, rd := range m.Readers() {
@@ -246,7 +246,9 @@ func (m *Manager) reconcile() {
 		m.mu.Unlock()
 		switch {
 		case have < want:
-			m.addReader(0)
+			if m.addReader(0) != nil {
+				return // the spec stays unmet until the next Apply
+			}
 		case have > want:
 			m.removeReader()
 		default:
@@ -266,21 +268,20 @@ func (m *Manager) reconcile() {
 // publication. Population starts right after: its snapshots are at or past the
 // enlistment point, which the feed covers.
 //
-// Inside the same window a full-copy reader clones the master's column store
-// from checkpoint unit images instead of repopulating from the row store:
-// every serving unit's bitmap is consistent at exactly the enlistment QuerySCN
-// (no flush is in flight under the shared lock), and the feed delivers
-// everything past it — so there is no gap to replay. IMCUs are immutable and
-// shared by pointer; the clone costs one validity-bitmap copy per unit. Only
-// tail blocks and ranges the master itself has not populated go through the
-// reader's engine, which keeps UnitsPopulated an honest repopulation-pressure
-// signal (restored units count under the store's UnitsRestored instead). A
-// home-share reader has nothing to clone: the master hosts none of its units.
-func (m *Manager) addReader(home int) {
+// Inside the same window the reader goes live through standby.Install at that
+// QuerySCN, with the invalidation feed as its source in place of redo, or is
+// not enlisted and addReader returns the refusal. A full copy installs the
+// master's capture instead of repopulating from the row store: every serving
+// unit's bitmap is consistent at exactly that QuerySCN (no flush is in flight
+// under the shared lock), and IMCUs are shared by pointer, so the capture costs
+// one bitmap copy per unit; installed units count under the store's
+// UnitsRestored, not the engine's UnitsPopulated. A home-share reader installs
+// the empty snapshot: the master hosts none of its units.
+func (m *Manager) addReader(home int) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return
+		return nil
 	}
 	master := m.master
 	spec := m.spec
@@ -308,23 +309,21 @@ func (m *Manager) addReader(home int) {
 	r.engine = imcs.NewEngine(r.store, master.Txns(), snapshotter{r}, func() []imcs.Target {
 		return imcs.Targets(master.DB(), master.Services(), service.RoleStandby)
 	}, cfg)
-	r.setState(StateProvisioning)
-	r.wg.Add(1)
-	go r.loop()
 
+	var err error
 	master.WithQuiesceShared(func() {
-		// A published QuerySCN is at or above the reclaim floor; were it
-		// refused, a pin at the floor keeps every snapshot above it readable.
-		r.pinned = master.QuerySCN()
-		for r.snaps.Pin(r.pinned) != nil {
-			r.pinned = r.snaps.Floor()
-		}
-		r.querySCN.Store(uint64(master.QuerySCN()))
+		q := master.QuerySCN()
+		var images []imcs.UnitImage
 		if r.home == nil {
-			for _, img := range master.Store().CaptureImages() {
-				_ = r.store.RestoreUnit(img) // overlap/validation failures just repopulate
-			}
+			images = master.Store().CaptureImages()
 		}
+		if err = standby.Install(r.store, r.snaps, q, images, q+1, q); err != nil {
+			return
+		}
+		r.pinned = q
+		r.querySCN.Store(uint64(q))
+		r.wg.Add(1)
+		go r.loop()
 		m.mu.Lock()
 		next := *m.live.Load()
 		if r.home == nil {
@@ -335,13 +334,17 @@ func (m *Manager) addReader(home int) {
 		m.live.Store(&next)
 		m.mu.Unlock()
 	})
+	if err != nil {
+		return err
+	}
 	if !r.state.CompareAndSwap(int32(StateProvisioning), int32(StateCatchingUp)) {
-		return // a concurrent reconcile is already draining it
+		return nil // a concurrent reconcile is already draining it
 	}
 	r.engine.Start()
 	r.engine.Scan()
 	r.wg.Add(1)
 	go r.awaitReady()
+	return nil
 }
 
 // removeReader drains and detaches the most recently added full-copy reader: it
@@ -478,9 +481,9 @@ type ReaderStats struct {
 	Admitted int64  `json:"admitted"`
 	Shed     int64  `json:"shed"`
 	PopUnits int64  `json:"populated_units"`
-	// RestoredUnits counts units cloned from checkpoint images at provision
-	// time — kept apart from the engine's population counters so repopulation
-	// pressure reads true across fleet churn.
+	// RestoredUnits counts units installed from the master's capture at
+	// provision time — kept apart from the engine's population counters so
+	// repopulation pressure reads true across fleet churn.
 	RestoredUnits int64 `json:"restored_units"`
 }
 

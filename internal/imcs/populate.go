@@ -147,6 +147,10 @@ type Engine struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	pending  atomic.Int64
+	// scanMu serialises scheduler passes: a pass holds what it claims — a
+	// placeholder unit, a repopulation slot — before pending counts it, and a
+	// pass beside it would report nothing to do.
+	scanMu sync.Mutex
 
 	// repopInFlight counts repopulation tasks queued or running; the scheduler
 	// keeps it within repopSlots.
@@ -216,21 +220,6 @@ func (e *Engine) Stop() {
 // uncovered ranges uses every worker.
 func (e *Engine) repopSlots() int64 { return int64(max(1, e.cfg.Workers/2)) }
 
-// claimRepopSlot takes a repopulation slot if one is free; the task's end
-// (or a failed enqueue) gives it back. Scheduler passes run concurrently
-// (WaitIdle callers beside the ticker), hence the compare-and-swap.
-func (e *Engine) claimRepopSlot() bool {
-	for {
-		n := e.repopInFlight.Load()
-		if n >= e.repopSlots() {
-			return false
-		}
-		if e.repopInFlight.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
 // Pending returns the number of population tasks queued or in flight.
 func (e *Engine) Pending() int64 { return e.pending.Load() }
 
@@ -282,8 +271,10 @@ func (e *Engine) scheduler() {
 
 // Scan performs one scheduler pass: it creates placeholder units for
 // uncovered block ranges and schedules repopulation for stale units. It
-// returns the number of tasks enqueued.
+// returns the number of tasks enqueued. Passes run one at a time.
 func (e *Engine) Scan() int {
+	e.scanMu.Lock()
+	defer e.scanMu.Unlock()
 	if e.cfg.MemLimitBytes > 0 && e.store.Stats().MemBytes >= e.cfg.MemLimitBytes {
 		return 0
 	}
@@ -312,7 +303,7 @@ func (e *Engine) scanTarget(t Target) int {
 		}
 		unit, err := e.store.CreateUnit(seg.Obj(), seg.Tenant(), start, start+chunk)
 		if err != nil {
-			continue // raced with another scheduler pass
+			continue // a unit covers part of the range
 		}
 		if e.enqueue(popTask{unit: unit, target: t}) {
 			enqueued++
@@ -350,14 +341,18 @@ func (e *Engine) scanTarget(t Target) int {
 			stale = append(stale, staleUnit{u, frac})
 		}
 	}
+	// Only the pass running takes slots: one it finds free stays free until it
+	// takes it. The task's end (or a failed enqueue) gives it back.
 	sort.SliceStable(stale, func(i, j int) bool { return stale[i].stale > stale[j].stale })
 	for _, su := range stale {
-		if !e.claimRepopSlot() {
+		if e.repopInFlight.Load() >= e.repopSlots() {
 			break
 		}
 		if !su.unit.BeginRepopulate() {
-			e.repopInFlight.Add(-1)
-		} else if e.enqueue(popTask{unit: su.unit, target: t, repop: true}) {
+			continue
+		}
+		e.repopInFlight.Add(1)
+		if e.enqueue(popTask{unit: su.unit, target: t, repop: true}) {
 			enqueued++
 		} else {
 			e.repopInFlight.Add(-1)

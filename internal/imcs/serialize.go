@@ -108,39 +108,17 @@ func (s *Store) RestoreUnit(img UnitImage) error {
 	if imcu == nil {
 		return errors.New("imcs: restore of unit image without IMCU")
 	}
-	if imcu.EndBlk <= imcu.StartBlk {
-		return fmt.Errorf("imcs: restore with empty block range [%d,%d)", imcu.StartBlk, imcu.EndBlk)
-	}
-	s.mu.Lock()
-	ou, ok := s.objs[imcu.Obj]
-	if !ok {
-		ou = &objectUnits{tenant: imcu.Tenant}
-		s.objs[imcu.Obj] = ou
-	}
-	s.mu.Unlock()
-	imcu = ou.dicts.reintern(imcu)
-
-	ou.mu.Lock()
-	defer ou.mu.Unlock()
-	for _, u := range ou.units {
-		if imcu.StartBlk < u.EndBlk && u.StartBlk < imcu.EndBlk {
-			return fmt.Errorf("imcs: restored range [%d,%d) overlaps unit [%d,%d)",
-				imcu.StartBlk, imcu.EndBlk, u.StartBlk, u.EndBlk)
-		}
-	}
+	ou := s.entry(imcu.Obj, imcu.Tenant)
 	unit := &Unit{Obj: imcu.Obj, Tenant: imcu.Tenant, StartBlk: imcu.StartBlk, EndBlk: imcu.EndBlk}
-	invalid := img.Invalid
-	if want := (imcu.Rows() + 63) / 64; len(invalid) != want {
-		cp := make([]uint64, want)
-		copy(cp, invalid)
-		invalid = cp
+	unit.smu.imcu = ou.dicts.reintern(imcu)
+	unit.smu.invalid = img.Invalid
+	if want := (imcu.Rows() + 63) / 64; len(img.Invalid) != want {
+		unit.smu.invalid = make([]uint64, want)
+		copy(unit.smu.invalid, img.Invalid)
 	}
-	unit.smu.imcu = imcu
-	unit.smu.invalid = invalid
 	unit.smu.invalidRows = img.InvalidRows
-	ou.units = append(ou.units, unit)
-	for i := len(ou.units) - 1; i > 0 && ou.units[i-1].StartBlk > ou.units[i].StartBlk; i-- {
-		ou.units[i-1], ou.units[i] = ou.units[i], ou.units[i-1]
+	if err := ou.add(unit); err != nil {
+		return err
 	}
 	s.restored.Add(1)
 	return nil

@@ -46,28 +46,42 @@ func (s *Store) obj(obj rowstore.ObjID) (*objectUnits, bool) {
 // of an object, before the population snapshot is captured. It fails when the
 // range overlaps an existing unit.
 func (s *Store) CreateUnit(obj rowstore.ObjID, tenant rowstore.TenantID, startBlk, endBlk rowstore.BlockNo) (*Unit, error) {
-	if endBlk <= startBlk {
-		return nil, fmt.Errorf("imcs: empty block range [%d,%d)", startBlk, endBlk)
+	unit := &Unit{Obj: obj, Tenant: tenant, StartBlk: startBlk, EndBlk: endBlk}
+	if err := s.entry(obj, tenant).add(unit); err != nil {
+		return nil, err
 	}
+	return unit, nil
+}
+
+// entry returns obj's units, created on first use.
+func (s *Store) entry(obj rowstore.ObjID, tenant rowstore.TenantID) *objectUnits {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	ou, ok := s.objs[obj]
 	if !ok {
 		ou = &objectUnits{tenant: tenant}
 		s.objs[obj] = ou
 	}
-	s.mu.Unlock()
+	return ou
+}
 
+// add makes unit, built whole, one of ou's units in block order: population's
+// placeholders and restored images enter a store this one way. It refuses a
+// unit whose range is empty or overlaps one of them.
+func (ou *objectUnits) add(unit *Unit) error {
+	if unit.EndBlk <= unit.StartBlk {
+		return fmt.Errorf("imcs: empty block range [%d,%d)", unit.StartBlk, unit.EndBlk)
+	}
 	ou.mu.Lock()
 	defer ou.mu.Unlock()
 	for _, u := range ou.units {
-		if startBlk < u.EndBlk && u.StartBlk < endBlk {
-			return nil, fmt.Errorf("imcs: range [%d,%d) overlaps unit [%d,%d)", startBlk, endBlk, u.StartBlk, u.EndBlk)
+		if unit.StartBlk < u.EndBlk && u.StartBlk < unit.EndBlk {
+			return fmt.Errorf("imcs: range [%d,%d) overlaps unit [%d,%d)", unit.StartBlk, unit.EndBlk, u.StartBlk, u.EndBlk)
 		}
 	}
-	unit := &Unit{Obj: obj, Tenant: tenant, StartBlk: startBlk, EndBlk: endBlk}
 	ou.units = append(ou.units, unit)
 	sort.Slice(ou.units, func(i, j int) bool { return ou.units[i].StartBlk < ou.units[j].StartBlk })
-	return unit, nil
+	return nil
 }
 
 // Units returns the object's units in block order (a snapshot; units may be

@@ -68,9 +68,10 @@ func (inst *Instance) mergerLoop() {
 	peekAt := make([]time.Time, len(streams)) // merge-stage entry per peek
 	eol := make([]bool, len(streams))
 	lastSeen := make([]scn.SCN, len(streams))
+	start := scn.SCN(inst.lastDispatched.Load()) // apply resumes past it
 	for i, s := range streams {
-		readers[i] = redo.NewReaderAtSCN(s, inst.startSCN+1)
-		lastSeen[i] = inst.startSCN
+		readers[i] = redo.NewReaderAtSCN(s, start+1)
+		lastSeen[i] = start
 	}
 	_, owned := inst.src.(*transport.Receiver)
 	released := make([]int, len(streams))

@@ -1,13 +1,18 @@
 package standby_test
 
 import (
+	"errors"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"dbimadg/internal/checkpoint"
+	"dbimadg/internal/imcs"
 	"dbimadg/internal/redo"
 	"dbimadg/internal/rowstore"
 	"dbimadg/internal/scanengine"
+	"dbimadg/internal/scn"
 	"dbimadg/internal/standby"
 	"dbimadg/internal/testutil"
 	"dbimadg/internal/transport"
@@ -240,3 +245,153 @@ func TestReplayedBeginKeepsCommit(t *testing.T) {
 		t.Fatalf("row-store scan at %d changed under the replay:\n%s\nwant\n%s", snap, got, want)
 	}
 }
+
+// TestInstallRefusals walks every refusal of Install to the value its caller
+// sees. A standby holds checkpoints a < b below its stopped watermark w; each
+// row arranges the directory, the reclaim floor or the source, and then makes
+// the choice Restart makes (or calls Install itself), and wants the SCN the
+// store goes live at, the error, and the Restores and RestoreFallbacks counts.
+// No refusal may leave a pin behind.
+func TestInstallRefusals(t *testing.T) {
+	type env struct {
+		p       *pair
+		a, b    checkpoint.Meta
+		w       scn.SCN
+		resolve func(rowstore.ObjID) *rowstore.Schema
+	}
+	newest := func(e env) scn.SCN { return e.b.SCN }
+	older := func(e env) scn.SCN { return e.a.SCN }
+	empty := func(e env) scn.SCN { return e.w }
+	rewrite := func(t *testing.T, e env, at scn.SCN, double bool) {
+		snap, err := checkpoint.Load(e.b.Path, e.resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		images := snap.Images
+		if double {
+			images = append(images, images[0])
+		}
+		if _, err := checkpoint.Write(filepath.Dir(e.b.Path), checkpoint.Meta{SCN: at, Watermark: at, JournalSCN: at}, images); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		run       func(t *testing.T, e env) (scn.SCN, error)
+		start     func(env) scn.SCN
+		err       error
+		restores  int64
+		fallbacks int64
+		// holdOlder pins a's SCN from its checkpoint on, as a reader would:
+		// otherwise the repopulations after it may reclaim past it.
+		holdOlder bool
+	}{
+		{name: "newest", start: newest, restores: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) { return e.p.sby.InstallNewest(0, e.w) }},
+		{name: "no file", start: empty, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				os.Remove(e.a.Path)
+				os.Remove(e.b.Path)
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "corrupt newest, older used", start: older, restores: 1, holdOlder: true,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				raw, err := os.ReadFile(e.b.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)/2] ^= 0x40
+				if err := os.WriteFile(e.b.Path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "below the reclaim floor: pin refused", start: empty, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				rowstore.SnapshotsOf(e.p.sby.Txns()).Reclaim(e.w)
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "below the source's resume point - 1", start: empty, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) { return e.p.sby.InstallNewest(e.b.SCN+2, e.w) }},
+		{name: "above the limit", start: empty, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				rewrite(t, e, e.w+100, false)
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "overlapping image", start: empty, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				rewrite(t, e, e.w, true)
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "empty snapshot below the reclaim floor too", err: rowstore.ErrSnapshotTooOld, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				rowstore.SnapshotsOf(e.p.sby.Txns()).Reclaim(e.w + 1)
+				return e.p.sby.InstallNewest(0, e.w)
+			}},
+		{name: "empty snapshot past the source too", err: standby.ErrArchiveWindow, fallbacks: 1,
+			run: func(t *testing.T, e env) (scn.SCN, error) { return e.p.sby.InstallNewest(e.w+2, e.w) }},
+		{name: "image fails validation", err: errAny,
+			run: func(t *testing.T, e env) (scn.SCN, error) {
+				err := standby.Install(imcs.NewStore(), rowstore.SnapshotsOf(e.p.sby.Txns()), e.w, []imcs.UnitImage{{}}, 0, e.w)
+				return e.w, err
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, 1, standby.Config{SnapshotDir: t.TempDir(), SnapshotInterval: time.Hour, SnapshotRetain: 3}, "standby")
+			e := env{p: p, resolve: func(obj rowstore.ObjID) *rowstore.Schema {
+				if tbl, ok := p.sby.DB().TableForObj(obj); ok {
+					return tbl.Schema()
+				}
+				return nil
+			}}
+			p.insert(t, 0, 200)
+			p.catchUp(t)
+			if !p.sby.Engine().WaitIdle(10 * time.Second) {
+				t.Fatal("population did not settle")
+			}
+			snaps := rowstore.SnapshotsOf(p.sby.Txns())
+			var err error
+			for i, meta := range []*checkpoint.Meta{&e.a, &e.b} {
+				p.insert(t, 200+int64(i)*50, 250+int64(i)*50)
+				p.catchUp(t)
+				if *meta, err = p.sby.CheckpointNow(); err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 && tc.holdOlder {
+					if err := snaps.Pin(e.a.SCN); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			p.insert(t, 300, 320)
+			p.catchUp(t)
+			e.w = p.sby.Stop()
+			before := p.sby.CheckpointStats()
+			start, err := tc.run(t, e)
+			cs := p.sby.CheckpointStats()
+			switch {
+			case tc.err == errAny && err == nil, tc.err != errAny && !errors.Is(err, tc.err):
+				t.Fatalf("error %v, want %v", err, tc.err)
+			case tc.err == nil && start != tc.start(e):
+				t.Fatalf("live at SCN %d, want %d (a=%d b=%d w=%d)", start, tc.start(e), e.a.SCN, e.b.SCN, e.w)
+			case cs.Restores-before.Restores != tc.restores || cs.RestoreFallbacks-before.RestoreFallbacks != tc.fallbacks:
+				t.Fatalf("restores +%d, fallbacks +%d; want +%d, +%d", cs.Restores-before.Restores,
+					cs.RestoreFallbacks-before.RestoreFallbacks, tc.restores, tc.fallbacks)
+			case tc.restores > 0 && (cs.LastRestoreSCN != uint64(start) || p.sby.Store().UnitsRestored() == 0):
+				t.Fatalf("restored %d units from SCN %d, want units from %d", p.sby.Store().UnitsRestored(), cs.LastRestoreSCN, start)
+			}
+			if err == nil {
+				snaps.Unpin(start) // the caller's to release
+			}
+			if tc.holdOlder {
+				snaps.Unpin(e.a.SCN)
+			}
+			if h := e.w + 1000; snaps.Reclaim(h) != h {
+				t.Fatalf("a pin stays below %d after the install", h)
+			}
+		})
+	}
+}
+
+// errAny stands for any error in TestInstallRefusals.
+var errAny = errors.New("any error")

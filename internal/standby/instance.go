@@ -110,11 +110,11 @@ type Config struct {
 
 	// SnapshotDir, when non-empty, enables IMCS checkpointing
 	// (internal/checkpoint): the background checkpointer persists the column
-	// store there, Restart restores from the newest valid snapshot and
-	// replays only archived redo past the checkpoint SCN, and StartFrom does
-	// the same when rebuilding a standby after a switchover. Distinct from
-	// CheckpointInterval above, which is the (unfortunately named, paper
-	// §III.A) QuerySCN advancement heartbeat.
+	// store there, and Restart — which a switchover's rebuilt standby goes
+	// live through too — installs the newest usable snapshot and replays only
+	// archived redo past its SCN. Distinct from CheckpointInterval above,
+	// which is the (unfortunately named, paper §III.A) QuerySCN advancement
+	// heartbeat.
 	SnapshotDir string
 	// SnapshotInterval is the background checkpointer's period (default 1s
 	// when SnapshotDir is set; negative = on-demand checkpoints only, via
@@ -219,9 +219,9 @@ type Stats struct {
 	CommitTablePend  int
 }
 
-// ErrArchiveWindow refuses a Restart whose source cannot serve the redo the
-// standby must apply next: a TCP receiver dialed above the resume point, or
-// one whose mirrors already released it.
+// ErrArchiveWindow is Install's refusal of a source that cannot serve the redo
+// the snapshot must apply next: a TCP receiver dialed above the resume point,
+// or one whose mirrors already released it.
 var ErrArchiveWindow = errors.New("archived-log window unavailable")
 
 // Instance is the standby database instance performing redo apply (the SIRA
@@ -257,7 +257,6 @@ type Instance struct {
 	roleMask atomic.Uint32
 
 	src            transport.Source
-	startSCN       scn.SCN // apply resumes at records with SCN > startSCN
 	workers        []*applyWorker
 	workersRef     atomic.Pointer[[]*applyWorker] // published copy for gauges
 	lastDispatched atomic.Uint64
@@ -314,23 +313,15 @@ func New(cfg Config) *Instance {
 	return build(cfg, rowstore.NewDatabase(cfg.RowsPerBlock), txn.NewTable(), service.NewRegistry())
 }
 
-// NewFrom builds a standby instance over an existing physical replica: the
-// database, transaction table and service registry survive a role transition
-// (they are the durable state), while every DBIM-on-ADG component starts
-// empty. A switchover uses this to rebuild the old primary as the new standby
-// without copying its data.
-func NewFrom(cfg Config, db *rowstore.Database, txns *txn.Table, services *service.Registry) *Instance {
-	cfg = cfg.withDefaults()
-	if db == nil {
-		db = rowstore.NewDatabase(cfg.RowsPerBlock)
-	}
-	if txns == nil {
-		txns = txn.NewTable()
-	}
-	if services == nil {
-		services = service.NewRegistry()
-	}
-	return build(cfg, db, txns, services)
+// NewFrom builds a standby instance over an existing physical replica holding
+// all redo at or below resume: the database, transaction table and service
+// registry survive a role transition (they are the durable state), while every
+// DBIM-on-ADG component starts empty. A switchover rebuilds the old primary as
+// the new standby this way, without copying its data; Restart starts it.
+func NewFrom(cfg Config, db *rowstore.Database, txns *txn.Table, services *service.Registry, resume scn.SCN) *Instance {
+	inst := build(cfg.withDefaults(), db, txns, services)
+	inst.watermark.Store(uint64(resume))
+	return inst
 }
 
 func build(cfg Config, db *rowstore.Database, txns *txn.Table, services *service.Registry) *Instance {
@@ -459,55 +450,70 @@ func (inst *Instance) schemaOf(obj rowstore.ObjID) *rowstore.Schema {
 	return nil
 }
 
-// restoreFromCheckpoint loads the newest fully-valid checkpoint into the
-// (freshly reset) store. On success it returns the checkpoint SCN — the point
-// redo replay must resume after — and true. Any failure (no directory, no
-// valid file, corrupt payloads) returns false and the caller proceeds with
-// the full rebuild; corrupt files are skipped in favour of older valid ones.
-// The checkpoint SCN must land in [floor, limit]: below floor the source
-// cannot serve the redo needed to catch the restored store up (a TCP receiver
-// dialed above the checkpoint) or the row store has reclaimed versions a scan
-// at it needs, above limit the snapshot describes a store state ahead of the
-// resume watermark.
-func (inst *Instance) restoreFromCheckpoint(floor, limit scn.SCN) (scn.SCN, bool) {
-	if inst.cfg.SnapshotDir == "" {
-		return 0, false
+// Install makes store, a new and empty one, live at snapshot SCN at with
+// images: the one path by which Restart (and so a switchover's rebuilt
+// standby) and a fleet reader bring up a column store. Its precondition is checked
+// here and nowhere else: at ≤ limit, where the caller resumes; the source
+// serves at+1 (from, the first SCN it still has, is at most at+1; 0 serves
+// all); and a pin at at, which snaps refuses below its reclaim floor, is taken
+// before any image goes in. On success the caller owns the pin: Restart
+// releases it once its pipeline runs, a fleet reader's loop moves it with each
+// publication and releases it at close. On a refusal — the precondition, or
+// an image that overlaps another or fails validation — nothing stays pinned
+// and the caller discards the store.
+func Install(store *imcs.Store, snaps *rowstore.Snapshots, at scn.SCN, images []imcs.UnitImage, from, limit scn.SCN) error {
+	if at > limit {
+		return fmt.Errorf("standby: snapshot at SCN %d is past the resume limit %d", at, limit)
 	}
-	// Versions below the reclaim floor are gone: the restored store's
-	// QuerySCN could not be read at.
-	floor = max(floor, rowstore.SnapshotsOf(inst.txns).Floor())
-	snap, _, err := checkpoint.LoadNewest(inst.cfg.SnapshotDir, inst.schemaOf)
-	if err != nil || snap.Meta.SCN < floor || snap.Meta.SCN > limit {
-		inst.restoreFallback.Add(1)
-		return 0, false
+	if from > at+1 {
+		return fmt.Errorf("standby: source resumes at SCN %d but apply must resume at %d: %w", from, at+1, ErrArchiveWindow)
 	}
-	store, _, _, _, _, _ := inst.components()
-	restored := 0
-	for _, img := range snap.Images {
-		if err := store.RestoreUnit(img); err == nil {
-			restored++
+	if err := snaps.Pin(at); err != nil {
+		return fmt.Errorf("standby: snapshot at SCN %d: %w", at, err)
+	}
+	for _, img := range images {
+		if err := store.RestoreUnit(img); err != nil {
+			snaps.Unpin(at)
+			return fmt.Errorf("standby: snapshot at SCN %d: %w", at, err)
 		}
 	}
-	inst.restores.Add(1)
-	inst.lastRestore.Store(uint64(snap.Meta.SCN))
-	inst.lastRestoreUnit.Store(int64(restored))
-	return snap.Meta.SCN, true
+	return nil
+}
+
+// installNewest installs into fresh volatile state the newest checkpoint that
+// loads, or else the empty snapshot at the watermark; it returns that SCN.
+func (inst *Instance) installNewest(from, watermark scn.SCN) (scn.SCN, error) {
+	snaps := rowstore.SnapshotsOf(inst.txns)
+	inst.initVolatile()
+	if snap, _, err := checkpoint.LoadNewest(inst.cfg.SnapshotDir, inst.schemaOf); err == nil {
+		if Install(inst.Store(), snaps, snap.Meta.SCN, snap.Images, from, watermark) == nil {
+			inst.restores.Add(1)
+			inst.lastRestore.Store(uint64(snap.Meta.SCN))
+			inst.lastRestoreUnit.Store(int64(len(snap.Images)))
+			return snap.Meta.SCN, nil
+		}
+		inst.initVolatile()
+	}
+	if inst.cfg.SnapshotDir != "" {
+		inst.restoreFallback.Add(1)
+	}
+	return watermark, Install(inst.Store(), snaps, watermark, nil, from, watermark)
 }
 
 // ResumePoint returns the SCN from which archived redo must be available for
-// the next Restart: the newest checkpoint's SCN when one exists below the
-// stopped watermark (restore rolls the IMCS back to it), else the watermark.
-// Callers dialing a TCP source ahead of Restart should request records from
-// ResumePoint()+1 — dialing higher forfeits the checkpoint (Restart then
-// falls back to the full rebuild, or errors when even the watermark is
-// unreachable).
+// the next Restart: the newest checkpoint's SCN, the one Restart installs
+// unless it fails to load, when it is below the stopped watermark, else the
+// watermark. Callers dialing a TCP source ahead of Restart should request
+// records from ResumePoint()+1 — dialing higher forfeits the checkpoint
+// (Install refuses it; Restart then falls back to the full rebuild, or errors
+// when even the watermark is unreachable).
 func (inst *Instance) ResumePoint() scn.SCN {
 	w := scn.SCN(inst.watermark.Load())
 	if inst.cfg.SnapshotDir == "" {
 		return w
 	}
-	if m, ok := checkpoint.Newest(inst.cfg.SnapshotDir); ok && m.SCN < w {
-		return m.SCN
+	if m, ok := checkpoint.Newest(inst.cfg.SnapshotDir); ok {
+		return min(m.SCN, w)
 	}
 	return w
 }
@@ -1167,18 +1173,13 @@ func (inst *Instance) Stop() scn.SCN {
 // Restart simulates a standby instance restart (§III.E): apply stops, all
 // volatile DBIM-on-ADG state (IMCS, journal, commit table, DDL table) is
 // reset, and recovery resumes against the surviving physical replica (the
-// applied blocks and transaction table, which are durable in the real
-// system). With checkpointing configured, the column store is first restored
-// from the newest valid on-disk snapshot and only archived redo past the
-// checkpoint SCN is replayed; without one (or when every snapshot is corrupt)
-// the IMCS starts empty and repopulates from the row store as before.
-//
-// src supplies the redo threads again (the archived logs). Restart errors —
-// instead of silently serving a stale store — when no source is attached or
-// when the source provably cannot supply the required catch-up window: a TCP
-// receiver dialed above the resume point is missing redo the standby needs.
-// A receiver dialed above the checkpoint SCN but within the watermark merely
-// forfeits the restore (full rebuild, same as before checkpointing existed).
+// applied blocks and transaction table, durable in the real system): load,
+// then redo. The column store goes live through Install, from the newest
+// valid checkpoint when one is configured and admitted, else empty at the
+// watermark; apply replays the archived redo from src past that SCN. A
+// switchover starts its rebuilt standby the same way. Restart errors, instead
+// of silently serving a stale store, when Install refuses even the empty
+// snapshot: a TCP receiver dialed above the resume point (ErrArchiveWindow).
 func (inst *Instance) Restart(src transport.Source) error {
 	if src == nil {
 		return fmt.Errorf("standby: restart without a redo source")
@@ -1188,40 +1189,25 @@ func (inst *Instance) Restart(src transport.Source) error {
 	inst.watchdog.Pause("restart")
 	defer inst.watchdog.Resume("restart")
 	watermark := inst.Stop()
-	// The source's resume position bounds what can be replayed. In-process
-	// sources expose the whole archived log; a TCP receiver only has records
-	// from the SCN it dialed at.
-	available := scn.SCN(0)
+	// In-process sources serve the whole archived log; a TCP receiver only the
+	// records from the SCN it dialed at.
+	from := scn.SCN(0)
 	if p, ok := src.(interface{ ResumeSCN() scn.SCN }); ok {
-		available = p.ResumeSCN()
-	}
-	if available > watermark+1 {
-		// Redo in (watermark, available) is unobtainable from this source:
-		// catch-up would silently skip it and serve a stale store forever.
-		return fmt.Errorf("standby: source resumes at SCN %d but apply must resume at %d: %w",
-			available, watermark+1, ErrArchiveWindow)
+		from = p.ResumeSCN()
 	}
 	// Crash semantics for in-flight freshness spans: whatever the pipeline
 	// still held is explicitly truncated. Replayed records open fresh spans
 	// and complete normally; records at or below the resume point became
 	// visible through the checkpoint itself and keep their truncation marker.
 	inst.freshness.TruncateOpen("restart")
-	inst.initVolatile()
-	start := watermark
-	// A checkpoint is only usable when the source can serve redo from just
-	// past its SCN: a receiver dialed at `available` has records with
-	// SCN >= available, so the checkpoint must sit at available-1 or higher.
-	floor := scn.SCN(0)
-	if available > 0 {
-		floor = available - 1
+	start, err := inst.installNewest(from, watermark)
+	if err != nil {
+		return err
 	}
-	if ckptSCN, ok := inst.restoreFromCheckpoint(floor, watermark); ok {
-		start = ckptSCN
-	}
+	defer rowstore.SnapshotsOf(inst.txns).Unpin(start)
 	inst.querySCN.Store(uint64(start))
 	inst.watermark.Store(uint64(start))
 	inst.lastDispatched.Store(uint64(start))
-	inst.startSCN = start
 	// Full reattachment: the replacement source gets the trace and replaces
 	// the flight recorder's transport state provider.
 	inst.Attach(src)

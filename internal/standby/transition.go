@@ -6,7 +6,6 @@ import (
 
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/scn"
-	"dbimadg/internal/transport"
 )
 
 // FinishRecovery performs terminal recovery for a role transition: it waits
@@ -96,30 +95,4 @@ func (inst *Instance) RestartPopulation(snap imcs.Snapshotter) {
 	eng := inst.engine
 	inst.stateMu.Unlock()
 	eng.Start()
-}
-
-// StartFrom starts apply on a rebuilt standby at a known resume point: redo
-// at or below `resume` is already in the physical replica (the promoted
-// primary's pre-transition history), so shipping resumes just past it. Used
-// by switchover to re-enlist the old primary as the new standby.
-//
-// With checkpointing configured, the fresh instance first restores the
-// newest valid IMCS snapshot at or below the resume point and starts apply at
-// the snapshot's SCN instead — the rebuilt standby opens with a warm column
-// store and replays only the archived redo between checkpoint and resume
-// point (the snapshot-then-redo-catch-up provisioning flow). The replica's
-// row data is ahead of the checkpoint SCN, which Consistent Read handles the
-// same way it does on any restart: scans at the seeded QuerySCN walk version
-// chains back to it.
-func (inst *Instance) StartFrom(src transport.Source, resume scn.SCN) {
-	start := resume
-	if ckptSCN, ok := inst.restoreFromCheckpoint(0, resume); ok {
-		start = ckptSCN
-	}
-	inst.querySCN.Store(uint64(start))
-	inst.watermark.Store(uint64(start))
-	inst.lastDispatched.Store(uint64(start))
-	inst.startSCN = start
-	inst.Attach(src)
-	inst.Start()
 }
