@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-e2e bench-compare checkpoint-bench
+.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-e2e bench-compare checkpoint-bench loc
 
 # Seed count for the chaos harness; override as `make chaos CHAOS_SEEDS=100`.
 CHAOS_SEEDS ?= 10
@@ -161,3 +161,10 @@ bench-compare:
 # size and the apply-interference ratio of one checkpoint racing paced DML.
 checkpoint-bench:
 	$(GO) test -bench BenchmarkCheckpointRestart -benchtime 1x -run '^$$' .
+
+# Non-test Go lines (wc -l) of every package outside bench/, and their total:
+# the counts the ROADMAP's line budgets are kept in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; all += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", all }'

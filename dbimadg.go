@@ -49,7 +49,9 @@ import (
 // Config describes a deployment: a primary cluster and one standby database
 // (optionally a standby RAC), connected by a redo transport.
 type Config struct {
-	// PrimaryInstances is the primary RAC size (default 1).
+	// PrimaryInstances is the primary RAC size (default 1). Above 1, every
+	// instance ships a redo heartbeat each millisecond, so a quiet thread
+	// never holds back the standby's merge.
 	PrimaryInstances int
 	// StandbyReaders is the number of non-master standby RAC instances
 	// (default 0 = single-instance standby).
@@ -58,8 +60,6 @@ type Config struct {
 	RowsPerBlock int
 	// BlocksPerIMCU is the population chunk size (default 64).
 	BlocksPerIMCU int
-	// ApplyWorkers is the standby's recovery parallelism (default 4).
-	ApplyWorkers int
 	// CheckpointInterval is the standby coordinator's heartbeat: the longest it
 	// goes without looking for a QuerySCN to advance to (default 2ms). It does
 	// not set the advancement cadence: a commit is published as soon as the
@@ -78,21 +78,13 @@ type Config struct {
 	SnapshotInterval time.Duration
 	// SnapshotRetain keeps the newest N checkpoint files (default 2).
 	SnapshotRetain int
-	// PopulationWorkers / PopulationInterval tune background population.
-	PopulationWorkers  int
+	// PopulationInterval is the background population tick (default 10ms).
 	PopulationInterval time.Duration
-	// RepopThreshold is the invalid fraction that triggers repopulation.
-	RepopThreshold float64
 	// MemLimitBytes caps each column store's footprint (0 = unlimited).
 	MemLimitBytes int
-	// CommitTableParts partitions the IM-ADG commit table (default 4).
-	CommitTableParts int
 	// UseTCP ships redo over a loopback TCP connection with the binary wire
 	// codec instead of handing streams over in-process.
 	UseTCP bool
-	// HeartbeatInterval enables primary redo heartbeats (required for
-	// multi-instance primaries; default 1ms when PrimaryInstances > 1).
-	HeartbeatInterval time.Duration
 	// MetricsAddr, when non-empty, serves the standby master's observability
 	// endpoints (/metrics, /debug/stats, /debug/trace) on this address;
 	// "127.0.0.1:0" binds an ephemeral port (see Cluster.MetricsAddr).
@@ -100,26 +92,10 @@ type Config struct {
 	// LagSampleInterval, when > 0, samples the standby lag gauges into time
 	// series (see standby.Instance.LagSeries).
 	LagSampleInterval time.Duration
-	// ScanMorselRows is the scan executor's work-stealing granule in rows
-	// (default 4096). Smaller morsels balance skew better at higher
-	// scheduling overhead.
-	ScanMorselRows int
-	// ScanParallel is the default worker count for standby scans that leave
-	// Query.Parallel unset (default GOMAXPROCS; negative forces serial).
-	ScanParallel int
-	// SlowQueryThreshold is the wall time at or above which a standby query
-	// lands in the slow-query log (default 100ms; negative disables).
-	SlowQueryThreshold time.Duration
-	// QueryLogSize is the recent/slow query ring capacity behind
-	// Cluster.QueryLog and /debug/queries (default 128).
-	QueryLogSize int
 	// FreshnessSampleEvery traces every Nth SCN end-to-end through the
 	// commit-to-visible freshness tracer (default 17; 1 traces every commit,
 	// negative disables tracing). See Cluster.Freshness and /debug/freshness.
 	FreshnessSampleEvery int
-	// FreshnessRing is the closed-span waterfall ring capacity behind
-	// Cluster.Freshness and /debug/freshness (default 512).
-	FreshnessRing int
 	// WatchdogInterval is the standby liveness watchdog's evaluation period
 	// (default 250ms; negative disables the background evaluation — see
 	// Cluster.StandbyWatchdog and /debug/health).
@@ -128,9 +104,6 @@ type Config struct {
 	// backlog without progress before the watchdog declares a stall and
 	// captures a flight-recorder bundle (default 5s).
 	WatchdogStallDeadline time.Duration
-	// FlightRecorderBundles is the stall-bundle ring capacity behind
-	// Cluster.FlightRecorder and /debug/flightrecorder (default 8).
-	FlightRecorderBundles int
 
 	// FleetReaders is the initial number of full-copy reader standbys in the
 	// declaratively managed fleet (default 0 = empty fleet; scale later with
@@ -153,11 +126,13 @@ func (c Config) withDefaults() Config {
 	if c.PrimaryInstances <= 0 {
 		c.PrimaryInstances = 1
 	}
-	if c.HeartbeatInterval <= 0 && c.PrimaryInstances > 1 {
-		c.HeartbeatInterval = time.Millisecond
-	}
 	return c
 }
+
+// heartbeatInterval is the redo heartbeat period of a multi-instance primary:
+// the standby merges its threads in SCN order, so an idle thread would stall
+// the merge without one.
+const heartbeatInterval = time.Millisecond
 
 // Default service names (re-exported from the service registry).
 const (
@@ -211,29 +186,19 @@ func Open(cfg Config) (*Cluster, error) {
 	c.pri = pri
 
 	sbyCfg := standby.Config{
-		ApplyWorkers:          cfg.ApplyWorkers,
 		CheckpointInterval:    cfg.CheckpointInterval,
 		SnapshotDir:           cfg.SnapshotDir,
 		SnapshotInterval:      cfg.SnapshotInterval,
 		SnapshotRetain:        cfg.SnapshotRetain,
-		CommitTableParts:      cfg.CommitTableParts,
 		RowsPerBlock:          cfg.RowsPerBlock,
 		BlocksPerIMCU:         cfg.BlocksPerIMCU,
-		PopulationWorkers:     cfg.PopulationWorkers,
 		PopulationInterval:    cfg.PopulationInterval,
-		RepopThreshold:        cfg.RepopThreshold,
 		MemLimitBytes:         cfg.MemLimitBytes,
 		MetricsAddr:           cfg.MetricsAddr,
 		LagSampleInterval:     cfg.LagSampleInterval,
-		ScanMorselRows:        cfg.ScanMorselRows,
-		ScanParallel:          cfg.ScanParallel,
-		SlowQueryThreshold:    cfg.SlowQueryThreshold,
-		QueryLogSize:          cfg.QueryLogSize,
 		FreshnessSampleEvery:  cfg.FreshnessSampleEvery,
-		FreshnessRing:         cfg.FreshnessRing,
 		WatchdogInterval:      cfg.WatchdogInterval,
 		WatchdogStallDeadline: cfg.WatchdogStallDeadline,
-		FlightRecorderBundles: cfg.FlightRecorderBundles,
 		// The master is share 0 of the home-location map; the fleet provisions
 		// one home-share reader for each other share.
 		HomeInstances: cfg.StandbyReaders + 1,
@@ -284,8 +249,8 @@ func Open(cfg Config) (*Cluster, error) {
 		QueueTimeout:       cfg.FleetQueueTimeout,
 	})
 	c.wireRouter(c.sby)
-	if cfg.HeartbeatInterval > 0 {
-		c.pri.StartHeartbeats(cfg.HeartbeatInterval)
+	if cfg.PrimaryInstances > 1 {
+		c.pri.StartHeartbeats(heartbeatInterval)
 	}
 	return c, nil
 }

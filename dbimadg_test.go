@@ -210,7 +210,7 @@ func TestCapacityExpansionPlacement(t *testing.T) {
 	res, err := sess.Query(&dbimadg.Query{
 		Table:   tbl,
 		Filters: []dbimadg.Filter{dbimadg.EqNum(1, 12)},
-		Agg:     dbimadg.AggSum, AggCol: 2,
+		Aggs:    []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestCapacityExpansionPlacement(t *testing.T) {
 	// A full-year query on the standby is served by the standby IMCS.
 	sTbl, _ := c.StandbyTable(1, "SALES")
 	sres, err := c.StandbySession().Query(&dbimadg.Query{
-		Table: sTbl, Agg: dbimadg.AggSum, AggCol: 2,
+		Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 2}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestRACDeployment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rres, err := rs.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+	rres, err := rs.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestVacuumKeepsQueriesCorrect(t *testing.T) {
 	}
 	c.WaitStandbyCaughtUp(10 * time.Second)
 	c.Vacuum()
-	res, err := sess.Query(&dbimadg.Query{Table: tbl, Agg: dbimadg.AggSum, AggCol: 1})
+	res, err := sess.Query(&dbimadg.Query{Table: tbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestVacuumKeepsQueriesCorrect(t *testing.T) {
 		t.Fatalf("post-vacuum SUM = %d, want %d", res.Sum, want)
 	}
 	sTbl, _ := c.StandbyTable(1, "T")
-	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggSum, AggCol: 1})
+	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func main() {
 	dec, err := pri.Query(&dbimadg.Query{
 		Table:   sales,
 		Filters: []dbimadg.Filter{dbimadg.EqNum(1, monthsOfData)},
-		Agg:     dbimadg.AggSum, AggCol: 3,
+		Aggs:    []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 3}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -147,7 +147,7 @@ func main() {
 	}
 	sby := c.StandbySession()
 	year, err := sby.Query(&dbimadg.Query{
-		Table: sSales, Agg: dbimadg.AggSum, AggCol: 3,
+		Table: sSales, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 3}},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -159,7 +159,7 @@ func main() {
 	h1, err := sby.Query(&dbimadg.Query{
 		Table:   sSales,
 		Filters: []dbimadg.Filter{{Col: 1, Op: dbimadg.LE, Num: 6}},
-		Agg:     dbimadg.AggCount,
+		Aggs:    []dbimadg.AggSpec{{Kind: dbimadg.AggCount}},
 	})
 	if err != nil {
 		log.Fatal(err)

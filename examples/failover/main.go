@@ -102,7 +102,7 @@ func main() {
 	prof, err := sess.ExplainAnalyze(&dbimadg.Query{
 		Table:   pTbl,
 		Filters: []dbimadg.Filter{dbimadg.EqStr(2, "west")},
-		Agg:     dbimadg.AggSum, AggCol: 1,
+		Aggs:    []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 1}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -95,7 +95,7 @@ func main() {
 	res, err := sby.Query(&dbimadg.Query{
 		Table:   sTbl,
 		Filters: []dbimadg.Filter{dbimadg.EqStr(2, "west")},
-		Agg:     dbimadg.AggSum, AggCol: 1,
+		Aggs:    []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 1}},
 	})
 	if err != nil {
 		log.Fatal(err)

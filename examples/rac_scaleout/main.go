@@ -120,7 +120,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := reader.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+	res, err := reader.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,13 +13,12 @@ import (
 // and an aggressive slow-query threshold, so every query lands in both logs.
 func explainFixture(t *testing.T) (*dbimadg.Cluster, *dbimadg.Table, *dbimadg.Table, *dbimadg.Session) {
 	t.Helper()
-	cfg := quickCfg()
-	cfg.SlowQueryThreshold = time.Nanosecond
-	c, err := dbimadg.Open(cfg)
+	c, err := dbimadg.Open(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	c.QueryLog().SetSlowThreshold(time.Nanosecond)
 	tbl, err := c.CreateTable(simpleSpec("T", 1))
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestFailoverEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	psess := c.PrimarySession(0)
-	prof, err := psess.ExplainAnalyze(&dbimadg.Query{Table: pTbl, Agg: dbimadg.AggCount})
+	prof, err := psess.ExplainAnalyze(&dbimadg.Query{Table: pTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +112,14 @@ func TestFailoverEndToEnd(t *testing.T) {
 	if _, err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := psess.Query(&dbimadg.Query{Table: pTbl, Agg: dbimadg.AggCount})
+	got, err := psess.Query(&dbimadg.Query{Table: pTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Count != 450 {
 		t.Fatalf("count after post-promotion DML = %d, want 450", got.Count)
 	}
-	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: pTbl, Agg: dbimadg.AggCount})
+	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: pTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestSwitchover(t *testing.T) {
 	if !c.WaitStandbyCaughtUp(10 * time.Second) {
 		t.Fatalf("rebuilt standby lagging: %+v", c.StandbyMaster().Stats())
 	}
-	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func (p *pair) catchUp(t *testing.T) {
 func countAt(t *testing.T, master *standby.Instance, newPri *primary.Cluster, obj rowstore.ObjID, tbl *rowstore.Table) int64 {
 	t.Helper()
 	ex := scanengine.NewExecutor(newPri.Txns(), master.Store())
-	res, err := ex.Run(&scanengine.Query{Table: tbl, Agg: scanengine.AggCount}, newPri.Snapshot())
+	res, err := ex.Run(&scanengine.Query{Table: tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}}}, newPri.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestSwitchoverRebuildsStandby(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := scanengine.NewExecutor(res.NewStandby.Txns(), p.flt.Stores()...)
-	got, err := ex.Run(&scanengine.Query{Table: oldTbl, Agg: scanengine.AggCount},
+	got, err := ex.Run(&scanengine.Query{Table: oldTbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}}},
 		res.NewStandby.QuerySCN())
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestSwitchoverReprovisionsReaders(t *testing.T) {
 	q := &scanengine.Query{
 		Table:   oldTbl,
 		Filters: []scanengine.Filter{scanengine.EqNum(1, -1)},
-		Agg:     scanengine.AggCount,
+		Aggs:    []scanengine.AggSpec{{Kind: scanengine.AggCount}},
 	}
 	for name, ex := range map[string]*scanengine.Executor{
 		"master + share": scanengine.NewExecutor(res.NewStandby.Txns(), p.flt.Stores()...),

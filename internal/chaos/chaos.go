@@ -87,14 +87,6 @@ type Options struct {
 	// n invalidation records are dropped) before a targeted single-row
 	// update. The harness self-test uses this to prove the oracle has teeth.
 	MutateSkipJournal int64
-	// ScanMorselRows pins the oracle executors' morsel granule; 0 draws a
-	// seed-derived size from a boundary-adjacent sweep (1, unit-1, unit,
-	// unit+1, multi-unit), so every equivalence check also exercises the
-	// work-stealing scan scheduler at awkward morsel boundaries.
-	ScanMorselRows int
-	// ScanParallel pins the oracle executors' worker count; 0 draws a
-	// seed-derived parallelism in [1, 8]; negative forces serial.
-	ScanParallel int
 	// FleetChurn attaches a reader fleet to the standby and adds/removes
 	// readers as schedule steps while writers and faults run. Every quiesce
 	// point then also checks each caught-up fleet reader's scan at its own
@@ -159,9 +151,8 @@ type Result struct {
 	// (seed-derived, 0-2): every equivalence check ran over the union of the
 	// master's store and theirs.
 	ShareReaders int
-	// Scan tuning the oracle executors ran with (seed-derived unless pinned
-	// in Options): the morsel granule and worker count every equivalence
-	// check exercised.
+	// Scan tuning the oracle executors ran with, drawn from the seed: the
+	// morsel granule and worker count every equivalence check exercised.
 	ScanMorselRows int
 	ScanParallel   int
 	// Checkpoint accounting (Checkpoints runs only): snapshots written
@@ -261,45 +252,28 @@ type Runner struct {
 	liveIDs []int64        // committed inserted ids eligible for deletion
 	dead    map[int64]bool // base rows a committed delete took
 
-	// scan tuning applied to every oracle executor (see Options and newExec).
-	scanMorselRows int
-	scanParallel   int
-
 	res Result
 }
 
-// resolveScanTuning fixes the run's scan-executor knobs from the options or,
-// when unset, from the seed. The morsel sweep brackets the unit size
-// (rowsPerBlock*blocksPerIMCU rows) so boundary arithmetic — clipping a
-// batch-aligned window, single-row morsels, morsels spanning units — is under
-// the same randomized schedule as the pipeline faults.
+// resolveScanTuning draws the run's scan-executor knobs from the seed: a
+// morsel granule from a sweep that brackets the unit size
+// (rowsPerBlock*blocksPerIMCU rows: 1, unit-1, unit, unit+1, multi-unit) and a
+// parallelism in [1, 8]. Boundary arithmetic — clipping a batch-aligned window,
+// single-row morsels, morsels spanning units — and the work-stealing scheduler
+// are then under the same randomized schedule as the pipeline faults.
 func (r *Runner) resolveScanTuning() {
 	const unitRows = rowsPerBlock * blocksPerIMCU
 	sweep := []int{1, unitRows - 1, unitRows, unitRows + 1, 3 * unitRows, scanengine.DefaultMorselRows}
-	switch {
-	case r.opts.ScanMorselRows != 0:
-		r.scanMorselRows = r.opts.ScanMorselRows
-	default:
-		r.scanMorselRows = sweep[r.rng.Intn(len(sweep))]
-	}
-	switch {
-	case r.opts.ScanParallel > 0:
-		r.scanParallel = r.opts.ScanParallel
-	case r.opts.ScanParallel < 0:
-		r.scanParallel = 1
-	default:
-		r.scanParallel = 1 + r.rng.Intn(8)
-	}
-	r.res.ScanMorselRows = r.scanMorselRows
-	r.res.ScanParallel = r.scanParallel
+	r.res.ScanMorselRows = sweep[r.rng.Intn(len(sweep))]
+	r.res.ScanParallel = 1 + r.rng.Intn(8)
 }
 
 // newExec builds an oracle executor carrying the run's scan tuning, so every
 // equivalence check doubles as a differential test of the morsel scheduler.
 func (r *Runner) newExec(view rowstore.TxnView, stores ...*imcs.Store) *scanengine.Executor {
 	ex := scanengine.NewExecutor(view, stores...)
-	ex.MorselRows = r.scanMorselRows
-	ex.DefaultParallel = r.scanParallel
+	ex.MorselRows = r.res.ScanMorselRows
+	ex.DefaultParallel = r.res.ScanParallel
 	return ex
 }
 

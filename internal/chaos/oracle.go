@@ -265,11 +265,11 @@ func (o *oracle) quiesceCheck() error {
 				color, q, nh, ng, diffKeys(fh, fg))
 		}
 	}
-	ha, err := hybrid.Run(&scanengine.Query{Table: tbl, Agg: scanengine.AggSum, AggCol: 1}, q)
+	ha, err := hybrid.Run(&scanengine.Query{Table: tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 1}}}, q)
 	if err != nil {
 		return r.fail("hybrid SUM at %d: %v", q, err)
 	}
-	ga, err := pri.Run(&scanengine.Query{Table: r.tbl, Agg: scanengine.AggSum, AggCol: 1}, q)
+	ga, err := pri.Run(&scanengine.Query{Table: r.tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 1}}}, q)
 	if err != nil {
 		return r.fail("primary SUM at %d: %v", q, err)
 	}

@@ -36,8 +36,6 @@ type Params struct {
 	ScanRate float64
 	// Threads is the driver thread count.
 	Threads int
-	// ApplyWorkers is the standby recovery parallelism.
-	ApplyWorkers int
 	// ScanParallel is the scan engine's intra-query parallelism.
 	ScanParallel int
 	// Seed makes runs reproducible.
@@ -85,9 +83,6 @@ func (p Params) WithDefaults() Params {
 			p.Threads = 2
 		}
 	}
-	if p.ApplyWorkers <= 0 {
-		p.ApplyWorkers = 4
-	}
 	if p.ScanParallel <= 0 {
 		// Intra-query parallelism only helps with spare cores; on small
 		// machines it just adds scheduling noise to the latency tails.
@@ -117,9 +112,8 @@ const (
 // and, unless inmem is "", makes it INMEMORY on that service.
 func open(p Params, cfg dbimadg.Config, inmem string) (*dbimadg.Cluster, *rowstore.Table, error) {
 	cfg.RowsPerBlock, cfg.BlocksPerIMCU = 128, 16
-	cfg.ApplyWorkers = p.ApplyWorkers
 	cfg.CheckpointInterval = time.Millisecond
-	cfg.PopulationWorkers, cfg.PopulationInterval = 2, 2*time.Millisecond
+	cfg.PopulationInterval = 2 * time.Millisecond
 	c, err := dbimadg.Open(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -131,7 +131,7 @@ func RunFleetOverload(p Params) (*FleetOverloadResult, error) {
 					q := &scanengine.Query{
 						Table:   sTbl,
 						Filters: []scanengine.Filter{scanengine.EqNum(n1, rng.Int63n(workload.NumDomain))},
-						Agg:     scanengine.AggCount,
+						Aggs:    []scanengine.AggSpec{{Kind: scanengine.AggCount}},
 					}
 					if _, err := ex.Run(q, snap); err != nil {
 						ok = false

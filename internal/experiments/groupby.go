@@ -156,7 +156,7 @@ func RunGroupBy(p Params) (*GroupByResult, error) {
 	// accumulator saves.
 	if res.TwoScans, err = sample(p.shortPhase(), func() error {
 		for _, kind := range []scanengine.AggKind{scanengine.AggSum, scanengine.AggMax} {
-			q := &scanengine.Query{Table: sTbl, Agg: kind, AggCol: v, Parallel: p.ScanParallel}
+			q := &scanengine.Query{Table: sTbl, Aggs: []scanengine.AggSpec{{Kind: kind, Col: v}}, Parallel: p.ScanParallel}
 			if _, err := hybrid.Run(q, sby.QuerySCN()); err != nil {
 				return err
 			}

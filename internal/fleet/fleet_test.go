@@ -485,7 +485,7 @@ func TestScaleUpAndDown(t *testing.T) {
 	p.catchUp(t, m)
 	r := m.Readers()[0]
 	ex := scanengine.NewExecutor(p.master.Txns(), r.Store())
-	res, err := ex.Run(&scanengine.Query{Table: p.sbyTable(t), Agg: scanengine.AggCount}, r.QuerySCN())
+	res, err := ex.Run(&scanengine.Query{Table: p.sbyTable(t), Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}}}, r.QuerySCN())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func shapes(tbl *rowstore.Table) []scantest.Case {
 		{Name: "filtered-agg", Query: func() *scanengine.Query {
 			return &scanengine.Query{Table: tbl,
 				Filters: []scanengine.Filter{scanengine.EqStr(2, "red")},
-				Agg:     scanengine.AggSum, AggCol: 1}
+				Aggs:    []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 1}}}
 		}},
 		{Name: "groupby", Query: func() *scanengine.Query {
 			return &scanengine.Query{Table: tbl,

@@ -20,7 +20,7 @@ import (
 type AggKind uint8
 
 const (
-	// AggNone materializes matching rows.
+	// AggNone is the zero kind, which no aggregate list entry may use.
 	AggNone AggKind = iota
 	// AggCount counts matching rows.
 	AggCount
@@ -39,17 +39,13 @@ type Query struct {
 	Filters []Filter
 	// Project lists schema column indexes to materialize (nil = all).
 	Project []int
-	// Agg selects an aggregate instead of row materialization; AggCol is the
-	// aggregated number column (ignored for AggCount).
-	Agg    AggKind
-	AggCol int
-	// Aggs lists select-list aggregates evaluated in one scan pass. When set
-	// it takes precedence over the legacy Agg/AggCol pair.
+	// Aggs lists select-list aggregates evaluated in one scan pass instead of
+	// row materialization.
 	Aggs []AggSpec
 	// GroupBy lists schema column indexes to group the aggregates by
 	// (requires at least one aggregate; at most maxGroupCols columns).
 	GroupBy []int
-	// OrderByRowID returns AggNone rows in deterministic RowID order
+	// OrderByRowID returns materialized rows in deterministic RowID order
 	// (partition, block, slot) instead of unspecified order.
 	OrderByRowID bool
 	// Parallel is the scan parallelism (morsel worker count). 1 runs
@@ -60,7 +56,7 @@ type Query struct {
 
 // Result is a completed scan.
 type Result struct {
-	// Rows holds materialized rows (AggNone only) — in RowID order when the
+	// Rows holds materialized rows (queries without Aggs only) — in RowID order when the
 	// query set OrderByRowID, otherwise unspecified.
 	Rows []rowstore.Row
 	// Count/Sum/Min/Max carry aggregate results (first spec of each kind when

@@ -328,7 +328,7 @@ func TestAggregates(t *testing.T) {
 	snap := f.c.Snapshot()
 	run := func(agg scanengine.AggKind, col int, filters ...scanengine.Filter) *scanengine.Result {
 		res, err := f.exec().Run(&scanengine.Query{
-			Table: f.tbl, Filters: filters, Agg: agg, AggCol: col,
+			Table: f.tbl, Filters: filters, Aggs: []scanengine.AggSpec{{Kind: agg, Col: col}},
 		}, snap)
 		if err != nil {
 			t.Fatal(err)
@@ -352,13 +352,13 @@ func TestAggregates(t *testing.T) {
 	res := run(scanengine.AggSum, 0, scanengine.EqStr(2, "red"))
 	base, _ := f.execNoIMCS().Run(&scanengine.Query{
 		Table: f.tbl, Filters: []scanengine.Filter{scanengine.EqStr(2, "red")},
-		Agg: scanengine.AggSum, AggCol: 0,
+		Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 0}},
 	}, snap)
 	if res.Sum != base.Sum || res.Count != base.Count {
 		t.Fatalf("filtered SUM: imcs=%d/%d rowstore=%d/%d", res.Sum, res.Count, base.Sum, base.Count)
 	}
 	// Aggregate on a varchar column is rejected.
-	if _, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Agg: scanengine.AggSum, AggCol: 2}, snap); err == nil {
+	if _, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 2}}}, snap); err == nil {
 		t.Fatal("SUM over varchar accepted")
 	}
 }

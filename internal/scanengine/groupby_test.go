@@ -253,7 +253,7 @@ func TestMultiAggregateSinglePass(t *testing.T) {
 	// Reference: the legacy one-aggregate-per-scan queries.
 	legacy := make([]*scanengine.Result, 4)
 	for i, kind := range []scanengine.AggKind{scanengine.AggCount, scanengine.AggSum, scanengine.AggMin, scanengine.AggMax} {
-		r, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Agg: kind, AggCol: 1}, snap)
+		r, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Aggs: []scanengine.AggSpec{{Kind: kind, Col: 1}}}, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestMultiAggregateSinglePass(t *testing.T) {
 func TestCountOnlyAggFoldsEncoded(t *testing.T) {
 	f := newFixture(t, 500, true)
 	snap := f.c.Snapshot()
-	res, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Agg: scanengine.AggCount}, snap)
+	res, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}}}, snap)
 	if err != nil {
 		t.Fatal(err)
 	}

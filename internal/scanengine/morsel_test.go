@@ -209,7 +209,7 @@ func TestStealPathStress(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				res, err := ex.Run(&scanengine.Query{
 					Table:    f.tbl,
-					Agg:      scanengine.AggCount,
+					Aggs:     []scanengine.AggSpec{{Kind: scanengine.AggCount}},
 					Parallel: workers,
 				}, snap)
 				if err != nil {

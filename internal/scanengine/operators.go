@@ -67,7 +67,7 @@ type GroupedResult struct {
 }
 
 // queryPlan is the validated execution shape of a query: the normalized
-// aggregate list (legacy Agg/AggCol folded in) and the GROUP BY key columns.
+// aggregate list and the GROUP BY key columns.
 type queryPlan struct {
 	aggs    []AggSpec
 	groupBy []int
@@ -85,9 +85,6 @@ func planQuery(q *Query, schema *rowstore.Schema) (*queryPlan, error) {
 		}
 	}
 	p := &queryPlan{aggs: q.Aggs, groupBy: q.GroupBy}
-	if len(p.aggs) == 0 && q.Agg != AggNone {
-		p.aggs = []AggSpec{{Kind: q.Agg, Col: q.AggCol}}
-	}
 	for _, a := range p.aggs {
 		switch a.Kind {
 		case AggCount:
@@ -163,7 +160,7 @@ func orderKey(part int, blk rowstore.BlockNo, slot uint16) uint64 {
 	return uint64(part)<<48 | uint64(blk)<<16 | uint64(slot)
 }
 
-// rowsOp materializes matching rows (AggNone), gathered late: only the
+// rowsOp materializes matching rows (queries without Aggs), gathered late: only the
 // projected columns are read from the source.
 type rowsOp struct {
 	schema   *rowstore.Schema

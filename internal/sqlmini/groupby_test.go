@@ -14,8 +14,8 @@ func TestParseGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Agg != scanengine.AggNone || q.Project != nil {
-		t.Fatalf("grouped query should not use the legacy shape: %+v", q)
+	if q.Project != nil {
+		t.Fatalf("grouped query should not project: %+v", q)
 	}
 	want := []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: 1}}
 	if len(q.Aggs) != 2 || q.Aggs[0] != want[0] || q.Aggs[1] != want[1] {
@@ -51,22 +51,19 @@ func TestParseMultiAggregateNoGroupBy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Agg != scanengine.AggNone {
-		t.Fatalf("multi-aggregate should not set the legacy Agg: %v", q.Agg)
-	}
 	if len(q.Aggs) != 4 || q.Aggs[1].Col != 1 || q.Aggs[3].Col != 0 {
 		t.Fatalf("aggs: %+v", q.Aggs)
 	}
 }
 
-func TestParseSingleAggregateKeepsLegacyShape(t *testing.T) {
+func TestParseSingleAggregateIsOneEntryList(t *testing.T) {
 	tbl := testTable(t)
 	q, err := ParseAndCompile("SELECT SUM(n1) FROM C101", tbl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Agg != scanengine.AggSum || q.AggCol != 1 || q.Aggs != nil {
-		t.Fatalf("lone aggregate should compile to the legacy shape: %+v", q)
+	if len(q.Aggs) != 1 || q.Aggs[0] != (scanengine.AggSpec{Kind: scanengine.AggSum, Col: 1}) || q.Project != nil || q.GroupBy != nil {
+		t.Fatalf("lone aggregate should compile to a one-entry aggregate list: %+v", q)
 	}
 }
 

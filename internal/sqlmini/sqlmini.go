@@ -55,10 +55,7 @@ type Statement struct {
 	TableName string
 	Star      bool
 	Columns   []string
-	// Agg/AggCol carry a lone aggregate without GROUP BY (the legacy
-	// single-aggregate shape); Aggs is the full select-list aggregate list.
-	Agg     scanengine.AggKind
-	AggCol  string // "" for COUNT(*)
+	// Aggs is the select-list aggregate list.
 	Aggs    []AggItem
 	GroupBy []string
 	Conds   []cond
@@ -172,7 +169,7 @@ func Parse(src string) (*Statement, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	st := &Statement{Agg: scanengine.AggNone}
+	st := &Statement{}
 	if strings.EqualFold(p.peek(), "EXPLAIN") {
 		st.Explain = true
 		p.pos++
@@ -258,11 +255,6 @@ func (st *Statement) checkShape() error {
 				return fmt.Errorf("sqlmini: column %q must appear in GROUP BY", col)
 			}
 		}
-	}
-	// A lone aggregate without grouping keeps the legacy single-aggregate
-	// statement shape.
-	if len(st.Aggs) == 1 && len(st.Columns) == 0 && len(st.GroupBy) == 0 {
-		st.Agg, st.AggCol = st.Aggs[0].Kind, st.Aggs[0].Col
 	}
 	return nil
 }
@@ -351,8 +343,8 @@ func (p *parser) parseCond(st *Statement) error {
 // an executable scanengine.Query.
 func (st *Statement) Compile(tbl *rowstore.Table, binds map[string]Bind) (*scanengine.Query, error) {
 	schema := tbl.Schema()
-	q := &scanengine.Query{Table: tbl, Agg: st.Agg}
-	if !st.Star && st.Agg == scanengine.AggNone && len(st.Aggs) == 0 {
+	q := &scanengine.Query{Table: tbl}
+	if !st.Star && len(st.Aggs) == 0 {
 		for _, name := range st.Columns {
 			ci := schema.ColIndex(name)
 			if ci < 0 {
@@ -361,34 +353,23 @@ func (st *Statement) Compile(tbl *rowstore.Table, binds map[string]Bind) (*scane
 			q.Project = append(q.Project, ci)
 		}
 	}
-	if st.AggCol != "" {
-		ci := schema.ColIndex(st.AggCol)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqlmini: no aggregate column %q", st.AggCol)
-		}
-		q.AggCol = ci
-	}
-	// Multi-aggregate and grouped statements compile into the aggregate-list
-	// shape; the lone-aggregate case above keeps the legacy Agg/AggCol shape.
-	if st.Agg == scanengine.AggNone && len(st.Aggs) > 0 {
-		for _, a := range st.Aggs {
-			spec := scanengine.AggSpec{Kind: a.Kind}
-			if a.Col != "" {
-				ci := schema.ColIndex(a.Col)
-				if ci < 0 {
-					return nil, fmt.Errorf("sqlmini: no aggregate column %q", a.Col)
-				}
-				spec.Col = ci
-			}
-			q.Aggs = append(q.Aggs, spec)
-		}
-		for _, name := range st.GroupBy {
-			ci := schema.ColIndex(name)
+	for _, a := range st.Aggs {
+		spec := scanengine.AggSpec{Kind: a.Kind}
+		if a.Col != "" {
+			ci := schema.ColIndex(a.Col)
 			if ci < 0 {
-				return nil, fmt.Errorf("sqlmini: no column %q", name)
+				return nil, fmt.Errorf("sqlmini: no aggregate column %q", a.Col)
 			}
-			q.GroupBy = append(q.GroupBy, ci)
+			spec.Col = ci
 		}
+		q.Aggs = append(q.Aggs, spec)
+	}
+	for _, name := range st.GroupBy {
+		ci := schema.ColIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("sqlmini: no column %q", name)
+		}
+		q.GroupBy = append(q.GroupBy, ci)
 	}
 	for _, c := range st.Conds {
 		ci := schema.ColIndex(c.col)

@@ -33,7 +33,7 @@ func TestParsePaperQ1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Project != nil || q.Agg != scanengine.AggNone {
+	if q.Project != nil || q.Aggs != nil {
 		t.Fatal("Q1 should be SELECT *")
 	}
 	if len(q.Filters) != 1 || q.Filters[0].Col != 1 || q.Filters[0].Op != scanengine.EQ || q.Filters[0].Num != 42 {
@@ -90,8 +90,8 @@ func TestParseAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.sql, err)
 		}
-		if q.Agg != c.agg || q.AggCol != c.aCol {
-			t.Fatalf("%s: agg=%v col=%d", c.sql, q.Agg, q.AggCol)
+		if want := (scanengine.AggSpec{Kind: c.agg, Col: c.aCol}); len(q.Aggs) != 1 || q.Aggs[0] != want {
+			t.Fatalf("%s: aggs=%+v, want [%+v]", c.sql, q.Aggs, want)
 		}
 	}
 }

@@ -248,7 +248,7 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 				inst.pokeCoordinator()
 			}
 			if wl := inst.pendingWL.Load(); wl != nil {
-				inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
+				inst.flusher.DrainWorklink(wl, flushBatch)
 			}
 		}
 	}
@@ -507,7 +507,7 @@ func (inst *Instance) advanceTo(target scn.SCN, live bool) {
 		if live {
 			inst.pendingWL.Store(wl)
 		}
-		inst.flusher.DrainWorklink(wl, inst.cfg.FlushBatch)
+		inst.flusher.DrainWorklink(wl, flushBatch)
 		// A cooperative helper may still be flushing the batch it claimed.
 		if live {
 			select {

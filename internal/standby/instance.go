@@ -29,26 +29,16 @@ import (
 
 // Config tunes the standby instance.
 type Config struct {
-	// ApplyWorkers is the number of recovery worker processes (default 4).
-	ApplyWorkers int
 	// CheckpointInterval is the recovery coordinator's heartbeat: the longest
 	// it goes without looking for a QuerySCN to advance to (default 2ms). It
 	// does not set the advancement cadence — the coordinator advances when
 	// apply tells it there is something to publish (see coordinatorLoop).
 	CheckpointInterval time.Duration
-	// CommitTableParts partitions the IM-ADG Commit Table (default 4).
-	CommitTableParts int
-	// JournalBuckets sizes the IM-ADG Journal hash table (0 = derived from
-	// the apply parallelism).
-	JournalBuckets int
-	// FlushBatch is the worklink batch size claimed per helper (default 8).
-	FlushBatch int
 	// RowsPerBlock must match the primary's block capacity.
 	RowsPerBlock int
 
 	// Population engine settings (see imcs.Config).
 	BlocksPerIMCU      int
-	PopulationWorkers  int
 	PopulationInterval time.Duration
 	RepopThreshold     float64
 	TailThreshold      float64
@@ -65,36 +55,15 @@ type Config struct {
 	// instance runs; "127.0.0.1:0" binds an ephemeral port (see MetricsAddr()
 	// for the bound address).
 	MetricsAddr string
-	// TraceRing is the pipeline trace event-ring capacity
-	// (default obs.DefaultTraceRing).
-	TraceRing int
 	// LagSampleInterval, when > 0, samples the derived lag gauges into
 	// obs.Series (see LagSeries) at this period — the data behind the
 	// paper's Fig.-11-style lag-over-time plots.
 	LagSampleInterval time.Duration
 
-	// ScanMorselRows is the scan executor's work-stealing granule in rows
-	// (default scanengine.DefaultMorselRows).
-	ScanMorselRows int
-	// ScanParallel is the default worker count for scans that leave
-	// Query.Parallel unset (default GOMAXPROCS; negative forces serial).
-	ScanParallel int
-
-	// SlowQueryThreshold is the wall time at or above which a profiled query
-	// is also recorded in the slow-query log (default 100ms; negative
-	// disables slow-query capture).
-	SlowQueryThreshold time.Duration
-	// QueryLogSize is the capacity of the recent- and slow-query rings
-	// behind /debug/queries (default obs.DefaultQueryLogSize).
-	QueryLogSize int
-
 	// FreshnessSampleEvery traces every Nth SCN end-to-end through the
 	// freshness tracer (default obs.DefaultFreshnessSampleEvery; 1 traces
 	// every commit, negative disables tracing).
 	FreshnessSampleEvery int
-	// FreshnessRing is the closed-span waterfall ring capacity behind
-	// /debug/freshness (default obs.DefaultFreshnessRing).
-	FreshnessRing int
 
 	// WatchdogInterval is the liveness watchdog's evaluation period (default
 	// obs.DefaultWatchdogInterval). Negative disables the background
@@ -104,9 +73,6 @@ type Config struct {
 	// backlog without progress before it is declared stalled
 	// (default obs.DefaultStallDeadline).
 	WatchdogStallDeadline time.Duration
-	// FlightRecorderBundles is the stall-bundle ring capacity
-	// (default obs.DefaultBundleRing).
-	FlightRecorderBundles int
 
 	// SnapshotDir, when non-empty, enables IMCS checkpointing
 	// (internal/checkpoint): the background checkpointer persists the column
@@ -145,6 +111,21 @@ const (
 // masterInstance is the apply master's index in the home-location map.
 const masterInstance = 0
 
+const (
+	// applyWorkers is the number of recovery workers redo apply hashes CVs
+	// to by DBA; the journal's hash table is sized from it.
+	applyWorkers = 4
+	// commitTableParts partitions the IM-ADG commit table.
+	commitTableParts = 4
+	// flushBatch is the number of worklink entries a flush helper claims at a
+	// time.
+	flushBatch = 8
+	// slowQueryThreshold is the wall time at or above which a profiled query
+	// is also recorded in the slow-query log; QueryLog().SetSlowThreshold
+	// changes it on a running instance.
+	slowQueryThreshold = 100 * time.Millisecond
+)
+
 // Population converts the population settings into the engine's config. Every
 // column store of a deployment is built from it, so a setting such as
 // MemLimitBytes binds each of them; the caller adds only what is particular to
@@ -152,7 +133,6 @@ const masterInstance = 0
 func (c Config) Population() imcs.Config {
 	return imcs.Config{
 		BlocksPerIMCU:  c.BlocksPerIMCU,
-		Workers:        c.PopulationWorkers,
 		Interval:       c.PopulationInterval,
 		RepopThreshold: c.RepopThreshold,
 		TailThreshold:  c.TailThreshold,
@@ -161,36 +141,14 @@ func (c Config) Population() imcs.Config {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ApplyWorkers <= 0 {
-		c.ApplyWorkers = 4
-	}
 	if c.CheckpointInterval <= 0 {
 		c.CheckpointInterval = 2 * time.Millisecond
-	}
-	if c.CommitTableParts <= 0 {
-		c.CommitTableParts = 4
-	}
-	if c.FlushBatch <= 0 {
-		c.FlushBatch = 8
 	}
 	if c.BlocksPerIMCU <= 0 {
 		c.BlocksPerIMCU = 64
 	}
 	if c.HomeInstances <= 0 {
 		c.HomeInstances = 1
-	}
-	if c.ScanMorselRows <= 0 {
-		c.ScanMorselRows = scanengine.DefaultMorselRows
-	}
-	if c.ScanParallel == 0 {
-		c.ScanParallel = runtime.GOMAXPROCS(0)
-	} else if c.ScanParallel < 0 {
-		c.ScanParallel = 1
-	}
-	if c.SlowQueryThreshold == 0 {
-		c.SlowQueryThreshold = 100 * time.Millisecond
-	} else if c.SlowQueryThreshold < 0 {
-		c.SlowQueryThreshold = 0
 	}
 	if c.SnapshotDir != "" && c.SnapshotInterval == 0 {
 		c.SnapshotInterval = time.Second
@@ -332,16 +290,16 @@ func build(cfg Config, db *rowstore.Database, txns *txn.Table, services *service
 		services:  services,
 		reg:       obs.NewRegistry(),
 		scanStats: &scanengine.PathStats{},
-		queryLog:  obs.NewQueryLog(cfg.QueryLogSize),
+		queryLog:  obs.NewQueryLog(obs.DefaultQueryLogSize),
 	}
 	inst.roleMask.Store(uint32(service.RoleStandby))
-	inst.queryLog.SetSlowThreshold(cfg.SlowQueryThreshold)
-	inst.trace = obs.NewPipelineTrace(inst.reg, cfg.TraceRing)
+	inst.queryLog.SetSlowThreshold(slowQueryThreshold)
+	inst.trace = obs.NewPipelineTrace(inst.reg, obs.DefaultTraceRing)
 	if cfg.FreshnessSampleEvery >= 0 {
 		// The tracer (like the trace and registry) is NOT volatile state: spans
 		// survive Restart's initVolatile so a crash mid-span shows up as an
 		// explicit truncation, never a silent leak.
-		inst.freshness = obs.NewFreshnessTracer(inst.reg, cfg.FreshnessSampleEvery, cfg.FreshnessRing)
+		inst.freshness = obs.NewFreshnessTracer(inst.reg, cfg.FreshnessSampleEvery, obs.DefaultFreshnessRing)
 		inst.trace.SetFreshness(inst.freshness)
 	}
 	inst.lagSeries = map[string]*obs.Series{
@@ -352,7 +310,7 @@ func build(cfg Config, db *rowstore.Database, txns *txn.Table, services *service
 	}
 	// The watchdog, like the registry and trace, persists across Restart: a
 	// crash-restart is a planned pause, not a fresh watchdog.
-	inst.recorder = obs.NewFlightRecorder(inst.reg, inst.trace, cfg.FlightRecorderBundles)
+	inst.recorder = obs.NewFlightRecorder(inst.reg, inst.trace, obs.DefaultBundleRing)
 	inst.watchdog = obs.NewWatchdog(inst.reg, inst.recorder, obs.WatchdogOptions{
 		Interval:      cfg.WatchdogInterval,
 		StallDeadline: cfg.WatchdogStallDeadline,
@@ -660,8 +618,8 @@ func (inst *Instance) initVolatile() {
 	inst.stateMu.Lock()
 	defer inst.stateMu.Unlock()
 	inst.store = imcs.NewStore()
-	inst.journal = core.NewJournal(inst.cfg.JournalBuckets, inst.cfg.ApplyWorkers)
-	inst.commits = core.NewCommitTable(inst.cfg.CommitTableParts)
+	inst.journal = core.NewJournal(0, applyWorkers)
+	inst.commits = core.NewCommitTable(commitTableParts)
 	inst.ddl = core.NewDDLTable()
 	inst.miner = core.NewMiner(inst.journal, inst.commits, inst.ddl, &standbyPolicy{inst: inst})
 	inst.miner.SetTrace(inst.trace)
@@ -841,12 +799,11 @@ func (inst *Instance) registerMetrics() {
 		"per-worker busy time within one parallel scan", buckets)
 }
 
-// ScanTuning returns the instance's configured scan executor knobs: the
-// morsel granule in rows and the default worker count for queries that leave
-// Query.Parallel unset. Session builders apply them to every executor bound
-// to this instance.
+// ScanTuning returns the scan executor tuning of a deployment: the default
+// morsel granule in rows and, for queries that leave Query.Parallel unset, one
+// worker per GOMAXPROCS.
 func (inst *Instance) ScanTuning() (morselRows, parallel int) {
-	return inst.cfg.ScanMorselRows, inst.cfg.ScanParallel
+	return scanengine.DefaultMorselRows, runtime.GOMAXPROCS(0)
 }
 
 // RecordQuery feeds one finished query's profile into the instance's query
@@ -1062,7 +1019,7 @@ func (inst *Instance) Start() {
 	inst.stop = make(chan struct{})
 	inst.endOfRedo = make(chan struct{})
 	inst.coordWake = make(chan struct{}, 1)
-	inst.workers = make([]*applyWorker, inst.cfg.ApplyWorkers)
+	inst.workers = make([]*applyWorker, applyWorkers)
 	for i := range inst.workers {
 		w := &applyWorker{id: i, ch: make(chan applyTask, 1024)}
 		inst.workers[i] = w

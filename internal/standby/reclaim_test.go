@@ -104,7 +104,7 @@ func (w *wideLog) serve(t *testing.T) (*standby.Instance, *transport.Receiver) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = rcv.Close() })
-	sby := standby.New(standby.Config{RowsPerBlock: 32, FreshnessSampleEvery: -1, TraceRing: 64, WatchdogInterval: -1})
+	sby := standby.New(standby.Config{RowsPerBlock: 32, FreshnessSampleEvery: -1, WatchdogInterval: -1})
 	sby.Attach(rcv)
 	sby.Start()
 	t.Cleanup(func() { sby.Stop() })
@@ -188,7 +188,7 @@ func TestHeapPlateausUnderUpdates(t *testing.T) {
 	}
 	q := sby.QuerySCN()
 	hybrid, pure := scanengine.NewExecutor(sby.Txns(), sby.Store()), scanengine.NewExecutor(sby.Txns())
-	agg := &scanengine.Query{Table: tbl, Agg: scanengine.AggSum, AggCol: 1}
+	agg := &scanengine.Query{Table: tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 1}}}
 	a, err := hybrid.Run(agg, q)
 	if err != nil {
 		t.Fatal(err)

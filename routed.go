@@ -7,7 +7,6 @@ import (
 
 	"dbimadg/internal/fleet"
 	"dbimadg/internal/router"
-	"dbimadg/internal/scanengine"
 	"dbimadg/internal/scn"
 	"dbimadg/internal/sqlmini"
 )
@@ -108,7 +107,7 @@ func (s *RoutedSession) Query(q *Query) (*Result, error) {
 	// placement was checked against.
 	snap := p.Reader.QuerySCN()
 	s.lastSnap.Store(uint64(snap))
-	ex := s.c.tuneExec(scanengine.NewExecutor(master.Txns(), p.Reader.Store()), master)
+	ex := newExec(master.Txns(), p.Reader.Store())
 	ex.Obs = master.ScanStats()
 	return ex.Run(q, snap)
 }

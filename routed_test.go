@@ -40,7 +40,7 @@ func TestRoutedSessionEndToEnd(t *testing.T) {
 	// Fleet readers trail asynchronously: carry the master's published SCN as
 	// a freshness token so the count below is deterministic.
 	sess.SetToken(c.StandbySession().Snapshot())
-	res, err := sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+	res, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRoutedReadYourWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 		sess.SetToken(token)
-		res, err := sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+		res, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -146,7 +146,7 @@ func TestRoutedReadYourWritesAcrossSwitchover(t *testing.T) {
 	}
 	sess := c.RoutedSession(dbimadg.RouterOptions{Wait: 15 * time.Second})
 	sTbl, _ := c.StandbyTable(1, "T")
-	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount}); err != nil {
+	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}}); err != nil {
 		t.Fatal(err)
 	}
 	preSnap := sess.LastSnapshot()
@@ -180,7 +180,7 @@ func TestRoutedReadYourWritesAcrossSwitchover(t *testing.T) {
 	}
 	sess.SetToken(token)
 	nTbl, _ := c.StandbyTable(1, "T")
-	res, err := sess.Query(&dbimadg.Query{Table: nTbl, Agg: dbimadg.AggCount})
+	res, err := sess.Query(&dbimadg.Query{Table: nTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 	if err != nil {
 		t.Fatalf("routed query after switchover: %v", err)
 	}
@@ -212,14 +212,14 @@ func TestRoutedErrorsAfterFailover(t *testing.T) {
 	}
 	sTbl, _ := c.StandbyTable(1, "T")
 	sess := c.RoutedSession(dbimadg.RouterOptions{})
-	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount}); err != nil {
+	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}}); err != nil {
 		t.Fatal(err)
 	}
 
 	if _, err := c.Failover(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount}); !errors.Is(err, dbimadg.ErrNoReader) {
+	if _, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}}); !errors.Is(err, dbimadg.ErrNoReader) {
 		t.Fatalf("routed query after failover err = %v, want ErrNoReader", err)
 	}
 	if _, err := c.StandbyReaderSession(0); !errors.Is(err, dbimadg.ErrNoReader) {
@@ -264,7 +264,7 @@ func TestRoutedOverloadSheds(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var qerr error
 	for time.Now().Before(deadline) {
-		_, qerr = sess.Query(&dbimadg.Query{Table: sTbl, Agg: dbimadg.AggCount})
+		_, qerr = sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
 		if errors.Is(qerr, dbimadg.ErrOverloaded) {
 			break
 		}

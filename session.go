@@ -13,25 +13,12 @@ import (
 	"dbimadg/internal/standby"
 )
 
-// tuneExec applies the deployment's scan-executor knobs (morsel granule and
-// default parallelism) to a freshly built executor. Executors bound to a
-// standby instance inherit that instance's resolved tuning; primary-side
-// executors resolve the root Config directly (GOMAXPROCS default, negative
-// ScanParallel forces serial).
-func (c *Cluster) tuneExec(ex *scanengine.Executor, inst *standby.Instance) *scanengine.Executor {
-	if inst != nil {
-		ex.MorselRows, ex.DefaultParallel = inst.ScanTuning()
-		return ex
-	}
-	ex.MorselRows = c.cfg.ScanMorselRows
-	switch {
-	case c.cfg.ScanParallel > 0:
-		ex.DefaultParallel = c.cfg.ScanParallel
-	case c.cfg.ScanParallel < 0:
-		ex.DefaultParallel = 1
-	default:
-		ex.DefaultParallel = runtime.GOMAXPROCS(0)
-	}
+// newExec builds a scan executor with the deployment's scan tuning, the one
+// standby.Instance.ScanTuning reports: the default morsel granule and, for
+// queries that leave Query.Parallel unset, one worker per GOMAXPROCS.
+func newExec(view rowstore.TxnView, stores ...*imcs.Store) *scanengine.Executor {
+	ex := scanengine.NewExecutor(view, stores...)
+	ex.MorselRows, ex.DefaultParallel = scanengine.DefaultMorselRows, runtime.GOMAXPROCS(0)
 	return ex
 }
 
@@ -59,7 +46,7 @@ func (c *Cluster) PrimarySession(i int) *Session {
 	pri, promoted := c.pri, c.promoted
 	c.mu.Unlock()
 	if promoted != nil {
-		ex := c.tuneExec(scanengine.NewExecutor(pri.Txns(), promoted.Store()), promoted)
+		ex := newExec(pri.Txns(), promoted.Store())
 		ex.Obs = promoted.ScanStats()
 		return &Session{
 			c: c, primary: true, instance: i,
@@ -70,7 +57,7 @@ func (c *Cluster) PrimarySession(i int) *Session {
 	}
 	return &Session{
 		c: c, primary: true, instance: i,
-		exec: c.tuneExec(scanengine.NewExecutor(pri.Txns(), c.priStore), nil),
+		exec: newExec(pri.Txns(), c.priStore),
 		snap: pri.Snapshot,
 	}
 }
@@ -94,7 +81,7 @@ func (c *Cluster) StandbySession() *Session {
 // and every column store a scan at its QuerySCN spans (the master's and the
 // home-share readers'; after a failover only the promoted master's remains).
 func (c *Cluster) standbySession(sby *standby.Instance, snap func() scn.SCN) *Session {
-	ex := c.tuneExec(scanengine.NewExecutor(sby.Txns(), c.flt.Stores()...), sby)
+	ex := newExec(sby.Txns(), c.flt.Stores()...)
 	ex.Obs = sby.ScanStats()
 	return &Session{c: c, exec: ex, snap: snap, record: sby.RecordQuery}
 }

@@ -52,7 +52,7 @@ func TestQuerySQLEndToEnd(t *testing.T) {
 			{Col: 1, Op: dbimadg.GE, Num: 5},
 			dbimadg.EqStr(2, "v2"),
 		},
-		Agg: dbimadg.AggSum, AggCol: 0,
+		Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 0}},
 	})
 	if res.Sum != base.Sum || res.Count != base.Count {
 		t.Fatalf("SQL aggregate %d/%d != typed query %d/%d", res.Sum, res.Count, base.Sum, base.Count)
