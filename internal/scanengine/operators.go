@@ -160,8 +160,8 @@ func orderKey(part int, blk rowstore.BlockNo, slot uint16) uint64 {
 	return uint64(part)<<48 | uint64(blk)<<16 | uint64(slot)
 }
 
-// rowsOp materializes matching rows (queries without Aggs), gathered late: only the
-// projected columns are read from the source.
+// rowsOp materializes matching rows (queries without Aggs), gathered late:
+// only the projected columns are read from the source.
 type rowsOp struct {
 	schema   *rowstore.Schema
 	ordered  bool
