@@ -81,7 +81,9 @@ allocs:
 # Native fuzzing of the decoders that read bytes from the wire — the frame
 # reader and the record decoder, seeded from the corruption tables of their
 # unit tests — of the packed compare kernel against its decode-then-compare
-# reference (any width, window, mask and literal), and of the unit-image decoder
+# reference (any width, window, mask and literal), of the word-at-a-time
+# masked fold against decode-then-fold (any width or encoding, window, mask and
+# set of aggregate kinds), and of the unit-image decoder
 # a checkpoint restore re-interns from (seeded from the checkpoint's corruption
 # cases), of the checkpoint file's framing down to Store.RestoreUnit (seeded
 # from a small checkpoint, truncated and bit-flipped), and of the SQL front end
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzCmpMask$$' -fuzztime $(FUZZTIME) ./internal/imcs
+	$(GO) test -run '^$$' -fuzz '^FuzzFoldPacked$$' -fuzztime $(FUZZTIME) ./internal/imcs
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUnitImage$$' -fuzztime $(FUZZTIME) ./internal/imcs
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAndCompile$$' -fuzztime $(FUZZTIME) ./internal/sqlmini
@@ -129,14 +132,15 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 # (12.5pct-delta: changed in two columns the unit's delta explains), and one
 # patch appended to a delta; the packed compare and unpack kernels per bit
 # width, each beside the decode-then-compare reference; then the bench's query
-# classes over one unit with 1, 6 and 25 % of its rows invalid — served by the
+# classes over one clean unit, in ns a row, and over one unit with 1, 6 and 25 %
+# of its rows invalid — served by the
 # row store and, -delta, by the column delta — and a GROUP BY flush that brings the
 # table's keys again or as many new ones; last the row image (pack, one number,
 # one string, unpack) and the codec over a full-row record of the bench table.
 bench:
 	$(GO) test -bench 'Failover|CheckpointRestart' -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate|DeltaAppend|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
-	$(GO) test -bench 'ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
+	$(GO) test -bench 'ScanClean|ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
 
 # End-to-end benchmark (bench/, declared in BENCHMARK.json): RUNS seeds per

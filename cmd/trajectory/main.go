@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// side holds a committed set's untraced values, or one transcribed median,
-// by "workload metric".
+// side holds a committed set's untraced values in seed and run order, or one
+// transcribed median, by "workload metric".
 type side map[string][]float64
 
 type resultSet struct {
@@ -35,16 +35,17 @@ type resultSet struct {
 // side returns the set's untraced values and the runs' seeds.
 func (s *resultSet) side() (side, string) {
 	out, seeds := side{}, []string{}
-	for _, r := range s.Runs {
+	key := func(i int) string { return fmt.Sprint(s.Runs[i].Workload, s.Runs[i].Seed) }
+	sort.SliceStable(s.Runs, func(i, j int) bool { return key(i) < key(j) })
+	for i, r := range s.Runs {
 		if r.Traced {
 			continue
 		}
 		for m, v := range r.Metrics {
 			out[r.Workload+" "+m] = append(out[r.Workload+" "+m], v.Value)
 		}
-		seeds = append(seeds, fmt.Sprint(r.Workload, r.Seed))
+		seeds = append(seeds, key(i))
 	}
-	sort.Strings(seeds)
 	return out, strings.Join(seeds, " ")
 }
 
@@ -75,8 +76,8 @@ func short(sha string) string { return sha[:min(len(sha), 7)] }
 
 // load reads the record under root and orders its links along history, the
 // first-parent commits oldest first ("sha subject"). A link covers its change
-// and the commits between it and its parent.
-func load(root string, history []string, isAncestor func(a, b string) bool) (*trajectory, error) {
+// and the commits between it and its parent, the earlier of its two sets.
+func load(root string, history []string) (*trajectory, error) {
 	t := &trajectory{}
 	var base struct {
 		EndToEnd []struct {
@@ -105,29 +106,26 @@ func load(root string, history []string, isAncestor func(a, b string) bool) (*tr
 			seed.B[w+" "+m] = []float64{v.Median}
 		}
 	}
-	for _, l := range t.Links {
-		for _, s := range sets {
-			if short(s.Commit) == l.Change {
-				l.B, _ = s.side()
-			}
-		}
-	}
-	for i := range sets {
-		for j := i + 1; j < len(sets); j++ {
-			p, c := &sets[i], &sets[j]
-			a, ps := p.side()
-			b, cs := c.side()
-			if ps == cs && isAncestor(c.Commit, p.Commit) {
-				p, c, a, b = c, p, b, a
-			}
-			if ps == cs {
-				t.Links = append(t.Links, &link{Parent: short(p.Commit), Change: short(c.Commit), A: a, B: b})
-			}
-		}
-	}
 	pos, covered := map[string]int{}, make([]bool, len(history)+1)
 	for i, h := range history {
 		pos[short(h)] = i + 1 // 0: not on the history
+	}
+	sides, seeds := make([]side, len(sets)), make([]string, len(sets))
+	for i := range sets {
+		sides[i], seeds[i] = sets[i].side()
+		for _, l := range t.Links {
+			if l.Transcribed && short(sets[i].Commit) == l.Change {
+				l.B = sides[i]
+			}
+		}
+		for j := 0; j < i; j++ {
+			if p, c := j, i; seeds[p] == seeds[c] {
+				if pos[short(sets[c].Commit)] < pos[short(sets[p].Commit)] {
+					p, c = c, p
+				}
+				t.Links = append(t.Links, &link{Parent: short(sets[p].Commit), Change: short(sets[c].Commit), A: sides[p], B: sides[c]})
+			}
+		}
 	}
 	start := pos[seed.Change]
 	if start == 0 {
@@ -135,7 +133,7 @@ func load(root string, history []string, isAncestor func(a, b string) bool) (*tr
 	}
 	for _, l := range t.Links {
 		p, c := pos[l.Parent], pos[l.Change]
-		if p < start || c <= p || !isAncestor(l.Parent, l.Change) {
+		if p < start || c <= p {
 			return nil, fmt.Errorf("link %s..%s does not follow the first-parent history from the seed", l.Parent, l.Change)
 		}
 		for i := p + 1; i <= c; i++ {
@@ -152,13 +150,33 @@ func load(root string, history []string, isAncestor func(a, b string) bool) (*tr
 	return t, nil
 }
 
-// drift is link i's parent-side median over link i-1's change-side median,
-// the move between two sessions; 0 when link i-1 did not measure k.
-func (t *trajectory) drift(i int, k string) float64 {
-	if prev := median(t.Links[i-1].B[k]); prev > 0 {
-		return median(t.Links[i].A[k]) / prev
+// read is the quartiles of the link's ratio B/A for metric d of k, pair by
+// pair (by seed and run order, which cancels the drift a ratio of medians
+// brings back), and their verdict: "no change" when they straddle 1,
+// "unresolved" wider apart than the bound, "regressed" worse than it allows.
+func (l *link) read(d decl, k string) (r [3]float64, verdict string) {
+	a, b := l.A[k], l.B[k]
+	if len(a) != len(b) { // a transcribed median against a committed set
+		a, b = []float64{median(a)}, []float64{median(b)}
 	}
-	return 0
+	ratios := make([]float64, len(a))
+	for i := range a {
+		ratios[i] = b[i] / a[i]
+	}
+	r = quartiles(ratios)
+	worse := r[1] - 1
+	if d.Better == "higher" {
+		worse = -worse
+	}
+	switch {
+	case r[0] < 1 && r[2] > 1:
+		return r, "no change"
+	case r[2]-r[0] > d.Bound:
+		return r, "unresolved"
+	case worse > d.Bound:
+		return r, "regressed"
+	}
+	return r, "ok"
 }
 
 // num rounds to four significant digits and prints no exponent.
@@ -181,15 +199,16 @@ func (t *trajectory) report(w io.Writer) {
 		for _, d := range t.spec.EndToEnd {
 			k, prod, n := wl.Name+" "+d.Name, 1.0, 0
 			fmt.Fprintf(w, "\n%s (%s is better, bound %.2f)\n", k, d.Better, d.Bound)
-			for i := 1; i < len(t.Links); i++ {
-				l, a, b := t.Links[i], t.Links[i].A[k], t.Links[i].B[k]
+			for _, l := range t.Links[1:] {
+				a, b := l.A[k], l.B[k]
 				name := l.Parent + ".." + l.Change + map[bool]string{true: " (t)"}[l.Transcribed]
 				if len(a) == 0 || len(b) == 0 {
 					fmt.Fprintf(w, "  %-20s not measured\n", name)
 					continue
 				}
-				prod, n = prod*median(b)/median(a), n+1
-				fmt.Fprintf(w, "  %-20s %-30s %-30s ×%-6.3f %-10s drift ×%.2f\n", name, show(a), show(b), median(b)/median(a), judge(d, a, b), t.drift(i, k))
+				r, verdict := l.read(d, k)
+				prod, n = prod*r[1], n+1
+				fmt.Fprintf(w, "  %-20s %-30s %-30s ×%.3f [%.3f, %.3f]  %s\n", name, show(a), show(b), r[1], r[0], r[2], verdict)
 			}
 			seed := median(t.Links[0].B[k])
 			total += fmt.Sprintf("| `%s` | `%s` | %s | ×%.3f | %s | %d/%d |\n", wl.Name, d.Name, num(seed), prod, num(seed*prod), n, len(t.Links)-1)
@@ -207,7 +226,7 @@ func quartiles(v []float64) (q [3]float64) {
 	if len(s) == 1 {
 		return [3]float64{s[0], s[0], s[0]}
 	}
-	for i := 0; i < 3 && len(s) > 1; i++ {
+	for i := 0; i < 3; i++ {
 		n, m := i+1, len(s)+1
 		j := min(max(n*m/4, 1), len(s)-1)
 		delta := float64(n*m - j*4)
@@ -218,28 +237,9 @@ func quartiles(v []float64) (q [3]float64) {
 
 func median(v []float64) float64 { return quartiles(v)[1] }
 
-// judge is bench --compare's rule: unresolved when a side's interquartile
-// distance exceeds the bound as a share of its median (setup_s exempt),
-// regressed when b's median is worse than a's by more than the bound.
-func judge(d decl, a, b []float64) string {
-	spread := func(v []float64) float64 { q := quartiles(v); return (q[2] - q[0]) / q[1] }
-	worse := (median(b) - median(a)) / median(a)
-	if d.Better == "higher" {
-		worse = -worse
-	}
-	if d.Name != "setup_s" && max(spread(a), spread(b)) > d.Bound {
-		return "unresolved"
-	} else if worse > d.Bound {
-		return "regressed"
-	}
-	return "ok"
-}
-
 func main() {
 	out, err := exec.Command("git", "log", "--first-parent", "--reverse", "--format=%h %s", "--abbrev=7", "HEAD").Output()
-	t, lerr := load(".", strings.Split(strings.TrimSpace(string(out)), "\n"), func(a, b string) bool {
-		return exec.Command("git", "merge-base", "--is-ancestor", a, b).Run() == nil
-	})
+	t, lerr := load(".", strings.Split(strings.TrimSpace(string(out)), "\n"))
 	if err = errors.Join(err, lerr); err != nil {
 		fmt.Fprintln(os.Stderr, "trajectory:", err)
 		os.Exit(1)

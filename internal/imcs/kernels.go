@@ -97,61 +97,94 @@ func MaskOutsideRange(match []uint64, lo, hi, n int) uint64 {
 	return live
 }
 
+// AggKinds names the parts of a MaskedAgg a fold computes beyond its count: a
+// query that sums a column need not take its minimum and maximum too.
+type AggKinds uint8
+
+const (
+	FoldSum AggKinds = 1 << iota
+	FoldMin
+	FoldMax
+	FoldAll = FoldSum | FoldMin | FoldMax
+)
+
 // AggMasked folds the column values at positions base+i for every set bit i
 // of match with lo <= i < hi into a MaskedAgg. match is a batch-local bitmap
 // (bit i addresses column position base+i). scratch must hold at least hi
 // values; it is used only on the decode path.
 //
 // RLE columns and constant vectors fold whole runs in encoded space; other
-// encodings decode into scratch the 64-row groups match selects and fold the
-// set bits.
+// encodings decode into scratch the 64-row groups match selects and fold each
+// a word at a time (FoldWord).
 func (c *NumColumn) AggMasked(match []uint64, base, lo, hi int, scratch []int64) MaskedAgg {
+	return c.FoldMasked(FoldAll, match, base, lo, hi, scratch)
+}
+
+// FoldMasked is AggMasked for the parts kinds names: on the decode path a sum
+// alone is folded alone (FoldWord), and a part left out stays at its identity
+// (0, MaxInt64, MinInt64). With no part named, the count is the popcount:
+// nothing is decoded.
+func (c *NumColumn) FoldMasked(kinds AggKinds, match []uint64, base, lo, hi int, scratch []int64) MaskedAgg {
 	var a MaskedAgg
-	if lo >= hi {
-		return a
-	}
-	if c.useRLE {
-		r := &c.runs
-		run := r.runIndexOf(base + lo)
-		for i := lo; i < hi; {
-			end := int(r.runEnds[run]) - base
-			if end > hi {
-				end = hi
-			}
-			a.addRun(r.runVals[run], PopcountRange(match, i, end))
-			i = end
-			run++
-		}
+	if lo >= hi || c.ForEachRun(base, lo, hi, func(s, e int, v int64) { a.addRun(v, PopcountRange(match, s, e)) }) {
 		a.EncodedRows = a.Count
 		return a
 	}
-	if c.packed.width == 0 {
-		// Constant vector: one run spanning the window.
-		a.addRun(c.packed.min, PopcountRange(match, lo, hi))
+	a.Min, a.Max = math.MaxInt64, math.MinInt64
+	if kinds == 0 {
+		a.Count = PopcountRange(match, lo, hi)
 		a.EncodedRows = a.Count
 		return a
 	}
 	// Late decode: a 64-row group is unpacked only if match selects a row of it.
-	var cnt, sum int64
-	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 	for w := lo / 64; w <= (hi-1)/64; w++ {
 		g0, g1 := max(w*64, lo), min(w*64+64, hi)
 		m := match[w] >> (g0 % 64) << (g0 % 64)
 		if g1%64 != 0 {
 			m &= (1 << (g1 % 64)) - 1
 		}
-		if m == 0 {
-			continue
-		}
-		c.packed.decode(scratch[g0:g1], base+g0)
-		cnt += int64(bits.OnesCount64(m))
-		for ; m != 0; m &= m - 1 {
-			v := scratch[w*64+bits.TrailingZeros64(m)]
-			sum += v
-			mn, mx = min(mn, v), max(mx, v)
+		if m != 0 {
+			c.packed.decode(scratch[g0:g1], base+g0)
+			a.FoldWord(scratch[w*64:g1], m, kinds)
 		}
 	}
-	return MaskedAgg{Count: cnt, Sum: sum, Min: mn, Max: mx}
+	return a
+}
+
+// FoldWord folds into a the values of vals (at most 64) that m selects, bit i
+// for vals[i]: a word that selects them all runs straight down vals, any other
+// is compacted first, and then one loop folds them. A sum alone has a loop of
+// its own; any other set of parts takes the loop of all three, which costs
+// about what one part's does. It may overwrite vals.
+func (a *MaskedAgg) FoldWord(vals []int64, m uint64, kinds AggKinds) {
+	vals = Compact(vals, m)
+	a.Count += int64(len(vals))
+	s, lo, hi := a.Sum, a.Min, a.Max
+	if kinds == FoldSum {
+		for _, v := range vals {
+			s += v
+		}
+	} else {
+		for _, v := range vals {
+			s, lo, hi = s+v, min(lo, v), max(hi, v)
+		}
+	}
+	a.Sum, a.Min, a.Max = s, lo, hi
+}
+
+// Compact moves the values of vals (at most 64) that m selects, bit i for
+// vals[i], to its front in order and returns them: a match word's rows as
+// one dense run. A word that selects all of vals returns it as it is.
+func Compact(vals []int64, m uint64) []int64 {
+	if m == ^uint64(0)>>(64-uint(len(vals))) {
+		return vals
+	}
+	k := 0
+	for ; m != 0; m &= m - 1 {
+		vals[k] = vals[bits.TrailingZeros64(m)] // k never passes the bit it reads
+		k++
+	}
+	return vals[:k]
 }
 
 // clearBits clears the bits of match at positions [lo, hi).
@@ -209,27 +242,19 @@ func cmpValues64(group []int64, origin int64, a, b uint64) (m uint64) {
 	return bits.Reverse64(m << ((64 - uint(len(group))) & 63))
 }
 
-// DecodeMasked is Decode for the 64-position groups of [start, start+len(dst))
-// whose word of match (bit i for position start+i) is not zero; the rest of
-// dst is left as it was: a selective filter leaves most of a window packed.
-func (c *NumColumn) DecodeMasked(dst []int64, start int, match []uint64) {
-	if c.useRLE {
-		c.runs.decode(dst, start)
-		return
+// Gather writes the value at position pos[j] to dst[j*stride] for every j: a
+// sparse match set materialized by column, each value straight into its
+// result row.
+func (c *NumColumn) Gather(dst []int64, stride int, pos []int32) {
+	for j, p := range pos {
+		dst[j*stride] = c.Get(int(p))
 	}
-	c.packed.decodeMasked(dst, start, match)
 }
 
-// DecodeCodesMasked is DecodeCodes under DecodeMasked's rule.
-func (c *StrColumn) DecodeCodesMasked(dst []int64, start int, match []uint64) {
-	c.codes.decodeMasked(dst, start, match)
-}
-
-func (p *bitPacked) decodeMasked(dst []int64, start int, match []uint64) {
-	for g := 0; g*64 < len(dst); g++ {
-		if match[g] != 0 {
-			p.decode(dst[g*64:min(g*64+64, len(dst))], start+g*64)
-		}
+// GatherCodes is Gather over the column's dictionary codes, stride 1.
+func (c *StrColumn) GatherCodes(dst []int64, pos []int32) {
+	for j, p := range pos {
+		dst[j] = c.codes.get(int(p))
 	}
 }
 

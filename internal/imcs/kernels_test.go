@@ -84,7 +84,7 @@ func TestAggMaskedBitPackedMatchesReference(t *testing.T) {
 		t.Fatal("fixture unexpectedly run-encoded")
 	}
 	scratch := make([]int64, 256)
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 100; trial++ {
 		base := rng.Intn(200)
 		n := rng.Intn(len(vals)-base) + 1
 		if n > 256 {
@@ -93,9 +93,15 @@ func TestAggMaskedBitPackedMatchesReference(t *testing.T) {
 		match := make([]uint64, (n+63)/64)
 		for w := range match {
 			match[w] = rng.Uint64()
+			if trial%2 == 1 && rng.Intn(3) > 0 {
+				match[w] = ^uint64(0) // a dense word: folded without compaction
+			}
 		}
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo) + 1
+		if trial%4 == 3 {
+			lo, hi = 0, n // whole words only, each of them dense where the mask is
+		}
 		got := c.AggMasked(match, base, lo, hi, scratch)
 		checkAgg(t, "packed", got, refAgg(vals, match, base, lo, hi))
 		if got.EncodedRows != 0 {
@@ -459,8 +465,8 @@ func TestCmpMaskRLEAndValues(t *testing.T) {
 	}
 }
 
-// TestUnpackSweep checks decode, DecodeMasked and AggMasked's late decode
-// against the reference over every width and window.
+// TestUnpackSweep checks decode, Gather and AggMasked's late decode against
+// the reference over every width and window.
 func TestUnpackSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	for _, width := range sweepWidths() {
@@ -478,17 +484,18 @@ func TestUnpackSweep(t *testing.T) {
 				t.Fatalf("width %d window [%d,+%d): decode\n got %v\nwant %v", width, start, n, got, want)
 			}
 			for _, mask := range sweepMasks(rng, n) {
-				const poison = math.MinInt64 + 12345
-				for i := range got {
-					got[i] = poison
-				}
-				col.DecodeMasked(got, start, mask)
-				for i := range got {
-					if mask[i/64] != 0 && got[i] != want[i] {
-						t.Fatalf("width %d window [%d,+%d): DecodeMasked pos %d = %d, want %d", width, start, n, i, got[i], want[i])
+				// The positions the mask selects, gathered two values apart.
+				var pos []int32
+				for i := range want {
+					if mask[i/64]&(1<<(i%64)) != 0 {
+						pos = append(pos, int32(start+i))
 					}
-					if mask[i/64] == 0 && got[i] != poison {
-						t.Fatalf("width %d window [%d,+%d): DecodeMasked wrote deselected pos %d", width, start, n, i)
+				}
+				gathered := make([]int64, 2*len(pos))
+				col.Gather(gathered, 2, pos)
+				for j, p := range pos {
+					if gathered[2*j] != vals[p] {
+						t.Fatalf("width %d window [%d,+%d): Gather pos %d = %d, want %d", width, start, n, p, gathered[2*j], vals[p])
 					}
 				}
 				// Sub-windows [lo, hi) of the batch, as the run-level GROUP BY
@@ -537,6 +544,58 @@ func FuzzCmpMask(f *testing.F) {
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("width %d window [%d,+%d) op %d lit %d: got %x want %x", col.packed.width, s, cnt, op, lit, got, want)
+		}
+	})
+}
+
+// FuzzFoldPacked throws arbitrary columns — bit-packed at any width 0 to 64,
+// run-length encoded, constant —, windows, masks (empty, sparse, all ones or
+// random) and sets of aggregate kinds at the word-at-a-time fold: the count
+// and every part the kinds name must be what decode-then-fold gives.
+func FuzzFoldPacked(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(0), uint16(0), uint16(300), uint16(0), uint16(299), uint8(1), uint64(1))
+	f.Add(int64(2), uint8(64), uint8(0), uint16(37), uint16(200), uint16(5), uint16(150), uint8(6), uint64(2))
+	f.Add(int64(3), uint8(0), uint8(1), uint16(63), uint16(100), uint16(1), uint16(64), uint8(7), uint64(3))
+	f.Add(int64(4), uint8(17), uint8(2), uint16(128), uint16(109), uint16(0), uint16(0), uint8(0), uint64(0))
+	f.Fuzz(func(t *testing.T, seed int64, width, enc uint8, base, n, lo, hi uint16, kinds uint8, maskSeed uint64) {
+		rng := rand.New(rand.NewSource(seed))
+		vals, col := sweepColumn(rng, int(width%65), 300)
+		switch enc % 3 {
+		case 1: // runs of up to 40 equal values
+			run := 1 + rng.Intn(40)
+			for i := range vals {
+				vals[i] = vals[i-i%run]
+			}
+			col = &NumColumn{n: len(vals), min: col.min, max: col.max, useRLE: true, runs: packRLE(vals, 0)}
+		case 2: // one value
+			for i := range vals {
+				vals[i] = vals[0]
+			}
+			col = &NumColumn{n: len(vals), min: vals[0], max: vals[0], packed: packInts(vals)}
+		}
+		b := int(base % 300)
+		cnt := max(1, min(int(n), 300-b))
+		l := int(lo) % cnt
+		h := l + 1 + int(hi)%(cnt-l)
+		match := make([]uint64, (cnt+63)/64)
+		for w := range match {
+			switch maskSeed % 4 {
+			case 1:
+				match[w] = ^uint64(0)
+			case 2:
+				match[w] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			case 3:
+				match[w] = rng.Uint64()
+			}
+		}
+		k := AggKinds(kinds % 8)
+		got, want := col.FoldMasked(k, match, b, l, h, make([]int64, cnt)), refAgg(vals, match, b, l, h)
+		where := fmt.Sprintf("width %d encoding %d window [%d,+%d) [%d,%d) kinds %d", col.packed.width, enc%3, b, cnt, l, h, k)
+		if got.Count != want.Count || k&FoldSum != 0 && got.Sum != want.Sum {
+			t.Fatalf("%s: count/sum = %d/%d, want %d/%d", where, got.Count, got.Sum, want.Count, want.Sum)
+		}
+		if want.Count > 0 && (k&FoldMin != 0 && got.Min != want.Min || k&FoldMax != 0 && got.Max != want.Max) {
+			t.Fatalf("%s: min/max = %d/%d, want %d/%d", where, got.Min, got.Max, want.Min, want.Max)
 		}
 	})
 }

@@ -54,8 +54,9 @@ type Block struct {
 	dba      DBA
 	capacity int
 
-	mu   sync.RWMutex
-	rows []*version // index = slot; length = high-water mark of used slots
+	mu      sync.RWMutex
+	rows    []*version // index = slot; length = high-water mark of used slots
+	applied scn.SCN    // the newest redo record applied to the block (ApplyVersionAt)
 }
 
 // NewBlock returns an empty block with the given address and row capacity.
@@ -308,12 +309,21 @@ func (b *Block) Delete(slot uint16, txn scn.TxnID, view TxnView) error {
 	return nil
 }
 
-// ApplyVersion appends a version during standby redo apply. Apply is already
-// serialized per DBA by the recovery worker hashing scheme, so no conflict
-// check is needed; the version order in the chain is the redo (SCN) order.
-func (b *Block) ApplyVersion(slot uint16, txn scn.TxnID, img Image, deleted bool) {
+// ApplyVersionAt appends a version during standby redo apply, from the redo
+// record at SCN rec. Apply is already serialized per DBA by the recovery
+// worker hashing scheme, so no conflict check is needed; the version order in
+// the chain is the redo (SCN) order. A record older than the newest one the
+// block has applied is a replayed duplicate (a restart from a checkpoint below
+// the watermark re-applies redo the block holds) and changes nothing: the
+// block-SCN rule of media recovery. A record's CVs share its SCN, so an equal
+// SCN applies.
+func (b *Block) ApplyVersionAt(rec scn.SCN, slot uint16, txn scn.TxnID, img Image, deleted bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if rec < b.applied {
+		return
+	}
+	b.applied = rec
 	b.writeLocked(slot, txn, img, deleted)
 }
 

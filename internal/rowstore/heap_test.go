@@ -85,7 +85,7 @@ func TestHeapPerVersion(t *testing.T) {
 			t.Fatal(err)
 		}
 		cv := &got.CVs[0]
-		seg.EnsureBlock(cv.DBA.Block()).ApplyVersion(cv.Slot, cv.Txn, cv.Row, false)
+		seg.EnsureBlock(cv.DBA.Block()).ApplyVersionAt(got.SCN, cv.Slot, cv.Txn, cv.Row, false)
 		imgLen = len(cv.Row)
 	}
 	standby := float64(live()-before) / rows

@@ -233,29 +233,17 @@ const batchSize = 1024 // rows per vectorized evaluation batch (multiple of 64)
 // unit-local table and the three sources' batches. It holds no IMCU or
 // row-image reference between queries.
 type scanScratch struct {
-	num, aux []int64  // predicate and kernel decode windows
-	strs     []string // a VARCHAR column's window
-	match    []uint64 // batch match bitmap
-	sub      []uint64 // a second mask: a group's rows out of key space, a sparse window's rows
-	wins     [][]int64
-	swins    [][]string // group key/value windows, grown on demand
+	num, aux []int64     // predicate and kernel decode windows
+	strs     []string    // a VARCHAR column's window
+	match    []uint64    // batch match bitmap
+	sub      [1]uint64   // a second mask: a group's rows out of key space
+	sel      []int32     // the positions of window rows a materializing fold has yet to gather
+	grp      [][64]int64 // the group operator's 64-row key and value buffers
 	filters  []batchFilter
 	group    groupLocal
 	window   window     // the decoded-window source
-	sparse   window     // a sparse window's rows, by position
 	rows     rowBatch   // the row-store serving path's batch, grown on first use
 	delta    deltaBatch // the delta-served rows' batch, made on first use
-}
-
-// buf returns the i-th of a scratch's windows, with room for n values.
-func buf[T any](wins *[][]T, i, n int) []T {
-	for len(*wins) <= i {
-		*wins = append(*wins, nil)
-	}
-	if len((*wins)[i]) < n {
-		(*wins)[i] = make([]T, max(n, batchSize))
-	}
-	return (*wins)[i][:n]
 }
 
 // scratchPool is the process's bounded free list of scan-worker scratch: a
@@ -271,18 +259,17 @@ func getScratch() *scanScratch {
 		return s
 	default:
 		return &scanScratch{
-			num:    make([]int64, batchSize),
-			aux:    make([]int64, batchSize),
-			strs:   make([]string, batchSize),
-			match:  make([]uint64, batchSize/64),
-			sub:    make([]uint64, batchSize/64),
-			sparse: window{pos: make([]int32, 0, batchSize)},
+			num:   make([]int64, batchSize),
+			aux:   make([]int64, batchSize),
+			strs:  make([]string, batchSize),
+			match: make([]uint64, batchSize/64),
+			sel:   make([]int32, 0, batchSize),
 		}
 	}
 }
 
 func putScratch(s *scanScratch) {
-	s.window.imcu, s.sparse.imcu, s.rows.imcu, s.delta.imcu, s.delta.view = nil, nil, nil, nil, nil
+	s.window.imcu, s.rows.imcu, s.delta.imcu, s.delta.view = nil, nil, nil, nil
 	clear(s.strs)
 	select {
 	case scratchPool <- s:

@@ -75,8 +75,8 @@ func (ex *Executor) SourcesAgree(tbl *rowstore.Table, snap scn.SCN) (int, error)
 			}
 			for s := 0; s < schema.NumberSlots(); s++ {
 				var dv, iv [1]int64
-				d.nums(dv[:], s, one)
-				img.nums(iv[:], s, one)
+				d.nums(dv[:], s, 0, one)
+				img.nums(iv[:], s, 0, one)
 				if dv != iv {
 					return compared, fmt.Errorf("row (%d, %d) NUMBER slot %d: %d from the delta, %d from the image", blk, slot, s, dv[0], iv[0])
 				}
@@ -84,10 +84,10 @@ func (ex *Executor) SourcesAgree(tbl *rowstore.Table, snap scn.SCN) (int, error)
 			for s := 0; s < schema.VarcharSlots(); s++ {
 				var dv, iv [1]string
 				var dc, ic [1]int64
-				d.strs(dv[:], s, one)
-				img.strs(iv[:], s, one)
-				d.codes(dc[:], s, one)
-				img.codes(ic[:], s, one)
+				d.strs(dv[:], s, 0, one)
+				img.strs(iv[:], s, 0, one)
+				d.codes(dc[:], s, 0, one)
+				img.codes(ic[:], s, 0, one)
 				code, held := ts.imcu.StrCol(s).Code(iv[0])
 				if dv != iv || held && (dc[0] != code || ic[0] != code) || !held && (dc[0] >= 0 || ic[0] >= 0) {
 					return compared, fmt.Errorf("row (%d, %d) VARCHAR slot %d: %q code %d from the delta, %q code %d from the image (held %v as %d)",

@@ -150,7 +150,7 @@ func newOperator(q *Query, plan *queryPlan, schema *rowstore.Schema, ordered boo
 	case len(plan.aggs) > 0:
 		return newAggOp(plan, schema)
 	default:
-		return newRowsOp(q, schema, ordered)
+		return newRowsOp(q, schema, ordered, scratch)
 	}
 }
 
@@ -168,12 +168,17 @@ type rowsOp struct {
 	numSlots []int
 	strSlots []int
 
+	// The worker's scratch holds in sel the positions in unit of the window
+	// rows that wait to be gathered (gather).
+	s    *scanScratch
+	unit *imcs.IMCU
+
 	rows []rowstore.Row
 	keys []uint64
 }
 
-func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool) *rowsOp {
-	o := &rowsOp{schema: schema, ordered: ordered}
+func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool, scratch *scanScratch) *rowsOp {
+	o := &rowsOp{schema: schema, ordered: ordered, s: scratch}
 	for ci := 0; ci < schema.NumCols(); ci++ {
 		switch col := schema.Col(ci); {
 		case q.Project != nil && !slices.Contains(q.Project, ci):
@@ -183,46 +188,93 @@ func newRowsOp(q *Query, schema *rowstore.Schema, ordered bool) *rowsOp {
 			o.strSlots = append(o.strSlots, col.Slot())
 		}
 	}
+	o.s.sel = o.s.sel[:0]
 	return o
 }
 
 func (o *rowsOp) beginUnit(*imcs.IMCU) {}
-func (o *rowsOp) flush()               {}
+func (o *rowsOp) flush()               { o.gather() }
 
-// fold appends one result row per selected position, cut from one slab of
-// numbers and one of strings in the table's slot layout: two objects a batch,
-// not two a row. Full-capacity slices, so appending to one row cannot reach
-// its neighbour. A row image's strings are copied out, into one more object:
-// a result row references no image.
+// fold appends one result row per selected position. The positions of a
+// clean window's rows wait, with those of the unit's next windows, to be
+// gathered by column: a point query selects a row or two of a batch, where
+// decoding a group of 64 rows for one costs more than a point lookup, and for
+// a dense batch a lookup costs about what decoding and copying a value does.
+// Rows of another source are filled a column at a time from the source, after
+// the rows that wait, so the result keeps the order of the folds. A row
+// image's strings are copied out, into one more object: a result row
+// references no image.
 func (o *rowsOp) fold(r *taskResult, src source, match []uint64) {
 	n := src.size()
 	k := int(imcs.PopcountRange(match, 0, n))
-	if win, ok := src.(*window); ok && k*8 < n {
-		// Under an eighth of the batch selected, decoding a group of 64 rows
-		// for one costs more than a point lookup.
-		match, src, n = win.byPosition(&r.s.sparse, match, r.s.sub), &r.s.sparse, k
+	if o.ordered {
+		o.keys = src.orderKeys(o.keys, r.curPart, match)
 	}
+	if win, ok := src.(*window); ok {
+		if win.imcu != o.unit || len(o.s.sel)+k > batchSize {
+			o.gather()
+			o.unit = win.imcu
+		}
+		for w, m := range match {
+			for ; m != 0; m &= m - 1 {
+				o.s.sel = append(o.s.sel, int32(win.base+w*64+bits.TrailingZeros64(m)))
+			}
+		}
+		return
+	}
+	o.gather()
+	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
+	nums, strs := o.slabs(k)
+	for _, s := range o.numSlots {
+		src.nums(r.s.num[:n], s, 0, match)
+		j := s
+		each(match, func(i int) { nums[j], j = r.s.num[i], j+nn })
+	}
+	for _, s := range o.strSlots {
+		src.strs(r.s.strs[:n], s, 0, match)
+		j := s
+		each(match, func(i int) { strs[j], j = r.s.strs[i], j+ns })
+	}
+	if _, images := src.(*rowBatch); images {
+		rowstore.CompactStrs(strs)
+	}
+}
+
+// gather materializes the rows that wait, by column: each column one tight
+// loop straight into the result rows, a VARCHAR one as codes and then as views
+// into its dictionary.
+func (o *rowsOp) gather() {
+	pos := o.s.sel
+	if len(pos) == 0 {
+		return
+	}
+	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
+	nums, strs := o.slabs(len(pos))
+	for _, s := range o.numSlots {
+		o.unit.NumCol(s).Gather(nums[s:], nn, pos)
+	}
+	codes := o.s.aux[:len(pos)]
+	for _, s := range o.strSlots {
+		col := o.unit.StrCol(s)
+		col.GatherCodes(codes, pos)
+		for j, c := range codes {
+			strs[j*ns+s] = col.Value(c)
+		}
+	}
+	o.s.sel = pos[:0]
+}
+
+// slabs appends k result rows, cut from one slab of numbers and one of strings
+// in the table's slot layout — two objects, not two a row — and returns the
+// slabs. Full-capacity slices, so appending to one row cannot reach its
+// neighbour.
+func (o *rowsOp) slabs(k int) ([]int64, []string) {
 	nn, ns := o.schema.NumberSlots(), o.schema.VarcharSlots()
 	nums, strs := make([]int64, k*nn), make([]string, k*ns)
 	for j := 0; j < k; j++ {
 		o.rows = append(o.rows, rowstore.Row{Nums: nums[j*nn : (j+1)*nn : (j+1)*nn], Strs: strs[j*ns : (j+1)*ns : (j+1)*ns]})
 	}
-	for _, s := range o.numSlots {
-		src.nums(r.s.num[:n], s, match)
-		j := s
-		each(match, func(i int) { nums[j], j = r.s.num[i], j+nn })
-	}
-	for _, s := range o.strSlots {
-		src.strs(r.s.strs[:n], s, match)
-		j := s
-		each(match, func(i int) { strs[j], j = r.s.strs[i], j+ns })
-	}
-	if o.ordered {
-		o.keys = src.orderKeys(o.keys, r.curPart, match)
-	}
-	if _, images := src.(*rowBatch); images {
-		rowstore.CompactStrs(strs)
-	}
+	return nums, strs
 }
 
 func (o *rowsOp) merge(other operator) {
@@ -266,8 +318,6 @@ func (c *aggCell) addMasked(a imcs.MaskedAgg) {
 	}
 }
 
-func (c *aggCell) addVal(v int64) { c.mergeCell(aggCell{v, v, v}) }
-
 func (c *aggCell) mergeCell(o aggCell) {
 	c.sum, c.min, c.max = c.sum+o.sum, min(c.min, o.min), max(c.max, o.max)
 }
@@ -286,9 +336,10 @@ func aggValue(kind AggKind, count int64, cells []aggCell, ci int) int64 {
 	return count
 }
 
-// uniqueAggCols computes the distinct value slots the aggregate list reads
-// and, per spec, the index of its slot's cell (-1 for COUNT).
-func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots []int, colOf []int) {
+// uniqueAggCols computes the distinct value slots the aggregate list reads,
+// per spec the index of its slot's cell (-1 for COUNT), and per slot the parts
+// of its cell some spec reads: only those are folded.
+func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots, colOf []int, kinds []imcs.AggKinds) {
 	colOf = make([]int, len(aggs))
 	for k, a := range aggs {
 		if a.Kind == AggCount {
@@ -297,10 +348,11 @@ func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots []int, colOf 
 		}
 		s := schema.Col(a.Col).Slot()
 		if colOf[k] = slices.Index(slots, s); colOf[k] < 0 {
-			colOf[k], slots = len(slots), append(slots, s)
+			colOf[k], slots, kinds = len(slots), append(slots, s), append(kinds, 0)
 		}
+		kinds[colOf[k]] |= imcs.FoldSum << (a.Kind - AggSum)
 	}
-	return slots, colOf
+	return slots, colOf, kinds
 }
 
 // aggOp is the multi-aggregate accumulator: every select-list aggregate is
@@ -309,15 +361,16 @@ func uniqueAggCols(aggs []AggSpec, schema *rowstore.Schema) (slots []int, colOf 
 // so several aggregates over the same column cost a single fold.
 type aggOp struct {
 	specs []AggSpec
-	slots []int // distinct aggregated column slots
-	colOf []int // spec index -> cell index (-1 for COUNT)
+	slots []int           // distinct aggregated column slots
+	colOf []int           // spec index -> cell index (-1 for COUNT)
+	kinds []imcs.AggKinds // per slot: the parts of its cell the specs read
 	count int64
 	cells []aggCell
 }
 
 func newAggOp(plan *queryPlan, schema *rowstore.Schema) *aggOp {
 	o := &aggOp{specs: plan.aggs}
-	o.slots, o.colOf = uniqueAggCols(plan.aggs, schema)
+	o.slots, o.colOf, o.kinds = uniqueAggCols(plan.aggs, schema)
 	o.cells = make([]aggCell, len(o.slots))
 	for i := range o.cells {
 		o.cells[i] = newAggCell()
@@ -328,7 +381,10 @@ func newAggOp(plan *queryPlan, schema *rowstore.Schema) *aggOp {
 func (o *aggOp) beginUnit(*imcs.IMCU) {}
 func (o *aggOp) flush()               {}
 
-// fold runs the source's masked aggregate once per distinct column. Folds
+// fold runs the source's masked aggregate once per distinct column, for the
+// parts of its cell the specs read. Over a clean window, a minimum already at
+// or below the unit's storage-index minimum can fall no further in it, nor a
+// maximum rise: the column folds for what is left, or is only counted. Folds
 // over rows the column store served count by how they ran; row images count
 // under neither.
 func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
@@ -339,9 +395,24 @@ func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
 		// COUNT-only: the popcount itself is the fold; nothing decoded.
 		r.cnt[cEncoded] += cnt
 	}
+	win, clean := src.(*window)
 	for ci, s := range o.slots {
-		a := src.agg(s, match, r.s.aux)
-		o.cells[ci].addMasked(a)
+		kinds, c := o.kinds[ci], &o.cells[ci]
+		var a imcs.MaskedAgg
+		if clean { // the packed kernel: RLE and constant columns fold run by run
+			col := win.imcu.NumCol(s)
+			mn, mx := col.MinMax()
+			if c.min <= mn {
+				kinds &^= imcs.FoldMin
+			}
+			if c.max >= mx {
+				kinds &^= imcs.FoldMax
+			}
+			a = col.FoldMasked(kinds, match, win.base, 0, win.n, r.s.aux)
+		} else {
+			a = gatherAgg(src, s, kinds, match, r.s.aux)
+		}
+		c.addMasked(a)
 		if !images {
 			r.cnt[cEncoded] += a.EncodedRows
 			r.cnt[cDecoded] += a.Count - a.EncodedRows
@@ -522,6 +593,7 @@ type groupOp struct {
 	schema *rowstore.Schema
 	slots  []int
 	colOf  []int
+	kinds  []imcs.AggKinds
 
 	g       groupTable               // in key order
 	byValue int                      // groups that came through the by-value table
@@ -533,8 +605,7 @@ type groupOp struct {
 	direct bool        // the key space fits the slab
 	nslots int         // the slots it spans
 	keySpace
-	flushes int       // unit-local tables merged into g, this worker's and those merged in
-	vals    [][]int64 // per aggregated column: the batch's value window
+	flushes int // unit-local tables merged into g, this worker's and those merged in
 }
 
 // keySpace is what a code of the unit-local table means: per key column its
@@ -549,9 +620,11 @@ type keySpace struct {
 
 func newGroupOp(plan *queryPlan, schema *rowstore.Schema, scratch *scanScratch) *groupOp {
 	o := &groupOp{queryPlan: plan, schema: schema, loc: &scratch.group}
-	o.slots, o.colOf = uniqueAggCols(plan.aggs, schema)
-	o.vals = make([][]int64, len(o.slots))
+	o.slots, o.colOf, o.kinds = uniqueAggCols(plan.aggs, schema)
 	nk, nc := len(plan.groupBy), len(o.slots)
+	if len(scratch.grp) < nk+nc {
+		scratch.grp = make([][64]int64, nk+nc)
+	}
 	o.g.nk, o.g.nc, o.loc.v.nk, o.loc.v.nc = nk, nc, nk, nc
 	if o.loc.nc != nc {
 		// Every slot is empty between queries, so a new cell width only
@@ -809,10 +882,13 @@ func (o *groupOp) mergeSorted(scratch *[]int32, m int, slots []int32, src *aggSl
 
 // fold folds the selected rows of src into the unit-local table. A single
 // NUMBER key over a window with run structure visits each run once and
-// aggregates its match window in encoded space. Otherwise the key columns are
-// gathered as codes in the unit's key space and the aggregated ones as values;
-// rows whose key lies outside the space go to the by-value table — a window's
-// never do — and each of the others folds into the slot its codes make.
+// aggregates its match window in encoded space. Otherwise the batch folds a
+// 64-row match word at a time: the key columns are unpacked as codes in the
+// unit's key space, and the aggregated ones as values, into the scratch's
+// 64-row buffers; rows whose key lies outside the space go to the by-value
+// table — a clean window's never do — and each of the others folds into the
+// slot its codes make, its count and only the parts of its cells the query
+// reads. A word that selects all its rows folds them without a per-bit loop.
 func (o *groupOp) fold(r *taskResult, src source, match []uint64) {
 	loc := o.loc
 	nk, nc := len(o.groupBy), loc.nc
@@ -835,7 +911,7 @@ func (o *groupOp) fold(r *taskResult, src source, match []uint64) {
 			return
 		}
 		for ci, slot := range o.slots {
-			a := win.imcu.NumCol(slot).AggMasked(match, win.base, s, e, r.s.aux)
+			a := win.imcu.NumCol(slot).FoldMasked(o.kinds[ci], match, win.base, s, e, r.s.aux)
 			slab.cells[g*nc+ci].addMasked(a)
 			r.cnt[cEncoded] += a.EncodedRows
 			r.cnt[cDecoded] += a.Count - a.EncodedRows
@@ -844,103 +920,129 @@ func (o *groupOp) fold(r *taskResult, src source, match []uint64) {
 		return
 	}
 	n := src.size()
-	for j, slot := range o.keySlots {
-		if ks := buf(&r.s.wins, j, n); o.keyIsStr[j] {
-			src.codes(ks, slot, match)
-		} else {
-			src.nums(ks, slot, match)
-		}
-	}
-	for ci, slot := range o.slots {
-		o.vals[ci] = buf(&r.s.wins, nk+ci, n)
-		src.nums(o.vals[ci], slot, match)
-	}
 	if _, images := src.(*rowBatch); !images {
 		r.cnt[cDecoded] += imcs.PopcountRange(match, 0, n) * int64(max(nc, 1))
 	}
-	if !clean || !o.direct {
-		o.byValueRows(r, src, match)
-	}
-	sl := r.s.wins[0][:n]
-	if nk > 1 || o.kmin[0] != 0 {
-		for i := range sl {
-			sl[i] -= o.kmin[0]
+	keys, vals := r.s.grp[:nk], r.s.grp[nk:nk+nc]
+	for w, m := range match {
+		if m == 0 {
+			continue
 		}
-		for j := 1; j < nk; j++ {
-			kj, mn, span := r.s.wins[j][:n], o.kmin[j], o.krange[j]
-			for i := range sl {
-				sl[i] = sl[i]*span + kj[i] - mn
+		at, cnt, one := w*64, min(64, n-w*64), match[w:w+1]
+		for j, slot := range o.keySlots {
+			if o.keyIsStr[j] {
+				src.codes(keys[j][:cnt], slot, at, one)
+			} else {
+				src.nums(keys[j][:cnt], slot, at, one)
 			}
 		}
-	}
-	count, cells, vals, touched := loc.count, loc.cells, o.vals, loc.touched
-	for w := range match {
-		for m := match[w]; m != 0; m &= m - 1 {
-			i := w*64 + bits.TrailingZeros64(m)
-			g := int(sl[i])
+		for ci, slot := range o.slots {
+			src.nums(vals[ci][:cnt], slot, at, one)
+		}
+		if !clean || !o.direct {
+			if m = o.byValueRows(r, src, at, cnt, m); m == 0 {
+				continue
+			}
+		}
+		sl := keys[0][:cnt]
+		if nk > 1 || o.kmin[0] != 0 {
+			for i := range sl {
+				sl[i] -= o.kmin[0]
+			}
+			for j := 1; j < nk; j++ {
+				kj, mn, span := keys[j][:cnt], o.kmin[j], o.krange[j]
+				for i := range sl {
+					sl[i] = sl[i]*span + kj[i] - mn
+				}
+			}
+		}
+		sl = imcs.Compact(sl, m)
+		count, touched := loc.count, loc.touched
+		for _, g := range sl {
 			if count[g] == 0 {
-				touched[g>>6] |= 1 << (uint(g) & 63)
+				touched[g>>6] |= 1 << (uint64(g) & 63)
 			}
 			count[g]++
-			for ci, vs := range vals {
-				cells[g*nc+ci].addVal(vs[i])
-			}
+		}
+		for ci, kinds := range o.kinds {
+			foldCells(loc.cells[ci:], nc, sl, imcs.Compact(vals[ci][:cnt], m), kinds)
 		}
 	}
 }
 
-// byValueRows moves the selected rows whose key the scratch's windows hold
-// outside the unit's key space — a VARCHAR value its dictionary lacks, a
-// NUMBER beyond the table's range, any key of a space too wide for the table
-// or of a batch no unit covers — out of match and into the by-value table,
-// their keys read as values.
-func (o *groupOp) byValueRows(r *taskResult, src source, match []uint64) {
-	b, _ := src.(*rowBatch)
-	spaced := o.direct && (b == nil || b.imcu != nil)
-	out, spilled := r.s.sub[:len(match)], uint64(0)
-	for w := range match {
-		out[w] = 0
-		for m := match[w]; m != 0; m &= m - 1 {
-			i := w*64 + bits.TrailingZeros64(m)
-			coded := spaced
-			for j := range o.keySlots {
-				if k := r.s.wins[j][i]; o.keyIsStr[j] {
-					coded = coded && k >= 0
-				} else {
-					coded = coded && uint64(k-o.kmin[j]) < uint64(o.krange[j])
-				}
-			}
-			if !coded {
-				out[w] |= 1 << uint(i%64)
-			}
+// foldCells folds value vs[i] into cell gs[i]*nc of cells, for every i, in
+// one loop: a sum alone updates nothing else, any other set of parts takes the
+// loop of all three (imcs.MaskedAgg.FoldWord's rule).
+func foldCells(cells []aggCell, nc int, gs, vs []int64, kinds imcs.AggKinds) {
+	vs = vs[:len(gs)]
+	if kinds == imcs.FoldSum {
+		for i, g := range gs {
+			cells[int(g)*nc].sum += vs[i]
 		}
-		match[w] &^= out[w]
-		spilled |= out[w]
-	}
-	if spilled == 0 {
 		return
 	}
-	n, nk, v := src.size(), len(o.keySlots), &o.loc.v
-	for j, slot := range o.keySlots {
-		if o.keyIsStr[j] {
-			src.strs(buf(&r.s.swins, j, n), slot, out)
+	for i, g := range gs {
+		c := &cells[int(g)*nc]
+		c.sum, c.min, c.max = c.sum+vs[i], min(c.min, vs[i]), max(c.max, vs[i])
+	}
+}
+
+// byValueRows takes out of m, the match word of the batch's rows [at, at+cnt),
+// the rows whose key the scratch's 64-row buffers hold outside the unit's key
+// space — a VARCHAR value its dictionary lacks, a NUMBER beyond the table's
+// range, any key of a space too wide for the table or of a batch no unit
+// covers — and folds them into the by-value table, their keys read as values.
+// It returns the rest of m.
+func (o *groupOp) byValueRows(r *taskResult, src source, at, cnt int, m uint64) uint64 {
+	b, _ := src.(*rowBatch)
+	spaced := o.direct && (b == nil || b.imcu != nil)
+	nk, keys := len(o.keySlots), r.s.grp
+	var out uint64
+	for mm := m; mm != 0; mm &= mm - 1 {
+		i := bits.TrailingZeros64(mm)
+		coded := spaced
+		for j := range o.keySlots {
+			if k := keys[j][i]; o.keyIsStr[j] {
+				coded = coded && k >= 0
+			} else {
+				coded = coded && uint64(k-o.kmin[j]) < uint64(o.krange[j])
+			}
+		}
+		if !coded {
+			out |= 1 << uint(i)
 		}
 	}
-	each(out, func(i int) {
+	if out == 0 {
+		return m
+	}
+	strs, v := r.s.strs, &o.loc.v
+	r.s.sub[0] = out
+	for j, slot := range o.keySlots {
+		if o.keyIsStr[j] {
+			src.strs(strs[j*64:j*64+cnt], slot, at, r.s.sub[:])
+		}
+	}
+	var gs, vs [64]int64
+	k := 0
+	for mm := out; mm != 0; mm &= mm - 1 {
+		i := bits.TrailingZeros64(mm)
 		for j := range o.keySlots {
 			if o.keyIsStr[j] {
-				o.kv[j] = GroupValue{Str: r.s.swins[j][i], IsStr: true}
-				r.s.swins[j][i] = "" // the scratch keeps no row image
+				o.kv[j] = GroupValue{Str: strs[j*64+i], IsStr: true}
+				strs[j*64+i] = "" // the scratch keeps no row image
 			} else {
-				o.kv[j] = GroupValue{Num: r.s.wins[j][i]}
+				o.kv[j] = GroupValue{Num: keys[j][i]}
 			}
 		}
 		g := o.byValueSlot(o.kv[:nk])
 		v.count[g]++
-		for ci, vs := range o.vals {
-			v.cells[g*v.nc+ci].addVal(vs[i])
-		}
-	})
+		gs[k], k = int64(g), k+1
+	}
+	for ci, kinds := range o.kinds {
+		copy(vs[:cnt], keys[nk+ci][:cnt])
+		foldCells(v.cells[ci:], v.nc, gs[:k], imcs.Compact(vs[:cnt], out), kinds)
+	}
+	return m &^ out
 }
 
 // merge folds another worker's table into this one's, as sorted as it.

@@ -29,7 +29,7 @@ func (s *scanScratch) growRows(capacity int) {
 	}
 	if capacity > len(s.num) {
 		s.num, s.aux, s.strs = make([]int64, capacity), make([]int64, capacity), make([]string, capacity)
-		s.match, s.sub = make([]uint64, (capacity+63)/64), make([]uint64, (capacity+63)/64)
+		s.match = make([]uint64, (capacity+63)/64)
 	}
 }
 
@@ -70,11 +70,11 @@ func (rs *rowScan) filter(src source) []uint64 {
 	for _, f := range rs.q.Filters {
 		col := rs.schema.Col(f.Col)
 		if col.Kind == rowstore.KindNumber {
-			src.nums(s.num[:n], col.Slot(), match)
+			src.nums(s.num[:n], col.Slot(), 0, match)
 			andCmpBitmap(match, s.num[:n], f.Op, f.Num)
 			continue
 		}
-		src.strs(s.strs[:n], col.Slot(), match)
+		src.strs(s.strs[:n], col.Slot(), 0, match)
 		each(match, func(i int) {
 			if !cmpStr(s.strs[i], f.Op, f.Str) {
 				match[i/64] &^= 1 << uint(i%64)

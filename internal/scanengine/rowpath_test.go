@@ -93,13 +93,34 @@ func newBenchUnit(tb testing.TB, pct int, patched bool) *fixture {
 	return f
 }
 
+// BenchmarkScanClean times the bench's four query classes over one clean unit
+// (no row invalid, so every row folds off the column store's packed words) in
+// ns a row of the unit: the cost of the clean-window folds, filter included.
+func BenchmarkScanClean(b *testing.B) {
+	f := newBenchUnit(b, 0, false)
+	ex, snap := f.exec(), f.c.Snapshot()
+	for _, class := range []string{"q1", "q2", "agg", "grp"} {
+		q := benchMix(f)[class]
+		b.Run(class, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ex.Run(q, snap); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/float64(b.N)/benchUnitRows, "ns/row")
+		})
+	}
+}
+
 // benchMix returns the bench's query classes over the fixture's table, serial:
-// Q1 (n1 = v), AGG (four aggregates under n1 < v) and GRP (by c1).
+// Q1 (n1 = v), Q2 (c1 = v), AGG (four aggregates under n1 < v) and GRP (by c1).
 func benchMix(f *fixture) map[string]*scanengine.Query {
 	s := f.tbl.Schema()
 	n1, n2, n3, c1 := s.ColIndex("n1"), s.ColIndex("n2"), s.ColIndex("n3"), s.ColIndex("c1")
 	return map[string]*scanengine.Query{
 		"q1": {Table: f.tbl, Parallel: 1, Filters: []scanengine.Filter{scanengine.EqNum(n1, 42)}},
+		"q2": {Table: f.tbl, Parallel: 1, Filters: []scanengine.Filter{scanengine.EqStr(c1, "val_0042")}},
 		"agg": {Table: f.tbl, Parallel: 1,
 			Filters: []scanengine.Filter{{Col: n1, Op: scanengine.LT, Num: 500}},
 			Aggs: []scanengine.AggSpec{{Kind: scanengine.AggCount}, {Kind: scanengine.AggSum, Col: n2},

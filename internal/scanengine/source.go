@@ -3,6 +3,7 @@ package scanengine
 import (
 	"math"
 	"math/bits"
+	"sort"
 
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/rowstore"
@@ -11,20 +12,20 @@ import (
 // source is where the columns of a batch come from (§II.B: one scan, two
 // stores, one answer): a decoded IMCU window, a window's invalid positions
 // patched from the unit's column delta, or row images. A batch spans size()
-// positions; each method fills, or folds, one column for the set bits of a
-// mask over them (what it leaves at the other positions of dst is undefined).
+// positions. nums, codes and strs fill one column for the batch's rows
+// [at, at+len(dst)) — at a multiple of 64 — where bit i of match selects row
+// at+i (what they leave at the other rows of dst is undefined): a whole batch,
+// or one 64-row group of it.
 type source interface {
 	size() int
-	nums(dst []int64, slot int, match []uint64)
+	nums(dst []int64, slot, at int, match []uint64)
 	// codes fills a VARCHAR column as codes in the unit's key space: negative
 	// for a value the unit's dictionary lacks, and for every value of a batch
 	// no unit covers.
-	codes(dst []int64, slot int, match []uint64)
-	strs(dst []string, slot int, match []uint64)
+	codes(dst []int64, slot, at int, match []uint64)
+	strs(dst []string, slot, at int, match []uint64)
 	// orderKeys appends the RowID sort key of each selected row.
 	orderKeys(dst []uint64, part int, match []uint64) []uint64
-	// agg folds a NUMBER column; scratch has room for size() values.
-	agg(slot int, match []uint64, scratch []int64) imcs.MaskedAgg
 }
 
 // window is the decoded-window source: IMCU positions [base, base+n) of a
@@ -47,36 +48,33 @@ func (win *window) at(i int) int {
 	return win.base + i
 }
 
-func (win *window) nums(dst []int64, slot int, match []uint64) {
+// nums and codes decode a window's rows [at, at+len(dst)) whole: its callers
+// ask for one 64-row group that match selects a row of.
+func (win *window) nums(dst []int64, slot, at int, match []uint64) {
 	col := win.imcu.NumCol(slot)
 	if win.pos == nil {
-		col.DecodeMasked(dst[:win.n], win.base, match)
+		col.Decode(dst, win.base+at)
 		return
 	}
-	for i, p := range win.pos[:win.n] {
+	for i, p := range win.pos[at : at+len(dst)] {
 		dst[i] = col.Get(int(p))
 	}
 }
 
-func (win *window) codes(dst []int64, slot int, match []uint64) {
+func (win *window) codes(dst []int64, slot, at int, match []uint64) {
 	col := win.imcu.StrCol(slot)
 	if win.pos == nil {
-		col.DecodeCodesMasked(dst[:win.n], win.base, match)
+		col.DecodeCodes(dst, win.base+at)
 		return
 	}
-	for i, p := range win.pos[:win.n] {
+	for i, p := range win.pos[at : at+len(dst)] {
 		dst[i] = col.CodeAt(int(p))
 	}
 }
 
-func (win *window) strs(dst []string, slot int, match []uint64) {
-	col := win.imcu.StrCol(slot)
-	if win.pos != nil {
-		each(match, func(i int) { dst[i] = col.Get(int(win.pos[i])) })
-		return
-	}
-	codes := win.aux[:win.n]
-	col.DecodeCodesMasked(codes, win.base, match)
+func (win *window) strs(dst []string, slot, at int, match []uint64) {
+	col, codes := win.imcu.StrCol(slot), win.aux[:len(dst)]
+	win.codes(codes, slot, at, match)
 	each(match, func(i int) { dst[i] = col.Value(codes[i]) })
 }
 
@@ -86,23 +84,6 @@ func (win *window) orderKeys(dst []uint64, part int, match []uint64) []uint64 {
 		dst = append(dst, orderKey(part, blk, slot))
 	})
 	return dst
-}
-
-// byPosition makes to the positional window of the rows match selects — its
-// row k the k-th set bit — and returns in buf the mask that selects all of
-// them: an operator reading many columns of a sparse batch then walks, per
-// column, a mask of its rows rather than one of the batch.
-func (win *window) byPosition(to *window, match, buf []uint64) []uint64 {
-	to.imcu, to.aux, to.pos = win.imcu, win.aux, to.pos[:0]
-	each(match, func(i int) { to.pos = append(to.pos, int32(win.at(i))) })
-	to.n = len(to.pos)
-	return allOnes(buf, to.n)
-}
-
-// agg runs the packed kernel: RLE and constant columns fold run by run,
-// without decoding.
-func (win *window) agg(slot int, match []uint64, scratch []int64) imcs.MaskedAgg {
-	return win.imcu.NumCol(slot).AggMasked(match, win.base, 0, win.n, scratch)
 }
 
 // deltaBatch is the window ⊕ delta source: a worker's batch of invalid row
@@ -147,35 +128,37 @@ func (b *deltaBatch) keep(match []uint64) {
 	})
 }
 
-func (b *deltaBatch) nums(dst []int64, slot int, match []uint64) {
-	b.window.nums(dst, slot, match)
-	b.patch(dst, imcs.NumColID(slot))
+func (b *deltaBatch) nums(dst []int64, slot, at int, match []uint64) {
+	b.window.nums(dst, slot, at, match)
+	b.patch(dst, imcs.NumColID(slot), at)
 }
 
 // codes: a negative code is the complement of the index of a patch's value in
 // the view's strings (imcs.View.Str).
-func (b *deltaBatch) codes(dst []int64, slot int, match []uint64) {
-	b.window.codes(dst, slot, match)
-	b.patch(dst, imcs.StrColID(slot))
+func (b *deltaBatch) codes(dst []int64, slot, at int, match []uint64) {
+	b.window.codes(dst, slot, at, match)
+	b.patch(dst, imcs.StrColID(slot), at)
 }
 
-func (b *deltaBatch) strs(dst []string, slot int, match []uint64) {
-	codes, col := b.aux[:b.n], b.imcu.StrCol(slot)
-	b.codes(codes, slot, match)
+func (b *deltaBatch) strs(dst []string, slot, at int, match []uint64) {
+	codes, col := b.aux[:len(dst)], b.imcu.StrCol(slot)
+	b.codes(codes, slot, at, match)
 	each(match, func(i int) { dst[i] = b.view.Str(col, codes[i]) })
 }
 
-// patch writes the entries of column col over a gathered vector.
-func (b *deltaBatch) patch(dst []int64, col uint16) {
-	for _, e := range b.ents {
+// patch writes the entries of column col over the vector gathered for rows
+// [at, at+len(dst)). The entries are in row order, so a search finds the
+// first.
+func (b *deltaBatch) patch(dst []int64, col uint16, at int) {
+	from := sort.Search(len(b.ents), func(k int) bool { return int(b.ents[k].Key>>16) >= at })
+	for _, e := range b.ents[from:] {
+		if int(e.Key>>16) >= at+len(dst) {
+			break
+		}
 		if e.Col() == col {
-			dst[e.Key>>16] = e.Val
+			dst[int(e.Key>>16)-at] = e.Val
 		}
 	}
-}
-
-func (b *deltaBatch) agg(slot int, match []uint64, scratch []int64) imcs.MaskedAgg {
-	return gatherAgg(b, slot, match, scratch)
 }
 
 // rowBatch is the row-image source: a worker's batch of row images read from
@@ -202,8 +185,8 @@ type rowBatch struct {
 func (b *rowBatch) size() int { return b.n }
 
 // nums reads every row: a loop with no branch overlaps the images' misses.
-func (b *rowBatch) nums(dst []int64, slot int, match []uint64) {
-	for i, row := range b.rows[:b.n] {
+func (b *rowBatch) nums(dst []int64, slot, at int, match []uint64) {
+	for i, row := range b.rows[at : at+len(dst)] {
 		dst[i] = row.Num(slot)
 	}
 }
@@ -213,14 +196,15 @@ func (b *rowBatch) nums(dst []int64, slot int, match []uint64) {
 // most invalid rows — then searches the dictionary, which the store's units
 // share, so it is hot and its labels contiguous: a search beat the by-value
 // table's map probe (BenchmarkScanInvalid/grp/25pct 906 → 764 µs; DESIGN §4).
-func (b *rowBatch) codes(dst []int64, slot int, match []uint64) {
+func (b *rowBatch) codes(dst []int64, slot, at int, match []uint64) {
 	each(match, func(i int) {
 		dst[i] = -1
 		if b.imcu == nil {
 			return
 		}
-		col, v := b.imcu.StrCol(slot), b.rows[i].Str(slot)
-		if pos, held := b.imcu.RowIndexOf(b.blks[i], b.slots[i]); held && col.Value(col.CodeAt(pos)) == v {
+		r := at + i
+		col, v := b.imcu.StrCol(slot), b.rows[r].Str(slot)
+		if pos, held := b.imcu.RowIndexOf(b.blks[r], b.slots[r]); held && col.Value(col.CodeAt(pos)) == v {
 			dst[i] = col.CodeAt(pos)
 		} else if c, found := col.Dict().Code(v); found {
 			dst[i] = c
@@ -228,34 +212,31 @@ func (b *rowBatch) codes(dst []int64, slot int, match []uint64) {
 	})
 }
 
-func (b *rowBatch) strs(dst []string, slot int, match []uint64) {
+func (b *rowBatch) strs(dst []string, slot, at int, match []uint64) {
 	if len(b.next) < len(b.rows) {
 		b.next, b.iters = make([]int32, len(b.rows)), make([]rowstore.StrIter, len(b.rows))
 	}
 	each(match, func(i int) {
-		next := int(b.next[i])
+		r := at + i
+		next := int(b.next[r])
 		if next == 0 { // a filter or a key asks one string a row: keep no cursor
-			dst[i], b.next[i] = b.rows[i].Str(slot), -1
+			dst[i], b.next[r] = b.rows[r].Str(slot), -1
 			return
 		}
-		it := b.iters[i]
+		it := b.iters[r]
 		if next < 0 || next > slot {
-			it, next = b.rows[i].StrsFrom(slot), slot
+			it, next = b.rows[r].StrsFrom(slot), slot
 		}
 		for ; next <= slot; next++ {
 			dst[i] = it.Next()
 		}
-		b.iters[i], b.next[i] = it, int32(next)
+		b.iters[r], b.next[r] = it, int32(next)
 	})
 }
 
 func (b *rowBatch) orderKeys(dst []uint64, part int, match []uint64) []uint64 {
 	each(match, func(i int) { dst = append(dst, orderKey(part, b.blks[i], b.slots[i])) })
 	return dst
-}
-
-func (b *rowBatch) agg(slot int, match []uint64, scratch []int64) imcs.MaskedAgg {
-	return gatherAgg(b, slot, match, scratch)
 }
 
 // keep moves the rows match selects to the front of the batch, in order, and
@@ -271,13 +252,18 @@ func (b *rowBatch) keep(match []uint64) {
 	b.n = k
 }
 
-// gatherAgg is agg for the sources whose values are gathered one by one: it
-// folds what nums fills, decoded.
-func gatherAgg(src source, slot int, match []uint64, scratch []int64) imcs.MaskedAgg {
+// gatherAgg folds the parts kinds names of a NUMBER column of a source that
+// is not a decoded window: what nums fills, a match word at a time. scratch
+// has room for size() values.
+func gatherAgg(src source, slot int, kinds imcs.AggKinds, match []uint64, scratch []int64) imcs.MaskedAgg {
 	vals := scratch[:src.size()]
-	src.nums(vals, slot, match)
-	a := imcs.MaskedAgg{Count: imcs.PopcountRange(match, 0, len(vals)), Min: math.MaxInt64, Max: math.MinInt64}
-	each(match, func(i int) { a.Sum, a.Min, a.Max = a.Sum+vals[i], min(a.Min, vals[i]), max(a.Max, vals[i]) })
+	src.nums(vals, slot, 0, match)
+	a := imcs.MaskedAgg{Min: math.MaxInt64, Max: math.MinInt64}
+	for w, m := range match {
+		if m != 0 {
+			a.FoldWord(vals[w*64:min(w*64+64, len(vals))], m, kinds)
+		}
+	}
 	return a
 }
 

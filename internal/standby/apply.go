@@ -255,9 +255,7 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 }
 
 // applyCV applies one change vector to the physical replica and hands it to
-// the mining component. Apply is idempotent (restart replays re-apply a
-// suffix of the log): duplicate versions carry the same transaction and
-// image, so visibility is unchanged.
+// the mining component.
 func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 	switch cv.Kind {
 	case redo.CVBegin:
@@ -272,7 +270,7 @@ func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 			break // object unknown (dropped or never replicated); skip
 		}
 		blk := seg.EnsureBlock(cv.DBA.Block())
-		blk.ApplyVersion(cv.Slot, cv.Txn, cv.Row, false)
+		blk.ApplyVersionAt(recSCN, cv.Slot, cv.Txn, cv.Row, false)
 		if tbl, ok := inst.db.TableForObj(cv.DBA.Obj()); ok && tbl.Index() != nil {
 			tbl.Index().Put(cv.Row.Num(tbl.Schema().Col(tbl.IdentityCol).Slot()), rowstore.RowID{DBA: cv.DBA, Slot: cv.Slot})
 		}
@@ -281,7 +279,7 @@ func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 		if !ok {
 			break
 		}
-		seg.EnsureBlock(cv.DBA.Block()).ApplyVersion(cv.Slot, cv.Txn, cv.Row, false)
+		seg.EnsureBlock(cv.DBA.Block()).ApplyVersionAt(recSCN, cv.Slot, cv.Txn, cv.Row, false)
 	case redo.CVDelete:
 		seg, ok := inst.db.Segment(cv.DBA.Obj())
 		if !ok {
@@ -289,7 +287,7 @@ func (inst *Instance) applyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 		}
 		// The identity index keeps the row's entry, as on the primary: a lookup
 		// re-reads the chain by CR, and the delete may yet be rolled back.
-		seg.EnsureBlock(cv.DBA.Block()).ApplyVersion(cv.Slot, cv.Txn, "", true)
+		seg.EnsureBlock(cv.DBA.Block()).ApplyVersionAt(recSCN, cv.Slot, cv.Txn, "", true)
 	}
 	inst.miner.MineCV(worker, recSCN, cv)
 }
