@@ -152,8 +152,9 @@ func load(root string, history []string) (*trajectory, error) {
 
 // read is the quartiles of the link's ratio B/A for metric d of k, pair by
 // pair (by seed and run order, which cancels the drift a ratio of medians
-// brings back), and their verdict: "no change" when they straddle 1,
-// "unresolved" wider apart than the bound, "regressed" worse than it allows.
+// brings back), and their verdict: "unresolved" wider apart than the bound,
+// whichever side of 1 they lie on, "no change" when they straddle 1,
+// "regressed" worse than the bound allows.
 func (l *link) read(d decl, k string) (r [3]float64, verdict string) {
 	a, b := l.A[k], l.B[k]
 	if len(a) != len(b) { // a transcribed median against a committed set
@@ -169,10 +170,10 @@ func (l *link) read(d decl, k string) (r [3]float64, verdict string) {
 		worse = -worse
 	}
 	switch {
-	case r[0] < 1 && r[2] > 1:
-		return r, "no change"
 	case r[2]-r[0] > d.Bound:
 		return r, "unresolved"
+	case r[0] < 1 && r[2] > 1:
+		return r, "no change"
 	case worse > d.Bound:
 		return r, "regressed"
 	}

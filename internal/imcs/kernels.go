@@ -122,8 +122,7 @@ func (c *NumColumn) AggMasked(match []uint64, base, lo, hi int, scratch []int64)
 
 // FoldMasked is AggMasked for the parts kinds names: on the decode path a sum
 // alone is folded alone (FoldWord), and a part left out stays at its identity
-// (0, MaxInt64, MinInt64). With no part named, the count is the popcount:
-// nothing is decoded.
+// (0, MaxInt64, MinInt64).
 func (c *NumColumn) FoldMasked(kinds AggKinds, match []uint64, base, lo, hi int, scratch []int64) MaskedAgg {
 	var a MaskedAgg
 	if lo >= hi || c.ForEachRun(base, lo, hi, func(s, e int, v int64) { a.addRun(v, PopcountRange(match, s, e)) }) {
@@ -131,11 +130,6 @@ func (c *NumColumn) FoldMasked(kinds AggKinds, match []uint64, base, lo, hi int,
 		return a
 	}
 	a.Min, a.Max = math.MaxInt64, math.MinInt64
-	if kinds == 0 {
-		a.Count = PopcountRange(match, lo, hi)
-		a.EncodedRows = a.Count
-		return a
-	}
 	// Late decode: a 64-row group is unpacked only if match selects a row of it.
 	for w := lo / 64; w <= (hi-1)/64; w++ {
 		g0, g1 := max(w*64, lo), min(w*64+64, hi)
@@ -248,13 +242,6 @@ func cmpValues64(group []int64, origin int64, a, b uint64) (m uint64) {
 func (c *NumColumn) Gather(dst []int64, stride int, pos []int32) {
 	for j, p := range pos {
 		dst[j*stride] = c.Get(int(p))
-	}
-}
-
-// GatherCodes is Gather over the column's dictionary codes, stride 1.
-func (c *StrColumn) GatherCodes(dst []int64, pos []int32) {
-	for j, p := range pos {
-		dst[j] = c.codes.get(int(p))
 	}
 }
 

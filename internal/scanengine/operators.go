@@ -196,21 +196,21 @@ func (o *rowsOp) beginUnit(*imcs.IMCU) {}
 func (o *rowsOp) flush()               { o.gather() }
 
 // fold appends one result row per selected position. The positions of a
-// clean window's rows wait, with those of the unit's next windows, to be
-// gathered by column: a point query selects a row or two of a batch, where
-// decoding a group of 64 rows for one costs more than a point lookup, and for
-// a dense batch a lookup costs about what decoding and copying a value does.
-// Rows of another source are filled a column at a time from the source, after
-// the rows that wait, so the result keeps the order of the folds. A row
-// image's strings are copied out, into one more object: a result row
-// references no image.
+// clean window's rows, under an eighth of its batch, wait with those of the
+// unit's next windows to be gathered by column: decoding a group of 64 rows
+// for one costs more than a point lookup. A denser batch, and rows of another
+// source, are filled a column at a time from the source, after the rows that
+// wait, so the result keeps the order of the folds: a lookup in a run-length
+// encoded column is a search, where decoding walks its runs once
+// (BenchmarkScanClean/all-rle). A row image's strings are copied out, into one
+// more object: a result row references no image.
 func (o *rowsOp) fold(r *taskResult, src source, match []uint64) {
 	n := src.size()
 	k := int(imcs.PopcountRange(match, 0, n))
 	if o.ordered {
 		o.keys = src.orderKeys(o.keys, r.curPart, match)
 	}
-	if win, ok := src.(*window); ok {
+	if win, ok := src.(*window); ok && k*8 < n {
 		if win.imcu != o.unit || len(o.s.sel)+k > batchSize {
 			o.gather()
 			o.unit = win.imcu
@@ -241,8 +241,8 @@ func (o *rowsOp) fold(r *taskResult, src source, match []uint64) {
 }
 
 // gather materializes the rows that wait, by column: each column one tight
-// loop straight into the result rows, a VARCHAR one as codes and then as views
-// into its dictionary.
+// loop straight into the result rows, a VARCHAR one by code as a view into its
+// dictionary.
 func (o *rowsOp) gather() {
 	pos := o.s.sel
 	if len(pos) == 0 {
@@ -253,12 +253,10 @@ func (o *rowsOp) gather() {
 	for _, s := range o.numSlots {
 		o.unit.NumCol(s).Gather(nums[s:], nn, pos)
 	}
-	codes := o.s.aux[:len(pos)]
 	for _, s := range o.strSlots {
 		col := o.unit.StrCol(s)
-		col.GatherCodes(codes, pos)
-		for j, c := range codes {
-			strs[j*ns+s] = col.Value(c)
+		for j, p := range pos {
+			strs[j*ns+s] = col.Value(col.CodeAt(int(p)))
 		}
 	}
 	o.s.sel = pos[:0]
@@ -382,11 +380,8 @@ func (o *aggOp) beginUnit(*imcs.IMCU) {}
 func (o *aggOp) flush()               {}
 
 // fold runs the source's masked aggregate once per distinct column, for the
-// parts of its cell the specs read. Over a clean window, a minimum already at
-// or below the unit's storage-index minimum can fall no further in it, nor a
-// maximum rise: the column folds for what is left, or is only counted. Folds
-// over rows the column store served count by how they ran; row images count
-// under neither.
+// parts of its cell the specs read. Folds over rows the column store served
+// count by how they ran; row images count under neither.
 func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
 	cnt := imcs.PopcountRange(match, 0, src.size())
 	o.count += cnt
@@ -397,22 +392,13 @@ func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
 	}
 	win, clean := src.(*window)
 	for ci, s := range o.slots {
-		kinds, c := o.kinds[ci], &o.cells[ci]
 		var a imcs.MaskedAgg
 		if clean { // the packed kernel: RLE and constant columns fold run by run
-			col := win.imcu.NumCol(s)
-			mn, mx := col.MinMax()
-			if c.min <= mn {
-				kinds &^= imcs.FoldMin
-			}
-			if c.max >= mx {
-				kinds &^= imcs.FoldMax
-			}
-			a = col.FoldMasked(kinds, match, win.base, 0, win.n, r.s.aux)
+			a = win.imcu.NumCol(s).FoldMasked(o.kinds[ci], match, win.base, 0, win.n, r.s.aux)
 		} else {
-			a = gatherAgg(src, s, kinds, match, r.s.aux)
+			a = gatherAgg(src, s, o.kinds[ci], match, r.s.aux)
 		}
-		c.addMasked(a)
+		o.cells[ci].addMasked(a)
 		if !images {
 			r.cnt[cEncoded] += a.EncodedRows
 			r.cnt[cDecoded] += a.Count - a.EncodedRows

@@ -96,11 +96,22 @@ func newBenchUnit(tb testing.TB, pct int, patched bool) *fixture {
 // BenchmarkScanClean times the bench's four query classes over one clean unit
 // (no row invalid, so every row folds off the column store's packed words) in
 // ns a row of the unit: the cost of the clean-window folds, filter included.
+// The dense classes materialize every row: all over the bench unit's
+// bit-packed columns, all-rle over a unit of the same size whose n1 is run-length
+// encoded (runs of 32) beside a bit-packed id and c1.
 func BenchmarkScanClean(b *testing.B) {
 	f := newBenchUnit(b, 0, false)
-	ex, snap := f.exec(), f.c.Snapshot()
-	for _, class := range []string{"q1", "q2", "agg", "grp"} {
-		q := benchMix(f)[class]
+	rle := newFixtureFill(b, benchUnitRows, benchUnitRows/32+1, func(i int64) (int64, string) {
+		return i / 32 % 100, colors[i%int64(len(colors))]
+	})
+	mix := benchMix(f)
+	mix["all"] = &scanengine.Query{Table: f.tbl, Parallel: 1}
+	mix["all-rle"] = &scanengine.Query{Table: rle.tbl, Parallel: 1}
+	for _, class := range []string{"q1", "q2", "agg", "grp", "all", "all-rle"} {
+		q, ex, snap := mix[class], f.exec(), f.c.Snapshot()
+		if class == "all-rle" {
+			ex, snap = rle.exec(), rle.c.Snapshot()
+		}
 		b.Run(class, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
