@@ -122,7 +122,9 @@ func (c *NumColumn) AggMasked(match []uint64, base, lo, hi int, scratch []int64)
 
 // FoldMasked is AggMasked for the parts kinds names: on the decode path a sum
 // alone is folded alone (FoldWord), and a part left out stays at its identity
-// (0, MaxInt64, MinInt64).
+// (0, MaxInt64, MinInt64). With no part named, the count is the popcount and
+// nothing is decoded; the rows still count as the decode path's
+// (EncodedRows 0), which is how AggMasked folds them.
 func (c *NumColumn) FoldMasked(kinds AggKinds, match []uint64, base, lo, hi int, scratch []int64) MaskedAgg {
 	var a MaskedAgg
 	if lo >= hi || c.ForEachRun(base, lo, hi, func(s, e int, v int64) { a.addRun(v, PopcountRange(match, s, e)) }) {
@@ -130,6 +132,10 @@ func (c *NumColumn) FoldMasked(kinds AggKinds, match []uint64, base, lo, hi int,
 		return a
 	}
 	a.Min, a.Max = math.MaxInt64, math.MinInt64
+	if kinds == 0 {
+		a.Count = PopcountRange(match, lo, hi)
+		return a
+	}
 	// Late decode: a 64-row group is unpacked only if match selects a row of it.
 	for w := lo / 64; w <= (hi-1)/64; w++ {
 		g0, g1 := max(w*64, lo), min(w*64+64, hi)

@@ -551,7 +551,8 @@ func FuzzCmpMask(f *testing.F) {
 // FuzzFoldPacked throws arbitrary columns — bit-packed at any width 0 to 64,
 // run-length encoded, constant —, windows, masks (empty, sparse, all ones or
 // random) and sets of aggregate kinds at the word-at-a-time fold: the count
-// and every part the kinds name must be what decode-then-fold gives.
+// and every part the kinds name must be what decode-then-fold gives, and the
+// rows counted as folded in encoded space what AggMasked counts.
 func FuzzFoldPacked(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(0), uint16(0), uint16(300), uint16(0), uint16(299), uint8(1), uint64(1))
 	f.Add(int64(2), uint8(64), uint8(0), uint16(37), uint16(200), uint16(5), uint16(150), uint8(6), uint64(2))
@@ -596,6 +597,9 @@ func FuzzFoldPacked(f *testing.F) {
 		}
 		if want.Count > 0 && (k&FoldMin != 0 && got.Min != want.Min || k&FoldMax != 0 && got.Max != want.Max) {
 			t.Fatalf("%s: min/max = %d/%d, want %d/%d", where, got.Min, got.Max, want.Min, want.Max)
+		}
+		if all := col.AggMasked(match, b, l, h, make([]int64, cnt)); got.EncodedRows != all.EncodedRows {
+			t.Fatalf("%s: %d rows encoded, %d with every part", where, got.EncodedRows, all.EncodedRows)
 		}
 	})
 }

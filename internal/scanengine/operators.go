@@ -380,8 +380,12 @@ func (o *aggOp) beginUnit(*imcs.IMCU) {}
 func (o *aggOp) flush()               {}
 
 // fold runs the source's masked aggregate once per distinct column, for the
-// parts of its cell the specs read. Folds over rows the column store served
-// count by how they ran; row images count under neither.
+// parts of its cell the specs read. Over a clean window, a minimum already at
+// or below the unit's storage-index minimum can fall no further in it, nor a
+// maximum rise: the column folds for what is left, or is only counted. Folds
+// over rows the column store served count by how they would run with every
+// part (a settled part spares work, not a fold); row images count under
+// neither.
 func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
 	cnt := imcs.PopcountRange(match, 0, src.size())
 	o.count += cnt
@@ -394,7 +398,15 @@ func (o *aggOp) fold(r *taskResult, src source, match []uint64) {
 	for ci, s := range o.slots {
 		var a imcs.MaskedAgg
 		if clean { // the packed kernel: RLE and constant columns fold run by run
-			a = win.imcu.NumCol(s).FoldMasked(o.kinds[ci], match, win.base, 0, win.n, r.s.aux)
+			col, kinds := win.imcu.NumCol(s), o.kinds[ci]
+			mn, mx := col.MinMax()
+			if o.cells[ci].min <= mn {
+				kinds &^= imcs.FoldMin
+			}
+			if o.cells[ci].max >= mx {
+				kinds &^= imcs.FoldMax
+			}
+			a = col.FoldMasked(kinds, match, win.base, 0, win.n, r.s.aux)
 		} else {
 			a = gatherAgg(src, s, o.kinds[ci], match, r.s.aux)
 		}
