@@ -153,8 +153,7 @@ func load(root string, history []string) (*trajectory, error) {
 // read is the quartiles of the link's ratio B/A for metric d of k, pair by
 // pair (by seed and run order, which cancels the drift a ratio of medians
 // brings back), and their verdict: "unresolved" wider apart than the bound,
-// whichever side of 1 they lie on, "no change" when they straddle 1,
-// "regressed" worse than the bound allows.
+// else "no change" when they straddle 1, "regressed" worse than the bound.
 func (l *link) read(d decl, k string) (r [3]float64, verdict string) {
 	a, b := l.A[k], l.B[k]
 	if len(a) != len(b) { // a transcribed median against a committed set
