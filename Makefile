@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-e2e bench-compare checkpoint-bench loc
+.PHONY: all build vet fmt staticcheck test race stress allocs fuzz chaos leakcheck verify bench bench-e2e bench-compare loc
 
 # Seed count for the chaos harness; override as `make chaos CHAOS_SEEDS=100`.
 CHAOS_SEEDS ?= 10
@@ -50,7 +50,7 @@ race:
 		./internal/rowstore/... ./internal/txn/... \
 		./internal/imcs/... ./internal/scanengine/... ./internal/sqlmini/... \
 		./internal/service/... ./internal/fleet/... ./internal/router/... \
-		./internal/broker/... ./internal/transport/... ./internal/checkpoint/... .
+		./internal/broker/... ./internal/transport/... .
 
 # Concurrency regressions that only show as rare interleavings, 200 race-enabled
 # iterations each: the flight recorder's concurrent-capture test (out-of-order
@@ -83,20 +83,14 @@ allocs:
 # unit tests — of the packed compare kernel against its decode-then-compare
 # reference (any width, window, mask and literal), of the word-at-a-time
 # masked fold against decode-then-fold (any width or encoding, window, mask and
-# set of aggregate kinds), and of the unit-image decoder
-# a checkpoint restore re-interns from (seeded from the checkpoint's corruption
-# cases), of the checkpoint file's framing down to Store.RestoreUnit (seeded
-# from a small checkpoint, truncated and bit-flipped), and of the SQL front end
-# down to the scan engine's Explain and Run (seeded from the bench's statement
-# mix). go test fuzzes one target per run; the nightly job runs longer.
+# set of aggregate kinds), and of the SQL front end down to the scan engine's
+# Explain and Run (seeded from the bench's statement mix). go test fuzzes one target per run; the nightly job runs longer.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME) ./internal/redo
 	$(GO) test -run '^$$' -fuzz '^FuzzCmpMask$$' -fuzztime $(FUZZTIME) ./internal/imcs
 	$(GO) test -run '^$$' -fuzz '^FuzzFoldPacked$$' -fuzztime $(FUZZTIME) ./internal/imcs
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeUnitImage$$' -fuzztime $(FUZZTIME) ./internal/imcs
-	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAndCompile$$' -fuzztime $(FUZZTIME) ./internal/sqlmini
 
 # Deterministic chaos harness: seeded fault injection against the full
@@ -105,9 +99,6 @@ fuzz:
 # covers the liveness watchdog: scripted permanent-outage stall detection and
 # idle false-positive suppression. The high-pressure regression set always
 # includes seed 4000 (the receiver livelock fixed in the transport layer).
-# TestChaosCheckpoints* adds the snapshot hazards: crashes racing in-flight
-# checkpoints, corrupted snapshot files, and a forced snapshot-restore +
-# redo-catch-up restart before the final equivalence check on every seed.
 # TestChaosConstantMerge repopulates after 1 % of a unit changed, so its long
 # storms check images that hundreds of merges produced, fed from the units'
 # column deltas. TestChaosStaleStore does the opposite — no repopulation, so
@@ -126,8 +117,8 @@ leakcheck:
 
 verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 
-# The two root benchmarks (warm failover against a cold repopulation, and the
-# checkpoint cold restart), then IMCU construction: a full build of one
+# The root benchmark (warm failover against a cold repopulation), then IMCU
+# construction: a full build of one
 # bench-table unit and its repopulation by merge after 1, 12.5 and 50 % of the rows changed
 # (12.5pct-delta: changed in two columns the unit's delta explains), and one
 # patch appended to a delta; the packed compare and unpack kernels per bit
@@ -138,7 +129,7 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 # table's keys again or as many new ones; last the row image (pack, one number,
 # one string, unpack) and the codec over a full-row record of the bench table.
 bench:
-	$(GO) test -bench 'Failover|CheckpointRestart' -benchmem -run '^$$' .
+	$(GO) test -bench Failover -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate|DeltaAppend|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
 	$(GO) test -bench 'ScanClean|ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
@@ -159,12 +150,6 @@ HEAD ?= $(OUT)
 bench-compare:
 	@if [ -z "$(BASE)" ]; then echo "usage: make bench-compare BASE=parent.json [HEAD=change.json]"; exit 2; fi
 	$(GO) run ./bench --compare $(BASE) $(HEAD)
-
-# Cold-restart benchmark only: checkpoint-restore + redo catch-up vs the full
-# row-store rebuild at 300k rows (BenchmarkCheckpointRestart), plus snapshot
-# size and the apply-interference ratio of one checkpoint racing paced DML.
-checkpoint-bench:
-	$(GO) test -bench BenchmarkCheckpointRestart -benchtime 1x -run '^$$' .
 
 # Non-test Go lines (wc -l) of every package outside bench/, and their total:
 # the counts the ROADMAP's line budgets are kept in.

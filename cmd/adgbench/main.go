@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	adgbench [-experiment fig9|fig10|table2|fig11|cpu|groupby|fleet|morsel|checkpoint|all]
+//	adgbench [-experiment fig9|fig10|table2|fig11|cpu|groupby|fleet|morsel|all]
 //	         [-rows N] [-duration D] [-ops N] [-threads N] [-seed N]
 //	         [-sessions N] [-telemetry]
 //
@@ -26,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("experiment", "all", "fig9 | fig10 | table2 | fig11 | cpu | groupby | fleet | morsel | checkpoint | all")
+		exp      = flag.String("experiment", "all", "fig9 | fig10 | table2 | fig11 | cpu | groupby | fleet | morsel | all")
 		rows     = flag.Int("rows", 300000, "initial wide-table rows (paper: 6,000,000)")
 		duration = flag.Duration("duration", 10*time.Second, "measured phase duration (paper: 1h)")
 		ops      = flag.Int("ops", 0, "target DML throughput, ops/s (0 = auto-scale with rows; paper: 4000 on 6M rows)")
@@ -87,7 +87,6 @@ func main() {
 		{"groupby", func() (fmt.Stringer, error) { return experiments.RunGroupBy(p) }},
 		{"fleet", func() (fmt.Stringer, error) { return experiments.RunFleetOverload(p) }},
 		{"morsel", func() (fmt.Stringer, error) { return experiments.RunMorsel(p) }},
-		{"checkpoint", func() (fmt.Stringer, error) { return experiments.RunCheckpoint(p) }},
 	}
 
 	selected := all[:0:0]

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	adgtop -addr 127.0.0.1:9187 [-interval 1s] [-n 0] [-queries 5] [-slow] [-freshness 3] [-health] [-fleet] [-checkpoint] [-imcs]
+//	adgtop -addr 127.0.0.1:9187 [-interval 1s] [-n 0] [-queries 5] [-slow] [-freshness 3] [-health] [-fleet] [-imcs]
 //
 // Run cmd/adgdemo with -metrics 127.0.0.1:9187 -hold 2m in one terminal and
 // adgtop in another to watch the pipeline drain. With -queries N, each sample
@@ -22,10 +22,6 @@
 // /debug/stats "fleet" and "router" blocks: per-reader state, QuerySCN lag
 // against the fleet watermark, in-flight/queued/shed counts, and the router's
 // cumulative placement totals with per-interval rates.
-// With -checkpoint, each sample is followed by the IMCS checkpointer pane from
-// the /debug/stats "checkpoint" block: snapshot cadence, size and age, plus
-// the restore-vs-rebuild counters of the snapshot-then-redo-catch-up restart
-// path.
 // With -imcs, each sample is followed by the IMCS pane from the /debug/stats
 // "imcs" and "population" blocks: what the store holds and what its rebuilds
 // cost — how many were merges, how many rows they read again against how many
@@ -121,7 +117,6 @@ type snapshot struct {
 	Gauges     map[string]float64 `json:"gauges"`
 	Fleet      *fleetStats        `json:"fleet"`
 	Router     *routerTotals      `json:"router"`
-	Checkpoint *checkpointStats   `json:"checkpoint"`
 }
 
 // queryEntry is the subset of a /debug/queries record adgtop renders.
@@ -332,49 +327,6 @@ func printFleet(cur, prev snapshot, dt float64) {
 	}
 }
 
-// checkpointStats mirrors the /debug/stats "checkpoint" block
-// (standby.CheckpointStats); the block is absent when snapshotting is off.
-type checkpointStats struct {
-	Cycles           int64
-	Written          int64
-	Failures         int64
-	LastSCN          uint64
-	LastUnits        int
-	LastBytes        int64
-	LastTook         int64 // nanoseconds (time.Duration)
-	LastUnix         int64
-	LastErr          string
-	TotalBytes       int64
-	Restores         int64
-	RestoreFallbacks int64
-	LastRestoreSCN   uint64
-	LastRestoreUnits int64
-	UnitsRestored    int64
-}
-
-// printCheckpoint renders the checkpointer pane: write cadence and health plus
-// the restore counters of the snapshot-then-redo-catch-up restart path.
-func printCheckpoint(cp *checkpointStats) {
-	if cp == nil {
-		fmt.Println("  checkpoint: snapshotting not configured on this node")
-		return
-	}
-	age := "-"
-	if cp.LastUnix > 0 {
-		age = time.Since(time.Unix(0, cp.LastUnix)).Round(time.Millisecond).String()
-	}
-	line := fmt.Sprintf("  checkpoint: %d written / %d failed, last scn=%d units=%d %.1fKB in %v (age %s), total %.1fMB",
-		cp.Written, cp.Failures, cp.LastSCN, cp.LastUnits,
-		float64(cp.LastBytes)/1024, time.Duration(cp.LastTook).Round(time.Microsecond), age,
-		float64(cp.TotalBytes)/(1<<20))
-	if cp.LastErr != "" {
-		line += " ERR=" + cp.LastErr
-	}
-	fmt.Println(line)
-	fmt.Printf("  restore: %d from snapshot, %d full rebuilds; last restore scn=%d units=%d; %d restored units live\n",
-		cp.Restores, cp.RestoreFallbacks, cp.LastRestoreSCN, cp.LastRestoreUnits, cp.UnitsRestored)
-}
-
 // printIMCS renders the IMCS pane: the store's contents, then what rebuilding
 // it has cost since start and in the last interval.
 func printIMCS(cur, prev snapshot) {
@@ -434,7 +386,6 @@ func main() {
 		fresh    = flag.Int("freshness", 0, "show the commit-to-visible summary and N span waterfalls under each sample (0 = off)")
 		health   = flag.Bool("health", false, "show the watchdog verdict and per-stage liveness table under each sample")
 		fleetP   = flag.Bool("fleet", false, "show the reader-fleet table and router totals under each sample")
-		ckptP    = flag.Bool("checkpoint", false, "show the IMCS checkpointer and restore counters under each sample")
 		imcsP    = flag.Bool("imcs", false, "show the column store's contents and its rebuild costs (full/merge, rows read/carried) under each sample")
 	)
 	flag.Parse()
@@ -493,9 +444,6 @@ func main() {
 		}
 		if *fleetP {
 			printFleet(cur, prev, dt)
-		}
-		if *ckptP {
-			printCheckpoint(cur.Checkpoint)
 		}
 		if *imcsP {
 			printIMCS(cur, prev)

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"dbimadg/internal/broker"
-	"dbimadg/internal/checkpoint"
 	"dbimadg/internal/fleet"
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
@@ -66,18 +65,6 @@ type Config struct {
 	// standby has applied it, and under sustained load advancements are spaced
 	// by their own measured cost, by no more than this interval.
 	CheckpointInterval time.Duration
-	// SnapshotDir, when non-empty, enables IMCS checkpointing on the standby:
-	// a background checkpointer periodically persists the column store (every
-	// serving IMCU with its validity bitmap, plus a consistent checkpoint SCN)
-	// to versioned, CRC-guarded files in this directory. A standby restart
-	// then restores the newest valid snapshot and replays only redo past its
-	// SCN instead of rebuilding the column store from the row store.
-	SnapshotDir string
-	// SnapshotInterval is the background checkpoint period (default 1s when
-	// SnapshotDir is set).
-	SnapshotInterval time.Duration
-	// SnapshotRetain keeps the newest N checkpoint files (default 2).
-	SnapshotRetain int
 	// PopulationInterval is the background population tick (default 10ms).
 	PopulationInterval time.Duration
 	// MemLimitBytes caps each column store's footprint (0 = unlimited).
@@ -187,9 +174,6 @@ func Open(cfg Config) (*Cluster, error) {
 
 	sbyCfg := standby.Config{
 		CheckpointInterval:    cfg.CheckpointInterval,
-		SnapshotDir:           cfg.SnapshotDir,
-		SnapshotInterval:      cfg.SnapshotInterval,
-		SnapshotRetain:        cfg.SnapshotRetain,
 		RowsPerBlock:          cfg.RowsPerBlock,
 		BlocksPerIMCU:         cfg.BlocksPerIMCU,
 		PopulationInterval:    cfg.PopulationInterval,
@@ -501,21 +485,6 @@ func (c *Cluster) FlightRecorder() *obs.FlightRecorder {
 
 // PrimaryPopulation exposes the primary-side population engine.
 func (c *Cluster) PrimaryPopulation() *imcs.Engine { return c.priEng }
-
-// CheckpointMeta describes one on-disk IMCS checkpoint.
-type CheckpointMeta = checkpoint.Meta
-
-// CheckpointNow forces one synchronous IMCS checkpoint on the standby master
-// and returns its metadata. Errors when Config.SnapshotDir is unset.
-func (c *Cluster) CheckpointNow() (CheckpointMeta, error) {
-	return c.StandbyMaster().CheckpointNow()
-}
-
-// CheckpointStats returns the standby master's checkpointer counters:
-// written/failed cycles, last snapshot size and duration, restore counts.
-func (c *Cluster) CheckpointStats() standby.CheckpointStats {
-	return c.StandbyMaster().CheckpointStats()
-}
 
 // --- DDL --------------------------------------------------------------------
 

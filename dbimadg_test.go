@@ -355,16 +355,16 @@ func TestVacuumKeepsQueriesCorrect(t *testing.T) {
 	for id := int64(0); id < 50; id++ {
 		want += id%10 + 5
 	}
-	if res.Sum != want {
-		t.Fatalf("post-vacuum SUM = %d, want %d", res.Sum, want)
+	if res.AggVals[0] != want {
+		t.Fatalf("post-vacuum SUM = %d, want %d", res.AggVals[0], want)
 	}
 	sTbl, _ := c.StandbyTable(1, "T")
 	sres, err := c.StandbySession().Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sres.Sum != want {
-		t.Fatalf("standby post-vacuum SUM = %d, want %d", sres.Sum, want)
+	if sres.AggVals[0] != want {
+		t.Fatalf("standby post-vacuum SUM = %d, want %d", sres.AggVals[0], want)
 	}
 }
 

@@ -138,7 +138,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("primary:  SUM(amount) December        = %8d  (%d rows, fromIMCS=%d)\n",
-		dec.Sum, dec.Count, dec.FromIMCS)
+		dec.AggVals[0], dec.Count, dec.FromIMCS)
 
 	// Reporting on the standby — whole-year aggregate, columnar all the way.
 	sSales, err := c.StandbyTable(1, "SALES")
@@ -153,7 +153,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("standby:  SUM(amount) full year       = %8d  (%d rows, fromIMCS=%d)\n",
-		year.Sum, year.Count, year.FromIMCS)
+		year.AggVals[0], year.Count, year.FromIMCS)
 
 	// A month-range report, pruned by partition and storage indexes.
 	h1, err := sby.Query(&dbimadg.Query{

@@ -102,7 +102,7 @@ func main() {
 	}
 	fmt.Printf("SELECT SUM(qty) WHERE region='west' → sum=%d over %d rows "+
 		"(%d from IMCS, %d from row store)\n",
-		res.Sum, res.Count, res.FromIMCS, res.FromRowStore)
+		res.AggVals[0], res.Count, res.FromIMCS, res.FromRowStore)
 
 	res, err = sby.Query(&dbimadg.Query{
 		Table:   sTbl,

@@ -95,10 +95,6 @@ type FailoverResult struct {
 	// WarmUnits is the number of populated IMCUs retained across the
 	// transition — the measure of how warm the promotion was.
 	WarmUnits int
-	// CheckpointSCN is the transition checkpoint recorded right after terminal
-	// recovery, when the standby has snapshotting configured (0 otherwise).
-	// A switchover's rebuilt standby installs it instead of rebuilding.
-	CheckpointSCN scn.SCN
 	// Elapsed is the wall time from invocation to open.
 	Elapsed time.Duration
 }
@@ -243,13 +239,6 @@ func (b *Broker) Switchover() (*SwitchoverResult, error) {
 	old.Txns().AbortActive()
 	sbCfg := b.cfg.StandbyConfig
 	sbCfg.RowsPerBlock = old.DB().RowsPerBlock()
-	// The rebuilt standby inherits the old standby's snapshot directory unless
-	// the caller overrode it: its Restart then installs the transition
-	// checkpoint written in promote() instead of repopulating from scratch,
-	// and the new standby keeps checkpointing for its own future restarts.
-	if sbCfg.SnapshotDir == "" {
-		sbCfg.SnapshotDir = b.master.SnapshotDir()
-	}
 	newSb := standby.NewFrom(sbCfg, old.DB(), old.Txns(), old.Services(), res.PromotedSCN)
 	var streams []*redo.Stream
 	for _, inst := range newPri.Instances() {
@@ -287,15 +276,6 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 		return nil, nil, err
 	}
 	trace.Observe(obs.StageTransition, uint64(finalSCN), time.Since(start))
-
-	// 2b. Transition checkpoint: with snapshotting configured, persist the
-	// column store at exactly the promotion SCN while it is still quiescent.
-	// Best-effort — a failed write only means the rebuilt standby falls back
-	// to the previous checkpoint or a full rebuild.
-	var ckptSCN scn.SCN
-	if meta, err := master.CheckpointNow(); err == nil {
-		ckptSCN = meta.SCN
-	}
 
 	// 3. Transport teardown: the receiver's mirrors (the archived logs) are
 	// fully drained now, so closing cannot lose redo.
@@ -337,7 +317,6 @@ func (b *Broker) promote(terminal bool) (*FailoverResult, *primary.Cluster, erro
 		PromotedSCN:    finalSCN,
 		RolledBackTxns: rolledBack,
 		WarmUnits:      warm,
-		CheckpointSCN:  ckptSCN,
 		Elapsed:        elapsed,
 	}, newPri, nil
 }

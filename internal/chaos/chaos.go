@@ -37,7 +37,6 @@ import (
 	"time"
 
 	"dbimadg/internal/broker"
-	"dbimadg/internal/checkpoint"
 	"dbimadg/internal/fleet"
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
@@ -94,20 +93,11 @@ type Options struct {
 	// three-way equivalence the master gets), and the run fails unless every
 	// reader provisioned mid-storm reaches Ready by the final quiesce.
 	FleetChurn bool
-	// Checkpoints enables IMCS snapshots (a per-run temp SnapshotDir with a
-	// fast background checkpointer) and deals checkpoint schedule steps:
-	// explicit checkpoints, crashes racing an in-flight checkpoint, and
-	// seeded corruption of the newest snapshot file (the next restart must
-	// detect it and fall back to the full rebuild). The run always ends with
-	// a forced checkpoint → churn → crash-restart sequence so every seed
-	// exercises the restore path before the final quiesce oracle.
-	Checkpoints bool
 	// ConstantMerge sets the standby's repopulation and tail thresholds to
 	// 1 %, so that a unit is rebuilt after nearly every change to it and a
 	// long run repopulates by merge hundreds of times: across transport
-	// faults, on units a crash-restart restored from a checkpoint, and — by a
-	// full build, there being nothing valid to carry over — on units a restart
-	// coarse-invalidated.
+	// faults and — by a full build, there being nothing valid to carry over —
+	// on units a restart coarse-invalidated.
 	ConstantMerge bool
 	// StaleStore is the opposite tuning: both thresholds at 1.0, so that no
 	// unit is ever repopulated and invalid and tail rows pile up for the whole
@@ -155,14 +145,6 @@ type Result struct {
 	// morsel granule and worker count every equivalence check exercised.
 	ScanMorselRows int
 	ScanParallel   int
-	// Checkpoint accounting (Checkpoints runs only): snapshots written
-	// (background + explicit), restarts that restored from one, restarts
-	// that fell back to a full rebuild, and snapshot files the schedule
-	// deliberately corrupted.
-	Checkpoints         int64
-	CheckpointRestores  int64
-	CheckpointFallbacks int64
-	SnapshotsCorrupted  int
 	// Repopulations of the master's units over all incarnations: by merge
 	// (unchanged rows carried over from the old IMCU), and by reading every
 	// row (coarse-invalid units).
@@ -243,10 +225,6 @@ type Runner struct {
 
 	// tallied is what tallyBuilds last read from each population engine.
 	tallied map[*imcs.Engine]imcs.EngineStats
-
-	// ckptDir is the run's snapshot directory (Options.Checkpoints only),
-	// removed at teardown.
-	ckptDir string
 
 	nextID  int64          // fresh-id allocator for inserts
 	liveIDs []int64        // committed inserted ids eligible for deletion
@@ -363,18 +341,6 @@ func (r *Runner) setup() error {
 	}
 	if r.opts.StaleStore {
 		cfg.RepopThreshold, cfg.TailThreshold = 1, 1
-	}
-	if r.opts.Checkpoints {
-		dir, err := os.MkdirTemp("", "chaos-ckpt-")
-		if err != nil {
-			return err
-		}
-		r.ckptDir = dir
-		cfg.SnapshotDir = dir
-		// Fast enough that background checkpoints overlap writer bursts and
-		// crash-restarts; the schedule adds explicit and racing ones on top.
-		cfg.SnapshotInterval = 5 * time.Millisecond
-		cfg.SnapshotRetain = 3
 	}
 	r.sby = standby.New(cfg)
 	// The manager attaches before apply starts, so the home-share readers see
@@ -574,10 +540,6 @@ func (r *Runner) run() error {
 			}
 		case p < 0.80 && r.opts.FleetChurn:
 			r.fleetChurnStep()
-		case p < 0.90 && r.ckptDir != "":
-			if err := r.checkpointStep(); err != nil {
-				return err
-			}
 		default:
 			if err := r.quiescePoint(); err != nil {
 				return err
@@ -595,27 +557,6 @@ func (r *Runner) run() error {
 	// churn removed them all again), force one before the final quiesce.
 	if r.opts.FleetChurn && !r.midAddedPresent() {
 		r.reconcileFleet(r.fleetSize + 1)
-	}
-	// A checkpoint run must always exercise snapshot-then-redo-catch-up, not
-	// just write snapshots: force checkpoint → churn → crash-restart, then
-	// require that at least one restart across the run actually restored.
-	// (Scheduled corruption steps may have forced earlier restarts into the
-	// fallback; this final checkpoint is newest and valid, so this restart
-	// restores.) The final quiesce point below then runs the full three-way
-	// equivalence oracle over the restored-and-caught-up store.
-	if r.ckptDir != "" {
-		if _, err := r.sby.CheckpointNow(); err != nil {
-			return r.fail("forced checkpoint: %v", err)
-		}
-		if err := r.writerBurst(); err != nil {
-			return err
-		}
-		if err := r.crashRestart(); err != nil {
-			return err
-		}
-		if cs := r.sby.CheckpointStats(); cs.Restores == 0 {
-			return r.fail("no restart restored from a checkpoint (stats %+v)", cs)
-		}
 	}
 	// Always end on a full quiesce point: the run's final state is checked no
 	// matter how the schedule dealt the steps.
@@ -938,14 +879,12 @@ func (r *Runner) quiescePoint() error {
 // crashRestart kills and restarts the standby instance mid-pipeline: volatile
 // IM-ADG state (journal, commit table, IMCS) is lost; apply resumes from the
 // resume point. Over TCP the old receiver is torn down and a new one dials in
-// at ResumePoint()+1 — with snapshots enabled that is the newest checkpoint's
-// SCN, so the redial keeps the archived-log window the restore needs.
+// at ResumePoint()+1, the first record past the stopped watermark.
 func (r *Runner) crashRestart() error {
 	r.res.Restarts++
 	r.tallyBuilds() // the restart replaces the population engine
-	// The incarnation ends here: with a checkpoint configured the restore
-	// rolls QuerySCN back to the snapshot's SCN, which the monitor must treat
-	// as a fresh baseline, not a monotonicity violation.
+	// The incarnation ends here: the monitor takes the restarted standby's
+	// QuerySCN as a fresh baseline.
 	r.monitor.beginRestart()
 	defer r.monitor.endRestart()
 	if r.rcv == nil {
@@ -969,57 +908,6 @@ func (r *Runner) crashRestart() error {
 		return r.fail("restart: %v", err)
 	}
 	return nil
-}
-
-// checkpointStep deals one checkpoint hazard (Options.Checkpoints): a plain
-// explicit checkpoint, a crash-restart racing an in-flight checkpoint (the
-// temp-file + atomic-rename protocol must leave either the previous or the
-// new snapshot valid — never a torn one), or seeded corruption of the newest
-// snapshot file (the next restore must reject it and either use an older
-// valid file or fall back to the full rebuild). Every variant is followed by
-// the regular quiesce oracles, so any wrong restored byte fails equivalence.
-func (r *Runner) checkpointStep() error {
-	switch r.rng.Intn(3) {
-	case 0:
-		if _, err := r.sby.CheckpointNow(); err != nil {
-			return r.fail("checkpoint: %v", err)
-		}
-	case 1:
-		done := make(chan struct{})
-		sby := r.sby
-		go func() {
-			defer close(done)
-			_, _ = sby.CheckpointNow() // racing the restart; failure is legitimate
-		}()
-		err := r.crashRestart()
-		<-done
-		if err != nil {
-			return err
-		}
-	case 2:
-		r.corruptNewestSnapshot()
-	}
-	return nil
-}
-
-// corruptNewestSnapshot flips one seeded byte in the newest snapshot file,
-// past the header so the file still lists (List filters header-invalid files
-// before they count as corrupt candidates) and the damage is caught by the
-// payload/trailer CRCs on the next restore attempt.
-func (r *Runner) corruptNewestSnapshot() {
-	m, ok := checkpoint.Newest(r.ckptDir)
-	if !ok {
-		return
-	}
-	raw, err := os.ReadFile(m.Path)
-	if err != nil || len(raw) < 64 {
-		return
-	}
-	off := 52 + r.rng.Intn(len(raw)-52)
-	raw[off] ^= byte(1 << r.rng.Intn(8))
-	if os.WriteFile(m.Path, raw, 0o644) == nil {
-		r.res.SnapshotsCorrupted++
-	}
 }
 
 // transition runs the optional end-of-run role transition under load: a last
@@ -1102,12 +990,6 @@ func (r *Runner) collectCounters() {
 	}
 	if r.sby != nil {
 		r.res.Stalls = r.sby.Watchdog().Stalls()
-		if r.ckptDir != "" {
-			cs := r.sby.CheckpointStats()
-			r.res.Checkpoints = cs.Written
-			r.res.CheckpointRestores = cs.Restores
-			r.res.CheckpointFallbacks = cs.RestoreFallbacks
-		}
 	}
 	if r.rcv != nil {
 		r.res.Reconnects = r.rcv.Reconnects()
@@ -1121,9 +1003,6 @@ func (r *Runner) collectCounters() {
 // (engines, promoted clusters) are stopped by the oracle's post-promotion
 // path, so only the steady-state resources are handled here.
 func (r *Runner) teardown() {
-	if r.ckptDir != "" {
-		defer os.RemoveAll(r.ckptDir)
-	}
 	if r.monitor != nil {
 		r.monitor.stop()
 	}

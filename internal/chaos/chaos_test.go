@@ -60,7 +60,7 @@ func TestChaosInProc(t *testing.T) {
 
 // TestChaosTCPFaults storms the TCP transport with the full fault mix (drop,
 // truncate, delay, duplicate, reorder, CRC corruption) plus connection mass
-// drops and crash-restarts that re-attach at the checkpoint.
+// drops and crash-restarts that re-attach at the resume point.
 func TestChaosTCPFaults(t *testing.T) {
 	for _, seed := range seeds() {
 		res := runSeed(t, Options{
@@ -162,58 +162,15 @@ func TestChaosFleetChurnTCPRestarts(t *testing.T) {
 		seed, res.FleetChecks, res.Restarts, res.Reconnects, res.FleetChurns)
 }
 
-// TestChaosCheckpoints storms the pipeline with IMCS snapshots on: a fast
-// background checkpointer plus scheduled explicit checkpoints, crashes racing
-// an in-flight checkpoint, and seeded snapshot corruption. Every seed ends
-// with a forced checkpoint → churn → crash-restart, so the final quiesce
-// point always runs the three-way equivalence oracle over a store that came
-// back via snapshot-restore + redo catch-up.
-func TestChaosCheckpoints(t *testing.T) {
-	for _, seed := range seeds() {
-		res := runSeed(t, Options{Seed: seed, Steps: 12, CrashRestarts: true, Checkpoints: true})
-		if res.CheckpointRestores == 0 {
-			t.Fatalf("seed %d: no restart restored from a checkpoint (%d written, %d fallbacks)",
-				seed, res.Checkpoints, res.CheckpointFallbacks)
-		}
-		t.Logf("seed %d: %d checks, %d restarts, %d checkpoints, %d restores, %d fallbacks, %d corrupted",
-			seed, res.Checks, res.Restarts, res.Checkpoints,
-			res.CheckpointRestores, res.CheckpointFallbacks, res.SnapshotsCorrupted)
-	}
-}
-
-// TestChaosCheckpointsTCP layers the snapshot hazards over the faulted TCP
-// transport: restart redials land at the checkpoint SCN + 1 (ResumePoint), so
-// the archived-log window the restore needs survives the reconnect storm.
-func TestChaosCheckpointsTCP(t *testing.T) {
-	for _, seed := range seeds() {
-		res := runSeed(t, Options{
-			Seed:          seed,
-			Steps:         10,
-			UseTCP:        true,
-			ReorderWindow: 4,
-			CrashRestarts: true,
-			Checkpoints:   true,
-		})
-		if res.CheckpointRestores == 0 {
-			t.Fatalf("seed %d: no restart restored from a checkpoint (%d written, %d fallbacks)",
-				seed, res.Checkpoints, res.CheckpointFallbacks)
-		}
-		t.Logf("seed %d: %d checks, %d restarts, %d reconnects, %d checkpoints, %d restores, %d fallbacks, %d corrupted",
-			seed, res.Checks, res.Restarts, res.Reconnects, res.Checkpoints,
-			res.CheckpointRestores, res.CheckpointFallbacks, res.SnapshotsCorrupted)
-	}
-}
-
 // TestChaosConstantMerge runs long storms with repopulation triggered by 1 % of
 // a unit's rows: nearly every equivalence check then reads images that are the
-// product of many merges. One storm has the snapshot hazards in-process — units
-// restored from a checkpoint are merged, units a restart coarse-invalidated are
-// rebuilt in full — the other the transport faults over TCP. (Both at once, for
-// this many steps, diverge with or without merging; see ROADMAP.)
+// product of many merges. Both crash-restart the standby — units a restart
+// coarse-invalidated are rebuilt in full — one in-process, the other with the
+// transport faults over TCP.
 func TestChaosConstantMerge(t *testing.T) {
 	for _, seed := range seeds() {
 		for _, opts := range []Options{
-			{Steps: 250, Checkpoints: true},
+			{Steps: 250},
 			{Steps: 150, UseTCP: true, ReorderWindow: 4},
 		} {
 			opts.Seed, opts.CrashRestarts, opts.ConstantMerge = seed, true, true
@@ -221,8 +178,8 @@ func TestChaosConstantMerge(t *testing.T) {
 			if res.UnitsMerged < 100 {
 				t.Fatalf("seed %d: %d repopulations by merge (%d full), want hundreds", seed, res.UnitsMerged, res.FullRebuilds)
 			}
-			t.Logf("seed %d: %d checks, %d restarts, %d restores, %d reconnects, %d merges, %d full rebuilds",
-				seed, res.Checks, res.Restarts, res.CheckpointRestores, res.Reconnects, res.UnitsMerged, res.FullRebuilds)
+			t.Logf("seed %d: %d checks, %d restarts, %d reconnects, %d merges, %d full rebuilds",
+				seed, res.Checks, res.Restarts, res.Reconnects, res.UnitsMerged, res.FullRebuilds)
 		}
 	}
 }

@@ -273,8 +273,8 @@ func (o *oracle) quiesceCheck() error {
 	if err != nil {
 		return r.fail("primary SUM at %d: %v", q, err)
 	}
-	if ha.Sum != ga.Sum {
-		return r.fail("SUM(n1) diverges at %d: standby %d, primary %d", q, ha.Sum, ga.Sum)
+	if ha.AggVals[0] != ga.AggVals[0] {
+		return r.fail("SUM(n1) diverges at %d: standby %d, primary %d", q, ha.AggVals[0], ga.AggVals[0])
 	}
 
 	// Grouped-aggregate equivalence: the hash GROUP BY folds encoded runs,
@@ -574,8 +574,8 @@ func (o *oracle) postPromotion(newPri *primary.Cluster, promoted scn.SCN, newSb 
 }
 
 // monitor continuously samples the standby's published QuerySCN, asserting it
-// never moves backwards (including across crash-restarts, whose checkpoint is
-// at or above the last publication) and never runs ahead of the primary's SCN
+// never moves backwards (including across crash-restarts, whose resume point
+// is at or above the last publication) and never runs ahead of the primary's SCN
 // clock.
 type monitor struct {
 	r     *Runner
@@ -584,9 +584,7 @@ type monitor struct {
 	once  sync.Once
 
 	// Restart bracketing: QuerySCN monotonicity is a per-incarnation
-	// guarantee (every session dies with the instance), and a checkpoint
-	// restore legitimately rolls the published QuerySCN back to the
-	// checkpoint SCN while redo catch-up reapplies the gap. crashRestart
+	// guarantee (every session dies with the instance). crashRestart
 	// pauses sampling for the whole teardown-restore-restart window and the
 	// epoch bump on resume resets the baseline; a sample that straddles the
 	// window sees the epoch change and is discarded as unordered.

@@ -368,8 +368,8 @@ func (r *Reader) loop() {
 				for _, obj := range m.publish.dropped {
 					r.store.DropObject(obj)
 				}
-				// A master restart that restored a checkpoint republishes
-				// from the checkpoint SCN; this store is already past it.
+				// A publication at or below this store's QuerySCN (a
+				// restarted master's first, at its resume point) moves nothing.
 				if q := m.publish.q; uint64(q) > r.querySCN.Load() {
 					if r.snaps.Pin(q) == nil { // above the old pin, so above the floor
 						r.snaps.Unpin(r.pinned)

@@ -164,8 +164,8 @@ func compacted(vals []string) []string {
 	return out
 }
 
-// reintern interns the dictionaries of an IMCU built elsewhere — decoded from
-// a checkpoint, or a fleet master's — as a build interns its own: its codes
+// reintern interns the dictionaries of an IMCU built elsewhere — a fleet
+// master's — as a build interns its own: its codes
 // are the provisional codes of a build with no value read again. A column
 // whose dictionary the store adopts — a master's units share theirs — keeps it
 // and is not decoded. It returns imcu when no column's dictionary changes,

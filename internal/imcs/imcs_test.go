@@ -412,6 +412,36 @@ func TestMemLimitPausesPopulation(t *testing.T) {
 	}
 }
 
+// TestScanRequeuesPlaceholders: a pass that creates more placeholders than the
+// task queue holds queues the rest on a later pass; a placeholder whose task
+// was dropped covers its range, so no pass creates it again, and it stayed
+// unpopulated for good.
+func TestScanRequeuesPlaceholders(t *testing.T) {
+	c, tbl := testCluster(t)
+	const blocks = 320 // one unit each, more than the queue's 256 slots
+	insertRows(t, c, tbl, 0, blocks*16)
+	store := imcs.NewStore()
+	eng := newEngine(c, tbl, store, imcs.Config{BlocksPerIMCU: 1, Workers: 2})
+	eng.Scan() // no worker runs yet: the queue fills
+	if b := eng.Backlog(); b != blocks {
+		t.Fatalf("backlog %d, want %d: queued tasks and unqueued placeholders", b, blocks)
+	}
+	eng.Start()
+	defer eng.Stop()
+	if !eng.WaitIdle(10 * time.Second) {
+		t.Fatal("population did not reach idle")
+	}
+	units := store.Units(tbl.Segments()[0].Obj())
+	if len(units) != blocks {
+		t.Fatalf("%d units, want %d", len(units), blocks)
+	}
+	for _, u := range units {
+		if !u.Stats().Populated {
+			t.Fatalf("unit [%d,%d) unpopulated after idle", u.StartBlk, u.EndBlk)
+		}
+	}
+}
+
 func TestHomeMapDeterministicAndBalanced(t *testing.T) {
 	h := imcs.HomeMap{Instances: 2}
 	counts := [2]int{}

@@ -642,8 +642,7 @@ func TestMergeFallsBackToFullBuild(t *testing.T) {
 		t.Fatal("unit still coarse-invalid after a covering rebuild")
 	}
 
-	// A standby restart takes the QuerySCN back to its checkpoint's; a reader
-	// that kept its store then holds images of later snapshots.
+	// An image of a later snapshot than the build's has nothing to carry over.
 	past := NewEngine(f.store, f.c.Txns(), fixedSnapshot(imcu.SnapSCN-1), nil, Config{})
 	if !unit.BeginRepopulate() {
 		t.Fatal("BeginRepopulate refused")

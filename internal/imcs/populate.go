@@ -28,13 +28,19 @@ import (
 // Repopulation by merge rests on it: a row position that is valid in the SMU
 // after the capture has the same Consistent Read image at S as in the unit's
 // IMCU, so only the other positions are read again.
-//
-// One that also has a method Horizon() scn.SCN has a repopulation free the
-// versions of its unit's blocks no snapshot at or above min(Horizon(), the
-// replaced image's snapshot) reaches: the lag of one image protects a reader
-// that reads a published SCN before it pins it (rowstore.Snapshots).
 type Snapshotter interface {
 	CaptureSnapshot() scn.SCN
+}
+
+// Reclaimer is the Snapshotter of the instance that vacuums its row store's
+// versions, the standby's: a repopulation frees the versions of its unit's
+// blocks no snapshot at or above the replaced image's snapshot reaches; the lag
+// of one image protects a reader that reads a published SCN before it pins it
+// (rowstore.Snapshots). The fleet readers share their master's versions and
+// leave them to it.
+type Reclaimer interface {
+	Snapshotter
+	ReclaimsVersions()
 }
 
 // Target is one segment enabled for population on this instance.
@@ -223,6 +229,20 @@ func (e *Engine) repopSlots() int64 { return int64(max(1, e.cfg.Workers/2)) }
 // Pending returns the number of population tasks queued or in flight.
 func (e *Engine) Pending() int64 { return e.pending.Load() }
 
+// Backlog is the population work outstanding: the tasks queued or in flight,
+// and the placeholders no task holds, which wait for a pass to queue them.
+func (e *Engine) Backlog() int64 {
+	n := e.pending.Load()
+	for _, obj := range e.store.Objects() {
+		for _, u := range e.store.Units(obj) {
+			if u.unqueued() {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Stats returns activity counters.
 func (e *Engine) Stats() EngineStats {
 	return EngineStats{
@@ -293,20 +313,27 @@ func (e *Engine) scanTarget(t Target) int {
 	enqueued := 0
 	chunk := rowstore.BlockNo(e.cfg.BlocksPerIMCU)
 
-	// Cover missing chunks with placeholder units.
+	// Cover missing chunks with placeholder units, and queue every placeholder
+	// no task holds: one whose task found the queue full is queued again here,
+	// since nothing creates it again.
 	for start := rowstore.BlockNo(0); int(start) < nBlocks; start += chunk {
 		if e.cfg.HomeFilter != nil && !e.cfg.HomeFilter(seg.Obj(), start) {
 			continue
 		}
-		if _, ok := e.store.UnitForBlock(seg.Obj(), start); ok {
-			continue
+		unit, ok := e.store.UnitForBlock(seg.Obj(), start)
+		if !ok {
+			var err error
+			if unit, err = e.store.CreateUnit(seg.Obj(), seg.Tenant(), start, start+chunk); err != nil {
+				continue // a unit covers part of the range
+			}
 		}
-		unit, err := e.store.CreateUnit(seg.Obj(), seg.Tenant(), start, start+chunk)
-		if err != nil {
-			continue // a unit covers part of the range
+		if !unit.claim() {
+			continue // populated, dropped or queued
 		}
 		if e.enqueue(popTask{unit: unit, target: t}) {
 			enqueued++
+		} else {
+			unit.unclaim()
 		}
 	}
 
@@ -430,13 +457,12 @@ func (e *Engine) runTask(t popTask, worker int, sc *buildScratch) {
 }
 
 // reclaim vacuums the unit's blocks, a block latch at a time, after an image
-// of snapshot prev was replaced (see Snapshotter).
+// of snapshot prev was replaced (see Reclaimer).
 func (e *Engine) reclaim(t popTask, prev scn.SCN) {
-	hz, ok := e.snap.(interface{ Horizon() scn.SCN })
-	if !ok || e.snaps == nil || prev == scn.Invalid {
+	if _, ok := e.snap.(Reclaimer); !ok || e.snaps == nil || prev == scn.Invalid {
 		return
 	}
-	h := e.snaps.Reclaim(min(prev, hz.Horizon()))
+	h := e.snaps.Reclaim(prev)
 	for _, blk := range t.target.Seg.BlockRange(t.unit.StartBlk, t.unit.EndBlk) {
 		e.reclaimed.Add(int64(blk.Vacuum(h, e.view)))
 	}
@@ -462,9 +488,8 @@ func (e *Engine) BuildIMCU(t Target, unit *Unit) *IMCU {
 // the slots and blocks the segment gained since. Invalidations of later commits
 // are buffered in the unit, or kept by its delta, and land on the new image at
 // Attach. A unit that is coarse-invalid, whose IMCU predates a schema change,
-// or whose IMCU is of a later snapshot than this one (a restart took the
-// QuerySCN back to a checkpoint's under a reader that kept its store) has
-// nothing to carry over, like one that has no IMCU yet, and every row is read.
+// or whose IMCU is of a later snapshot than this one has nothing to carry
+// over, like one that has no IMCU yet, and every row is read.
 func (e *Engine) build(t Target, unit *Unit, merge bool, sc *buildScratch) (*IMCU, int) {
 	snap := e.pinSnapshot()
 	defer e.snaps.Unpin(snap)

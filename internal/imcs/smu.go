@@ -27,6 +27,8 @@ type SMU struct {
 	allInvalid   bool // block/unit-level coarse invalidation
 	dropped      bool
 	repopulating bool
+	// claimed marks a placeholder a population task holds (see claim).
+	claimed bool
 
 	// delta says what changed at invalid positions of imcu: a position with
 	// entries is explained (see View), one without is opaque. It holds nothing of
@@ -144,6 +146,36 @@ func (u *Unit) BeginRepopulate() bool {
 	s.repopulating = true
 	s.pending = delta{}
 	return true
+}
+
+// claim marks a placeholder as held by the population task about to be
+// queued for it. It returns false when the unit is dropped, holds an image or
+// is held already.
+func (u *Unit) claim() bool {
+	s := &u.smu
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dropped || s.imcu != nil || s.claimed {
+		return false
+	}
+	s.claimed = true
+	return true
+}
+
+// unclaim gives back the claim of a task that was not queued. What the
+// placeholder buffered stays: the task a later pass queues needs it.
+func (u *Unit) unclaim() {
+	u.smu.mu.Lock()
+	u.smu.claimed = false
+	u.smu.mu.Unlock()
+}
+
+// unqueued reports a placeholder no population task holds.
+func (u *Unit) unqueued() bool {
+	s := &u.smu
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.dropped && s.imcu == nil && !s.claimed
 }
 
 // AbortRepopulate cancels an in-flight repopulation (e.g. the builder failed).

@@ -1,6 +1,7 @@
 package imcs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -20,7 +21,7 @@ type Store struct {
 
 	rowInvals    atomic.Int64 // row-level invalidations applied (slots)
 	coarseInvals atomic.Int64 // units coarse-invalidated (object/tenant-wide)
-	restored     atomic.Int64 // units installed from checkpoint images
+	restored     atomic.Int64 // units installed from unit images
 }
 
 type objectUnits struct {
@@ -264,3 +265,89 @@ func (s *Store) Stats() StoreStats {
 	}
 	return st
 }
+
+// UnitImage is a copy-on-write capture of one populated unit: the IMCU
+// pointer (immutable, shared with the live store — no payload copy) plus a
+// private copy of the SMU's row-validity bitmap at capture time. Taken under
+// the SMU latch, so the bitmap is consistent with a single flush boundary.
+// Fleet readers and a promoted node are provisioned from the master's
+// (standby.Install).
+type UnitImage struct {
+	IMCU        *IMCU
+	Invalid     []uint64
+	InvalidRows int
+}
+
+// CaptureImage snapshots the unit under its SMU latch. ok is false when the
+// unit has nothing to hand over (still populating, dropped, or
+// coarse-invalidated — scans bypass those anyway).
+func (u *Unit) CaptureImage() (UnitImage, bool) {
+	s := &u.smu
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dropped || s.imcu == nil || s.allInvalid {
+		return UnitImage{}, false
+	}
+	cp := make([]uint64, len(s.invalid))
+	copy(cp, s.invalid)
+	return UnitImage{IMCU: s.imcu, Invalid: cp, InvalidRows: s.invalidRows}, true
+}
+
+// CaptureImages captures every unit of the store that CaptureImage can. The
+// IMCU payloads are shared (immutable), so the cost is one bitmap copy per
+// unit — the copy-on-write protocol: population and repopulation keep running
+// and simply attach replacement IMCUs while the images are installed
+// elsewhere.
+func (s *Store) CaptureImages() []UnitImage {
+	var out []UnitImage
+	s.mu.RLock()
+	objs := make([]*objectUnits, 0, len(s.objs))
+	for _, ou := range s.objs {
+		objs = append(objs, ou)
+	}
+	s.mu.RUnlock()
+	for _, ou := range objs {
+		ou.mu.RLock()
+		units := make([]*Unit, len(ou.units))
+		copy(units, ou.units)
+		ou.mu.RUnlock()
+		for _, u := range units {
+			if img, ok := u.CaptureImage(); ok {
+				out = append(out, img)
+			}
+		}
+	}
+	return out
+}
+
+// RestoreUnit installs a captured unit image: a fully-attached IMCU with its
+// validity bitmap pre-seeded, skipping the placeholder → populate lifecycle.
+// The population engine's coverage check then treats the restored range as
+// warm. Restored units are counted separately from engine-populated ones
+// (UnitsRestored, exported as fleet_units_restored_total) so
+// repopulation-pressure metrics stay honest.
+// The IMCU's dictionaries are interned into the store's as a build's are; a
+// column that changes makes the unit's IMCU a copy.
+func (s *Store) RestoreUnit(img UnitImage) error {
+	imcu := img.IMCU
+	if imcu == nil {
+		return errors.New("imcs: restore of unit image without IMCU")
+	}
+	ou := s.entry(imcu.Obj, imcu.Tenant)
+	unit := &Unit{Obj: imcu.Obj, Tenant: imcu.Tenant, StartBlk: imcu.StartBlk, EndBlk: imcu.EndBlk}
+	unit.smu.imcu = ou.dicts.reintern(imcu)
+	unit.smu.invalid = img.Invalid
+	if want := (imcu.Rows() + 63) / 64; len(img.Invalid) != want {
+		unit.smu.invalid = make([]uint64, want)
+		copy(unit.smu.invalid, img.Invalid)
+	}
+	unit.smu.invalidRows = img.InvalidRows
+	if err := ou.add(unit); err != nil {
+		return err
+	}
+	s.restored.Add(1)
+	return nil
+}
+
+// UnitsRestored returns how many units were installed from unit images.
+func (s *Store) UnitsRestored() int64 { return s.restored.Load() }

@@ -365,8 +365,8 @@ func (t *FreshnessTracer) ring(sp *span) {
 // TruncateOpen closes every open span as explicitly truncated, recording why
 // ("restart", "failover"). A truncated commit whose redo is replayed after a
 // restart opens a fresh span and completes normally; one whose redo was
-// already checkpointed becomes visible without republication, which the
-// truncation records. Either way nothing leaks.
+// already applied below the resume point becomes visible without
+// republication, which the truncation records. Either way nothing leaks.
 func (t *FreshnessTracer) TruncateOpen(reason string) {
 	if t == nil {
 		return

@@ -313,8 +313,8 @@ func (b *Block) Delete(slot uint16, txn scn.TxnID, view TxnView) error {
 // record at SCN rec. Apply is already serialized per DBA by the recovery
 // worker hashing scheme, so no conflict check is needed; the version order in
 // the chain is the redo (SCN) order. A record older than the newest one the
-// block has applied is a replayed duplicate (a restart from a checkpoint below
-// the watermark re-applies redo the block holds) and changes nothing: the
+// block has applied is a replayed duplicate (a standby rebuilt over the replica
+// below its applied SCN re-applies redo the block holds) and changes nothing: the
 // block-SCN rule of media recovery. A record's CVs share its SCN, so an equal
 // SCN applies.
 func (b *Block) ApplyVersionAt(rec scn.SCN, slot uint16, txn scn.TxnID, img Image, deleted bool) {

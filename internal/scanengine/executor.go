@@ -59,12 +59,8 @@ type Result struct {
 	// Rows holds materialized rows (queries without Aggs only) — in RowID order when the
 	// query set OrderByRowID, otherwise unspecified.
 	Rows []rowstore.Row
-	// Count/Sum/Min/Max carry aggregate results (first spec of each kind when
-	// the query listed several aggregates).
+	// Count is the number of matching rows of an aggregate query.
 	Count int64
-	Sum   int64
-	Min   int64
-	Max   int64
 	// AggVals holds one value per entry of the query's aggregate list, in
 	// select-list order.
 	AggVals []int64
@@ -610,8 +606,7 @@ func (r *taskResult) merge(o *taskResult) {
 
 func (r *taskResult) finish() *Result {
 	c := &r.cnt
-	res := &Result{Min: math.MaxInt64, Max: math.MinInt64,
-		FromIMCS: c[cIMCS], FromDelta: c[cDelta], FromRowStore: c[cRowStore], FromInvalid: c[cInvalid], FromTail: c[cTail],
+	res := &Result{FromIMCS: c[cIMCS], FromDelta: c[cDelta], FromRowStore: c[cRowStore], FromInvalid: c[cInvalid], FromTail: c[cTail],
 		RowBlocks: c[cRowBlocks], RowBatches: c[cRowBatches], Batches: c[cBatches], RowsEncoded: c[cEncoded], RowsDecoded: c[cDecoded]}
 	r.op.finish(res)
 	return res

@@ -339,14 +339,14 @@ func TestAggregates(t *testing.T) {
 		t.Fatalf("COUNT(*) = %d", res.Count)
 	}
 	// SUM(id) over all rows = 99*100/2.
-	if res := run(scanengine.AggSum, 0); res.Sum != 4950 {
-		t.Fatalf("SUM(id) = %d", res.Sum)
+	if res := run(scanengine.AggSum, 0); res.AggVals[0] != 4950 {
+		t.Fatalf("SUM(id) = %d", res.AggVals[0])
 	}
-	if res := run(scanengine.AggMin, 0); res.Min != 0 {
-		t.Fatalf("MIN(id) = %d", res.Min)
+	if res := run(scanengine.AggMin, 0); res.AggVals[0] != 0 {
+		t.Fatalf("MIN(id) = %d", res.AggVals[0])
 	}
-	if res := run(scanengine.AggMax, 0); res.Max != 99 {
-		t.Fatalf("MAX(id) = %d", res.Max)
+	if res := run(scanengine.AggMax, 0); res.AggVals[0] != 99 {
+		t.Fatalf("MAX(id) = %d", res.AggVals[0])
 	}
 	// Filtered aggregate, cross-checked against the row-store path.
 	res := run(scanengine.AggSum, 0, scanengine.EqStr(2, "red"))
@@ -354,8 +354,8 @@ func TestAggregates(t *testing.T) {
 		Table: f.tbl, Filters: []scanengine.Filter{scanengine.EqStr(2, "red")},
 		Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 0}},
 	}, snap)
-	if res.Sum != base.Sum || res.Count != base.Count {
-		t.Fatalf("filtered SUM: imcs=%d/%d rowstore=%d/%d", res.Sum, res.Count, base.Sum, base.Count)
+	if res.AggVals[0] != base.AggVals[0] || res.Count != base.Count {
+		t.Fatalf("filtered SUM: imcs=%d/%d rowstore=%d/%d", res.AggVals[0], res.Count, base.AggVals[0], base.Count)
 	}
 	// Aggregate on a varchar column is rejected.
 	if _, err := f.exec().Run(&scanengine.Query{Table: f.tbl, Aggs: []scanengine.AggSpec{{Kind: scanengine.AggSum, Col: 2}}}, snap); err == nil {

@@ -260,15 +260,11 @@ func TestMultiAggregateSinglePass(t *testing.T) {
 		legacy[i] = r
 	}
 	if multi.AggVals[0] != legacy[0].Count ||
-		multi.AggVals[1] != legacy[1].Sum ||
-		multi.AggVals[2] != legacy[2].Min ||
-		multi.AggVals[3] != legacy[3].Max {
-		t.Fatalf("multi-agg %v vs legacy count=%d sum=%d min=%d max=%d",
-			multi.AggVals, legacy[0].Count, legacy[1].Sum, legacy[2].Min, legacy[3].Max)
-	}
-	// Legacy compatibility fields carry the first spec of each kind.
-	if multi.Sum != legacy[1].Sum || multi.Min != legacy[2].Min || multi.Max != legacy[3].Max {
-		t.Fatalf("legacy fields: sum=%d min=%d max=%d", multi.Sum, multi.Min, multi.Max)
+		multi.AggVals[1] != legacy[1].AggVals[0] ||
+		multi.AggVals[2] != legacy[2].AggVals[0] ||
+		multi.AggVals[3] != legacy[3].AggVals[0] {
+		t.Fatalf("multi-agg %v vs one-aggregate queries count=%d sum=%d min=%d max=%d",
+			multi.AggVals, legacy[0].Count, legacy[1].AggVals[0], legacy[2].AggVals[0], legacy[3].AggVals[0])
 	}
 	// Four aggregates over one column still cost a single kernel fold per
 	// batch: the fold count equals the aggregated input rows, not 4×.

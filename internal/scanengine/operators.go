@@ -432,17 +432,6 @@ func (o *aggOp) finish(res *Result) {
 	for k, a := range o.specs {
 		res.AggVals[k] = aggValue(a.Kind, o.count, o.cells, o.colOf[k])
 	}
-	// Legacy single-aggregate fields carry the first spec of each kind.
-	for k := len(o.specs) - 1; k >= 0; k-- {
-		switch o.specs[k].Kind {
-		case AggSum:
-			res.Sum = res.AggVals[k]
-		case AggMin:
-			res.Min = res.AggVals[k]
-		case AggMax:
-			res.Max = res.AggVals[k]
-		}
-	}
 }
 
 // maxDirectSlots bounds the unit-local group table: while the product of an

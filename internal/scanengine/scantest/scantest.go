@@ -153,8 +153,7 @@ func Canonical(res *scanengine.Result, s *rowstore.Schema) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "count=%d sum=%d min=%d max=%d aggs=%v nrows=%d\n",
-		res.Count, res.Sum, res.Min, res.Max, res.AggVals, len(res.Rows))
+	fmt.Fprintf(&b, "count=%d aggs=%v nrows=%d\n", res.Count, res.AggVals, len(res.Rows))
 	if res.Grouped != nil {
 		fmt.Fprintf(&b, "groups(%v|%v):", res.Grouped.KeyCols, res.Grouped.AggCols)
 		for _, g := range res.Grouped.Groups {

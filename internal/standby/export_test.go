@@ -13,10 +13,3 @@ const AdvanceGapFactor = advanceGapFactor
 func (inst *Instance) ApplyCV(worker int, recSCN scn.SCN, cv *redo.CV) {
 	inst.applyCV(worker, recSCN, cv)
 }
-
-// InstallNewest exposes Restart's choice of snapshot to the refusal table: on
-// a stopped instance it installs what Restart would and returns the SCN apply
-// would resume after, pinned.
-func (inst *Instance) InstallNewest(from, watermark scn.SCN) (scn.SCN, error) {
-	return inst.installNewest(from, watermark)
-}

@@ -15,7 +15,6 @@ import (
 	"time"
 	"unsafe"
 
-	"dbimadg/internal/checkpoint"
 	"dbimadg/internal/core"
 	"dbimadg/internal/imcs"
 	"dbimadg/internal/obs"
@@ -73,21 +72,6 @@ type Config struct {
 	// backlog without progress before it is declared stalled
 	// (default obs.DefaultStallDeadline).
 	WatchdogStallDeadline time.Duration
-
-	// SnapshotDir, when non-empty, enables IMCS checkpointing
-	// (internal/checkpoint): the background checkpointer persists the column
-	// store there, and Restart — which a switchover's rebuilt standby goes
-	// live through too — installs the newest usable snapshot and replays only
-	// archived redo past its SCN. Distinct from CheckpointInterval above,
-	// which is the (unfortunately named, paper §III.A) QuerySCN advancement
-	// heartbeat.
-	SnapshotDir string
-	// SnapshotInterval is the background checkpointer's period (default 1s
-	// when SnapshotDir is set; negative = on-demand checkpoints only, via
-	// CheckpointNow).
-	SnapshotInterval time.Duration
-	// SnapshotRetain keeps the newest N checkpoint files (default 2).
-	SnapshotRetain int
 }
 
 // Gauge names for the derived lag metrics registered on every instance's
@@ -149,12 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HomeInstances <= 0 {
 		c.HomeInstances = 1
-	}
-	if c.SnapshotDir != "" && c.SnapshotInterval == 0 {
-		c.SnapshotInterval = time.Second
-	}
-	if c.SnapshotRetain <= 0 {
-		c.SnapshotRetain = 2
 	}
 	return c
 }
@@ -234,16 +212,6 @@ type Instance struct {
 	cvsApplied     atomic.Int64
 	advances       atomic.Int64
 
-	// ckpt is the background IMCS checkpointer (nil unless Config.SnapshotDir
-	// is set). Like the watchdog it persists across Restart: its capture
-	// closure resolves the current volatile components, and Start/Stop
-	// bracket its goroutine so restarts never leak it.
-	ckpt            *checkpoint.Runner
-	restores        atomic.Int64 // successful checkpoint restores
-	restoreFallback atomic.Int64 // restarts that fell back to a full rebuild
-	lastRestore     atomic.Uint64
-	lastRestoreUnit atomic.Int64
-
 	reg       *obs.Registry
 	trace     *obs.PipelineTrace
 	freshness *obs.FreshnessTracer
@@ -317,95 +285,10 @@ func build(cfg Config, db *rowstore.Database, txns *txn.Table, services *service
 	})
 	inst.recorder.AddState("standby", func() any { return inst.Stats() })
 	inst.AddDebugStats("memory", func() any { return inst.Memory() })
-	if cfg.SnapshotDir != "" {
-		inst.ckpt = checkpoint.NewRunner(checkpoint.RunnerConfig{
-			Dir:      cfg.SnapshotDir,
-			Interval: cfg.SnapshotInterval,
-			Retain:   cfg.SnapshotRetain,
-			Capture:  inst.captureCheckpoint,
-		})
-	}
 	inst.initVolatile()
 	inst.registerMetrics()
 	inst.registerStages()
 	return inst
-}
-
-// captureCheckpoint is the checkpointer's Capture: under the shared quiesce
-// lock the published QuerySCN is stable and no invalidation flush is in
-// flight (flushes only run inside an advancement, which holds the lock
-// exclusively), so the per-SMU bitmap copies are all consistent at that SCN.
-// IMCU payloads are immutable and shared, not copied — population and
-// repopulation keep attaching replacement IMCUs while the checkpointer
-// encodes the captured generation outside the lock (the copy-on-write
-// protocol; see DESIGN.md "Checkpointing & instant provisioning").
-func (inst *Instance) captureCheckpoint() (checkpoint.Snapshot, error) {
-	var snap checkpoint.Snapshot
-	inst.quiesce.RLock()
-	q := inst.QuerySCN()
-	store, _, _, _, _, _ := inst.components()
-	snap.Images = store.CaptureImages()
-	w := scn.SCN(inst.watermark.Load())
-	inst.quiesce.RUnlock()
-	snap.Meta = checkpoint.Meta{
-		SCN:       q,
-		Watermark: w,
-		// The journal holds only transactions with redo above the checkpoint
-		// SCN after a restore (everything at or below is baked into the
-		// bitmaps), so the journal watermark is the checkpoint SCN itself.
-		JournalSCN:  q,
-		CreatedUnix: time.Now().UnixNano(),
-	}
-	return snap, nil
-}
-
-// CheckpointNow forces one synchronous checkpoint cycle (capture → encode →
-// atomic install → prune). Errors when checkpointing is not configured.
-func (inst *Instance) CheckpointNow() (checkpoint.Meta, error) {
-	if inst.ckpt == nil {
-		return checkpoint.Meta{}, fmt.Errorf("standby: checkpointing disabled (no SnapshotDir)")
-	}
-	return inst.ckpt.Checkpoint()
-}
-
-// Checkpointer returns the background checkpointer (nil when disabled).
-func (inst *Instance) Checkpointer() *checkpoint.Runner { return inst.ckpt }
-
-// CheckpointStats combines the checkpointer's write-side counters with the
-// instance's restore history; it backs the /debug/stats "checkpoint" block.
-type CheckpointStats struct {
-	checkpoint.RunnerStats
-	Restores         int64  // restarts that restored from a checkpoint
-	RestoreFallbacks int64  // restarts that fell back to a full rebuild
-	LastRestoreSCN   uint64 // checkpoint SCN of the most recent restore
-	LastRestoreUnits int64  // units installed by the most recent restore
-	UnitsRestored    int64  // restored units live in the current store
-}
-
-// CheckpointStats returns the instance's checkpoint/restore statistics
-// (zero-valued when checkpointing is disabled).
-func (inst *Instance) CheckpointStats() CheckpointStats {
-	st := CheckpointStats{
-		Restores:         inst.restores.Load(),
-		RestoreFallbacks: inst.restoreFallback.Load(),
-		LastRestoreSCN:   inst.lastRestore.Load(),
-		LastRestoreUnits: inst.lastRestoreUnit.Load(),
-	}
-	if inst.ckpt != nil {
-		st.RunnerStats = inst.ckpt.Stats()
-	}
-	s, _, _, _, _, _ := inst.components()
-	st.UnitsRestored = s.UnitsRestored()
-	return st
-}
-
-// schemaOf resolves an object id to its live schema for checkpoint decoding;
-// nil when the object no longer exists (its units are skipped on restore).
-func (inst *Instance) schemaOf(obj rowstore.ObjID) *rowstore.Schema {
-	if tbl, ok := inst.db.TableForObj(obj); ok {
-		return tbl.Schema()
-	}
-	return nil
 }
 
 // Install makes store, a new and empty one, live at snapshot SCN at with
@@ -438,43 +321,11 @@ func Install(store *imcs.Store, snaps *rowstore.Snapshots, at scn.SCN, images []
 	return nil
 }
 
-// installNewest installs into fresh volatile state the newest checkpoint that
-// loads, or else the empty snapshot at the watermark; it returns that SCN.
-func (inst *Instance) installNewest(from, watermark scn.SCN) (scn.SCN, error) {
-	snaps := rowstore.SnapshotsOf(inst.txns)
-	inst.initVolatile()
-	if snap, _, err := checkpoint.LoadNewest(inst.cfg.SnapshotDir, inst.schemaOf); err == nil {
-		if Install(inst.Store(), snaps, snap.Meta.SCN, snap.Images, from, watermark) == nil {
-			inst.restores.Add(1)
-			inst.lastRestore.Store(uint64(snap.Meta.SCN))
-			inst.lastRestoreUnit.Store(int64(len(snap.Images)))
-			return snap.Meta.SCN, nil
-		}
-		inst.initVolatile()
-	}
-	if inst.cfg.SnapshotDir != "" {
-		inst.restoreFallback.Add(1)
-	}
-	return watermark, Install(inst.Store(), snaps, watermark, nil, from, watermark)
-}
-
 // ResumePoint returns the SCN from which archived redo must be available for
-// the next Restart: the newest checkpoint's SCN, the one Restart installs
-// unless it fails to load, when it is below the stopped watermark, else the
-// watermark. Callers dialing a TCP source ahead of Restart should request
-// records from ResumePoint()+1 — dialing higher forfeits the checkpoint
-// (Install refuses it; Restart then falls back to the full rebuild, or errors
-// when even the watermark is unreachable).
-func (inst *Instance) ResumePoint() scn.SCN {
-	w := scn.SCN(inst.watermark.Load())
-	if inst.cfg.SnapshotDir == "" {
-		return w
-	}
-	if m, ok := checkpoint.Newest(inst.cfg.SnapshotDir); ok {
-		return min(m.SCN, w)
-	}
-	return w
-}
+// the next Restart: the stopped watermark, past which Restart replays. Callers
+// dialing a TCP source ahead of Restart request records from ResumePoint()+1;
+// dialing higher makes Restart error (ErrArchiveWindow).
+func (inst *Instance) ResumePoint() scn.SCN { return scn.SCN(inst.watermark.Load()) }
 
 // registerStages describes the standby pipeline to the liveness watchdog.
 // Each stage pairs a monotone progress count with a backlog: the watchdog
@@ -575,28 +426,8 @@ func (inst *Instance) registerStages() {
 			s := e.Stats()
 			return s.UnitsPopulated + s.UnitsRepopulated
 		},
-		Backlog: func() int64 { _, e, _, _, _, _ := inst.components(); return e.Pending() },
+		Backlog: func() int64 { _, e, _, _, _, _ := inst.components(); return e.Backlog() },
 	})
-	// checkpoint: the background IMCS checkpointer. Backlog reports 1 when a
-	// checkpoint is overdue by more than two intervals, so a wedged capture
-	// (e.g. a quiesce deadlock) is declared stalled instead of silently
-	// leaving restarts on the slow path.
-	if inst.ckpt != nil && inst.cfg.SnapshotInterval > 0 {
-		w.Register(obs.StageConfig{
-			Name:  "checkpoint",
-			Count: func() int64 { return inst.ckpt.Cycles() },
-			Backlog: func() int64 {
-				st := inst.ckpt.Stats()
-				if st.LastUnix == 0 {
-					return 0 // never checkpointed yet: grace until the first cycle
-				}
-				if time.Since(time.Unix(0, st.LastUnix)) > 2*inst.cfg.SnapshotInterval {
-					return 1
-				}
-				return 0
-			},
-		})
-	}
 }
 
 // Role returns the roles this instance currently serves (RoleStandby until a
@@ -707,8 +538,6 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.RowsInvalidated()) })
 	r.CounterFunc("imcs_units_coarse_invalidated_total", "units coarse-invalidated (object drop or tenant fallback)",
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.UnitsInvalidated()) })
-	r.CounterFunc("imcs_units_restored_total", "IMCUs installed from checkpoint images (not engine-populated)",
-		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.UnitsRestored()) })
 	r.GaugeFunc("imcs_populated_units", "IMCUs currently populated",
 		func() float64 { s, _, _, _, _, _ := inst.components(); return float64(s.Stats().PopulatedUnits) })
 	r.GaugeFunc("imcs_invalid_rows", "rows currently marked invalid across SMUs",
@@ -729,31 +558,6 @@ func (inst *Instance) registerMetrics() {
 		func() float64 { _, e, _, _, _, _ := inst.components(); return float64(e.Stats().VersionsReclaimed) })
 	r.CounterFunc("rowstore_snapshots_refused_total", "reads refused with ErrSnapshotTooOld: their snapshot was below the reclaim floor",
 		func() float64 { return float64(rowstore.SnapshotsOf(inst.txns).Refused.Load()) })
-
-	if inst.ckpt != nil {
-		r.CounterFunc("checkpoint_written_total", "checkpoint snapshots installed on disk",
-			func() float64 { return float64(inst.ckpt.Stats().Written) })
-		r.CounterFunc("checkpoint_failures_total", "checkpoint cycles that failed",
-			func() float64 { return float64(inst.ckpt.Stats().Failures) })
-		r.CounterFunc("checkpoint_bytes_total", "cumulative snapshot bytes written",
-			func() float64 { return float64(inst.ckpt.Stats().TotalBytes) })
-		r.GaugeFunc("checkpoint_last_bytes", "size of the newest checkpoint snapshot",
-			func() float64 { return float64(inst.ckpt.Stats().LastBytes) })
-		r.GaugeFunc("checkpoint_last_duration_seconds", "wall time of the newest checkpoint cycle",
-			func() float64 { return inst.ckpt.Stats().LastTook.Seconds() })
-		r.GaugeFunc("checkpoint_age_seconds", "time since the newest checkpoint completed (-1 before the first)",
-			func() float64 {
-				st := inst.ckpt.Stats()
-				if st.LastUnix == 0 {
-					return -1
-				}
-				return time.Since(time.Unix(0, st.LastUnix)).Seconds()
-			})
-		r.CounterFunc("checkpoint_restores_total", "restarts that restored the IMCS from a checkpoint",
-			func() float64 { return float64(inst.restores.Load()) })
-		r.CounterFunc("checkpoint_restore_fallbacks_total", "restarts that fell back to a full rebuild",
-			func() float64 { return float64(inst.restoreFallback.Load()) })
-	}
 
 	r.CounterFunc("scan_queries_total", "scans executed on this instance",
 		func() float64 { return float64(inst.scanStats.Queries()) })
@@ -997,11 +801,6 @@ func (inst *Instance) SetShipFrontier(fn func() scn.SCN) {
 // Watchdog returns the instance's pipeline liveness watchdog.
 func (inst *Instance) Watchdog() *obs.Watchdog { return inst.watchdog }
 
-// SnapshotDir returns the checkpoint directory ("" when checkpointing is
-// off). The broker uses it to default the rebuilt standby's snapshot
-// configuration across a switchover.
-func (inst *Instance) SnapshotDir() string { return inst.cfg.SnapshotDir }
-
 // FlightRecorder returns the stall-bundle recorder backing
 // /debug/flightrecorder.
 func (inst *Instance) FlightRecorder() *obs.FlightRecorder { return inst.recorder }
@@ -1031,9 +830,6 @@ func (inst *Instance) Start() {
 	go inst.mergerLoop()
 	go inst.coordinatorLoop()
 	inst.engine.Start()
-	if inst.ckpt != nil {
-		inst.ckpt.Start()
-	}
 	if inst.cfg.WatchdogInterval >= 0 {
 		inst.watchdog.Start()
 	}
@@ -1062,9 +858,6 @@ func (inst *Instance) startObservability() {
 	h.AddStats("standby", func() any { return inst.Stats() })
 	h.AddStats("imcs", func() any { s, _, _, _, _, _ := inst.components(); return s.Stats() })
 	h.AddStats("population", func() any { _, e, _, _, _, _ := inst.components(); return e.Stats() })
-	if inst.ckpt != nil {
-		h.AddStats("checkpoint", func() any { return inst.CheckpointStats() })
-	}
 	inst.stateMu.Lock()
 	for name, fn := range inst.debugStats {
 		h.AddStats(name, fn)
@@ -1097,8 +890,8 @@ func (inst *Instance) AddDebugStats(name string, fn func() any) {
 	}
 }
 
-// Stop halts the pipeline and returns the checkpoint SCN: the applied
-// watermark from which apply can resume.
+// Stop halts the pipeline and returns the applied watermark, from which apply
+// can resume.
 func (inst *Instance) Stop() scn.SCN {
 	if !inst.started {
 		return scn.SCN(inst.watermark.Load())
@@ -1106,9 +899,6 @@ func (inst *Instance) Stop() scn.SCN {
 	inst.started = false
 	// Stop the watchdog first: a pipeline being torn down must not be judged.
 	inst.watchdog.Stop()
-	if inst.ckpt != nil {
-		inst.ckpt.Stop()
-	}
 	close(inst.stop)
 	inst.wg.Wait()
 	inst.engine.Stop()
@@ -1131,12 +921,12 @@ func (inst *Instance) Stop() scn.SCN {
 // volatile DBIM-on-ADG state (IMCS, journal, commit table, DDL table) is
 // reset, and recovery resumes against the surviving physical replica (the
 // applied blocks and transaction table, durable in the real system): load,
-// then redo. The column store goes live through Install, from the newest
-// valid checkpoint when one is configured and admitted, else empty at the
-// watermark; apply replays the archived redo from src past that SCN. A
-// switchover starts its rebuilt standby the same way. Restart errors, instead
-// of silently serving a stale store, when Install refuses even the empty
-// snapshot: a TCP receiver dialed above the resume point (ErrArchiveWindow).
+// then redo. The column store goes live through Install, empty at the
+// watermark, and repopulates from the row store as the paper's does (§III.A);
+// apply replays the archived redo from src past the watermark. A switchover
+// starts its rebuilt standby the same way. Restart errors, instead of silently
+// serving a stale store, when Install refuses the empty snapshot: a TCP
+// receiver dialed above the resume point (ErrArchiveWindow).
 func (inst *Instance) Restart(src transport.Source) error {
 	if src == nil {
 		return fmt.Errorf("standby: restart without a redo source")
@@ -1154,17 +944,16 @@ func (inst *Instance) Restart(src transport.Source) error {
 	}
 	// Crash semantics for in-flight freshness spans: whatever the pipeline
 	// still held is explicitly truncated. Replayed records open fresh spans
-	// and complete normally; records at or below the resume point became
-	// visible through the checkpoint itself and keep their truncation marker.
+	// and complete normally.
 	inst.freshness.TruncateOpen("restart")
-	start, err := inst.installNewest(from, watermark)
-	if err != nil {
+	snaps := rowstore.SnapshotsOf(inst.txns)
+	inst.initVolatile()
+	if err := Install(inst.Store(), snaps, watermark, nil, from, watermark); err != nil {
 		return err
 	}
-	defer rowstore.SnapshotsOf(inst.txns).Unpin(start)
-	inst.querySCN.Store(uint64(start))
-	inst.watermark.Store(uint64(start))
-	inst.lastDispatched.Store(uint64(start))
+	defer snaps.Unpin(watermark)
+	inst.querySCN.Store(uint64(watermark))
+	inst.lastDispatched.Store(uint64(watermark))
 	// Full reattachment: the replacement source gets the trace and replaces
 	// the flight recorder's transport state provider.
 	inst.Attach(src)
@@ -1311,10 +1100,9 @@ func (q *quiesceSnapshotter) CaptureSnapshot() scn.SCN {
 	return q.inst.QuerySCN()
 }
 
-// Horizon lets the population engine reclaim versions (imcs.Snapshotter) up
-// to the resume point: a restart that restores the newest checkpoint takes
-// the QuerySCN back to its SCN, which must stay readable.
-func (q *quiesceSnapshotter) Horizon() scn.SCN { return q.inst.ResumePoint() }
+// ReclaimsVersions makes the standby's population engine reclaim
+// (imcs.Reclaimer).
+func (q *quiesceSnapshotter) ReclaimsVersions() {}
 
 // standbyPolicy resolves which objects are IMCS-enabled on this standby from
 // the replicated INMEMORY attributes and the service registry.

@@ -197,8 +197,8 @@ func TestHeapPlateausUnderUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Sum != b.Sum || a.Count != rows {
-		t.Fatalf("SUM(n1) hybrid %d over %d rows, row store %d", a.Sum, a.Count, b.Sum)
+	if a.AggVals[0] != b.AggVals[0] || a.Count != rows {
+		t.Fatalf("SUM(n1) hybrid %d over %d rows, row store %d", a.AggVals[0], a.Count, b.AggVals[0])
 	}
 }
 

@@ -626,10 +626,10 @@ func (r *Receiver) jitter(d time.Duration) time.Duration {
 // ResumeSCN returns the first SCN this receiver can still serve: the SCN it
 // was dialed at, or past the newest record its consumer released from a mirror
 // (the standby's merger releases what it has dispatched). Redo below it is NOT
-// available from this source. A standby restoring an IMCS checkpoint compares
-// this against the checkpoint SCN to decide whether the archived-log catch-up
-// window is satisfiable (see standby.Instance.Restart); in-process sources
-// expose the whole archived log and have no such limit.
+// available from this source. A restarting standby compares this against its
+// resume point to decide whether the archived-log catch-up window is
+// satisfiable (see standby.Instance.Restart); in-process sources expose the
+// whole archived log and have no such limit.
 func (r *Receiver) ResumeSCN() scn.SCN {
 	from := r.from
 	for _, m := range r.mirrors {

@@ -52,8 +52,8 @@ func (t *Table) shard(id scn.TxnID) *tableShard {
 
 // set records a lifecycle transition of id. Committed and aborted are final
 // (rowstore.TxnView): a transition out of either is ignored. A standby replay
-// that starts below a checkpoint re-applies the begin of transactions the
-// restored table already holds as finished; reopening one would hide its rows
+// that starts below what the replica holds re-applies the begin of
+// transactions the table already holds as finished; reopening one would hide its rows
 // from Consistent Read until its commit is replayed again, and contradict the
 // commitSCN that readers have cached on its row versions.
 func (t *Table) set(id scn.TxnID, e tableEntry) {

@@ -88,7 +88,7 @@ func TestTableTerminalStatesAreFinal(t *testing.T) {
 	tbl := NewTable()
 	tbl.Begin(1)
 	tbl.Commit(1, 100)
-	tbl.Begin(1) // a replay from below a checkpoint re-applies the begin
+	tbl.Begin(1) // a replay from below the applied SCN re-applies the begin
 	if st, s := tbl.Lookup(1); st != rowstore.TxnCommitted || s != 100 {
 		t.Fatalf("Begin reopened a committed transaction: %v %d", st, s)
 	}

@@ -129,6 +129,93 @@ func TestRoutedReadYourWrites(t *testing.T) {
 	}
 }
 
+// TestRoutedMonotonicReads: a session's query never reads below the snapshot an
+// earlier one read at, though the two readers trail the master each at its own
+// pace. While commits stream, whenever the readers' QuerySCNs differ the
+// session's next query is steered to the fresher reader and the one after it
+// to the other, by a slot held on the reader each should avoid. The count of
+// a growing table is monotone in the snapshot.
+func TestRoutedMonotonicReads(t *testing.T) {
+	c, err := dbimadg.Open(fleetCfg(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tbl, _ := c.CreateTable(simpleSpec("T", 1))
+	_ = c.AlterInMemory(1, "T", "", dbimadg.InMemoryAttr{Enabled: true, Service: dbimadg.ServiceStandbyOnly})
+	insertRows(t, c, tbl, 0, 100)
+	if !c.WaitStandbyCaughtUp(10*time.Second) || !c.WaitFleetReady(10*time.Second) {
+		t.Fatalf("fleet sync failed: %+v", c.Fleet().Stats())
+	}
+	readers := c.Fleet().Readers()
+	if len(readers) != 2 {
+		t.Fatalf("%d readers, want 2", len(readers))
+	}
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		s, psess := tbl.Schema(), c.PrimarySession(0)
+		for id := int64(100); ; id += 64 {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			tx, err := psess.Begin()
+			for i := id; err == nil && i < id+64; i++ {
+				r := dbimadg.NewRow(s)
+				r.Nums[s.Col(0).Slot()] = i
+				_, err = tx.Insert(tbl, r)
+			}
+			if err == nil {
+				_, err = tx.Commit()
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	sTbl, _ := c.StandbyTable(1, "T")
+	sess := c.RoutedSession(dbimadg.RouterOptions{Wait: 10 * time.Second})
+	var last int64
+	query := func(avoid *dbimadg.FleetReader) {
+		t.Helper()
+		release, err := avoid.Admit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		res, err := sess.Query(&dbimadg.Query{Table: sTbl, Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggCount}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Count < last {
+			t.Fatalf("a query read %d rows after an earlier one read %d: monotonic reads violated", res.Count, last)
+		}
+		last = res.Count
+	}
+	for split, deadline := 0, time.Now().Add(5*time.Second); split < 50 && time.Now().Before(deadline); {
+		fresh, stale := readers[0], readers[1]
+		if fresh.QuerySCN() < stale.QuerySCN() {
+			fresh, stale = stale, fresh
+		}
+		if fresh.QuerySCN() == stale.QuerySCN() {
+			continue
+		}
+		split++
+		query(stale)
+		query(fresh)
+	}
+}
+
 // TestRoutedReadYourWritesAcrossSwitchover: the token survives a role swap —
 // after the fleet rebinds to the rebuilt standby, a commit on the promoted
 // primary is visible to the session that carries its SCN.

@@ -54,8 +54,8 @@ func TestQuerySQLEndToEnd(t *testing.T) {
 		},
 		Aggs: []dbimadg.AggSpec{{Kind: dbimadg.AggSum, Col: 0}},
 	})
-	if res.Sum != base.Sum || res.Count != base.Count {
-		t.Fatalf("SQL aggregate %d/%d != typed query %d/%d", res.Sum, res.Count, base.Sum, base.Count)
+	if res.AggVals[0] != base.AggVals[0] || res.Count != base.Count {
+		t.Fatalf("SQL aggregate %d/%d != typed query %d/%d", res.AggVals[0], res.Count, base.AggVals[0], base.Count)
 	}
 	// Projection.
 	res, err = sby.QuerySQL(sTbl, "SELECT id, c1 FROM T WHERE id = 7", nil)
