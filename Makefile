@@ -127,12 +127,15 @@ verify: fmt vet staticcheck build test race stress allocs fuzz leakcheck chaos
 # of its rows invalid — served by the
 # row store and, -delta, by the column delta — and a GROUP BY flush that brings the
 # table's keys again or as many new ones; last the row image (pack, one number,
-# one string, unpack) and the codec over a full-row record of the bench table.
+# one string, unpack) and the codec over a full-row record of the bench table;
+# then an in-process catch-up of one fixed log in ns per change vector, with
+# the per-record stages timing every 17th SCN (the default), every SCN and none.
 bench:
 	$(GO) test -bench Failover -benchmem -run '^$$' .
 	$(GO) test -bench 'BuildIMCU|Repopulate|DeltaAppend|CmpMask|Unpack' -benchmem -run '^$$' ./internal/imcs
 	$(GO) test -bench 'ScanClean|ScanInvalid|GroupFlush' -benchmem -run '^$$' ./internal/scanengine
 	$(GO) test -bench 'Image|DecodeRecord|EncodeRecord' -benchmem -run '^$$' ./internal/rowstore ./internal/redo
+	$(GO) test -bench ReplayInProc -run '^$$' ./internal/standby
 
 # End-to-end benchmark (bench/, declared in BENCHMARK.json): RUNS seeds per
 # workload from SEED into one result set, and the comparison of two result

@@ -81,7 +81,8 @@ type Config struct {
 	LagSampleInterval time.Duration
 	// FreshnessSampleEvery traces every Nth SCN end-to-end through the
 	// commit-to-visible freshness tracer (default 17; 1 traces every commit,
-	// negative disables tracing). See Cluster.Freshness and /debug/freshness.
+	// negative disables tracing), and only those SCNs are timed in the
+	// per-record pipeline stages. See Cluster.Freshness and /debug/freshness.
 	FreshnessSampleEvery int
 	// WatchdogInterval is the standby liveness watchdog's evaluation period
 	// (default 250ms; negative disables the background evaluation — see

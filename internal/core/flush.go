@@ -68,7 +68,7 @@ type Flusher struct {
 }
 
 // SetTrace attaches an optional pipeline trace; flush-stage latency is
-// observed per commit node when set.
+// observed for the commit nodes of its sampled SCNs.
 func (f *Flusher) SetTrace(t *obs.PipelineTrace) { f.trace.Store(t) }
 
 // SetSink attaches (or, with nil, detaches) the downstream; see Sink.
@@ -114,14 +114,13 @@ func (f *Flusher) CoarseInvalidations() int64 { return f.coarseCount.Load() }
 // anchor is complete and no worker is still appending to it.
 func (f *Flusher) FlushNode(n *CommitNode) {
 	tr := f.trace.Load()
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
+	if !tr.Sampled(uint64(n.CommitSCN)) {
+		f.flushNode(n)
+		return
 	}
+	start := time.Now()
 	f.flushNode(n)
-	if tr != nil {
-		tr.Observe(obs.StageFlush, uint64(n.CommitSCN), time.Since(start))
-	}
+	tr.Observe(obs.StageFlush, uint64(n.CommitSCN), time.Since(start))
 }
 
 func (f *Flusher) flushNode(n *CommitNode) {

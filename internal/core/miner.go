@@ -42,24 +42,24 @@ func NewMiner(journal *Journal, commits *CommitTable, ddl *DDLTable, policy Stan
 }
 
 // SetTrace attaches an optional pipeline trace; mine and journal stage
-// latencies are observed per change vector when set.
+// latencies are observed for the change vectors of its sampled SCNs.
 func (m *Miner) SetTrace(t *obs.PipelineTrace) { m.trace.Store(t) }
 
 // MineCV sniffs one change vector applied by recovery worker w at record SCN
 // recSCN (§III.B).
 func (m *Miner) MineCV(w int, recSCN scn.SCN, cv *redo.CV) {
 	tr := m.trace.Load()
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
+	if !tr.Sampled(uint64(recSCN)) {
+		m.mineCV(w, recSCN, cv, nil)
+		return
 	}
-	m.mineCV(w, recSCN, cv)
-	if tr != nil {
-		tr.Observe(obs.StageMine, uint64(recSCN), time.Since(start))
-	}
+	start := time.Now()
+	m.mineCV(w, recSCN, cv, tr)
+	tr.Observe(obs.StageMine, uint64(recSCN), time.Since(start))
 }
 
-func (m *Miner) mineCV(w int, recSCN scn.SCN, cv *redo.CV) {
+// mineCV mines one change vector; tr, when set, times its journal append.
+func (m *Miner) mineCV(w int, recSCN scn.SCN, cv *redo.CV, tr *obs.PipelineTrace) {
 	switch cv.Kind {
 	case redo.CVBegin:
 		m.journal.EnsureAnchor(cv.Txn, cv.Tenant, true)
@@ -71,7 +71,6 @@ func (m *Miner) mineCV(w int, recSCN scn.SCN, cv *redo.CV) {
 				// catch. Never taken in production (skip stays 0).
 				return
 			}
-			tr := m.trace.Load()
 			var start time.Time
 			if tr != nil {
 				start = time.Now()

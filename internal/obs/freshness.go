@@ -210,10 +210,15 @@ func (t *FreshnessTracer) Sampled(scn uint64) bool {
 // every existing instrumentation point feeds the tracer with no extra
 // plumbing.
 func (t *FreshnessTracer) Note(stage Stage, scn uint64, d time.Duration) {
+	t.noteAt(stage, scn, d, time.Now().UnixNano())
+}
+
+// noteAt is Note at wall clock nowNS, read once by the caller.
+func (t *FreshnessTracer) noteAt(stage Stage, scn uint64, d time.Duration, nowNS int64) {
 	if t == nil || stage >= StagePublish || !t.Sampled(scn) {
 		return
 	}
-	t.note(int(stage), scn, d, time.Now().UnixNano())
+	t.note(int(stage), scn, d, nowNS)
 }
 
 // Shipped attaches the ship-wait segment: the record stamped originNS by the

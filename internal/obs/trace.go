@@ -74,8 +74,10 @@ type traceEvent struct {
 
 // PipelineTrace stamps redo batches as they flow through the pipeline: each
 // Observe records a per-stage latency sample into a bounded histogram and an
-// event into a bounded ring buffer (oldest events are overwritten). All
-// methods are nil-safe so components can carry an optional trace.
+// event into a bounded ring buffer (oldest events are overwritten). The
+// per-record stages (ship to flush) time and observe only the SCNs Sampled
+// admits; publish, populate and transition observe every event. All methods
+// are nil-safe so components can carry an optional trace.
 type PipelineTrace struct {
 	hists [numStages]*Histogram
 
@@ -129,16 +131,24 @@ func (t *PipelineTrace) Freshness() *FreshnessTracer {
 	return t.freshness.Load()
 }
 
+// Sampled reports whether a per-record stage times the record or change
+// vector at scn: only the SCNs the attached freshness tracer traces are, so
+// an unsampled CV costs no clock read and no shared write. Without a tracer
+// nothing is.
+func (t *PipelineTrace) Sampled(scn uint64) bool {
+	return t != nil && t.freshness.Load().Sampled(scn)
+}
+
 // Observe records that the batch/commit at scn spent d in stage.
 func (t *PipelineTrace) Observe(stage Stage, scn uint64, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.hists[stage].ObserveDuration(d)
-	if ft := t.freshness.Load(); ft != nil {
-		ft.Note(stage, scn, d)
-	}
 	now := time.Now()
+	if ft := t.freshness.Load(); ft != nil {
+		ft.noteAt(stage, scn, d, now.UnixNano())
+	}
 	t.mu.Lock()
 	t.seq++
 	t.ring[t.next] = traceEvent{

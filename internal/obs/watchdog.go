@@ -19,11 +19,8 @@ type StageConfig struct {
 	// Name identifies the stage in health reports and metrics
 	// (stage_last_advance_seconds_<name>).
 	Name string
-	// Progress, when non-nil, is the stage's hot-path heartbeat. Exactly one
-	// of Progress and Count must be set.
-	Progress *Progress
-	// Count, when Progress is nil, is polled for the stage's monotonic
-	// progress count (e.g. an existing stats counter).
+	// Count is polled for the stage's monotonic progress count (e.g. an
+	// existing stats counter).
 	Count func() int64
 	// Backlog returns the stage's pending work in any monotone unit (records,
 	// SCN distance, queued tasks). nil means backlog is unknown: the stage is
@@ -273,9 +270,6 @@ func (w *Watchdog) Stop() {
 }
 
 func stageCount(cfg StageConfig) int64 {
-	if cfg.Progress != nil {
-		return cfg.Progress.Count()
-	}
 	if cfg.Count != nil {
 		return cfg.Count()
 	}

@@ -45,24 +45,6 @@ func stateOf(rep HealthReport, stage string) string {
 	return "missing"
 }
 
-func TestProgressNilSafe(t *testing.T) {
-	var p *Progress
-	p.Tick()
-	p.TickN(3)
-	if p.Count() != 0 || p.LastNanos() != 0 {
-		t.Fatalf("nil Progress must read zero")
-	}
-	var real Progress
-	real.Tick()
-	real.TickN(2)
-	if real.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", real.Count())
-	}
-	if real.LastNanos() == 0 {
-		t.Fatalf("LastNanos not stamped")
-	}
-}
-
 func TestWatchdogIdleNeverStalls(t *testing.T) {
 	w, _, _ := newTestWatchdog(time.Millisecond)
 	var st testStage

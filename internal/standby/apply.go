@@ -17,7 +17,7 @@ import (
 type applyTask struct {
 	scn scn.SCN
 	cv  *redo.CV
-	enq time.Time
+	enq time.Time // stamped only for a sampled SCN
 }
 
 // applyWorker is one recovery worker process. The merger routes change
@@ -65,7 +65,7 @@ func (inst *Instance) mergerLoop() {
 	}
 	readers := make([]*redo.Reader, len(streams))
 	peeks := make([]*redo.Record, len(streams))
-	peekAt := make([]time.Time, len(streams)) // merge-stage entry per peek
+	peekAt := make([]time.Time, len(streams)) // merge-stage entry per sampled peek
 	eol := make([]bool, len(streams))
 	lastSeen := make([]scn.SCN, len(streams))
 	start := scn.SCN(inst.lastDispatched.Load()) // apply resumes past it
@@ -98,9 +98,11 @@ func (inst *Instance) mergerLoop() {
 			}
 			rec, ok, end := readers[i].TryNext()
 			if ok {
-				peeks[i] = rec
-				peekAt[i] = time.Now()
-				inst.freshness.Shipped(uint64(rec.SCN), rec.OriginNS)
+				peeks[i], peekAt[i] = rec, time.Time{}
+				if inst.trace.Sampled(uint64(rec.SCN)) {
+					peekAt[i] = time.Now()
+					inst.freshness.Shipped(uint64(rec.SCN), rec.OriginNS)
+				}
 				progress = true
 			} else if end {
 				eol[i] = true
@@ -132,7 +134,9 @@ func (inst *Instance) mergerLoop() {
 			if safe {
 				// Merge latency: how long the record waited at the merger for
 				// the cross-thread SCN-order proof before release.
-				inst.trace.Observe(obs.StageMerge, uint64(r.SCN), time.Since(peekAt[best]))
+				if !peekAt[best].IsZero() {
+					inst.trace.Observe(obs.StageMerge, uint64(r.SCN), time.Since(peekAt[best]))
+				}
 				if !inst.dispatch(r) {
 					return // stopping
 				}
@@ -178,7 +182,11 @@ func (inst *Instance) mergerLoop() {
 // are applied inline behind a worker barrier (DDL is rare and must order
 // against every data CV). It returns false when the instance is stopping.
 func (inst *Instance) dispatch(r *redo.Record) bool {
-	start := time.Now()
+	var start time.Time
+	sampled := inst.trace.Sampled(uint64(r.SCN))
+	if sampled {
+		start = time.Now()
+	}
 	for k := range r.CVs {
 		cv := &r.CVs[k]
 		if cv.Kind == redo.CVMarker {
@@ -187,7 +195,7 @@ func (inst *Instance) dispatch(r *redo.Record) bool {
 			}
 			continue
 		}
-		if cv.Kind == redo.CVCommit {
+		if sampled && cv.Kind == redo.CVCommit {
 			// The dispatcher is the one pipeline point holding the whole
 			// record: promote the sampled span to a commit span and attach
 			// the primary's origin wall clock from the frame extension.
@@ -195,8 +203,12 @@ func (inst *Instance) dispatch(r *redo.Record) bool {
 		}
 		w := inst.workerFor(cv)
 		w.dispatched.Add(1)
+		task := applyTask{scn: r.SCN, cv: cv}
+		if sampled {
+			task.enq = time.Now()
+		}
 		select {
-		case w.ch <- applyTask{scn: r.SCN, cv: cv, enq: time.Now()}:
+		case w.ch <- task:
 		case <-inst.stop:
 			return false
 		}
@@ -205,7 +217,9 @@ func (inst *Instance) dispatch(r *redo.Record) bool {
 	// Observe before the frontier moves: once it covers r.SCN the coordinator
 	// may publish past it and close the record's freshness span, and a stage
 	// observed after that is lost to the span.
-	inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
+	if sampled {
+		inst.trace.Observe(obs.StageDispatch, uint64(r.SCN), time.Since(start))
+	}
 	// Publish the dispatch frontier only after every CV is enqueued: the
 	// coordinator's watermark proof depends on this ordering.
 	inst.lastDispatched.Store(uint64(r.SCN))
@@ -237,11 +251,12 @@ func (inst *Instance) workerLoop(w *applyWorker) {
 			// Observed before the applied count moves, for the same reason as
 			// the dispatch stage: the count is what lets a publication cover
 			// t.scn.
-			inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
+			if !t.enq.IsZero() {
+				inst.trace.Observe(obs.StageApply, uint64(t.scn), time.Since(t.enq))
+			}
 			w.appliedSCN.Store(uint64(t.scn))
 			applied := w.applied.Add(1)
 			inst.cvsApplied.Add(1)
-			inst.applyBeat.Tick()
 			// A commit became publishable, or this worker stopped holding the
 			// watermark back.
 			if t.cv.Kind == redo.CVCommit || applied == w.dispatched.Load() {

@@ -61,7 +61,8 @@ type Config struct {
 
 	// FreshnessSampleEvery traces every Nth SCN end-to-end through the
 	// freshness tracer (default obs.DefaultFreshnessSampleEvery; 1 traces
-	// every commit, negative disables tracing).
+	// every commit, negative disables tracing), and only those SCNs are timed
+	// in the per-record stages of the pipeline trace.
 	FreshnessSampleEvery int
 
 	// WatchdogInterval is the liveness watchdog's evaluation period (default
@@ -217,7 +218,6 @@ type Instance struct {
 	freshness *obs.FreshnessTracer
 	watchdog  *obs.Watchdog
 	recorder  *obs.FlightRecorder
-	applyBeat obs.Progress // apply-stage heartbeat, ticked per CV on the hot path
 	// shipUpstream, when set, reports the primary's redo frontier; the ship
 	// stage's backlog is upstream minus the receiver's delivery frontier.
 	shipUpstream   atomic.Pointer[func() scn.SCN]
@@ -383,12 +383,12 @@ func (inst *Instance) registerStages() {
 			return 0
 		},
 	})
-	// apply: the recovery workers (apply + mine). The hot-path heartbeat is a
-	// Progress ticked per CV; backlog is the summed worker queue depth.
+	// apply: the recovery workers (apply + mine), counted in applied CVs;
+	// backlog is the summed worker queue depth.
 	w.Register(obs.StageConfig{
-		Name:     "apply",
-		Progress: &inst.applyBeat,
-		Backlog:  inst.applyBacklog,
+		Name:    "apply",
+		Count:   inst.cvsApplied.Load,
+		Backlog: inst.applyBacklog,
 	})
 	// mine: visibility only — mining happens inline in apply, so the apply
 	// stage already judges its liveness.

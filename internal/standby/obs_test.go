@@ -60,6 +60,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		BlocksPerIMCU:      8,
 		MetricsAddr:        "127.0.0.1:0",
 		LagSampleInterval:  time.Millisecond,
+		// The per-record stages time sampled SCNs only: sample every one so
+		// each stage sees this short load.
+		FreshnessSampleEvery: 1,
 	})
 	sby.Attach(rcv)
 	sby.Start()

@@ -32,7 +32,7 @@ type wideLog struct {
 	rng    *rand.Rand
 }
 
-func newWideLog(t *testing.T, rows int) *wideLog {
+func newWideLog(t testing.TB, rows int) *wideLog {
 	t.Helper()
 	pri := primary.NewCluster(1, 32)
 	inst := pri.Instance(0)

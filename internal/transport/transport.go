@@ -341,7 +341,7 @@ type Options struct {
 
 // SetTrace attaches an optional pipeline trace; ship-stage latency (time to
 // receive each frame, from the later of read start and the record's origin)
-// is observed per record when set.
+// is observed for the records of its sampled SCNs.
 func (r *Receiver) SetTrace(t *obs.PipelineTrace) { r.trace.Store(t) }
 
 // RecordsReceived returns the redo records pumped into mirror streams.
@@ -551,12 +551,9 @@ func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Rec
 	// One reader per connection: frames a dead connection delivered behind a
 	// corrupt or cut one die with it and are refetched in order at LastSCN+1.
 	fr := redo.NewFrameReader(conn)
+	start := time.Now() // when the next frame's read began
 	for {
-		start := time.Now()
 		rec, err := fr.Next()
-		if err == nil {
-			r.frames.Add(1)
-		}
 		if err != nil {
 			var ce *redo.ChecksumError
 			if errors.As(err, &ce) {
@@ -572,18 +569,25 @@ func (r *Receiver) drainConn(conn net.Conn, mirror *redo.Stream, wp *[]*redo.Rec
 			}
 			return err
 		}
+		r.frames.Add(1)
+		// One clock read a frame: it ends this frame's read and begins the
+		// next one's.
+		end := time.Now()
+		begun := start
+		start = end
 		if rec.SCN <= mirror.LastSCN() {
 			r.dups.Add(1)
 			continue
 		}
-		// Ship time is the record's: a read that began before the record
-		// existed (shipwait covers that) counts from the record's origin.
-		end := time.Now()
-		ship := end.Sub(start)
-		if rec.OriginNS > 0 {
-			ship = min(ship, max(0, time.Duration(end.UnixNano()-rec.OriginNS)))
+		if tr := r.trace.Load(); tr.Sampled(uint64(rec.SCN)) {
+			// Ship time is the record's: a read that began before the record
+			// existed (shipwait covers that) counts from the record's origin.
+			ship := end.Sub(begun)
+			if rec.OriginNS > 0 {
+				ship = min(ship, max(0, time.Duration(end.UnixNano()-rec.OriginNS)))
+			}
+			tr.Observe(obs.StageShip, uint64(rec.SCN), ship)
 		}
-		r.trace.Load().Observe(obs.StageShip, uint64(rec.SCN), ship)
 		if r.opts.ReorderWindow < 2 {
 			release(rec)
 			continue
