@@ -206,9 +206,9 @@ func (t *FreshnessTracer) Sampled(scn uint64) bool {
 // Note attaches one stage segment to the SCN's span, opening it on first
 // contact. Publish/populate/transition observations are ignored: the publish
 // segment is synthesized at close (a publication covers many SCNs), and the
-// other two are not per-commit stages. Called from PipelineTrace.Observe, so
-// every existing instrumentation point feeds the tracer with no extra
-// plumbing.
+// other two are not per-commit stages. PipelineTrace.Observe feeds it (as
+// noteAt, with the clock read it already took), so every instrumentation
+// point feeds the tracer with no extra plumbing.
 func (t *FreshnessTracer) Note(stage Stage, scn uint64, d time.Duration) {
 	t.noteAt(stage, scn, d, time.Now().UnixNano())
 }
