@@ -148,7 +148,7 @@ func TestHandlerFreshnessEndpoint(t *testing.T) {
 	ft := NewFreshnessTracer(reg, 1, 8)
 	h.SetFreshness(ft)
 	for _, s := range requiredStages {
-		ft.Note(s, 3, time.Microsecond)
+		ft.Note(s, 3, time.Microsecond, time.Now().UnixNano())
 	}
 	ft.Commit(3, 1, time.Now().UnixNano())
 	ft.Publish(3, 0)

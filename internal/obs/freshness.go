@@ -206,15 +206,11 @@ func (t *FreshnessTracer) Sampled(scn uint64) bool {
 // Note attaches one stage segment to the SCN's span, opening it on first
 // contact. Publish/populate/transition observations are ignored: the publish
 // segment is synthesized at close (a publication covers many SCNs), and the
-// other two are not per-commit stages. PipelineTrace.Observe feeds it (as
-// noteAt, with the clock read it already took), so every instrumentation
-// point feeds the tracer with no extra plumbing.
-func (t *FreshnessTracer) Note(stage Stage, scn uint64, d time.Duration) {
-	t.noteAt(stage, scn, d, time.Now().UnixNano())
-}
-
-// noteAt is Note at wall clock nowNS, read once by the caller.
-func (t *FreshnessTracer) noteAt(stage Stage, scn uint64, d time.Duration, nowNS int64) {
+// other two are not per-commit stages. nowNS is the wall clock at the
+// segment's end. Called from PipelineTrace.Observe with the clock read it
+// already took, so every instrumentation point feeds the tracer with no extra
+// plumbing.
+func (t *FreshnessTracer) Note(stage Stage, scn uint64, d time.Duration, nowNS int64) {
 	if t == nil || stage >= StagePublish || !t.Sampled(scn) {
 		return
 	}

@@ -8,7 +8,7 @@ import (
 // driveSpan pushes one SCN through every required stage.
 func driveSpan(t *FreshnessTracer, scn uint64) {
 	for _, s := range requiredStages {
-		t.Note(s, scn, 10*time.Microsecond)
+		t.Note(s, scn, 10*time.Microsecond, time.Now().UnixNano())
 	}
 }
 
@@ -24,7 +24,7 @@ func TestFreshnessSampling(t *testing.T) {
 		}
 	}
 	// Unsampled SCNs never open spans.
-	ft.Note(StageMerge, 3, time.Microsecond)
+	ft.Note(StageMerge, 3, time.Microsecond, time.Now().UnixNano())
 	ft.Commit(5, 1, 123)
 	if st := ft.Stats(); st.Open != 0 {
 		t.Fatalf("unsampled SCNs opened spans: %+v", st)
@@ -71,7 +71,7 @@ func TestFreshnessSpanLifecycle(t *testing.T) {
 
 func TestFreshnessIncompleteSpanCounted(t *testing.T) {
 	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
-	ft.Note(StageMerge, 5, time.Microsecond) // merge only: apply/mine/flush missing
+	ft.Note(StageMerge, 5, time.Microsecond, time.Now().UnixNano()) // merge only: apply/mine/flush missing
 	ft.Commit(5, 1, time.Now().UnixNano())
 	ft.Publish(5, 0)
 	if st := ft.Stats(); st.Incomplete != 1 || st.Completed != 1 {
@@ -82,14 +82,14 @@ func TestFreshnessIncompleteSpanCounted(t *testing.T) {
 func TestFreshnessLateObservationsIgnored(t *testing.T) {
 	ft := NewFreshnessTracer(NewRegistry(), 1, 8)
 	ft.Publish(10, 0)
-	ft.Note(StageApply, 8, time.Microsecond) // behind the published frontier
+	ft.Note(StageApply, 8, time.Microsecond, time.Now().UnixNano()) // behind the published frontier
 	ft.Commit(9, 1, 1)
 	if st := ft.Stats(); st.Open != 0 || st.Opened != 0 {
 		t.Fatalf("late observations opened spans: %+v", st)
 	}
 	// Publish-stage observations are synthesized, never recorded directly.
-	ft.Note(StagePublish, 20, time.Microsecond)
-	ft.Note(StagePopulate, 20, time.Microsecond)
+	ft.Note(StagePublish, 20, time.Microsecond, time.Now().UnixNano())
+	ft.Note(StagePopulate, 20, time.Microsecond, time.Now().UnixNano())
 	if st := ft.Stats(); st.Opened != 0 {
 		t.Fatalf("publish/populate observation opened a span: %+v", st)
 	}
@@ -166,7 +166,7 @@ func TestFreshnessRingWraparound(t *testing.T) {
 
 func TestFreshnessNilSafety(t *testing.T) {
 	var ft *FreshnessTracer
-	ft.Note(StageApply, 1, time.Microsecond)
+	ft.Note(StageApply, 1, time.Microsecond, time.Now().UnixNano())
 	ft.Commit(1, 1, 1)
 	ft.Publish(1, 0)
 	ft.TruncateOpen("x")
@@ -215,12 +215,12 @@ func TestFreshnessWaitSegments(t *testing.T) {
 	ft.Shipped(5, origin)
 	ft.Shipped(6, 0) // no origin stamp: no ship-wait, and no span opened for it
 	for _, s := range []Stage{StageMerge, StageDispatch, StageApply, StageMine} {
-		ft.Note(s, 5, time.Microsecond)
+		ft.Note(s, 5, time.Microsecond, time.Now().UnixNano())
 	}
 	ft.Commit(5, 1, origin)
 	time.Sleep(publishWait)
 	start := time.Now().UnixNano()
-	ft.Note(StageFlush, 5, time.Microsecond)
+	ft.Note(StageFlush, 5, time.Microsecond, time.Now().UnixNano())
 	ft.Publish(5, start)
 
 	wf := ft.Waterfalls(0)

@@ -147,7 +147,7 @@ func (t *PipelineTrace) Observe(stage Stage, scn uint64, d time.Duration) {
 	t.hists[stage].ObserveDuration(d)
 	now := time.Now()
 	if ft := t.freshness.Load(); ft != nil {
-		ft.noteAt(stage, scn, d, now.UnixNano())
+		ft.Note(stage, scn, d, now.UnixNano())
 	}
 	t.mu.Lock()
 	t.seq++
